@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks of the hot kernels underlying every experiment:
 //! dense matmul, attention forward, KL divergence scoring and softmax.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edvit_nn::{Layer, MultiHeadSelfAttention};
+use edvit_parallel::ParallelPool;
 use edvit_tensor::{init::TensorRng, stats, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
@@ -98,8 +101,33 @@ fn bench_gelu(c: &mut Criterion) {
     c.bench_function("gelu_196x3072", |b| b.iter(|| x.gelu()));
 }
 
+fn bench_pool_dispatch(c: &mut Criterion) {
+    // Round trip of an otherwise empty two-chunk region on the global pool
+    // in which each chunk waits for the other to start, so a worker really
+    // has to wake up and claim one: publish, futex wake, claim, join. This
+    // is the latency every parallel kernel region pays before it gets any
+    // help, and what `PAR_WORK_THRESHOLD` / `PAR_ELEMS_THRESHOLD` in
+    // edvit-tensor are sized against. (A one-thread pool runs the range
+    // inline as a single chunk; the number is then the inline overhead.)
+    let pool = ParallelPool::global();
+    let handshake = !pool.is_sequential();
+    let arrived = AtomicUsize::new(0);
+    c.bench_function("pool_dispatch", |b| {
+        b.iter(|| {
+            arrived.store(0, Ordering::SeqCst);
+            pool.for_each_range(0..2, 1, |_| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while handshake && arrived.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+            });
+        });
+    });
+}
+
 criterion_group!(
     kernels,
+    bench_pool_dispatch,
     bench_matmul,
     bench_matmul_transposed,
     bench_batch_matmul,

@@ -201,7 +201,10 @@ impl ClusterRuntime {
                 let inputs = Arc::clone(&shared_inputs);
                 scope.spawn(move |_| {
                     let device_started = Instant::now();
-                    let result = run_device(sub_model_index, &mut executor, &inputs, codec);
+                    // Sibling device threads split the kernel pool evenly.
+                    let result = edvit_parallel::with_fair_share(num_sub_models, || {
+                        run_device(sub_model_index, &mut executor, &inputs, codec)
+                    });
                     // A closed channel means the collector already failed;
                     // stop quietly.
                     let _ = tx.send(result);

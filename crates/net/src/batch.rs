@@ -88,7 +88,10 @@ pub fn run_batch_over_tcp(
                     }
                 };
                 let device_started = Instant::now();
-                let encoded = encode_device_batch(sub_model_index, &mut executor, &inputs, codec);
+                // Sibling device threads split the kernel pool evenly.
+                let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
+                    encode_device_batch(sub_model_index, &mut executor, &inputs, codec)
+                });
                 let _ = timing_tx.send((sub_model_index, device_started.elapsed().as_secs_f64()));
                 match encoded {
                     Ok(frame) => {

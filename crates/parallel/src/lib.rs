@@ -19,10 +19,34 @@
 //!   rows without locks or unsafe code on the caller's side.
 //! * [`ParallelPool::map_indexed`] — a convenience parallel map collecting
 //!   one `T` per index (used for per-head attention and per-sample loops).
+//! * [`with_budget`] / [`with_fair_share`] — the per-thread cap on how many
+//!   threads a region may use, which is how an outer loop made of plain OS
+//!   threads (one per simulated edge device) claims its share of the pool.
 //!
-//! Nested calls (a parallel region entered from inside a worker) run inline
-//! on the current thread, so callers never deadlock and never oversubscribe:
-//! the outermost loop wins the threads, inner kernels stay sequential.
+//! # Who gets the threads
+//!
+//! The outermost parallel loop wins the threads; everything inside it runs
+//! sequentially. Three rules implement that:
+//!
+//! 1. **Nesting runs inline.** A region entered from inside a chunk of
+//!    another region executes on the current thread.
+//! 2. **Budgets.** Every OS thread carries a *budget* (default: the pool
+//!    size): a region it submits is executed by at most that many threads,
+//!    itself included. Under budget 1 [`ParallelPool::is_sequential`] is
+//!    true and the pool is never touched — no lock, no wake-up. `D` sibling
+//!    threads that are themselves the outer loop (device workers in one
+//!    process) each run under [`with_fair_share`]`(D, ..)`, i.e. budget
+//!    `max(1, threads / D)`: 2 devices on 2 cores compute inline, 2 devices
+//!    on 8 cores use 4 threads each, a lone device keeps the whole pool.
+//! 3. **A caller never waits for another caller's region.** Any number of
+//!    regions may be open at once; an idle worker helps whichever open
+//!    region still wants help. A caller whose region finds every worker
+//!    busy simply runs all of its own chunks — it only ever blocks on
+//!    helpers that are finishing chunks of *its* region.
+//!
+//! None of this can change a result: kernels give every output element to
+//! exactly one chunk with a fixed loop order, so outputs are bit-identical
+//! at every pool size and every budget.
 //!
 //! # Example
 //!
@@ -57,6 +81,36 @@ thread_local! {
     /// Set while the current thread is executing chunks of a parallel region;
     /// nested regions started from such a thread run inline.
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
+    /// Most threads (this one included) a region submitted from the current
+    /// thread may use. `usize::MAX` — the default — means "the pool size".
+    static BUDGET: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// Runs `f` with the current thread's budget capped at `threads` (at least
+/// 1): until `f` returns, a parallel region this thread submits to any pool
+/// is executed by at most `threads` threads, the caller included. Budgets
+/// only narrow — a nested call cannot raise an outer cap — and the previous
+/// budget is restored when `f` returns or unwinds.
+pub fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BUDGET.with(|budget| budget.set(self.0));
+        }
+    }
+    let previous = BUDGET.with(Cell::get);
+    let _restore = Restore(previous);
+    BUDGET.with(|budget| budget.set(threads.clamp(1, previous)));
+    f()
+}
+
+/// Runs `f` as one of `siblings` threads that together form an outer
+/// parallel loop (the device workers of an in-process cluster): the budget
+/// is this thread's even share of the global pool,
+/// `max(1, ParallelPool::global().threads() / siblings)`. Does not itself
+/// start the global pool's workers.
+pub fn with_fair_share<R>(siblings: usize, f: impl FnOnce() -> R) -> R {
+    with_budget(global_threads() / siblings.max(1), f)
 }
 
 /// One parallel region: a type-erased chunk runner plus the claim/completion
@@ -84,15 +138,14 @@ unsafe impl Sync for Region {}
 
 impl Region {
     /// Claims and runs chunks until none remain. Returns `true` if this
-    /// thread ran at least one chunk.
+    /// thread finished the region's last outstanding chunk.
     fn work(&self) -> bool {
-        let mut ran = false;
+        let mut finished_last = false;
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.chunks {
-                return ran;
+                return finished_last;
             }
-            ran = true;
             // SAFETY: `i < self.chunks` (guard above) and `call`/`data` were
             // produced by `erase` from a live `&G`; the submitting caller
             // blocks until `pending` hits zero, so the pointee outlives this
@@ -103,8 +156,12 @@ impl Region {
             }
             // Release pairs with the caller's Acquire load, making all chunk
             // writes visible before the caller observes completion.
-            self.pending.fetch_sub(1, Ordering::Release);
+            finished_last = self.pending.fetch_sub(1, Ordering::Release) == 1;
         }
+    }
+
+    fn has_unclaimed(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.chunks
     }
 
     fn done(&self) -> bool {
@@ -112,18 +169,28 @@ impl Region {
     }
 }
 
+/// A region some caller is currently inside, as the workers see it.
+struct OpenRegion {
+    region: Arc<Region>,
+    /// How many more workers may join: the submitter's budget minus itself
+    /// and minus the workers that already joined.
+    helpers_wanted: usize,
+}
+
 #[derive(Default)]
 struct PoolState {
-    region: Option<Arc<Region>>,
-    generation: u64,
+    /// Regions whose callers have not returned yet. Callers add and remove
+    /// their own entry; they never wait on anyone else's.
+    open: Vec<OpenRegion>,
     shutdown: bool,
 }
 
 struct Shared {
     state: Mutex<PoolState>,
-    /// Workers sleep here between regions.
+    /// Workers sleep here while no open region wants help.
     work_ready: Condvar,
-    /// The caller sleeps here while workers drain the last chunks.
+    /// Callers sleep here while helpers drain the last chunks of their own
+    /// region.
     region_done: Condvar,
 }
 
@@ -136,8 +203,9 @@ pub struct ParallelPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    /// Serializes regions: one parallel region at a time per pool.
-    submit: Mutex<()>,
+    /// Regions handed to the workers so far (a statistic: tests use it to
+    /// show that sequential callers never touch the pool).
+    dispatched: AtomicUsize,
 }
 
 impl std::fmt::Debug for ParallelPool {
@@ -172,7 +240,7 @@ impl ParallelPool {
             shared,
             workers,
             threads,
-            submit: Mutex::new(()),
+            dispatched: AtomicUsize::new(0),
         }
     }
 
@@ -181,26 +249,45 @@ impl ParallelPool {
     /// [`std::thread::available_parallelism`].
     pub fn global() -> &'static ParallelPool {
         static GLOBAL: OnceLock<ParallelPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| ParallelPool::new(configured_threads()))
+        GLOBAL.get_or_init(|| ParallelPool::new(global_threads()))
     }
 
-    /// Total threads this pool can bring to bear (workers + caller).
+    /// Total threads this pool can bring to bear (workers + caller). The
+    /// calling thread's budget does not change this number.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// `true` when the pool cannot parallelize (single thread, or the caller
-    /// is already inside a parallel region and would run inline anyway).
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1 || IN_POOL.with(Cell::get)
+    /// Threads a region submitted right now, from this thread, may use: the
+    /// pool size capped by the thread's budget, or 1 inside another region.
+    fn width(&self) -> usize {
+        if IN_POOL.with(Cell::get) {
+            1
+        } else {
+            self.threads.min(BUDGET.with(Cell::get))
+        }
     }
 
-    /// Core submission: runs `chunks` invocations of `call(data, i)` across
-    /// the pool, blocking until all complete. `call`/`data` must together
-    /// form a `Sync` closure that outlives this call — guaranteed by the
-    /// typed wrappers below, which keep the closure on the caller's stack.
-    fn run_region(&self, chunks: usize, call: unsafe fn(*const (), usize), data: *const ()) {
-        debug_assert!(chunks > 0);
+    /// `true` when a region submitted from the current thread would run
+    /// inline: a single-thread pool, a budget of 1 (see [`with_budget`]), or
+    /// a caller that is already inside a parallel region.
+    pub fn is_sequential(&self) -> bool {
+        self.width() == 1
+    }
+
+    /// Core submission: runs `chunks` invocations of `call(data, i)` on the
+    /// caller plus up to `width - 1` workers, blocking until all complete.
+    /// `call`/`data` must together form a `Sync` closure that outlives this
+    /// call — guaranteed by the typed wrappers below, which keep the closure
+    /// on the caller's stack.
+    fn run_region(
+        &self,
+        chunks: usize,
+        width: usize,
+        call: unsafe fn(*const (), usize),
+        data: *const (),
+    ) {
+        debug_assert!(chunks > 1 && width > 1);
         let region = Arc::new(Region {
             call,
             data,
@@ -209,23 +296,34 @@ impl ParallelPool {
             pending: AtomicUsize::new(chunks),
             panicked: AtomicBool::new(false),
         });
-        // One region at a time; the caller participates, so this lock is
-        // never held across a wait for another caller's work.
-        let _submit = lock(&self.submit);
-        {
-            let mut state = lock(&self.shared.state);
-            state.region = Some(Arc::clone(&region));
-            state.generation = state.generation.wrapping_add(1);
+        let helpers = width.min(chunks) - 1;
+        lock(&self.shared.state).open.push(OpenRegion {
+            region: Arc::clone(&region),
+            helpers_wanted: helpers,
+        });
+        self.dispatched.fetch_add(1, Ordering::Relaxed);
+        if helpers >= self.workers.len() {
+            self.shared.work_ready.notify_all();
+        } else {
+            for _ in 0..helpers {
+                self.shared.work_ready.notify_one();
+            }
         }
-        self.shared.work_ready.notify_all();
 
-        // The caller claims chunks like any worker.
+        // The caller claims chunks like any worker — and claims all of them
+        // when every worker is busy in somebody else's region.
         IN_POOL.with(|flag| flag.set(true));
         region.work();
         IN_POOL.with(|flag| flag.set(false));
 
-        // Wait for stragglers still draining their claimed chunks.
+        // Close the region, then wait for helpers still draining chunks they
+        // claimed from it. (The Acquire load in `done` is also what makes
+        // the helpers' writes visible, so it is not skipped even when this
+        // thread ran the last chunk.)
         let mut state = lock(&self.shared.state);
+        state
+            .open
+            .retain(|open| !Arc::ptr_eq(&open.region, &region));
         while !region.done() {
             state = self
                 .shared
@@ -233,7 +331,6 @@ impl ParallelPool {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        state.region = None;
         drop(state);
         if region.panicked.load(Ordering::Acquire) {
             panic!("a parallel region chunk panicked");
@@ -242,11 +339,11 @@ impl ParallelPool {
 
     /// Applies `f` to sub-ranges of `range`, in parallel. The range is split
     /// into contiguous chunks of at least `min_chunk` indices (and at most
-    /// `4 × threads` chunks overall, so claiming overhead stays bounded);
-    /// idle threads repeatedly claim the next unprocessed chunk.
+    /// `4 × width` chunks overall, so claiming overhead stays bounded); idle
+    /// threads repeatedly claim the next unprocessed chunk.
     ///
-    /// Runs inline (single chunk) when the pool is sequential, the range is
-    /// small, or this is a nested call from inside another region.
+    /// Runs inline (single chunk) when the pool is sequential for this
+    /// caller (see [`ParallelPool::is_sequential`]) or the range is small.
     pub fn for_each_range<F>(&self, range: Range<usize>, min_chunk: usize, f: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -255,7 +352,14 @@ impl ParallelPool {
         if len == 0 {
             return;
         }
-        let chunks = self.chunk_count(len, min_chunk);
+        let width = self.width();
+        // Over-partition a little so the shared-counter claiming can balance
+        // uneven chunk costs across threads.
+        let chunks = if width == 1 {
+            1
+        } else {
+            (len / min_chunk.max(1)).clamp(1, width * 4)
+        };
         if chunks <= 1 {
             f(range);
             return;
@@ -271,7 +375,7 @@ impl ParallelPool {
             }
         };
         let (call, data) = erase(&runner);
-        self.run_region(chunks, call, data);
+        self.run_region(chunks, width, call, data);
     }
 
     /// Splits `items` into disjoint `&mut` chunks of `chunk_size` elements
@@ -289,7 +393,8 @@ impl ParallelPool {
         }
         let chunk_size = chunk_size.clamp(1, len);
         let chunks = len.div_ceil(chunk_size);
-        if chunks <= 1 || self.is_sequential() {
+        let width = self.width();
+        if chunks <= 1 || width == 1 {
             for (c, chunk) in items.chunks_mut(chunk_size).enumerate() {
                 f(c * chunk_size, chunk);
             }
@@ -305,7 +410,7 @@ impl ParallelPool {
             f(lo, chunk);
         };
         let (call, data) = erase(&runner);
-        self.run_region(chunks, call, data);
+        self.run_region(chunks, width, call, data);
     }
 
     /// Parallel map: computes `f(i)` for `i in 0..n` and collects the results
@@ -323,18 +428,6 @@ impl ParallelPool {
             .into_iter()
             .map(|s| s.expect("map slot filled"))
             .collect()
-    }
-
-    /// How many chunks to cut `len` units of work into, respecting the
-    /// per-chunk minimum.
-    fn chunk_count(&self, len: usize, min_chunk: usize) -> usize {
-        if self.is_sequential() {
-            return 1;
-        }
-        let by_grain = len / min_chunk.max(1);
-        // Over-partition a little so the shared-counter claiming can balance
-        // uneven chunk costs across threads.
-        by_grain.clamp(1, self.threads * 4)
     }
 }
 
@@ -397,7 +490,6 @@ impl<T> SendPtr<T> {
 }
 
 fn worker_loop(shared: &Shared) {
-    let mut last_generation = 0u64;
     loop {
         let region = {
             let mut state = lock(&shared.state);
@@ -405,13 +497,15 @@ fn worker_loop(shared: &Shared) {
                 if state.shutdown {
                     return;
                 }
-                if state.generation != last_generation {
-                    if let Some(region) = state.region.clone() {
-                        last_generation = state.generation;
-                        break region;
-                    }
-                    // Region already drained and cleared; skip this generation.
-                    last_generation = state.generation;
+                // Join the first open region that still has chunks to claim
+                // and room under its submitter's budget.
+                if let Some(open) = state
+                    .open
+                    .iter_mut()
+                    .find(|open| open.helpers_wanted > 0 && open.region.has_unclaimed())
+                {
+                    open.helpers_wanted -= 1;
+                    break Arc::clone(&open.region);
                 }
                 state = shared
                     .work_ready
@@ -420,27 +514,29 @@ fn worker_loop(shared: &Shared) {
             }
         };
         IN_POOL.with(|flag| flag.set(true));
-        region.work();
+        let finished_last = region.work();
         IN_POOL.with(|flag| flag.set(false));
-        if region.done() {
-            // Wake the caller; taking the lock orders the wake after the
-            // caller's wait registration.
+        if finished_last {
+            // Wake the region's caller; taking the lock orders the wake
+            // after the caller's wait registration. Other callers waiting on
+            // their own regions re-check and go back to sleep.
             let _guard = lock(&shared.state);
             shared.region_done.notify_all();
         }
     }
 }
 
-/// Thread count for the global pool: `EDVIT_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism.
-fn configured_threads() -> usize {
-    match std::env::var("EDVIT_THREADS") {
+/// Thread count of the global pool, resolved once: `EDVIT_THREADS` when set
+/// to a positive integer, otherwise the machine's available parallelism.
+fn global_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| match std::env::var("EDVIT_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n.min(MAX_THREADS),
             _ => detected_threads(),
         },
         Err(_) => detected_threads(),
-    }
+    })
 }
 
 fn detected_threads() -> usize {
@@ -454,6 +550,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
 
     #[test]
     fn sequential_pool_runs_inline() {
@@ -582,5 +679,107 @@ mod tests {
     fn threads_clamped() {
         assert_eq!(ParallelPool::new(0).threads(), 1);
         assert_eq!(ParallelPool::new(10_000).threads(), MAX_THREADS);
+    }
+
+    #[test]
+    fn a_caller_never_waits_for_another_callers_region() {
+        // Caller A's two chunks park on a barrier — one on A, one on the pool's
+        // only worker — so A's region stays open with every thread of the pool
+        // inside it. Caller B must still get a region through the same pool
+        // (a pool that serialized regions would leave B asleep forever).
+        let pool = ParallelPool::new(2);
+        let release = Barrier::new(3);
+        let parked = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.for_each_range(0..2, 1, |_| {
+                    parked.fetch_add(1, Ordering::SeqCst);
+                    release.wait();
+                });
+            });
+            while parked.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            let mut out = vec![0usize; 64];
+            pool.scope_chunks(&mut out, 8, |base, chunk| {
+                for (i, slot) in chunk.iter_mut().enumerate() {
+                    *slot = base + i;
+                }
+            });
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i));
+            release.wait();
+        });
+    }
+
+    #[test]
+    fn budget_one_never_touches_the_pool() {
+        let pool = ParallelPool::new(4);
+        with_budget(1, || {
+            assert!(pool.is_sequential());
+            assert_eq!(pool.threads(), 4, "a budget does not resize the pool");
+            let caller = std::thread::current().id();
+            pool.for_each_range(0..1000, 1, |r| {
+                assert_eq!(r, 0..1000);
+                assert_eq!(std::thread::current().id(), caller);
+            });
+            let mut out = vec![0usize; 100];
+            pool.scope_chunks(&mut out, 7, |base, chunk| {
+                assert_eq!(std::thread::current().id(), caller);
+                chunk.fill(base);
+            });
+            assert_eq!(pool.map_indexed(9, |i| i + 1)[8], 9);
+        });
+        assert_eq!(pool.dispatched.load(Ordering::Relaxed), 0);
+        // The same calls without a budget do go through the workers.
+        pool.for_each_range(0..1000, 1, |_| {});
+        assert_eq!(pool.dispatched.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_region_uses_at_most_its_budget_of_threads() {
+        let pool = ParallelPool::new(8);
+        for budget in [2usize, 3, 8] {
+            let seen = Mutex::new(HashSet::new());
+            with_budget(budget, || {
+                assert!(!pool.is_sequential());
+                pool.for_each_range(0..4 * budget, 1, |_| {
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    // Hold the first chunks until `budget` threads have joined,
+                    // so the cap is what bounds the count, not luck.
+                    while seen.lock().unwrap().len() < budget {
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            assert_eq!(seen.lock().unwrap().len(), budget);
+        }
+    }
+
+    #[test]
+    fn budgets_only_narrow_and_are_restored_after_unwinding() {
+        let pool = ParallelPool::new(4);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            with_budget(1, || {
+                assert!(pool.is_sequential());
+                panic!("boom");
+            });
+        }));
+        assert!(result.is_err());
+        assert!(!pool.is_sequential(), "budget leaked out of the unwind");
+        with_budget(2, || {
+            with_budget(4, || assert_eq!(pool.width(), 2));
+            with_budget(0, || assert_eq!(pool.width(), 1));
+            assert_eq!(pool.width(), 2);
+        });
+        assert_eq!(pool.width(), 4);
+    }
+
+    #[test]
+    fn fair_share_divides_the_global_pool() {
+        let pool = ParallelPool::global();
+        with_fair_share(1, || assert_eq!(pool.width(), pool.threads()));
+        with_fair_share(2, || assert_eq!(pool.width(), (pool.threads() / 2).max(1)));
+        with_fair_share(MAX_THREADS + 1, || assert!(pool.is_sequential()));
+        with_fair_share(0, || assert_eq!(pool.width(), pool.threads()));
     }
 }

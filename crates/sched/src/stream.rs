@@ -1154,6 +1154,9 @@ fn run_epoch(
     // read it, so they stay deterministic.
     let produced_max = AtomicU64::new(0);
     let produced_ref = &produced_max;
+    // The device workers are the outer parallel loop: each computes under
+    // its share of the kernel pool instead of all of them queueing for it.
+    let device_threads = by_device.len();
 
     crossbeam::scope(|scope| -> Result<EpochOutcome> {
         let mut receivers: BTreeMap<usize, Box<dyn FrameRx>> = BTreeMap::new();
@@ -1182,18 +1185,20 @@ fn run_epoch(
             let codec = params.codec;
             let layout = params.layout;
             scope.spawn(move |_| {
-                run_device_worker(
-                    device_id,
-                    execs,
-                    epoch_rounds,
-                    layout,
-                    codec,
-                    inputs,
-                    capacity_flops,
-                    dies_at,
-                    produced_ref,
-                    tx.as_ref(),
-                );
+                edvit_parallel::with_fair_share(device_threads, || {
+                    run_device_worker(
+                        device_id,
+                        execs,
+                        epoch_rounds,
+                        layout,
+                        codec,
+                        inputs,
+                        capacity_flops,
+                        dies_at,
+                        produced_ref,
+                        tx.as_ref(),
+                    );
+                });
             });
         }
 

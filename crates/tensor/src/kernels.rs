@@ -19,7 +19,7 @@
 //!   x86-64 with AVX2+FMA (runtime-detected) the micro-kernel uses eight
 //!   `ymm` accumulators and fused multiply-adds; elsewhere a portable
 //!   unrolled variant is written so LLVM auto-vectorizes it.
-//! * **Row-range parallelism** — above [`PAR_WORK_THRESHOLD`] multiply-adds,
+//! * **Row-range parallelism** — from [`PAR_WORK_THRESHOLD`] multiply-adds up,
 //!   the output rows are split across the [`ParallelPool`]: each thread runs
 //!   the sequential blocked kernel on a disjoint strip of rows, claiming
 //!   strips from a shared counter so uneven strips self-balance.
@@ -37,8 +37,17 @@ pub const MR: usize = 4;
 const NC: usize = 128;
 /// Packed B panel depth (k entries per panel).
 const KC: usize = 256;
-/// Multiply-add count (`m·k·n`) above which a matmul is split across threads.
-pub const PAR_WORK_THRESHOLD: usize = 1 << 20;
+/// Multiply-add count (`m·k·n`) from which a matmul is split across threads.
+///
+/// Sized from measurement, not taste: a region gets no help before a worker
+/// has woken up, and `pool_dispatch` (`cargo bench -p edvit-bench --bench
+/// kernels`: publish → futex wake → claim → join of a two-chunk region) is
+/// ~17 µs on the 2-vCPU Xeon @ 2.1 GHz reference box, where the blocked
+/// kernel sustains ~35 GMAC/s on one thread. 2²¹ multiply-adds are ~60 µs
+/// of sequential work — three to four dispatch latencies — so the smallest
+/// region that goes parallel can still win back more than it pays. (The
+/// previous 2²⁰ was under two latencies: a net loss on two cores.)
+pub const PAR_WORK_THRESHOLD: usize = 1 << 21;
 /// Target multiply-adds per parallel chunk, so chunks stay coarse enough to
 /// amortize the claim/wake overhead.
 const PAR_CHUNK_WORK: usize = 1 << 18;
@@ -89,57 +98,72 @@ pub fn matmul(
     });
 }
 
-/// Sequential blocked matmul over all `m` rows (the per-thread body of
+/// Sequential blocked matmul over all `m` rows (the per-chunk body of
 /// [`matmul`]). `out` must be zero-filled.
+///
+/// Each call packs its own panels of B, one `kc × nc` panel at a time into a
+/// scratch it allocates. Both were measured against the alternatives on the
+/// `[64,192]×[192,768]` product, two threads: packing B once per call into a
+/// buffer all row chunks share is *slower* (330 µs with recycled buffers,
+/// 500 µs with fresh ones, against 245 µs) because a panel packed by one core
+/// is no longer in the L2 of the core that streams it and because a
+/// `k·n`-float allocation per call makes glibc trim and re-fault the heap;
+/// a thread-local scratch added ~1 MiB (+15 %) to the peak RSS of runs that
+/// spawn short-lived device threads for a saving no timing could resolve.
+/// What redundancy there is, is bounded by `chunk_rows` instead.
 pub fn matmul_seq(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let mut rows: Vec<&mut [f32]> = out.chunks_mut(n).collect();
-    let mut panel = vec![0.0f32; KC.min(k) * NC.min(n)];
-    let mut jc = 0;
-    while jc < n {
+    let mut panel = Vec::with_capacity(KC.min(k) * NC.min(n));
+    for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
+        for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             // Pack B[pc..pc+kc, jc..jc+nc] into a contiguous kc×nc panel.
-            for p in 0..kc {
-                let src = &b[(pc + p) * n + jc..(pc + p) * n + jc + nc];
-                panel[p * nc..p * nc + nc].copy_from_slice(src);
+            panel.clear();
+            for p in pc..pc + kc {
+                panel.extend_from_slice(&b[p * n + jc..][..nc]);
             }
-            let panel = &panel[..kc * nc];
-            for (strip, out_strip) in rows.chunks_mut(MR).enumerate() {
-                let i0 = strip * MR;
-                match out_strip {
-                    [r0, r1, r2, r3] => micro_tile_4_dispatch(
-                        &a[i0 * k + pc..i0 * k + pc + kc],
-                        &a[(i0 + 1) * k + pc..(i0 + 1) * k + pc + kc],
-                        &a[(i0 + 2) * k + pc..(i0 + 2) * k + pc + kc],
-                        &a[(i0 + 3) * k + pc..(i0 + 3) * k + pc + kc],
-                        panel,
-                        nc,
-                        &mut r0[jc..jc + nc],
-                        &mut r1[jc..jc + nc],
-                        &mut r2[jc..jc + nc],
-                        &mut r3[jc..jc + nc],
-                    ),
-                    _ => {
-                        for (ri, row) in out_strip.iter_mut().enumerate() {
-                            let i = i0 + ri;
-                            micro_tile_1(
-                                &a[i * k + pc..i * k + pc + kc],
-                                panel,
-                                nc,
-                                &mut row[jc..jc + nc],
-                            );
-                        }
-                    }
-                }
-            }
-            pc += KC;
+            accumulate_panel(a, &panel, out, k, n, (jc, nc), (pc, kc));
         }
-        jc += NC;
+    }
+}
+
+/// `out[.., jc..jc+nc] += a[.., pc..pc+kc] · panel` for every row of `a`
+/// (`out.len() / n` of them), [`MR`] rows at a time.
+fn accumulate_panel(
+    a: &[f32],
+    panel: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    (jc, nc): (usize, usize),
+    (pc, kc): (usize, usize),
+) {
+    let a_strips = a.chunks(MR * k);
+    for (a_strip, out_strip) in a_strips.zip(out.chunks_mut(MR * n)) {
+        if out_strip.len() == MR * n {
+            let (r0, rest) = out_strip.split_at_mut(n);
+            let (r1, rest) = rest.split_at_mut(n);
+            let (r2, r3) = rest.split_at_mut(n);
+            micro_tile_4_dispatch(
+                &a_strip[pc..pc + kc],
+                &a_strip[k + pc..k + pc + kc],
+                &a_strip[2 * k + pc..2 * k + pc + kc],
+                &a_strip[3 * k + pc..3 * k + pc + kc],
+                panel,
+                nc,
+                &mut r0[jc..jc + nc],
+                &mut r1[jc..jc + nc],
+                &mut r2[jc..jc + nc],
+                &mut r3[jc..jc + nc],
+            );
+        } else {
+            for (a_row, row) in a_strip.chunks(k).zip(out_strip.chunks_mut(n)) {
+                micro_tile_1(&a_row[pc..pc + kc], panel, nc, &mut row[jc..jc + nc]);
+            }
+        }
     }
 }
 
@@ -550,14 +574,17 @@ unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Rows per parallel chunk: coarse enough that one chunk carries at least
-/// [`PAR_CHUNK_WORK`] multiply-adds, fine enough that every thread gets work,
-/// and always a multiple of [`MR`] so chunk boundaries fall exactly on the
+/// [`PAR_CHUNK_WORK`] multiply-adds, fine enough that every thread gets two
+/// (one to start on, one to balance a worker that woke up late — every chunk
+/// re-packs B for its own L2, so four per thread cost 245 µs against 200 µs
+/// on the two-thread `[64,192]×[192,768]` product, and one per thread gained
+/// nothing in the median but lost the tail), and always a multiple of [`MR`] so chunk boundaries fall exactly on the
 /// sequential kernel's 4-row strip boundaries — which keeps every row's
 /// micro-kernel (and therefore its floating-point rounding) identical no
 /// matter how many threads split the work.
 fn chunk_rows(m: usize, work_per_row: usize, pool: &ParallelPool) -> usize {
     let min_rows = (PAR_CHUNK_WORK / work_per_row.max(1)).max(MR);
-    let fair_rows = m.div_ceil(pool.threads() * 4);
+    let fair_rows = m.div_ceil(pool.threads() * 2);
     min_rows.max(fair_rows).min(m).next_multiple_of(MR)
 }
 

@@ -9,7 +9,7 @@
 //! * an owned, contiguous, row-major [`Tensor`] with shape/broadcast logic,
 //! * dense linear algebra ([`Tensor::matmul`], batched matmul, transposes),
 //! * the neural-network kernels the paper's models need (softmax, layer
-//!   normalization, GELU, ...),
+//!   normalization, GELU, ...), over a vectorisable `exp` ([`approx`]),
 //! * reductions, slicing/gather/concat along axes,
 //! * seeded random initialization ([`init`]),
 //! * distribution utilities ([`stats`]) including the KL divergence used by
@@ -36,6 +36,7 @@ mod shape;
 #[allow(clippy::module_inception)]
 mod tensor;
 
+pub mod approx;
 pub mod init;
 pub mod kernels;
 pub mod linalg;

@@ -6,14 +6,20 @@
 
 use edvit_parallel::ParallelPool;
 
-use crate::{Tensor, TensorError};
+use crate::{approx, Tensor, TensorError};
 
 /// Numerical epsilon used by normalization kernels.
 pub const NORM_EPS: f32 = 1e-5;
 
 /// Minimum total elements before a row-wise activation/normalization kernel
-/// crosses the thread pool; below this, claiming overhead beats the win.
-const PAR_ELEMS_THRESHOLD: usize = 1 << 14;
+/// crosses the thread pool. GELU, softmax and layer norm all run at
+/// ~1.1 ns/element on the reference box (`gelu_196x3072`, `softmax_256x257`,
+/// `layernorm_196x768` in `cargo bench -p edvit-bench --bench kernels`), so
+/// 2¹⁶ elements are ~72 µs of sequential work: four times the ~17 µs
+/// `pool_dispatch` latency a region pays before a worker joins it. (The
+/// previous 2¹⁴ was sized for libm GELU at ~22 ns/element; with the
+/// vectorised kernels it would be one dispatch latency of work.)
+const PAR_ELEMS_THRESHOLD: usize = 1 << 16;
 
 /// Target elements per claimed chunk, so the shared-counter claiming can
 /// balance uneven chunk costs without drowning in atomics.
@@ -40,12 +46,12 @@ impl Tensor {
 
     /// Elementwise sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        self.map(approx::sigmoid)
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh_elem(&self) -> Tensor {
-        self.map(f32::tanh)
+        self.map(approx::tanh)
     }
 
     // ------------------------------------------------------------------
@@ -389,39 +395,81 @@ impl Tensor {
     }
 }
 
+/// `√(2/π)`, the constant of the tanh-approximated GELU.
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+/// `e^z` overflows `f32` just above this, so from here on
+/// `x / (1 + e^z)` is `−0.0`; cutting at 87 (|x| ≈ 9.99) instead of at the
+/// overflow point (|x| ≈ 10.06) pins "saturated from |x| = 10" exactly.
+const GELU_SATURATION: f32 = 87.0;
+
 /// Scalar GELU using the tanh approximation from the original paper
 /// (Hendrycks & Gimpel, 2016), matching PyTorch's `gelu(approximate="tanh")`.
+///
+/// With `u = √(2/π)·(x + 0.044715x³)`, `0.5·x·(1 + tanh u)` is rewritten as
+/// `x / (1 + e^(−2u))` over [`approx::exp`]: one exponential and one
+/// division, no cancellation in the negative tail, and straight-line code
+/// that [`gelu_map`] vectorises. Saturates exactly: `x` for `x ≥ 10`,
+/// `−0.0` for `x ≤ −10`; `±0` and NaN pass through.
+#[inline(always)]
 pub fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
+    let z = -2.0 * SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x);
+    let e = if z > GELU_SATURATION {
+        f32::INFINITY
+    } else {
+        approx::exp(z)
+    };
+    x / (1.0 + e)
 }
 
-/// Derivative of the tanh-approximated GELU, used by the backward passes.
+/// Derivative of the tanh-approximated GELU, used by the backward passes;
+/// built on the same [`approx::exp`] as the forward pass.
 pub fn gelu_grad_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = SQRT_2_OVER_PI * (x + 0.044_715 * x3);
-    let tanh_inner = inner.tanh();
+    let tanh_inner = approx::tanh(inner);
     let sech2 = 1.0 - tanh_inner * tanh_inner;
     0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044_715 * x * x)
 }
 
-/// In-place numerically stable softmax over a mutable slice.
+/// In-place numerically stable softmax over a mutable slice, on
+/// [`approx::exp`]. A `−∞` logit gets exactly `0.0`; a row of nothing but
+/// `−∞` becomes all zeros rather than NaN; a NaN logit stays NaN (and, as
+/// before, leaves its row un-normalised).
 pub fn softmax_slice(chunk: &mut [f32]) {
     if chunk.is_empty() {
         return;
     }
-    let max = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in chunk.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
+    // `f32::MIN` floor: keeps `v − max` at `−∞` (not NaN) for an all-`−∞`
+    // row. The comparison skips NaN logits, as `f32::max` does.
+    let max = lane_reduce(chunk, f32::MIN, |m, v| if v > m { v } else { m });
+    approx::map_lanes(chunk, move |v| approx::exp(v - max));
+    let sum = lane_reduce(chunk, 0.0, |s, v| s + v);
     if sum > 0.0 {
         for v in chunk.iter_mut() {
             *v /= sum;
         }
     }
+}
+
+/// Reduces a slice over eight interleaved accumulators: element `i` goes to
+/// accumulator `i % 8`, the accumulators are folded in a fixed tree and the
+/// tail is folded in last. The order depends only on the slice, so a sum is
+/// as deterministic as a left-to-right one, but it is one vector op per
+/// eight elements instead of a serial dependency chain.
+#[inline(always)]
+fn lane_reduce(values: &[f32], init: f32, op: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut acc = [init; 8];
+    let mut blocks = values.chunks_exact(8);
+    for block in &mut blocks {
+        for (a, &v) in acc.iter_mut().zip(block) {
+            *a = op(*a, v);
+        }
+    }
+    let folded = op(
+        op(op(acc[0], acc[4]), op(acc[2], acc[6])),
+        op(op(acc[1], acc[5]), op(acc[3], acc[7])),
+    );
+    blocks.remainder().iter().fold(folded, |r, &v| op(r, v))
 }
 
 /// In-place layer normalization of one row against `gamma`/`beta` (which must
@@ -659,18 +707,15 @@ pub fn layer_norm_param_grads_rows(
 
 /// In-place elementwise GELU over `data`, split across `pool`; elementwise,
 /// so chunk boundaries cannot change any value — bit-identical at every
-/// thread count.
+/// thread count (and equal to [`gelu_scalar`] element by element, whichever
+/// SIMD width the loop was compiled for).
 pub fn gelu_map(data: &mut [f32], pool: &ParallelPool) {
     if data.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
-        for v in data.iter_mut() {
-            *v = gelu_scalar(*v);
-        }
+        approx::map_lanes(data, gelu_scalar);
         return;
     }
     pool.scope_chunks(data, PAR_CHUNK_ELEMS, |_, chunk| {
-        for v in chunk.iter_mut() {
-            *v = gelu_scalar(*v);
-        }
+        approx::map_lanes(chunk, gelu_scalar);
     });
 }
 

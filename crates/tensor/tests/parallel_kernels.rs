@@ -28,7 +28,7 @@ fn assert_close(got: &[f32], expected: &[f32], context: &str) {
 /// Random shapes covering the degenerate (0, 1) dimensions, the remainder
 /// paths of the 4-row/8-column register tiles, the packing block edges
 /// (`NC` = 128, `KC` = 256) and sizes straddling the parallel threshold
-/// (`m·k·n` around 2²⁰).
+/// (`m·k·n` around 2²¹).
 fn interesting_shapes(rng: &mut TensorRng) -> Vec<(usize, usize, usize)> {
     let mut shapes = vec![
         (0, 3, 4),
@@ -42,11 +42,16 @@ fn interesting_shapes(rng: &mut TensorRng) -> Vec<(usize, usize, usize)> {
         (64, 64, 64),
         (4, 257, 129),
         (130, 127, 129),
-        // Straddle PAR_WORK_THRESHOLD = 2^20 ≈ 101.6³.
         (101, 101, 101),
         (102, 102, 102),
         (128, 64, 128),
         (96, 300, 64),
+        // Straddle PAR_WORK_THRESHOLD = 2^21 = 128³, then well past it
+        // (ragged row chunks, several packed panels, the benchmark's MLP).
+        (127, 128, 128),
+        (128, 128, 128),
+        (203, 150, 131),
+        (64, 192, 768),
     ];
     // A few fuzzed shapes per run (seeded, so reproducible).
     for _ in 0..6 {
@@ -178,18 +183,21 @@ fn tensor_level_ops_use_global_pool_and_match_reference() {
     }
 }
 
-/// Row-op shapes straddling the parallel threshold (2^14 elements) and the
+/// Row-op shapes straddling the parallel threshold (2^16 elements) and the
 /// rows-per-chunk grouping: tiny rows, huge rows, a single row, ragged counts.
 fn row_shapes() -> Vec<(usize, usize)> {
     vec![
         (1, 8),
         (3, 5),
-        (16, 16),    // 256 elements: sequential path
-        (196, 768),  // ViT-Base token grid: parallel path
-        (4096, 8),   // many tiny rows: chunk grouping
-        (1, 32_768), // one huge row: single chunk
-        (257, 129),  // ragged, threshold-straddling
-        (64, 256),   // exactly 2^14: boundary
+        (16, 16),     // 256 elements: sequential path
+        (196, 768),   // ViT-Base token grid: parallel path
+        (4096, 8),    // many tiny rows, below the threshold
+        (1, 32_768),  // one huge row, below the threshold
+        (257, 129),   // ragged, below the threshold
+        (64, 256),    // 2^14, the threshold before it was measured
+        (256, 256),   // exactly 2^16, the boundary: 16 rows per chunk
+        (1, 131_072), // one huge row: single chunk
+        (260, 253),   // ragged, just past the threshold
     ]
 }
 
