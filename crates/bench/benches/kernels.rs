@@ -4,9 +4,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use edvit_nn::{Layer, MultiHeadSelfAttention};
-use edvit_parallel::ParallelPool;
+use edvit_nn::{Layer, Linear, MultiHeadSelfAttention};
+use edvit_parallel::{with_budget, ParallelPool};
+use edvit_tensor::kernels::{self, MicroKernel};
 use edvit_tensor::{init::TensorRng, stats, Tensor};
+use edvit_vit::{ViTConfig, ViTVariant, VisionTransformer};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -125,9 +127,78 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     });
 }
 
+/// The forward path of the repo benchmark's probe model (depth 4, width 192,
+/// 6 heads, 64 tokens), layer by layer and under budget 1 — inline on the
+/// calling thread, as each device thread of a two-device run executes it.
+/// `PAR_WORK_THRESHOLD` in edvit-tensor quotes `matmul_64x192x768_seq`; the
+/// per-ISA entries are the same-session comparison of the micro-kernels.
+fn bench_probe_forward_path(c: &mut Criterion) {
+    let (tokens, width, hidden, heads) = (64usize, 192usize, 768usize, 6usize);
+    let mut rng = TensorRng::new(8);
+    let x = rng.randn(&[tokens, width], 0.0, 1.0);
+    let w = rng.randn(&[width, hidden], 0.0, 0.02);
+
+    let mut group = c.benchmark_group("matmul_64x192x768_seq");
+    for kernel in [
+        MicroKernel::Portable,
+        MicroKernel::Avx2Fma,
+        MicroKernel::Avx512,
+    ] {
+        if !kernel.is_supported() {
+            println!("matmul_64x192x768_seq/{kernel:?}: skipped, CPU lacks the features");
+            continue;
+        }
+        let mut out = vec![0.0f32; tokens * hidden];
+        group.bench_function(format!("{kernel:?}"), |bench| {
+            bench.iter(|| {
+                out.fill(0.0);
+                kernels::matmul_seq_with(
+                    kernel,
+                    x.data(),
+                    w.data(),
+                    &mut out,
+                    tokens,
+                    width,
+                    hidden,
+                );
+            });
+        });
+    }
+    group.finish();
+
+    let mut linear = Linear::new(width, hidden, &mut rng);
+    c.bench_function("linear_forward_64x192x768", |bench| {
+        bench.iter(|| with_budget(1, || linear.forward(&x).unwrap()));
+    });
+
+    let mut mhsa = MultiHeadSelfAttention::new(width, heads, width / heads, &mut rng).unwrap();
+    let batch = rng.randn(&[1, tokens, width], 0.0, 1.0);
+    c.bench_function("mhsa_forward_64x192", |bench| {
+        bench.iter(|| with_budget(1, || mhsa.forward(&batch).unwrap()));
+    });
+
+    let config = ViTConfig {
+        variant: ViTVariant::Small,
+        depth: 4,
+        embed_dim: width,
+        heads,
+        mlp_ratio: 4,
+        patch_size: 8,
+        image_size: 64,
+        channels: 3,
+        num_classes: 10,
+    };
+    let mut model = VisionTransformer::new(&config, &mut rng).unwrap();
+    let image = rng.randn(&[1, 3, 64, 64], 0.0, 1.0);
+    c.bench_function("vit_forward_probe", |bench| {
+        bench.iter(|| with_budget(1, || model.forward_features(&image).unwrap()));
+    });
+}
+
 criterion_group!(
     kernels,
     bench_pool_dispatch,
+    bench_probe_forward_path,
     bench_matmul,
     bench_matmul_transposed,
     bench_batch_matmul,

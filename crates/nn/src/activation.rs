@@ -1,3 +1,4 @@
+use edvit_parallel::ParallelPool;
 use edvit_tensor::{ops, Tensor};
 
 use crate::{Layer, NnError, Parameter, Result};
@@ -33,6 +34,12 @@ impl Layer for Relu {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         self.cache_input = Some(input.clone());
         Ok(input.relu())
+    }
+
+    fn forward_owned(&mut self, mut input: Tensor) -> Result<Tensor> {
+        self.cache_input = Some(input.clone());
+        input.map_inplace(|x| x.max(0.0));
+        Ok(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -71,6 +78,12 @@ impl Layer for Gelu {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
         self.cache_input = Some(input.clone());
         Ok(input.gelu())
+    }
+
+    fn forward_owned(&mut self, mut input: Tensor) -> Result<Tensor> {
+        self.cache_input = Some(input.clone());
+        ops::gelu_map(input.data_mut(), ParallelPool::global());
+        Ok(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -127,6 +140,23 @@ mod tests {
         let mut gelu = Gelu::new();
         assert!(gelu.backward(&Tensor::ones(&[1])).is_err());
         assert!(gelu.parameters().is_empty());
+    }
+
+    #[test]
+    fn forward_owned_matches_forward_and_leaves_the_same_cache() {
+        let x = Tensor::from_vec(vec![-3.0, -0.25, 0.0, 0.5, 2.0, 11.0], &[2, 3]).unwrap();
+        let g = Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0, 5.0, -6.0], &[2, 3]).unwrap();
+        let layers: [(Box<dyn Layer>, Box<dyn Layer>); 2] = [
+            (Box::new(Relu::new()), Box::new(Relu::new())),
+            (Box::new(Gelu::new()), Box::new(Gelu::new())),
+        ];
+        for (mut borrowed, mut owned) in layers {
+            assert_eq!(
+                owned.forward_owned(x.clone()).unwrap(),
+                borrowed.forward(&x).unwrap()
+            );
+            assert_eq!(owned.backward(&g).unwrap(), borrowed.backward(&g).unwrap());
+        }
     }
 
     #[test]

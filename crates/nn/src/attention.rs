@@ -1,5 +1,5 @@
 use edvit_parallel::ParallelPool;
-use edvit_tensor::{init::TensorRng, Tensor};
+use edvit_tensor::{init::TensorRng, ops, Tensor};
 
 use crate::{Layer, Linear, NnError, Parameter, Result};
 
@@ -250,33 +250,41 @@ impl MultiHeadSelfAttention {
         MultiHeadSelfAttention::from_projections(q, k, v, out, self.heads, self.head_dim)
     }
 
-    /// Scaled-dot-product attention of a single head.
-    fn head_forward(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<(Tensor, HeadCache)> {
+    /// Scaled-dot-product attention of head `h` of one sample, whose
+    /// projections `q`, `k`, `v` are `[tokens, heads·head_dim]` row-major
+    /// slices. The head's three `[tokens, head_dim]` operands are strided row
+    /// copies made once and then moved into the returned cache; the `1/√d`
+    /// scale is fused into the score write and the softmax runs in place on
+    /// the scores.
+    fn head_forward(
+        &self,
+        h: usize,
+        tokens: usize,
+        (q, k, v): (&[f32], &[f32], &[f32]),
+    ) -> Result<(Tensor, HeadCache)> {
+        let head = |all: &[f32]| -> Result<Tensor> {
+            let mut data = Vec::with_capacity(tokens * self.head_dim);
+            for row in all.chunks_exact(self.heads * self.head_dim) {
+                data.extend_from_slice(&row[h * self.head_dim..(h + 1) * self.head_dim]);
+            }
+            Ok(Tensor::from_vec(data, &[tokens, self.head_dim])?)
+        };
+        let (q, k, v) = (head(q)?, head(k)?, head(v)?);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let scores = q.matmul_transposed(k)?.scale(scale);
-        let attn = scores.softmax_last_axis()?;
-        let out = attn.matmul(v)?;
-        Ok((
-            out,
-            HeadCache {
-                q: q.clone(),
-                k: k.clone(),
-                v: v.clone(),
-                attn,
-            },
-        ))
+        let mut attn = q.matmul_transposed_scaled(&k, scale)?;
+        ops::softmax_rows(attn.data_mut(), tokens, ParallelPool::global());
+        let out = attn.matmul(&v)?;
+        Ok((out, HeadCache { q, k, v, attn }))
     }
 
+    /// Attention over one sample's `[tokens, inner]` projections: returns the
+    /// concatenated head outputs (`[tokens, inner]`, row-major) and the
+    /// per-head caches.
     fn forward_sample(
         &self,
-        q_all: &Tensor,
-        k_all: &Tensor,
-        v_all: &Tensor,
-    ) -> Result<(Tensor, Vec<HeadCache>)> {
-        let tokens = q_all.dims()[0];
-        let q_heads = q_all.chunk_last_axis(self.heads)?;
-        let k_heads = k_all.chunk_last_axis(self.heads)?;
-        let v_heads = v_all.chunk_last_axis(self.heads)?;
+        tokens: usize,
+        qkv: (&[f32], &[f32], &[f32]),
+    ) -> Result<(Vec<f32>, Vec<HeadCache>)> {
         // Heads are independent (DeViT-style decomposition), so they can run
         // on separate threads; below the work threshold the pool wake-up
         // costs more than the heads themselves.
@@ -284,24 +292,25 @@ impl MultiHeadSelfAttention {
         let per_head_work = tokens * tokens * self.head_dim;
         let results: Vec<Result<(Tensor, HeadCache)>> =
             if self.heads > 1 && per_head_work >= PAR_HEAD_WORK && !pool.is_sequential() {
-                pool.map_indexed(self.heads, |h| {
-                    self.head_forward(&q_heads[h], &k_heads[h], &v_heads[h])
-                })
+                pool.map_indexed(self.heads, |h| self.head_forward(h, tokens, qkv))
             } else {
                 (0..self.heads)
-                    .map(|h| self.head_forward(&q_heads[h], &k_heads[h], &v_heads[h]))
+                    .map(|h| self.head_forward(h, tokens, qkv))
                     .collect()
             };
-        let mut head_outputs = Vec::with_capacity(self.heads);
+        let inner = self.heads * self.head_dim;
+        let mut concat = vec![0.0f32; tokens * inner];
         let mut head_caches = Vec::with_capacity(self.heads);
-        for result in results {
+        for (h, result) in results.into_iter().enumerate() {
             let (out, cache) = result?;
             debug_assert_eq!(out.dims(), &[tokens, self.head_dim]);
-            head_outputs.push(out);
+            let head_rows = out.data().chunks_exact(self.head_dim);
+            for (row, head_row) in concat.chunks_exact_mut(inner).zip(head_rows) {
+                row[h * self.head_dim..(h + 1) * self.head_dim].copy_from_slice(head_row);
+            }
             head_caches.push(cache);
         }
-        let refs: Vec<&Tensor> = head_outputs.iter().collect();
-        Ok((Tensor::concat_last_axis(&refs)?, head_caches))
+        Ok((concat, head_caches))
     }
 
     fn backward_sample(&self, grad_concat: &Tensor, caches: &[HeadCache]) -> Result<Tensor> {
@@ -365,45 +374,49 @@ impl Layer for MultiHeadSelfAttention {
         let q_all = self.q_proj.forward(input)?;
         let k_all = self.k_proj.forward(input)?;
         let v_all = self.v_proj.forward(input)?;
-        let run_sample = |b: usize| -> Result<(Tensor, Vec<HeadCache>)> {
-            let (q, k, v) = if batched {
-                (q_all.row(b)?, k_all.row(b)?, v_all.row(b)?)
-            } else {
-                (q_all.clone(), k_all.clone(), v_all.clone())
-            };
-            self.forward_sample(&q, &k, &v)
+        let inner = self.heads * self.head_dim;
+        let per_sample_len = tokens * inner;
+        let run_sample = |b: usize| -> Result<(Vec<f32>, Vec<HeadCache>)> {
+            let sample = b * per_sample_len..(b + 1) * per_sample_len;
+            let qkv = (
+                &q_all.data()[sample.clone()],
+                &k_all.data()[sample.clone()],
+                &v_all.data()[sample],
+            );
+            self.forward_sample(tokens, qkv)
         };
         // Samples are independent; run them across the pool (each sample's
         // per-head loop then executes inline on its worker).
         let pool = ParallelPool::global();
-        let results: Vec<Result<(Tensor, Vec<HeadCache>)>> = if batch > 1 && !pool.is_sequential() {
+        let results: Vec<Result<(Vec<f32>, Vec<HeadCache>)>> = if batch > 1 && !pool.is_sequential()
+        {
             pool.map_indexed(batch, run_sample)
         } else {
             (0..batch).map(run_sample).collect()
         };
         let mut per_sample = Vec::with_capacity(batch);
-        let mut outputs = Vec::with_capacity(batch);
+        // The first sample's buffer becomes the concat buffer, so the
+        // one-sample inference path copies nothing.
+        let mut concat = Vec::new();
         for result in results {
             let (out, caches) = result?;
-            outputs.push(out);
+            if concat.is_empty() {
+                concat = out;
+                concat.reserve_exact((batch - 1) * per_sample_len);
+            } else {
+                concat.extend_from_slice(&out);
+            }
             per_sample.push(caches);
         }
-        let concat = if batched {
-            let reshaped: Vec<Tensor> = outputs
-                .iter()
-                .map(|t| t.reshape(&[1, tokens, self.heads * self.head_dim]))
-                .collect::<std::result::Result<_, _>>()?;
-            let refs: Vec<&Tensor> = reshaped.iter().collect();
-            Tensor::concat_first_axis(&refs)?
-        } else {
-            outputs.pop().expect("batch of one")
-        };
+        let mut concat_dims = input.dims().to_vec();
+        *concat_dims.last_mut().expect("rank 2 or 3") = inner;
+        let concat = Tensor::from_vec(concat, &concat_dims)?;
         self.cache = Some(AttentionCache {
             per_sample,
             batched_input: batched,
             tokens,
         });
-        self.out_proj.forward(&concat)
+        self.out_proj.forward_owned(concat)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {

@@ -12,6 +12,27 @@
 //! makes each gradient auditable against finite differences, which the test
 //! suite does for every layer.
 //!
+//! # One forward path, and what it caches
+//!
+//! There is no inference mode: the forward that serves a request is the
+//! forward that training backpropagates through, and it is kept lean instead
+//! of forked. A cache entry is a *move* of a buffer the forward pass already
+//! owns wherever one exists, and exactly one copy where the only source is a
+//! borrowed input:
+//!
+//! | layer | caches for `backward` | how |
+//! |---|---|---|
+//! | [`Linear`] | its input as `[rows, in]`, the leading dims | `forward`: one copy of the borrowed input; [`Layer::forward_owned`]: the input buffer itself, reshaped in place. The output is one buffer — `x·W + b` with the bias as the matmul's epilogue |
+//! | [`Gelu`], [`Relu`] | the pre-activation | one copy; `forward_owned` then computes in place on the buffer it was given |
+//! | [`Mlp`] | nothing of its own | the first linear layer borrows the caller's input; every later buffer is passed down by value, so each hidden activation is allocated once and ends up inside the next layer's cache |
+//! | [`MultiHeadSelfAttention`] | per sample and head: `q`, `k`, `v` (`[tokens, head_dim]`) and the attention weights (`[tokens, tokens]`) | the three operands are strided row copies out of the `[tokens, heads·head_dim]` projections, made once, used by the kernels, then moved into the cache; the scores are scaled as they are written, soft-maxed in place and moved; head outputs are written straight into the buffer the output projection then takes by value |
+//! | [`LayerNorm`] | the normalized input and `1/σ` per row | buffers its forward kernel fills |
+//!
+//! Cloning a cache is not what a forward costs (`[1,64,768]` is 4.5 µs); the
+//! per-element `%`, the three-buffer `Linear::forward` and the index-list
+//! head split it replaced were. `crates/vit/tests/forward_pinned.rs` pins the
+//! bits of the whole path, forward and backward.
+//!
 //! # Example
 //!
 //! ```

@@ -125,13 +125,16 @@ impl Linear {
         Linear::from_weights(w, b)
     }
 
-    fn flatten_input(&self, input: &Tensor) -> Result<(Tensor, Vec<usize>)> {
-        if input.rank() == 0 {
+    /// `input · W + b` in one buffer with the output's final dims; returns it
+    /// with the row count of `input` seen as `[rows, in_features]`. Caches
+    /// only the leading dims — the callers cache the input itself, by copy or
+    /// by move.
+    fn affine(&mut self, input: &Tensor) -> Result<(Tensor, usize)> {
+        let Some((&last, lead)) = input.dims().split_last() else {
             return Err(NnError::InvalidConfig {
                 message: "linear forward on rank-0 tensor".to_string(),
             });
-        }
-        let last = *input.dims().last().expect("rank >= 1");
+        };
         if last != self.in_features {
             return Err(NnError::InvalidConfig {
                 message: format!(
@@ -142,23 +145,23 @@ impl Linear {
                 ),
             });
         }
-        let rows = input.numel() / last;
-        let lead: Vec<usize> = input.dims()[..input.rank() - 1].to_vec();
-        Ok((input.reshape(&[rows, last])?, lead))
+        let out = input.matmul_bias(self.weight.value(), self.bias.value())?;
+        self.cache_lead_dims = lead.to_vec();
+        Ok((out, lead.iter().product()))
     }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (x2d, lead) = self.flatten_input(input)?;
-        let out = x2d
-            .matmul(self.weight.value())?
-            .add_row_broadcast(self.bias.value())?;
-        self.cache_input = Some(x2d);
-        self.cache_lead_dims = lead.clone();
-        let mut out_dims = lead;
-        out_dims.push(self.out_features);
-        Ok(out.reshape(&out_dims)?)
+        let (out, rows) = self.affine(input)?;
+        self.cache_input = Some(input.reshape(&[rows, self.in_features])?);
+        Ok(out)
+    }
+
+    fn forward_owned(&mut self, input: Tensor) -> Result<Tensor> {
+        let (out, rows) = self.affine(&input)?;
+        self.cache_input = Some(input.into_reshaped(&[rows, self.in_features])?);
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -222,6 +225,23 @@ mod tests {
         assert_eq!(y.dims(), &[2, 5, 2]);
         let g = lin.backward(&Tensor::ones(&[2, 5, 2])).unwrap();
         assert_eq!(g.dims(), &[2, 5, 4]);
+    }
+
+    #[test]
+    fn forward_owned_matches_forward_and_leaves_the_same_cache() {
+        let mut rng = TensorRng::new(9);
+        let mut borrowed = Linear::new(4, 3, &mut rng);
+        let mut owned = borrowed.clone();
+        let x = rng.randn(&[2, 5, 4], 0.0, 1.0);
+        let g = rng.randn(&[2, 5, 3], 0.0, 1.0);
+        assert_eq!(
+            owned.forward_owned(x.clone()).unwrap(),
+            borrowed.forward(&x).unwrap()
+        );
+        assert_eq!(owned.backward(&g).unwrap(), borrowed.backward(&g).unwrap());
+        assert_eq!(owned.weight().grad(), borrowed.weight().grad());
+        assert_eq!(owned.bias().grad(), borrowed.bias().grad());
+        assert!(owned.forward_owned(Tensor::zeros(&[2, 3])).is_err());
     }
 
     #[test]

@@ -186,12 +186,22 @@ impl Mlp {
 
 impl Layer for Mlp {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
-        for i in 0..self.linears.len() {
-            x = self.linears[i].forward(&x)?;
-            if i < self.activations.len() {
-                x = self.activations[i].forward(&x)?;
+        // Only the first layer borrows; every later buffer is this
+        // function's own, so each layer takes it by value: the activation
+        // runs in place (its cache is the one copy of the pre-activation) and
+        // the next linear layer moves it into its cache.
+        let Some((first, rest)) = self.linears.split_first_mut() else {
+            return Err(NnError::InvalidConfig {
+                message: "forward on an MLP without layers".to_string(),
+            });
+        };
+        let mut x = first.forward(input)?;
+        let mut activations = self.activations.iter_mut();
+        for linear in rest {
+            if let Some(activation) = activations.next() {
+                x = activation.forward_owned(x)?;
             }
+            x = linear.forward_owned(x)?;
         }
         Ok(x)
     }

@@ -22,6 +22,18 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Returns an error when the input shape is incompatible with the layer.
     fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
 
+    /// [`Layer::forward`] for a caller that is done with `input`: a layer
+    /// that caches its input moves the buffer into the cache instead of
+    /// copying it, an elementwise layer computes in place. Same output and
+    /// same cache, bit for bit; the default just borrows.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same errors as [`Layer::forward`].
+    fn forward_owned(&mut self, input: Tensor) -> Result<Tensor> {
+        self.forward(&input)
+    }
+
     /// Backpropagates `grad_output`, accumulating parameter gradients and
     /// returning the gradient with respect to the layer input.
     ///

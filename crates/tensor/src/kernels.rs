@@ -13,21 +13,51 @@
 //! * **Column panels** — B is packed into contiguous `KC × NC` panels
 //!   (`256 × 128` floats = 128 KiB, sized to sit in L2) so the innermost loop
 //!   streams one dense panel instead of striding through all of B.
-//! * **Register tiling** — output rows are processed [`MR`] (= 4) at a time
-//!   against 8- or 16-wide column tiles whose partial sums live entirely in
-//!   registers; each packed B row is loaded once per 4 output rows. On
-//!   x86-64 with AVX2+FMA (runtime-detected) the micro-kernel uses eight
-//!   `ymm` accumulators and fused multiply-adds; elsewhere a portable
-//!   unrolled variant is written so LLVM auto-vectorizes it.
+//! * **Register tiling** — a strip of output rows is accumulated against a
+//!   tile of panel columns whose partial sums live entirely in registers, so
+//!   each packed B row is loaded once per strip. The tile is picked at run
+//!   time ([`MicroKernel::detect`], no option selects it):
+//!
+//!   | CPU has | rows × columns | accumulators | column steps |
+//!   |---|---|---|---|
+//!   | `avx512f` (x86-64) | 8 × 32 | 16 `zmm` | 32, then one 16, then scalar |
+//!   | `avx2` + `fma` (x86-64) | 4 × 16 | 8 `ymm` | 16, then scalar |
+//!   | anything else | 4 × 8 | 32 scalars LLVM vectorizes | 8, then scalar |
+//!
+//!   Rows left over after the 8-row strips take the 4 × 16 tile, rows left
+//!   over after the 4-row strips ([`MR`]) take a one-row axpy kernel.
+//!   *Why 8 rows:* on `[64,192]×[192,768]`, one thread, the 4 × 16 `ymm`
+//!   tile reads 200–375 µs; a 4 × 32 `zmm` tile does 8 FMAs per 128 B of
+//!   panel, is bound by L2 → L1 traffic and read 191–271 µs (≈ 1.2×); 8 × 32
+//!   halves the bytes per FMA and read 141–208 µs in the same alternating
+//!   runs (`matmul_64x192x768_seq/*` in `cargo bench -p edvit-bench --bench
+//!   kernels` times every kernel the CPU has on one input).
 //! * **Row-range parallelism** — from [`PAR_WORK_THRESHOLD`] multiply-adds up,
 //!   the output rows are split across the [`ParallelPool`]: each thread runs
 //!   the sequential blocked kernel on a disjoint strip of rows, claiming
 //!   strips from a shared counter so uneven strips self-balance.
+//! * **Bias epilogue** — [`matmul_bias`] adds a length-`n` bias to each
+//!   column panel right after the panel's last k-block, per row chunk and
+//!   inside the parallel region, so a linear layer is one pass over one
+//!   output buffer.
+//!
+//! # Bit-identity
 //!
 //! Every output element is accumulated in the exact same floating-point
 //! order no matter how many threads participate (each row is owned by exactly
 //! one thread and the block loop order is fixed), so results are bit-identical
 //! across `EDVIT_THREADS` settings.
+//!
+//! The two FMA kernels are also bit-identical *to each other*, on every
+//! shape: in both, an element left of column `nc − nc % 16` of its panel is
+//! `kc` sequential fused multiply-adds from zero and one flush add per
+//! k-block, an element right of that boundary is `kc` unfused multiply-adds
+//! straight into the output, and rows from `m − m % 4` on take the one-row
+//! kernel. Which tile (8 × 32, 8 × 16, 4 × 16) computes an element changes
+//! how many neighbours share its loads, never its arithmetic. A new tile must
+//! keep the 16-column boundary and the 4-row one;
+//! `tests/parallel_kernels.rs` compares the kernels bit for bit. The
+//! portable kernel does not fuse and differs from both by rounding only.
 
 use edvit_parallel::ParallelPool;
 
@@ -40,13 +70,17 @@ const KC: usize = 256;
 /// Multiply-add count (`m·k·n`) from which a matmul is split across threads.
 ///
 /// Sized from measurement, not taste: a region gets no help before a worker
-/// has woken up, and `pool_dispatch` (`cargo bench -p edvit-bench --bench
-/// kernels`: publish → futex wake → claim → join of a two-chunk region) is
-/// ~17 µs on the 2-vCPU Xeon @ 2.1 GHz reference box, where the blocked
-/// kernel sustains ~35 GMAC/s on one thread. 2²¹ multiply-adds are ~60 µs
-/// of sequential work — three to four dispatch latencies — so the smallest
-/// region that goes parallel can still win back more than it pays. (The
-/// previous 2²⁰ was under two latencies: a net loss on two cores.)
+/// has woken up, so the smallest region that goes parallel should carry at
+/// least three `pool_dispatch` latencies (publish → futex wake → claim →
+/// join of a two-chunk region) of sequential work. Re-measured with the
+/// AVX-512 tile (`cargo bench -p edvit-bench --bench kernels`, 2-vCPU Xeon
+/// @ 2.1 GHz, `avx512f`, one session): `matmul_64x192x768_seq/Avx512`
+/// 141–208 µs (45–67 GMAC/s; `Avx2Fma` 200–375 µs), `pool_dispatch` 4 µs
+/// while the host was quiet and 14–24 µs while it was not. 2²¹ multiply-adds
+/// are then 31–46 µs: eight dispatch latencies on the quiet box, and still
+/// about three when the neighbours are loud, because the kernel slows down
+/// with the wake-up. The threshold stays. (It was 2²⁰ before PR 12 — under
+/// two latencies at the AVX2 kernel's ~35 GMAC/s and a 17 µs dispatch.)
 pub const PAR_WORK_THRESHOLD: usize = 1 << 21;
 /// Target multiply-adds per parallel chunk, so chunks stay coarse enough to
 /// amortize the claim/wake overhead.
@@ -66,6 +100,52 @@ pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     }
 }
 
+/// Which register-tile implementation the blocked matmul runs on. Chosen by
+/// [`MicroKernel::detect`] everywhere except the cross-ISA conformance test,
+/// which forces each one through [`matmul_seq_with`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MicroKernel {
+    /// 4×8 tiles of unfused multiply-adds, auto-vectorized by LLVM.
+    Portable,
+    /// 4×16 tiles in eight `ymm` accumulators (x86-64 `avx2` + `fma`).
+    Avx2Fma,
+    /// 8×32 tiles in sixteen `zmm` accumulators (x86-64 `avx512f`); leftover
+    /// 4-row strips run the [`MicroKernel::Avx2Fma`] tile.
+    Avx512,
+}
+
+impl MicroKernel {
+    /// The widest kernel this CPU runs: `avx512f` → `avx2`+`fma` → portable
+    /// (`is_x86_feature_detected!` caches, so this is a few atomic loads).
+    pub fn detect() -> MicroKernel {
+        [MicroKernel::Avx512, MicroKernel::Avx2Fma]
+            .into_iter()
+            .find(|kernel| kernel.is_supported())
+            .unwrap_or(MicroKernel::Portable)
+    }
+
+    /// Whether this CPU has the features the kernel's intrinsics need.
+    pub fn is_supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2_fma = || {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            };
+            match self {
+                MicroKernel::Portable => true,
+                MicroKernel::Avx2Fma => avx2_fma(),
+                MicroKernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f") && avx2_fma(),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == MicroKernel::Portable
+        }
+    }
+}
+
 /// Blocked, register-tiled, parallel `out = A·B` over row-major slices.
 ///
 /// `a` is `[m, k]`, `b` is `[k, n]`, `out` is `[m, n]` and must be
@@ -79,22 +159,44 @@ pub fn matmul(
     n: usize,
     pool: &ParallelPool,
 ) {
+    matmul_bias(a, b, None, out, m, k, n, pool);
+}
+
+/// [`matmul`] with an optional bias epilogue: `out = A·B + bias`, `bias` of
+/// length `n` added to every row. Each row chunk adds it to a column panel
+/// right after that panel's last k-block, while the panel is still in cache
+/// and inside the parallel region; every element is `(Σ) + b`, the bits of
+/// `matmul` followed by a separate row-broadcast add.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_bias(
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    pool: &ParallelPool,
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
+    assert!(bias.is_none_or(|bias| bias.len() == n), "bias length != n");
+    if m == 0 || n == 0 {
         return;
     }
+    let kernel = MicroKernel::detect();
     let work = m * k * n;
     if work < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
-        matmul_seq(a, b, out, m, k, n);
+        gebp(kernel, a, b, bias, out, k, n);
         return;
     }
     let rows_per_chunk = chunk_rows(m, k * n, pool);
     pool.scope_chunks(out, rows_per_chunk * n, |base, out_chunk| {
         let row0 = base / n;
         let rows = out_chunk.len() / n;
-        matmul_seq(&a[row0 * k..(row0 + rows) * k], b, out_chunk, rows, k, n);
+        let a_rows = &a[row0 * k..(row0 + rows) * k];
+        gebp(kernel, a_rows, b, bias, out_chunk, k, n);
     });
 }
 
@@ -112,7 +214,49 @@ pub fn matmul(
 /// spawn short-lived device threads for a saving no timing could resolve.
 /// What redundancy there is, is bounded by `chunk_rows` instead.
 pub fn matmul_seq(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if m == 0 || n == 0 || k == 0 {
+    matmul_seq_with(MicroKernel::detect(), a, b, out, m, k, n);
+}
+
+/// [`matmul_seq`] on a named micro-kernel, for the cross-ISA conformance test
+/// and the same-session kernel benches. The kernel is a function argument
+/// only: nothing a user can set selects one.
+///
+/// # Panics
+///
+/// Panics when this CPU does not support `kernel`.
+#[doc(hidden)]
+pub fn matmul_seq_with(
+    kernel: MicroKernel,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(
+        kernel.is_supported(),
+        "{kernel:?} needs CPU features this machine lacks"
+    );
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(out.len(), m * n);
+    gebp(kernel, a, b, None, out, k, n);
+}
+
+/// The GEBP loop nest over the `out.len() / n` rows of `a`: for each column
+/// panel of B, for each k-block, pack and [`accumulate_panel`]; then the bias
+/// epilogue on that column panel. `out` must be zero-filled. `kernel` must be
+/// supported by this CPU (the callers detect it or assert it).
+fn gebp(
+    kernel: MicroKernel,
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    if out.is_empty() {
         return;
     }
     let mut panel = Vec::with_capacity(KC.min(k) * NC.min(n));
@@ -125,14 +269,33 @@ pub fn matmul_seq(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
             for p in pc..pc + kc {
                 panel.extend_from_slice(&b[p * n + jc..][..nc]);
             }
-            accumulate_panel(a, &panel, out, k, n, (jc, nc), (pc, kc));
+            accumulate_panel(kernel, a, &panel, out, k, n, (jc, nc), (pc, kc));
+        }
+        if let Some(bias) = bias {
+            let bias = &bias[jc..jc + nc];
+            for row in out.chunks_exact_mut(n) {
+                for (o, &b) in row[jc..jc + nc].iter_mut().zip(bias) {
+                    *o += b;
+                }
+            }
         }
     }
 }
 
 /// `out[.., jc..jc+nc] += a[.., pc..pc+kc] · panel` for every row of `a`
-/// (`out.len() / n` of them), [`MR`] rows at a time.
+/// (`out.len() / n` of them): 8-row strips on the AVX-512 tile when `kernel`
+/// has it, then [`MR`]-row strips, then single rows.
+///
+/// Which tile a row lands on never changes its bits among the FMA kernels:
+/// every element left of column `nc − nc % 16` is `kc` sequential fused
+/// multiply-adds from zero plus one flush add, every element right of it is
+/// `kc` unfused multiply-adds straight into `out`, and rows from
+/// `rows − rows % 4` on always take `micro_tile_1`. That is what makes
+/// AVX-512 and AVX2 results bit-identical, and what lets a parallel chunk
+/// boundary (a multiple of [`MR`] rows) fall anywhere.
+#[allow(clippy::too_many_arguments)]
 fn accumulate_panel(
+    kernel: MicroKernel,
     a: &[f32],
     panel: &[f32],
     out: &mut [f32],
@@ -141,13 +304,37 @@ fn accumulate_panel(
     (jc, nc): (usize, usize),
     (pc, kc): (usize, usize),
 ) {
-    let a_strips = a.chunks(MR * k);
-    for (a_strip, out_strip) in a_strips.zip(out.chunks_mut(MR * n)) {
+    let rows = out.len() / n;
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+    let mut row = 0;
+    #[cfg(target_arch = "x86_64")]
+    if kernel == MicroKernel::Avx512 {
+        while row + MR8 <= rows {
+            // SAFETY: `kernel` is only ever `Avx512` after `is_supported()`
+            // saw `avx512f` (`detect`, or the assert in `matmul_seq_with`);
+            // the slice bounds the tile relies on are asserted inside it.
+            unsafe {
+                micro_tile_8_avx512(
+                    &a[row * k + pc..],
+                    k,
+                    kc,
+                    panel,
+                    nc,
+                    &mut out[row * n + jc..],
+                    n,
+                );
+            }
+            row += MR8;
+        }
+    }
+    let a_strips = a[row * k..].chunks(MR * k);
+    for (a_strip, out_strip) in a_strips.zip(out[row * n..].chunks_mut(MR * n)) {
         if out_strip.len() == MR * n {
             let (r0, rest) = out_strip.split_at_mut(n);
             let (r1, rest) = rest.split_at_mut(n);
             let (r2, r3) = rest.split_at_mut(n);
             micro_tile_4_dispatch(
+                kernel,
                 &a_strip[pc..pc + kc],
                 &a_strip[k + pc..k + pc + kc],
                 &a_strip[2 * k + pc..2 * k + pc + kc],
@@ -170,13 +357,14 @@ fn accumulate_panel(
 /// Register-tile width: output columns accumulated in registers per j-tile.
 const NR: usize = 8;
 
-/// Dispatches the 4-row micro-kernel: the AVX2+FMA variant when the CPU has
-/// it (runtime-detected, cached by `is_x86_feature_detected!`), the portable
-/// auto-vectorized variant otherwise. Both accumulate each output element in
-/// the same p-order, so cross-variant differences stay within FMA rounding.
+/// Runs the 4-row micro-kernel `kernel` names: the AVX2+FMA tile for both
+/// FMA kernels, the portable auto-vectorized tile otherwise. Both accumulate
+/// each output element in the same p-order, so cross-variant differences
+/// stay within FMA rounding.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_tile_4_dispatch(
+    kernel: MicroKernel,
     a0: &[f32],
     a1: &[f32],
     a2: &[f32],
@@ -188,17 +376,146 @@ fn micro_tile_4_dispatch(
     o2: &mut [f32],
     o3: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: the required CPU features were just detected.
-            unsafe {
-                return micro_tile_4_fma(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3);
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an FMA `kernel` has passed `is_supported()`, which requires
+        // `avx2` and `fma` for both of them.
+        MicroKernel::Avx2Fma | MicroKernel::Avx512 => unsafe {
+            micro_tile_4_fma(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3);
+        },
+        _ => micro_tile_4(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3),
+    }
+}
+
+/// Rows per AVX-512 tile. Eight, not four (see the module docs): 8×32 halves
+/// the panel bytes a 4×32 tile reads per FMA and fills 16 of the 32 `zmm`
+/// registers with accumulators.
+#[cfg(target_arch = "x86_64")]
+const MR8: usize = 8;
+
+/// AVX-512 8×32 micro-kernel: `out[r][j] += Σ_p a[r·lda + p] · panel[p][j]`
+/// for 8 rows and all `nc` columns — sixteen `zmm` accumulators per 32-column
+/// tile, one 16-column `zmm` step, then the same unfused scalar column tail
+/// as [`micro_tile_4_fma`], so the FMA/scalar boundary sits at
+/// `nc − nc % 16` in both.
+///
+/// # Safety
+///
+/// The caller must guarantee the `avx512f` CPU feature is present. The slice
+/// lengths every pointer access relies on are asserted on entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn micro_tile_8_avx512(
+    a: &[f32],
+    lda: usize,
+    kc: usize,
+    panel: &[f32],
+    nc: usize,
+    out: &mut [f32],
+    ldc: usize,
+) {
+    assert!(a.len() >= (MR8 - 1) * lda + kc);
+    assert!(panel.len() >= kc * nc);
+    assert!(out.len() >= (MR8 - 1) * ldc + nc);
+    let mut j = 0;
+    while j + 32 <= nc {
+        // SAFETY: `avx512f` per this fn's contract; the asserts above and
+        // `j + 32 <= nc` are `tile_8_avx512::<2>`'s bounds.
+        unsafe {
+            tile_8_avx512::<2>(
+                a.as_ptr(),
+                lda,
+                kc,
+                panel.as_ptr(),
+                nc,
+                out.as_mut_ptr(),
+                ldc,
+                j,
+            )
+        };
+        j += 32;
+    }
+    if j + 16 <= nc {
+        // SAFETY: as above, with `j + 16 <= nc` for the one-vector tile.
+        unsafe {
+            tile_8_avx512::<1>(
+                a.as_ptr(),
+                lda,
+                kc,
+                panel.as_ptr(),
+                nc,
+                out.as_mut_ptr(),
+                ldc,
+                j,
+            )
+        };
+        j += 16;
+    }
+    if j < nc {
+        // Column remainder (< 16), unfused and straight into `out`, exactly
+        // as in the 4-row kernel.
+        for p in 0..kc {
+            let brow = &panel[p * nc..(p + 1) * nc];
+            for r in 0..MR8 {
+                let x = a[r * lda + p];
+                let orow = &mut out[r * ldc..r * ldc + nc];
+                for l in j..nc {
+                    orow[l] += x * brow[l];
+                }
             }
         }
     }
-    micro_tile_4(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3);
+}
+
+/// One 8 × `16·V` register tile of [`micro_tile_8_avx512`] at panel column
+/// `j`: `8·V` `zmm` accumulators, `kc` fused multiply-adds each from zero,
+/// flushed into `out` with one add.
+///
+/// # Safety
+///
+/// Needs `avx512f`, and for every `r < 8`, `p < kc`: `a[r·lda + p]`,
+/// `panel[p·nc + j .. p·nc + j + 16·V]` and `out[r·ldc + j .. r·ldc + j +
+/// 16·V]` in bounds of the allocations the three pointers point into.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_8_avx512<const V: usize>(
+    a: *const f32,
+    lda: usize,
+    kc: usize,
+    panel: *const f32,
+    nc: usize,
+    out: *mut f32,
+    ldc: usize,
+    j: usize,
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    // SAFETY: every offset below is one the caller's contract names.
+    unsafe {
+        let mut c = [[_mm512_setzero_ps(); V]; MR8];
+        for p in 0..kc {
+            let bp = panel.add(p * nc + j);
+            let mut b = [_mm512_setzero_ps(); V];
+            for (v, lane) in b.iter_mut().enumerate() {
+                *lane = _mm512_loadu_ps(bp.add(16 * v));
+            }
+            for (r, acc) in c.iter_mut().enumerate() {
+                let x = _mm512_set1_ps(*a.add(r * lda + p));
+                for (sum, &lane) in acc.iter_mut().zip(&b) {
+                    *sum = _mm512_fmadd_ps(x, lane, *sum);
+                }
+            }
+        }
+        for (r, acc) in c.iter().enumerate() {
+            for (v, &sum) in acc.iter().enumerate() {
+                let o = out.add(r * ldc + j + 16 * v);
+                _mm512_storeu_ps(o, _mm512_add_ps(_mm512_loadu_ps(o), sum));
+            }
+        }
+    }
 }
 
 /// AVX2+FMA 4×16 micro-kernel: eight `ymm` accumulators (4 rows × 16
@@ -209,8 +526,8 @@ fn micro_tile_4_dispatch(
 /// # Safety
 ///
 /// The caller must guarantee that (a) the `avx2` and `fma` CPU features are
-/// present (the only call site dispatches through
-/// `is_x86_feature_detected!`), and (b) `a1`, `a2`, `a3` are at least
+/// present (the only call site runs it for a [`MicroKernel`] that passed
+/// `is_supported()`), and (b) `a1`, `a2`, `a3` are at least
 /// `a0.len()` elements long and `panel.len() >= a0.len() * nc`, and each
 /// output row holds at least `nc` elements — the body reads `a*` with
 /// `get_unchecked(p)` for `p < a0.len()` and does unaligned 8-float
@@ -381,6 +698,23 @@ pub fn matmul_transposed(
     n: usize,
     pool: &ParallelPool,
 ) {
+    matmul_transposed_scaled(a, b, 1.0, out, m, k, n, pool);
+}
+
+/// `out = (A·Bᵀ)·scale`: [`matmul_transposed`] with every dot product
+/// multiplied by `scale` as it is written (attention's `1/√d`), the bits of
+/// a separate scaling pass over the result without the pass.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_transposed_scaled(
+    a: &[f32],
+    b: &[f32],
+    scale: f32,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    pool: &ParallelPool,
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
@@ -388,27 +722,29 @@ pub fn matmul_transposed(
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        out.fill(0.0 * scale);
         return;
     }
     let work = m * k * n;
     if work < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
-        matmul_transposed_seq(a, b, out, k, n);
+        matmul_transposed_seq(a, b, scale, out, k, n);
         return;
     }
     let rows_per_chunk = chunk_rows(m, k * n, pool);
     pool.scope_chunks(out, rows_per_chunk * n, |base, out_chunk| {
         let row0 = base / n;
         let rows = out_chunk.len() / n;
-        matmul_transposed_seq(&a[row0 * k..(row0 + rows) * k], b, out_chunk, k, n);
+        let a_rows = &a[row0 * k..(row0 + rows) * k];
+        matmul_transposed_seq(a_rows, b, scale, out_chunk, k, n);
     });
 }
 
-/// Sequential body of [`matmul_transposed`]: `a` holds `out.len() / n` rows.
-pub fn matmul_transposed_seq(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+/// Sequential body of [`matmul_transposed_scaled`]: `a` holds `out.len() / n`
+/// rows.
+fn matmul_transposed_seq(a: &[f32], b: &[f32], scale: f32, out: &mut [f32], k: usize, n: usize) {
     for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
         for (o, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
-            *o = dot(arow, brow);
+            *o = dot(arow, brow) * scale;
         }
     }
 }

@@ -65,6 +65,67 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
+    /// The affine map of a linear layer, `self · weight + bias` over the last
+    /// axis: `[.., k] x [k, n] + [n] -> [.., n]`, every leading axis of `self`
+    /// flattened into the row dimension. One output buffer, no intermediate:
+    /// the bias goes in as the matmul's epilogue
+    /// ([`kernels::matmul_bias`]), with the bits of `matmul` followed by
+    /// [`Tensor::add_row_broadcast`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] when `self` is rank 0, `weight`
+    /// is not rank 2 or `bias` is not rank 1, [`TensorError::MatmulDimMismatch`]
+    /// when the last axis of `self` is not `k`, and
+    /// [`TensorError::ShapeMismatch`] when `bias` is not `n` long.
+    pub fn matmul_bias(&self, weight: &Tensor, bias: &Tensor) -> Result<Tensor, TensorError> {
+        for (tensor, expected) in [(weight, 2), (bias, 1)] {
+            if tensor.rank() != expected {
+                return Err(TensorError::RankMismatch {
+                    expected,
+                    actual: tensor.rank(),
+                    op: "matmul_bias",
+                });
+            }
+        }
+        let (k, n) = (weight.dims()[0], weight.dims()[1]);
+        let Some((&last, lead)) = self.dims().split_last() else {
+            return Err(TensorError::RankMismatch {
+                expected: 1,
+                actual: 0,
+                op: "matmul_bias",
+            });
+        };
+        if last != k {
+            return Err(TensorError::MatmulDimMismatch {
+                lhs: self.dims().to_vec(),
+                rhs: weight.dims().to_vec(),
+            });
+        }
+        if bias.numel() != n {
+            return Err(TensorError::ShapeMismatch {
+                lhs: weight.dims().to_vec(),
+                rhs: bias.dims().to_vec(),
+                op: "matmul_bias",
+            });
+        }
+        let m: usize = lead.iter().product();
+        let mut out = vec![0.0f32; m * n];
+        kernels::matmul_bias(
+            self.data(),
+            weight.data(),
+            Some(bias.data()),
+            &mut out,
+            m,
+            k,
+            n,
+            ParallelPool::global(),
+        );
+        let mut dims = lead.to_vec();
+        dims.push(n);
+        Tensor::from_vec(out, &dims)
+    }
+
     /// Matrix multiplication with the second operand transposed:
     /// `[m, k] x [n, k]^T -> [m, n]`.
     ///
@@ -75,6 +136,21 @@ impl Tensor {
     ///
     /// Returns the same errors as [`Tensor::matmul`].
     pub fn matmul_transposed(&self, other: &Tensor) -> Result<Tensor, TensorError> {
+        self.matmul_transposed_scaled(other, 1.0)
+    }
+
+    /// `(self · otherᵀ) · scale`, the scale applied as each element is
+    /// written — attention's `Q Kᵀ / √d` in one pass, with the bits of
+    /// [`Tensor::matmul_transposed`] followed by [`Tensor::scale`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the same errors as [`Tensor::matmul`].
+    pub fn matmul_transposed_scaled(
+        &self,
+        other: &Tensor,
+        scale: f32,
+    ) -> Result<Tensor, TensorError> {
         if self.rank() != 2 || other.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -95,9 +171,10 @@ impl Tensor {
             });
         }
         let mut out = vec![0.0f32; m * n];
-        kernels::matmul_transposed(
+        kernels::matmul_transposed_scaled(
             self.data(),
             other.data(),
+            scale,
             &mut out,
             m,
             k,

@@ -203,6 +203,16 @@ impl Tensor {
         })
     }
 
+    /// Consuming [`Tensor::reshape`]: the same buffer under a new shape, no
+    /// copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::LengthMismatch`] when the element counts differ.
+    pub fn into_reshaped(self, dims: &[usize]) -> Result<Tensor, TensorError> {
+        Tensor::from_vec(self.data, dims)
+    }
+
     /// Flattens the tensor to one dimension.
     pub fn flatten(&self) -> Tensor {
         Tensor {
@@ -389,8 +399,11 @@ impl Tensor {
             });
         }
         let mut out = self.clone();
-        for (i, v) in out.data.iter_mut().enumerate() {
-            *v += bias.data[i % last];
+        // `last == 0` means no elements; `chunks_exact_mut(0)` would panic.
+        for row in out.data.chunks_exact_mut(last.max(1)) {
+            for (v, &b) in row.iter_mut().zip(&bias.data) {
+                *v += b;
+            }
         }
         Ok(out)
     }
@@ -421,8 +434,10 @@ impl Tensor {
             });
         }
         let mut out = self.clone();
-        for (i, v) in out.data.iter_mut().enumerate() {
-            *v *= scale.data[i % last];
+        for row in out.data.chunks_exact_mut(last.max(1)) {
+            for (v, &s) in row.iter_mut().zip(&scale.data) {
+                *v *= s;
+            }
         }
         Ok(out)
     }
@@ -618,6 +633,11 @@ mod tests {
         assert_eq!(t.get(&[1, 0]).unwrap(), 3.0);
         assert!(t.reshape(&[4]).is_err());
         assert_eq!(t.flatten().dims(), &[6]);
+        assert_eq!(
+            t.clone().into_reshaped(&[3, 2]).unwrap(),
+            t.reshape(&[3, 2]).unwrap()
+        );
+        assert!(t.into_reshaped(&[4]).is_err());
     }
 
     #[test]

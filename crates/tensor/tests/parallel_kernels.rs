@@ -2,13 +2,16 @@
 //! blocked variant must agree with the naive sequential reference, and the
 //! thread count must never change the result.
 //!
-//! The CI workflow runs this suite twice — once with the default thread count
-//! and once with `EDVIT_THREADS=1` — so the global-pool paths are exercised
-//! both parallel and sequential. The explicit-pool tests below additionally
-//! pit 1-thread and 8-thread pools against each other inside one process.
+//! The CI workflow runs this suite under `EDVIT_THREADS` 1, 2 and 4, so the
+//! global-pool paths are exercised sequential and parallel. The explicit-pool
+//! tests below additionally pit 1-thread and 8-thread pools against each
+//! other inside one process, and the cross-ISA test runs every micro-kernel
+//! the CPU supports (portable, AVX2+FMA 4×16, AVX-512 8×32) on the same
+//! inputs — printing which ones it had to skip.
 
 use edvit_parallel::ParallelPool;
-use edvit_tensor::{init::TensorRng, kernels, ops};
+use edvit_tensor::kernels::MicroKernel;
+use edvit_tensor::{init::TensorRng, kernels, ops, Tensor};
 
 /// Relative tolerance: the blocked/FMA kernels re-associate sums, so results
 /// differ from the naive reference only by rounding.
@@ -26,7 +29,8 @@ fn assert_close(got: &[f32], expected: &[f32], context: &str) {
 }
 
 /// Random shapes covering the degenerate (0, 1) dimensions, the remainder
-/// paths of the 4-row/8-column register tiles, the packing block edges
+/// paths of the register tiles (8- and 4-row strips, 32-, 16- and 8-column
+/// steps), the packing block edges
 /// (`NC` = 128, `KC` = 256) and sizes straddling the parallel threshold
 /// (`m·k·n` around 2²¹).
 fn interesting_shapes(rng: &mut TensorRng) -> Vec<(usize, usize, usize)> {
@@ -100,6 +104,144 @@ fn one_thread_and_eight_threads_agree_bitwise() {
         let mut par_t = vec![0.0f32; m * n];
         kernels::matmul_transposed(&a, &bt, &mut par_t, m, k, n, &par_pool);
         assert_eq!(seq_t, par_t, "matmul_transposed {m}x{k}x{n} differs");
+    }
+}
+
+/// Uniform `[-1, 1)` values, `len` of them (zero included).
+fn uniform(rng: &mut TensorRng, len: usize) -> Vec<f32> {
+    rng.rand_uniform(&[len.max(1)], -1.0, 1.0).data()[..len].to_vec()
+}
+
+#[test]
+fn every_micro_kernel_agrees_and_the_fma_kernels_agree_bitwise() {
+    // Which tile a row or column lands on differs between the kernels (8- or
+    // 4-row strips; 32-, 16- or 8-column steps), so the shapes cover every
+    // `m % 8`, `n % 32` on both sides of the 16-column FMA/scalar boundary,
+    // `k` on both sides of `KC` = 256 and `n` on both sides of `NC` = 128.
+    let mut shapes: Vec<(usize, usize, usize)> = (1..=17).map(|m| (m, 37, 50)).collect();
+    shapes.extend((0..=33).map(|n| (11, 19, n)));
+    shapes.extend([
+        (8, 256, 32),
+        (9, 257, 33),
+        (24, 300, 127),
+        (23, 513, 128),
+        (13, 100, 129),
+        (16, 64, 160),
+        (12, 70, 300),
+        (64, 192, 768),
+        (64, 768, 192),
+    ]);
+    let detected = MicroKernel::detect();
+    println!("matmul dispatches to {detected:?} on this CPU");
+    let fma_kernels: Vec<MicroKernel> = [MicroKernel::Avx2Fma, MicroKernel::Avx512]
+        .into_iter()
+        .filter(|kernel| {
+            let supported = kernel.is_supported();
+            if !supported {
+                println!(
+                    "SKIPPED: {kernel:?} (this CPU lacks its features) — not covered by this run"
+                );
+            }
+            supported
+        })
+        .collect();
+    assert_eq!(
+        detected,
+        *fma_kernels.last().unwrap_or(&MicroKernel::Portable)
+    );
+    let mut rng = TensorRng::new(0x15A);
+    for (m, k, n) in shapes {
+        let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
+        let run = |kernel: MicroKernel| {
+            let mut out = vec![0.0f32; m * n];
+            kernels::matmul_seq_with(kernel, &a, &b, &mut out, m, k, n);
+            out
+        };
+        let mut expected = vec![0.0f32; m * n];
+        kernels::matmul_reference(&a, &b, &mut expected, m, k, n);
+        let portable = run(MicroKernel::Portable);
+        assert_close(&portable, &expected, &format!("portable {m}x{k}x{n}"));
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let fma: Vec<Vec<f32>> = fma_kernels.iter().map(|&kernel| run(kernel)).collect();
+        for (kernel, got) in fma_kernels.iter().zip(&fma) {
+            assert_close(got, &expected, &format!("{kernel:?} {m}x{k}x{n}"));
+            assert_eq!(
+                bits(got),
+                bits(&fma[0]),
+                "{kernel:?} and {:?} differ bitwise on {m}x{k}x{n}",
+                fma_kernels[0]
+            );
+        }
+    }
+}
+
+#[test]
+fn bias_epilogue_equals_matmul_then_row_broadcast_bitwise() {
+    // `k` ≤ and > `KC` (one k-block, several), `n` across `NC` (the epilogue
+    // runs once per column panel), row counts that split into ragged chunks
+    // on the 8-thread pool, and the empty contraction (bias only).
+    let mut rng = TensorRng::new(0xB1A5);
+    for (m, k, n) in [
+        (1usize, 5usize, 3usize),
+        (7, 0, 9),
+        (13, 256, 40),
+        (64, 192, 768),
+        (64, 768, 192),
+        (203, 300, 131),
+        (130, 600, 129),
+    ] {
+        let a = Tensor::from_vec(uniform(&mut rng, m * k), &[m, k]).unwrap();
+        let b = Tensor::from_vec(uniform(&mut rng, k * n), &[k, n]).unwrap();
+        let bias = Tensor::vector(uniform(&mut rng, n));
+        for threads in [1, 8] {
+            let pool = ParallelPool::new(threads);
+            let mut plain = vec![0.0f32; m * n];
+            kernels::matmul(a.data(), b.data(), &mut plain, m, k, n, &pool);
+            let expected = Tensor::from_vec(plain, &[m, n])
+                .unwrap()
+                .add_row_broadcast(&bias)
+                .unwrap();
+            let mut fused = vec![0.0f32; m * n];
+            let epilogue = Some(bias.data());
+            kernels::matmul_bias(a.data(), b.data(), epilogue, &mut fused, m, k, n, &pool);
+            let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&fused),
+                bits(expected.data()),
+                "{m}x{k}x{n} on {threads} threads"
+            );
+        }
+        // The tensor-level entry point, any leading rank, on the global pool.
+        let fused = a.matmul_bias(&b, &bias).unwrap();
+        let expected = a.matmul(&b).unwrap().add_row_broadcast(&bias).unwrap();
+        assert_eq!(fused, expected, "Tensor::matmul_bias {m}x{k}x{n}");
+        if m % 2 == 0 {
+            let stacked = a.reshape(&[2, m / 2, k]).unwrap();
+            let fused = stacked.matmul_bias(&b, &bias).unwrap();
+            assert_eq!(fused.dims(), &[2, m / 2, n]);
+            assert_eq!(fused.data(), expected.data());
+        }
+    }
+}
+
+#[test]
+fn scaled_transposed_equals_transposed_then_scale_bitwise() {
+    let mut rng = TensorRng::new(0x5CA1);
+    let scale = 1.0 / 32.0f32.sqrt();
+    // Attention's per-head shape, a ragged one past the parallel threshold,
+    // and the empty contraction.
+    for (m, k, n) in [(64usize, 32usize, 64usize), (131, 70, 257), (5, 0, 4)] {
+        let a = Tensor::from_vec(uniform(&mut rng, m * k), &[m, k]).unwrap();
+        let bt = Tensor::from_vec(uniform(&mut rng, n * k), &[n, k]).unwrap();
+        let fused = a.matmul_transposed_scaled(&bt, scale).unwrap();
+        let expected = a.matmul_transposed(&bt).unwrap().scale(scale);
+        assert_eq!(fused, expected, "{m}x{k}x{n}");
+        for threads in [1, 8] {
+            let pool = ParallelPool::new(threads);
+            let mut out = vec![f32::NAN; m * n];
+            kernels::matmul_transposed_scaled(a.data(), bt.data(), scale, &mut out, m, k, n, &pool);
+            assert_eq!(out, expected.data(), "{m}x{k}x{n} on {threads} threads");
+        }
     }
 }
 

@@ -163,3 +163,40 @@ proptest! {
         prop_assert_eq!(a.data(), b.data());
     }
 }
+
+/// `add_row_broadcast` / `mul_row_broadcast` walk rows; the expression they
+/// replaced indexed the vector with `i % last` per element. Same element,
+/// same single rounding, on every rank — including an empty last axis.
+#[test]
+fn row_broadcasts_equal_the_modulo_indexed_expression() {
+    let mut rng = TensorRng::new(0xB0A);
+    for dims in [
+        &[5usize][..],
+        &[1],
+        &[7, 3],
+        &[1, 33],
+        &[4, 1],
+        &[2, 5, 17],
+        &[3, 1, 64],
+        &[3, 0],
+    ] {
+        let last = *dims.last().unwrap();
+        let x = rng.randn(dims, 0.0, 2.0);
+        let v = rng.randn(&[last], 0.0, 2.0);
+        let bits = |values: Vec<f32>| values.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let modulo = |op: fn(f32, f32) -> f32| {
+            let indexed = x.data().iter().enumerate();
+            bits(indexed.map(|(i, &e)| op(e, v.data()[i % last])).collect())
+        };
+        let added = x.add_row_broadcast(&v).unwrap();
+        assert_eq!(added.dims(), dims);
+        assert_eq!(bits(added.into_vec()), modulo(|e, b| e + b), "add {dims:?}");
+        let scaled = x.mul_row_broadcast(&v).unwrap();
+        assert_eq!(scaled.dims(), dims);
+        assert_eq!(
+            bits(scaled.into_vec()),
+            modulo(|e, b| e * b),
+            "mul {dims:?}"
+        );
+    }
+}

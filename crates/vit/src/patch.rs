@@ -180,12 +180,10 @@ impl PatchEmbed {
                     let base = b * p * dp + patch_index * dp;
                     for ci in 0..c {
                         for y in 0..ps {
-                            for x in 0..ps {
-                                let iy = py * ps + y;
-                                let ix = px * ps + x;
-                                out[base + ci * ps * ps + y * ps + x] =
-                                    data[b * c * hw * hw + ci * hw * hw + iy * hw + ix];
-                            }
+                            // One patch row: `ps` contiguous pixels on both sides.
+                            let dst = base + ci * ps * ps + y * ps;
+                            let src = b * c * hw * hw + ci * hw * hw + (py * ps + y) * hw + px * ps;
+                            out[dst..dst + ps].copy_from_slice(&data[src..src + ps]);
                         }
                     }
                 }
@@ -237,16 +235,13 @@ impl Layer for PatchEmbed {
                 message: e.to_string(),
             })?;
         let batch = patches.dims()[0];
-        let projected = self.projection.forward(&patches)?;
+        let mut out = self.projection.forward_owned(patches)?;
         // Add the positional embedding to every sample in the batch.
-        let p = self.num_patches();
-        let d = self.embed_dim;
-        let mut out = projected.clone();
-        for b in 0..batch {
-            for i in 0..p {
-                for j in 0..d {
-                    let idx = b * p * d + i * d + j;
-                    out.data_mut()[idx] += self.pos_embed.value().data()[i * d + j];
+        let pos = self.pos_embed.value().data();
+        if !pos.is_empty() {
+            for sample in out.data_mut().chunks_exact_mut(pos.len()) {
+                for (o, &e) in sample.iter_mut().zip(pos) {
+                    *o += e;
                 }
             }
         }
