@@ -9,8 +9,9 @@
 //! `NetOptions` field anywhere outside the canonical home
 //! (`crates/edge/src/options.rs`) is a violation.
 //!
-//! The deprecated compatibility shims that remain carry an explicit
-//! `// edvit:allow(builder-drift)` so the debt stays visible and bounded.
+//! The deprecated compatibility shims of the unification are deleted: no
+//! `// edvit:allow(builder-drift)` remains in the workspace, and CI fails if
+//! one (or a `#[deprecated]` item) reappears under `crates/*/src`.
 
 use super::{diag_at, Lint};
 use crate::diag::Diagnostic;

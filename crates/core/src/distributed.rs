@@ -4,11 +4,10 @@
 //! software analogue of the paper's Raspberry-Pi prototype (Fig. 3).
 
 use edvit_edge::{
-    record_batch_events, ClusterRuntime, FusionFn, NetOptions, NetworkConfig, PayloadCodec,
-    RuntimeReport, SubModelFn, TransportKind,
+    ClusterRuntime, EdgeError, FusionFn, NetOptions, NetworkConfig, RuntimeReport, SubModelFn,
 };
 use edvit_metrics::MetricsSink;
-use edvit_net::run_batch_over_tcp;
+use edvit_net::transport_for;
 use edvit_tensor::Tensor;
 
 use crate::pipeline::EdVitDeployment;
@@ -101,10 +100,10 @@ pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn
 /// runtime report (fused logits per sample, batched wire-v2 frame counts,
 /// bytes on wire and measured throughput). The one distributed-inference
 /// entry point: [`RunOptions`] picks the wire codec and whether the frames
-/// travel over the in-process channel runtime
-/// ([`TransportKind::Sim`]) or real loopback TCP sockets
-/// ([`TransportKind::Tcp`]) — fused outputs are bitwise identical either
-/// way.
+/// travel over in-process channel lanes (`TransportKind::Sim`) or real
+/// loopback TCP sockets (`TransportKind::Tcp`) — one executor
+/// ([`ClusterRuntime::run_over`]) runs over either, so the report's content
+/// fields and the journal are identical both ways.
 ///
 /// # Errors
 ///
@@ -120,92 +119,18 @@ pub fn run_distributed(
         });
     }
     let (executors, fusion) = into_executors(deployment);
-    match options.net.transport {
-        TransportKind::Sim => {
-            let runtime = ClusterRuntime::new(options.network)
-                .with_options(&options.net)
-                .with_sink(options.sink.clone());
-            Ok(runtime.run(samples, executors, fusion)?)
-        }
-        TransportKind::Tcp => {
-            let report = run_batch_over_tcp(
-                samples,
-                executors,
-                fusion,
-                options.net.codec,
-                &options.network,
-            )?;
-            // The TCP path journals post-hoc from the report so both
-            // transports emit the same event stream for the same workload.
-            record_batch_events(
-                &options.sink,
-                report.per_device_wire_bytes.len(),
-                report.outputs.len(),
-                &report.per_device_wire_bytes,
-                report.frames,
-                report.simulated_communication_seconds,
-            );
-            Ok(report)
-        }
-    }
-}
-
-/// Deprecated shim over [`run_distributed`] with the pre-`RunOptions`
-/// signature (f32 codec, sim transport).
-///
-/// # Errors
-///
-/// Returns an error when the runtime fails or the inputs are empty.
-#[deprecated(
-    since = "0.8.0",
-    note = "use run_distributed(deployment, samples, &RunOptions)"
-)]
-pub fn run_distributed_with_network(
-    deployment: EdVitDeployment,
-    samples: &[Tensor],
-    network: NetworkConfig,
-) -> Result<RuntimeReport> {
-    run_distributed(
-        deployment,
-        samples,
-        &RunOptions {
-            network,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Deprecated shim over [`run_distributed`]: ships the feature batches under
-/// the given wire codec on the sim transport.
-///
-/// # Errors
-///
-/// Returns an error when the runtime fails or the inputs are empty.
-#[deprecated(
-    since = "0.8.0",
-    note = "use run_distributed(deployment, samples, &RunOptions)"
-)]
-pub fn run_distributed_with_codec(
-    deployment: EdVitDeployment,
-    samples: &[Tensor],
-    network: NetworkConfig,
-    codec: PayloadCodec,
-) -> Result<RuntimeReport> {
-    run_distributed(
-        deployment,
-        samples,
-        &RunOptions {
-            network,
-            net: NetOptions::default().with_codec(codec),
-            ..RunOptions::default()
-        },
-    )
+    let mut transport = transport_for(options.net.transport).map_err(EdgeError::from)?;
+    let runtime = ClusterRuntime::new(options.network)
+        .with_options(&options.net)
+        .with_sink(options.sink.clone());
+    Ok(runtime.run_over(transport.as_mut(), samples, executors, fusion)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{EdVitConfig, EdVitPipeline};
+    use edvit_edge::TransportKind;
     use edvit_tensor::stats;
 
     #[test]
@@ -261,32 +186,5 @@ mod tests {
         assert_eq!(sim.frames, tcp.frames);
         assert_eq!(sim.payload_bytes, tcp.payload_bytes);
         assert_eq!(sim.per_device_wire_bytes, tcp.per_device_wire_bytes);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_unified_entry_point() {
-        let deployment = EdVitPipeline::new(EdVitConfig::tiny_demo(2)).run().unwrap();
-        let test = deployment.test_set.clone();
-        let samples: Vec<Tensor> = (0..2).map(|i| test.images().row(i).unwrap()).collect();
-        let canonical =
-            run_distributed(deployment.clone(), &samples, &RunOptions::default()).unwrap();
-        let shimmed = run_distributed_with_network(
-            deployment.clone(),
-            &samples,
-            NetworkConfig::paper_default(),
-        )
-        .unwrap();
-        for (a, b) in canonical.outputs.iter().zip(&shimmed.outputs) {
-            assert_eq!(a.data(), b.data());
-        }
-        let coded = run_distributed_with_codec(
-            deployment,
-            &samples,
-            NetworkConfig::paper_default(),
-            PayloadCodec::F16,
-        )
-        .unwrap();
-        assert_eq!(coded.codec, PayloadCodec::F16);
     }
 }

@@ -186,14 +186,6 @@ impl LatencyModel {
         self
     }
 
-    /// Deprecated per-surface builder; use [`LatencyModel::with_options`].
-    #[deprecated(since = "0.8.0", note = "use with_options(&NetOptions) instead")]
-    // edvit:allow(builder-drift)
-    pub fn with_codec(mut self, codec: PayloadCodec) -> Self {
-        self.codec = codec;
-        self
-    }
-
     /// The network configuration in use.
     pub fn network(&self) -> &NetworkConfig {
         &self.network

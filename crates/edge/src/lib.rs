@@ -9,10 +9,13 @@
 //! * an **analytic latency model** ([`LatencyModel`]) calibrated on the
 //!   paper's own Table I (FLOPs ÷ effective throughput + payload ÷ bandwidth),
 //!   which regenerates the latency curves of Figs. 4–7 deterministically, and
-//! * a **threaded cluster runtime** ([`ClusterRuntime`]) built on crossbeam
-//!   channels, which actually executes sub-model closures on worker threads,
-//!   ships serialized feature messages to a fusion worker and returns fused
-//!   outputs — exercising the real concurrency structure of the deployment.
+//! * a **threaded cluster runtime** ([`ClusterRuntime`]), the one one-shot
+//!   round executor: it actually executes sub-model closures on worker
+//!   threads, ships each device's serialized feature frame down a lane of the
+//!   [`Transport`] it is handed ([`SimTransport`]'s in-process channels here,
+//!   loopback TCP in `edvit-net`), fuses on the caller's thread and returns
+//!   the fused outputs — exercising the real concurrency structure of the
+//!   deployment.
 //!
 //! # Example
 //!
@@ -41,6 +44,7 @@ mod latency;
 mod network;
 mod options;
 mod runtime;
+mod transport;
 pub mod wire;
 
 pub use dedupe::ControlDeduper;
@@ -48,7 +52,8 @@ pub use error::EdgeError;
 pub use latency::{LatencyBreakdown, LatencyModel, PerDeviceLatency, RoundTimings, StreamTiming};
 pub use network::NetworkConfig;
 pub use options::{NetOptions, TransportKind};
-pub use runtime::{record_batch_events, ClusterRuntime, FusionFn, RuntimeReport, SubModelFn};
+pub use runtime::{encode_device_round, ClusterRuntime, FusionFn, RuntimeReport, SubModelFn};
+pub use transport::{FrameRx, FrameTx, LaneClosed, LaneEvent, SimTransport, Transport};
 pub use wire::{
     ControlKind, ControlMessage, FeatureBatchMessage, FeatureMessage, FrameKind, PayloadCodec,
     WireFrame,

@@ -3,9 +3,13 @@
 //! [`LatencyModel`] and the streaming scheduler in `edvit-sched`.
 //!
 //! Before this module each surface grew its own `with_codec`-style builder
-//! and the knobs drifted independently. `NetOptions` is the one canonical
-//! home for codec / transport / retry configuration; the `builder-drift`
-//! lint in `edvit-analyze` rejects new per-surface duplicates.
+//! and the knobs drifted independently. `NetOptions` is the one home for
+//! codec / transport / retry configuration — the per-surface builders are
+//! gone, not deprecated — and the `builder-drift` lint in `edvit-analyze`
+//! rejects new duplicates. The transport choice reaches an executor as a
+//! value: `edvit_net::transport_for(options.transport)` builds the
+//! `Transport` that `ClusterRuntime::run_over` and the scheduler open their
+//! lanes from.
 //!
 //! [`ClusterRuntime`]: crate::ClusterRuntime
 //! [`LatencyModel`]: crate::LatencyModel

@@ -1,26 +1,29 @@
-//! Threaded distributed-inference runtime.
+//! Threaded distributed-inference runtime: the one one-shot round executor.
 //!
 //! Each sub-model runs on its own worker thread ("edge device"), extracts a
 //! feature vector per input sample, packs *all* of its samples into a single
-//! [`FeatureBatchMessage`] and ships that one wire-v2 frame over a channel
-//! ("the switch") to the fusion worker — one frame per device per round, so
-//! header and channel overhead are amortized across the whole batch. The
-//! fusion worker verifies and unpacks the batches, concatenates the
-//! per-sample features in sub-model order and applies the fusion function.
-//! This mirrors the deployment in Fig. 3 of the paper while staying
-//! deterministic: the *timing* numbers come from the analytic
+//! [`FeatureBatchMessage`] and ships that one wire-v2 frame down its own
+//! [`Transport`] lane ("the switch") to the fusion side — one frame per
+//! device per round, so header and lane overhead are amortized across the
+//! whole batch. The caller's thread joins the devices, drains the lanes in
+//! device order, checks every frame against the lane it arrived on,
+//! concatenates the per-sample features in sub-model order and applies the
+//! fusion function. This mirrors the deployment in Fig. 3 of the paper; the
+//! lanes come from whichever backend the caller hands in (in-process channels
+//! by default, loopback TCP from `edvit-net`), and because the same executor
+//! runs over both, every content-derived report field is the same by
+//! construction. The *timing* numbers come from the analytic
 //! [`crate::LatencyModel`], not from wall-clock measurements.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel;
+use bytes::Bytes;
 use edvit_metrics::{MetricsSink, RunEvent};
 use edvit_tensor::Tensor;
 
 use crate::{
-    EdgeError, FeatureBatchMessage, NetOptions, NetworkConfig, PayloadCodec, Result, WireFrame,
+    EdgeError, FeatureBatchMessage, FrameRx, LaneEvent, NetOptions, NetworkConfig, PayloadCodec,
+    Result, SimTransport, Transport, WireFrame,
 };
 
 /// A sub-model executor: maps one input sample to a feature vector.
@@ -137,19 +140,12 @@ impl ClusterRuntime {
     /// Applies the shared [`NetOptions`]: selects the wire codec every device
     /// encodes its batch frames with. The fusion worker decodes whatever
     /// codec the frame header declares, so this only changes what goes on the
-    /// wire, not the call contract. The transport knob is consumed one layer
-    /// up (`edvit-net` routes TCP batch runs; this runtime is the in-process
-    /// backend), and the retry budget only applies to streaming.
+    /// wire, not the call contract. The transport choice arrives as a value
+    /// ([`ClusterRuntime::run_over`]'s argument — `edvit_net::transport_for`
+    /// builds it from the same options), and the retry budget only applies
+    /// to streaming.
     pub fn with_options(mut self, options: &NetOptions) -> Self {
         self.codec = options.codec;
-        self
-    }
-
-    /// Deprecated per-surface builder; use [`ClusterRuntime::with_options`].
-    #[deprecated(since = "0.8.0", note = "use with_options(&NetOptions) instead")]
-    // edvit:allow(builder-drift)
-    pub fn with_codec(mut self, codec: PayloadCodec) -> Self {
-        self.codec = codec;
         self
     }
 
@@ -158,21 +154,56 @@ impl ClusterRuntime {
         self.codec
     }
 
-    /// Runs every input sample through every sub-model executor concurrently,
-    /// fusing the per-sample features with `fusion`. Each device packs all of
-    /// its samples into one [`FeatureBatchMessage`] frame.
+    /// Runs every input sample through every sub-model executor concurrently
+    /// over in-process channel lanes ([`SimTransport`]), fusing the per-sample
+    /// features with `fusion`. See [`ClusterRuntime::run_over`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterRuntime::run_over`].
+    pub fn run(
+        &self,
+        inputs: &[Tensor],
+        executors: Vec<SubModelFn>,
+        fusion: FusionFn,
+    ) -> Result<RuntimeReport> {
+        self.run_over(&mut SimTransport::new(), inputs, executors, fusion)
+    }
+
+    /// Runs one round over lanes opened from `transport`: one lane and one
+    /// thread per device, each device packs all of its samples into one
+    /// [`FeatureBatchMessage`] frame and sends it (or its failure, in-band),
+    /// then this thread joins the devices, drains the lanes in device order,
+    /// fuses every sample's features in sub-model order and journals the
+    /// round once.
     ///
     /// `inputs` holds one tensor per sample (e.g. a `[c, h, w]` image or a
     /// `[1, c, h, w]` batch of one — the executors decide how to interpret
     /// it).
     ///
+    /// The collector starts reading a lane only after every device thread
+    /// has finished (join, then drain). Lanes are opened with capacity 1, so
+    /// a device's single `send` never waits for a reader, and a backend whose
+    /// lanes arm a read deadline (TCP: 5 s by default) starts that clock when
+    /// the frame is already on its way, however long the sub-models
+    /// computed. A frame larger than a socket buffer still cannot deadlock
+    /// the join: the TCP lane's writer thread, not the device thread, blocks
+    /// on the socket until the drain below reads it.
+    ///
+    /// A frame is checked against the lane it arrived on — it must be a
+    /// feature batch of that lane's sub-model holding every input sample
+    /// exactly once, and the only frame on the lane — so a forged or
+    /// misrouted frame is an [`EdgeError::Protocol`], never a silent drop.
+    ///
     /// # Errors
     ///
     /// Returns [`EdgeError::InvalidConfig`] for empty inputs or executor
-    /// lists, and [`EdgeError::Runtime`] when an executor or the fusion
-    /// function fails.
-    pub fn run(
+    /// lists, [`EdgeError::Runtime`] when a lane cannot be opened or an
+    /// executor or the fusion function fails, and the decode or
+    /// [`EdgeError::Protocol`] error of a frame that fails the checks above.
+    pub fn run_over(
         &self,
+        transport: &mut dyn Transport,
         inputs: &[Tensor],
         executors: Vec<SubModelFn>,
         mut fusion: FusionFn,
@@ -189,114 +220,88 @@ impl ClusterRuntime {
         }
         let started = Instant::now();
         let num_sub_models = executors.len();
-        let shared_inputs: Arc<Vec<Tensor>> = Arc::new(inputs.to_vec());
-        let (tx, rx) = channel::unbounded::<std::result::Result<bytes::Bytes, String>>();
-        let (timing_tx, timing_rx) = channel::unbounded::<(usize, f64)>();
-
         let codec = self.codec;
-        crossbeam::scope(|scope| -> Result<()> {
-            for (sub_model_index, mut executor) in executors.into_iter().enumerate() {
-                let tx = tx.clone();
-                let timing_tx = timing_tx.clone();
-                let inputs = Arc::clone(&shared_inputs);
-                scope.spawn(move |_| {
-                    let device_started = Instant::now();
-                    // Sibling device threads split the kernel pool evenly.
-                    let result = edvit_parallel::with_fair_share(num_sub_models, || {
-                        run_device(sub_model_index, &mut executor, &inputs, codec)
-                    });
-                    // A closed channel means the collector already failed;
-                    // stop quietly.
-                    let _ = tx.send(result);
-                    let _ =
-                        timing_tx.send((sub_model_index, device_started.elapsed().as_secs_f64()));
-                });
-            }
-            drop(tx);
-            drop(timing_tx);
-            Ok(())
-        })
-        .map_err(|_| EdgeError::Runtime {
-            message: "a device worker thread panicked".to_string(),
-        })??;
+        let lanes = (0..num_sub_models)
+            .map(|device| transport.open_lane(device, 1))
+            .collect::<Result<Vec<_>>>()?;
+        let (senders, receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
 
-        let mut per_device_compute_seconds = vec![0.0f64; num_sub_models];
-        for (device, seconds) in &timing_rx {
-            per_device_compute_seconds[device] = seconds;
-        }
-
-        // Collect the one batched frame each device shipped (the scope above
-        // joins all workers first, so the channel is fully populated and
-        // closed).
-        let mut per_sample: BTreeMap<u32, BTreeMap<u32, Tensor>> = BTreeMap::new();
-        let mut frames = 0usize;
-        let mut payload_bytes = 0u64;
-        let mut bytes_on_wire = 0u64;
-        let mut per_device_wire_bytes = vec![0u64; num_sub_models];
-        let mut slowest_frame_seconds = 0.0f64;
-        for encoded in &rx {
-            let encoded = encoded.map_err(|message| EdgeError::Runtime { message })?;
-            let wire_bytes = encoded.len() as u64;
-            let batch = match WireFrame::decode(encoded)? {
-                WireFrame::FeatureBatch(batch) => batch,
-                other => {
-                    return Err(EdgeError::Runtime {
-                        message: format!(
-                            "device shipped a {} frame, expected a batch",
-                            other.kind_name()
-                        ),
+        let per_device_compute_seconds = crossbeam::scope(|scope| {
+            let devices: Vec<_> = executors
+                .into_iter()
+                .zip(senders)
+                .enumerate()
+                .map(|(device, (mut executor, tx))| {
+                    scope.spawn(move |_| {
+                        let device_started = Instant::now();
+                        // Sibling device threads split the kernel pool evenly.
+                        let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
+                            encode_device_round(
+                                device,
+                                &mut executor,
+                                inputs.iter().enumerate(),
+                                codec,
+                            )
+                        });
+                        let seconds = device_started.elapsed().as_secs_f64();
+                        // A closed lane means the collector is gone; stop
+                        // quietly.
+                        let _ = match encoded {
+                            Ok(Some(frame)) => tx.send(frame),
+                            Ok(None) => Ok(()),
+                            Err(message) => tx.send_error(format!("device {device}: {message}")),
+                        };
+                        seconds
                     })
-                }
-            };
-            frames += 1;
-            payload_bytes += batch.payload_bytes() as u64;
-            bytes_on_wire += wire_bytes;
-            if let Some(slot) = per_device_wire_bytes.get_mut(batch.sub_model as usize) {
-                *slot += wire_bytes;
-            }
-            let t = self.network.transfer_seconds(wire_bytes);
-            if t > slowest_frame_seconds {
-                slowest_frame_seconds = t;
-            }
-            let sub_model = batch.sub_model;
-            for message in batch.into_messages() {
-                per_sample
-                    .entry(message.sample_index)
-                    .or_default()
-                    .insert(sub_model, message.into_tensor());
-            }
+                })
+                .collect();
+            devices
+                .into_iter()
+                .map(|device| device.join().ok())
+                .collect::<Option<Vec<f64>>>()
+        })
+        .ok()
+        .flatten()
+        .ok_or_else(|| EdgeError::Runtime {
+            message: "a device worker thread panicked".to_string(),
+        })?;
+
+        // Every device has finished and dropped its sender: drain the one
+        // frame each lane holds, in device order.
+        let mut batches = Vec::with_capacity(num_sub_models);
+        let mut payload_bytes = 0u64;
+        let mut per_device_wire_bytes = Vec::with_capacity(num_sub_models);
+        let mut slowest_frame_seconds = 0.0f64;
+        for (device, mut rx) in receivers.into_iter().enumerate() {
+            let lane = recv_round_frame(device, rx.as_mut(), inputs.len())?;
+            payload_bytes += lane.batch.payload_bytes() as u64;
+            per_device_wire_bytes.push(lane.wire_bytes);
+            slowest_frame_seconds =
+                slowest_frame_seconds.max(self.network.transfer_seconds(lane.wire_bytes));
+            batches.push(lane);
         }
+        let frames = batches.len();
+        let bytes_on_wire: u64 = per_device_wire_bytes.iter().sum();
 
         // Fuse each sample's features in sub-model order.
+        let fused_dim: usize = batches.iter().map(|b| b.batch.feature_dim as usize).sum();
         let mut outputs = Vec::with_capacity(inputs.len());
-        for sample_index in 0..inputs.len() as u32 {
-            let features = per_sample
-                .get(&sample_index)
-                .ok_or_else(|| EdgeError::Runtime {
-                    message: format!("no features received for sample {sample_index}"),
-                })?;
-            if features.len() != num_sub_models {
-                return Err(EdgeError::Runtime {
-                    message: format!(
-                        "sample {sample_index} received {} of {num_sub_models} features",
-                        features.len()
-                    ),
-                });
+        for sample in 0..inputs.len() {
+            let mut concatenated = Vec::with_capacity(fused_dim);
+            for lane in &batches {
+                concatenated.extend_from_slice(lane.batch.feature_row(lane.row_of[sample]));
             }
-            let refs: Vec<&Tensor> = features.values().collect();
-            let concatenated = Tensor::concat_last_axis(&refs).map_err(|e| EdgeError::Runtime {
-                message: format!("feature concatenation failed: {e}"),
-            })?;
-            let fused = fusion(&concatenated).map_err(|message| EdgeError::Runtime { message })?;
-            outputs.push(fused);
+            let concatenated =
+                Tensor::from_vec(concatenated, &[fused_dim]).map_err(|e| EdgeError::Runtime {
+                    message: format!("feature concatenation failed: {e}"),
+                })?;
+            outputs.push(fusion(&concatenated).map_err(|message| EdgeError::Runtime { message })?);
         }
 
         record_batch_events(
             &self.sink,
-            num_sub_models,
             outputs.len(),
             &per_device_wire_bytes,
-            frames,
             slowest_frame_seconds,
         );
 
@@ -311,7 +316,7 @@ impl ClusterRuntime {
             worker_threads: num_sub_models,
             per_device_compute_seconds,
             frames,
-            codec: self.codec,
+            codec,
             payload_bytes,
             bytes_on_wire,
             per_device_wire_bytes,
@@ -322,34 +327,91 @@ impl ClusterRuntime {
     }
 }
 
+/// One device's round as the collector accepted it: the decoded batch, the
+/// encoded size it arrived at, and where each input sample sits in it.
+struct LaneBatch {
+    batch: FeatureBatchMessage,
+    wire_bytes: u64,
+    /// `row_of[sample]` is the batch row holding that sample's features.
+    row_of: Vec<usize>,
+}
+
+/// Receives the one frame a one-shot lane carries and checks it against the
+/// lane: a feature batch of sub-model `device` holding each of the `samples`
+/// inputs exactly once, followed by the lane's close.
+fn recv_round_frame(device: usize, rx: &mut dyn FrameRx, samples: usize) -> Result<LaneBatch> {
+    let frame = match rx.recv() {
+        LaneEvent::Frame(frame) => frame,
+        LaneEvent::PeerError(message) => return Err(EdgeError::Runtime { message }),
+        LaneEvent::Closed => {
+            return Err(EdgeError::Runtime {
+                message: format!("device {device} closed its lane without shipping a frame"),
+            })
+        }
+    };
+    let wire_bytes = frame.len() as u64;
+    let protocol = |message: String| EdgeError::Protocol {
+        message: format!("device {device} lane: {message}"),
+    };
+    let batch = match WireFrame::decode(frame)? {
+        WireFrame::FeatureBatch(batch) => batch,
+        other => {
+            return Err(protocol(format!(
+                "a {} frame where the round's batch was expected",
+                other.kind_name()
+            )))
+        }
+    };
+    if batch.sub_model as usize != device {
+        return Err(protocol(format!(
+            "frame claims sub-model {}",
+            batch.sub_model
+        )));
+    }
+    // `usize::MAX` marks an input no row has claimed yet.
+    let mut row_of = vec![usize::MAX; samples];
+    for (row, &sample) in batch.sample_indices.iter().enumerate() {
+        let slot = row_of
+            .get_mut(sample as usize)
+            .ok_or_else(|| protocol(format!("sample {sample} is beyond the {samples} inputs")))?;
+        if *slot != usize::MAX {
+            return Err(protocol(format!("sample {sample} appears twice")));
+        }
+        *slot = row;
+    }
+    if batch.num_samples() != samples {
+        return Err(protocol(format!(
+            "frame holds {} of {samples} samples",
+            batch.num_samples()
+        )));
+    }
+    match rx.recv() {
+        LaneEvent::Closed => Ok(LaneBatch {
+            batch,
+            wire_bytes,
+            row_of,
+        }),
+        LaneEvent::PeerError(message) => Err(EdgeError::Runtime { message }),
+        LaneEvent::Frame(_) => Err(protocol("a second frame in a one-shot round".to_string())),
+    }
+}
+
 /// Journals one one-shot batch execution: a `BatchStarted` marker, one
-/// `Delivery` + `DataFrame` pair per sub-model (in index order — the
-/// channel's arrival order is nondeterministic, the accounting is not), and
-/// a `BatchEnded` summary stamped at the simulated communication time.
-///
-/// Shared between the in-process runtime above and the TCP batch path,
-/// which journals post-hoc from its [`RuntimeReport`] so both transports
-/// emit the same event stream for the same workload. To keep that true, the
-/// journaled `bytes_on_wire` is always the data-plane sum of
-/// `per_device_wire_bytes` — transport-invariant by construction — whereas
-/// the TCP report's own `bytes_on_wire` additionally counts its join/leave
-/// control frames.
-pub fn record_batch_events(
+/// `Delivery` + `DataFrame` pair per sub-model (in index order) and a
+/// `BatchEnded` summary stamped at the simulated communication time.
+fn record_batch_events(
     sink: &MetricsSink,
-    devices: usize,
     samples: usize,
     per_device_wire_bytes: &[u64],
-    frames: usize,
     simulated_seconds: f64,
 ) {
     if !sink.is_enabled() {
         return;
     }
-    let bytes_on_wire: u64 = per_device_wire_bytes.iter().sum();
     sink.record(
         0.0,
         RunEvent::BatchStarted {
-            devices: devices as u64,
+            devices: per_device_wire_bytes.len() as u64,
             samples: samples as u64,
         },
     );
@@ -371,31 +433,39 @@ pub fn record_batch_events(
     sink.record(
         simulated_seconds,
         RunEvent::BatchEnded {
-            frames: frames as u64,
-            bytes_on_wire,
+            frames: per_device_wire_bytes.len() as u64,
+            bytes_on_wire: per_device_wire_bytes.iter().sum(),
             simulated_seconds,
         },
     );
 }
 
-/// Runs one device's executor over every sample and packs the results into a
-/// single encoded batch frame.
-fn run_device(
-    sub_model_index: usize,
+/// The device side of a round, shared by every executor of rounds (the
+/// one-shot runtime here, the streaming scheduler's device worker, the
+/// worker processes of `examples/cluster_proc.rs`): runs one sub-model's
+/// `executor` over the round's `(sample_index, input)` pairs, packs the
+/// features into one [`FeatureBatchMessage`] and encodes it under `codec`.
+/// `Ok(None)` for a round without samples.
+///
+/// # Errors
+///
+/// Returns the executor's own message when it fails, and the batch's
+/// dimension-mismatch message when its feature sizes are ragged.
+pub fn encode_device_round<'a>(
+    sub_model: usize,
     executor: &mut SubModelFn,
-    inputs: &[Tensor],
+    samples: impl IntoIterator<Item = (usize, &'a Tensor)>,
     codec: PayloadCodec,
-) -> std::result::Result<bytes::Bytes, String> {
+) -> std::result::Result<Option<Bytes>, String> {
     let mut batch: Option<FeatureBatchMessage> = None;
-    for (sample_index, sample) in inputs.iter().enumerate() {
+    for (sample_index, sample) in samples {
         let feature = executor(sample)?;
-        let slot =
-            batch.get_or_insert_with(|| FeatureBatchMessage::new(sub_model_index, feature.numel()));
-        slot.push_tensor(sample_index, &feature)
-            .map_err(|e| format!("device {sub_model_index}: {e}"))?;
+        batch
+            .get_or_insert_with(|| FeatureBatchMessage::new(sub_model, feature.numel()))
+            .push_tensor(sample_index, &feature)
+            .map_err(|e| e.to_string())?;
     }
-    let batch = batch.ok_or_else(|| format!("device {sub_model_index} saw no samples"))?;
-    Ok(batch.encode_with(codec))
+    Ok(batch.map(|batch| batch.encode_with(codec)))
 }
 
 #[cfg(test)]
@@ -534,16 +604,6 @@ mod tests {
         for (a, b) in base.outputs.iter().zip(&rle.outputs) {
             assert_eq!(a.data(), b.data());
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_codec_shim_matches_with_options() {
-        let shim =
-            ClusterRuntime::new(NetworkConfig::paper_default()).with_codec(PayloadCodec::F16Rle);
-        let canonical = ClusterRuntime::new(NetworkConfig::paper_default())
-            .with_options(&NetOptions::default().with_codec(PayloadCodec::F16Rle));
-        assert_eq!(shim.codec(), canonical.codec());
     }
 
     #[test]

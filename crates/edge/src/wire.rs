@@ -1,21 +1,21 @@
 //! Wire protocol between edge devices and the fusion device.
 //!
-//! Two generations of the format coexist:
+//! Every frame is **v2**: a 16-byte header — 4-byte magic `ED 56 49 54`
+//! ("íVIT"), version, flags, frame kind, reserved byte, payload length and a
+//! CRC-32 of the payload — followed by a kind-specific payload. Kind
+//! [`FrameKind::Feature`] carries one feature vector; kind
+//! [`FrameKind::FeatureBatch`] packs *all* samples of one sub-model into a
+//! single frame, which is what the batched [`crate::ClusterRuntime`] ships
+//! (one frame per device per round); kind [`FrameKind::Control`] carries
+//! membership/health signalling (join / leave / heartbeat) for the streaming
+//! scheduler — CRC-protected exactly like data frames, because a corrupted
+//! heartbeat must not be able to keep a dead device looking alive.
 //!
-//! * **v1** (legacy): a bare 12-byte header (`sub_model`, `sample_index`,
-//!   `len`) followed by `len` little-endian `f32`s — one message per
-//!   (sub-model, sample). No magic, no version, no checksum.
-//! * **v2** (current): every frame starts with a 16-byte header — 4-byte
-//!   magic `ED 56 49 54` ("íVIT"), version, flags, frame kind, reserved
-//!   byte, payload length and a CRC-32 of the payload — followed by a
-//!   kind-specific payload. Kind [`FrameKind::Feature`] carries one feature
-//!   vector; kind [`FrameKind::FeatureBatch`] packs *all* samples of one
-//!   sub-model into a single frame, which is what the batched
-//!   [`crate::ClusterRuntime`] ships (one frame per device per round); kind
-//!   [`FrameKind::Control`] carries membership/health signalling
-//!   (join / leave / heartbeat) for the streaming scheduler — CRC-protected
-//!   exactly like data frames, because a corrupted heartbeat must not be able
-//!   to keep a dead device looking alive.
+//! The pre-v2 generation (**v1**: a bare 12-byte header `sub_model`,
+//! `sample_index`, `len` followed by `len` little-endian `f32`s; no magic,
+//! no version, no checksum) survives only as the *payload layout* of a
+//! [`FrameKind::Feature`] frame. Nothing sends it bare any more, and a buffer
+//! without the magic is rejected rather than parsed unchecksummed.
 //!
 //! Bits 1–2 of the flags byte negotiate the **payload codec** of batch
 //! frames ([`PayloadCodec`]): raw `f32` (codec 0, the layout every pre-codec
@@ -24,15 +24,6 @@
 //! features. The CRC always covers the encoded payload, so corruption is
 //! detected before dequantization; single-feature and control frames must
 //! carry codec 0 (anything else is an [`EdgeError::Protocol`] violation).
-//!
-//! **Compatibility rule:** a buffer whose first four bytes equal the magic is
-//! parsed as v2 (and must satisfy the v2 header rules); anything else is
-//! parsed as v1. A v1 message would only be misclassified if its `sub_model`
-//! field were exactly `0x544956ED` (≈1.4 billion) — far outside any real
-//! device count — and even then the strict `payload_len`-vs-remaining
-//! consistency check rejects the buffer rather than silently mis-decoding it
-//! (a v1 body can never satisfy it: `4·len − 4 = len` has no solution).
-//! That length check is the load-bearing guard on this path — keep it strict.
 //!
 //! The full byte-level layouts are diagrammed in `crates/edge/README.md`.
 
@@ -52,8 +43,8 @@ pub const WIRE_VERSION: u8 = 2;
 /// reserved, payload length, payload CRC-32).
 pub const V2_HEADER_LEN: usize = 16;
 
-/// Size in bytes of the legacy v1 header (`sub_model`, `sample_index`,
-/// `len`).
+/// Size in bytes of the v1 message header (`sub_model`, `sample_index`,
+/// `len`) that opens the payload of a [`FrameKind::Feature`] frame.
 pub const V1_HEADER_LEN: usize = 12;
 
 /// Fixed bytes of a [`FrameKind::FeatureBatch`] payload before the per-sample
@@ -547,19 +538,8 @@ impl FeatureMessage {
         encode_feature_payload(self.sub_model, self.sample_index, &self.feature)
     }
 
-    /// Encodes the message in the legacy v1 layout (12-byte header, no magic,
-    /// no checksum), as pre-v2 senders did.
-    pub fn encode_v1(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(V1_HEADER_LEN + self.feature.len() * 4);
-        buf.put_u32_le(self.sub_model);
-        buf.put_u32_le(self.sample_index);
-        buf.put_u32_le(self.feature.len() as u32);
-        buf.put_f32_slice_le(&self.feature);
-        buf.freeze()
-    }
-
-    /// Decodes a single-feature message, accepting both v2
-    /// [`FrameKind::Feature`] frames and legacy v1 buffers.
+    /// Decodes a single-feature message from a v2 [`FrameKind::Feature`]
+    /// frame.
     ///
     /// # Errors
     ///
@@ -727,8 +707,7 @@ impl FeatureBatchMessage {
         )
     }
 
-    /// Splits the batch into one [`FeatureMessage`] per sample (pack order) —
-    /// the exact messages a v1 sender would have shipped individually.
+    /// Splits the batch into one [`FeatureMessage`] per sample (pack order).
     pub fn into_messages(self) -> Vec<FeatureMessage> {
         let dim = self.feature_dim as usize;
         self.sample_indices
@@ -746,7 +725,7 @@ impl FeatureBatchMessage {
 /// A decoded wire frame of either kind.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
-    /// A single-feature frame (v2 kind 1, or any legacy v1 buffer).
+    /// A single-feature frame (v2 kind 1).
     Feature(FeatureMessage),
     /// A batched multi-sample frame (v2 kind 2).
     FeatureBatch(FeatureBatchMessage),
@@ -783,23 +762,22 @@ impl WireFrame {
         }
     }
 
-    /// Decodes a frame, dispatching on the magic prefix: v2 buffers are
-    /// header- and checksum-verified, anything else falls back to the legacy
-    /// v1 layout. Never panics, whatever the input bytes.
+    /// Decodes a frame: the magic, header and checksum are verified before
+    /// the payload is parsed. Never panics, whatever the input bytes.
     ///
     /// # Errors
     ///
-    /// Returns [`EdgeError::Decode`] for truncated, inconsistent or
-    /// unsupported buffers and [`EdgeError::ChecksumMismatch`] when the
-    /// payload fails CRC verification.
+    /// Returns [`EdgeError::Decode`] for buffers without the magic (bare v1
+    /// messages included) and for truncated, inconsistent or unsupported
+    /// ones, and [`EdgeError::ChecksumMismatch`] when the payload fails CRC
+    /// verification.
     pub fn decode(mut bytes: Bytes) -> Result<Self> {
-        if bytes.as_slice().starts_with(&WIRE_MAGIC) {
-            return Self::decode_v2(bytes);
+        if !bytes.as_slice().starts_with(&WIRE_MAGIC) {
+            return Err(decode_err(format!(
+                "buffer of {} bytes does not start with the v2 magic",
+                bytes.len()
+            )));
         }
-        decode_v1(&mut bytes).map(WireFrame::Feature)
-    }
-
-    fn decode_v2(mut bytes: Bytes) -> Result<Self> {
         if bytes.len() < V2_HEADER_LEN {
             return Err(decode_err(format!(
                 "v2 buffer of {} bytes is shorter than the {V2_HEADER_LEN}-byte header",
@@ -810,7 +788,7 @@ impl WireFrame {
         let version = bytes.get_u8();
         if version != WIRE_VERSION {
             return Err(decode_err(format!(
-                "unsupported wire version {version} (this decoder speaks v1 and v{WIRE_VERSION})"
+                "unsupported wire version {version} (this decoder speaks v{WIRE_VERSION})"
             )));
         }
         let flags = bytes.get_u8();
@@ -865,7 +843,7 @@ impl WireFrame {
     }
 }
 
-/// Parses a v1 message body (also the payload of a v2 `Feature` frame).
+/// Parses a v1 message body — the payload of a v2 `Feature` frame.
 fn decode_v1(bytes: &mut Bytes) -> Result<FeatureMessage> {
     let total = bytes.len();
     let (Some(sub_model), Some(sample_index), Some(len)) = (
@@ -1112,19 +1090,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_buffers_decode_through_the_v2_decoder() {
+    fn bare_v1_buffers_are_rejected_and_round_trip_inside_a_v2_frame() {
         let msg = FeatureMessage {
             sub_model: 7,
             sample_index: 42,
             feature: vec![1.0, f32::MIN, f32::MAX],
         };
-        let v1 = msg.encode_v1();
+        let v2 = msg.encode();
+        // The payload of a v2 `Feature` frame is the v1 message, byte for byte.
+        let v1 = Bytes::copy_from_slice(&v2.as_slice()[V2_HEADER_LEN..]);
         assert_eq!(v1.len(), V1_HEADER_LEN + 12);
-        assert_eq!(FeatureMessage::decode(v1.clone()).unwrap(), msg);
+        assert_eq!(&v1.as_slice()[..4], &7u32.to_le_bytes());
+        // Bare, it has no magic and no checksum: a decode error, not a parse.
         assert!(matches!(
-            WireFrame::decode(v1).unwrap(),
-            WireFrame::Feature(m) if m == msg
+            WireFrame::decode(v1.clone()),
+            Err(EdgeError::Decode { .. })
         ));
+        assert!(matches!(
+            FeatureMessage::decode(v1),
+            Err(EdgeError::Decode { .. })
+        ));
+        assert_eq!(FeatureMessage::decode(v2).unwrap(), msg);
     }
 
     #[test]
@@ -1141,13 +1127,14 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(FeatureMessage::decode(Bytes::from_static(&[1, 2, 3])).is_err());
-        // v1 header claims 5 values but payload holds only 1.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        buf.put_u32_le(0);
-        buf.put_u32_le(5);
-        buf.put_f32_le(1.0);
-        assert!(FeatureMessage::decode(buf.freeze()).is_err());
+        // A feature frame whose v1 body claims 5 values but holds only 1.
+        let mut body = BytesMut::new();
+        body.put_u32_le(0);
+        body.put_u32_le(0);
+        body.put_u32_le(5);
+        body.put_f32_le(1.0);
+        let frame = encode_v2_frame(FrameKind::Feature, body.as_ref());
+        assert!(FeatureMessage::decode(frame).is_err());
         // Magic prefix but nothing else.
         assert!(WireFrame::decode(Bytes::copy_from_slice(&WIRE_MAGIC)).is_err());
     }

@@ -1,11 +1,12 @@
 //! Property-based tests of the edge simulation invariants: transfer time is
 //! monotone, wire messages round-trip, the decoder survives adversarial
-//! buffers, v1 and v2 encodings are equivalent, and latency estimates respect
-//! the structure of the plan.
+//! buffers, a bare v1 message is rejected while the same body round-trips
+//! inside a v2 frame, and latency estimates respect the structure of the plan.
 
 use bytes::{crc32, f16_bits_to_f32, f32_to_f16_bits, Bytes};
 use edvit_edge::wire::{
-    batch_frame_len_coded, CONTROL_FRAME_LEN, FLAG_CHECKSUM, V2_HEADER_LEN, WIRE_MAGIC,
+    batch_frame_len_coded, CONTROL_FRAME_LEN, FLAG_CHECKSUM, V1_HEADER_LEN, V2_HEADER_LEN,
+    WIRE_MAGIC,
 };
 use edvit_edge::{
     ControlKind, ControlMessage, EdgeError, FeatureBatchMessage, FeatureMessage, LatencyModel,
@@ -77,7 +78,7 @@ proptest! {
     }
 
     #[test]
-    fn v1_and_v2_encodings_decode_to_the_same_message(
+    fn bare_v1_is_rejected_and_the_same_body_round_trips_inside_v2(
         dim in 0usize..128,
         sub_model in 0usize..16,
         sample in 0usize..1000,
@@ -89,12 +90,14 @@ proptest! {
             TensorRng::new(seed).randn(&[dim], 0.0, 1.0)
         };
         let msg = FeatureMessage::from_tensor(sub_model, sample, &feature);
-        // The legacy v1 buffer decodes unchanged through the v2 decoder …
-        let from_v1 = FeatureMessage::decode(msg.encode_v1()).unwrap();
-        // … and agrees bit-for-bit with the v2 framing of the same message.
-        let from_v2 = FeatureMessage::decode(msg.encode()).unwrap();
-        prop_assert_eq!(&from_v1, &msg);
-        prop_assert_eq!(&from_v2, &from_v1);
+        let v2 = msg.encode();
+        // The v1 message is the payload of the v2 frame. Bare — no magic, no
+        // checksum — it is a decode error, never an unchecksummed parse …
+        let v1 = Bytes::copy_from_slice(&v2.as_slice()[V2_HEADER_LEN..]);
+        prop_assert_eq!(v1.len(), V1_HEADER_LEN + dim * 4);
+        prop_assert!(matches!(FeatureMessage::decode(v1), Err(EdgeError::Decode { .. })));
+        // … and inside its v2 frame the same body round-trips bit for bit.
+        prop_assert_eq!(&FeatureMessage::decode(v2).unwrap(), &msg);
         // The zero-copy tensor encode path is byte-identical to the
         // message-struct path.
         prop_assert_eq!(
@@ -118,12 +121,12 @@ proptest! {
             other => panic!("expected a batch, got {other:?}"),
         };
         prop_assert_eq!(&decoded, &batch);
-        // Splitting the batch yields exactly the per-sample v1 messages.
+        // Splitting the batch yields exactly the per-sample messages.
         for (i, single) in decoded.into_messages().into_iter().enumerate() {
             prop_assert_eq!(single.sub_model, sub_model as u32);
             prop_assert_eq!(single.sample_index as usize, i);
             prop_assert_eq!(single.feature.as_slice(), batch.feature_row(i));
-            let reencoded = FeatureMessage::decode(single.encode_v1()).unwrap();
+            let reencoded = FeatureMessage::decode(single.encode()).unwrap();
             prop_assert_eq!(&reencoded, &single);
         }
     }

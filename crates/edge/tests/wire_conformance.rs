@@ -1,7 +1,8 @@
 //! Golden-fixture conformance suite for the wire format.
 //!
 //! `fixtures/*.bin` are checked-in byte-exact encodings of one frame per
-//! (generation, kind, codec) combination. Every test decodes its fixture,
+//! (kind, codec) combination, plus the v1 message layout that a v2 `Feature`
+//! frame carries as its payload. Every test decodes its fixture,
 //! asserts the decoded message field-for-field, re-encodes it and asserts the
 //! bytes are identical to the file — so *any* drift in the header layout, the
 //! codec negotiation bits, the f16 quantization or the rle token stream fails
@@ -22,7 +23,7 @@ use edvit_edge::wire::{
     batch_frame_len_coded, PayloadCodec, CONTROL_FRAME_LEN, FLAG_CHECKSUM, V2_HEADER_LEN,
     WIRE_MAGIC, WIRE_VERSION,
 };
-use edvit_edge::{ControlMessage, FeatureBatchMessage, FeatureMessage, WireFrame};
+use edvit_edge::{ControlMessage, EdgeError, FeatureBatchMessage, FeatureMessage, WireFrame};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -102,15 +103,22 @@ where
 
 #[test]
 fn v1_feature_frame_is_byte_stable() {
+    // Nothing sends a bare v1 message any more; its layout lives on as the
+    // payload of a v2 `Feature` frame, which is what this fixture pins.
     let msg = golden_feature();
-    let encoded = msg.encode_v1();
-    let golden = fixture_bytes("v1_feature.bin", &encoded);
-    assert_eq!(encoded.as_slice(), golden.as_slice());
+    let v2 = msg.encode();
+    let body = Bytes::copy_from_slice(&v2.as_slice()[V2_HEADER_LEN..]);
+    let golden = fixture_bytes("v1_feature.bin", &body);
+    assert_eq!(body.as_slice(), golden.as_slice());
     // v1 has no magic: the first four bytes are the little-endian sub-model.
     assert_eq!(&golden[..4], &3u32.to_le_bytes());
-    let decoded = FeatureMessage::decode(Bytes::from(golden.clone())).unwrap();
-    assert_eq!(decoded, msg);
-    assert_eq!(decoded.encode_v1().as_slice(), golden.as_slice());
+    // Bare, the golden bytes are rejected — never parsed unchecksummed …
+    assert!(matches!(
+        WireFrame::decode(Bytes::from(golden)),
+        Err(EdgeError::Decode { .. })
+    ));
+    // … and inside the v2 frame the same body round-trips.
+    assert_eq!(FeatureMessage::decode(v2).unwrap(), msg);
 }
 
 #[test]

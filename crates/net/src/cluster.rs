@@ -40,14 +40,6 @@ pub struct WorkerConn {
     stream: TcpStream,
 }
 
-impl WorkerConn {
-    /// Consumes the connection, handing the raw socket to a caller that runs
-    /// its own collection loop (e.g. the TCP batch runner).
-    pub fn into_stream(self) -> TcpStream {
-        self.stream
-    }
-}
-
 /// Round structure of a collection run.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundSpec {

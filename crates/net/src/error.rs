@@ -49,6 +49,16 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// A transport failure under a lane-level caller (`Transport::open_lane`, the
+/// one-shot executor) is a runtime failure of the cluster.
+impl From<NetError> for edvit_edge::EdgeError {
+    fn from(e: NetError) -> Self {
+        edvit_edge::EdgeError::Runtime {
+            message: e.to_string(),
+        }
+    }
+}
+
 impl NetError {
     /// Wraps a mid-stream socket error.
     pub fn io(e: &std::io::Error) -> Self {

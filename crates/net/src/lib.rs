@@ -1,7 +1,8 @@
 //! # edvit-net
 //!
-//! The transport layer: the [`Transport`] trait the streaming scheduler
-//! speaks, its two backends, and the multi-process cluster primitives.
+//! The transport layer: the [`Transport`] trait the round executors speak
+//! (defined in `edvit-edge` next to the one-shot executor, re-exported
+//! here), its two backends, and the multi-process cluster primitives.
 //!
 //! The trait was extracted from the scheduler's hard-wired crossbeam
 //! plumbing, so its contract is exactly what the scheduler already relied
@@ -17,8 +18,8 @@
 //! On top of the lanes sit the pieces a cluster of real OS processes is
 //! assembled from: [`Coordinator`] / [`WorkerClient`] (join-handshake
 //! admission, per-round collection, graceful leave) and
-//! [`run_batch_over_tcp`] (the socket-backed twin of
-//! [`edvit_edge::ClusterRuntime::run`], bitwise-identical outputs).
+//! [`run_batch_over_tcp`] ([`edvit_edge::ClusterRuntime::run_over`] handed a
+//! [`TcpTransport`]: the one one-shot executor on socket lanes).
 //!
 //! The equivalence rule, stated once and enforced by the conformance suite:
 //! **everything a report derives from frame *content* is

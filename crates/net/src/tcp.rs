@@ -157,7 +157,7 @@ impl Transport for TcpTransport {
         &mut self,
         peer: usize,
         capacity: usize,
-    ) -> Result<(Box<dyn FrameTx>, Box<dyn FrameRx>)> {
+    ) -> edvit_edge::Result<(Box<dyn FrameTx>, Box<dyn FrameRx>)> {
         // Loopback connect completes against the listen backlog, so dialing
         // before accepting cannot deadlock.
         let sender = connect_with_backoff(&self.addr, CONNECT_ATTEMPTS)?;

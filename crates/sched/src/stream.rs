@@ -7,9 +7,10 @@
 //! proceeds in *epochs*: one epoch per cluster membership. Within an epoch,
 //! every active device runs on its own worker thread, processing rounds in
 //! order: it computes the features of every sub-model it hosts, ships them as
-//! wire-v2 [`FeatureBatchMessage`] frames, and follows each round with a
-//! [`ControlMessage`] heartbeat. Every device owns a *bounded* lane to the
-//! fusion worker — opened from the configured [`Transport`] backend
+//! wire-v2 [`FeatureBatchMessage`](edvit_edge::FeatureBatchMessage) frames,
+//! and follows each round with a [`ControlMessage`] heartbeat. Every device
+//! owns a *bounded* lane to the fusion worker — opened from the configured
+//! [`Transport`] backend
 //! ([`TransportKind::Sim`] for in-process channels, [`TransportKind::Tcp`]
 //! for real loopback sockets) and sized for `pipeline_depth` rounds of
 //! frames. When the fusion side falls behind, `send` blocks, so a device can
@@ -79,10 +80,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use edvit_edge::wire::FeatureBatchMessage;
 use edvit_edge::{
-    ControlDeduper, ControlKind, ControlMessage, FusionFn, LatencyModel, NetOptions, NetworkConfig,
-    PayloadCodec, RoundTimings, SubModelFn, TransportKind, WireFrame,
+    encode_device_round, ControlDeduper, ControlKind, ControlMessage, FusionFn, LatencyModel,
+    NetOptions, NetworkConfig, PayloadCodec, RoundTimings, SubModelFn, TransportKind, WireFrame,
 };
 use edvit_metrics::{MetricsSink, ReplanCause, RunEvent, StreamCounters};
 use edvit_net::{transport_for, FrameRx, FrameTx, LaneEvent, Transport};
@@ -232,14 +232,6 @@ impl StreamConfig {
             .with_max_retries(self.max_retries)
     }
 
-    /// Deprecated per-surface builder; use [`StreamConfig::with_options`].
-    #[deprecated(since = "0.8.0", note = "use with_options(&NetOptions) instead")]
-    // edvit:allow(builder-drift)
-    pub fn with_codec(mut self, codec: PayloadCodec) -> Self {
-        self.codec = codec;
-        self
-    }
-
     /// Adds a scripted device death before the given global round.
     pub fn with_failure(mut self, device_id: usize, at_round: u64) -> Self {
         self.failures.push(FailureInjection {
@@ -260,14 +252,6 @@ impl StreamConfig {
     /// Installs a deterministic frame-fault script.
     pub fn with_faults(mut self, faults: FaultScript) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Deprecated per-surface builder; use [`StreamConfig::with_options`].
-    #[deprecated(since = "0.8.0", note = "use with_options(&NetOptions) instead")]
-    // edvit:allow(builder-drift)
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
         self
     }
 
@@ -1251,25 +1235,18 @@ fn run_device_worker(
         }
         let span = layout.span(round);
         for (sub_index, executor) in &mut execs {
-            let mut batch: Option<FeatureBatchMessage> = None;
-            for sample in span.clone() {
-                let feature = match executor(&inputs[sample]) {
-                    Ok(f) => f,
-                    Err(message) => {
-                        let _ = tx.send_error(format!("device {device_id}: {message}"));
+            let samples = span.clone().map(|sample| (sample, &inputs[sample]));
+            match encode_device_round(*sub_index, executor, samples, codec) {
+                Ok(Some(frame)) => {
+                    if tx.send(frame).is_err() {
                         return;
                     }
-                };
-                let slot = batch
-                    .get_or_insert_with(|| FeatureBatchMessage::new(*sub_index, feature.numel()));
-                if let Err(e) = slot.push_tensor(sample, &feature) {
-                    let _ = tx.send_error(format!("device {device_id}: {e}"));
+                }
+                Ok(None) => {}
+                Err(message) => {
+                    let _ = tx.send_error(format!("device {device_id}: {message}"));
                     return;
                 }
-            }
-            let Some(batch) = batch else { continue };
-            if tx.send(batch.encode_with(codec)).is_err() {
-                return;
             }
         }
         completed += 1;

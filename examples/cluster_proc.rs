@@ -17,7 +17,7 @@ use std::net::SocketAddr;
 use std::process::Command;
 
 use edvit::distributed::{into_executors, run_distributed, RunOptions};
-use edvit::edge::{FeatureBatchMessage, PayloadCodec};
+use edvit::edge::{encode_device_round, PayloadCodec};
 use edvit::net::{Coordinator, RoundSpec, WorkerClient};
 use edvit::pipeline::{EdVitConfig, EdVitDeployment, EdVitPipeline};
 use edvit::tensor::Tensor;
@@ -53,7 +53,6 @@ fn trained_demo() -> Result<(EdVitDeployment, Vec<Tensor>), DynError> {
 /// stream them to the coordinator.
 fn worker(device_id: usize, addr: &SocketAddr) -> Result<(), DynError> {
     let (deployment, samples) = trained_demo()?;
-    let feature_dim = deployment.sub_models[device_id].plan.feature_dim();
     let (mut executors, _fusion) = into_executors(deployment);
     if device_id >= executors.len() {
         return Err(format!("device {device_id} has no sub-model").into());
@@ -61,15 +60,14 @@ fn worker(device_id: usize, addr: &SocketAddr) -> Result<(), DynError> {
     let mut executor = executors.remove(device_id);
 
     let mut client = WorkerClient::connect(addr, device_id, CAPACITY_FLOPS)?;
-    for round in 0..samples.len().div_ceil(ROUND_SIZE) {
-        let lo = round * ROUND_SIZE;
-        let hi = (lo + ROUND_SIZE).min(samples.len());
-        let mut batch = FeatureBatchMessage::new(device_id, feature_dim);
-        for (sample, input) in samples.iter().enumerate().take(hi).skip(lo) {
-            let feature = executor(input)?;
-            batch.push_tensor(sample, &feature)?;
+    for lo in (0..samples.len()).step_by(ROUND_SIZE) {
+        let round = samples.iter().enumerate().skip(lo).take(ROUND_SIZE);
+        // The same device-side round encoder the in-process runtimes use.
+        if let Some(frame) =
+            encode_device_round(device_id, &mut executor, round, PayloadCodec::F32)?
+        {
+            client.send_frame(&frame)?;
         }
-        client.send_frame(&batch.encode_with(PayloadCodec::F32))?;
         client.heartbeat(CAPACITY_FLOPS)?;
     }
     client.leave()?;

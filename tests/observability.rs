@@ -158,8 +158,8 @@ fn sim_and_tcp_batches_emit_the_same_event_stream() {
     .unwrap();
     assert_eq!(sim.per_device_wire_bytes, tcp.per_device_wire_bytes);
 
-    // The transports journal through different code paths (live vs post-hoc
-    // from the report) but must emit the identical event stream.
+    // One executor journals the round whichever backend carried it, so the
+    // event streams are identical.
     assert_eq!(
         sim_sink.journal().to_text(),
         tcp_sink.journal().to_text(),

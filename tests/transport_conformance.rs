@@ -8,9 +8,7 @@
 
 use edvit::chaos::{FaultKind, FaultPlan};
 use edvit::distributed::{run_distributed, RunOptions};
-use edvit::edge::{
-    wire::CONTROL_FRAME_LEN, FusionFn, NetOptions, PayloadCodec, SubModelFn, TransportKind,
-};
+use edvit::edge::{FusionFn, NetOptions, PayloadCodec, SubModelFn, TransportKind};
 use edvit::partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit::pipeline::{EdVitConfig, EdVitPipeline};
 use edvit::sched::{StreamConfig, StreamReport, StreamScheduler};
@@ -140,7 +138,7 @@ fn heartbeat_dedupe_decisions_are_transport_independent() {
 }
 
 #[test]
-fn one_shot_batch_parity_prices_only_control_frames_differently() {
+fn one_shot_batch_parity_is_exact_on_both_transports() {
     let config = EdVitConfig::tiny_demo(2).with_seed(SEED);
     let deployment = EdVitPipeline::new(config).run().expect("pipeline trains");
     let test = deployment.test_set.clone();
@@ -170,10 +168,11 @@ fn one_shot_batch_parity_prices_only_control_frames_differently() {
         sim.simulated_communication_seconds,
         tcp.simulated_communication_seconds
     );
-    // The one sanctioned difference: TCP's wire total also carries each
-    // worker's join and leave control frames.
+    // One executor runs over both backends, so there is no sanctioned
+    // difference left: the wire total is the data frames and nothing else.
+    assert_eq!(sim.bytes_on_wire, tcp.bytes_on_wire);
     assert_eq!(
         tcp.bytes_on_wire,
-        sim.bytes_on_wire + (2 * 2 * CONTROL_FRAME_LEN) as u64
+        tcp.per_device_wire_bytes.iter().sum::<u64>()
     );
 }
