@@ -1,24 +1,32 @@
-//! Criterion micro-benchmarks of the wire payload codecs: encode and decode
-//! cost of f32 / f16 / f16+rle batch frames, on dense (incompressible) and
-//! sparse (rle-friendly) feature batches. The printed preamble reports the
-//! encoded sizes, so one run shows bytes-saved next to CPU cost.
+//! Criterion micro-benchmarks of the bytes path: encode and decode cost of
+//! f32 / f16 / f16+rle batch frames, on dense (incompressible) and sparse
+//! (rle-friendly) feature batches, plus the pieces a 24 KiB round frame
+//! (8 × 768 `f32`, the `wire_f32_tcp` workload of the repo benchmark) is
+//! priced by — the CRC-32 pass, its encode and decode, and one send + receive
+//! over a loopback TCP lane. The printed preamble reports the encoded sizes,
+//! so one run shows bytes-saved next to CPU cost.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use edvit_edge::wire::{FeatureBatchMessage, PayloadCodec};
-use edvit_edge::WireFrame;
+use edvit_edge::{LaneEvent, Transport, WireFrame};
+use edvit_net::TcpTransport;
 use edvit_tensor::init::TensorRng;
 
 /// Paper-scale batch: 8 samples of a 384-dim feature (ViT-Base at s = 1/2).
 const SAMPLES: usize = 8;
 const DIM: usize = 384;
 
+/// Feature width of the repo benchmark's wire workloads: 8 × 768 `f32`s make
+/// the 24 636-byte frame its `edge.frame_bytes` probe reports.
+const WIDE_DIM: usize = 768;
+
 /// Dense batch: Gaussian features, essentially incompressible.
-fn dense_batch() -> FeatureBatchMessage {
+fn dense_batch_of(dim: usize) -> FeatureBatchMessage {
     let mut rng = TensorRng::new(7);
-    let mut batch = FeatureBatchMessage::new(0, DIM);
+    let mut batch = FeatureBatchMessage::new(0, dim);
     for i in 0..SAMPLES {
         batch
-            .push_tensor(i, &rng.randn(&[DIM], 0.0, 1.0))
+            .push_tensor(i, &rng.randn(&[dim], 0.0, 1.0))
             .expect("dims match");
     }
     batch
@@ -43,7 +51,7 @@ fn sparse_batch() -> FeatureBatchMessage {
 
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_encode");
-    let dense = dense_batch();
+    let dense = dense_batch_of(DIM);
     for codec in PayloadCodec::ALL {
         group.bench_function(format!("{codec}_{SAMPLES}x{DIM}"), |b| {
             b.iter(|| dense.encode_with(codec));
@@ -53,19 +61,53 @@ fn bench_encode(c: &mut Criterion) {
     group.bench_function(format!("f16+rle_sparse_{SAMPLES}x{DIM}"), |b| {
         b.iter(|| sparse.encode_with(PayloadCodec::F16Rle));
     });
+    let wide = dense_batch_of(WIDE_DIM);
+    group.bench_function(format!("f32_{SAMPLES}x{WIDE_DIM}"), |b| {
+        b.iter(|| wide.encode());
+    });
     group.finish();
 }
 
 fn bench_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_decode");
-    let dense = dense_batch();
+    let dense = dense_batch_of(DIM);
     for codec in PayloadCodec::ALL {
         let encoded = dense.encode_with(codec);
         group.bench_function(format!("{codec}_{SAMPLES}x{DIM}"), |b| {
             b.iter(|| WireFrame::decode(encoded.clone()).expect("frame is well-formed"));
         });
     }
+    let encoded = dense_batch_of(WIDE_DIM).encode();
+    group.bench_function(format!("f32_{SAMPLES}x{WIDE_DIM}"), |b| {
+        b.iter(|| WireFrame::decode(encoded.clone()).expect("frame is well-formed"));
+    });
     group.finish();
+}
+
+/// The checksum pass alone, over the bytes of one 24 KiB round frame.
+fn bench_crc32(c: &mut Criterion) {
+    let frame = dense_batch_of(WIDE_DIM).encode();
+    c.bench_function("crc32/24k", |b| {
+        b.iter(|| bytes::crc32(black_box(frame.as_slice())));
+    });
+}
+
+/// One 24 KiB frame through a loopback TCP lane: queue hand-off, the writer
+/// thread's vectored write, the buffered read and the envelope strip — no
+/// encode or decode.
+fn bench_tcp_lane(c: &mut Criterion) {
+    let frame = dense_batch_of(WIDE_DIM).encode();
+    let mut transport = TcpTransport::bind().expect("loopback listener");
+    let (tx, mut rx) = transport.open_lane(0, 4).expect("loopback lane");
+    c.bench_function("tcp_lane_frame/24k", |b| {
+        b.iter(|| {
+            tx.send(frame.clone()).expect("lane is open");
+            match rx.recv() {
+                LaneEvent::Frame(received) => received,
+                other => panic!("expected the frame back, got {other:?}"),
+            }
+        });
+    });
 }
 
 fn print_sizes() {
@@ -74,7 +116,7 @@ fn print_sizes() {
         "{:<12} {:>12} {:>12} {:>8}",
         "codec", "dense (B)", "sparse (B)", "vs f32"
     );
-    let dense = dense_batch();
+    let dense = dense_batch_of(DIM);
     let sparse = sparse_batch();
     let f32_len = dense.encode_with(PayloadCodec::F32).len();
     for codec in PayloadCodec::ALL {
@@ -94,6 +136,8 @@ fn wire_codec_benches(c: &mut Criterion) {
     print_sizes();
     bench_encode(c);
     bench_decode(c);
+    bench_crc32(c);
+    bench_tcp_lane(c);
 }
 
 criterion_group!(benches, wire_codec_benches);

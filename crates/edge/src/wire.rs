@@ -270,12 +270,17 @@ impl ControlMessage {
     /// Encodes the message as a v2 [`FrameKind::Control`] frame
     /// ([`CONTROL_FRAME_LEN`] bytes).
     pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::with_capacity(CONTROL_PAYLOAD_LEN);
-        payload.put_u32_le(self.kind as u32);
-        payload.put_u32_le(self.device_id);
-        payload.put_u64_le(self.sequence);
-        payload.put_f64_le(self.capacity_flops_per_second);
-        encode_v2_frame(FrameKind::Control, payload.as_ref())
+        encode_v2_frame(
+            FrameKind::Control,
+            FLAG_CHECKSUM,
+            CONTROL_PAYLOAD_LEN,
+            |frame| {
+                frame.put_u32_le(self.kind as u32);
+                frame.put_u32_le(self.device_id);
+                frame.put_u64_le(self.sequence);
+                frame.put_f64_le(self.capacity_flops_per_second);
+            },
+        )
     }
 
     /// Decodes a control message from a full wire frame.
@@ -346,37 +351,42 @@ fn protocol_err(message: impl Into<String>) -> EdgeError {
     }
 }
 
-/// Wraps a payload into a v2 frame with codec 0: header (with CRC-32 of
-/// `payload`) followed by the payload bytes.
-fn encode_v2_frame(kind: FrameKind, payload: &[u8]) -> Bytes {
-    encode_v2_frame_flags(kind, FLAG_CHECKSUM, payload)
-}
-
-/// Wraps a payload into a v2 frame carrying the given `flags` byte. The
-/// CRC-32 is computed over the payload exactly as handed in — for coded batch
-/// frames that is the *encoded* (quantized / compressed) bytes, so corruption
-/// is caught before any dequantization runs.
+/// Builds a v2 frame in one buffer — the single place a v2 header is written.
+/// The 16-byte header goes in first with its length and CRC fields blank,
+/// `write_payload` appends the payload behind it in place, and the two fields
+/// are patched once the payload's extent is known. The CRC-32 covers the
+/// payload exactly as written — for coded batch frames that is the *encoded*
+/// (quantized / compressed) bytes, so corruption is caught before any
+/// dequantization runs. `payload_capacity` sizes the buffer; a payload that
+/// outgrows it only costs a reallocation.
 ///
 /// # Panics
 ///
 /// Panics when the payload exceeds the 4 GiB the header's `u32` length field
 /// can describe — failing loudly at encode time beats emitting a frame whose
 /// length field silently wrapped.
-fn encode_v2_frame_flags(kind: FrameKind, flags: u8, payload: &[u8]) -> Bytes {
-    assert!(
-        payload.len() <= u32::MAX as usize,
-        "frame payload of {} bytes exceeds the u32 length field; split the batch",
-        payload.len()
-    );
-    let mut buf = BytesMut::with_capacity(V2_HEADER_LEN + payload.len());
+fn encode_v2_frame(
+    kind: FrameKind,
+    flags: u8,
+    payload_capacity: usize,
+    write_payload: impl FnOnce(&mut BytesMut),
+) -> Bytes {
+    let mut buf = BytesMut::with_capacity(V2_HEADER_LEN + payload_capacity);
     buf.put_slice(&WIRE_MAGIC);
     buf.put_u8(WIRE_VERSION);
     buf.put_u8(flags);
     buf.put_u8(kind as u8);
     buf.put_u8(0); // reserved
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_u32_le(crc32(payload));
-    buf.put_slice(payload);
+    buf.put_u64_le(0); // payload length + CRC-32, patched below
+    write_payload(&mut buf);
+    let (header, payload) = buf.as_mut().split_at_mut(V2_HEADER_LEN);
+    assert!(
+        payload.len() <= u32::MAX as usize,
+        "frame payload of {} bytes exceeds the u32 length field; split the batch",
+        payload.len()
+    );
+    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
     buf.freeze()
 }
 
@@ -562,12 +572,17 @@ impl FeatureMessage {
 }
 
 fn encode_feature_payload(sub_model: u32, sample_index: u32, feature: &[f32]) -> Bytes {
-    let mut payload = BytesMut::with_capacity(V1_HEADER_LEN + feature.len() * 4);
-    payload.put_u32_le(sub_model);
-    payload.put_u32_le(sample_index);
-    payload.put_u32_le(feature.len() as u32);
-    payload.put_f32_slice_le(feature);
-    encode_v2_frame(FrameKind::Feature, payload.as_ref())
+    encode_v2_frame(
+        FrameKind::Feature,
+        FLAG_CHECKSUM,
+        V1_HEADER_LEN + feature.len() * 4,
+        |frame| {
+            frame.put_u32_le(sub_model);
+            frame.put_u32_le(sample_index);
+            frame.put_u32_le(feature.len() as u32);
+            frame.put_f32_slice_le(feature);
+        },
+    )
 }
 
 /// All feature vectors one sub-model produced for a round of samples, packed
@@ -663,47 +678,51 @@ impl FeatureBatchMessage {
     }
 
     /// Encodes the batch under `codec`, recording the codec in the header
-    /// flags so [`WireFrame::decode`] can reverse it. The `f32` path writes
-    /// straight from the backing slice (identity codec, no value copy); the
-    /// f16 paths quantize with round-to-nearest-even, and [`PayloadCodec::F16Rle`]
-    /// additionally delta-codes and run-length compresses the quantized bits.
+    /// flags so [`WireFrame::decode`] can reverse it. Every codec writes its
+    /// values once, straight into the frame buffer: the `f32` path is a block
+    /// copy of the backing slice (identity codec), the f16 paths quantize with
+    /// round-to-nearest-even, and [`PayloadCodec::F16Rle`] additionally
+    /// delta-codes and run-length compresses the quantized bits.
     pub fn encode_with(&self, codec: PayloadCodec) -> Bytes {
-        let mut payload = BytesMut::with_capacity(
-            BATCH_FIXED_LEN
-                + self.sample_indices.len() * 4
-                + self.features.len() * codec.bytes_per_value(),
-        );
-        payload.put_u32_le(self.sub_model);
-        payload.put_u32_le(self.feature_dim);
-        payload.put_u32_le(self.sample_indices.len() as u32);
-        for &index in &self.sample_indices {
-            payload.put_u32_le(index);
-        }
-        match codec {
-            PayloadCodec::F32 => payload.put_f32_slice_le(&self.features),
-            PayloadCodec::F16 => payload.put_f16_slice_le(&self.features),
-            PayloadCodec::F16Rle => {
-                let mut previous = 0u16;
-                let deltas: Vec<u16> = self
-                    .features
-                    .iter()
-                    .map(|&v| {
-                        let bits = f32_to_f16_bits(v);
-                        let delta = bits.wrapping_sub(previous);
-                        previous = bits;
-                        delta
-                    })
-                    .collect();
-                let mut stream = BytesMut::new();
-                rle_compress(&deltas, &mut stream);
-                payload.put_u32_le(stream.len() as u32);
-                payload.put_slice(stream.as_ref());
-            }
-        }
-        encode_v2_frame_flags(
+        let payload_capacity = BATCH_FIXED_LEN
+            + self.sample_indices.len() * 4
+            + self.features.len() * codec.bytes_per_value();
+        encode_v2_frame(
             FrameKind::FeatureBatch,
             FLAG_CHECKSUM | codec.flag_bits(),
-            payload.as_ref(),
+            payload_capacity,
+            |frame| {
+                frame.put_u32_le(self.sub_model);
+                frame.put_u32_le(self.feature_dim);
+                frame.put_u32_le(self.sample_indices.len() as u32);
+                for &index in &self.sample_indices {
+                    frame.put_u32_le(index);
+                }
+                match codec {
+                    PayloadCodec::F32 => frame.put_f32_slice_le(&self.features),
+                    PayloadCodec::F16 => frame.put_f16_slice_le(&self.features),
+                    PayloadCodec::F16Rle => {
+                        let mut previous = 0u16;
+                        let deltas: Vec<u16> = self
+                            .features
+                            .iter()
+                            .map(|&v| {
+                                let bits = f32_to_f16_bits(v);
+                                let delta = bits.wrapping_sub(previous);
+                                previous = bits;
+                                delta
+                            })
+                            .collect();
+                        // `comp_len` is known only once the stream is written.
+                        let comp_len_at = frame.len();
+                        frame.put_u32_le(0);
+                        rle_compress(&deltas, frame);
+                        let comp_len = (frame.len() - comp_len_at - 4) as u32;
+                        frame.as_mut()[comp_len_at..comp_len_at + 4]
+                            .copy_from_slice(&comp_len.to_le_bytes());
+                    }
+                }
+            },
         )
     }
 
@@ -865,10 +884,9 @@ fn decode_v1(bytes: &mut Bytes) -> Result<FeatureMessage> {
             bytes.remaining()
         )));
     }
-    let mut feature = Vec::with_capacity(len);
-    for _ in 0..len {
-        feature.push(bytes.get_f32_le());
-    }
+    let feature = bytes
+        .try_get_f32_vec_le(len)
+        .ok_or_else(|| decode_err("feature values end early"))?;
     Ok(FeatureMessage {
         sub_model,
         sample_index,
@@ -935,21 +953,15 @@ fn decode_batch_payload(bytes: &mut Bytes, codec: PayloadCodec) -> Result<Featur
         sample_indices.push(bytes.get_u32_le());
     }
     let values = values as usize;
+    // The length guards above already sized the value block; the bulk readers
+    // re-check it once for the whole block instead of once per value.
     let features = match codec {
-        PayloadCodec::F32 => {
-            let mut features = Vec::with_capacity(values);
-            for _ in 0..values {
-                features.push(bytes.get_f32_le());
-            }
-            features
-        }
-        PayloadCodec::F16 => {
-            let mut features = Vec::with_capacity(values);
-            for _ in 0..values {
-                features.push(f16_bits_to_f32(bytes.get_u16_le()));
-            }
-            features
-        }
+        PayloadCodec::F32 => bytes
+            .try_get_f32_vec_le(values)
+            .ok_or_else(|| decode_err("f32 value block ends early"))?,
+        PayloadCodec::F16 => bytes
+            .try_get_f16_vec_le(values)
+            .ok_or_else(|| decode_err("f16 value block ends early"))?,
         PayloadCodec::F16Rle => {
             let comp_len = bytes.get_u32_le() as usize;
             if bytes.remaining() != comp_len {
@@ -981,6 +993,13 @@ fn decode_batch_payload(bytes: &mut Bytes, codec: PayloadCodec) -> Result<Featur
 /// length prefix must never make the peer allocate unbounded memory.
 pub const MAX_STREAM_FRAME_LEN: usize = 64 * 1024 * 1024;
 
+/// Most a stream reader allocates for a frame body before any of it has
+/// arrived. A frame up to this size lands in a buffer sized once from its
+/// length prefix; a longer one grows the buffer as its bytes come in, so a
+/// peer that promises [`MAX_STREAM_FRAME_LEN`] and then stalls or hangs up
+/// has cost the reader this much, not 64 MiB.
+const BODY_PREALLOC_CAP: usize = 256 * 1024;
+
 /// Writes one encoded wire frame to a byte stream as
 /// `[u32 LE frame length][frame bytes]` — the length prefix delimits frames
 /// on transports without message boundaries (TCP sockets, files).
@@ -990,25 +1009,55 @@ pub const MAX_STREAM_FRAME_LEN: usize = 64 * 1024 * 1024;
 /// Returns [`std::io::ErrorKind::InvalidData`] when `frame` exceeds
 /// [`MAX_STREAM_FRAME_LEN`], and propagates any write error.
 pub fn write_frame_bytes<W: std::io::Write>(writer: &mut W, frame: &[u8]) -> std::io::Result<()> {
-    if frame.len() > MAX_STREAM_FRAME_LEN {
+    write_frame_parts(writer, &[], frame)
+}
+
+/// [`write_frame_bytes`] for a frame held in two pieces — a short `head` (the
+/// lane envelope's tag byte) and the `tail` behind it — so a caller never has
+/// to join them in a scratch buffer. Prefix, head and tail go out in one
+/// vectored write: one syscall and, on a `TCP_NODELAY` socket, no lone
+/// 4-byte segment ahead of the body.
+///
+/// # Errors
+///
+/// As [`write_frame_bytes`], the limit applying to `head` and `tail` together.
+pub fn write_frame_parts<W: std::io::Write>(
+    writer: &mut W,
+    head: &[u8],
+    tail: &[u8],
+) -> std::io::Result<()> {
+    let len = head.len() + tail.len();
+    if len > MAX_STREAM_FRAME_LEN {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!(
-                "frame of {} bytes exceeds the {MAX_STREAM_FRAME_LEN}-byte stream limit",
-                frame.len()
-            ),
+            format!("frame of {len} bytes exceeds the {MAX_STREAM_FRAME_LEN}-byte stream limit"),
         ));
     }
-    let len = frame.len() as u32;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(frame)?;
+    let prefix = (len as u32).to_le_bytes();
+    let mut parts = [&prefix[..], head, tail].map(std::io::IoSlice::new);
+    let mut pending = &mut parts[..];
+    // A vectored write may be short: drop what went out, offer the rest again.
+    while !pending.is_empty() {
+        match writer.write_vectored(pending) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "stream accepted no bytes of a frame",
+                ));
+            }
+            Ok(written) => std::io::IoSlice::advance_slices(&mut pending, written),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
 }
 
 /// Reads one length-prefixed frame written by [`write_frame_bytes`] from a
 /// byte stream. Returns `Ok(None)` on a clean EOF at a frame boundary (the
 /// peer shut the stream down between frames) and never panics on hostile
-/// input.
+/// input. The returned buffer is the one the bytes were read into — never
+/// zero-filled first, never copied after.
 ///
 /// # Errors
 ///
@@ -1039,18 +1088,28 @@ pub fn read_frame_bytes<R: std::io::Read>(reader: &mut R) -> std::io::Result<Opt
             format!("frame length prefix {len} exceeds the {MAX_STREAM_FRAME_LEN}-byte limit"),
         ));
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("stream ended inside a {len}-byte frame body"),
-            )
-        } else {
-            e
-        }
-    })?;
+    let mut body = Vec::new();
+    read_frame_body(reader, len, &mut body)?;
     Ok(Some(Bytes::from(body)))
+}
+
+/// Reads the `len` body bytes a length prefix promised into `body`, which
+/// grows with what actually arrives (see [`BODY_PREALLOC_CAP`]).
+fn read_frame_body<R: std::io::Read>(
+    reader: &mut R,
+    len: usize,
+    body: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    use std::io::Read as _;
+    body.reserve_exact(len.min(BODY_PREALLOC_CAP));
+    let received = reader.by_ref().take(len as u64).read_to_end(body)?;
+    if received < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("stream ended inside a {len}-byte frame body"),
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1133,7 +1192,9 @@ mod tests {
         body.put_u32_le(0);
         body.put_u32_le(5);
         body.put_f32_le(1.0);
-        let frame = encode_v2_frame(FrameKind::Feature, body.as_ref());
+        let frame = encode_v2_frame(FrameKind::Feature, FLAG_CHECKSUM, 16, |frame| {
+            frame.put_slice(body.as_ref());
+        });
         assert!(FeatureMessage::decode(frame).is_err());
         // Magic prefix but nothing else.
         assert!(WireFrame::decode(Bytes::copy_from_slice(&WIRE_MAGIC)).is_err());
@@ -1254,6 +1315,36 @@ mod tests {
             decoded.encode_with(PayloadCodec::F16),
             batch.encode_with(PayloadCodec::F16)
         );
+    }
+
+    #[test]
+    fn in_place_encode_sizes_exactly_and_reencodes_byte_identically() {
+        // A round-sized batch (8 × 768) whose values are exact in f16, so a
+        // decode → re-encode must reproduce the frame under every codec.
+        let mut batch = FeatureBatchMessage::new(1, 768);
+        for sample in 0..8usize {
+            let row: Vec<f32> = (0..768)
+                .map(|i| ((i * 7 + sample * 13) % 64) as f32 * 0.25 - 4.0)
+                .collect();
+            batch.push_feature(sample, &row).unwrap();
+        }
+        for codec in PayloadCodec::ALL {
+            let encoded = batch.encode_with(codec);
+            let analytic = batch_frame_len_coded(8, 768, codec);
+            if codec == PayloadCodec::F16Rle {
+                assert!(encoded.len() <= analytic, "{codec}");
+            } else {
+                assert_eq!(encoded.len(), analytic, "{codec}");
+            }
+            // The header's patched fields describe the payload behind them.
+            let bytes = encoded.as_slice();
+            let payload = &bytes[V2_HEADER_LEN..];
+            assert_eq!(bytes[8..12], (payload.len() as u32).to_le_bytes());
+            assert_eq!(bytes[12..16], crc32(payload).to_le_bytes());
+            let decoded = decode_batch(encoded.clone());
+            assert_eq!(decoded, batch, "{codec}");
+            assert_eq!(decoded.encode_with(codec), encoded, "{codec}");
+        }
     }
 
     #[test]
@@ -1628,6 +1719,87 @@ mod tests {
         let mut short_body = &stream[..stream.len() - 3];
         let err = read_frame_bytes(&mut short_body).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_promised_length_costs_nothing_until_its_bytes_arrive() {
+        // The largest legal prefix, ten body bytes, then EOF: the error is the
+        // usual truncated-body one, and the buffer grew with what arrived
+        // instead of being sized (and zeroed) from the promise.
+        let mut stream = (MAX_STREAM_FRAME_LEN as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7u8; 10]);
+        let err = read_frame_bytes(&mut stream.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("inside a 67108864-byte frame body"),
+            "{err}"
+        );
+        let mut body = Vec::new();
+        let err = read_frame_body(&mut &stream[4..], MAX_STREAM_FRAME_LEN, &mut body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(body, [7u8; 10]);
+        assert!(body.capacity() <= BODY_PREALLOC_CAP, "{}", body.capacity());
+
+        // A frame longer than the cap still arrives whole.
+        let big = vec![0xA5u8; BODY_PREALLOC_CAP + 4321];
+        let mut stream = Vec::new();
+        write_frame_bytes(&mut stream, &big).unwrap();
+        let read = read_frame_bytes(&mut stream.as_slice()).unwrap().unwrap();
+        assert_eq!(read.as_slice(), big.as_slice());
+    }
+
+    /// A reader whose error is a timeout, after `ready` has been served.
+    struct StallsAfter<'a> {
+        ready: &'a [u8],
+    }
+
+    impl std::io::Read for StallsAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.ready.is_empty() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            std::io::Read::read(&mut self.ready, buf)
+        }
+    }
+
+    #[test]
+    fn a_read_timeout_inside_a_body_propagates_as_itself() {
+        let mut stream = Vec::new();
+        write_frame_bytes(&mut stream, &[1u8; 64]).unwrap();
+        let mut reader = StallsAfter {
+            ready: &stream[..20],
+        };
+        let err = read_frame_bytes(&mut reader).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+    }
+
+    /// A writer that takes at most three bytes per call and never looks past
+    /// the first non-empty slice — the laziest `write_vectored` allowed.
+    struct Dribble(Vec<u8>);
+
+    impl std::io::Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_vectored_writes_are_resumed_until_the_frame_is_out() {
+        let frame = ControlMessage::join(1, 2.0e9).encode();
+        let mut whole = Vec::new();
+        write_frame_parts(&mut whole, &[0], frame.as_slice()).unwrap();
+        let mut dribbled = Dribble(Vec::new());
+        write_frame_parts(&mut dribbled, &[0], frame.as_slice()).unwrap();
+        assert_eq!(dribbled.0, whole);
+        assert_eq!(whole.len(), 4 + 1 + frame.len());
+        assert_eq!(&whole[..4], &(1 + frame.len() as u32).to_le_bytes());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The lane envelope: what one length-delimited record on a socket carries.
 //!
-//! Each record written by [`write_envelope`] is framed by
-//! [`edvit_edge::wire::write_frame_bytes`] (`[u32 LE length][body]`) and its
-//! body starts with a one-byte tag:
+//! Each record written by [`write_envelope`] is framed as
+//! [`edvit_edge::wire::write_frame_bytes`] frames are (`[u32 LE length][body]`)
+//! and its body starts with a one-byte tag:
 //!
 //! ```text
 //! [u32 LE length] [tag u8] [payload …]
@@ -15,9 +15,18 @@
 //! is what crosses the socket. Tag 1 mirrors the sim backend's in-band error
 //! channel: a worker whose executor failed reports the message and the stream
 //! aborts, instead of the failure masquerading as a silent crash.
+//!
+//! An envelope costs its payload no copy in either direction. The writer
+//! hands `[length | tag]` and the payload to one vectored write
+//! ([`edvit_edge::wire::write_frame_parts`]): one syscall per envelope, and
+//! on a `TCP_NODELAY` socket no lone 4-byte segment ahead of the body. The
+//! reader receives the record into one buffer that grows with the bytes
+//! actually received — a length prefix alone commits at most 256 KiB, whatever
+//! it promises — and the [`Envelope::Frame`] it returns is that buffer with
+//! its start moved one byte past the tag.
 
-use bytes::Bytes;
-use edvit_edge::wire::{read_frame_bytes, write_frame_bytes};
+use bytes::{Buf, Bytes};
+use edvit_edge::wire::{read_frame_bytes, write_frame_parts};
 
 /// Envelope tag: the payload is an encoded wire-v2 frame.
 pub const TAG_FRAME: u8 = 0;
@@ -39,7 +48,7 @@ impl Envelope {
     pub const OVERHEAD: usize = 5;
 }
 
-/// Writes one envelope as a length-delimited record.
+/// Writes one envelope as a length-delimited record, in one vectored write.
 ///
 /// # Errors
 ///
@@ -53,10 +62,7 @@ pub fn write_envelope<W: std::io::Write>(
         Envelope::Frame(frame) => (TAG_FRAME, frame.as_slice()),
         Envelope::Error(message) => (TAG_ERROR, message.as_bytes()),
     };
-    let mut body = Vec::with_capacity(1 + payload.len());
-    body.push(tag);
-    body.extend_from_slice(payload);
-    write_frame_bytes(writer, &body)
+    write_frame_parts(writer, &[tag], payload)
 }
 
 /// Reads one envelope. Returns `Ok(None)` on a clean EOF at a record
@@ -68,20 +74,20 @@ pub fn write_envelope<W: std::io::Write>(
 /// unknown tag, or a truncated stream, and propagates other read errors
 /// (including read timeouts configured on the underlying stream).
 pub fn read_envelope<R: std::io::Read>(reader: &mut R) -> std::io::Result<Option<Envelope>> {
-    let Some(body) = read_frame_bytes(reader)? else {
+    let Some(mut body) = read_frame_bytes(reader)? else {
         return Ok(None);
     };
-    let bytes = body.as_slice();
-    let Some((&tag, payload)) = bytes.split_first() else {
+    // Consuming the tag moves the buffer's start; the payload stays put.
+    let Some(tag) = body.try_get_u8() else {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "empty lane record (no tag byte)",
         ));
     };
     match tag {
-        TAG_FRAME => Ok(Some(Envelope::Frame(Bytes::copy_from_slice(payload)))),
+        TAG_FRAME => Ok(Some(Envelope::Frame(body))),
         TAG_ERROR => Ok(Some(Envelope::Error(
-            String::from_utf8_lossy(payload).into_owned(),
+            String::from_utf8_lossy(body.as_slice()).into_owned(),
         ))),
         other => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -126,6 +132,39 @@ mod tests {
         edvit_edge::wire::write_frame_bytes(&mut empty, &[]).unwrap();
         let err = read_envelope(&mut empty.as_slice()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// Serves a byte slice and notes where each `read` was asked to put it.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        destinations: Vec<*const u8>,
+    }
+
+    impl std::io::Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.destinations.push(buf.as_ptr());
+            std::io::Read::read(&mut self.bytes, buf)
+        }
+    }
+
+    #[test]
+    fn a_frame_envelope_is_the_buffer_it_was_read_into() {
+        let frame = ControlMessage::heartbeat(3, 9, 1.0e9).encode();
+        let mut stream = Vec::new();
+        write_envelope(&mut stream, &Envelope::Frame(frame.clone())).unwrap();
+        let mut reader = Recording {
+            bytes: &stream,
+            destinations: Vec::new(),
+        };
+        let Some(Envelope::Frame(read)) = read_envelope(&mut reader).unwrap() else {
+            panic!("expected a frame envelope");
+        };
+        assert_eq!(read, frame);
+        // Read 0 filled the length prefix, read 1 put `[tag | frame]` at the
+        // start of the record's buffer: the frame handed back is that buffer
+        // one byte in — same allocation, nothing copied to drop the tag.
+        let record_start = reader.destinations[1];
+        assert_eq!(read.as_slice().as_ptr(), record_start.wrapping_add(1));
     }
 
     #[test]

@@ -5,17 +5,20 @@
 //! `capacity` frames are undrained, reusing the scheduler's backpressure
 //! semantics bound-for-bound (the kernel's socket buffer adds slack a
 //! channel does not have, but the queue bound is what stops a fast device
-//! from racing arbitrarily far ahead). The fusion side reads envelopes
-//! straight off the socket with a read timeout armed from the scheduler's
-//! round-denominated heartbeat deadline: a peer whose next frame misses the
-//! deadline looks exactly like a disconnect, which is the trait's one
-//! failure signal.
+//! from racing arbitrarily far ahead). The writer thread puts each envelope
+//! on the socket with one vectored write. The fusion side reads envelopes
+//! off the socket through a fixed 64 KiB buffer (`LANE_READ_BUFFER`) — a
+//! heartbeat and the data frame behind it arrive in one `read` — with a read
+//! timeout armed from the scheduler's round-denominated heartbeat deadline:
+//! a peer whose next frame misses the deadline looks exactly like a
+//! disconnect, which is the trait's one failure signal.
 //!
 //! Connection establishment retries with the same `min(2^(n−1), 8)` backoff
 //! factor schedule the scheduler prices retries with on the virtual clock
 //! ([`edvit_edge::StreamTiming::retry_backoff_seconds`]) — mapped to wall
 //! time via [`RECONNECT_BASE`].
 
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -32,6 +35,11 @@ pub const RECONNECT_BASE: Duration = Duration::from_millis(50);
 
 /// Connection attempts before [`connect_with_backoff`] gives up.
 pub const CONNECT_ATTEMPTS: u32 = 6;
+
+/// Read buffer of a lane's receiving socket: a few rounds of control frames
+/// and a paper-scale batch frame fit, so the common record costs no syscall
+/// of its own; a record larger than this bypasses the buffer.
+const LANE_READ_BUFFER: usize = 64 * 1024;
 
 /// Floor of the mapped heartbeat deadline: virtual round intervals can be
 /// microseconds, but a real worker needs wall time to compute a round.
@@ -129,7 +137,7 @@ impl FrameTx for TcpTx {
 
 /// Fusion-side half of a TCP lane: reads envelopes off the accepted socket.
 struct TcpRx {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     closed: bool,
 }
 
@@ -189,7 +197,7 @@ impl Transport for TcpTransport {
         Ok((
             Box::new(TcpTx { queue: queue_tx }),
             Box::new(TcpRx {
-                stream: receiver,
+                stream: BufReader::with_capacity(LANE_READ_BUFFER, receiver),
                 closed: false,
             }),
         ))

@@ -77,12 +77,14 @@
 //! its round-denominated backoff.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use edvit_edge::{
-    encode_device_round, ControlDeduper, ControlKind, ControlMessage, FusionFn, LatencyModel,
-    NetOptions, NetworkConfig, PayloadCodec, RoundTimings, SubModelFn, TransportKind, WireFrame,
+    encode_device_round, ControlDeduper, ControlKind, ControlMessage, FeatureBatchMessage,
+    FusionFn, LatencyModel, NetOptions, NetworkConfig, PayloadCodec, RoundTimings, SubModelFn,
+    TransportKind, WireFrame,
 };
 use edvit_metrics::{MetricsSink, ReplanCause, RunEvent, StreamCounters};
 use edvit_net::{transport_for, FrameRx, FrameTx, LaneEvent, Transport};
@@ -1276,6 +1278,12 @@ enum Processed {
     Escalate,
 }
 
+/// One sub-model's features for one round, as delivered: slot `i` is the
+/// round's `i`-th sample, held as the decoded frame that first delivered it
+/// and the row it occupies there. The frame is shared by every slot it
+/// filled, so stashing a delivery copies no feature value.
+type StashedRows = Vec<Option<(Rc<FeatureBatchMessage>, usize)>>;
+
 /// The collector's per-epoch state: fault cursors, dedupe, the partial-round
 /// stash and the outcome under construction.
 struct Collector<'a> {
@@ -1291,9 +1299,9 @@ struct Collector<'a> {
     /// Frames received so far per device — the positional identity that maps
     /// a delivery to its `(round, slot)` fault key.
     cursor: BTreeMap<usize, u64>,
-    /// round -> sample -> (sub-model -> feature), ordered so fusion walks
-    /// samples in input order.
-    partial: BTreeMap<u64, BTreeMap<usize, BTreeMap<u32, Tensor>>>,
+    /// round -> sub-model -> the round's stashed rows, ordered so fusion
+    /// walks sub-models in index order.
+    partial: BTreeMap<u64, BTreeMap<u32, StashedRows>>,
     outcome: EpochOutcome,
     sink: &'a MetricsSink,
     /// Virtual epoch-start time every collector event is stamped with.
@@ -1520,10 +1528,11 @@ impl Collector<'_> {
                         device: device as u64,
                     },
                 );
-                let sub_model = batch.sub_model;
+                let batch = Rc::new(batch);
+                let mut stashed = false;
                 let mut duplicated = false;
-                for single in batch.into_messages() {
-                    let sample = single.sample_index as usize;
+                for (row, &sample) in batch.sample_indices.iter().enumerate() {
+                    let sample = sample as usize;
                     let Some(round) = self.layout.round_of(sample) else {
                         return Err(SchedError::Runtime {
                             message: format!(
@@ -1532,22 +1541,27 @@ impl Collector<'_> {
                             ),
                         });
                     };
-                    let slot = self
+                    let span = self.layout.span(round);
+                    let rows = self
                         .partial
                         .entry(round)
                         .or_default()
-                        .entry(sample)
-                        .or_default();
-                    if let std::collections::btree_map::Entry::Vacant(entry) = slot.entry(sub_model)
-                    {
-                        let tensor = single.into_tensor();
-                        self.outcome.observed_dims.insert(sub_model, tensor.numel());
-                        entry.insert(tensor);
+                        .entry(batch.sub_model)
+                        .or_insert_with(|| vec![None; span.len()]);
+                    let slot = &mut rows[sample - span.start];
+                    if slot.is_none() {
+                        *slot = Some((Rc::clone(&batch), row));
+                        stashed = true;
                     } else {
                         // First delivery wins; a re-delivered feature can
                         // only echo what is already stashed.
                         duplicated = true;
                     }
+                }
+                if stashed {
+                    self.outcome
+                        .observed_dims
+                        .insert(batch.sub_model, batch.feature_dim as usize);
                 }
                 if duplicated {
                     self.outcome.duplicate_frames += 1;
@@ -1579,19 +1593,32 @@ impl Collector<'_> {
         fused: &mut [Option<Tensor>],
     ) -> Result<()> {
         let span = self.layout.span(round);
-        let samples = self.partial.remove(&round).unwrap_or_default();
+        let stash = self.partial.remove(&round).unwrap_or_default();
         let hosted = self.num_sub_models - self.missing_dims.len();
-        if span.len() != samples.len() || samples.values().any(|features| features.len() != hosted)
-        {
+        let delivered = |offset: usize| stash.values().filter(move |rows| rows[offset].is_some());
+        if (0..span.len()).any(|offset| delivered(offset).count() != hosted) {
             return Err(SchedError::Runtime {
                 message: format!(
                     "round {round} incomplete after every device heartbeat: {}/{} samples present",
-                    samples.len(),
+                    (0..span.len())
+                        .filter(|&offset| delivered(offset).next().is_some())
+                        .count(),
                     span.len()
                 ),
             });
         }
-        for (sample, mut features) in samples {
+        // What each sample's fusion input is assembled from, in sub-model
+        // order: a stashed sub-model's rows, and/or the width a missing one is
+        // zero-filled at (a delivered row always wins over the zero-fill).
+        let mut sources: BTreeMap<u32, (Option<&StashedRows>, usize)> = stash
+            .iter()
+            .map(|(&sub, rows)| (sub, (Some(rows), 0)))
+            .collect();
+        for &(sub, dim) in self.missing_dims {
+            sources.entry(sub).or_insert((None, 0)).1 = dim;
+        }
+        let mut fused_dim = 0;
+        for (offset, sample) in span.clone().enumerate() {
             if fused[sample].is_some() {
                 return Err(SchedError::Runtime {
                     message: format!(
@@ -1600,12 +1627,16 @@ impl Collector<'_> {
                     ),
                 });
             }
-            for &(sub, dim) in self.missing_dims {
-                features.entry(sub).or_insert_with(|| Tensor::zeros(&[dim]));
+            let mut concatenated = Vec::with_capacity(fused_dim);
+            for &(rows, zero_fill) in sources.values() {
+                match rows.and_then(|rows| rows[offset].as_ref()) {
+                    Some((batch, row)) => concatenated.extend_from_slice(batch.feature_row(*row)),
+                    None => concatenated.resize(concatenated.len() + zero_fill, 0.0),
+                }
             }
-            let refs: Vec<&Tensor> = features.values().collect();
+            fused_dim = concatenated.len();
             let concatenated =
-                Tensor::concat_last_axis(&refs).map_err(|e| SchedError::Runtime {
+                Tensor::from_vec(concatenated, &[fused_dim]).map_err(|e| SchedError::Runtime {
                     message: format!("feature concatenation failed: {e}"),
                 })?;
             let output =

@@ -267,3 +267,40 @@ fn disabled_sink_is_a_true_no_op() {
         "attaching a sink changed the run: {divergent:?}"
     );
 }
+
+/// FNV-1a 64 over a byte stream — enough to pin outputs and journal text.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The collector's stash-and-fuse path, pinned: a 3-round, 2-device stream
+/// (10 samples, so the last round is partial) with one duplicated data frame
+/// must fuse to the bits, `duplicate_frames` and journal text recorded before
+/// the collector stopped splitting batches into per-sample tensors.
+#[test]
+fn duplicate_fault_and_partial_round_fuse_to_the_recorded_bits_and_journal() {
+    let devices = DeviceSpec::raspberry_pi_cluster(2);
+    let mut faults = FaultScript::new();
+    faults.push(0, 1, FrameSlot::Data(0), FrameFault::Duplicate);
+    let mut config = StreamConfig::default().with_faults(faults);
+    config.round_size = 4;
+    let (report, journal) = run_recorded(&devices, config, 10);
+
+    assert_eq!(report.rounds, 3);
+    assert_eq!(report.outputs.len(), 10);
+    assert_eq!(report.duplicate_frames, 1);
+    assert_eq!(report.data_frames, 7, "six round frames plus the copy");
+    assert_eq!(report.bytes_on_wire, 884);
+    assert_eq!(journal.len(), 50);
+    // Recorded on the parent of the PR that made the collector fuse from the
+    // decoded batches (67ad604): output bits and journal text, FNV-1a 64.
+    let output_bits = report
+        .outputs
+        .iter()
+        .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    assert_eq!(fnv1a(output_bits), 0x5968_068f_b63d_00e8);
+    assert_eq!(fnv1a(journal.to_text().bytes()), 0xffcd_63d7_23c9_7907);
+    assert_observable(&report, &journal, "duplicate + partial round");
+}
