@@ -30,7 +30,7 @@ impl Diagnostic {
 
     /// Renders the diagnostic as a JSON object.
     ///
-    /// Hand-rolled because the workspace's vendored `serde` is a no-op stub;
+    /// Hand-rolled because the workspace has no serialisation dependency;
     /// the schema is small and stable enough that this is the simpler choice.
     pub fn render_json(&self) -> String {
         format!(

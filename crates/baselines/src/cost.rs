@@ -6,8 +6,6 @@
 //! retention factor `s` scales both roughly with `s²` (every conv layer keeps
 //! `s` of its input and output channels).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of timesteps used by the rate-coded SNN conversion (EC-SNN uses a
 /// small constant window; 8 keeps the latency ratio in the paper's band).
 pub const SNN_TIMESTEPS: usize = 8;
@@ -34,7 +32,7 @@ const VGG16_CONVS: &[(u64, u64, u64)] = &[
 const VGG16_FCS: &[(u64, u64)] = &[(7 * 7 * 512, 4096), (4096, 4096)];
 
 /// Parameters, FLOPs and memory of a (possibly pruned) baseline model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineCost {
     /// Scalar parameters.
     pub params: u64,

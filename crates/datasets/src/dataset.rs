@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 use edvit_tensor::{init::TensorRng, Tensor};
 
 use crate::{DatasetError, DatasetKind, Result};
 
 /// Mapping produced by [`Dataset::resample_for_classes`]: how a sub-model's
 /// local label space relates to the global class indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassSubsetMapping {
     /// Global class index for each local label `0..subset.len()`.
     pub subset: Vec<usize>,
@@ -40,7 +38,7 @@ impl ClassSubsetMapping {
 ///
 /// Samples are stored as a single `[n, channels, size, size]` tensor plus a
 /// parallel label vector, which matches what the training loop consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     kind: DatasetKind,
     images: Tensor,

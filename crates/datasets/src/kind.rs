@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 /// The five evaluation datasets of the paper, as synthetic stand-ins.
 ///
 /// Each variant fixes the class count and channel count of the corresponding
 /// real dataset; the image resolution is a free parameter so experiments can
 /// run at the paper's 224×224 (for analytic cost purposes) or scaled down for
 /// CPU training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// CIFAR-10: 10 classes, RGB images.
     Cifar10Like,

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use edvit_tensor::{init::TensorRng, Tensor};
 
 use crate::{Dataset, DatasetError, DatasetKind, Result};
 
 /// Parameters controlling synthetic dataset generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Which real dataset this synthetic one stands in for (fixes class and
     /// channel counts).

@@ -1,14 +1,12 @@
 //! Analytic end-to-end latency model for a deployed split plan.
 
-use serde::{Deserialize, Serialize};
-
 use edvit_partition::{DeviceSpec, SplitPlan};
 
 use crate::wire::{self, PayloadCodec};
 use crate::{EdgeError, NetOptions, NetworkConfig, Result};
 
 /// Latency contribution of one edge device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerDeviceLatency {
     /// Device identifier.
     pub device_id: usize,
@@ -31,7 +29,7 @@ impl PerDeviceLatency {
 }
 
 /// End-to-end latency breakdown for one inference sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyBreakdown {
     /// Per-device compute + communication times.
     pub per_device: Vec<PerDeviceLatency>,
@@ -80,7 +78,7 @@ impl LatencyBreakdown {
 /// scheduler runs the stages strictly in sequence per round; a pipelined
 /// scheduler overlaps them, so the steady-state round interval is the *wider*
 /// stage instead of the sum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamTiming {
     /// Samples carried by each round.
     pub samples_per_round: usize,

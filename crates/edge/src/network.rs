@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Network model between edge devices and the fusion device.
 ///
 /// The paper connects the Raspberry Pis through a gigabit switch but caps the
 /// usable bandwidth at 2 Mbps with Linux `tc` to emulate constrained field
 /// deployments; per-message overhead models switch + protocol latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Usable bandwidth in bits per second.
     pub bandwidth_bits_per_second: f64,

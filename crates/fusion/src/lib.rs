@@ -25,13 +25,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
-
 use edvit_nn::{Layer, Mlp, MlpActivation, NnError, Parameter};
 use edvit_tensor::{init::TensorRng, Tensor};
 
 /// Configuration of the tower-structured fusion MLP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusionConfig {
     /// Total input width: the sum of the sub-models' feature dimensions
     /// (`N × d × s` for homogeneous pruning).

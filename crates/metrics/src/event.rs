@@ -6,16 +6,16 @@
 //! property the offline replay leans on. Strings are double-quoted with
 //! `\\`, `\"` and `\n` escapes; `u64` lists are comma-joined.
 //!
-//! The `Serialize`/`Deserialize` derives mark the types for the workspace's
-//! vendored serde surface; the wire format itself is this hand-rolled line
-//! codec, exactly as for the control frames in `edvit-edge`.
+//! Each event is declared once, as a row of the `run_events!` table below:
+//! the enum, its journal names, the line encoder and the parser are all
+//! generated from that row, so they cannot drift apart.
 
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 use crate::error::{MetricsError, Result};
 
 /// Why the scheduler re-ran the planner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplanCause {
     /// A scripted mid-stream join changed the membership.
     Join,
@@ -32,25 +32,76 @@ impl ReplanCause {
             ReplanCause::Death => "death",
         }
     }
-
-    fn parse(s: &str, line: usize) -> Result<Self> {
-        match s {
-            "join" => Ok(ReplanCause::Join),
-            "death" => Ok(ReplanCause::Death),
-            other => Err(MetricsError::Parse {
-                line,
-                message: format!("unknown replan cause `{other}`"),
-            }),
-        }
-    }
 }
 
-/// One typed observation from a run. Stream events come from the streaming
-/// scheduler's fusion worker, serve events from the admission queue and the
-/// serving drill, batch events from the one-shot cluster runtime; all three
-/// families can share one journal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum RunEvent {
+/// The journal key of a table field: its name unless the row gives another.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The event table. A row is a variant with its doc comments and its fields
+/// in line order; `field as "key"` names the journal key where it differs
+/// from the field name.
+macro_rules! run_events {
+    ($(
+        $(#[$variant_meta:meta])*
+        $variant:ident $({$(
+            $(#[$field_meta:meta])*
+            $field:ident $(as $key:literal)?: $ty:ty,
+        )+})?,
+    )+) => {
+        /// One typed observation from a run. Stream events come from the
+        /// streaming scheduler's fusion worker, serve events from the
+        /// admission queue and the serving drill, batch events from the
+        /// one-shot cluster runtime; all three families can share one journal.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum RunEvent {$(
+            $(#[$variant_meta])*
+            $variant $({$(
+                $(#[$field_meta])*
+                $field: $ty,
+            )+})?,
+        )+}
+
+        impl RunEvent {
+            /// Every event's journal name, in table order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($variant)),+];
+
+            /// The event's journal name.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(RunEvent::$variant { .. } => stringify!($variant),)+
+                }
+            }
+
+            /// Appends the event's ` key=value` fields, in table order.
+            fn write_fields(&self, out: &mut String) {
+                match self {$(
+                    RunEvent::$variant $({ $($field),+ })? => {
+                        $($(write_field(out, key!($field $($key)?), $field);)+)?
+                    }
+                )+}
+            }
+
+            /// Builds the event `fields` names from exactly its row's keys.
+            fn from_fields(fields: &mut Fields<'_>) -> Result<Self> {
+                Ok(match fields.name {
+                    $(stringify!($variant) => RunEvent::$variant $({$(
+                        $field: fields.take(key!($field $($key)?))?,
+                    )+})?,)+
+                    other => return Err(fields.error(format!("unknown event `{other}`"))),
+                })
+            }
+        }
+    };
+}
+
+run_events! {
     // ---- Streaming scheduler ------------------------------------------
     /// The stream began: its layout and initial membership.
     StreamStarted {
@@ -190,7 +241,7 @@ pub enum RunEvent {
     /// The stream finished; the timestamp is the virtual end-to-end time.
     StreamEnded {
         /// Steady-state throughput of the final membership.
-        steady_state_samples_per_second: f64,
+        steady_state_samples_per_second as "steady_state": f64,
     },
 
     // ---- Serving front-door -------------------------------------------
@@ -203,7 +254,7 @@ pub enum RunEvent {
         /// Pipeline depth the drill starts at (post-clamp).
         initial_depth: u64,
         /// Configured open-loop arrival rate.
-        offered_rate_per_second: f64,
+        offered_rate_per_second as "offered_rate": f64,
     },
     /// One tenant's admission contract was registered.
     TenantRegistered {
@@ -247,7 +298,7 @@ pub enum RunEvent {
         /// Request id.
         id: u64,
         /// When the request arrived, for latency reconstruction.
-        arrival_seconds: f64,
+        arrival_seconds as "arrival": f64,
     },
     /// The adaptive controller changed the pipeline depth.
     DepthChanged {
@@ -276,9 +327,9 @@ pub enum RunEvent {
         /// Round ordinal.
         round: u64,
         /// Virtual dispatch time.
-        start_seconds: f64,
+        start_seconds as "start": f64,
         /// Virtual completion time.
-        completion_seconds: f64,
+        completion_seconds as "completion": f64,
         /// Requests the round carried.
         size: u64,
     },
@@ -305,7 +356,7 @@ pub enum RunEvent {
 }
 
 /// One journal entry: an event plus its virtual-clock timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Virtual seconds on the run's `SimClock` when the event was recorded.
     pub at: f64,
@@ -313,401 +364,154 @@ pub struct EventRecord {
     pub event: RunEvent,
 }
 
-// ---- encoding -----------------------------------------------------------
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push(' ');
-    out.push_str(key);
-    out.push_str("=\"");
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-}
-
-fn push_list_field(out: &mut String, key: &str, values: &[u64]) {
-    out.push(' ');
-    out.push_str(key);
-    out.push('=');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-}
-
-macro_rules! push_display {
-    ($out:expr, $($key:literal = $value:expr),+) => {{
-        $( $out.push_str(&format!(concat!(" ", $key, "={}"), $value)); )+
-    }};
-}
-
 impl EventRecord {
     /// Encodes the record as one journal line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut out = format!("t={} {}", self.at, self.event.name());
-        match &self.event {
-            RunEvent::StreamStarted {
-                rounds,
-                round_size,
-                samples,
-                devices,
-            } => push_display!(
-                out,
-                "rounds" = rounds,
-                "round_size" = round_size,
-                "samples" = samples,
-                "devices" = devices
-            ),
-            RunEvent::EpochStarted { epoch } => push_display!(out, "epoch" = epoch),
-            RunEvent::Delivery { device, bytes } => {
-                push_display!(out, "device" = device, "bytes" = bytes);
-            }
-            RunEvent::ControlFrame { device }
-            | RunEvent::DataFrame { device }
-            | RunEvent::StaleControlFrame { device }
-            | RunEvent::StaleHeartbeat { device }
-            | RunEvent::CorruptFrame { device }
-            | RunEvent::DuplicateFrame { device }
-            | RunEvent::DroppedHeartbeat { device }
-            | RunEvent::DeviceDead { device } => push_display!(out, "device" = device),
-            RunEvent::Heartbeat { device, sequence } => {
-                push_display!(out, "device" = device, "sequence" = sequence);
-            }
-            RunEvent::Retry { device, attempt } => {
-                push_display!(out, "device" = device, "attempt" = attempt);
-            }
-            RunEvent::RetryCost { seconds }
-            | RunEvent::Recovery { seconds }
-            | RunEvent::ServeRecovery { seconds } => push_display!(out, "seconds" = seconds),
-            RunEvent::RoundFused {
-                round,
-                samples,
-                degraded,
-            } => push_display!(
-                out,
-                "round" = round,
-                "samples" = samples,
-                "degraded" = degraded
-            ),
-            RunEvent::EpochEnded {
-                epoch,
-                max_in_flight,
-            } => push_display!(out, "epoch" = epoch, "max_in_flight" = max_in_flight),
-            RunEvent::DeviceRounds { device, rounds } => {
-                push_display!(out, "device" = device, "rounds" = rounds);
-            }
-            RunEvent::DeviceJoined { device, rejoin } => {
-                push_display!(out, "device" = device, "rejoin" = rejoin);
-            }
-            RunEvent::Replan { cause, missing } => {
-                push_display!(out, "cause" = cause.as_str());
-                push_list_field(&mut out, "missing", missing);
-            }
-            RunEvent::RoundsReplayed { rounds, samples } => {
-                push_display!(out, "rounds" = rounds, "samples" = samples);
-            }
-            RunEvent::StreamEnded {
-                steady_state_samples_per_second,
-            } => push_display!(out, "steady_state" = steady_state_samples_per_second),
-            RunEvent::ServeStarted {
-                tenants,
-                capacity,
-                initial_depth,
-                offered_rate_per_second,
-            } => push_display!(
-                out,
-                "tenants" = tenants,
-                "capacity" = capacity,
-                "initial_depth" = initial_depth,
-                "offered_rate" = offered_rate_per_second
-            ),
-            RunEvent::TenantRegistered { tenant, name } => {
-                push_display!(out, "tenant" = tenant);
-                push_str_field(&mut out, "name", name);
-            }
-            RunEvent::RequestAdmitted { tenant, id }
-            | RunEvent::RequestShedOverflow { tenant, id }
-            | RunEvent::RequestShedDeadline { tenant, id } => {
-                push_display!(out, "tenant" = tenant, "id" = id);
-            }
-            RunEvent::QueueDepth { tenant, depth } => {
-                push_display!(out, "tenant" = tenant, "depth" = depth);
-            }
-            RunEvent::RequestDispatched {
-                tenant,
-                id,
-                arrival_seconds,
-            } => push_display!(
-                out,
-                "tenant" = tenant,
-                "id" = id,
-                "arrival" = arrival_seconds
-            ),
-            RunEvent::DepthChanged { round, from, to } => {
-                push_display!(out, "round" = round, "from" = from, "to" = to);
-            }
-            RunEvent::ServeCrash { device, round } => {
-                push_display!(out, "device" = device, "round" = round);
-            }
-            RunEvent::ServeRound {
-                round,
-                start_seconds,
-                completion_seconds,
-                size,
-            } => push_display!(
-                out,
-                "round" = round,
-                "start" = start_seconds,
-                "completion" = completion_seconds,
-                "size" = size
-            ),
-            RunEvent::ServeEnded => {}
-            RunEvent::BatchStarted { devices, samples } => {
-                push_display!(out, "devices" = devices, "samples" = samples);
-            }
-            RunEvent::BatchEnded {
-                frames,
-                bytes_on_wire,
-                simulated_seconds,
-            } => push_display!(
-                out,
-                "frames" = frames,
-                "bytes_on_wire" = bytes_on_wire,
-                "simulated_seconds" = simulated_seconds
-            ),
-        }
+        let mut out = String::new();
+        self.write_line(&mut out);
         out
     }
 
-    /// Decodes one journal line. `line_number` is 1-based, for error context.
-    pub fn from_line(line: &str, line_number: usize) -> Result<Self> {
-        let fields = Fields::tokenize(line, line_number)?;
-        let at = fields.f64("t")?;
-        let event = RunEvent::from_fields(&fields)?;
-        Ok(EventRecord { at, event })
+    /// Appends the record's journal line (no trailing newline) to `out`.
+    pub(crate) fn write_line(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "t={} {}", self.at, self.event.name());
+        self.event.write_fields(out);
     }
-}
 
-impl RunEvent {
-    /// The event's journal name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RunEvent::StreamStarted { .. } => "StreamStarted",
-            RunEvent::EpochStarted { .. } => "EpochStarted",
-            RunEvent::Delivery { .. } => "Delivery",
-            RunEvent::ControlFrame { .. } => "ControlFrame",
-            RunEvent::DataFrame { .. } => "DataFrame",
-            RunEvent::Heartbeat { .. } => "Heartbeat",
-            RunEvent::StaleControlFrame { .. } => "StaleControlFrame",
-            RunEvent::StaleHeartbeat { .. } => "StaleHeartbeat",
-            RunEvent::CorruptFrame { .. } => "CorruptFrame",
-            RunEvent::DuplicateFrame { .. } => "DuplicateFrame",
-            RunEvent::DroppedHeartbeat { .. } => "DroppedHeartbeat",
-            RunEvent::Retry { .. } => "Retry",
-            RunEvent::RetryCost { .. } => "RetryCost",
-            RunEvent::RoundFused { .. } => "RoundFused",
-            RunEvent::EpochEnded { .. } => "EpochEnded",
-            RunEvent::DeviceRounds { .. } => "DeviceRounds",
-            RunEvent::DeviceDead { .. } => "DeviceDead",
-            RunEvent::DeviceJoined { .. } => "DeviceJoined",
-            RunEvent::Replan { .. } => "Replan",
-            RunEvent::RoundsReplayed { .. } => "RoundsReplayed",
-            RunEvent::Recovery { .. } => "Recovery",
-            RunEvent::StreamEnded { .. } => "StreamEnded",
-            RunEvent::ServeStarted { .. } => "ServeStarted",
-            RunEvent::TenantRegistered { .. } => "TenantRegistered",
-            RunEvent::RequestAdmitted { .. } => "RequestAdmitted",
-            RunEvent::QueueDepth { .. } => "QueueDepth",
-            RunEvent::RequestShedOverflow { .. } => "RequestShedOverflow",
-            RunEvent::RequestShedDeadline { .. } => "RequestShedDeadline",
-            RunEvent::RequestDispatched { .. } => "RequestDispatched",
-            RunEvent::DepthChanged { .. } => "DepthChanged",
-            RunEvent::ServeCrash { .. } => "ServeCrash",
-            RunEvent::ServeRecovery { .. } => "ServeRecovery",
-            RunEvent::ServeRound { .. } => "ServeRound",
-            RunEvent::ServeEnded => "ServeEnded",
-            RunEvent::BatchStarted { .. } => "BatchStarted",
-            RunEvent::BatchEnded { .. } => "BatchEnded",
+    /// Decodes one journal line. `line_number` is 1-based, for error context.
+    /// The line must carry `t`, one event name and exactly that event's
+    /// keys, each once — nothing the encoder could not have produced.
+    pub fn from_line(line: &str, line_number: usize) -> Result<Self> {
+        let mut fields = Fields::tokenize(line, line_number)?;
+        let at = fields.take("t")?;
+        let event = RunEvent::from_fields(&mut fields)?;
+        match fields.entries.first() {
+            Some((key, _)) => {
+                Err(fields.error(format!("unknown field `{key}` for event `{}`", fields.name)))
+            }
+            None => Ok(EventRecord { at, event }),
         }
     }
+}
 
-    fn from_fields(f: &Fields<'_>) -> Result<Self> {
-        Ok(match f.name {
-            "StreamStarted" => RunEvent::StreamStarted {
-                rounds: f.u64("rounds")?,
-                round_size: f.u64("round_size")?,
-                samples: f.u64("samples")?,
-                devices: f.u64("devices")?,
-            },
-            "EpochStarted" => RunEvent::EpochStarted {
-                epoch: f.u64("epoch")?,
-            },
-            "Delivery" => RunEvent::Delivery {
-                device: f.u64("device")?,
-                bytes: f.u64("bytes")?,
-            },
-            "ControlFrame" => RunEvent::ControlFrame {
-                device: f.u64("device")?,
-            },
-            "DataFrame" => RunEvent::DataFrame {
-                device: f.u64("device")?,
-            },
-            "Heartbeat" => RunEvent::Heartbeat {
-                device: f.u64("device")?,
-                sequence: f.u64("sequence")?,
-            },
-            "StaleControlFrame" => RunEvent::StaleControlFrame {
-                device: f.u64("device")?,
-            },
-            "StaleHeartbeat" => RunEvent::StaleHeartbeat {
-                device: f.u64("device")?,
-            },
-            "CorruptFrame" => RunEvent::CorruptFrame {
-                device: f.u64("device")?,
-            },
-            "DuplicateFrame" => RunEvent::DuplicateFrame {
-                device: f.u64("device")?,
-            },
-            "DroppedHeartbeat" => RunEvent::DroppedHeartbeat {
-                device: f.u64("device")?,
-            },
-            "Retry" => RunEvent::Retry {
-                device: f.u64("device")?,
-                attempt: f.u64("attempt")?,
-            },
-            "RetryCost" => RunEvent::RetryCost {
-                seconds: f.f64("seconds")?,
-            },
-            "RoundFused" => RunEvent::RoundFused {
-                round: f.u64("round")?,
-                samples: f.u64("samples")?,
-                degraded: f.bool("degraded")?,
-            },
-            "EpochEnded" => RunEvent::EpochEnded {
-                epoch: f.u64("epoch")?,
-                max_in_flight: f.u64("max_in_flight")?,
-            },
-            "DeviceRounds" => RunEvent::DeviceRounds {
-                device: f.u64("device")?,
-                rounds: f.u64("rounds")?,
-            },
-            "DeviceDead" => RunEvent::DeviceDead {
-                device: f.u64("device")?,
-            },
-            "DeviceJoined" => RunEvent::DeviceJoined {
-                device: f.u64("device")?,
-                rejoin: f.bool("rejoin")?,
-            },
-            "Replan" => RunEvent::Replan {
-                cause: ReplanCause::parse(f.raw("cause")?, f.line)?,
-                missing: f.list("missing")?,
-            },
-            "RoundsReplayed" => RunEvent::RoundsReplayed {
-                rounds: f.u64("rounds")?,
-                samples: f.u64("samples")?,
-            },
-            "Recovery" => RunEvent::Recovery {
-                seconds: f.f64("seconds")?,
-            },
-            "StreamEnded" => RunEvent::StreamEnded {
-                steady_state_samples_per_second: f.f64("steady_state")?,
-            },
-            "ServeStarted" => RunEvent::ServeStarted {
-                tenants: f.u64("tenants")?,
-                capacity: f.u64("capacity")?,
-                initial_depth: f.u64("initial_depth")?,
-                offered_rate_per_second: f.f64("offered_rate")?,
-            },
-            "TenantRegistered" => RunEvent::TenantRegistered {
-                tenant: f.u64("tenant")?,
-                name: f.string("name")?,
-            },
-            "RequestAdmitted" => RunEvent::RequestAdmitted {
-                tenant: f.u64("tenant")?,
-                id: f.u64("id")?,
-            },
-            "QueueDepth" => RunEvent::QueueDepth {
-                tenant: f.u64("tenant")?,
-                depth: f.u64("depth")?,
-            },
-            "RequestShedOverflow" => RunEvent::RequestShedOverflow {
-                tenant: f.u64("tenant")?,
-                id: f.u64("id")?,
-            },
-            "RequestShedDeadline" => RunEvent::RequestShedDeadline {
-                tenant: f.u64("tenant")?,
-                id: f.u64("id")?,
-            },
-            "RequestDispatched" => RunEvent::RequestDispatched {
-                tenant: f.u64("tenant")?,
-                id: f.u64("id")?,
-                arrival_seconds: f.f64("arrival")?,
-            },
-            "DepthChanged" => RunEvent::DepthChanged {
-                round: f.u64("round")?,
-                from: f.u64("from")?,
-                to: f.u64("to")?,
-            },
-            "ServeCrash" => RunEvent::ServeCrash {
-                device: f.u64("device")?,
-                round: f.u64("round")?,
-            },
-            "ServeRecovery" => RunEvent::ServeRecovery {
-                seconds: f.f64("seconds")?,
-            },
-            "ServeRound" => RunEvent::ServeRound {
-                round: f.u64("round")?,
-                start_seconds: f.f64("start")?,
-                completion_seconds: f.f64("completion")?,
-                size: f.u64("size")?,
-            },
-            "ServeEnded" => RunEvent::ServeEnded,
-            "BatchStarted" => RunEvent::BatchStarted {
-                devices: f.u64("devices")?,
-                samples: f.u64("samples")?,
-            },
-            "BatchEnded" => RunEvent::BatchEnded {
-                frames: f.u64("frames")?,
-                bytes_on_wire: f.u64("bytes_on_wire")?,
-                simulated_seconds: f.f64("simulated_seconds")?,
-            },
-            other => {
-                return Err(MetricsError::Parse {
-                    line: f.line,
-                    message: format!("unknown event `{other}`"),
-                })
-            }
-        })
+// ---- field codecs ---------------------------------------------------------
+
+/// A decoded field value, or what is wrong with the field.
+type Decoded<T> = std::result::Result<T, &'static str>;
+
+/// How one field type is written to, and read back from, a journal line.
+trait FieldCodec: Sized {
+    fn encode(&self, out: &mut String);
+    fn decode(token: Token<'_>) -> Decoded<Self>;
+}
+
+fn write_field(out: &mut String, key: &str, value: &impl FieldCodec) {
+    out.push(' ');
+    out.push_str(key);
+    out.push('=');
+    value.encode(out);
+}
+
+/// The text of an unquoted field value.
+fn plain(token: Token<'_>) -> Decoded<&str> {
+    match token {
+        Token::Plain(text) => Ok(text),
+        Token::Quoted(_) => Err("must not be quoted"),
     }
 }
 
-// ---- decoding -----------------------------------------------------------
+/// `Display`/`FromStr` scalars: written bare, read back with `parse`.
+macro_rules! scalar_codec {
+    ($($ty:ty => $complaint:literal),+) => {$(
+        impl FieldCodec for $ty {
+            fn encode(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn decode(token: Token<'_>) -> Decoded<Self> {
+                plain(token)?.parse().map_err(|_| $complaint)
+            }
+        }
+    )+};
+}
+scalar_codec!(u64 => "is not a u64", f64 => "is not an f64", bool => "is not a bool");
 
-/// One tokenized field value: plain text or an unescaped quoted string.
-enum Token {
-    Plain(String),
+impl FieldCodec for String {
+    fn encode(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                other => out.push(other),
+            }
+        }
+        out.push('"');
+    }
+    fn decode(token: Token<'_>) -> Decoded<Self> {
+        match token {
+            Token::Quoted(text) => Ok(text),
+            Token::Plain(_) => Err("must be quoted"),
+        }
+    }
+}
+
+impl FieldCodec for Vec<u64> {
+    fn encode(&self, out: &mut String) {
+        for (i, value) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            value.encode(out);
+        }
+    }
+    fn decode(token: Token<'_>) -> Decoded<Self> {
+        let text = plain(token)?;
+        if text.is_empty() {
+            return Ok(Vec::new());
+        }
+        text.split(',')
+            .map(|part| part.parse().map_err(|_| "has a non-u64 element"))
+            .collect()
+    }
+}
+
+impl FieldCodec for ReplanCause {
+    fn encode(&self, out: &mut String) {
+        out.push_str(self.as_str());
+    }
+    fn decode(token: Token<'_>) -> Decoded<Self> {
+        match plain(token)? {
+            "join" => Ok(ReplanCause::Join),
+            "death" => Ok(ReplanCause::Death),
+            _ => Err("is not a replan cause"),
+        }
+    }
+}
+
+// ---- decoding -------------------------------------------------------------
+
+/// One tokenized field value: plain text (a slice of the line) or an
+/// unescaped quoted string.
+enum Token<'a> {
+    Plain(&'a str),
     Quoted(String),
 }
 
-/// The tokenized fields of one journal line, with typed getters.
+/// The tokenized fields of one journal line; parsing takes them out one key
+/// at a time, so whatever is left at the end is a key the event does not have.
 struct Fields<'a> {
     line: usize,
     name: &'a str,
-    entries: Vec<(String, Token)>,
+    entries: Vec<(&'a str, Token<'a>)>,
 }
 
 impl<'a> Fields<'a> {
     fn tokenize(text: &'a str, line: usize) -> Result<Self> {
         let err = |message: String| MetricsError::Parse { line, message };
         let mut chars = text.char_indices().peekable();
-        let mut entries: Vec<(String, Token)> = Vec::new();
+        let mut entries = Vec::new();
         let mut name: Option<&'a str> = None;
         while let Some(&(start, c)) = chars.peek() {
             if c.is_whitespace() {
@@ -736,7 +540,7 @@ impl<'a> Fields<'a> {
                 }
                 continue;
             };
-            let key = text[start..eq].to_string();
+            let key = &text[start..eq];
             if key.is_empty() || key.chars().any(char::is_whitespace) {
                 return Err(err(format!("malformed field near `{}`", &text[start..eq])));
             }
@@ -771,15 +575,16 @@ impl<'a> Fields<'a> {
                 }
                 Token::Quoted(value)
             } else {
-                let mut value = String::new();
-                while let Some(&(_, c)) = chars.peek() {
+                let from = chars.peek().map_or(text.len(), |&(i, _)| i);
+                let mut to = text.len();
+                while let Some(&(i, c)) = chars.peek() {
                     if c.is_whitespace() {
+                        to = i;
                         break;
                     }
-                    value.push(c);
                     chars.next();
                 }
-                Token::Plain(value)
+                Token::Plain(&text[from..to])
             };
             entries.push((key, token));
         }
@@ -794,68 +599,24 @@ impl<'a> Fields<'a> {
         })
     }
 
-    fn raw(&self, key: &str) -> Result<&str> {
-        match self.entries.iter().find(|(k, _)| k == key) {
-            Some((_, Token::Plain(v))) => Ok(v),
-            Some((_, Token::Quoted(_))) => Err(MetricsError::Parse {
-                line: self.line,
-                message: format!("field `{key}` must not be quoted"),
-            }),
-            None => Err(MetricsError::Parse {
-                line: self.line,
-                message: format!("missing field `{key}`"),
-            }),
+    fn error(&self, message: String) -> MetricsError {
+        MetricsError::Parse {
+            line: self.line,
+            message,
         }
     }
 
-    fn u64(&self, key: &str) -> Result<u64> {
-        self.raw(key)?.parse().map_err(|_| MetricsError::Parse {
-            line: self.line,
-            message: format!("field `{key}` is not a u64"),
-        })
-    }
-
-    fn f64(&self, key: &str) -> Result<f64> {
-        self.raw(key)?.parse().map_err(|_| MetricsError::Parse {
-            line: self.line,
-            message: format!("field `{key}` is not an f64"),
-        })
-    }
-
-    fn bool(&self, key: &str) -> Result<bool> {
-        self.raw(key)?.parse().map_err(|_| MetricsError::Parse {
-            line: self.line,
-            message: format!("field `{key}` is not a bool"),
-        })
-    }
-
-    fn list(&self, key: &str) -> Result<Vec<u64>> {
-        let raw = self.raw(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
+    /// Removes and decodes the one entry for `key`: a missing key, a second
+    /// entry for it, or a value of the wrong type is a parse error.
+    fn take<T: FieldCodec>(&mut self, key: &str) -> Result<T> {
+        let Some(index) = self.entries.iter().position(|(k, _)| *k == key) else {
+            return Err(self.error(format!("missing field `{key}`")));
+        };
+        let (_, token) = self.entries.remove(index);
+        if self.entries.iter().any(|(k, _)| *k == key) {
+            return Err(self.error(format!("duplicate field `{key}`")));
         }
-        raw.split(',')
-            .map(|part| {
-                part.parse().map_err(|_| MetricsError::Parse {
-                    line: self.line,
-                    message: format!("field `{key}` has a non-u64 element"),
-                })
-            })
-            .collect()
-    }
-
-    fn string(&self, key: &str) -> Result<String> {
-        match self.entries.iter().find(|(k, _)| k == key) {
-            Some((_, Token::Quoted(v))) => Ok(v.clone()),
-            Some((_, Token::Plain(_))) => Err(MetricsError::Parse {
-                line: self.line,
-                message: format!("field `{key}` must be quoted"),
-            }),
-            None => Err(MetricsError::Parse {
-                line: self.line,
-                message: format!("missing field `{key}`"),
-            }),
-        }
+        T::decode(token).map_err(|complaint| self.error(format!("field `{key}` {complaint}")))
     }
 }
 
@@ -868,6 +629,8 @@ mod tests {
         let back = EventRecord::from_line(&line, 1).expect(&line);
         assert_eq!(back.at.to_bits(), record.at.to_bits(), "{line}");
         assert_eq!(back, record, "{line}");
+        // The encoder's lines are a fixed point of parse-then-encode.
+        assert_eq!(back.to_line(), line);
     }
 
     #[test]
@@ -983,12 +746,18 @@ mod tests {
                 simulated_seconds: 0.875,
             },
         ];
+        // Every table row has a sample, in table order: a new row without
+        // one fails here.
+        let mut covered: Vec<&str> = samples.iter().map(RunEvent::name).collect();
+        covered.dedup();
+        assert_eq!(covered, RunEvent::NAMES);
         for (i, event) in samples.into_iter().enumerate() {
             round_trip(EventRecord {
                 at: i as f64 * 0.3,
                 event,
             });
         }
+        println!("{} table rows exercised", RunEvent::NAMES.len());
     }
 
     #[test]
@@ -1042,6 +811,21 @@ mod tests {
                 matches!(err, MetricsError::Parse { line: 7, .. }),
                 "`{bad}` gave {err:?}"
             );
+        }
+        // Lines the encoder cannot produce — a key missing, given twice, or
+        // one the event does not have — are errors that name the key.
+        for (bad, key) in [
+            ("t=1.0 Delivery device=0", "`bytes`"),
+            ("t=1.0 Delivery device=0 device=9 bytes=2", "`device`"),
+            ("t=1.0 Delivery device=0 bytes=2 colour=red", "`colour`"),
+            ("t=1.0 t=2.0 ServeEnded", "`t`"),
+        ] {
+            match EventRecord::from_line(bad, 7) {
+                Err(MetricsError::Parse { line: 7, message }) => {
+                    assert!(message.contains(key), "`{bad}` gave `{message}`");
+                }
+                other => panic!("`{bad}` gave {other:?}"),
+            }
         }
     }
 }

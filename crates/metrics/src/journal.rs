@@ -1,29 +1,33 @@
-//! The event-sourced run journal and its offline replay.
+//! The event-sourced run journal and the folds that turn it into counters.
 //!
-//! A [`RunJournal`] is an append-only sequence of [`EventRecord`]s. Replay
-//! folds the events back into [`StreamCounters`] / [`ServeCounters`] — exact
-//! mirrors of the accounting fields of `StreamReport` and `ServeReport` —
-//! using the *same arithmetic in the same order* as the live schedulers, so
-//! a journal from an instrumented run reconstructs every counter **bitwise**
-//! (`f64`s compared by bit pattern, not epsilon). That property is what makes
-//! the journal a post-mortem artifact: any divergence between a replay and
-//! the live report is a counter bug in one of them, never float noise.
+//! A [`RunJournal`] is an append-only sequence of [`EventRecord`]s.
+//! [`StreamCounters::apply`] folds one stream event into the accounting of a
+//! `StreamReport`, and it is the *only* place a stream counter changes: the
+//! live scheduler folds each event as it records it, and
+//! [`RunJournal::replay_stream`] folds the same events offline, so a journal
+//! reconstructs every counter **bitwise** (`f64`s compared by bit pattern,
+//! not epsilon) by construction. [`RunJournal::replay_serve`] does the same
+//! for a `ServeReport`, mirroring the serving drill's arithmetic in the same
+//! order. That property is what makes the journal a post-mortem artifact: a
+//! replay that diverges from the report it came with is a real difference,
+//! never float noise.
 //!
 //! One journal can hold all three event families (stream, serve, batch);
-//! each replay folds its own family and ignores the others, so a serving run
-//! that embeds a streaming execution pass replays both ways from one file.
+//! each fold takes its own family and names the others it passes over, so a
+//! serving run that embeds a streaming execution pass replays both ways from
+//! one file — and a new event does not compile until every fold places it.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::{MetricsError, Result};
 use crate::event::{EventRecord, RunEvent};
 
-/// Nearest-rank percentile of an ascending-sorted slice; 0.0 when empty.
-/// Duplicates the serving report's arithmetic exactly — replay must price
-/// percentiles the same way the live report does.
-fn percentile(sorted_ascending: &[f64], q: f64) -> f64 {
+/// Nearest-rank percentile of an ascending-sorted latency slice.
+///
+/// `q` is in `[0, 1]`; an empty slice reports `0.0` so all-shed tenants show
+/// a flat (not `NaN`) row. The serving report and its replay both price
+/// percentiles here.
+pub fn percentile(sorted_ascending: &[f64], q: f64) -> f64 {
     if sorted_ascending.is_empty() {
         return 0.0;
     }
@@ -32,204 +36,278 @@ fn percentile(sorted_ascending: &[f64], q: f64) -> f64 {
     sorted_ascending[rank.saturating_sub(1).min(n - 1)]
 }
 
-fn f64_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
+/// Equality for counter fields: floats by bit pattern, everything else `==`.
+trait SameBits {
+    fn same_bits(&self, other: &Self) -> bool;
 }
 
-/// The accounting fields of a `StreamReport`, reconstructed by replay.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StreamCounters {
-    /// Total rounds in the layout.
-    pub rounds: usize,
-    /// Configured samples per round.
-    pub round_size: usize,
-    /// Membership epochs executed.
-    pub epochs: usize,
-    /// Most rounds simultaneously in flight.
-    pub max_rounds_in_flight: usize,
-    /// Heartbeat control frames observed.
-    pub heartbeats_seen: u64,
-    /// All control frames observed.
-    pub control_frames: usize,
-    /// Feature-batch data frames observed.
-    pub data_frames: usize,
-    /// Encoded bytes shipped over the channel.
-    pub bytes_on_wire: u64,
-    /// Encoded bytes per sending device.
-    pub per_device_wire_bytes: BTreeMap<usize, u64>,
-    /// Rounds delivered per device, accumulated across epochs.
-    pub per_device_rounds: BTreeMap<usize, u64>,
-    /// Devices declared dead, in detection order.
-    pub devices_lost: Vec<usize>,
-    /// Devices admitted mid-stream, in admission order.
-    pub devices_joined: Vec<usize>,
-    /// Admissions that were rejoins.
-    pub rejoins: usize,
-    /// Planner re-runs.
-    pub repartitions: usize,
-    /// Samples recomputed after deaths.
-    pub samples_replayed: usize,
-    /// Data-frame re-requests issued.
-    pub retries: u64,
-    /// Virtual seconds spent in retry backoff.
-    pub retry_seconds: f64,
-    /// Failed deliveries observed.
-    pub corrupt_frames: u64,
-    /// Duplicate data frames observed.
-    pub duplicate_frames: u64,
-    /// Heartbeat beacons the link ate.
-    pub dropped_heartbeats: u64,
-    /// Control frames rejected as replays.
-    pub stale_control_frames: u64,
-    /// Heartbeats the health tracker ignored as stale.
-    pub stale_heartbeats: u64,
-    /// Rounds fused in degraded mode, in fusion order.
-    pub degraded_rounds: Vec<u64>,
-    /// Sub-models unhosted by the final membership.
-    pub missing_sub_models: Vec<usize>,
-    /// Virtual seconds charged to crash recovery.
-    pub recovery_seconds: f64,
-    /// Steady-state throughput of the final membership.
-    pub steady_state_samples_per_second: f64,
-    /// Realized throughput (samples over virtual end-to-end time).
-    pub effective_samples_per_second: f64,
-    /// Virtual end-to-end seconds.
-    pub simulated_total_seconds: f64,
+impl SameBits for f64 {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl<T: SameBits> SameBits for Vec<T> {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().zip(other).all(|(a, b)| a.same_bits(b))
+    }
+}
+
+macro_rules! same_bits_is_eq {
+    ($($ty:ty),+) => {$(
+        impl SameBits for $ty {
+            fn same_bits(&self, other: &Self) -> bool {
+                self == other
+            }
+        }
+    )+};
+}
+same_bits_is_eq!(u64, usize, String, DepthStep, BTreeMap<usize, u64>);
+
+/// Declares a counter struct from its field list — the one place the fields
+/// are named — and generates `diff` / `bitwise_eq` over that list. `state`
+/// fields are private bookkeeping of the fold: not compared, not printed.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)+
+        }
+        $(state {
+            $($(#[$state_meta:meta])* $state:ident: $state_ty:ty,)+
+        })?
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Default, PartialEq)]
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)+
+            $($($(#[$state_meta])* $state: $state_ty,)+)?
+        }
+
+        impl std::fmt::Debug for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_struct(stringify!($name))
+                    $(.field(stringify!($field), &self.$field))+
+                    .finish()
+            }
+        }
+
+        impl $name {
+            /// Field names whose values differ from `other`, comparing floats
+            /// by bit pattern (inside nested rows too). Empty means
+            /// bitwise-identical accounting.
+            pub fn diff(&self, other: &Self) -> Vec<&'static str> {
+                let mut out = Vec::new();
+                $(if !self.$field.same_bits(&other.$field) {
+                    out.push(stringify!($field));
+                })+
+                out
+            }
+
+            /// Whether every counter matches `other` bitwise.
+            pub fn bitwise_eq(&self, other: &Self) -> bool {
+                self.diff(other).is_empty()
+            }
+        }
+    };
+}
+
+counters! {
+    /// The accounting fields of a `StreamReport`: the fold of a run's stream
+    /// events, live in the scheduler and offline in the replay.
+    pub struct StreamCounters {
+        /// Total rounds in the layout.
+        pub rounds: usize,
+        /// Configured samples per round.
+        pub round_size: usize,
+        /// Membership epochs executed.
+        pub epochs: usize,
+        /// Most rounds simultaneously in flight.
+        pub max_rounds_in_flight: usize,
+        /// Heartbeat control frames observed.
+        pub heartbeats_seen: u64,
+        /// All control frames observed.
+        pub control_frames: usize,
+        /// Feature-batch data frames observed.
+        pub data_frames: usize,
+        /// Encoded bytes shipped over the channel.
+        pub bytes_on_wire: u64,
+        /// Encoded bytes per sending device.
+        pub per_device_wire_bytes: BTreeMap<usize, u64>,
+        /// Rounds delivered per device, accumulated across epochs.
+        pub per_device_rounds: BTreeMap<usize, u64>,
+        /// Devices declared dead, in detection order.
+        pub devices_lost: Vec<usize>,
+        /// Devices admitted mid-stream, in admission order.
+        pub devices_joined: Vec<usize>,
+        /// Admissions that were rejoins.
+        pub rejoins: usize,
+        /// Planner re-runs.
+        pub repartitions: usize,
+        /// Samples recomputed after deaths.
+        pub samples_replayed: usize,
+        /// Data-frame re-requests issued.
+        pub retries: u64,
+        /// Virtual seconds spent in retry backoff.
+        pub retry_seconds: f64,
+        /// Failed deliveries observed.
+        pub corrupt_frames: u64,
+        /// Duplicate data frames observed.
+        pub duplicate_frames: u64,
+        /// Heartbeat beacons the link ate.
+        pub dropped_heartbeats: u64,
+        /// Control frames rejected as replays.
+        pub stale_control_frames: u64,
+        /// Heartbeats the health tracker ignored as stale.
+        pub stale_heartbeats: u64,
+        /// Rounds fused in degraded mode, in fusion order.
+        pub degraded_rounds: Vec<u64>,
+        /// Sub-models unhosted by the final membership.
+        pub missing_sub_models: Vec<usize>,
+        /// Virtual seconds charged to crash recovery.
+        pub recovery_seconds: f64,
+        /// Steady-state throughput of the final membership.
+        pub steady_state_samples_per_second: f64,
+        /// Realized throughput (samples over virtual end-to-end time).
+        pub effective_samples_per_second: f64,
+        /// Virtual end-to-end seconds.
+        pub simulated_total_seconds: f64,
+    }
+    state {
+        /// Total input samples, from `StreamStarted` — what `StreamEnded`
+        /// divides by the end time.
+        samples: u64,
+        started: bool,
+        ended: bool,
+    }
 }
 
 impl StreamCounters {
-    /// Field names whose values differ from `other`, comparing floats by bit
-    /// pattern. Empty means bitwise-identical accounting.
-    pub fn diff(&self, other: &StreamCounters) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        let mut check = |name, equal: bool| {
-            if !equal {
-                out.push(name);
+    /// Folds one event, recorded at virtual time `at`, into the counters.
+    /// This is the single definition of what each stream event counts.
+    pub fn apply(&mut self, at: f64, event: &RunEvent) {
+        match event {
+            RunEvent::StreamStarted {
+                rounds,
+                round_size,
+                samples,
+                devices: _,
+            } => {
+                self.started = true;
+                self.rounds = *rounds as usize;
+                self.round_size = *round_size as usize;
+                self.samples = *samples;
             }
-        };
-        check("rounds", self.rounds == other.rounds);
-        check("round_size", self.round_size == other.round_size);
-        check("epochs", self.epochs == other.epochs);
-        check(
-            "max_rounds_in_flight",
-            self.max_rounds_in_flight == other.max_rounds_in_flight,
-        );
-        check(
-            "heartbeats_seen",
-            self.heartbeats_seen == other.heartbeats_seen,
-        );
-        check(
-            "control_frames",
-            self.control_frames == other.control_frames,
-        );
-        check("data_frames", self.data_frames == other.data_frames);
-        check("bytes_on_wire", self.bytes_on_wire == other.bytes_on_wire);
-        check(
-            "per_device_wire_bytes",
-            self.per_device_wire_bytes == other.per_device_wire_bytes,
-        );
-        check(
-            "per_device_rounds",
-            self.per_device_rounds == other.per_device_rounds,
-        );
-        check("devices_lost", self.devices_lost == other.devices_lost);
-        check(
-            "devices_joined",
-            self.devices_joined == other.devices_joined,
-        );
-        check("rejoins", self.rejoins == other.rejoins);
-        check("repartitions", self.repartitions == other.repartitions);
-        check(
-            "samples_replayed",
-            self.samples_replayed == other.samples_replayed,
-        );
-        check("retries", self.retries == other.retries);
-        check(
-            "retry_seconds",
-            f64_eq(self.retry_seconds, other.retry_seconds),
-        );
-        check(
-            "corrupt_frames",
-            self.corrupt_frames == other.corrupt_frames,
-        );
-        check(
-            "duplicate_frames",
-            self.duplicate_frames == other.duplicate_frames,
-        );
-        check(
-            "dropped_heartbeats",
-            self.dropped_heartbeats == other.dropped_heartbeats,
-        );
-        check(
-            "stale_control_frames",
-            self.stale_control_frames == other.stale_control_frames,
-        );
-        check(
-            "stale_heartbeats",
-            self.stale_heartbeats == other.stale_heartbeats,
-        );
-        check(
-            "degraded_rounds",
-            self.degraded_rounds == other.degraded_rounds,
-        );
-        check(
-            "missing_sub_models",
-            self.missing_sub_models == other.missing_sub_models,
-        );
-        check(
-            "recovery_seconds",
-            f64_eq(self.recovery_seconds, other.recovery_seconds),
-        );
-        check(
-            "steady_state_samples_per_second",
-            f64_eq(
-                self.steady_state_samples_per_second,
-                other.steady_state_samples_per_second,
-            ),
-        );
-        check(
-            "effective_samples_per_second",
-            f64_eq(
-                self.effective_samples_per_second,
-                other.effective_samples_per_second,
-            ),
-        );
-        check(
-            "simulated_total_seconds",
-            f64_eq(self.simulated_total_seconds, other.simulated_total_seconds),
-        );
-        out
-    }
-
-    /// Whether every counter matches `other` bitwise.
-    pub fn bitwise_eq(&self, other: &StreamCounters) -> bool {
-        self.diff(other).is_empty()
+            RunEvent::EpochStarted { .. } => self.epochs += 1,
+            // Every frame that travelled is charged here — mutated copies,
+            // eaten data frames and lost beacons included — which is what
+            // keeps `bytes_on_wire == Σ per_device_wire_bytes` an invariant
+            // instead of a coincidence.
+            RunEvent::Delivery { device, bytes } => {
+                self.bytes_on_wire += bytes;
+                *self
+                    .per_device_wire_bytes
+                    .entry(*device as usize)
+                    .or_insert(0) += bytes;
+            }
+            RunEvent::ControlFrame { .. } => self.control_frames += 1,
+            RunEvent::DataFrame { .. } => self.data_frames += 1,
+            RunEvent::Heartbeat { .. } => self.heartbeats_seen += 1,
+            RunEvent::StaleControlFrame { .. } => self.stale_control_frames += 1,
+            RunEvent::StaleHeartbeat { .. } => self.stale_heartbeats += 1,
+            RunEvent::CorruptFrame { .. } => self.corrupt_frames += 1,
+            RunEvent::DuplicateFrame { .. } => self.duplicate_frames += 1,
+            RunEvent::DroppedHeartbeat { .. } => self.dropped_heartbeats += 1,
+            RunEvent::Retry { .. } => self.retries += 1,
+            RunEvent::RetryCost { seconds } => self.retry_seconds += seconds,
+            RunEvent::RoundFused {
+                round, degraded, ..
+            } => {
+                if *degraded {
+                    self.degraded_rounds.push(*round);
+                }
+            }
+            RunEvent::EpochEnded { max_in_flight, .. } => {
+                self.max_rounds_in_flight = self.max_rounds_in_flight.max(*max_in_flight as usize);
+            }
+            RunEvent::DeviceRounds { device, rounds } => {
+                *self.per_device_rounds.entry(*device as usize).or_insert(0) += rounds;
+            }
+            RunEvent::DeviceDead { device } => self.devices_lost.push(*device as usize),
+            RunEvent::DeviceJoined { device, rejoin } => {
+                self.devices_joined.push(*device as usize);
+                self.rejoins += usize::from(*rejoin);
+            }
+            RunEvent::Replan { missing, .. } => {
+                self.repartitions += 1;
+                self.missing_sub_models = missing.iter().map(|&m| m as usize).collect();
+            }
+            RunEvent::RoundsReplayed { samples, .. } => {
+                self.samples_replayed += *samples as usize;
+            }
+            RunEvent::Recovery { seconds } => self.recovery_seconds += seconds,
+            RunEvent::StreamEnded {
+                steady_state_samples_per_second,
+            } => {
+                self.ended = true;
+                self.steady_state_samples_per_second = *steady_state_samples_per_second;
+                self.simulated_total_seconds = at;
+                self.effective_samples_per_second = if at > 0.0 {
+                    self.samples as f64 / at
+                } else {
+                    f64::INFINITY // an idle stream
+                };
+            }
+            // Serve and batch events belong to the other folds.
+            RunEvent::ServeStarted { .. }
+            | RunEvent::TenantRegistered { .. }
+            | RunEvent::RequestAdmitted { .. }
+            | RunEvent::QueueDepth { .. }
+            | RunEvent::RequestShedOverflow { .. }
+            | RunEvent::RequestShedDeadline { .. }
+            | RunEvent::RequestDispatched { .. }
+            | RunEvent::DepthChanged { .. }
+            | RunEvent::ServeCrash { .. }
+            | RunEvent::ServeRecovery { .. }
+            | RunEvent::ServeRound { .. }
+            | RunEvent::ServeEnded
+            | RunEvent::BatchStarted { .. }
+            | RunEvent::BatchEnded { .. } => {}
+        }
     }
 }
 
-/// One tenant's row of a `ServeReport`, reconstructed by replay.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TenantRow {
-    /// Tenant display name.
-    pub name: String,
-    /// Requests that arrived.
-    pub admitted: u64,
-    /// Requests served to completion (dispatched).
-    pub completed: u64,
-    /// Requests shed on arrival.
-    pub shed_overflow: u64,
-    /// Requests dropped at dispatch.
-    pub shed_deadline: u64,
-    /// Deepest the tenant's queue grew.
-    pub max_queue_depth: usize,
-    /// Median round-trip latency.
-    pub p50_latency_seconds: f64,
-    /// 99th-percentile round-trip latency.
-    pub p99_latency_seconds: f64,
+counters! {
+    /// One tenant's row of a `ServeReport`.
+    pub struct TenantRow {
+        /// Tenant display name.
+        pub name: String,
+        /// Requests that arrived for this tenant.
+        pub admitted: u64,
+        /// Requests served to completion (dispatched).
+        pub completed: u64,
+        /// Requests shed on arrival (queue full).
+        pub shed_overflow: u64,
+        /// Requests dropped at dispatch (deadline expired).
+        pub shed_deadline: u64,
+        /// Deepest this tenant's queue ever grew.
+        pub max_queue_depth: usize,
+        /// Median round-trip latency (arrival to fused output) in virtual
+        /// seconds; 0 when nothing completed.
+        pub p50_latency_seconds: f64,
+        /// 99th-percentile round-trip latency in virtual seconds.
+        pub p99_latency_seconds: f64,
+    }
+}
+
+impl SameBits for TenantRow {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.bitwise_eq(other)
+    }
 }
 
 /// One adaptive pipeline-depth transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepthStep {
     /// Round ordinal the transition took effect before.
     pub round: u64,
@@ -239,115 +317,46 @@ pub struct DepthStep {
     pub to: usize,
 }
 
-/// The accounting fields of a `ServeReport`, reconstructed by replay.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ServeCounters {
-    /// Per-tenant rows, in tenant index order.
-    pub tenants: Vec<TenantRow>,
-    /// Requests that arrived across all tenants.
-    pub admitted: u64,
-    /// Requests served to completion across all tenants.
-    pub completed: u64,
-    /// Requests shed across all tenants.
-    pub shed: u64,
-    /// Rounds the batcher formed.
-    pub rounds_formed: usize,
-    /// Rounds dispatched below capacity.
-    pub partial_rounds: usize,
-    /// Every depth transition, in round order.
-    pub depth_changes: Vec<DepthStep>,
-    /// Pipeline depth the drill started at (post-clamp).
-    pub initial_depth: usize,
-    /// Pipeline depth after the last round.
-    pub final_depth: usize,
-    /// Median round-trip latency over all completions.
-    pub p50_latency_seconds: f64,
-    /// 99th-percentile round-trip latency over all completions.
-    pub p99_latency_seconds: f64,
-    /// Configured open-loop offered load.
-    pub offered_rate_per_second: f64,
-    /// Completions per virtual second achieved.
-    pub served_samples_per_second: f64,
-    /// Virtual time of the last completion.
-    pub simulated_total_seconds: f64,
-    /// Virtual seconds charged to mid-drill crash recovery.
-    pub recovery_seconds: f64,
-    /// Devices lost mid-drill, in crash order.
-    pub devices_lost: Vec<usize>,
-}
-
-impl ServeCounters {
-    /// Field names whose values differ from `other`, floats compared by bit
-    /// pattern. Tenant rows are compared field by field the same way.
-    pub fn diff(&self, other: &ServeCounters) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        let mut check = |name, equal: bool| {
-            if !equal {
-                out.push(name);
-            }
-        };
-        let tenants_eq = self.tenants.len() == other.tenants.len()
-            && self.tenants.iter().zip(&other.tenants).all(|(a, b)| {
-                a.name == b.name
-                    && a.admitted == b.admitted
-                    && a.completed == b.completed
-                    && a.shed_overflow == b.shed_overflow
-                    && a.shed_deadline == b.shed_deadline
-                    && a.max_queue_depth == b.max_queue_depth
-                    && f64_eq(a.p50_latency_seconds, b.p50_latency_seconds)
-                    && f64_eq(a.p99_latency_seconds, b.p99_latency_seconds)
-            });
-        check("tenants", tenants_eq);
-        check("admitted", self.admitted == other.admitted);
-        check("completed", self.completed == other.completed);
-        check("shed", self.shed == other.shed);
-        check("rounds_formed", self.rounds_formed == other.rounds_formed);
-        check(
-            "partial_rounds",
-            self.partial_rounds == other.partial_rounds,
-        );
-        check("depth_changes", self.depth_changes == other.depth_changes);
-        check("initial_depth", self.initial_depth == other.initial_depth);
-        check("final_depth", self.final_depth == other.final_depth);
-        check(
-            "p50_latency_seconds",
-            f64_eq(self.p50_latency_seconds, other.p50_latency_seconds),
-        );
-        check(
-            "p99_latency_seconds",
-            f64_eq(self.p99_latency_seconds, other.p99_latency_seconds),
-        );
-        check(
-            "offered_rate_per_second",
-            f64_eq(self.offered_rate_per_second, other.offered_rate_per_second),
-        );
-        check(
-            "served_samples_per_second",
-            f64_eq(
-                self.served_samples_per_second,
-                other.served_samples_per_second,
-            ),
-        );
-        check(
-            "simulated_total_seconds",
-            f64_eq(self.simulated_total_seconds, other.simulated_total_seconds),
-        );
-        check(
-            "recovery_seconds",
-            f64_eq(self.recovery_seconds, other.recovery_seconds),
-        );
-        check("devices_lost", self.devices_lost == other.devices_lost);
-        out
-    }
-
-    /// Whether every counter matches `other` bitwise.
-    pub fn bitwise_eq(&self, other: &ServeCounters) -> bool {
-        self.diff(other).is_empty()
+counters! {
+    /// The accounting fields of a `ServeReport`, reconstructed by replay.
+    pub struct ServeCounters {
+        /// Per-tenant rows, in tenant index order.
+        pub tenants: Vec<TenantRow>,
+        /// Requests that arrived across all tenants.
+        pub admitted: u64,
+        /// Requests served to completion across all tenants.
+        pub completed: u64,
+        /// Requests shed across all tenants.
+        pub shed: u64,
+        /// Rounds the batcher formed.
+        pub rounds_formed: usize,
+        /// Rounds dispatched below capacity.
+        pub partial_rounds: usize,
+        /// Every depth transition, in round order.
+        pub depth_changes: Vec<DepthStep>,
+        /// Pipeline depth the drill started at (post-clamp).
+        pub initial_depth: usize,
+        /// Pipeline depth after the last round.
+        pub final_depth: usize,
+        /// Median round-trip latency over all completions.
+        pub p50_latency_seconds: f64,
+        /// 99th-percentile round-trip latency over all completions.
+        pub p99_latency_seconds: f64,
+        /// Configured open-loop offered load.
+        pub offered_rate_per_second: f64,
+        /// Completions per virtual second achieved.
+        pub served_samples_per_second: f64,
+        /// Virtual time of the last completion.
+        pub simulated_total_seconds: f64,
+        /// Virtual seconds charged to mid-drill crash recovery.
+        pub recovery_seconds: f64,
+        /// Devices lost mid-drill, in crash order.
+        pub devices_lost: Vec<usize>,
     }
 }
 
 /// The append-only event journal of one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunJournal {
     events: Vec<EventRecord>,
 }
@@ -382,7 +391,7 @@ impl RunJournal {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for record in &self.events {
-            out.push_str(&record.to_line());
+            record.write_line(&mut out);
             out.push('\n');
         }
         out
@@ -414,93 +423,21 @@ impl RunJournal {
     /// Returns [`MetricsError::Replay`] when the journal holds no complete
     /// stream run (missing `StreamStarted` or `StreamEnded`).
     pub fn replay_stream(&self) -> Result<StreamCounters> {
-        let mut c = StreamCounters::default();
-        let mut samples: u64 = 0;
-        let mut started = false;
-        let mut ended = false;
+        let mut counters = StreamCounters::default();
         for record in &self.events {
-            match &record.event {
-                RunEvent::StreamStarted {
-                    rounds,
-                    round_size,
-                    samples: total,
-                    devices: _,
-                } => {
-                    started = true;
-                    c.rounds = *rounds as usize;
-                    c.round_size = *round_size as usize;
-                    samples = *total;
-                }
-                RunEvent::EpochStarted { .. } => c.epochs += 1,
-                RunEvent::Delivery { device, bytes } => {
-                    c.bytes_on_wire += bytes;
-                    *c.per_device_wire_bytes.entry(*device as usize).or_insert(0) += bytes;
-                }
-                RunEvent::ControlFrame { .. } => c.control_frames += 1,
-                RunEvent::DataFrame { .. } => c.data_frames += 1,
-                RunEvent::Heartbeat { .. } => c.heartbeats_seen += 1,
-                RunEvent::StaleControlFrame { .. } => c.stale_control_frames += 1,
-                RunEvent::StaleHeartbeat { .. } => c.stale_heartbeats += 1,
-                RunEvent::CorruptFrame { .. } => c.corrupt_frames += 1,
-                RunEvent::DuplicateFrame { .. } => c.duplicate_frames += 1,
-                RunEvent::DroppedHeartbeat { .. } => c.dropped_heartbeats += 1,
-                RunEvent::Retry { .. } => c.retries += 1,
-                RunEvent::RetryCost { seconds } => c.retry_seconds += seconds,
-                RunEvent::RoundFused {
-                    round,
-                    degraded: true,
-                    ..
-                } => c.degraded_rounds.push(*round),
-                RunEvent::RoundFused { .. } => {}
-                RunEvent::EpochEnded { max_in_flight, .. } => {
-                    c.max_rounds_in_flight = c.max_rounds_in_flight.max(*max_in_flight as usize);
-                }
-                RunEvent::DeviceRounds { device, rounds } => {
-                    *c.per_device_rounds.entry(*device as usize).or_insert(0) += rounds;
-                }
-                RunEvent::DeviceDead { device } => c.devices_lost.push(*device as usize),
-                RunEvent::DeviceJoined { device, rejoin } => {
-                    c.devices_joined.push(*device as usize);
-                    if *rejoin {
-                        c.rejoins += 1;
-                    }
-                }
-                RunEvent::Replan { missing, .. } => {
-                    c.repartitions += 1;
-                    c.missing_sub_models = missing.iter().map(|&m| m as usize).collect();
-                }
-                RunEvent::RoundsReplayed { samples, .. } => {
-                    c.samples_replayed += *samples as usize;
-                }
-                RunEvent::Recovery { seconds } => c.recovery_seconds += seconds,
-                RunEvent::StreamEnded {
-                    steady_state_samples_per_second,
-                } => {
-                    ended = true;
-                    c.steady_state_samples_per_second = *steady_state_samples_per_second;
-                    c.simulated_total_seconds = record.at;
-                }
-                // Serve and batch events belong to the other replays.
-                _ => {}
-            }
+            counters.apply(record.at, &record.event);
         }
-        if !started {
+        if !counters.started {
             return Err(MetricsError::Replay {
                 message: "no StreamStarted event in the journal".to_string(),
             });
         }
-        if !ended {
+        if !counters.ended {
             return Err(MetricsError::Replay {
                 message: "journal records a stream that never ended".to_string(),
             });
         }
-        // Mirror the live division exactly, including the idle-stream branch.
-        c.effective_samples_per_second = if c.simulated_total_seconds > 0.0 {
-            samples as f64 / c.simulated_total_seconds
-        } else {
-            f64::INFINITY
-        };
-        Ok(c)
+        Ok(counters)
     }
 
     /// Replays the journal's serving events into [`ServeCounters`], ignoring
@@ -617,8 +554,31 @@ impl RunJournal {
                     pending.clear();
                 }
                 RunEvent::ServeEnded => ended = true,
-                // Stream and batch events belong to the other replays.
-                _ => {}
+                // Stream and batch events belong to the other folds.
+                RunEvent::StreamStarted { .. }
+                | RunEvent::EpochStarted { .. }
+                | RunEvent::Delivery { .. }
+                | RunEvent::ControlFrame { .. }
+                | RunEvent::DataFrame { .. }
+                | RunEvent::Heartbeat { .. }
+                | RunEvent::StaleControlFrame { .. }
+                | RunEvent::StaleHeartbeat { .. }
+                | RunEvent::CorruptFrame { .. }
+                | RunEvent::DuplicateFrame { .. }
+                | RunEvent::DroppedHeartbeat { .. }
+                | RunEvent::Retry { .. }
+                | RunEvent::RetryCost { .. }
+                | RunEvent::RoundFused { .. }
+                | RunEvent::EpochEnded { .. }
+                | RunEvent::DeviceRounds { .. }
+                | RunEvent::DeviceDead { .. }
+                | RunEvent::DeviceJoined { .. }
+                | RunEvent::Replan { .. }
+                | RunEvent::RoundsReplayed { .. }
+                | RunEvent::Recovery { .. }
+                | RunEvent::StreamEnded { .. }
+                | RunEvent::BatchStarted { .. }
+                | RunEvent::BatchEnded { .. } => {}
             }
         }
         if !started {
@@ -660,7 +620,6 @@ impl RunJournal {
         Ok(c)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,6 +718,18 @@ mod tests {
     }
 
     #[test]
+    fn nearest_rank_percentile_matches_hand_computed_values() {
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sorted, 0.5), 2.0);
+        assert_eq!(percentile(&sorted, 0.99), 4.0);
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 1.0), 4.0);
+        assert_eq!(percentile(&sorted, 2.0), 4.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[7.0], 0.25), 7.0);
+    }
+
+    #[test]
     fn stream_replay_folds_every_counter() {
         let c = stream_fixture().replay_stream().unwrap();
         assert_eq!(c.rounds, 4);
@@ -786,6 +757,22 @@ mod tests {
         let again = stream_fixture().replay_stream().unwrap();
         assert!(c.bitwise_eq(&again));
         assert!(c.diff(&again).is_empty());
+    }
+
+    #[test]
+    fn diff_names_differing_fields_and_compares_floats_by_bit_pattern() {
+        let a = ServeCounters {
+            tenants: vec![TenantRow::default()],
+            simulated_total_seconds: f64::NAN,
+            ..ServeCounters::default()
+        };
+        let mut b = a.clone();
+        // Same NaN bits: identical accounting, though `a != b`.
+        assert!(a.bitwise_eq(&b));
+        // -0.0 == 0.0, but the bits differ — inside a tenant row too.
+        b.tenants[0].p99_latency_seconds = -0.0;
+        b.shed = 1;
+        assert_eq!(a.diff(&b), ["tenants", "shed"]);
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod sink;
 
 pub use error::{MetricsError, Result};
 pub use event::{EventRecord, ReplanCause, RunEvent};
-pub use journal::{DepthStep, RunJournal, ServeCounters, StreamCounters, TenantRow};
+pub use journal::{percentile, DepthStep, RunJournal, ServeCounters, StreamCounters, TenantRow};
 pub use registry::{MetricKind, MetricsRegistry, LATENCY_BUCKETS};
 pub use sink::MetricsSink;

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use edvit_tensor::Tensor;
 
 /// A trainable parameter: a value tensor plus its accumulated gradient.
@@ -21,7 +19,7 @@ use edvit_tensor::Tensor;
 /// p.zero_grad();
 /// assert_eq!(p.grad().sum(), 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Parameter {
     name: String,
     value: Tensor,

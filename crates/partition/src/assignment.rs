@@ -1,11 +1,9 @@
 //! Greedy sub-model → device assignment (Algorithm 3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DeviceSpec, PartitionError, Result};
 
 /// Resource requirements of one sub-model as seen by the assignment step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubModelRequirements {
     /// Index of the sub-model within the split plan.
     pub sub_model: usize,
@@ -16,7 +14,7 @@ pub struct SubModelRequirements {
 }
 
 /// The device chosen for one sub-model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssignedSubModel {
     /// Index of the sub-model within the split plan.
     pub sub_model: usize,
@@ -26,7 +24,7 @@ pub struct AssignedSubModel {
 
 /// A complete assignment of sub-models to devices plus the objective value of
 /// problem (1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelAssignment {
     /// One entry per sub-model.
     pub assignments: Vec<AssignedSubModel>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Resource description of one edge device, the `D_i` of the optimization
 /// problem: available model memory `M_i` and available compute / energy
 /// budget `E_i` expressed in multiply–accumulate operations per second.
@@ -7,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// The default profile is calibrated on the paper's own Table I: a Raspberry
 /// Pi 4B runs the 16.86-GFLOP ViT-Base forward pass in 36.94 s, i.e. an
 /// effective throughput of ≈ 0.456 GFLOP/s for this workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Stable identifier used in assignments and simulation traces.
     pub id: usize,

@@ -2,8 +2,6 @@
 //! pruning level for every sub-model, and a device assignment that satisfies
 //! the memory budget, re-pruning iteratively when the plan does not fit.
 
-use serde::{Deserialize, Serialize};
-
 use edvit_vit::{analysis, analysis::ModelCost, PrunedViTConfig, ViTConfig};
 
 use crate::{
@@ -12,7 +10,7 @@ use crate::{
 };
 
 /// Tunable knobs of the splitting planner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Total memory budget `bu` across all sub-models, in bytes (the paper
     /// uses 180 MB for ViT-Base, 50 MB for ViT-Small, 600 MB for ViT-Large).
@@ -39,7 +37,7 @@ impl Default for PlannerConfig {
 
 /// The plan for one sub-model: its class subset, pruning level and analytic
 /// cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubModelPlan {
     /// Index of the sub-model (0-based).
     pub index: usize,
@@ -52,7 +50,7 @@ pub struct SubModelPlan {
 }
 
 /// A complete, feasible split-and-deployment plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitPlan {
     /// Per-sub-model plans, indexed by sub-model id.
     pub sub_models: Vec<SubModelPlan>,

@@ -17,19 +17,6 @@
 //! The controller is pure (state lives with the caller), so every decision is
 //! deterministic and unit-testable in isolation.
 
-use serde::{Deserialize, Serialize};
-
-/// One recorded pipeline-depth change, for the serving report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DepthChange {
-    /// Global round index at which the new depth took effect.
-    pub round: u64,
-    /// Depth before the change.
-    pub from: usize,
-    /// Depth after the change.
-    pub to: usize,
-}
-
 /// The adaptive pipeline-depth policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DepthController {

@@ -71,12 +71,16 @@ mod rounds;
 mod stream;
 
 pub use clock::SimClock;
-pub use depth::{DepthChange, DepthController};
+pub use depth::DepthController;
 pub use error::SchedError;
 pub use faults::{apply_fault, FaultScript, FaultedDelivery, FrameFault, FrameSlot, JoinInjection};
 pub use health::{DeviceHealth, HealthTracker};
 pub use rounds::RoundLayout;
 pub use stream::{FailureInjection, ScheduleMode, StreamConfig, StreamReport, StreamScheduler};
+
+/// One recorded pipeline-depth change, for the serving report — the
+/// journal's own step type, so a report and its replay hold the same thing.
+pub use edvit_metrics::DepthStep as DepthChange;
 
 // Re-exported so instrumented callers can attach a sink without naming the
 // metrics crate themselves.

@@ -67,6 +67,16 @@
 //!   feasible again clears the missing list; degradation is a mode, not a
 //!   ratchet.
 //!
+//! # Accounting
+//!
+//! The scheduler does no counter arithmetic of its own: everything it
+//! observes is a [`RunEvent`], and every event goes through the one
+//! `Ledger::record`, which folds it into the run's [`StreamCounters`] (see
+//! [`StreamCounters::apply`]) and forwards it to the configured sink. The
+//! [`StreamReport`]'s accounting fields are that fold, copied out when the
+//! stream ends — which is why the journal's offline replay reproduces them
+//! bitwise.
+//!
 //! # Timing
 //!
 //! Thread interleaving on the host machine is nondeterministic, so all
@@ -370,43 +380,34 @@ pub struct StreamReport {
     /// The plan in force when the stream finished (re-assigned if devices
     /// died or joined).
     pub final_plan: SplitPlan,
+    /// The fold every accounting field above was copied out of.
+    counters: StreamCounters,
+}
+
+/// The run's accounting. Every event the scheduler observes goes through
+/// [`Ledger::record`], which folds it into the run's [`StreamCounters`] —
+/// always, so the report never depends on the sink — and forwards it to the
+/// sink (the optional journal and registry). No counter changes anywhere
+/// else: the report is this fold, and so is the journal's offline replay.
+struct Ledger {
+    counters: StreamCounters,
+    sink: MetricsSink,
+}
+
+impl Ledger {
+    fn record(&mut self, at: f64, event: RunEvent) {
+        self.counters.apply(at, &event);
+        self.sink.record(at, event);
+    }
 }
 
 impl StreamReport {
-    /// The report's accounting fields as [`StreamCounters`] — the shape the
-    /// journal replay reconstructs, for bitwise comparison against
-    /// [`edvit_metrics::RunJournal::replay_stream`].
+    /// The report's accounting fields as [`StreamCounters`]: the fold of the
+    /// run's events itself, which is why it equals
+    /// [`edvit_metrics::RunJournal::replay_stream`] of the run's journal
+    /// bitwise.
     pub fn counters(&self) -> StreamCounters {
-        StreamCounters {
-            rounds: self.rounds,
-            round_size: self.round_size,
-            epochs: self.epochs,
-            max_rounds_in_flight: self.max_rounds_in_flight,
-            heartbeats_seen: self.heartbeats_seen,
-            control_frames: self.control_frames,
-            data_frames: self.data_frames,
-            bytes_on_wire: self.bytes_on_wire,
-            per_device_wire_bytes: self.per_device_wire_bytes.clone(),
-            per_device_rounds: self.per_device_rounds.clone(),
-            devices_lost: self.devices_lost.clone(),
-            devices_joined: self.devices_joined.clone(),
-            rejoins: self.rejoins,
-            repartitions: self.repartitions,
-            samples_replayed: self.samples_replayed,
-            retries: self.retries,
-            retry_seconds: self.retry_seconds,
-            corrupt_frames: self.corrupt_frames,
-            duplicate_frames: self.duplicate_frames,
-            dropped_heartbeats: self.dropped_heartbeats,
-            stale_control_frames: self.stale_control_frames,
-            stale_heartbeats: self.stale_heartbeats,
-            degraded_rounds: self.degraded_rounds.clone(),
-            missing_sub_models: self.missing_sub_models.clone(),
-            recovery_seconds: self.recovery_seconds,
-            steady_state_samples_per_second: self.steady_state_samples_per_second,
-            effective_samples_per_second: self.effective_samples_per_second,
-            simulated_total_seconds: self.simulated_total_seconds,
-        }
+        self.counters.clone()
     }
 
     /// Argmax prediction per sample, for classification-style fusion outputs.
@@ -426,7 +427,9 @@ impl StreamReport {
     }
 }
 
-/// What one epoch hands back to the scheduler loop.
+/// What one epoch hands back to the scheduler loop: control state only —
+/// everything the epoch *counted* went through the [`Ledger`].
+#[derive(Default)]
 struct EpochOutcome {
     newly_dead: Vec<usize>,
     rounds_fused: usize,
@@ -436,48 +439,14 @@ struct EpochOutcome {
     /// The epoch stopped at a scripted join barrier: the fused frontier is
     /// the checkpoint, nothing is replayed, membership changes next.
     join_due: bool,
-    heartbeats: u64,
-    control_frames: usize,
-    data_frames: usize,
-    bytes_on_wire: u64,
-    per_device_wire_bytes: BTreeMap<usize, u64>,
-    per_device_rounds: BTreeMap<usize, u64>,
+    /// Most rounds in flight this epoch — what `EpochEnded` reports once the
+    /// clock has been advanced past the epoch.
     max_in_flight: usize,
     /// Attempt number of every re-request issued, for backoff pricing.
     retry_attempts: Vec<u32>,
-    corrupt_frames: u64,
-    duplicate_frames: u64,
-    dropped_heartbeats: u64,
-    stale_control_frames: u64,
-    degraded_rounds: Vec<u64>,
     /// Feature width observed per sub-model — the widths degraded rounds
     /// zero-fill with.
     observed_dims: BTreeMap<u32, usize>,
-}
-
-impl EpochOutcome {
-    fn new() -> Self {
-        EpochOutcome {
-            newly_dead: Vec::new(),
-            rounds_fused: 0,
-            partial_rounds: Vec::new(),
-            join_due: false,
-            heartbeats: 0,
-            control_frames: 0,
-            data_frames: 0,
-            bytes_on_wire: 0,
-            per_device_wire_bytes: BTreeMap::new(),
-            per_device_rounds: BTreeMap::new(),
-            max_in_flight: 0,
-            retry_attempts: Vec::new(),
-            corrupt_frames: 0,
-            duplicate_frames: 0,
-            dropped_heartbeats: 0,
-            stale_control_frames: 0,
-            degraded_rounds: Vec::new(),
-            observed_dims: BTreeMap::new(),
-        }
-    }
 }
 
 /// Read-only knobs one epoch runs under.
@@ -496,8 +465,6 @@ struct EpochParams<'a> {
     /// `(sub-model, feature width)` for every missing sub-model, zero-filled
     /// at fusion so the concat layout stays stable.
     missing_dims: Vec<(u32, usize)>,
-    /// Observability sink the epoch's events are recorded into.
-    sink: &'a MetricsSink,
     /// Virtual time the epoch started at — the timestamp its events carry
     /// (the clock only advances between epochs).
     at: f64,
@@ -645,43 +612,11 @@ impl StreamScheduler {
         let mut missing: Vec<usize> = Vec::new();
         let mut known_dims: BTreeMap<u32, usize> = BTreeMap::new();
 
-        let mut report = StreamReport {
-            outputs: Vec::new(),
-            mode: cfg.mode,
-            round_size,
-            codec: cfg.codec,
-            rounds: total_rounds,
-            epochs: 0,
-            max_rounds_in_flight: 0,
-            heartbeats_seen: 0,
-            control_frames: 0,
-            data_frames: 0,
-            bytes_on_wire: 0,
-            per_device_wire_bytes: BTreeMap::new(),
-            per_device_rounds: BTreeMap::new(),
-            devices_lost: Vec::new(),
-            devices_joined: Vec::new(),
-            rejoins: 0,
-            repartitions: 0,
-            samples_replayed: 0,
-            retries: 0,
-            retry_seconds: 0.0,
-            corrupt_frames: 0,
-            duplicate_frames: 0,
-            dropped_heartbeats: 0,
-            stale_control_frames: 0,
-            stale_heartbeats: 0,
-            degraded_rounds: Vec::new(),
-            missing_sub_models: Vec::new(),
-            recovery_seconds: 0.0,
-            steady_state_samples_per_second: 0.0,
-            effective_samples_per_second: 0.0,
-            simulated_total_seconds: 0.0,
-            final_plan: current_plan.clone(),
+        let mut ledger = Ledger {
+            counters: StreamCounters::default(),
+            sink: cfg.sink.clone(),
         };
-
-        let sink = &cfg.sink;
-        sink.record(
+        ledger.record(
             0.0,
             RunEvent::StreamStarted {
                 rounds: total_rounds as u64,
@@ -691,7 +626,7 @@ impl StreamScheduler {
             },
         );
 
-        loop {
+        let steady_state_samples_per_second = loop {
             // ---- Scripted joins due before the next unfused round. ---------
             let next_round = pending.first().copied().unwrap_or(0);
             let mut admitted = false;
@@ -701,16 +636,14 @@ impl StreamScheduler {
                     &injection,
                     &mut current_devices,
                     &mut tracker,
-                    &mut report,
-                    sink,
+                    &mut ledger,
                     clock.now(),
                 )?;
                 admitted = true;
             }
             if admitted {
                 self.replan(&mut current_plan, &current_devices, &mut missing, "join")?;
-                report.repartitions += 1;
-                sink.record(
+                ledger.record(
                     clock.now(),
                     RunEvent::Replan {
                         cause: ReplanCause::Join,
@@ -720,15 +653,10 @@ impl StreamScheduler {
                 clock.advance(cfg.replan_seconds);
             }
 
-            report.epochs += 1;
             tracker.begin_epoch();
+            let epoch = ledger.counters.epochs as u64 + 1;
             let epoch_at = clock.now();
-            sink.record(
-                epoch_at,
-                RunEvent::EpochStarted {
-                    epoch: report.epochs as u64,
-                },
-            );
+            ledger.record(epoch_at, RunEvent::EpochStarted { epoch });
             let mut round_timings = self.round_timings(&current_plan, &current_devices);
             // Nominal-size timing: the heartbeat deadline, retry backoff and
             // failure-detection windows stay round-denominated in the
@@ -760,7 +688,6 @@ impl StreamScheduler {
                 max_retries: cfg.max_retries,
                 join_barrier: join_queue.first().map(|j| j.at_round),
                 missing_dims,
-                sink,
                 at: epoch_at,
             };
             let outcome = run_epoch(
@@ -774,41 +701,22 @@ impl StreamScheduler {
                 &mut fused,
                 &mut tracker,
                 transport.as_mut(),
+                &mut ledger,
             )?;
 
-            report.heartbeats_seen += outcome.heartbeats;
-            report.control_frames += outcome.control_frames;
-            report.data_frames += outcome.data_frames;
-            report.bytes_on_wire += outcome.bytes_on_wire;
-            report.corrupt_frames += outcome.corrupt_frames;
-            report.duplicate_frames += outcome.duplicate_frames;
-            report.dropped_heartbeats += outcome.dropped_heartbeats;
-            report.stale_control_frames += outcome.stale_control_frames;
-            report
-                .degraded_rounds
-                .extend(outcome.degraded_rounds.iter().copied());
             for (&sub, &dim) in &outcome.observed_dims {
                 known_dims.insert(sub, dim);
             }
-            for (&device, &bytes) in &outcome.per_device_wire_bytes {
-                *report.per_device_wire_bytes.entry(device).or_insert(0) += bytes;
-            }
-            for (&device, &rounds) in &outcome.per_device_rounds {
-                *report.per_device_rounds.entry(device).or_insert(0) += rounds;
-            }
-            report.max_rounds_in_flight = report.max_rounds_in_flight.max(outcome.max_in_flight);
             let retry_seconds: f64 = outcome
                 .retry_attempts
                 .iter()
                 .map(|&attempt| timing.retry_backoff_seconds(attempt))
                 .sum();
-            report.retries += outcome.retry_attempts.len() as u64;
-            report.retry_seconds += retry_seconds;
-            // One pre-summed event per epoch keeps the replayed accumulation
-            // bitwise-identical to the live `+=` above; zero-retry epochs add
-            // an exact +0.0 and need no event at all.
+            // One event per epoch, pre-summed in the order the clock is
+            // charged below; zero-retry epochs would add an exact +0.0 and
+            // need no event at all.
             if !outcome.retry_attempts.is_empty() {
-                sink.record(
+                ledger.record(
                     epoch_at,
                     RunEvent::RetryCost {
                         seconds: retry_seconds,
@@ -823,10 +731,10 @@ impl StreamScheduler {
                 .map(|&round| layout.len_of(round))
                 .collect();
             clock.advance(round_timings.seconds_for_rounds(&fused_sizes)? + retry_seconds);
-            sink.record(
+            ledger.record(
                 clock.now(),
                 RunEvent::EpochEnded {
-                    epoch: report.epochs as u64,
+                    epoch,
                     max_in_flight: outcome.max_in_flight as u64,
                 },
             );
@@ -845,26 +753,21 @@ impl StreamScheduler {
                         ),
                     });
                 }
-                report.steady_state_samples_per_second = timing.steady_state_samples_per_second();
-                break;
+                break timing.steady_state_samples_per_second();
             }
 
             // ---- A death: repartition onto the survivors and replay. -------
-            report
-                .devices_lost
-                .extend(outcome.newly_dead.iter().copied());
             for device in &outcome.newly_dead {
                 failures.remove(device); // a scripted death fires once
             }
             current_devices.retain(|d| !outcome.newly_dead.contains(&d.id));
             if current_devices.is_empty() {
                 return Err(SchedError::AllDevicesLost {
-                    lost: report.devices_lost.clone(),
+                    lost: ledger.counters.devices_lost,
                 });
             }
             self.replan(&mut current_plan, &current_devices, &mut missing, "death")?;
-            report.repartitions += 1;
-            sink.record(
+            ledger.record(
                 clock.now(),
                 RunEvent::Replan {
                     cause: ReplanCause::Death,
@@ -876,8 +779,7 @@ impl StreamScheduler {
                 .iter()
                 .map(|&r| layout.len_of(r))
                 .sum();
-            report.samples_replayed += replayed;
-            sink.record(
+            ledger.record(
                 clock.now(),
                 RunEvent::RoundsReplayed {
                     rounds: outcome.partial_rounds.len() as u64,
@@ -900,32 +802,22 @@ impl StreamScheduler {
                     .timing_for(layout.len_of(round))?
                     .round_interval_seconds;
             }
-            report.recovery_seconds += detection_seconds + cfg.replan_seconds + replay_seconds;
-            sink.record(
+            ledger.record(
                 clock.now(),
                 RunEvent::Recovery {
                     seconds: detection_seconds + cfg.replan_seconds + replay_seconds,
                 },
             );
             clock.advance(detection_seconds + cfg.replan_seconds);
-        }
+        };
 
-        report.simulated_total_seconds = clock.now();
-        sink.record(
+        ledger.record(
             clock.now(),
             RunEvent::StreamEnded {
-                steady_state_samples_per_second: report.steady_state_samples_per_second,
+                steady_state_samples_per_second,
             },
         );
-        report.effective_samples_per_second = if clock.now() > 0.0 {
-            inputs.len() as f64 / clock.now()
-        } else {
-            f64::INFINITY
-        };
-        report.stale_heartbeats = tracker.stale_heartbeats();
-        report.missing_sub_models = missing;
-        report.final_plan = current_plan;
-        report.outputs = fused
+        let outputs = fused
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
@@ -934,7 +826,45 @@ impl StreamScheduler {
                 })
             })
             .collect::<Result<Vec<Tensor>>>()?;
-        Ok(report)
+        // The accounting fields are the fold, copied out once. (They stay
+        // flat `pub` fields because callers read them by field after moving
+        // `outputs` out of the report.)
+        let counters = ledger.counters;
+        Ok(StreamReport {
+            outputs,
+            mode: cfg.mode,
+            round_size,
+            codec: cfg.codec,
+            rounds: counters.rounds,
+            epochs: counters.epochs,
+            max_rounds_in_flight: counters.max_rounds_in_flight,
+            heartbeats_seen: counters.heartbeats_seen,
+            control_frames: counters.control_frames,
+            data_frames: counters.data_frames,
+            bytes_on_wire: counters.bytes_on_wire,
+            per_device_wire_bytes: counters.per_device_wire_bytes.clone(),
+            per_device_rounds: counters.per_device_rounds.clone(),
+            devices_lost: counters.devices_lost.clone(),
+            devices_joined: counters.devices_joined.clone(),
+            rejoins: counters.rejoins,
+            repartitions: counters.repartitions,
+            samples_replayed: counters.samples_replayed,
+            retries: counters.retries,
+            retry_seconds: counters.retry_seconds,
+            corrupt_frames: counters.corrupt_frames,
+            duplicate_frames: counters.duplicate_frames,
+            dropped_heartbeats: counters.dropped_heartbeats,
+            stale_control_frames: counters.stale_control_frames,
+            stale_heartbeats: counters.stale_heartbeats,
+            degraded_rounds: counters.degraded_rounds.clone(),
+            missing_sub_models: counters.missing_sub_models.clone(),
+            recovery_seconds: counters.recovery_seconds,
+            steady_state_samples_per_second: counters.steady_state_samples_per_second,
+            effective_samples_per_second: counters.effective_samples_per_second,
+            simulated_total_seconds: counters.simulated_total_seconds,
+            final_plan: current_plan,
+            counters,
+        })
     }
 
     /// Replans onto the current membership: full coverage when feasible,
@@ -1016,8 +946,7 @@ fn admit_join(
     injection: &JoinInjection,
     current_devices: &mut Vec<DeviceSpec>,
     tracker: &mut HealthTracker,
-    report: &mut StreamReport,
-    sink: &MetricsSink,
+    ledger: &mut Ledger,
     at: f64,
 ) -> Result<()> {
     let device_id = injection.device.id;
@@ -1025,17 +954,14 @@ fn admit_join(
         return Err(SchedError::RejoinConflict { device: device_id });
     }
     let frame = ControlMessage::join(device_id, injection.device.flops_per_second).encode();
-    report.control_frames += 1;
-    report.bytes_on_wire += frame.len() as u64;
-    *report.per_device_wire_bytes.entry(device_id).or_insert(0) += frame.len() as u64;
-    sink.record(
+    ledger.record(
         at,
         RunEvent::Delivery {
             device: device_id as u64,
             bytes: frame.len() as u64,
         },
     );
-    sink.record(
+    ledger.record(
         at,
         RunEvent::ControlFrame {
             device: device_id as u64,
@@ -1053,12 +979,10 @@ fn admit_join(
     );
     if was_terminal {
         tracker.observe_rejoin(device_id, control.capacity_flops_per_second);
-        report.rejoins += 1;
     } else {
         tracker.observe_join(device_id, control.capacity_flops_per_second);
     }
-    report.devices_joined.push(device_id);
-    sink.record(
+    ledger.record(
         at,
         RunEvent::DeviceJoined {
             device: device_id as u64,
@@ -1100,6 +1024,7 @@ fn run_epoch(
     fused: &mut [Option<Tensor>],
     tracker: &mut HealthTracker,
     transport: &mut dyn Transport,
+    ledger: &mut Ledger,
 ) -> Result<EpochOutcome> {
     // Group the per-sub-model executors by hosting device. `iter_mut` hands
     // out disjoint `&mut` borrows, so each worker thread exclusively owns the
@@ -1198,6 +1123,7 @@ fn run_epoch(
             fused,
             produced_ref,
             tracker,
+            ledger,
         )
     })
     .map_err(|_| SchedError::Runtime {
@@ -1303,7 +1229,7 @@ struct Collector<'a> {
     /// walks sub-models in index order.
     partial: BTreeMap<u64, BTreeMap<u32, StashedRows>>,
     outcome: EpochOutcome,
-    sink: &'a MetricsSink,
+    ledger: &'a mut Ledger,
     /// Virtual epoch-start time every collector event is stamped with.
     at: f64,
 }
@@ -1336,25 +1262,19 @@ impl Collector<'_> {
         Some((self.epoch_rounds[round_pos], slot))
     }
 
-    /// Charges one delivery's bytes to the wire totals and its sender. Every
-    /// frame that travelled is charged here — including mutated copies, eaten
-    /// data frames and lost beacons — which is what keeps
-    /// `bytes_on_wire == Σ per_device_wire_bytes` an invariant instead of a
-    /// coincidence.
+    /// Records one of the epoch's events, stamped with the epoch-start time.
+    fn record(&mut self, event: RunEvent) {
+        self.ledger.record(self.at, event);
+    }
+
+    /// Charges one delivery's bytes to its sender. Every frame that
+    /// travelled is charged — including mutated copies, eaten data frames
+    /// and lost beacons.
     fn account(&mut self, device: usize, bytes: u64) {
-        self.outcome.bytes_on_wire += bytes;
-        *self
-            .outcome
-            .per_device_wire_bytes
-            .entry(device)
-            .or_insert(0) += bytes;
-        self.sink.record(
-            self.at,
-            RunEvent::Delivery {
-                device: device as u64,
-                bytes,
-            },
-        );
+        self.record(RunEvent::Delivery {
+            device: device as u64,
+            bytes,
+        });
     }
 
     /// Runs one delivery through the fault script: clean frames ingest
@@ -1382,13 +1302,9 @@ impl Collector<'_> {
                     // re-requested: the next fresh beacon (or the leave)
                     // closes the round.
                     self.account(device, pristine.len() as u64);
-                    self.outcome.dropped_heartbeats += 1;
-                    self.sink.record(
-                        self.at,
-                        RunEvent::DroppedHeartbeat {
-                            device: device as u64,
-                        },
-                    );
+                    self.record(RunEvent::DroppedHeartbeat {
+                        device: device as u64,
+                    });
                     return Ok(Processed::Seen(Seen::Other));
                 }
                 Some(fault) => {
@@ -1399,13 +1315,9 @@ impl Collector<'_> {
                                 // The wire layer caught the damage (checksum
                                 // or decode failure): a failed delivery.
                                 Err(SchedError::Edge(_)) => {
-                                    self.outcome.corrupt_frames += 1;
-                                    self.sink.record(
-                                        self.at,
-                                        RunEvent::CorruptFrame {
-                                            device: device as u64,
-                                        },
-                                    );
+                                    self.record(RunEvent::CorruptFrame {
+                                        device: device as u64,
+                                    });
                                 }
                                 // A mutation the codec happened to survive
                                 // delivers as-is.
@@ -1417,13 +1329,9 @@ impl Collector<'_> {
                             // An eaten data frame travelled to the drop
                             // point: charge its bytes before re-requesting.
                             self.account(device, pristine.len() as u64);
-                            self.outcome.corrupt_frames += 1;
-                            self.sink.record(
-                                self.at,
-                                RunEvent::CorruptFrame {
-                                    device: device as u64,
-                                },
-                            );
+                            self.record(RunEvent::CorruptFrame {
+                                device: device as u64,
+                            });
                         }
                     }
                     attempt += 1;
@@ -1431,13 +1339,10 @@ impl Collector<'_> {
                         return Ok(Processed::Escalate);
                     }
                     self.outcome.retry_attempts.push(attempt);
-                    self.sink.record(
-                        self.at,
-                        RunEvent::Retry {
-                            device: device as u64,
-                            attempt: u64::from(attempt),
-                        },
-                    );
+                    self.record(RunEvent::Retry {
+                        device: device as u64,
+                        attempt: u64::from(attempt),
+                    });
                 }
             }
         }
@@ -1446,13 +1351,9 @@ impl Collector<'_> {
     /// Counts and journals a control frame the deduper rejected as a replay
     /// or stale reordering.
     fn stale_control(&mut self, device: usize) {
-        self.outcome.stale_control_frames += 1;
-        self.sink.record(
-            self.at,
-            RunEvent::StaleControlFrame {
-                device: device as u64,
-            },
-        );
+        self.record(RunEvent::StaleControlFrame {
+            device: device as u64,
+        });
     }
 
     /// Decodes and accounts one delivered frame: control frames pass the
@@ -1462,13 +1363,9 @@ impl Collector<'_> {
         self.account(device, encoded.len() as u64);
         match WireFrame::decode(encoded).map_err(SchedError::Edge)? {
             WireFrame::Control(control) => {
-                self.outcome.control_frames += 1;
-                self.sink.record(
-                    self.at,
-                    RunEvent::ControlFrame {
-                        device: device as u64,
-                    },
-                );
+                self.record(RunEvent::ControlFrame {
+                    device: device as u64,
+                });
                 let fresh = self
                     .deduper
                     .admit(control.device_id, control.kind, control.sequence);
@@ -1484,23 +1381,16 @@ impl Collector<'_> {
                         Ok(Seen::Other)
                     }
                     ControlKind::Heartbeat => {
-                        self.outcome.heartbeats += 1;
-                        self.sink.record(
-                            self.at,
-                            RunEvent::Heartbeat {
-                                device: device_id as u64,
-                                sequence: control.sequence,
-                            },
-                        );
+                        self.record(RunEvent::Heartbeat {
+                            device: device_id as u64,
+                            sequence: control.sequence,
+                        });
                         // The tracker sees every beacon (it counts stale ones
                         // itself); only a deduper-fresh beacon closes rounds.
                         if !self.tracker.observe_heartbeat(device_id, control.sequence) {
-                            self.sink.record(
-                                self.at,
-                                RunEvent::StaleHeartbeat {
-                                    device: device_id as u64,
-                                },
-                            );
+                            self.record(RunEvent::StaleHeartbeat {
+                                device: device_id as u64,
+                            });
                         }
                         if fresh {
                             Ok(Seen::Beacon(control.sequence))
@@ -1521,13 +1411,9 @@ impl Collector<'_> {
                 }
             }
             WireFrame::FeatureBatch(batch) => {
-                self.outcome.data_frames += 1;
-                self.sink.record(
-                    self.at,
-                    RunEvent::DataFrame {
-                        device: device as u64,
-                    },
-                );
+                self.record(RunEvent::DataFrame {
+                    device: device as u64,
+                });
                 let batch = Rc::new(batch);
                 let mut stashed = false;
                 let mut duplicated = false;
@@ -1564,13 +1450,9 @@ impl Collector<'_> {
                         .insert(batch.sub_model, batch.feature_dim as usize);
                 }
                 if duplicated {
-                    self.outcome.duplicate_frames += 1;
-                    self.sink.record(
-                        self.at,
-                        RunEvent::DuplicateFrame {
-                            device: device as u64,
-                        },
-                    );
+                    self.record(RunEvent::DuplicateFrame {
+                        device: device as u64,
+                    });
                 }
                 Ok(Seen::Other)
             }
@@ -1643,17 +1525,11 @@ impl Collector<'_> {
                 fusion(&concatenated).map_err(|message| SchedError::Runtime { message })?;
             fused[sample] = Some(output);
         }
-        if !self.missing_dims.is_empty() {
-            self.outcome.degraded_rounds.push(round);
-        }
-        self.sink.record(
-            self.at,
-            RunEvent::RoundFused {
-                round,
-                samples: span.len() as u64,
-                degraded: !self.missing_dims.is_empty(),
-            },
-        );
+        self.record(RunEvent::RoundFused {
+            round,
+            samples: span.len() as u64,
+            degraded: !self.missing_dims.is_empty(),
+        });
         Ok(())
     }
 }
@@ -1674,6 +1550,7 @@ fn collect_epoch(
     fused: &mut [Option<Tensor>],
     produced_max: &AtomicU64,
     tracker: &mut HealthTracker,
+    ledger: &mut Ledger,
 ) -> Result<EpochOutcome> {
     for &device in receivers.keys() {
         tracker.register(device);
@@ -1690,8 +1567,8 @@ fn collect_epoch(
         deduper: ControlDeduper::new(),
         cursor: BTreeMap::new(),
         partial: BTreeMap::new(),
-        outcome: EpochOutcome::new(),
-        sink: params.sink,
+        outcome: EpochOutcome::default(),
+        ledger,
         at: params.at,
     };
 
@@ -1716,12 +1593,9 @@ fn collect_epoch(
                             // dead — same terminal path as a crash.
                             collector.tracker.declare_dead(device);
                             collector.outcome.newly_dead.push(device);
-                            collector.sink.record(
-                                collector.at,
-                                RunEvent::DeviceDead {
-                                    device: device as u64,
-                                },
-                            );
+                            collector.record(RunEvent::DeviceDead {
+                                device: device as u64,
+                            });
                             break 'rounds;
                         }
                     },
@@ -1735,12 +1609,9 @@ fn collect_epoch(
                         // heartbeat: its deadline passed. Terminal.
                         collector.tracker.declare_dead(device);
                         collector.outcome.newly_dead.push(device);
-                        collector.sink.record(
-                            collector.at,
-                            RunEvent::DeviceDead {
-                                device: device as u64,
-                            },
-                        );
+                        collector.record(RunEvent::DeviceDead {
+                            device: device as u64,
+                        });
                         break 'rounds;
                     }
                 }
@@ -1790,14 +1661,10 @@ fn collect_epoch(
     // the barrier replay on the new membership without a replay charge.
     for &device in receivers.keys() {
         let rounds = collector.tracker.sequence_of(device);
-        collector.outcome.per_device_rounds.insert(device, rounds);
-        collector.sink.record(
-            collector.at,
-            RunEvent::DeviceRounds {
-                device: device as u64,
-                rounds,
-            },
-        );
+        collector.record(RunEvent::DeviceRounds {
+            device: device as u64,
+            rounds,
+        });
     }
     Ok(collector.outcome)
 }

@@ -4,7 +4,7 @@
 //! to the live [`StreamReport`].
 
 use edvit_edge::{FusionFn, SubModelFn};
-use edvit_metrics::{MetricsSink, RunJournal, StreamCounters};
+use edvit_metrics::{MetricsError, MetricsSink, RunJournal, StreamCounters};
 use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit_sched::{
     FaultScript, FrameFault, FrameSlot, StreamConfig, StreamReport, StreamScheduler,
@@ -303,4 +303,74 @@ fn duplicate_fault_and_partial_round_fuse_to_the_recorded_bits_and_journal() {
     assert_eq!(fnv1a(output_bits), 0x5968_068f_b63d_00e8);
     assert_eq!(fnv1a(journal.to_text().bytes()), 0xffcd_63d7_23c9_7907);
     assert_observable(&report, &journal, "duplicate + partial round");
+}
+
+/// What a seeded run is pinned by: FNV-1a 64 of its journal text without the
+/// `EpochEnded` lines, and of the `Debug` text of its counters with
+/// `max_rounds_in_flight` zeroed. Both left-out values observe a real
+/// producer/consumer race (`assert_observable` compares them live-vs-replay
+/// within the run instead); everything else is deterministic.
+fn pinned(report: &StreamReport, journal: &RunJournal) -> (u64, u64) {
+    let text = journal.to_text();
+    let deterministic = text
+        .lines()
+        .filter(|line| !line.contains(" EpochEnded "))
+        .flat_map(|line| line.bytes().chain([b'\n']));
+    let mut counters = report.counters();
+    counters.max_rounds_in_flight = 0;
+    (fnv1a(deterministic), fnv1a(format!("{counters:?}").bytes()))
+}
+
+/// Two more seeded runs pinned on the parent of the PR that made the live
+/// report a fold over the journal's events (5720bb4): a mid-stream death,
+/// and a corrupt data frame + an eaten heartbeat + a scripted join.
+#[test]
+fn failover_and_faulted_join_runs_reproduce_the_recorded_journal_and_counters() {
+    let devices = DeviceSpec::raspberry_pi_cluster(4);
+    let (report, journal) = run_recorded(&devices, StreamConfig::default().with_failure(2, 3), 40);
+    assert_eq!(report.devices_lost, vec![2]);
+    assert_eq!(
+        pinned(&report, &journal),
+        (0x2b30_3bda_61a0_eaa7, 0x87bd_8d96_ca91_60cd)
+    );
+    assert_observable(&report, &journal, "pinned failover");
+
+    let joiner = devices[3].clone();
+    let mut faults = FaultScript::new();
+    faults.push(0, 1, FrameSlot::Data(0), FrameFault::CorruptBit { bit: 9 });
+    faults.push(1, 2, FrameSlot::Heartbeat, FrameFault::Drop);
+    let config = StreamConfig::default()
+        .with_faults(faults)
+        .with_join(joiner, 4);
+    let (report, journal) = run_recorded(&devices[..3], config, 32);
+    assert_eq!(report.devices_joined, vec![3]);
+    assert_eq!((report.corrupt_frames, report.dropped_heartbeats), (1, 1));
+    assert_eq!(
+        pinned(&report, &journal),
+        (0xf0e1_57aa_347c_9a57, 0x7cf4_63a5_ece4_93c9)
+    );
+    assert_observable(&report, &journal, "pinned faulted join");
+}
+
+/// The fold is total: `StreamCounters::apply` takes every prefix of a
+/// recorded failover journal without panicking, a prefix that stops short of
+/// `StreamEnded` replays to the typed error, and the whole journal folds to
+/// the live counters.
+#[test]
+fn every_prefix_of_a_failover_journal_folds_and_only_the_whole_one_finishes() {
+    let devices = DeviceSpec::raspberry_pi_cluster(4);
+    let (report, journal) = run_recorded(&devices, StreamConfig::default().with_failure(2, 3), 40);
+    let records = journal.records();
+    let mut folded = StreamCounters::default();
+    let mut prefix = RunJournal::new();
+    for record in records {
+        assert!(matches!(
+            prefix.replay_stream(),
+            Err(MetricsError::Replay { .. })
+        ));
+        folded.apply(record.at, &record.event);
+        prefix.push(record.at, record.event.clone());
+    }
+    assert!(folded.bitwise_eq(&report.counters()));
+    assert!(prefix.replay_stream().unwrap().bitwise_eq(&folded));
 }

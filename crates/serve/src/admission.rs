@@ -20,7 +20,6 @@
 use std::collections::VecDeque;
 
 use edvit_metrics::{MetricsSink, RunEvent};
-use serde::{Deserialize, Serialize};
 
 use crate::request::{Request, TenantSpec};
 use crate::{Result, ServeError};
@@ -35,7 +34,7 @@ pub enum AdmissionVerdict {
 }
 
 /// Per-tenant admission accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantCounters {
     /// Requests offered to admission (everything that arrived).
     pub admitted: u64,

@@ -2,45 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use edvit_metrics::{DepthStep, ServeCounters, TenantRow};
+use edvit_metrics::ServeCounters;
 use edvit_sched::{DepthChange, StreamReport};
 use edvit_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
-/// Nearest-rank percentile of an ascending-sorted latency slice.
-///
-/// `q` is in `[0, 1]`; an empty slice reports `0.0` so all-shed tenants show
-/// a flat (not `NaN`) row.
-pub fn percentile(sorted_ascending: &[f64], q: f64) -> f64 {
-    if sorted_ascending.is_empty() {
-        return 0.0;
-    }
-    let n = sorted_ascending.len();
-    let rank = (q.clamp(0.0, 1.0) * n as f64).ceil() as usize;
-    sorted_ascending[rank.saturating_sub(1).min(n - 1)]
-}
-
-/// One tenant's row in the serving report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenantStats {
-    /// Tenant display name.
-    pub name: String,
-    /// Requests that arrived for this tenant.
-    pub admitted: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Requests shed on arrival (queue full).
-    pub shed_overflow: u64,
-    /// Requests dropped at dispatch (deadline expired).
-    pub shed_deadline: u64,
-    /// Deepest this tenant's queue ever grew.
-    pub max_queue_depth: usize,
-    /// Median round-trip latency (arrival to fused output) in virtual
-    /// seconds; 0 when nothing completed.
-    pub p50_latency_seconds: f64,
-    /// 99th-percentile round-trip latency in virtual seconds.
-    pub p99_latency_seconds: f64,
-}
+use crate::TenantStats;
 
 /// Everything a serving run reports: admission accounting, SLO percentiles,
 /// batching/depth behaviour, recovery cost, and the fused outputs keyed by
@@ -102,34 +68,13 @@ impl ServeReport {
     /// must match bitwise for a journaled run.
     pub fn counters(&self) -> ServeCounters {
         ServeCounters {
-            tenants: self
-                .tenants
-                .iter()
-                .map(|t| TenantRow {
-                    name: t.name.clone(),
-                    admitted: t.admitted,
-                    completed: t.completed,
-                    shed_overflow: t.shed_overflow,
-                    shed_deadline: t.shed_deadline,
-                    max_queue_depth: t.max_queue_depth,
-                    p50_latency_seconds: t.p50_latency_seconds,
-                    p99_latency_seconds: t.p99_latency_seconds,
-                })
-                .collect(),
+            tenants: self.tenants.clone(),
             admitted: self.admitted,
             completed: self.completed,
             shed: self.shed,
             rounds_formed: self.rounds_formed,
             partial_rounds: self.partial_rounds,
-            depth_changes: self
-                .depth_changes
-                .iter()
-                .map(|d| DepthStep {
-                    round: d.round,
-                    from: d.from,
-                    to: d.to,
-                })
-                .collect(),
+            depth_changes: self.depth_changes.clone(),
             initial_depth: self.initial_depth,
             final_depth: self.final_depth,
             p50_latency_seconds: self.p50_latency_seconds,
@@ -140,22 +85,5 @@ impl ServeReport {
             recovery_seconds: self.recovery_seconds,
             devices_lost: self.devices_lost.clone(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nearest_rank_percentile_matches_hand_computed_values() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 0.5), 2.0);
-        assert_eq!(percentile(&sorted, 0.99), 4.0);
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&sorted, 1.0), 4.0);
-        assert_eq!(percentile(&sorted, 2.0), 4.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.25), 7.0);
     }
 }

@@ -2,13 +2,12 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, ServeError};
 
 /// One tenant's admission contract: how deep its queue may grow and how long
 /// a request may wait before it is dropped instead of served.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Display name, used in the per-tenant report rows.
     pub name: String,
@@ -41,7 +40,7 @@ impl TenantSpec {
 }
 
 /// One admitted-or-not inference request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Unique id in arrival order.
     pub id: u64,
@@ -58,7 +57,7 @@ pub struct Request {
 /// up (that is what makes overload and shedding observable). Same seed, same
 /// arrivals — shed counts and latency percentiles are reproducible bit for
 /// bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalSpec {
     /// Mean arrivals per virtual second (> 0).
     pub rate_per_second: f64,

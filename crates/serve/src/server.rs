@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use edvit_edge::{FusionFn, LatencyModel, RoundTimings, SubModelFn};
-use edvit_metrics::{MetricsSink, RunEvent};
+use edvit_metrics::{percentile, MetricsSink, RunEvent};
 use edvit_partition::{DeviceSpec, SplitPlan};
 use edvit_sched::{
     DepthChange, DepthController, RoundLayout, ScheduleMode, StreamConfig, StreamScheduler,
@@ -22,9 +22,9 @@ use edvit_sched::{
 use edvit_tensor::Tensor;
 
 use crate::admission::{AdmissionQueue, TenantCounters};
-use crate::report::{percentile, ServeReport, TenantStats};
+use crate::report::ServeReport;
 use crate::request::{ArrivalSpec, Request, TenantSpec};
-use crate::{Result, ServeError};
+use crate::{Result, ServeError, TenantStats};
 
 /// How the front door turns queued requests into rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -431,8 +431,8 @@ unsafe fn micro_tile_8_avx512(
                 out.as_mut_ptr(),
                 ldc,
                 j,
-            )
-        };
+            );
+        }
         j += 32;
     }
     if j + 16 <= nc {
@@ -447,8 +447,8 @@ unsafe fn micro_tile_8_avx512(
                 out.as_mut_ptr(),
                 ldc,
                 j,
-            )
-        };
+            );
+        }
         j += 16;
     }
     if j < nc {

@@ -12,8 +12,6 @@
 //! no actual tensor computation is needed to regenerate Table I, Table II or
 //! the latency/memory curves.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{PrunedViTConfig, ViTConfig};
 
 /// Bytes occupied by one `f32` parameter.
@@ -21,7 +19,7 @@ pub const BYTES_PER_PARAM: u64 = 4;
 
 /// Aggregate cost of a model: parameters, MAC-FLOPs per inference sample and
 /// memory footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelCost {
     /// Number of scalar parameters.
     pub params: u64,

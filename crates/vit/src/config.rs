@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, ViTError};
 
 /// The standard Vision Transformer variants evaluated in the paper (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViTVariant {
     /// ViT-Small: depth 12, width 384, 6 heads, 22.1 M parameters.
     Small,
@@ -30,7 +28,7 @@ impl std::fmt::Display for ViTVariant {
 /// How a paper-scale configuration is mapped to a configuration that can be
 /// trained on a laptop CPU for the accuracy experiments (see DESIGN.md §3,
 /// "Two model scales").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleProfile {
     /// Image resolution used at trainable scale.
     pub image_size: usize,
@@ -65,7 +63,7 @@ impl Default for ScaleProfile {
 /// assert_eq!(base.num_patches(), 196);
 /// assert_eq!(base.head_dim(), 64);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ViTConfig {
     /// Which named variant this configuration corresponds to.
     pub variant: ViTVariant,
@@ -257,7 +255,7 @@ impl ViTConfig {
 /// the number of "pruned heads" `hp` determines the retention factor
 /// `s = (h - hp) / h`, which uniformly scales the residual width, the per-head
 /// projection width and the FFN hidden width (Fig. 2 / Section IV-C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrunedViTConfig {
     base: ViTConfig,
     pruned_heads: usize,
