@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use edvit::fusion::{FusionConfig, FusionMlp};
 use edvit_nn::{Layer, Linear, MultiHeadSelfAttention};
 use edvit_parallel::{with_budget, ParallelPool};
 use edvit_tensor::kernels::{self, MicroKernel};
@@ -195,10 +196,50 @@ fn bench_probe_forward_path(c: &mut Criterion) {
     });
 }
 
+/// The products of one fusion call on the serving shape (768 → 384 → 10) by
+/// row count: fewer than `MR` = 4 rows run unpacked over B where it lies, 4
+/// and up pack panels for the register tiles — so the cliff between 3 and 4
+/// rows is a number anyone can re-read. The reference triple loop and a whole
+/// `FusionMlp::predict_logits` (two products, GELU, the allocations) sit
+/// beside the one-row entry.
+fn bench_thin_matmul(c: &mut Criterion) {
+    let (k, n) = (768usize, 384usize);
+    let mut rng = TensorRng::new(9);
+    let w = rng.randn(&[k, n], 0.0, 0.02);
+    let bias = rng.randn(&[n], 0.0, 0.02);
+    let pool = ParallelPool::global();
+
+    let mut group = c.benchmark_group("matmul_thin_768x384");
+    for rows in [1usize, 2, 3, 4, 5, 8] {
+        let x = rng.randn(&[rows, k], 0.0, 1.0);
+        let mut out = vec![0.0f32; rows * n];
+        group.bench_function(rows, |bench| {
+            bench.iter(|| {
+                out.fill(0.0);
+                let bias = Some(bias.data());
+                kernels::matmul_bias(x.data(), w.data(), bias, &mut out, rows, k, n, pool);
+            });
+        });
+    }
+    group.finish();
+
+    let x = rng.randn(&[1, k], 0.0, 1.0);
+    let mut out = vec![0.0f32; n];
+    c.bench_function("matmul_reference_1x768x384", |bench| {
+        bench.iter(|| kernels::matmul_reference(x.data(), w.data(), &mut out, 1, k, n));
+    });
+
+    let mut fusion = FusionMlp::new(&FusionConfig::new(k, 10), &mut rng).unwrap();
+    c.bench_function("fusion_predict_1x768x384x10", |bench| {
+        bench.iter(|| fusion.predict_logits(&x).unwrap());
+    });
+}
+
 criterion_group!(
     kernels,
     bench_pool_dispatch,
     bench_probe_forward_path,
+    bench_thin_matmul,
     bench_matmul,
     bench_matmul_transposed,
     bench_batch_matmul,

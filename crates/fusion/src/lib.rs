@@ -6,6 +6,11 @@
 //! (`N·d·s → λ·N·d·s → num_classes`, λ = 0.5 by default) to produce the final
 //! prediction. The MLP is trained once after all sub-models are trained.
 //!
+//! The aggregation device fuses one image at a time, so a fusion call is a
+//! `[1, N·d·s]` row times each weight matrix: `edvit-tensor` serves products
+//! of fewer than four rows unpacked, streaming the weights once where they
+//! lie (`tests/predict_pinned.rs` pins the logits' bits on the serving shape).
+//!
 //! # Example
 //!
 //! ```

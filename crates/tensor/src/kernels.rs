@@ -12,7 +12,11 @@
 //!
 //! * **Column panels** — B is packed into contiguous `KC × NC` panels
 //!   (`256 × 128` floats = 128 KiB, sized to sit in L2) so the innermost loop
-//!   streams one dense panel instead of striding through all of B.
+//!   streams one dense panel instead of striding through all of B. A panel
+//!   is packed only when more than one row strip will read it: a product of
+//!   fewer than [`MR`] rows (every `[1,k]×[k,n]` fusion call and
+//!   single-image head) allocates no scratch, packs nothing and reads B once
+//!   where it lies.
 //! * **Register tiling** — a strip of output rows is accumulated against a
 //!   tile of panel columns whose partial sums live entirely in registers, so
 //!   each packed B row is loaded once per strip. The tile is picked at run
@@ -23,9 +27,11 @@
 //!   | `avx512f` (x86-64) | 8 × 32 | 16 `zmm` | 32, then one 16, then scalar |
 //!   | `avx2` + `fma` (x86-64) | 4 × 16 | 8 `ymm` | 16, then scalar |
 //!   | anything else | 4 × 8 | 32 scalars LLVM vectorizes | 8, then scalar |
+//!   | fewer than [`MR`] rows, any CPU | 1–3 × `n`, unpacked | none: one axpy per row of B into the output rows | whole rows, auto-vectorized at the CPU's width (`zmm`, `ymm`, baseline) |
 //!
 //!   Rows left over after the 8-row strips take the 4 × 16 tile, rows left
-//!   over after the 4-row strips ([`MR`]) take a one-row axpy kernel.
+//!   over after the 4-row strips ([`MR`]) take a one-row axpy kernel over the
+//!   panels the strips before them packed.
 //!   *Why 8 rows:* on `[64,192]×[192,768]`, one thread, the 4 × 16 `ymm`
 //!   tile reads 200–375 µs; a 4 × 32 `zmm` tile does 8 FMAs per 128 B of
 //!   panel, is bound by L2 → L1 traffic and read 191–271 µs (≈ 1.2×); 8 × 32
@@ -58,6 +64,13 @@
 //! keep the 16-column boundary and the 4-row one;
 //! `tests/parallel_kernels.rs` compares the kernels bit for bit. The
 //! portable kernel does not fuse and differs from both by rounding only.
+//!
+//! Products of fewer than [`MR`] rows and the `m % 4` remainder rows are
+//! unfused on *every* kernel — `k` multiply-adds in ascending `p` from `+0.0`,
+//! then the bias — so there even `Portable` agrees bit for bit with the FMA
+//! kernels, and all three with [`matmul_reference`]. That is also why a
+//! parallel chunk that ends up with fewer than [`MR`] rows may take the
+//! unpacked path: sequentially those rows are remainder rows, same bits.
 
 use edvit_parallel::ParallelPool;
 
@@ -203,8 +216,9 @@ pub fn matmul_bias(
 /// Sequential blocked matmul over all `m` rows (the per-chunk body of
 /// [`matmul`]). `out` must be zero-filled.
 ///
-/// Each call packs its own panels of B, one `kc × nc` panel at a time into a
-/// scratch it allocates. Both were measured against the alternatives on the
+/// From [`MR`] rows up, each call packs its own panels of B, one `kc × nc`
+/// panel at a time into a scratch it allocates (below that nothing is packed
+/// or allocated). Both were measured against the alternatives on the
 /// `[64,192]×[192,768]` product, two threads: packing B once per call into a
 /// buffer all row chunks share is *slower* (330 µs with recycled buffers,
 /// 500 µs with fresh ones, against 245 µs) because a panel packed by one core
@@ -243,10 +257,16 @@ pub fn matmul_seq_with(
     gebp(kernel, a, b, None, out, k, n);
 }
 
-/// The GEBP loop nest over the `out.len() / n` rows of `a`: for each column
-/// panel of B, for each k-block, pack and [`accumulate_panel`]; then the bias
-/// epilogue on that column panel. `out` must be zero-filled. `kernel` must be
-/// supported by this CPU (the callers detect it or assert it).
+/// `out += A·B (+ bias)` over the `out.len() / n` rows of `a`. `out` must be
+/// zero-filled. `kernel` must be supported by this CPU (the callers detect it
+/// or assert it).
+///
+/// From [`MR`] rows up this is the GEBP loop nest: for each column panel of
+/// B, for each k-block, pack and [`accumulate_panel`]; then the bias epilogue
+/// on that column panel. A panel is packed so that every row strip after the
+/// first streams it dense and hot; with fewer than [`MR`] rows there is no
+/// second strip, so those calls allocate no scratch, pack nothing and read B
+/// once where it lies ([`thin_rows_dispatch`]).
 fn gebp(
     kernel: MicroKernel,
     a: &[f32],
@@ -257,6 +277,11 @@ fn gebp(
     n: usize,
 ) {
     if out.is_empty() {
+        return;
+    }
+    if out.len() < MR * n {
+        thin_rows_dispatch(kernel, a, b, out, k, n);
+        add_bias(bias, out, n, 0, n);
         return;
     }
     let mut panel = Vec::with_capacity(KC.min(k) * NC.min(n));
@@ -271,12 +296,88 @@ fn gebp(
             }
             accumulate_panel(kernel, a, &panel, out, k, n, (jc, nc), (pc, kc));
         }
-        if let Some(bias) = bias {
-            let bias = &bias[jc..jc + nc];
-            for row in out.chunks_exact_mut(n) {
-                for (o, &b) in row[jc..jc + nc].iter_mut().zip(bias) {
-                    *o += b;
-                }
+        add_bias(bias, out, n, jc, nc);
+    }
+}
+
+/// The bias epilogue: `out[r][jc..jc+nc] += bias[jc..jc+nc]` for every
+/// `n`-wide row of `out` (`n > 0`).
+fn add_bias(bias: Option<&[f32]>, out: &mut [f32], n: usize, jc: usize, nc: usize) {
+    let Some(bias) = bias else { return };
+    let bias = &bias[jc..jc + nc];
+    for row in out.chunks_exact_mut(n) {
+        for (o, &b) in row[jc..jc + nc].iter_mut().zip(bias) {
+            *o += b;
+        }
+    }
+}
+
+/// The unpacked row×matrix kernel under products of fewer than [`MR`] rows
+/// (`out.len() / n` of them, `n > 0`): one pass over B where it lies, each
+/// row of B multiplied into every output row as it goes by. Per element that
+/// is `k` unfused multiply-adds in ascending `p` straight into `out` — the
+/// arithmetic of [`micro_tile_1`] over every packed panel in turn, and of
+/// [`matmul_reference`] — on every [`MicroKernel`]: the kernel only names the
+/// vector width [`thin_rows`] is compiled at (512-bit, 256-bit, or the
+/// target's baseline, NEON on aarch64).
+fn thin_rows_dispatch(
+    kernel: MicroKernel,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `kernel` is only ever `Avx512` after `is_supported()` saw
+        // `avx512f` (`detect`, or the assert in `matmul_seq_with`).
+        MicroKernel::Avx512 => unsafe { thin_rows_avx512(a, b, out, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; `is_supported()` requires `avx2` for `Avx2Fma`.
+        MicroKernel::Avx2Fma => unsafe { thin_rows_avx2(a, b, out, k, n) },
+        _ => thin_rows(a, b, out, k, n),
+    }
+}
+
+/// [`thin_rows`] compiled with 512-bit vectors.
+///
+/// # Safety
+///
+/// The caller must guarantee the `avx512f` CPU feature is present. The body
+/// is safe code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn thin_rows_avx512(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    thin_rows(a, b, out, k, n);
+}
+
+/// [`thin_rows`] compiled with 256-bit vectors (`avx2` alone: nothing here
+/// fuses, so `fma` is not needed).
+///
+/// # Safety
+///
+/// The caller must guarantee the `avx2` CPU feature is present. The body is
+/// safe code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn thin_rows_avx2(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    thin_rows(a, b, out, k, n);
+}
+
+/// The body of [`thin_rows_dispatch`], written once and inlined into each
+/// width's wrapper so LLVM vectorizes the axpy at that wrapper's features.
+/// Rust never contracts `o + x * w` into a fused multiply-add, whatever the
+/// features; `tests/parallel_kernels.rs` pins that against the reference.
+/// B is indexed by `p·n`, so `k = 0` is an empty loop, not a zero chunk size.
+#[inline(always)]
+fn thin_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    for p in 0..k {
+        let brow = &b[p * n..][..n];
+        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
+            let x = a[r * k + p];
+            for (o, &w) in orow.iter_mut().zip(brow) {
+                *o += x * w;
             }
         }
     }
@@ -672,7 +773,8 @@ fn micro_tile_4(
     }
 }
 
-/// Single-row micro-kernel for the `m % 4` remainder rows.
+/// Single-row micro-kernel for the `m % 4` remainder rows of a packed call
+/// (products of fewer than [`MR`] rows never pack and never get here).
 #[inline]
 fn micro_tile_1(a_row: &[f32], panel: &[f32], nc: usize, o: &mut [f32]) {
     let kc = a_row.len();
@@ -981,6 +1083,28 @@ mod tests {
         let mut out: Vec<f32> = Vec::new();
         matmul(&a, &[], &mut out, 2, 3, 0, &pool);
         matmul_transposed(&a, &[], &mut out, 2, 3, 0, &pool);
+        // The unpacked path (fewer than MR rows): an empty contraction is
+        // exactly the bias row, or the zeros it was handed.
+        let bias = random(5, 11);
+        for m in 1..MR {
+            let mut out = vec![0.0f32; m * 5];
+            matmul_bias(&[], &[], Some(&bias), &mut out, m, 0, 5, &pool);
+            assert_eq!(out, bias.repeat(m));
+            let mut out = vec![0.0f32; m * 5];
+            matmul(&[], &[], &mut out, m, 0, 5, &pool);
+            assert_eq!(out, vec![0.0; m * 5]);
+            // No columns or no rows: nothing to touch, bias or not.
+            let a = random(m * 3, 12);
+            matmul_bias(&a, &[], Some(&[]), &mut [], m, 3, 0, &pool);
+        }
+        matmul_bias(&[], &b, Some(&bias[..2]), &mut [], 0, 3, 2, &pool);
+        // [1, k]×[k, 1]: one output element.
+        let (a, b) = (random(7, 13), random(7, 14));
+        let mut out = [0.0f32];
+        matmul(&a, &b, &mut out, 1, 7, 1, &pool);
+        let mut expected = [0.0f32];
+        matmul_reference(&a, &b, &mut expected, 1, 7, 1);
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -175,6 +175,137 @@ fn every_micro_kernel_agrees_and_the_fma_kernels_agree_bitwise() {
     }
 }
 
+/// The bit patterns of `values`, so `-0.0 != 0.0` and a NaN equals itself.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every micro-kernel this CPU supports, printing which ones `what` runs on
+/// and which it has to skip.
+fn supported_kernels(what: &str) -> Vec<MicroKernel> {
+    [
+        MicroKernel::Portable,
+        MicroKernel::Avx2Fma,
+        MicroKernel::Avx512,
+    ]
+    .into_iter()
+    .filter(|kernel| {
+        let supported = kernel.is_supported();
+        if supported {
+            println!("{what}: ran on {kernel:?}");
+        } else {
+            println!("SKIPPED: {what} on {kernel:?} (this CPU lacks its features) — not covered by this run");
+        }
+        supported
+    })
+    .collect()
+}
+
+#[test]
+fn thin_products_equal_the_reference_bit_for_bit_on_every_kernel() {
+    // Fewer than `MR` = 4 rows run unpacked over B where it lies, at the
+    // vector width the micro-kernel names. Every element is still `k` unfused
+    // multiply-adds in ascending `p` from +0.0 — the reference's arithmetic —
+    // so no kernel may differ from it by a single bit: a compiler that
+    // contracted the axpy into FMAs inside the AVX functions would fail here.
+    // `k` covers the empty contraction and both sides of `KC` = 256, `n` the
+    // vector-width tails (16 ± 1), both sides of `NC` = 128 and the two
+    // widths of a fusion call.
+    let kernels_here = supported_kernels("thin row×matrix kernel");
+    let pools = [ParallelPool::new(1), ParallelPool::new(8)];
+    let mut rng = TensorRng::new(0x7415);
+    for m in [1usize, 2, 3] {
+        for k in [0usize, 1, 37, 255, 256, 257, 768] {
+            for n in [1usize, 10, 15, 16, 17, 127, 128, 129, 384] {
+                let shape = format!("{m}x{k}x{n}");
+                let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
+                let bias = uniform(&mut rng, n);
+                let mut expected = vec![0.0f32; m * n];
+                kernels::matmul_reference(&a, &b, &mut expected, m, k, n);
+                let mut expected_biased = expected.clone();
+                for row in expected_biased.chunks_exact_mut(n) {
+                    for (o, c) in row.iter_mut().zip(&bias) {
+                        *o += c;
+                    }
+                }
+                for &kernel in &kernels_here {
+                    let mut got = vec![0.0f32; m * n];
+                    kernels::matmul_seq_with(kernel, &a, &b, &mut got, m, k, n);
+                    assert_eq!(bits(&got), bits(&expected), "{kernel:?} on {shape}");
+                }
+                for pool in &pools {
+                    let threads = pool.threads();
+                    let mut got = vec![0.0f32; m * n];
+                    kernels::matmul(&a, &b, &mut got, m, k, n, pool);
+                    assert_eq!(bits(&got), bits(&expected), "{shape}, {threads} threads");
+                    let mut got = vec![0.0f32; m * n];
+                    kernels::matmul_bias(&a, &b, Some(&bias), &mut got, m, k, n, pool);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&expected_biased),
+                        "{shape} + bias, {threads} threads"
+                    );
+                }
+                // The tensor-level entry point on the global pool: a single
+                // row, and leading dims that flatten to three rows.
+                let dims: &[usize] = match m {
+                    1 => &[1, k],
+                    3 => &[1, 3, k],
+                    _ => continue,
+                };
+                let fused = Tensor::from_vec(a, dims)
+                    .unwrap()
+                    .matmul_bias(
+                        &Tensor::from_vec(b, &[k, n]).unwrap(),
+                        &Tensor::vector(bias),
+                    )
+                    .unwrap();
+                assert_eq!(fused.dims().last(), Some(&n));
+                assert_eq!(
+                    bits(fused.data()),
+                    bits(&expected_biased),
+                    "Tensor::matmul_bias on {dims:?}x[{k}, {n}]"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn remainder_rows_equal_the_reference_and_leave_the_strips_alone() {
+    // From `MR` rows up B is packed as before. The `m % 4` rows after the
+    // last strip take the one-row kernel over the packed panels — unfused,
+    // ascending `p`, so bit for bit the reference's rows on every kernel —
+    // and the strips before them compute what they compute without those
+    // rows: the same bits as a product over the leading `m − m % 4` rows.
+    let kernels_here = supported_kernels("remainder rows of a packed product");
+    let mut rng = TensorRng::new(0x4E3D);
+    for m in [5usize, 6, 7, 9, 13] {
+        for (k, n) in [(37usize, 50usize), (300, 129), (768, 384)] {
+            let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
+            let mut expected = vec![0.0f32; m * n];
+            kernels::matmul_reference(&a, &b, &mut expected, m, k, n);
+            let lead = m - m % 4;
+            for &kernel in &kernels_here {
+                let mut got = vec![0.0f32; m * n];
+                kernels::matmul_seq_with(kernel, &a, &b, &mut got, m, k, n);
+                assert_eq!(
+                    bits(&got[lead * n..]),
+                    bits(&expected[lead * n..]),
+                    "{kernel:?}: remainder rows of {m}x{k}x{n}"
+                );
+                let mut strips = vec![0.0f32; lead * n];
+                kernels::matmul_seq_with(kernel, &a[..lead * k], &b, &mut strips, lead, k, n);
+                assert_eq!(
+                    bits(&got[..lead * n]),
+                    bits(&strips),
+                    "{kernel:?}: strip rows of {m}x{k}x{n}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn bias_epilogue_equals_matmul_then_row_broadcast_bitwise() {
     // `k` ≤ and > `KC` (one k-block, several), `n` across `NC` (the epilogue
