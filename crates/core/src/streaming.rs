@@ -9,7 +9,7 @@ use edvit_tensor::Tensor;
 
 use crate::distributed::into_executors;
 use crate::pipeline::EdVitDeployment;
-use crate::{EdVitError, Result};
+use crate::Result;
 
 /// Runs a stream of image samples through the deployment on the streaming
 /// scheduler. The deployment is consumed (sub-models move onto their device
@@ -27,11 +27,6 @@ pub fn run_streaming(
     devices: Vec<DeviceSpec>,
     config: StreamConfig,
 ) -> Result<StreamReport> {
-    if samples.is_empty() {
-        return Err(EdVitError::InvalidConfig {
-            message: "no samples to stream through the cluster".to_string(),
-        });
-    }
     let plan = deployment.plan.clone();
     let (executors, fusion) = into_executors(deployment);
     let scheduler = StreamScheduler::new(plan, devices, config)?;

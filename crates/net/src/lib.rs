@@ -15,9 +15,11 @@
 //! real wall-clock heartbeat deadlines mapped from the scheduler's
 //! round-denominated grace window.
 //!
-//! On top of the lanes sit the pieces a cluster of real OS processes is
-//! assembled from: [`Coordinator`] / [`WorkerClient`] (join-handshake
-//! admission, per-round collection, graceful leave) and
+//! Beside the `Transport` backends sit the sockets a cluster of real OS
+//! processes is assembled from — [`Coordinator`] (join-handshake admission;
+//! each admitted [`WorkerConn`] becomes a [`FrameRx`] lane) and
+//! [`dial_lane`] (the device side, a synchronous [`FrameTx`]); what travels
+//! over them, and how it is collected, is `edvit-sched`'s — and
 //! [`run_batch_over_tcp`] ([`edvit_edge::ClusterRuntime::run_over`] handed a
 //! [`TcpTransport`]: the one one-shot executor on socket lanes).
 //!
@@ -39,11 +41,11 @@ mod tcp;
 mod transport;
 
 pub use batch::run_batch_over_tcp;
-pub use cluster::{ClusterReport, Coordinator, RoundSpec, WorkerClient, WorkerConn};
+pub use cluster::{Coordinator, WorkerConn};
 pub use error::NetError;
 pub use framing::{read_envelope, write_envelope, Envelope, TAG_ERROR, TAG_FRAME};
 pub use tcp::{
-    backoff_delay, connect_with_backoff, TcpTransport, CONNECT_ATTEMPTS, RECONNECT_BASE,
+    backoff_delay, connect_with_backoff, dial_lane, TcpTransport, CONNECT_ATTEMPTS, RECONNECT_BASE,
 };
 pub use transport::{
     transport_for, FrameRx, FrameTx, LaneClosed, LaneEvent, SimTransport, Transport,

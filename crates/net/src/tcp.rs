@@ -13,6 +13,10 @@
 //! a peer whose next frame misses the deadline looks exactly like a
 //! disconnect, which is the trait's one failure signal.
 //!
+//! [`dial_lane`] is the sender half on its own, for a device that is a
+//! process rather than a thread: it writes synchronously (no queue, no writer
+//! thread for the process exit to kill) and half-closes on drop.
+//!
 //! Connection establishment retries with the same `min(2^(n−1), 8)` backoff
 //! factor schedule the scheduler prices retries with on the virtual clock
 //! ([`edvit_edge::StreamTiming::retry_backoff_seconds`]) — mapped to wall
@@ -82,6 +86,16 @@ pub fn connect_with_backoff(addr: &SocketAddr, attempts: u32) -> Result<TcpStrea
     })
 }
 
+/// Binds a loopback listener on an OS-assigned port.
+pub(crate) fn bind_loopback() -> Result<(TcpListener, SocketAddr)> {
+    let bind_error = |e: std::io::Error| NetError::Bind {
+        message: e.to_string(),
+    };
+    let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(bind_error)?;
+    let addr = listener.local_addr().map_err(bind_error)?;
+    Ok((listener, addr))
+}
+
 /// The loopback TCP transport: one listener, one connection per lane.
 #[derive(Debug)]
 pub struct TcpTransport {
@@ -97,12 +111,7 @@ impl TcpTransport {
     ///
     /// Returns [`NetError::Bind`] when the OS refuses the socket.
     pub fn bind() -> Result<Self> {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|e| NetError::Bind {
-            message: e.to_string(),
-        })?;
-        let addr = listener.local_addr().map_err(|e| NetError::Bind {
-            message: e.to_string(),
-        })?;
+        let (listener, addr) = bind_loopback()?;
         Ok(TcpTransport {
             listener,
             addr,
@@ -135,10 +144,72 @@ impl FrameTx for TcpTx {
     }
 }
 
+/// Device-side half of a dialed lane, for a sender that is a process of its
+/// own (contrast [`TcpTx`]). Every envelope is written before `send` returns
+/// and the connection half-closes on drop, so a worker process may exit right
+/// after its leave frame: nothing waits in a queue for a writer thread the
+/// exit would kill, and the coordinator's EOF lands last.
+struct DialedTx {
+    stream: TcpStream,
+}
+
+impl DialedTx {
+    fn write(&self, envelope: &Envelope) -> std::result::Result<(), LaneClosed> {
+        write_envelope(&mut &self.stream, envelope).map_err(|_| LaneClosed)
+    }
+}
+
+impl FrameTx for DialedTx {
+    fn send(&self, frame: Bytes) -> std::result::Result<(), LaneClosed> {
+        self.write(&Envelope::Frame(frame))
+    }
+
+    fn send_error(&self, message: String) -> std::result::Result<(), LaneClosed> {
+        self.write(&Envelope::Error(message))
+    }
+}
+
+impl Drop for DialedTx {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
+    }
+}
+
+/// Dials a [`crate::Coordinator`] (with the round-denominated backoff
+/// schedule) and returns the device side of the lane. The first frame sent
+/// must be the device's `Join` — which is how the scheduler's device program
+/// starts.
+///
+/// # Errors
+///
+/// Returns [`NetError::Connect`] when the coordinator stays unreachable and
+/// [`NetError::Io`] when the socket cannot be configured.
+pub fn dial_lane(addr: &SocketAddr) -> Result<Box<dyn FrameTx>> {
+    let stream = connect_with_backoff(addr, CONNECT_ATTEMPTS)?;
+    stream.set_nodelay(true).map_err(|e| NetError::io(&e))?;
+    Ok(Box::new(DialedTx { stream }))
+}
+
 /// Fusion-side half of a TCP lane: reads envelopes off the accepted socket.
-struct TcpRx {
+#[derive(Debug)]
+pub(crate) struct TcpRx {
     stream: BufReader<TcpStream>,
     closed: bool,
+}
+
+impl TcpRx {
+    /// Arms an accepted socket as a lane receiver: no Nagle delay, a read
+    /// deadline, and the lane read buffer.
+    pub(crate) fn new(stream: TcpStream, read_timeout: Duration) -> Result<Self> {
+        stream.set_nodelay(true).map_err(|e| NetError::io(&e))?;
+        stream
+            .set_read_timeout(Some(read_timeout))
+            .map_err(|e| NetError::io(&e))?;
+        Ok(TcpRx {
+            stream: BufReader::with_capacity(LANE_READ_BUFFER, stream),
+            closed: false,
+        })
+    }
 }
 
 impl FrameRx for TcpRx {
@@ -172,12 +243,8 @@ impl Transport for TcpTransport {
         let (receiver, _) = self.listener.accept().map_err(|e| NetError::Accept {
             message: format!("lane for peer {peer}: {e}"),
         })?;
-        let configure = |stream: &TcpStream| -> std::io::Result<()> { stream.set_nodelay(true) };
-        configure(&sender).map_err(|e| NetError::io(&e))?;
-        configure(&receiver).map_err(|e| NetError::io(&e))?;
-        receiver
-            .set_read_timeout(Some(self.read_timeout))
-            .map_err(|e| NetError::io(&e))?;
+        sender.set_nodelay(true).map_err(|e| NetError::io(&e))?;
+        let receiver = TcpRx::new(receiver, self.read_timeout)?;
 
         let (queue_tx, queue_rx) = channel::bounded::<Envelope>(capacity);
         std::thread::spawn(move || {
@@ -194,13 +261,7 @@ impl Transport for TcpTransport {
             let _ = stream.shutdown(Shutdown::Write);
         });
 
-        Ok((
-            Box::new(TcpTx { queue: queue_tx }),
-            Box::new(TcpRx {
-                stream: BufReader::with_capacity(LANE_READ_BUFFER, receiver),
-                closed: false,
-            }),
-        ))
+        Ok((Box::new(TcpTx { queue: queue_tx }), Box::new(receiver)))
     }
 
     fn set_round_deadline(&mut self, grace_rounds: u64, round_interval_seconds: f64) {

@@ -29,6 +29,12 @@
 //!   sample is fused twice; the exactly-once invariant is checked, not
 //!   assumed.
 //!
+//! Both sides of the stream-round protocol live here and nowhere else: the
+//! [`DeviceProgram`] and the collector behind [`StreamScheduler`], which
+//! [`StreamScheduler::run`] wires together in process and
+//! [`StreamScheduler::collect_lanes`] runs over lanes it is handed (worker
+//! processes, in `examples/cluster_proc.rs`).
+//!
 //! All reported timing comes from the deterministic virtual [`SimClock`]
 //! driven by the analytic `edvit_edge::StreamTiming` model, so throughput and
 //! recovery numbers are reproducible on any machine.
@@ -63,20 +69,29 @@
 #![forbid(unsafe_code)]
 
 mod clock;
+mod collector;
+mod config;
 mod depth;
+mod device;
+mod epoch;
 mod error;
 mod faults;
 mod health;
+mod membership;
+mod report;
 mod rounds;
 mod stream;
 
 pub use clock::SimClock;
+pub use config::{FailureInjection, ScheduleMode, StreamConfig};
 pub use depth::DepthController;
+pub use device::DeviceProgram;
 pub use error::SchedError;
 pub use faults::{apply_fault, FaultScript, FaultedDelivery, FrameFault, FrameSlot, JoinInjection};
 pub use health::{DeviceHealth, HealthTracker};
+pub use report::StreamReport;
 pub use rounds::RoundLayout;
-pub use stream::{FailureInjection, ScheduleMode, StreamConfig, StreamReport, StreamScheduler};
+pub use stream::StreamScheduler;
 
 /// One recorded pipeline-depth change, for the serving report — the
 /// journal's own step type, so a report and its replay hold the same thing.

@@ -6,12 +6,18 @@
 //! is the one scheduling-dependent statistic, so it is the one field these
 //! tests never compare).
 
+use std::collections::BTreeMap;
+
 use edvit::chaos::{FaultKind, FaultPlan};
 use edvit::distributed::{run_distributed, RunOptions};
-use edvit::edge::{FusionFn, NetOptions, PayloadCodec, SubModelFn, TransportKind};
+use edvit::edge::{ControlMessage, FusionFn, NetOptions, PayloadCodec, SubModelFn, TransportKind};
+use edvit::metrics::MetricsSink;
+use edvit::net::{dial_lane, Coordinator, FrameRx};
 use edvit::partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit::pipeline::{EdVitConfig, EdVitPipeline};
-use edvit::sched::{StreamConfig, StreamReport, StreamScheduler};
+use edvit::sched::{
+    DeviceProgram, RoundLayout, SchedError, StreamConfig, StreamReport, StreamScheduler,
+};
 use edvit::streaming::run_streaming;
 use edvit::tensor::Tensor;
 use edvit::vit::ViTConfig;
@@ -174,5 +180,174 @@ fn one_shot_batch_parity_is_exact_on_both_transports() {
     assert_eq!(
         tcp.bytes_on_wire,
         tcp.per_device_wire_bytes.iter().sum::<u64>()
+    );
+}
+
+/// Runs the synthetic deployment with the fusion side on
+/// [`StreamScheduler::collect_lanes`] over lanes a [`Coordinator`] admitted,
+/// and each device program on a thread of its own behind a dialed lane — the
+/// wiring `examples/cluster_proc.rs` uses with processes.
+fn run_over_dialed_lanes(
+    plan: &SplitPlan,
+    devices: &[DeviceSpec],
+    samples: &[Tensor],
+    config: StreamConfig,
+) -> Result<StreamReport, SchedError> {
+    let layout = RoundLayout::uniform(samples.len(), config.round_size).expect("layout");
+    let rounds: Vec<u64> = (0..layout.rounds() as u64).collect();
+    let codec = config.codec;
+    let coordinator = Coordinator::bind().expect("coordinator binds");
+    let addr = coordinator.local_addr();
+    let hosting: Vec<&DeviceSpec> = devices
+        .iter()
+        .filter(|d| !plan.assignment.sub_models_on(d.id).is_empty())
+        .collect();
+    std::thread::scope(|scope| {
+        for &device in &hosting {
+            let (layout, rounds) = (&layout, &rounds);
+            scope.spawn(move || {
+                let hosted = plan.assignment.sub_models_on(device.id);
+                let (mut executors, _) = synthetic_executors(plan);
+                let execs: Vec<(usize, &mut SubModelFn)> = executors
+                    .iter_mut()
+                    .enumerate()
+                    .filter(|(sub_model, _)| hosted.contains(sub_model))
+                    .collect();
+                let lane = dial_lane(&addr).expect("worker dials");
+                DeviceProgram::new(device.id, device.flops_per_second, codec, layout, rounds).run(
+                    execs,
+                    samples,
+                    lane.as_ref(),
+                );
+            });
+        }
+        let lanes: BTreeMap<usize, Box<dyn FrameRx>> = coordinator
+            .accept_workers(hosting.len())
+            .expect("every worker is admitted")
+            .into_iter()
+            .map(|worker| (worker.device_id, worker.into_lane()))
+            .collect();
+        let (_, fusion) = synthetic_executors(plan);
+        StreamScheduler::new(plan.clone(), devices.to_vec(), config)
+            .expect("scheduler builds")
+            .collect_lanes(lanes, &layout, fusion)
+    })
+}
+
+/// A run's journal text without its `EpochEnded` lines, whose
+/// `max_in_flight` observes a producer/consumer race (the filter
+/// `crates/sched/tests/journal_replay.rs` pins with).
+fn deterministic_journal(sink: &MetricsSink) -> String {
+    let text = sink.journal().to_text();
+    let lines: Vec<&str> = text
+        .lines()
+        .filter(|line| !line.contains(" EpochEnded "))
+        .collect();
+    lines.join("\n")
+}
+
+#[test]
+fn three_wirings_of_the_two_protocol_halves_are_one_observable() {
+    // The same deployment through the scheduler on sim lanes, on TCP lanes,
+    // and with its two halves apart — collector here, device programs behind
+    // dialed sockets: one collector, one device program, so outputs, every
+    // deterministic counter and the journal must not tell them apart.
+    let (plan, devices, samples) = synthetic(3);
+    let in_process = |transport: TransportKind| {
+        let sink = MetricsSink::recording();
+        let (executors, fusion) = synthetic_executors(&plan);
+        let config = stream_config(transport).with_sink(sink.clone());
+        let report = StreamScheduler::new(plan.clone(), devices.clone(), config)
+            .expect("scheduler builds")
+            .run(&samples, executors, fusion)
+            .expect("stream completes");
+        (report, sink)
+    };
+    let (sim, sim_sink) = in_process(TransportKind::Sim);
+    let (tcp, tcp_sink) = in_process(TransportKind::Tcp);
+    let dialed_sink = MetricsSink::recording();
+    let dialed = run_over_dialed_lanes(
+        &plan,
+        &devices,
+        &samples,
+        stream_config(TransportKind::Sim).with_sink(dialed_sink.clone()),
+    )
+    .expect("dialed stream completes");
+
+    for (other, sink, label) in [(&tcp, &tcp_sink, "tcp"), (&dialed, &dialed_sink, "dialed")] {
+        assert_stream_reports_agree(&sim, other);
+        let divergent: Vec<&str> = sim
+            .counters()
+            .diff(&other.counters())
+            .into_iter()
+            .filter(|&field| field != "max_rounds_in_flight")
+            .collect();
+        assert!(
+            divergent.is_empty(),
+            "{label} counters differ: {divergent:?}"
+        );
+        assert_eq!(
+            deterministic_journal(&sim_sink),
+            deterministic_journal(sink),
+            "{label} journal differs from the sim run's"
+        );
+    }
+    assert_eq!(
+        dialed.max_rounds_in_flight, 0,
+        "remote producers are unseen"
+    );
+
+    // What the deleted second collector's own test pinned, on this wiring:
+    // exactly-once fusion in sub-model order and per-round frame accounting.
+    let rounds = samples.len().div_ceil(2);
+    assert_eq!(dialed.outputs.len(), samples.len());
+    // Sample 3 is `[3, 3, 3]`; sub-model `i` contributes `[9 + i, 9 + i]`.
+    assert_eq!(
+        dialed.outputs[3].data(),
+        &[9.0, 9.0, 10.0, 10.0, 11.0, 11.0]
+    );
+    assert_eq!(dialed.data_frames, 3 * rounds);
+    assert_eq!(dialed.heartbeats_seen, 3 * rounds as u64);
+    assert_eq!(dialed.control_frames, 3 + 3 * rounds + 3);
+    let per_device: BTreeMap<usize, u64> = (0..3).map(|d| (d, rounds as u64)).collect();
+    assert_eq!(dialed.per_device_rounds, per_device);
+    assert_eq!(
+        dialed.bytes_on_wire,
+        dialed.per_device_wire_bytes.values().sum::<u64>()
+    );
+    let replayed = dialed_sink.journal().replay_stream().expect("replays");
+    assert!(replayed.bitwise_eq(&dialed.counters()));
+}
+
+#[test]
+fn a_worker_vanishing_mid_stream_is_a_typed_error_naming_device_and_round() {
+    // The worker joins, then its connection drops without ever closing a
+    // round: the collector must say which device and round it lost — not
+    // hang, and not (as an in-process run would) try to re-plan around a
+    // device it does not run.
+    let (plan, devices, samples) = synthetic(1);
+    let layout = RoundLayout::uniform(samples.len(), 2).expect("layout");
+    let coordinator = Coordinator::bind().expect("coordinator binds");
+    let lane = dial_lane(&coordinator.local_addr()).expect("worker dials");
+    lane.send(ControlMessage::join(0, 1.0).encode())
+        .expect("join is written");
+    drop(lane);
+    let lanes: BTreeMap<usize, Box<dyn FrameRx>> = coordinator
+        .accept_workers(1)
+        .expect("the join admits the worker")
+        .into_iter()
+        .map(|worker| (worker.device_id, worker.into_lane()))
+        .collect();
+    let (_, fusion) = synthetic_executors(&plan);
+    let err = StreamScheduler::new(plan, devices, stream_config(TransportKind::Sim))
+        .expect("scheduler builds")
+        .collect_lanes(lanes, &layout, fusion)
+        .expect_err("a vanished worker cannot complete the stream");
+    let SchedError::Runtime { message } = &err else {
+        panic!("expected a runtime error, got {err}");
+    };
+    assert!(
+        message.contains("device 0") && message.contains("round 0"),
+        "{message}"
     );
 }
