@@ -4,9 +4,11 @@
 //!   carry a `// SAFETY:` comment (or a `# Safety` doc section) stating the
 //!   invariant it relies on.
 //! * `unsafe-outside-kernels` — `unsafe` is confined to `crates/tensor`
-//!   (SIMD kernels) and `crates/parallel` (scoped-thread lifetime erasure);
-//!   every other crate carries `#![forbid(unsafe_code)]` and this lint keeps
-//!   new crates honest before they grow a forbid attribute.
+//!   (SIMD kernels), `crates/parallel` (scoped-thread lifetime erasure) and
+//!   `vendor/bytes` (the calls into its CRC-32 and binary16 kernels, under
+//!   `#![deny(unsafe_code)]` with an `allow` per call); every other crate
+//!   carries `#![forbid(unsafe_code)]` and this lint keeps new crates honest
+//!   before they grow a forbid attribute.
 //!
 //! `unsafe fn(...)` *pointer types* are exempt from both lints: they have no
 //! body, discharge no obligation at the definition site, and are likewise
@@ -25,7 +27,9 @@ pub struct UnsafeOutsideKernels;
 
 /// Crates whose kernels legitimately need `unsafe`.
 fn kernel_crate(path: &str) -> bool {
-    path.starts_with("crates/tensor/") || path.starts_with("crates/parallel/")
+    ["crates/tensor/", "crates/parallel/", "vendor/bytes/"]
+        .iter()
+        .any(|kernels| path.starts_with(kernels))
 }
 
 /// Indices of `unsafe` tokens that introduce real unsafe code (not fn
@@ -143,7 +147,7 @@ impl Lint for UnsafeOutsideKernels {
     }
 
     fn description(&self) -> &'static str {
-        "unsafe code is confined to crates/tensor and crates/parallel; all other crates forbid it"
+        "unsafe code is confined to crates/tensor, crates/parallel and vendor/bytes; all other crates forbid it"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -157,8 +161,8 @@ impl Lint for UnsafeOutsideKernels {
                     self.id(),
                     file,
                     tok.start,
-                    "`unsafe` outside the kernel crates (crates/tensor, crates/parallel); \
-                     move the code behind a safe kernel API instead",
+                    "`unsafe` outside the kernel crates (crates/tensor, crates/parallel, \
+                     vendor/bytes); move the code behind a safe kernel API instead",
                 ));
             }
         }

@@ -26,12 +26,14 @@ pub struct Workspace {
 impl Workspace {
     /// Loads the workspace rooted at `root` from disk.
     ///
-    /// Walks `crates/` (and top-level `tests/` / `examples/` if present),
-    /// skipping `target/`, vendored stubs, and the analyzer's own lint
-    /// fixtures — those intentionally contain violations.
+    /// Walks `crates/`, top-level `tests/` / `examples/` if present, and
+    /// `vendor/bytes` — the one vendored stub that carries `unsafe`, there
+    /// for the two unsafe lints (every other lint scopes itself to
+    /// `crates/`) — skipping `target/`, the other vendored stubs, and the
+    /// analyzer's own lint fixtures — those intentionally contain violations.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut files = BTreeMap::new();
-        for top in ["crates", "tests", "examples"] {
+        for top in ["crates", "tests", "examples", "vendor/bytes"] {
             let dir = root.join(top);
             if dir.is_dir() {
                 walk_rs(root, &dir, &mut files)?;

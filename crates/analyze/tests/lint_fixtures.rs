@@ -79,6 +79,13 @@ fn undocumented_unsafe_fixture() {
     assert_eq!(found.len(), 1, "{found:?}");
     assert_eq!(found[0].line, 4, "anchors on the `unsafe` keyword");
 
+    // The vendored bytes stub is walked for this lint too.
+    let found = diags_for(
+        "undocumented-unsafe",
+        vec![("vendor/bytes/src/fixture.rs", positive), EMPTY_BUDGET],
+    );
+    assert_eq!(found.len(), 1, "{found:?}");
+
     let suppressed = include_str!("fixtures/undocumented_unsafe_suppressed.rs");
     let found = diags_for(
         "undocumented-unsafe",
@@ -96,12 +103,16 @@ fn unsafe_outside_kernels_fixture() {
     );
     assert_eq!(found.len(), 1, "{found:?}");
 
-    // The same file inside a kernel crate is in-scope for unsafe.
-    let found = diags_for(
-        "unsafe-outside-kernels",
-        vec![("crates/tensor/src/fixture.rs", positive), EMPTY_BUDGET],
-    );
-    assert!(found.is_empty(), "{found:?}");
+    // The same file inside any of the three kernel locations is in-scope
+    // for unsafe.
+    for kernels in ["crates/tensor", "crates/parallel", "vendor/bytes"] {
+        let path = format!("{kernels}/src/fixture.rs");
+        let found = diags_for(
+            "unsafe-outside-kernels",
+            vec![(path.as_str(), positive), EMPTY_BUDGET],
+        );
+        assert!(found.is_empty(), "{kernels}: {found:?}");
+    }
 
     let suppressed = include_str!("fixtures/unsafe_outside_suppressed.rs");
     let found = diags_for(

@@ -2,8 +2,9 @@
 //! f32 / f16 / f16+rle batch frames, on dense (incompressible) and sparse
 //! (rle-friendly) feature batches, plus the pieces a 24 KiB round frame
 //! (8 × 768 `f32`, the `wire_f32_tcp` workload of the repo benchmark) is
-//! priced by — the CRC-32 pass, its encode and decode, and one send + receive
-//! over a loopback TCP lane. The printed preamble reports the encoded sizes,
+//! priced by — the CRC-32 pass (dispatched, and on the table fallback), the
+//! binary16 conversions, its encode and decode, and one send + receive over a
+//! loopback TCP lane. The printed preamble reports the encoded sizes,
 //! so one run shows bytes-saved next to CPU cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -84,11 +85,40 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
-/// The checksum pass alone, over the bytes of one 24 KiB round frame.
+/// The checksum pass alone, over the bytes of one 24 KiB round frame: as
+/// `crc32` dispatches it on this machine, and through the table path every
+/// machine has. `crc32` runs the tables on any input under 128 bytes, so the
+/// second bench walks the same bytes in 112-byte pieces, each piece's start
+/// made to wait (through `black_box`) for the checksum before it — the
+/// tables are one dependency chain from first byte to last, and independent
+/// pieces would overlap and read twice as fast as the real pass.
 fn bench_crc32(c: &mut Criterion) {
     let frame = dense_batch_of(WIDE_DIM).encode();
     c.bench_function("crc32/24k", |b| {
         b.iter(|| bytes::crc32(black_box(frame.as_slice())));
+    });
+    c.bench_function("crc32_tables/24k", |b| {
+        b.iter(|| {
+            let (mut at, mut sum) = (0usize, 0u32);
+            while let Some(piece) = frame.as_slice().get(at..at + 112) {
+                sum ^= bytes::crc32(piece);
+                at += 112 + (black_box(sum as usize) >> 32);
+            }
+            sum
+        });
+    });
+}
+
+/// The binary16 conversions alone, over the 6 144 values of one round frame.
+fn bench_f16(c: &mut Criterion) {
+    let values = dense_batch_of(WIDE_DIM).features;
+    let mut bits = vec![0u16; values.len()];
+    c.bench_function("f16_encode/6144", |b| {
+        b.iter(|| bytes::f32_to_f16_bits_slice(black_box(&values), &mut bits));
+    });
+    let mut widened = vec![0.0f32; bits.len()];
+    c.bench_function("f16_decode/6144", |b| {
+        b.iter(|| bytes::f16_bits_to_f32_slice(black_box(&bits), &mut widened));
     });
 }
 
@@ -137,6 +167,7 @@ fn wire_codec_benches(c: &mut Criterion) {
     bench_encode(c);
     bench_decode(c);
     bench_crc32(c);
+    bench_f16(c);
     bench_tcp_lane(c);
 }
 

@@ -27,7 +27,7 @@
 //!
 //! The full byte-level layouts are diagrammed in `crates/edge/README.md`.
 
-use bytes::{crc32, f16_bits_to_f32, f32_to_f16_bits, Buf, BufMut, Bytes, BytesMut};
+use bytes::{crc32, f16_bits_to_f32_slice, f32_to_f16_bits_slice, Buf, BufMut, Bytes, BytesMut};
 
 use edvit_tensor::Tensor;
 
@@ -161,7 +161,14 @@ pub fn batch_frame_len(num_samples: usize, feature_dim: usize) -> usize {
 /// stream) — the latency model prices compression pessimistically and lets
 /// the measured `bytes_on_wire` report the real savings.
 pub fn batch_frame_len_coded(num_samples: usize, feature_dim: usize, codec: PayloadCodec) -> usize {
-    let values = num_samples * feature_dim;
+    V2_HEADER_LEN + batch_payload_len(num_samples, num_samples * feature_dim, codec)
+}
+
+/// Most payload bytes a batch of `num_samples` samples holding `values`
+/// values in all can encode to under `codec` — what
+/// [`batch_frame_len_coded`] prices and what the encoder allocates, so no
+/// frame outgrows its buffer.
+fn batch_payload_len(num_samples: usize, values: usize, codec: PayloadCodec) -> usize {
     let value_bytes = match codec {
         PayloadCodec::F32 => values * 4,
         PayloadCodec::F16 => values * 2,
@@ -169,7 +176,7 @@ pub fn batch_frame_len_coded(num_samples: usize, feature_dim: usize, codec: Payl
         // of up to RLE_MAX_LITERALS values, two bytes per value.
         PayloadCodec::F16Rle => 4 + values * 2 + values.div_ceil(RLE_MAX_LITERALS),
     };
-    V2_HEADER_LEN + BATCH_FIXED_LEN + num_samples * 4 + value_bytes
+    BATCH_FIXED_LEN + num_samples * 4 + value_bytes
 }
 
 /// What a v2 frame carries.
@@ -416,73 +423,69 @@ const RLE_MAX_REPEAT: usize = 129;
 /// Shortest run worth a repeat token (3 values: 3 bytes vs 6 literal bytes).
 const RLE_MIN_REPEAT: usize = 3;
 
-/// Compresses the delta stream into `out`.
+/// Compresses the delta stream into `out`. A repeat token pays from three
+/// equal values on, so everything before the next such triple is literal.
 fn rle_compress(deltas: &[u16], out: &mut BytesMut) {
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-    while i < deltas.len() {
-        let mut run = 1usize;
-        while run < RLE_MAX_REPEAT && i + run < deltas.len() && deltas[i + run] == deltas[i] {
-            run += 1;
-        }
-        if run >= RLE_MIN_REPEAT {
-            rle_flush_literals(&deltas[literal_start..i], out);
-            out.put_u8(0x80 | (run - 2) as u8);
-            out.put_u16_le(deltas[i]);
-            i += run;
-            literal_start = i;
-        } else {
-            i += run;
-        }
+    let mut rest = deltas;
+    while let Some(at) = rest
+        .windows(RLE_MIN_REPEAT)
+        .position(|w| w[0] == w[1] && w[1] == w[2])
+    {
+        let (literals, run_on) = rest.split_at(at);
+        rle_flush_literals(literals, out);
+        let longest = &run_on[..run_on.len().min(RLE_MAX_REPEAT)];
+        let run = longest.iter().take_while(|&&d| d == longest[0]).count();
+        out.put_u8(0x80 | (run - 2) as u8);
+        out.put_u16_le(longest[0]);
+        rest = &run_on[run..];
     }
-    rle_flush_literals(&deltas[literal_start..], out);
+    rle_flush_literals(rest, out);
 }
 
-/// Emits pending literal values as maximal literal tokens.
-fn rle_flush_literals(mut pending: &[u16], out: &mut BytesMut) {
-    while !pending.is_empty() {
-        let n = pending.len().min(RLE_MAX_LITERALS);
-        out.put_u8((n - 1) as u8);
-        for &value in &pending[..n] {
-            out.put_u16_le(value);
-        }
-        pending = &pending[n..];
+/// Emits pending literal values as maximal literal tokens, each token's
+/// values in one bulk write.
+fn rle_flush_literals(pending: &[u16], out: &mut BytesMut) {
+    for literals in pending.chunks(RLE_MAX_LITERALS) {
+        out.put_u8((literals.len() - 1) as u8);
+        out.put_u16_slice_le(literals);
     }
 }
 
 /// Decompresses exactly `expected_values` u16 deltas from `bytes`, which must
 /// hold exactly the token stream (strict: trailing bytes, truncation and
-/// over-long runs are all [`EdgeError::Decode`]). Never panics.
+/// over-long runs are all [`EdgeError::Decode`]). A literal run is one bulk
+/// read and a repeat run one fill, both into the block allocated up front.
+/// Never panics.
 fn rle_decompress(bytes: &mut Bytes, expected_values: usize) -> Result<Vec<u16>> {
-    let mut out = Vec::with_capacity(expected_values);
-    while out.len() < expected_values {
+    let mut out = vec![0u16; expected_values];
+    let mut room = out.as_mut_slice();
+    while !room.is_empty() {
         let control = bytes
             .try_get_u8()
             .ok_or_else(|| decode_err("compressed value stream ends mid-token"))?;
-        if control & 0x80 == 0 {
-            let n = control as usize + 1;
-            if out.len() + n > expected_values {
-                return Err(decode_err(format!(
-                    "literal run of {n} values overflows the {expected_values}-value block"
-                )));
-            }
-            for _ in 0..n {
-                out.push(bytes.try_get_u16_le().ok_or_else(|| {
-                    decode_err("compressed value stream truncated inside a literal run")
-                })?);
-            }
+        let literal = control & 0x80 == 0;
+        let n = if literal {
+            control as usize + 1
         } else {
-            let n = (control & 0x7F) as usize + 2;
-            if out.len() + n > expected_values {
-                return Err(decode_err(format!(
-                    "repeat run of {n} values overflows the {expected_values}-value block"
-                )));
-            }
+            (control & 0x7F) as usize + 2
+        };
+        let Some((run, rest)) = room.split_at_mut_checked(n) else {
+            let kind = if literal { "literal" } else { "repeat" };
+            return Err(decode_err(format!(
+                "{kind} run of {n} values overflows the {expected_values}-value block"
+            )));
+        };
+        if literal {
+            bytes.try_get_u16_slice_le(run).ok_or_else(|| {
+                decode_err("compressed value stream truncated inside a literal run")
+            })?;
+        } else {
             let value = bytes
                 .try_get_u16_le()
                 .ok_or_else(|| decode_err("compressed value stream truncated inside a repeat"))?;
-            out.resize(out.len() + n, value);
+            run.fill(value);
         }
+        room = rest;
     }
     if bytes.remaining() != 0 {
         return Err(decode_err(format!(
@@ -684,46 +687,44 @@ impl FeatureBatchMessage {
     /// round-to-nearest-even, and [`PayloadCodec::F16Rle`] additionally
     /// delta-codes and run-length compresses the quantized bits.
     pub fn encode_with(&self, codec: PayloadCodec) -> Bytes {
-        let payload_capacity = BATCH_FIXED_LEN
-            + self.sample_indices.len() * 4
-            + self.features.len() * codec.bytes_per_value();
         encode_v2_frame(
             FrameKind::FeatureBatch,
             FLAG_CHECKSUM | codec.flag_bits(),
-            payload_capacity,
-            |frame| {
-                frame.put_u32_le(self.sub_model);
-                frame.put_u32_le(self.feature_dim);
-                frame.put_u32_le(self.sample_indices.len() as u32);
-                for &index in &self.sample_indices {
-                    frame.put_u32_le(index);
-                }
-                match codec {
-                    PayloadCodec::F32 => frame.put_f32_slice_le(&self.features),
-                    PayloadCodec::F16 => frame.put_f16_slice_le(&self.features),
-                    PayloadCodec::F16Rle => {
-                        let mut previous = 0u16;
-                        let deltas: Vec<u16> = self
-                            .features
-                            .iter()
-                            .map(|&v| {
-                                let bits = f32_to_f16_bits(v);
-                                let delta = bits.wrapping_sub(previous);
-                                previous = bits;
-                                delta
-                            })
-                            .collect();
-                        // `comp_len` is known only once the stream is written.
-                        let comp_len_at = frame.len();
-                        frame.put_u32_le(0);
-                        rle_compress(&deltas, frame);
-                        let comp_len = (frame.len() - comp_len_at - 4) as u32;
-                        frame.as_mut()[comp_len_at..comp_len_at + 4]
-                            .copy_from_slice(&comp_len.to_le_bytes());
-                    }
-                }
-            },
+            batch_payload_len(self.sample_indices.len(), self.features.len(), codec),
+            |frame| self.write_payload(codec, frame),
         )
+    }
+
+    /// Appends the batch payload under `codec` to `frame`.
+    fn write_payload(&self, codec: PayloadCodec, frame: &mut BytesMut) {
+        frame.put_u32_le(self.sub_model);
+        frame.put_u32_le(self.feature_dim);
+        frame.put_u32_le(self.sample_indices.len() as u32);
+        for &index in &self.sample_indices {
+            frame.put_u32_le(index);
+        }
+        match codec {
+            PayloadCodec::F32 => frame.put_f32_slice_le(&self.features),
+            PayloadCodec::F16 => frame.put_f16_slice_le(&self.features),
+            PayloadCodec::F16Rle => {
+                // One buffer: the f16 bits, then their deltas in place.
+                let mut deltas = vec![0u16; self.features.len()];
+                f32_to_f16_bits_slice(&self.features, &mut deltas);
+                let mut previous = 0u16;
+                for delta in &mut deltas {
+                    let bits = *delta;
+                    *delta = bits.wrapping_sub(previous);
+                    previous = bits;
+                }
+                // `comp_len` is known only once the stream is written.
+                let comp_len_at = frame.len();
+                frame.put_u32_le(0);
+                rle_compress(&deltas, frame);
+                let comp_len = (frame.len() - comp_len_at - 4) as u32;
+                frame.as_mut()[comp_len_at..comp_len_at + 4]
+                    .copy_from_slice(&comp_len.to_le_bytes());
+            }
+        }
     }
 
     /// Splits the batch into one [`FeatureMessage`] per sample (pack order).
@@ -970,15 +971,17 @@ fn decode_batch_payload(bytes: &mut Bytes, codec: PayloadCodec) -> Result<Featur
                     bytes.remaining()
                 )));
             }
-            let deltas = rle_decompress(bytes, values)?;
+            // One buffer: the deltas, then their prefix sums — the f16 bits —
+            // in place.
+            let mut halves = rle_decompress(bytes, values)?;
             let mut previous = 0u16;
-            deltas
-                .into_iter()
-                .map(|delta| {
-                    previous = previous.wrapping_add(delta);
-                    f16_bits_to_f32(previous)
-                })
-                .collect()
+            for half in &mut halves {
+                previous = previous.wrapping_add(*half);
+                *half = previous;
+            }
+            let mut features = vec![0.0f32; values];
+            f16_bits_to_f32_slice(&halves, &mut features);
+            features
         }
     };
     Ok(FeatureBatchMessage {
@@ -1508,6 +1511,132 @@ mod tests {
             bytes[12..16].copy_from_slice(&crc);
             let err = WireFrame::decode(Bytes::from(bytes)).unwrap_err();
             assert!(matches!(err, EdgeError::Decode { .. }), "cut {cut}: {err}");
+        }
+    }
+
+    #[test]
+    fn rle_frame_with_every_run_shape_survives_a_cut_at_every_byte() {
+        // Deltas of the f16 bits, by run: literals never repeat a neighbour
+        // (5, −3, 5, …), repeats are runs of one delta. In order: a literal
+        // run of 1, a repeat of 3 (the shortest token), 127 literals, a
+        // repeat of 129 (the longest token), 128 literals (a full token), a
+        // repeat of 130 (one token and a value left over), and a last literal
+        // run of 129 — that left-over value, 126 more and a repeat of 2, too
+        // short for a token — which takes two tokens and ends the stream.
+        let literals = |n: usize| {
+            (0..n).map(|i| {
+                if i % 2 == 0 {
+                    5u16
+                } else {
+                    3u16.wrapping_neg()
+                }
+            })
+        };
+        let mut deltas: Vec<u16> = vec![7];
+        deltas.extend([0; 3]);
+        deltas.extend(literals(127));
+        deltas.extend([1; 129]);
+        deltas.extend(literals(128));
+        deltas.extend([0; 130]);
+        deltas.extend(literals(126));
+        deltas.extend([9; 2]);
+        let mut bits = 0x3C00u16; // 1.0: every prefix sum stays a normal half
+        let values: Vec<f32> = deltas
+            .iter()
+            .map(|&delta| {
+                bits = bits.wrapping_add(delta);
+                bytes::f16_bits_to_f32(bits)
+            })
+            .collect();
+        let mut batch = FeatureBatchMessage::new(4, values.len());
+        batch.push_feature(0, &values).unwrap();
+        let encoded = batch.encode_with(PayloadCodec::F16Rle);
+        let full = encoded.as_slice().to_vec();
+
+        // The token stream is what the comment above says it is.
+        let stream_start = V2_HEADER_LEN + BATCH_FIXED_LEN + 4 + 4;
+        let mut tokens = Vec::new();
+        let mut at = stream_start;
+        while at < full.len() {
+            let control = full[at];
+            let (n, bytes) = if control & 0x80 == 0 {
+                (control as usize + 1, 2 * (control as usize + 1))
+            } else {
+                ((control & 0x7F) as usize + 2, 2)
+            };
+            tokens.push((control & 0x80 != 0, n));
+            at += 1 + bytes;
+        }
+        let (lit, rep) = (false, true);
+        assert_eq!(
+            tokens,
+            [
+                (lit, 1),
+                (rep, 3),
+                (lit, 127),
+                (rep, 129),
+                (lit, 128),
+                (rep, 129),
+                (lit, 128),
+                (lit, 1)
+            ]
+        );
+
+        // Whole: decodes to the values, and re-encodes to the same bytes.
+        let decoded = decode_batch(encoded);
+        assert_eq!(decoded.features, values);
+        assert_eq!(decoded.encode_with(PayloadCodec::F16Rle).as_slice(), full);
+
+        // Cut at every byte offset. As it stands the header's length no
+        // longer matches; with payload_len, comp_len and the CRC fixed up,
+        // only the token parser is left to reject it. Either way an error,
+        // never a panic.
+        for keep in 0..full.len() {
+            let mut bytes = full[..keep].to_vec();
+            assert!(
+                WireFrame::decode(Bytes::from(bytes.clone())).is_err(),
+                "raw cut at {keep}"
+            );
+            if keep < stream_start {
+                continue;
+            }
+            let payload_len = (keep - V2_HEADER_LEN) as u32;
+            bytes[8..12].copy_from_slice(&payload_len.to_le_bytes());
+            let comp_len = (keep - stream_start) as u32;
+            bytes[stream_start - 4..stream_start].copy_from_slice(&comp_len.to_le_bytes());
+            let crc = crc32(&bytes[V2_HEADER_LEN..]).to_le_bytes();
+            bytes[12..16].copy_from_slice(&crc);
+            let err = WireFrame::decode(Bytes::from(bytes)).unwrap_err();
+            assert!(
+                matches!(err, EdgeError::Decode { .. }),
+                "cut at {keep}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dense_round_batch_never_outgrows_the_buffer_it_was_sized_for() {
+        // 8 × 768 incompressible values: under f16+rle the frame carries a
+        // comp_len word and 48 literal control bytes on top of the halves.
+        // The two calls below are `encode_with`'s own; the buffer's address
+        // and capacity must be the same before and after the payload.
+        let mut rng = edvit_tensor::init::TensorRng::new(7);
+        let mut batch = FeatureBatchMessage::new(0, 768);
+        for sample in 0..8 {
+            batch
+                .push_tensor(sample, &rng.randn(&[768], 0.0, 1.0))
+                .unwrap();
+        }
+        for codec in PayloadCodec::ALL {
+            let bound = batch_payload_len(8, 8 * 768, codec);
+            assert_eq!(V2_HEADER_LEN + bound, batch_frame_len_coded(8, 768, codec));
+            let frame = encode_v2_frame(FrameKind::FeatureBatch, codec.flag_bits(), bound, |f| {
+                let allocated = (f.as_ref().as_ptr(), f.capacity());
+                assert_eq!(allocated.1, V2_HEADER_LEN + bound, "{codec}");
+                batch.write_payload(codec, f);
+                assert_eq!((f.as_ref().as_ptr(), f.capacity()), allocated, "{codec}");
+            });
+            assert_eq!(frame.len(), batch.encode_with(codec).len());
         }
     }
 
