@@ -8,7 +8,6 @@
 //! * `WIRE_MAGIC` vs the `magic  ED 56 49 54` row,
 //! * `WIRE_VERSION` vs `(currently N)`,
 //! * `V2_HEADER_LEN` vs `starts with a N-byte header`,
-//! * `V1_HEADER_LEN` vs `A bare N-byte header`,
 //! * `CONTROL_PAYLOAD_LEN` / `CONTROL_FRAME_LEN` vs their inline mentions,
 //! * `FLAG_CHECKSUM` / `FLAG_CODEC_MASK` / `FLAG_CODEC_SHIFT` vs the flag-bit
 //!   table rows (`| 0 | CRC-32 … |`, `| 1–2 | payload codec … |`).
@@ -270,11 +269,6 @@ impl Lint for WireConstDrift {
             "starts with a N-byte header",
         );
         c.check_num(
-            "V1_HEADER_LEN",
-            number_after(readme, "A bare "),
-            "A bare N-byte header",
-        );
-        c.check_num(
             "CONTROL_PAYLOAD_LEN",
             number_after(readme, "`CONTROL_PAYLOAD_LEN` = "),
             "`CONTROL_PAYLOAD_LEN` = N bytes",
@@ -345,7 +339,6 @@ mod tests {
 pub const WIRE_MAGIC: [u8; 4] = [0xED, b'V', b'I', b'T'];
 pub const WIRE_VERSION: u8 = 2;
 pub const V2_HEADER_LEN: usize = 16;
-pub const V1_HEADER_LEN: usize = 12;
 pub const CONTROL_PAYLOAD_LEN: usize = 24;
 pub const CONTROL_FRAME_LEN: usize = V2_HEADER_LEN + CONTROL_PAYLOAD_LEN;
 pub const FLAG_CHECKSUM: u8 = 0b0000_0001;
@@ -354,7 +347,6 @@ pub const FLAG_CODEC_SHIFT: u8 = 1;
 ";
 
     const GOOD_README: &str = "\
-A bare 12-byte header.
 Every frame starts with a 16-byte header:
  0       4    magic         ED 56 49 54  (0xED + ASCII \"VIT\")
  4       1    version       u8    (currently 2)

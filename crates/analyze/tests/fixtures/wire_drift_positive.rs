@@ -4,7 +4,6 @@
 pub const WIRE_MAGIC: [u8; 4] = [0xED, b'V', b'I', b'T'];
 pub const WIRE_VERSION: u8 = 3;
 pub const V2_HEADER_LEN: usize = 20;
-pub const V1_HEADER_LEN: usize = 12;
 pub const CONTROL_PAYLOAD_LEN: usize = 24;
 pub const CONTROL_FRAME_LEN: usize = V2_HEADER_LEN + CONTROL_PAYLOAD_LEN;
 pub const FLAG_CHECKSUM: u8 = 0b0000_0001;

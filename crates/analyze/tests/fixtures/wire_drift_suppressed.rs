@@ -5,7 +5,6 @@ pub const WIRE_MAGIC: [u8; 4] = [0xED, b'V', b'I', b'T'];
 pub const WIRE_VERSION: u8 = 3;
 // edvit:allow(wire-const-drift)
 pub const V2_HEADER_LEN: usize = 20;
-pub const V1_HEADER_LEN: usize = 12;
 pub const CONTROL_PAYLOAD_LEN: usize = 24;
 // edvit:allow(wire-const-drift)
 pub const CONTROL_FRAME_LEN: usize = V2_HEADER_LEN + CONTROL_PAYLOAD_LEN;

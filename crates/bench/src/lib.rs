@@ -9,8 +9,9 @@
 //!   and print the rows (`cargo run -p edvit-bench --bin fig4 --release`).
 //!   They default to fast mode; set `EDVIT_FULL=1` for the five-trial,
 //!   experiment-scale sweep.
-//! * **Criterion micro/meso benchmarks** (`benches/`), covering the hot
-//!   kernels, the planning algorithms and the table generators.
+//! * **Criterion micro-benchmarks** (`benches/kernels.rs`,
+//!   `benches/wire_codecs.rs`): developer microscopes over the hot kernels
+//!   and the bytes path. The repo's benchmark is `perfbench/`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

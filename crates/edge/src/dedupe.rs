@@ -9,8 +9,9 @@
 //! * per `(device, control kind)` stream, a frame is **admitted** only when
 //!   its sequence is strictly greater than the last admitted sequence;
 //! * everything else — an exact replay, a reordered straggler, or a counter
-//!   that wrapped around to a smaller value — is **rejected and counted**. A
-//!   rejected frame must never advance any deadline or state downstream.
+//!   that wrapped around to a smaller value — is **rejected** (the caller
+//!   journals it). A rejected frame must never advance any deadline or state
+//!   downstream.
 //!
 //! The first frame of a stream is always admitted (there is no previous
 //! sequence to compare against), which makes `Join` frames with their fixed
@@ -26,7 +27,6 @@ use crate::wire::ControlKind;
 pub struct ControlDeduper {
     /// Last admitted sequence per (device, kind) stream.
     admitted: BTreeMap<(u32, ControlKind), u64>,
-    rejected: u64,
 }
 
 impl ControlDeduper {
@@ -37,7 +37,7 @@ impl ControlDeduper {
 
     /// Admits or rejects one control frame: returns `true` (and records the
     /// sequence) when the frame is fresh for its `(device, kind)` stream,
-    /// `false` (and counts the rejection) when it is a replay or stale.
+    /// `false` when it is a replay or stale.
     pub fn admit(&mut self, device_id: u32, kind: ControlKind, sequence: u64) -> bool {
         match self.admitted.get_mut(&(device_id, kind)) {
             None => {
@@ -48,22 +48,8 @@ impl ControlDeduper {
                 *last = sequence;
                 true
             }
-            Some(_) => {
-                self.rejected += 1;
-                false
-            }
+            Some(_) => false,
         }
-    }
-
-    /// Control frames rejected as replayed or stale so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Last admitted sequence for a `(device, kind)` stream, if any frame was
-    /// admitted yet.
-    pub fn last_admitted(&self, device_id: u32, kind: ControlKind) -> Option<u64> {
-        self.admitted.get(&(device_id, kind)).copied()
     }
 }
 
@@ -76,12 +62,12 @@ mod tests {
         let mut dedupe = ControlDeduper::new();
         assert!(dedupe.admit(0, ControlKind::Heartbeat, 1));
         assert!(dedupe.admit(0, ControlKind::Heartbeat, 2));
-        // Exact replay and stale reorder are both rejected and counted.
+        // Exact replay and stale reorder are both rejected.
         assert!(!dedupe.admit(0, ControlKind::Heartbeat, 2));
         assert!(!dedupe.admit(0, ControlKind::Heartbeat, 1));
-        assert_eq!(dedupe.rejected(), 2);
+        // A rejection leaves the last admitted sequence where it was.
         assert!(dedupe.admit(0, ControlKind::Heartbeat, 3));
-        assert_eq!(dedupe.last_admitted(0, ControlKind::Heartbeat), Some(3));
+        assert!(!dedupe.admit(0, ControlKind::Heartbeat, 3));
     }
 
     #[test]
@@ -92,8 +78,8 @@ mod tests {
         // device, is a different stream.
         assert!(dedupe.admit(1, ControlKind::Heartbeat, 5));
         assert!(dedupe.admit(0, ControlKind::Leave, 5));
-        assert_eq!(dedupe.rejected(), 0);
-        assert_eq!(dedupe.last_admitted(0, ControlKind::Join), None);
+        // A stream nothing was admitted on yet takes any first sequence.
+        assert!(dedupe.admit(0, ControlKind::Join, 0));
     }
 
     #[test]
@@ -102,7 +88,6 @@ mod tests {
         assert!(dedupe.admit(4, ControlKind::Join, 0));
         // Re-announcing the same join is a replay.
         assert!(!dedupe.admit(4, ControlKind::Join, 0));
-        assert_eq!(dedupe.rejected(), 1);
         // A later join with a higher sequence (a new identity-epoch) passes.
         assert!(dedupe.admit(4, ControlKind::Join, 1));
     }
@@ -113,10 +98,7 @@ mod tests {
         assert!(dedupe.admit(0, ControlKind::Heartbeat, u64::MAX));
         assert!(!dedupe.admit(0, ControlKind::Heartbeat, 0));
         assert!(!dedupe.admit(0, ControlKind::Heartbeat, 1));
-        assert_eq!(dedupe.rejected(), 2);
-        assert_eq!(
-            dedupe.last_admitted(0, ControlKind::Heartbeat),
-            Some(u64::MAX)
-        );
+        // The wrapped values did not move the stream off `u64::MAX`.
+        assert!(!dedupe.admit(0, ControlKind::Heartbeat, u64::MAX));
     }
 }

@@ -226,13 +226,13 @@ impl ClusterRuntime {
             .collect::<Result<Vec<_>>>()?;
         let (senders, receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
 
-        let per_device_compute_seconds = crossbeam::scope(|scope| {
+        let per_device_compute_seconds = std::thread::scope(|scope| {
             let devices: Vec<_> = executors
                 .into_iter()
                 .zip(senders)
                 .enumerate()
                 .map(|(device, (mut executor, tx))| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let device_started = Instant::now();
                         // Sibling device threads split the kernel pool evenly.
                         let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
@@ -255,14 +255,18 @@ impl ClusterRuntime {
                     })
                 })
                 .collect();
-            devices
+            // Join every handle before looking at any result: a panicked
+            // worker left unjoined would unwind out of `scope` instead of
+            // becoming the typed error below.
+            let joined: Vec<_> = devices
                 .into_iter()
-                .map(|device| device.join().ok())
-                .collect::<Option<Vec<f64>>>()
+                .map(std::thread::ScopedJoinHandle::join)
+                .collect();
+            joined
+                .into_iter()
+                .collect::<std::thread::Result<Vec<f64>>>()
         })
-        .ok()
-        .flatten()
-        .ok_or_else(|| EdgeError::Runtime {
+        .map_err(|_| EdgeError::Runtime {
             message: "a device worker thread panicked".to_string(),
         })?;
 
@@ -551,9 +555,28 @@ mod tests {
     }
 
     #[test]
+    fn panicking_executors_are_a_typed_runtime_error_not_an_unwinding_scope() {
+        // Both device workers panic: the first failed join must not leave
+        // the second unjoined, or its panic would unwind out of the scope.
+        let panicking = || -> SubModelFn { Box::new(|_: &Tensor| panic!("executor blew up")) };
+        let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
+        let err = ClusterRuntime::new(NetworkConfig::paper_default())
+            .run(
+                &[Tensor::zeros(&[1])],
+                vec![panicking(), panicking()],
+                fusion,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, EdgeError::Runtime { message } if message.contains("panicked")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn one_frame_transfer_beats_per_sample_messages() {
         // The batched round must put fewer bytes on the wire than shipping
-        // one v2 single-feature frame per (device, sample) pair would.
+        // one single-sample frame per (device, sample) pair would.
         let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
         let samples = 16usize;
         let dim = 32usize;
@@ -562,8 +585,7 @@ mod tests {
         let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
         let report = runtime.run(&inputs, executors, fusion).unwrap();
         assert_eq!(report.frames, 1);
-        let per_sample_frames =
-            samples * (crate::wire::V2_HEADER_LEN + crate::wire::V1_HEADER_LEN + dim * 4);
+        let per_sample_frames = samples * crate::wire::batch_frame_len(1, dim);
         assert!(
             report.bytes_on_wire < per_sample_frames as u64,
             "{} !< {per_sample_frames}",

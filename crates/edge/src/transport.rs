@@ -20,12 +20,12 @@
 //!   [`LaneEvent::PeerError`] and aborts the stream.
 //!
 //! [`SimTransport`] is the bit-identical twin of the scheduler's original
-//! hard-wired crossbeam plumbing: bounded channels, disconnect-as-death, no
+//! hard-wired channel plumbing: bounded channels, disconnect-as-death, no
 //! wall clock anywhere. `edvit_net::TcpTransport` carries the same contract
 //! over loopback sockets.
 
 use bytes::Bytes;
-use crossbeam::channel;
+use std::sync::mpsc;
 
 use crate::{Result, TransportKind};
 
@@ -104,7 +104,7 @@ enum LaneItem {
     Error(String),
 }
 
-/// The deterministic in-process backend: bounded crossbeam channels with
+/// The deterministic in-process backend: bounded `std::sync::mpsc` channels with
 /// disconnect-as-death semantics, bit-identical to the plumbing the
 /// [`Transport`] trait was extracted from.
 #[derive(Debug, Default)]
@@ -118,11 +118,11 @@ impl SimTransport {
 }
 
 struct SimTx {
-    tx: channel::SyncSender<LaneItem>,
+    tx: mpsc::SyncSender<LaneItem>,
 }
 
 struct SimRx {
-    rx: channel::Receiver<LaneItem>,
+    rx: mpsc::Receiver<LaneItem>,
 }
 
 impl FrameTx for SimTx {
@@ -153,7 +153,7 @@ impl Transport for SimTransport {
         _peer: usize,
         capacity: usize,
     ) -> Result<(Box<dyn FrameTx>, Box<dyn FrameRx>)> {
-        let (tx, rx) = channel::bounded::<LaneItem>(capacity);
+        let (tx, rx) = mpsc::sync_channel::<LaneItem>(capacity);
         Ok((Box::new(SimTx { tx }), Box::new(SimRx { rx })))
     }
 

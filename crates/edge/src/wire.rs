@@ -3,27 +3,23 @@
 //! Every frame is **v2**: a 16-byte header — 4-byte magic `ED 56 49 54`
 //! ("íVIT"), version, flags, frame kind, reserved byte, payload length and a
 //! CRC-32 of the payload — followed by a kind-specific payload. Kind
-//! [`FrameKind::Feature`] carries one feature vector; kind
 //! [`FrameKind::FeatureBatch`] packs *all* samples of one sub-model into a
 //! single frame, which is what the batched [`crate::ClusterRuntime`] ships
-//! (one frame per device per round); kind [`FrameKind::Control`] carries
-//! membership/health signalling (join / leave / heartbeat) for the streaming
-//! scheduler — CRC-protected exactly like data frames, because a corrupted
-//! heartbeat must not be able to keep a dead device looking alive.
-//!
-//! The pre-v2 generation (**v1**: a bare 12-byte header `sub_model`,
-//! `sample_index`, `len` followed by `len` little-endian `f32`s; no magic,
-//! no version, no checksum) survives only as the *payload layout* of a
-//! [`FrameKind::Feature`] frame. Nothing sends it bare any more, and a buffer
-//! without the magic is rejected rather than parsed unchecksummed.
+//! (one frame per device per round; a one-sample batch is the single-feature
+//! message); kind [`FrameKind::Control`] carries membership/health signalling
+//! (join / leave / heartbeat) for the streaming scheduler — CRC-protected
+//! exactly like data frames, because a corrupted heartbeat must not be able
+//! to keep a dead device looking alive. Kind byte 1 (a retired one-feature
+//! layout) is unassigned, like every other byte but 2 and 3: a typed
+//! [`EdgeError::Decode`].
 //!
 //! Bits 1–2 of the flags byte negotiate the **payload codec** of batch
 //! frames ([`PayloadCodec`]): raw `f32` (codec 0, the layout every pre-codec
 //! encoder emitted), `f16` quantization (halves the value bytes, relative
 //! error ≤ 2⁻¹⁰), or `f16` plus delta/run-length compression for low-entropy
 //! features. The CRC always covers the encoded payload, so corruption is
-//! detected before dequantization; single-feature and control frames must
-//! carry codec 0 (anything else is an [`EdgeError::Protocol`] violation).
+//! detected before dequantization; control frames must carry codec 0
+//! (anything else is an [`EdgeError::Protocol`] violation).
 //!
 //! The full byte-level layouts are diagrammed in `crates/edge/README.md`.
 
@@ -42,10 +38,6 @@ pub const WIRE_VERSION: u8 = 2;
 /// Size in bytes of the v2 frame header (magic, version, flags, kind,
 /// reserved, payload length, payload CRC-32).
 pub const V2_HEADER_LEN: usize = 16;
-
-/// Size in bytes of the v1 message header (`sub_model`, `sample_index`,
-/// `len`) that opens the payload of a [`FrameKind::Feature`] frame.
-pub const V1_HEADER_LEN: usize = 12;
 
 /// Fixed bytes of a [`FrameKind::FeatureBatch`] payload before the per-sample
 /// data (`sub_model`, `feature_dim`, `num_samples`).
@@ -75,9 +67,9 @@ pub const FLAG_CODEC_SHIFT: u8 = 1;
 /// How the feature values of a batch frame are laid out on the wire.
 ///
 /// The codec rides in bits 1–2 of the v2 header's `flags` byte and applies to
-/// [`FrameKind::FeatureBatch`] payloads only: single-feature and control
-/// frames must carry codec 0, and a non-zero codec there is an
-/// [`EdgeError::Protocol`] violation. Whatever the codec, the CRC-32 covers
+/// [`FrameKind::FeatureBatch`] payloads only: control frames must carry
+/// codec 0, and a non-zero codec there is an [`EdgeError::Protocol`]
+/// violation. Whatever the codec, the CRC-32 covers
 /// the *encoded* payload bytes, so corruption is detected before any
 /// dequantization or decompression runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -183,8 +175,6 @@ fn batch_payload_len(num_samples: usize, values: usize, codec: PayloadCodec) -> 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// One feature vector for one (sub-model, sample) pair.
-    Feature = 1,
     /// Every sample's feature vector for one sub-model, in a single frame.
     FeatureBatch = 2,
     /// Membership/health signalling: join, leave or heartbeat.
@@ -194,7 +184,6 @@ pub enum FrameKind {
 impl FrameKind {
     fn from_byte(byte: u8) -> Option<FrameKind> {
         match byte {
-            1 => Some(FrameKind::Feature),
             2 => Some(FrameKind::FeatureBatch),
             3 => Some(FrameKind::Control),
             _ => None,
@@ -496,7 +485,9 @@ fn rle_decompress(bytes: &mut Bytes, expected_values: usize) -> Result<Vec<u16>>
     Ok(out)
 }
 
-/// A serialized feature vector sent from an edge device to the fusion device.
+/// One sample's feature vector out of a [`FeatureBatchMessage`]: the plain
+/// row view [`FeatureBatchMessage::into_messages`] splits a batch into. It
+/// has no wire layout of its own — a one-sample batch frame carries it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureMessage {
     /// Index of the sub-model that produced the feature.
@@ -517,13 +508,6 @@ impl FeatureMessage {
         }
     }
 
-    /// Encodes a feature tensor directly into a v2 frame, writing straight
-    /// from the tensor's backing slice — no intermediate `FeatureMessage` or
-    /// `Vec` clone on the hot path.
-    pub fn encode_tensor(sub_model: usize, sample_index: usize, feature: &Tensor) -> Bytes {
-        encode_feature_payload(sub_model as u32, sample_index as u32, feature.data())
-    }
-
     /// The feature as a tensor of shape `[dim]`, cloning the payload. Prefer
     /// [`FeatureMessage::into_tensor`] when the message is no longer needed.
     pub fn to_tensor(&self) -> Tensor {
@@ -535,57 +519,6 @@ impl FeatureMessage {
     pub fn into_tensor(self) -> Tensor {
         Tensor::vector(self.feature)
     }
-
-    /// Size of the encoded v2 frame in bytes (16-byte header + payload).
-    pub fn encoded_len(&self) -> usize {
-        V2_HEADER_LEN + V1_HEADER_LEN + self.feature.len() * 4
-    }
-
-    /// Size in bytes of just the feature payload (what the paper reports).
-    pub fn payload_bytes(&self) -> usize {
-        self.feature.len() * 4
-    }
-
-    /// Encodes the message as a v2 [`FrameKind::Feature`] frame.
-    pub fn encode(&self) -> Bytes {
-        encode_feature_payload(self.sub_model, self.sample_index, &self.feature)
-    }
-
-    /// Decodes a single-feature message from a v2 [`FrameKind::Feature`]
-    /// frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeError::Decode`] for truncated or inconsistent buffers,
-    /// [`EdgeError::ChecksumMismatch`] for corrupted v2 payloads, and
-    /// [`EdgeError::Decode`] when handed a batch frame.
-    pub fn decode(bytes: Bytes) -> Result<Self> {
-        match WireFrame::decode(bytes)? {
-            WireFrame::Feature(message) => Ok(message),
-            WireFrame::FeatureBatch(batch) => Err(decode_err(format!(
-                "expected a single-feature frame, found a batch of {} samples",
-                batch.num_samples()
-            ))),
-            WireFrame::Control(message) => Err(decode_err(format!(
-                "expected a single-feature frame, found a {:?} control frame",
-                message.kind
-            ))),
-        }
-    }
-}
-
-fn encode_feature_payload(sub_model: u32, sample_index: u32, feature: &[f32]) -> Bytes {
-    encode_v2_frame(
-        FrameKind::Feature,
-        FLAG_CHECKSUM,
-        V1_HEADER_LEN + feature.len() * 4,
-        |frame| {
-            frame.put_u32_le(sub_model);
-            frame.put_u32_le(sample_index);
-            frame.put_u32_le(feature.len() as u32);
-            frame.put_f32_slice_le(feature);
-        },
-    )
 }
 
 /// All feature vectors one sub-model produced for a round of samples, packed
@@ -745,8 +678,6 @@ impl FeatureBatchMessage {
 /// A decoded wire frame of either kind.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
-    /// A single-feature frame (v2 kind 1).
-    Feature(FeatureMessage),
     /// A batched multi-sample frame (v2 kind 2).
     FeatureBatch(FeatureBatchMessage),
     /// A membership/health control frame (v2 kind 3).
@@ -754,29 +685,9 @@ pub enum WireFrame {
 }
 
 impl WireFrame {
-    /// Encodes the frame as v2 bytes.
-    pub fn encode(&self) -> Bytes {
-        match self {
-            WireFrame::Feature(message) => message.encode(),
-            WireFrame::FeatureBatch(batch) => batch.encode(),
-            WireFrame::Control(message) => message.encode(),
-        }
-    }
-
-    /// Size in bytes of just the feature values carried by the frame.
-    /// Control frames carry no feature values.
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            WireFrame::Feature(message) => message.payload_bytes(),
-            WireFrame::FeatureBatch(batch) => batch.payload_bytes(),
-            WireFrame::Control(_) => 0,
-        }
-    }
-
     /// Human-readable name of the frame kind, for error messages.
     pub fn kind_name(&self) -> &'static str {
         match self {
-            WireFrame::Feature(_) => "single-feature",
             WireFrame::FeatureBatch(_) => "feature-batch",
             WireFrame::Control(_) => "control",
         }
@@ -787,10 +698,10 @@ impl WireFrame {
     ///
     /// # Errors
     ///
-    /// Returns [`EdgeError::Decode`] for buffers without the magic (bare v1
-    /// messages included) and for truncated, inconsistent or unsupported
-    /// ones, and [`EdgeError::ChecksumMismatch`] when the payload fails CRC
-    /// verification.
+    /// Returns [`EdgeError::Decode`] for buffers without the magic and for
+    /// truncated, inconsistent or unsupported ones (an unassigned kind byte
+    /// included), and [`EdgeError::ChecksumMismatch`] when the payload fails
+    /// CRC verification.
     pub fn decode(mut bytes: Bytes) -> Result<Self> {
         if !bytes.as_slice().starts_with(&WIRE_MAGIC) {
             return Err(decode_err(format!(
@@ -840,59 +751,20 @@ impl WireFrame {
         let kind = FrameKind::from_byte(kind_byte)
             .ok_or_else(|| decode_err(format!("unknown frame kind {kind_byte}")))?;
         let codec = PayloadCodec::from_flags(flags)?;
-        if codec != PayloadCodec::F32 && kind != FrameKind::FeatureBatch {
+        if codec != PayloadCodec::F32 && kind == FrameKind::Control {
             // Codec negotiation applies to batch payloads only; a coded
-            // control or single-feature frame is a non-conforming encoder.
-            // (FeatureBatch is excluded by the guard above; naming it here
-            // keeps the match total without a panicking arm.)
+            // control frame is a non-conforming encoder.
             return Err(protocol_err(format!(
-                "{} frames must use codec 0, found {codec}",
-                match kind {
-                    FrameKind::Feature => "single-feature",
-                    FrameKind::Control | FrameKind::FeatureBatch => "control",
-                }
+                "control frames must use codec 0, found {codec}"
             )));
         }
         match kind {
-            FrameKind::Feature => decode_v1(&mut bytes).map(WireFrame::Feature),
             FrameKind::FeatureBatch => {
                 decode_batch_payload(&mut bytes, codec).map(WireFrame::FeatureBatch)
             }
             FrameKind::Control => decode_control_payload(&mut bytes).map(WireFrame::Control),
         }
     }
-}
-
-/// Parses a v1 message body — the payload of a v2 `Feature` frame.
-fn decode_v1(bytes: &mut Bytes) -> Result<FeatureMessage> {
-    let total = bytes.len();
-    let (Some(sub_model), Some(sample_index), Some(len)) = (
-        bytes.try_get_u32_le(),
-        bytes.try_get_u32_le(),
-        bytes.try_get_u32_le(),
-    ) else {
-        return Err(decode_err(format!(
-            "buffer of {total} bytes is shorter than the {V1_HEADER_LEN}-byte header"
-        )));
-    };
-    // Checked u64 math so a hostile `len` cannot wrap the byte count on
-    // 32-bit targets and sneak past the consistency check.
-    let len = len as usize;
-    let expected = len as u64 * 4;
-    if bytes.remaining() as u64 != expected {
-        return Err(decode_err(format!(
-            "expected {expected} payload bytes for {len} values, found {}",
-            bytes.remaining()
-        )));
-    }
-    let feature = bytes
-        .try_get_f32_vec_le(len)
-        .ok_or_else(|| decode_err("feature values end early"))?;
-    Ok(FeatureMessage {
-        sub_model,
-        sample_index,
-        feature,
-    })
 }
 
 /// Parses a v2 `FeatureBatch` payload laid out under `codec`.
@@ -1119,26 +991,45 @@ fn read_frame_body<R: std::io::Read>(
 mod tests {
     use super::*;
 
+    /// The frame one feature travels in: a one-sample batch.
+    fn single(sub_model: usize, sample_index: usize, feature: &[f32]) -> FeatureBatchMessage {
+        let mut batch = FeatureBatchMessage::new(sub_model, feature.len());
+        batch.push_feature(sample_index, feature).unwrap();
+        batch
+    }
+
+    /// `frame` with its kind byte (outside the CRC) overwritten.
+    fn with_kind(frame: &Bytes, kind: u8) -> Bytes {
+        let mut bytes = frame.as_slice().to_vec();
+        bytes[6] = kind;
+        Bytes::from(bytes)
+    }
+
     #[test]
     fn round_trip_v2() {
         let t = Tensor::from_vec(vec![1.0, -2.5, 3.25], &[3]).unwrap();
         let msg = FeatureMessage::from_tensor(2, 17, &t);
-        let encoded = msg.encode();
+        let batch = single(2, 17, &msg.feature);
+        let encoded = batch.encode();
         assert_eq!(&encoded.as_slice()[..4], &WIRE_MAGIC);
-        assert_eq!(encoded.len(), msg.encoded_len());
-        let decoded = FeatureMessage::decode(encoded).unwrap();
-        assert_eq!(decoded, msg);
-        assert_eq!(decoded.to_tensor().data(), t.data());
-        assert_eq!(msg.encoded_len(), V2_HEADER_LEN + 12 + 12);
-        assert_eq!(msg.payload_bytes(), 12);
+        assert_eq!(encoded.len(), batch.encoded_len());
+        assert_eq!(
+            batch.encoded_len(),
+            V2_HEADER_LEN + BATCH_FIXED_LEN + 4 + 12
+        );
+        assert_eq!(batch.payload_bytes(), 12);
+        let decoded = decode_batch(encoded).into_messages();
+        assert_eq!(decoded, [msg]);
+        assert_eq!(decoded[0].to_tensor().data(), t.data());
     }
 
     #[test]
     fn encode_tensor_matches_from_tensor_encode() {
         let t = Tensor::from_vec(vec![0.5, -1.5], &[2]).unwrap();
-        let direct = FeatureMessage::encode_tensor(3, 9, &t);
-        let via_message = FeatureMessage::from_tensor(3, 9, &t).encode();
-        assert_eq!(direct, via_message);
+        let mut direct = FeatureBatchMessage::new(3, 2);
+        direct.push_tensor(9, &t).unwrap();
+        let via_message = single(3, 9, &FeatureMessage::from_tensor(3, 9, &t).feature);
+        assert_eq!(direct.encode(), via_message.encode());
     }
 
     #[test]
@@ -1153,79 +1044,71 @@ mod tests {
 
     #[test]
     fn bare_v1_buffers_are_rejected_and_round_trip_inside_a_v2_frame() {
-        let msg = FeatureMessage {
-            sub_model: 7,
-            sample_index: 42,
-            feature: vec![1.0, f32::MIN, f32::MAX],
-        };
-        let v2 = msg.encode();
-        // The payload of a v2 `Feature` frame is the v1 message, byte for byte.
-        let v1 = Bytes::copy_from_slice(&v2.as_slice()[V2_HEADER_LEN..]);
-        assert_eq!(v1.len(), V1_HEADER_LEN + 12);
-        assert_eq!(&v1.as_slice()[..4], &7u32.to_le_bytes());
+        let feature = [1.0, f32::MIN, f32::MAX];
+        // The retired v1 message: `sub_model`, `sample_index`, `len`, values.
+        let mut v1 = BytesMut::new();
+        v1.put_u32_le(7);
+        v1.put_u32_le(42);
+        v1.put_u32_le(3);
+        v1.put_f32_slice_le(&feature);
+        let v1 = v1.freeze();
         // Bare, it has no magic and no checksum: a decode error, not a parse.
         assert!(matches!(
             WireFrame::decode(v1.clone()),
             Err(EdgeError::Decode { .. })
         ));
         assert!(matches!(
-            FeatureMessage::decode(v1),
+            ControlMessage::decode(v1),
             Err(EdgeError::Decode { .. })
         ));
-        assert_eq!(FeatureMessage::decode(v2).unwrap(), msg);
+        // What round-trips inside a v2 frame is the one-sample batch.
+        let batch = single(7, 42, &feature);
+        assert_eq!(decode_batch(batch.encode()), batch);
     }
 
     #[test]
     fn payload_matches_paper_sizes() {
         // 384-dimensional feature (ViT-Base at s=1/2) -> 1536-byte payload.
         let t = Tensor::zeros(&[384]);
-        let msg = FeatureMessage::from_tensor(0, 0, &t);
-        assert_eq!(msg.payload_bytes(), 1536);
+        assert_eq!(single(0, 0, t.data()).payload_bytes(), 1536);
         // 128-dimensional feature (s=1/6) -> 512 bytes.
         let t = Tensor::zeros(&[128]);
-        assert_eq!(FeatureMessage::from_tensor(0, 0, &t).payload_bytes(), 512);
+        assert_eq!(single(0, 0, t.data()).payload_bytes(), 512);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(FeatureMessage::decode(Bytes::from_static(&[1, 2, 3])).is_err());
-        // A feature frame whose v1 body claims 5 values but holds only 1.
-        let mut body = BytesMut::new();
-        body.put_u32_le(0);
-        body.put_u32_le(0);
-        body.put_u32_le(5);
-        body.put_f32_le(1.0);
-        let frame = encode_v2_frame(FrameKind::Feature, FLAG_CHECKSUM, 16, |frame| {
-            frame.put_slice(body.as_ref());
+        assert!(WireFrame::decode(Bytes::from_static(&[1, 2, 3])).is_err());
+        // A batch frame whose body claims 5 values for its one sample but
+        // holds only 1.
+        let frame = encode_v2_frame(FrameKind::FeatureBatch, FLAG_CHECKSUM, 20, |frame| {
+            frame.put_u32_le(0);
+            frame.put_u32_le(5);
+            frame.put_u32_le(1);
+            frame.put_u32_le(0);
+            frame.put_f32_le(1.0);
         });
-        assert!(FeatureMessage::decode(frame).is_err());
+        assert!(matches!(
+            WireFrame::decode(frame),
+            Err(EdgeError::Decode { .. })
+        ));
         // Magic prefix but nothing else.
         assert!(WireFrame::decode(Bytes::copy_from_slice(&WIRE_MAGIC)).is_err());
     }
 
     #[test]
     fn corrupted_v2_payload_is_rejected_by_checksum() {
-        let msg = FeatureMessage {
-            sub_model: 1,
-            sample_index: 2,
-            feature: vec![1.0, 2.0, 3.0],
-        };
-        let encoded = msg.encode();
+        let encoded = single(1, 2, &[1.0, 2.0, 3.0]).encode();
         let mut bytes = encoded.as_slice().to_vec();
         // Flip one bit inside the payload region (past the 16-byte header).
         bytes[V2_HEADER_LEN + 14] ^= 0x10;
-        let err = FeatureMessage::decode(Bytes::from(bytes)).unwrap_err();
+        let err = WireFrame::decode(Bytes::from(bytes)).unwrap_err();
         assert!(matches!(err, EdgeError::ChecksumMismatch { .. }), "{err}");
     }
 
     #[test]
     fn cleared_checksum_flag_is_rejected_not_trusted() {
-        let good = FeatureMessage {
-            sub_model: 0,
-            sample_index: 0,
-            feature: vec![1.0],
-        }
-        .encode();
+        let good = single(0, 0, &[1.0]).encode();
         let mut no_flag = good.as_slice().to_vec();
         no_flag[5] &= !FLAG_CHECKSUM;
         let err = WireFrame::decode(Bytes::from(no_flag)).unwrap_err();
@@ -1234,20 +1117,21 @@ mod tests {
 
     #[test]
     fn unsupported_version_and_kind_are_rejected() {
-        let good = FeatureMessage {
-            sub_model: 0,
-            sample_index: 0,
-            feature: vec![1.0],
-        }
-        .encode();
+        let good = single(0, 0, &[1.0]).encode();
         let mut wrong_version = good.as_slice().to_vec();
         wrong_version[4] = 3;
         let err = WireFrame::decode(Bytes::from(wrong_version)).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
-        let mut wrong_kind = good.as_slice().to_vec();
-        wrong_kind[6] = 9;
-        let err = WireFrame::decode(Bytes::from(wrong_kind)).unwrap_err();
-        assert!(err.to_string().contains("kind"), "{err}");
+        // Every kind byte but 2 and 3 is unassigned — the retired 1 included.
+        for kind in (0..=u8::MAX).filter(|kind| !matches!(kind, 2 | 3)) {
+            let err = WireFrame::decode(with_kind(&good, kind)).unwrap_err();
+            assert!(matches!(err, EdgeError::Decode { .. }), "{err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown frame kind {kind}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1411,21 +1295,14 @@ mod tests {
 
     #[test]
     fn coded_control_and_feature_frames_are_protocol_errors() {
-        for good in [
-            ControlMessage::heartbeat(1, 2, 3.0).encode(),
-            FeatureMessage {
-                sub_model: 0,
-                sample_index: 0,
-                feature: vec![1.0],
-            }
-            .encode(),
-        ] {
-            let mut bytes = good.as_slice().to_vec();
-            bytes[5] |= PayloadCodec::F16.flag_bits();
-            let err = WireFrame::decode(Bytes::from(bytes)).unwrap_err();
-            assert!(matches!(err, EdgeError::Protocol { .. }), "{err}");
-            assert!(err.to_string().contains("codec 0"), "{err}");
-        }
+        let mut bytes = ControlMessage::heartbeat(1, 2, 3.0)
+            .encode()
+            .as_slice()
+            .to_vec();
+        bytes[5] |= PayloadCodec::F16.flag_bits();
+        let err = WireFrame::decode(Bytes::from(bytes)).unwrap_err();
+        assert!(matches!(err, EdgeError::Protocol { .. }), "{err}");
+        assert!(err.to_string().contains("codec 0"), "{err}");
     }
 
     #[test]
@@ -1672,21 +1549,22 @@ mod tests {
 
     #[test]
     fn single_feature_frame_is_rejected_where_a_batch_is_required() {
-        let mut batch = FeatureBatchMessage::new(0, 1);
-        batch.push_feature(5, &[9.0]).unwrap();
-        let err = FeatureMessage::decode(batch.encode()).unwrap_err();
-        assert!(err.to_string().contains("batch"), "{err}");
+        // A frame of the retired kind 1, intact down to its CRC, on both
+        // decode entry points: a typed error, never a parse.
+        let retired = with_kind(&single(0, 5, &[9.0]).encode(), 1);
+        for err in [
+            WireFrame::decode(retired.clone()).unwrap_err(),
+            ControlMessage::decode(retired).unwrap_err(),
+        ] {
+            assert!(matches!(err, EdgeError::Decode { .. }), "{err}");
+            assert!(err.to_string().contains("unknown frame kind 1"), "{err}");
+        }
     }
 
     #[test]
     fn empty_feature_and_empty_batch_are_legal() {
-        let msg = FeatureMessage {
-            sub_model: 0,
-            sample_index: 0,
-            feature: vec![],
-        };
-        let decoded = FeatureMessage::decode(msg.encode()).unwrap();
-        assert!(decoded.feature.is_empty());
+        let decoded = decode_batch(single(0, 0, &[]).encode()).into_messages();
+        assert!(decoded[0].feature.is_empty());
         let batch = FeatureBatchMessage::new(0, 4);
         let decoded = match WireFrame::decode(batch.encode()).unwrap() {
             WireFrame::FeatureBatch(b) => b,
@@ -1709,22 +1587,14 @@ mod tests {
             let decoded = ControlMessage::decode(encoded.clone()).unwrap();
             assert_eq!(decoded, msg);
             let frame = WireFrame::decode(encoded).unwrap();
-            assert_eq!(frame.payload_bytes(), 0);
             assert!(matches!(frame, WireFrame::Control(m) if m == msg));
         }
     }
 
     #[test]
     fn control_frame_is_rejected_where_a_feature_is_required() {
-        let encoded = ControlMessage::heartbeat(1, 2, 3.0).encode();
-        let err = FeatureMessage::decode(encoded).unwrap_err();
-        assert!(err.to_string().contains("control"), "{err}");
-        let feature = FeatureMessage {
-            sub_model: 0,
-            sample_index: 0,
-            feature: vec![1.0],
-        };
-        let err = ControlMessage::decode(feature.encode()).unwrap_err();
+        let err = ControlMessage::decode(single(0, 0, &[1.0]).encode()).unwrap_err();
+        assert!(matches!(err, EdgeError::Decode { .. }), "{err}");
         assert!(err.to_string().contains("control"), "{err}");
     }
 

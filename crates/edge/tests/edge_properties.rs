@@ -1,12 +1,13 @@
 //! Property-based tests of the edge simulation invariants: transfer time is
 //! monotone, wire messages round-trip, the decoder survives adversarial
-//! buffers, a bare v1 message is rejected while the same body round-trips
-//! inside a v2 frame, and latency estimates respect the structure of the plan.
+//! buffers, the retired v1 message is rejected bare and as a kind-1 frame
+//! while the same feature round-trips inside a v2 batch frame, and latency
+//! estimates respect the structure of the plan.
 
 use bytes::{crc32, f16_bits_to_f32, f32_to_f16_bits, Bytes};
 use edvit_edge::wire::{
-    batch_frame_len_coded, CONTROL_FRAME_LEN, FLAG_CHECKSUM, V1_HEADER_LEN, V2_HEADER_LEN,
-    WIRE_MAGIC,
+    batch_frame_len_coded, CONTROL_FRAME_LEN, FLAG_CHECKSUM, V2_HEADER_LEN, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 use edvit_edge::{
     ControlKind, ControlMessage, EdgeError, FeatureBatchMessage, FeatureMessage, LatencyModel,
@@ -16,6 +17,17 @@ use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlanner};
 use edvit_tensor::{init::TensorRng, Tensor};
 use edvit_vit::ViTConfig;
 use proptest::prelude::*;
+
+/// `payload` behind a conforming v2 header of the given kind byte: magic,
+/// version, checksum flag, length and CRC all intact.
+fn intact_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = WIRE_MAGIC.to_vec();
+    frame.extend_from_slice(&[WIRE_VERSION, FLAG_CHECKSUM, kind, 0]);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
 
 /// Deterministic pseudo-random bytes (splitmix64 stream) so adversarial
 /// buffers are reproducible from the sampled seed alone.
@@ -71,10 +83,18 @@ proptest! {
         } else {
             TensorRng::new(seed).randn(&[dim], 0.0, 1.0)
         };
+        // A feature travels as a one-sample batch and comes back as the
+        // same row view.
         let msg = FeatureMessage::from_tensor(sub_model, sample, &feature);
-        let decoded = FeatureMessage::decode(msg.encode()).unwrap();
-        prop_assert_eq!(&decoded, &msg);
-        prop_assert_eq!(decoded.payload_bytes(), dim * 4);
+        let mut batch = FeatureBatchMessage::new(sub_model, dim);
+        batch.push_tensor(sample, &feature).unwrap();
+        prop_assert_eq!(batch.payload_bytes(), dim * 4);
+        let decoded = match WireFrame::decode(batch.encode()).unwrap() {
+            WireFrame::FeatureBatch(b) => b.into_messages(),
+            other => panic!("expected a batch, got {other:?}"),
+        };
+        prop_assert_eq!(decoded[0].to_tensor().data(), feature.data());
+        prop_assert_eq!(decoded, vec![msg]);
     }
 
     #[test]
@@ -89,21 +109,41 @@ proptest! {
         } else {
             TensorRng::new(seed).randn(&[dim], 0.0, 1.0)
         };
-        let msg = FeatureMessage::from_tensor(sub_model, sample, &feature);
-        let v2 = msg.encode();
-        // The v1 message is the payload of the v2 frame. Bare — no magic, no
-        // checksum — it is a decode error, never an unchecksummed parse …
-        let v1 = Bytes::copy_from_slice(&v2.as_slice()[V2_HEADER_LEN..]);
-        prop_assert_eq!(v1.len(), V1_HEADER_LEN + dim * 4);
-        prop_assert!(matches!(FeatureMessage::decode(v1), Err(EdgeError::Decode { .. })));
-        // … and inside its v2 frame the same body round-trips bit for bit.
-        prop_assert_eq!(&FeatureMessage::decode(v2).unwrap(), &msg);
-        // The zero-copy tensor encode path is byte-identical to the
-        // message-struct path.
-        prop_assert_eq!(
-            FeatureMessage::encode_tensor(sub_model, sample, &feature),
-            msg.encode()
-        );
+        // The retired v1 message: `sub_model`, `sample_index`, `len`, values.
+        let mut v1 = Vec::new();
+        for word in [sub_model as u32, sample as u32, dim as u32] {
+            v1.extend_from_slice(&word.to_le_bytes());
+        }
+        for value in feature.data() {
+            v1.extend_from_slice(&value.to_le_bytes());
+        }
+        // Bare — no magic, no checksum — it is a decode error, never an
+        // unchecksummed parse …
+        prop_assert!(matches!(
+            WireFrame::decode(Bytes::from(v1.clone())),
+            Err(EdgeError::Decode { .. })
+        ));
+        // … and so is the kind-1 frame that used to carry it, intact down to
+        // its CRC, on both decode entry points and cut at every byte.
+        let retired = intact_frame(1, &v1);
+        for err in [
+            WireFrame::decode(Bytes::from(retired.clone())).unwrap_err(),
+            ControlMessage::decode(Bytes::from(retired.clone())).unwrap_err(),
+        ] {
+            prop_assert!(matches!(err, EdgeError::Decode { .. }), "{}", err);
+            prop_assert!(err.to_string().contains("unknown frame kind 1"), "{}", err);
+        }
+        for cut in 0..retired.len() {
+            prop_assert!(WireFrame::decode(Bytes::from(retired[..cut].to_vec())).is_err());
+        }
+        // Inside a v2 batch frame the same feature round-trips bit for bit.
+        let mut batch = FeatureBatchMessage::new(sub_model, dim);
+        batch.push_tensor(sample, &feature).unwrap();
+        let decoded = match WireFrame::decode(batch.encode()).unwrap() {
+            WireFrame::FeatureBatch(b) => b,
+            other => panic!("expected a batch, got {other:?}"),
+        };
+        prop_assert_eq!(decoded, batch);
     }
 
     #[test]
@@ -126,8 +166,6 @@ proptest! {
             prop_assert_eq!(single.sub_model, sub_model as u32);
             prop_assert_eq!(single.sample_index as usize, i);
             prop_assert_eq!(single.feature.as_slice(), batch.feature_row(i));
-            let reencoded = FeatureMessage::decode(single.encode()).unwrap();
-            prop_assert_eq!(&reencoded, &single);
         }
     }
 
@@ -343,14 +381,24 @@ proptest! {
     fn decode_never_panics_on_arbitrary_buffers(
         len in 0usize..96,
         seed in 0u64..100_000,
-        force_magic in 0usize..2,
+        shape in 0usize..3,
+        kind in 0u8..5,
     ) {
         let mut bytes = pseudo_bytes(seed, len);
-        if force_magic == 1 && bytes.len() >= WIRE_MAGIC.len() {
+        if shape == 1 && bytes.len() >= WIRE_MAGIC.len() {
             bytes[..4].copy_from_slice(&WIRE_MAGIC);
         }
+        if shape == 2 {
+            // An intact header over the noise, so the kind dispatch and the
+            // payload parsers see it: the unassigned kinds 0, 1 and 4 and
+            // arbitrary batch and control bodies.
+            bytes = intact_frame(kind, &bytes);
+        }
         // Whatever the bytes, decode must return (Ok or Err), never panic.
-        let _ = WireFrame::decode(Bytes::from(bytes));
+        let decoded = WireFrame::decode(Bytes::from(bytes));
+        if shape == 2 && !matches!(kind, 2 | 3) {
+            prop_assert!(matches!(decoded, Err(EdgeError::Decode { .. })));
+        }
     }
 
     #[test]
@@ -486,11 +534,9 @@ proptest! {
     ) {
         // A control frame must not decode as a feature, and vice versa.
         let control = ControlMessage::heartbeat(device, sequence, 1e9).encode();
-        prop_assert!(FeatureMessage::decode(control).is_err());
+        prop_assert!(matches!(WireFrame::decode(control).unwrap(), WireFrame::Control(_)));
         let batch = sample_batch(seed, device, 2, dim).encode();
-        prop_assert!(ControlMessage::decode(batch).is_err());
-        let single = FeatureMessage::from_tensor(device, 0, &TensorRng::new(seed).randn(&[dim], 0.0, 1.0)).encode();
-        let err = ControlMessage::decode(single).unwrap_err();
+        let err = ControlMessage::decode(batch).unwrap_err();
         prop_assert!(err.to_string().contains("control"), "{}", err);
         let _ = ControlKind::Heartbeat; // kinds are part of the public surface
     }

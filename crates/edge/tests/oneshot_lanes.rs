@@ -7,9 +7,8 @@
 use bytes::Bytes;
 use edvit_edge::wire::batch_frame_len;
 use edvit_edge::{
-    ClusterRuntime, ControlMessage, EdgeError, FeatureBatchMessage, FeatureMessage, FrameRx,
-    FrameTx, FusionFn, LaneEvent, NetworkConfig, Result, SimTransport, SubModelFn, Transport,
-    TransportKind,
+    ClusterRuntime, ControlMessage, EdgeError, FeatureBatchMessage, FrameRx, FrameTx, FusionFn,
+    LaneEvent, NetworkConfig, Result, SimTransport, SubModelFn, Transport, TransportKind,
 };
 use edvit_tensor::Tensor;
 
@@ -48,12 +47,16 @@ impl Transport for ScriptedLanes {
     }
 }
 
-fn batch_frame(sub_model: usize, samples: &[usize]) -> LaneEvent {
+fn batch_bytes(sub_model: usize, samples: &[usize]) -> Bytes {
     let mut batch = FeatureBatchMessage::new(sub_model, 2);
     for &sample in samples {
         batch.push_feature(sample, &[1.0, 2.0]).unwrap();
     }
-    LaneEvent::Frame(batch.encode())
+    batch.encode()
+}
+
+fn batch_frame(sub_model: usize, samples: &[usize]) -> LaneEvent {
+    LaneEvent::Frame(batch_bytes(sub_model, samples))
 }
 
 #[test]
@@ -79,7 +82,6 @@ fn collector_checks_every_frame_against_the_lane_it_arrived_on() {
     assert!(run(vec![batch_frame(0, &[1, 0])]).is_ok());
 
     let control = LaneEvent::Frame(ControlMessage::leave(0, 1).encode());
-    let single = LaneEvent::Frame(FeatureMessage::encode_tensor(0, 0, &Tensor::zeros(&[2])));
     let forged: Vec<(&str, Vec<LaneEvent>, &str)> = vec![
         (
             "another sub-model's batch",
@@ -102,7 +104,6 @@ fn collector_checks_every_frame_against_the_lane_it_arrived_on() {
             "1 of 2 samples",
         ),
         ("control frame", vec![control], "control frame"),
-        ("single-feature frame", vec![single], "single-feature frame"),
         (
             "trailing frame",
             vec![batch_frame(0, &[0, 1]), batch_frame(0, &[0, 1])],
@@ -118,9 +119,14 @@ fn collector_checks_every_frame_against_the_lane_it_arrived_on() {
             "{what}: {text}"
         );
     }
-    // Bytes that are no frame at all stay a decode error; an empty lane
-    // is a runtime failure. Neither panics.
+    // Bytes that are no frame at all stay a decode error, and so does an
+    // intact frame of the retired single-feature kind (byte 6, outside the
+    // CRC); an empty lane is a runtime failure. None panics.
     let garbage = LaneEvent::Frame(Bytes::from_static(&[1, 2, 3]));
     assert!(matches!(run(vec![garbage]), Err(EdgeError::Decode { .. })));
+    let mut retired = batch_bytes(0, &[0, 1]).as_slice().to_vec();
+    retired[6] = 1;
+    let retired = LaneEvent::Frame(Bytes::from(retired));
+    assert!(matches!(run(vec![retired]), Err(EdgeError::Decode { .. })));
     assert!(matches!(run(vec![]), Err(EdgeError::Runtime { .. })));
 }

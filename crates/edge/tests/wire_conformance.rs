@@ -1,9 +1,7 @@
 //! Golden-fixture conformance suite for the wire format.
 //!
 //! `fixtures/*.bin` are checked-in byte-exact encodings of one frame per
-//! (kind, codec) combination, plus the v1 message layout that a v2 `Feature`
-//! frame carries as its payload. Every test decodes its fixture,
-//! asserts the decoded message field-for-field, re-encodes it and asserts the
+//! (kind, codec) combination. Every test decodes its fixture, asserts the decoded message field-for-field, re-encodes it and asserts the
 //! bytes are identical to the file — so *any* drift in the header layout, the
 //! codec negotiation bits, the f16 quantization or the rle token stream fails
 //! loudly instead of silently changing the format.
@@ -23,7 +21,7 @@ use edvit_edge::wire::{
     batch_frame_len_coded, PayloadCodec, CONTROL_FRAME_LEN, FLAG_CHECKSUM, V2_HEADER_LEN,
     WIRE_MAGIC, WIRE_VERSION,
 };
-use edvit_edge::{ControlMessage, EdgeError, FeatureBatchMessage, FeatureMessage, WireFrame};
+use edvit_edge::{ControlMessage, FeatureBatchMessage, WireFrame};
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -45,17 +43,6 @@ fn fixture_bytes(name: &str, encoded: &Bytes) -> Vec<u8> {
             path.display()
         )
     })
-}
-
-/// The deterministic single-feature message every feature fixture encodes.
-/// Every value is exactly representable in f16, so the message is identical
-/// across all codecs and generations.
-fn golden_feature() -> FeatureMessage {
-    FeatureMessage {
-        sub_model: 3,
-        sample_index: 41,
-        feature: vec![1.0, -0.5, 0.25, 2048.0, -65504.0, 0.0],
-    }
 }
 
 /// The deterministic batch every batch fixture encodes: two samples of an
@@ -102,41 +89,6 @@ where
 }
 
 #[test]
-fn v1_feature_frame_is_byte_stable() {
-    // Nothing sends a bare v1 message any more; its layout lives on as the
-    // payload of a v2 `Feature` frame, which is what this fixture pins.
-    let msg = golden_feature();
-    let v2 = msg.encode();
-    let body = Bytes::copy_from_slice(&v2.as_slice()[V2_HEADER_LEN..]);
-    let golden = fixture_bytes("v1_feature.bin", &body);
-    assert_eq!(body.as_slice(), golden.as_slice());
-    // v1 has no magic: the first four bytes are the little-endian sub-model.
-    assert_eq!(&golden[..4], &3u32.to_le_bytes());
-    // Bare, the golden bytes are rejected — never parsed unchecksummed …
-    assert!(matches!(
-        WireFrame::decode(Bytes::from(golden)),
-        Err(EdgeError::Decode { .. })
-    ));
-    // … and inside the v2 frame the same body round-trips.
-    assert_eq!(FeatureMessage::decode(v2).unwrap(), msg);
-}
-
-#[test]
-fn v2_feature_f32_frame_is_byte_stable() {
-    let msg = golden_feature();
-    let expected = WireFrame::Feature(msg.clone());
-    assert_conformance(
-        "v2_feature_f32.bin",
-        msg.encode(),
-        &expected,
-        |frame| match frame {
-            WireFrame::Feature(m) => m.encode(),
-            other => panic!("expected a feature frame, got {other:?}"),
-        },
-    );
-}
-
-#[test]
 fn v2_batch_frames_are_byte_stable_under_every_codec() {
     let batch = golden_batch();
     let expected = WireFrame::FeatureBatch(batch.clone());
@@ -177,8 +129,7 @@ fn fixture_headers_pin_the_constants() {
     // Independent of the encoder: the fixture *files* carry the header
     // constants, so changing a constant without regenerating fails here.
     for (name, kind, codec) in [
-        ("v2_feature_f32.bin", 1u8, PayloadCodec::F32),
-        ("v2_batch_f32.bin", 2, PayloadCodec::F32),
+        ("v2_batch_f32.bin", 2u8, PayloadCodec::F32),
         ("v2_batch_f16.bin", 2, PayloadCodec::F16),
         ("v2_batch_f16_rle.bin", 2, PayloadCodec::F16Rle),
         ("v2_control_heartbeat.bin", 3, PayloadCodec::F32),
@@ -226,11 +177,7 @@ fn f16_fixture_values_are_exact_halves() {
     // the same in-memory message round-trips through every codec; guard that
     // property here so a fixture edit cannot silently break cross-codec
     // equality.
-    for &v in golden_batch()
-        .features
-        .iter()
-        .chain(&golden_feature().feature)
-    {
+    for &v in &golden_batch().features {
         assert_eq!(
             f16_bits_to_f32(bytes::f32_to_f16_bits(v)),
             v,

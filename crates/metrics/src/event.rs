@@ -44,21 +44,31 @@ macro_rules! key {
     };
 }
 
-/// The event table. A row is a variant with its doc comments and its fields
-/// in line order; `field as "key"` names the journal key where it differs
-/// from the field name.
+/// Which kind of run emits an event. One journal can hold all three; each
+/// fold counts its own family and passes over the others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventFamily {
+    /// The streaming scheduler's fusion worker.
+    Stream,
+    /// The serving front-door: the admission queue and the serving drill.
+    Serve,
+    /// The one-shot cluster batch runtime.
+    Batch,
+}
+
+/// The event table. A row is its [`EventFamily`], then a variant with its doc
+/// comments and its fields in line order; `field as "key"` names the journal
+/// key where it differs from the field name.
 macro_rules! run_events {
     ($(
         $(#[$variant_meta:meta])*
-        $variant:ident $({$(
+        $family:ident $variant:ident $({$(
             $(#[$field_meta:meta])*
             $field:ident $(as $key:literal)?: $ty:ty,
         )+})?,
     )+) => {
-        /// One typed observation from a run. Stream events come from the
-        /// streaming scheduler's fusion worker, serve events from the
-        /// admission queue and the serving drill, batch events from the
-        /// one-shot cluster runtime; all three families can share one journal.
+        /// One typed observation from a run; all three families can share
+        /// one journal.
         #[derive(Debug, Clone, PartialEq)]
         pub enum RunEvent {$(
             $(#[$variant_meta])*
@@ -76,6 +86,13 @@ macro_rules! run_events {
             pub fn name(&self) -> &'static str {
                 match self {
                     $(RunEvent::$variant { .. } => stringify!($variant),)+
+                }
+            }
+
+            /// The family the event's row names.
+            pub fn family(&self) -> EventFamily {
+                match self {
+                    $(RunEvent::$variant { .. } => EventFamily::$family,)+
                 }
             }
 
@@ -104,7 +121,7 @@ macro_rules! run_events {
 run_events! {
     // ---- Streaming scheduler ------------------------------------------
     /// The stream began: its layout and initial membership.
-    StreamStarted {
+    Stream StreamStarted {
         /// Total rounds in the layout.
         rounds: u64,
         /// Configured (nominal) samples per round.
@@ -115,62 +132,62 @@ run_events! {
         devices: u64,
     },
     /// A membership epoch opened (1-based).
-    EpochStarted {
+    Stream EpochStarted {
         /// Epoch ordinal.
         epoch: u64,
     },
     /// Encoded bytes arrived from (or were shipped by) a device — including
     /// corrupted, duplicated and eaten frames: they travelled too.
-    Delivery {
+    Stream Delivery {
         /// Sending device id.
         device: u64,
         /// Encoded frame length in bytes.
         bytes: u64,
     },
     /// A control frame (join, heartbeat or leave) was observed.
-    ControlFrame {
+    Stream ControlFrame {
         /// Sending device id.
         device: u64,
     },
     /// A feature-batch data frame was observed.
-    DataFrame {
+    Stream DataFrame {
         /// Sending device id.
         device: u64,
     },
     /// A heartbeat beacon was observed (fresh or stale).
-    Heartbeat {
+    Stream Heartbeat {
         /// Beating device id.
         device: u64,
         /// Rounds the device claims to have completed this epoch.
         sequence: u64,
     },
     /// The sequence deduper rejected a control frame as a replay.
-    StaleControlFrame {
+    Stream StaleControlFrame {
         /// Sending device id.
         device: u64,
     },
     /// The health tracker ignored a heartbeat as stale.
-    StaleHeartbeat {
+    Stream StaleHeartbeat {
         /// Beating device id.
         device: u64,
     },
     /// A delivery failed: corrupt, truncated, or a data frame the link ate.
-    CorruptFrame {
+    Stream CorruptFrame {
         /// Sending device id.
         device: u64,
     },
     /// A data frame's payload duplicated already-stashed samples.
-    DuplicateFrame {
+    Stream DuplicateFrame {
         /// Sending device id.
         device: u64,
     },
     /// The link ate a heartbeat beacon (not retried).
-    DroppedHeartbeat {
+    Stream DroppedHeartbeat {
         /// Beating device id.
         device: u64,
     },
     /// A data-frame re-request was issued.
-    Retry {
+    Stream Retry {
         /// Device whose frame is re-requested.
         device: u64,
         /// Attempt ordinal (1-based).
@@ -178,12 +195,12 @@ run_events! {
     },
     /// Virtual seconds one epoch spent in retry backoff (pre-summed, in the
     /// scheduler's own summation order, so replay accumulates bitwise).
-    RetryCost {
+    Stream RetryCost {
         /// Backoff seconds charged to the clock.
         seconds: f64,
     },
     /// A round was fused.
-    RoundFused {
+    Stream RoundFused {
         /// Global round id.
         round: u64,
         /// Samples the round carried.
@@ -192,7 +209,7 @@ run_events! {
         degraded: bool,
     },
     /// A membership epoch closed.
-    EpochEnded {
+    Stream EpochEnded {
         /// Epoch ordinal.
         epoch: u64,
         /// Most rounds simultaneously in flight this epoch.
@@ -200,33 +217,33 @@ run_events! {
     },
     /// Rounds one device delivered within the closing epoch (every receiver
     /// gets one, including zero-round entries).
-    DeviceRounds {
+    Stream DeviceRounds {
         /// Device id.
         device: u64,
         /// Rounds delivered (highest fresh heartbeat sequence).
         rounds: u64,
     },
     /// A device was declared dead.
-    DeviceDead {
+    Stream DeviceDead {
         /// The dead device id.
         device: u64,
     },
     /// A device was admitted mid-stream.
-    DeviceJoined {
+    Stream DeviceJoined {
         /// The joining device id.
         device: u64,
         /// Whether this was a rejoin (new identity-epoch of a terminal id).
         rejoin: bool,
     },
     /// The planner re-assigned sub-models.
-    Replan {
+    Stream Replan {
         /// What triggered it.
         cause: ReplanCause,
         /// Sub-models the new plan leaves unhosted (empty at full fidelity).
         missing: Vec<u64>,
     },
     /// In-flight rounds were scheduled for replay after a death.
-    RoundsReplayed {
+    Stream RoundsReplayed {
         /// Rounds replayed.
         rounds: u64,
         /// Samples those rounds carried.
@@ -234,19 +251,19 @@ run_events! {
     },
     /// Virtual seconds charged to one death's recovery window (pre-summed:
     /// detection + replan + replay).
-    Recovery {
+    Stream Recovery {
         /// Recovery seconds.
         seconds: f64,
     },
     /// The stream finished; the timestamp is the virtual end-to-end time.
-    StreamEnded {
+    Stream StreamEnded {
         /// Steady-state throughput of the final membership.
         steady_state_samples_per_second as "steady_state": f64,
     },
 
     // ---- Serving front-door -------------------------------------------
     /// A serving drill began.
-    ServeStarted {
+    Serve ServeStarted {
         /// Number of tenants.
         tenants: u64,
         /// Round capacity the batcher fills up to.
@@ -257,42 +274,42 @@ run_events! {
         offered_rate_per_second as "offered_rate": f64,
     },
     /// One tenant's admission contract was registered.
-    TenantRegistered {
+    Serve TenantRegistered {
         /// Tenant index.
         tenant: u64,
         /// Tenant display name.
         name: String,
     },
     /// A request arrived at admission.
-    RequestAdmitted {
+    Serve RequestAdmitted {
         /// Tenant index.
         tenant: u64,
         /// Request id.
         id: u64,
     },
     /// A tenant queue's depth after an enqueue.
-    QueueDepth {
+    Serve QueueDepth {
         /// Tenant index.
         tenant: u64,
         /// Requests now queued for the tenant.
         depth: u64,
     },
     /// A request was shed on arrival (queue full).
-    RequestShedOverflow {
+    Serve RequestShedOverflow {
         /// Tenant index.
         tenant: u64,
         /// Request id.
         id: u64,
     },
     /// A queued request was dropped at dispatch (deadline expired).
-    RequestShedDeadline {
+    Serve RequestShedDeadline {
         /// Tenant index.
         tenant: u64,
         /// Request id.
         id: u64,
     },
     /// A request was handed to a round.
-    RequestDispatched {
+    Serve RequestDispatched {
         /// Tenant index.
         tenant: u64,
         /// Request id.
@@ -301,7 +318,7 @@ run_events! {
         arrival_seconds as "arrival": f64,
     },
     /// The adaptive controller changed the pipeline depth.
-    DepthChanged {
+    Serve DepthChanged {
         /// Round ordinal the transition took effect before.
         round: u64,
         /// Depth before.
@@ -310,20 +327,20 @@ run_events! {
         to: u64,
     },
     /// A scripted device crash fired mid-drill.
-    ServeCrash {
+    Serve ServeCrash {
         /// The crashed device id.
         device: u64,
         /// Round ordinal the crash hit.
         round: u64,
     },
     /// Virtual seconds one mid-drill crash charged to recovery (pre-summed).
-    ServeRecovery {
+    Serve ServeRecovery {
         /// Recovery seconds.
         seconds: f64,
     },
     /// The batcher formed and priced one round; the requests dispatched since
     /// the previous round ride in it, in batch order.
-    ServeRound {
+    Serve ServeRound {
         /// Round ordinal.
         round: u64,
         /// Virtual dispatch time.
@@ -334,18 +351,18 @@ run_events! {
         size: u64,
     },
     /// The serving drill finished; the timestamp is the last completion.
-    ServeEnded,
+    Serve ServeEnded,
 
     // ---- One-shot batch runtime ---------------------------------------
     /// A one-shot cluster batch run began.
-    BatchStarted {
+    Batch BatchStarted {
         /// Devices in the run.
         devices: u64,
         /// Samples in the batch.
         samples: u64,
     },
     /// A one-shot cluster batch run finished.
-    BatchEnded {
+    Batch BatchEnded {
         /// Frames shipped.
         frames: u64,
         /// Encoded bytes shipped.

@@ -2,25 +2,29 @@
 //!
 //! A [`RunJournal`] is an append-only sequence of [`EventRecord`]s.
 //! [`StreamCounters::apply`] folds one stream event into the accounting of a
-//! `StreamReport`, and it is the *only* place a stream counter changes: the
-//! live scheduler folds each event as it records it, and
-//! [`RunJournal::replay_stream`] folds the same events offline, so a journal
-//! reconstructs every counter **bitwise** (`f64`s compared by bit pattern,
-//! not epsilon) by construction. [`RunJournal::replay_serve`] does the same
-//! for a `ServeReport`, mirroring the serving drill's arithmetic in the same
-//! order. That property is what makes the journal a post-mortem artifact: a
-//! replay that diverges from the report it came with is a real difference,
-//! never float noise.
+//! `StreamReport` and [`ServeCounters::apply`] one serve event into that of a
+//! `ServeReport`, and they are the *only* places a counter changes: a live
+//! run records each event through a [`Ledger`], which folds it and forwards
+//! it to the sink, and [`RunJournal::replay_stream`] /
+//! [`RunJournal::replay_serve`] fold the same events offline with the same
+//! code, so a journal reconstructs every counter **bitwise** (`f64`s compared
+//! by bit pattern, not epsilon) by construction. That property is what makes
+//! the journal a post-mortem artifact: a replay that diverges from the report
+//! it came with is a real difference, never float noise.
 //!
 //! One journal can hold all three event families (stream, serve, batch);
 //! each fold takes its own family and names the others it passes over, so a
 //! serving run that embeds a streaming execution pass replays both ways from
 //! one file — and a new event does not compile until every fold places it.
+//! A fold counts exactly **one** run of its family: a second `*Started`, or
+//! anything of the family outside `*Started` … `*Ended`, is a
+//! [`MetricsError::Replay`] from [`Fold::finish`], never a silent mixture.
 
 use std::collections::BTreeMap;
 
 use crate::error::{MetricsError, Result};
-use crate::event::{EventRecord, RunEvent};
+use crate::event::{EventFamily, EventRecord, RunEvent};
+use crate::sink::MetricsSink;
 
 /// Nearest-rank percentile of an ascending-sorted latency slice.
 ///
@@ -64,24 +68,90 @@ macro_rules! same_bits_is_eq {
 }
 same_bits_is_eq!(u64, usize, String, DepthStep, BTreeMap<usize, u64>);
 
+/// The accounting of one run as a fold over its events: what a [`Ledger`]
+/// keeps live and what a [`RunJournal`] replays offline.
+pub trait Fold: Default {
+    /// Folds one event, recorded at virtual time `at`, into the counters.
+    /// Total: an event the fold cannot place is remembered, not panicked on.
+    fn apply(&mut self, at: f64, event: &RunEvent);
+
+    /// The counters of a complete run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MetricsError::Replay`] naming the first event the fold
+    /// could not place, or saying that the run never started or never ended.
+    fn finish(self) -> Result<Self>;
+}
+
+/// Where a fold is in the one run it counts. After a fault — the first event
+/// it could not place — the fold counts nothing more, and [`Fold::finish`]
+/// reports it.
+#[derive(Clone, Default, PartialEq)]
+enum Run {
+    #[default]
+    Idle,
+    Open,
+    Closed,
+    Faulted(String),
+}
+
+impl Run {
+    /// Whether `event` is the fold's to count: of `family`, inside the one
+    /// run that an `opens` event starts and a `closes` event ends.
+    fn admits(&mut self, family: EventFamily, event: &RunEvent, opens: bool, closes: bool) -> bool {
+        if event.family() != family {
+            return false;
+        }
+        // Only a fault formats anything: this runs once per live event.
+        let fault = |what: &str| Run::Faulted(format!("{}: {what}", event.name()));
+        *self = match (&*self, opens) {
+            (Run::Faulted(_), _) => return false,
+            (Run::Idle, true) | (Run::Open, false) if closes => Run::Closed,
+            (Run::Idle, true) | (Run::Open, false) => Run::Open,
+            (Run::Idle, false) => fault("before its run started"),
+            (Run::Open, true) => fault("a second start; a fold counts one run"),
+            (Run::Closed, _) => fault("after its run ended"),
+        };
+        !matches!(self, Run::Faulted(_))
+    }
+
+    fn finish(&self, family: EventFamily) -> Result<()> {
+        let message = match self {
+            Run::Closed => return Ok(()),
+            Run::Faulted(fault) => fault.clone(),
+            Run::Idle => format!("no {family:?}Started event in the journal"),
+            Run::Open => format!("journal records a {family:?} run that never ended"),
+        };
+        Err(MetricsError::Replay { message })
+    }
+}
+
 /// Declares a counter struct from its field list — the one place the fields
-/// are named — and generates `diff` / `bitwise_eq` over that list. `state`
-/// fields are private bookkeeping of the fold: not compared, not printed.
+/// are named — and generates `diff` / `bitwise_eq` over that list. A
+/// `fold(family)` block makes the struct a [`Fold`] of that family's events:
+/// its fields are private bookkeeping (not compared by `diff`, not printed)
+/// next to the run's lifecycle state, and `finish` is generated; the
+/// struct's own `apply` says what each event counts.
 macro_rules! counters {
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
             $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)+
         }
-        $(state {
-            $($(#[$state_meta:meta])* $state:ident: $state_ty:ty,)+
+        $(fold($family:ident) {
+            $($(#[$state_meta:meta])* $state:ident: $state_ty:ty,)*
         })?
     ) => {
         $(#[$meta])*
         #[derive(Clone, Default, PartialEq)]
         pub struct $name {
             $($(#[$field_meta])* pub $field: $ty,)+
-            $($($(#[$state_meta])* $state: $state_ty,)+)?
+            $(
+                /// Lifecycle of the one run this fold counts.
+                run: Run,
+                $($(#[$state_meta])* $state: $state_ty,)*
+            )?
         }
 
         impl std::fmt::Debug for $name {
@@ -109,76 +179,115 @@ macro_rules! counters {
                 self.diff(other).is_empty()
             }
         }
+
+        $(impl Fold for $name {
+            fn apply(&mut self, at: f64, event: &RunEvent) {
+                $name::apply(self, at, event);
+            }
+
+            fn finish(self) -> Result<Self> {
+                self.run.finish(EventFamily::$family)?;
+                Ok(self)
+            }
+        })?
     };
 }
 
 counters! {
-    /// The accounting fields of a `StreamReport`: the fold of a run's stream
-    /// events, live in the scheduler and offline in the replay.
+    /// The accounting of a `StreamReport`: the fold of a run's stream events,
+    /// live in the scheduler and offline in the replay.
     pub struct StreamCounters {
         /// Total rounds in the layout.
         pub rounds: usize,
         /// Configured samples per round.
         pub round_size: usize,
-        /// Membership epochs executed.
+        /// Membership epochs executed (1 + number of repartitions).
         pub epochs: usize,
-        /// Most rounds simultaneously in flight.
+        /// Most rounds simultaneously in flight (produced by some device but
+        /// not yet fused), as the device workers observed it. This is the one
+        /// scheduling-dependent statistic — where it lands depends on OS
+        /// thread interleaving; every timing and replay number is
+        /// deterministic. In-process lanes hold it to `pipeline_depth + 1`;
+        /// TCP lanes do not (socket buffers let a device run 175–200 rounds
+        /// ahead at depth 2). Always 0 from `StreamScheduler::collect_lanes`:
+        /// the collector cannot see how far a remote producer has run ahead.
         pub max_rounds_in_flight: usize,
         /// Heartbeat control frames observed.
         pub heartbeats_seen: u64,
-        /// All control frames observed.
+        /// All control frames observed (join + leave + heartbeat).
         pub control_frames: usize,
         /// Feature-batch data frames observed.
         pub data_frames: usize,
-        /// Encoded bytes shipped over the channel.
+        /// Encoded bytes shipped over the channel (data + control frames),
+        /// including corrupted and duplicated deliveries — they travelled too.
         pub bytes_on_wire: u64,
-        /// Encoded bytes per sending device.
+        /// Encoded bytes each device shipped, keyed by device id. Devices
+        /// that joined in any epoch appear, including ones that later died.
         pub per_device_wire_bytes: BTreeMap<usize, u64>,
-        /// Rounds delivered per device, accumulated across epochs.
+        /// Rounds each device delivered (heartbeats received from it), keyed
+        /// by device id and accumulated across epochs.
         pub per_device_rounds: BTreeMap<usize, u64>,
-        /// Devices declared dead, in detection order.
+        /// Devices declared dead, in detection order (crashes and links whose
+        /// retry budget ran out).
         pub devices_lost: Vec<usize>,
-        /// Devices admitted mid-stream, in admission order.
+        /// Devices admitted mid-stream via a `Join` frame, in admission order.
         pub devices_joined: Vec<usize>,
-        /// Admissions that were rejoins.
+        /// How many of those admissions were rejoins — a previously dead or
+        /// departed id coming back as a new identity-epoch.
         pub rejoins: usize,
-        /// Planner re-runs.
+        /// Times the planner re-assigned sub-models (deaths and joins).
         pub repartitions: usize,
-        /// Samples recomputed after deaths.
+        /// Samples that were in flight at a death and had to be recomputed.
         pub samples_replayed: usize,
-        /// Data-frame re-requests issued.
+        /// Data-frame re-requests issued after corrupt, truncated or dropped
+        /// deliveries. Bounded by `max_retries` per frame.
         pub retries: u64,
-        /// Virtual seconds spent in retry backoff.
+        /// Virtual seconds spent in retry backoff, already included in
+        /// `simulated_total_seconds`.
         pub retry_seconds: f64,
-        /// Failed deliveries observed.
+        /// Failed deliveries observed: frames that arrived corrupted or
+        /// truncated, or data frames the link ate.
         pub corrupt_frames: u64,
-        /// Duplicate data frames observed.
+        /// Data frames whose payload duplicated already-stashed samples
+        /// (first delivery wins; the copy is counted and discarded).
         pub duplicate_frames: u64,
-        /// Heartbeat beacons the link ate.
+        /// Heartbeat beacons the link ate. A lost beacon is not retried — the
+        /// next fresh beacon or the device's leave closes the round instead.
         pub dropped_heartbeats: u64,
-        /// Control frames rejected as replays.
+        /// Control frames rejected by the sequence deduper as replays or
+        /// stale reorderings.
         pub stale_control_frames: u64,
-        /// Heartbeats the health tracker ignored as stale.
+        /// Heartbeats the health tracker ignored as stale (replayed,
+        /// reordered, wrapped, or sent by an already-terminal device).
         pub stale_heartbeats: u64,
-        /// Rounds fused in degraded mode, in fusion order.
+        /// Rounds fused in degraded mode (some sub-model unhosted, its
+        /// feature zero-filled), in fusion order.
         pub degraded_rounds: Vec<u64>,
-        /// Sub-models unhosted by the final membership.
+        /// Sub-models left unhosted by the *final* membership (empty when the
+        /// stream ended at full fidelity).
         pub missing_sub_models: Vec<usize>,
-        /// Virtual seconds charged to crash recovery.
+        /// Virtual seconds from a device's death to its sub-models producing
+        /// fused output again: detection (the missed heartbeat plus the
+        /// `grace_rounds` deadline) + re-planning + replaying the in-flight
+        /// rounds. Zero when no device died.
         pub recovery_seconds: f64,
-        /// Steady-state throughput of the final membership.
+        /// Steady-state throughput of the final membership, from the analytic
+        /// stream timing at the *nominal* round size — what the pipeline
+        /// would sustain if every round were full.
         pub steady_state_samples_per_second: f64,
-        /// Realized throughput (samples over virtual end-to-end time).
+        /// Realized throughput: samples actually fused divided by the virtual
+        /// end-to-end time. Unlike the steady-state figure this divides by
+        /// what the rounds really carried, so an under-filled final round (or
+        /// a stream of partial continuous batches) is priced at its true
+        /// sample count instead of the nominal `round_size`.
         pub effective_samples_per_second: f64,
-        /// Virtual end-to-end seconds.
+        /// Virtual end-to-end seconds on the scheduler's `SimClock`.
         pub simulated_total_seconds: f64,
     }
-    state {
+    fold(Stream) {
         /// Total input samples, from `StreamStarted` — what `StreamEnded`
         /// divides by the end time.
         samples: u64,
-        started: bool,
-        ended: bool,
     }
 }
 
@@ -186,6 +295,11 @@ impl StreamCounters {
     /// Folds one event, recorded at virtual time `at`, into the counters.
     /// This is the single definition of what each stream event counts.
     pub fn apply(&mut self, at: f64, event: &RunEvent) {
+        let opens = matches!(event, RunEvent::StreamStarted { .. });
+        let closes = matches!(event, RunEvent::StreamEnded { .. });
+        if !self.run.admits(EventFamily::Stream, event, opens, closes) {
+            return;
+        }
         match event {
             RunEvent::StreamStarted {
                 rounds,
@@ -193,7 +307,6 @@ impl StreamCounters {
                 samples,
                 devices: _,
             } => {
-                self.started = true;
                 self.rounds = *rounds as usize;
                 self.round_size = *round_size as usize;
                 self.samples = *samples;
@@ -249,7 +362,6 @@ impl StreamCounters {
             RunEvent::StreamEnded {
                 steady_state_samples_per_second,
             } => {
-                self.ended = true;
                 self.steady_state_samples_per_second = *steady_state_samples_per_second;
                 self.simulated_total_seconds = at;
                 self.effective_samples_per_second = if at > 0.0 {
@@ -278,7 +390,8 @@ impl StreamCounters {
 }
 
 counters! {
-    /// One tenant's row of a `ServeReport`.
+    /// One tenant's row of a `ServeReport`. At every step of a drill
+    /// `admitted == completed + shed_overflow + shed_deadline + queued`.
     pub struct TenantRow {
         /// Tenant display name.
         pub name: String,
@@ -318,7 +431,10 @@ pub struct DepthStep {
 }
 
 counters! {
-    /// The accounting fields of a `ServeReport`, reconstructed by replay.
+    /// The accounting of a `ServeReport`: the fold of a drill's serve events,
+    /// live in the serving scheduler and offline in the replay. Percentiles
+    /// and the served rate are priced when `ServeEnded` is folded; every
+    /// other field is current after each event.
     pub struct ServeCounters {
         /// Per-tenant rows, in tenant index order.
         pub tenants: Vec<TenantRow>,
@@ -326,32 +442,236 @@ counters! {
         pub admitted: u64,
         /// Requests served to completion across all tenants.
         pub completed: u64,
-        /// Requests shed across all tenants.
+        /// Requests shed across all tenants (overflow + deadline).
         pub shed: u64,
         /// Rounds the batcher formed.
         pub rounds_formed: usize,
-        /// Rounds dispatched below capacity.
+        /// Rounds dispatched below the configured capacity (continuous
+        /// batching never waits to fill — partial rounds are the feature,
+        /// not a bug).
         pub partial_rounds: usize,
-        /// Every depth transition, in round order.
+        /// Every adaptive pipeline-depth transition, in round order.
         pub depth_changes: Vec<DepthStep>,
-        /// Pipeline depth the drill started at (post-clamp).
+        /// Pipeline depth the drill started at (post-clamp). The transition
+        /// chain is anchored here: the first `depth_changes` entry, when
+        /// any, departs *from* this value.
         pub initial_depth: usize,
-        /// Pipeline depth after the last round.
+        /// Pipeline depth after the last transition so far — the depth the
+        /// drill is running at.
         pub final_depth: usize,
-        /// Median round-trip latency over all completions.
+        /// Median round-trip latency over all completed requests.
         pub p50_latency_seconds: f64,
-        /// 99th-percentile round-trip latency over all completions.
+        /// 99th-percentile round-trip latency over all completed requests.
         pub p99_latency_seconds: f64,
-        /// Configured open-loop offered load.
+        /// The open-loop offered load, arrivals per virtual second.
         pub offered_rate_per_second: f64,
-        /// Completions per virtual second achieved.
+        /// Completions per virtual second actually achieved.
         pub served_samples_per_second: f64,
-        /// Virtual time of the last completion.
+        /// Virtual time of the last completion, on a clock that starts at 0
+        /// (not at the first arrival).
         pub simulated_total_seconds: f64,
-        /// Virtual seconds charged to mid-drill crash recovery.
+        /// Virtual seconds spent detecting crashes, re-planning, and
+        /// replaying.
         pub recovery_seconds: f64,
-        /// Devices lost mid-drill, in crash order.
+        /// Device ids lost to mid-drill crashes, in crash order.
         pub devices_lost: Vec<usize>,
+    }
+    fold(Serve) {
+        /// Round capacity, from `ServeStarted` — what a partial round is
+        /// smaller than.
+        capacity: usize,
+        /// Requests dispatched since the last formed round: (tenant, arrival).
+        pending: Vec<(usize, f64)>,
+        /// Round-trip latency of every completed request, per tenant.
+        latencies: Vec<Vec<f64>>,
+    }
+}
+
+impl ServeCounters {
+    /// Folds one event, recorded at virtual time `at`, into the counters.
+    /// This is the single definition of what each serve event counts.
+    pub fn apply(&mut self, _at: f64, event: &RunEvent) {
+        let opens = matches!(event, RunEvent::ServeStarted { .. });
+        let closes = matches!(event, RunEvent::ServeEnded);
+        if !self.run.admits(EventFamily::Serve, event, opens, closes) {
+            return;
+        }
+        match event {
+            RunEvent::ServeStarted {
+                tenants,
+                capacity,
+                initial_depth,
+                offered_rate_per_second,
+            } => {
+                self.capacity = *capacity as usize;
+                self.initial_depth = *initial_depth as usize;
+                self.final_depth = self.initial_depth;
+                self.offered_rate_per_second = *offered_rate_per_second;
+                self.tenants = vec![TenantRow::default(); *tenants as usize];
+                self.latencies = vec![Vec::new(); *tenants as usize];
+            }
+            RunEvent::TenantRegistered { tenant, name } => {
+                if let Some(row) = self.row(*tenant) {
+                    row.name.clone_from(name);
+                }
+            }
+            RunEvent::RequestAdmitted { tenant, .. } => {
+                if let Some(row) = self.row(*tenant) {
+                    row.admitted += 1;
+                    self.admitted += 1;
+                }
+            }
+            RunEvent::QueueDepth { tenant, depth } => {
+                if let Some(row) = self.row(*tenant) {
+                    row.max_queue_depth = row.max_queue_depth.max(*depth as usize);
+                }
+            }
+            RunEvent::RequestShedOverflow { tenant, .. } => {
+                if let Some(row) = self.row(*tenant) {
+                    row.shed_overflow += 1;
+                    self.shed += 1;
+                }
+            }
+            RunEvent::RequestShedDeadline { tenant, .. } => {
+                if let Some(row) = self.row(*tenant) {
+                    row.shed_deadline += 1;
+                    self.shed += 1;
+                }
+            }
+            RunEvent::RequestDispatched {
+                tenant,
+                arrival_seconds,
+                ..
+            } => {
+                if let Some(row) = self.row(*tenant) {
+                    row.completed += 1;
+                    self.completed += 1;
+                    self.pending.push((*tenant as usize, *arrival_seconds));
+                }
+            }
+            RunEvent::DepthChanged { round, from, to } => {
+                self.final_depth = *to as usize;
+                self.depth_changes.push(DepthStep {
+                    round: *round,
+                    from: *from as usize,
+                    to: self.final_depth,
+                });
+            }
+            RunEvent::ServeCrash { device, .. } => self.devices_lost.push(*device as usize),
+            RunEvent::ServeRecovery { seconds } => self.recovery_seconds += seconds,
+            RunEvent::ServeRound {
+                completion_seconds,
+                size,
+                ..
+            } => {
+                if self.pending.len() != *size as usize {
+                    self.run = Run::Faulted(format!(
+                        "round of size {size} but {} dispatch events precede it",
+                        self.pending.len()
+                    ));
+                    return;
+                }
+                self.rounds_formed += 1;
+                self.partial_rounds += usize::from((*size as usize) < self.capacity);
+                self.simulated_total_seconds =
+                    f64::max(self.simulated_total_seconds, *completion_seconds);
+                // The requests dispatched since the previous round ride in
+                // this one; their tenants were checked at dispatch.
+                for (tenant, arrival) in self.pending.drain(..) {
+                    self.latencies[tenant].push(completion_seconds - arrival);
+                }
+            }
+            RunEvent::ServeEnded => {
+                for (row, latencies) in self.tenants.iter_mut().zip(&mut self.latencies) {
+                    latencies.sort_by(f64::total_cmp);
+                    row.p50_latency_seconds = percentile(latencies, 0.50);
+                    row.p99_latency_seconds = percentile(latencies, 0.99);
+                }
+                let mut all = self.latencies.concat();
+                all.sort_by(f64::total_cmp);
+                self.p50_latency_seconds = percentile(&all, 0.50);
+                self.p99_latency_seconds = percentile(&all, 0.99);
+                self.served_samples_per_second = if self.simulated_total_seconds > 0.0 {
+                    self.completed as f64 / self.simulated_total_seconds
+                } else {
+                    0.0
+                };
+            }
+            // Stream and batch events belong to the other folds.
+            RunEvent::StreamStarted { .. }
+            | RunEvent::EpochStarted { .. }
+            | RunEvent::Delivery { .. }
+            | RunEvent::ControlFrame { .. }
+            | RunEvent::DataFrame { .. }
+            | RunEvent::Heartbeat { .. }
+            | RunEvent::StaleControlFrame { .. }
+            | RunEvent::StaleHeartbeat { .. }
+            | RunEvent::CorruptFrame { .. }
+            | RunEvent::DuplicateFrame { .. }
+            | RunEvent::DroppedHeartbeat { .. }
+            | RunEvent::Retry { .. }
+            | RunEvent::RetryCost { .. }
+            | RunEvent::RoundFused { .. }
+            | RunEvent::EpochEnded { .. }
+            | RunEvent::DeviceRounds { .. }
+            | RunEvent::DeviceDead { .. }
+            | RunEvent::DeviceJoined { .. }
+            | RunEvent::Replan { .. }
+            | RunEvent::RoundsReplayed { .. }
+            | RunEvent::Recovery { .. }
+            | RunEvent::StreamEnded { .. }
+            | RunEvent::BatchStarted { .. }
+            | RunEvent::BatchEnded { .. } => {}
+        }
+    }
+
+    /// The row an event's `tenant` names; an index beyond the registered set
+    /// faults the fold.
+    fn row(&mut self, tenant: u64) -> Option<&mut TenantRow> {
+        let row = self.tenants.get_mut(tenant as usize);
+        if row.is_none() {
+            self.run = Run::Faulted(format!(
+                "event names tenant {tenant} beyond the registered set"
+            ));
+        }
+        row
+    }
+}
+
+/// A live run's accounting. Every event the run observes goes through
+/// [`Ledger::record`], which folds it into `counters` — always, so a report
+/// never depends on the sink — and forwards it to the sink (the optional
+/// journal and registry). No counter changes anywhere else: the report is
+/// this fold, and so is the journal's offline replay.
+#[derive(Debug, Clone, Default)]
+pub struct Ledger<C> {
+    /// The fold of everything recorded so far.
+    pub counters: C,
+    sink: MetricsSink,
+}
+
+impl<C: Fold> Ledger<C> {
+    /// An empty ledger forwarding to `sink`.
+    pub fn new(sink: MetricsSink) -> Self {
+        Ledger {
+            counters: C::default(),
+            sink,
+        }
+    }
+
+    /// Counts one event, recorded at virtual time `at`, and forwards it.
+    pub fn record(&mut self, at: f64, event: RunEvent) {
+        self.counters.apply(at, &event);
+        self.sink.record(at, event);
+    }
+
+    /// The counters of the finished run.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Fold::finish`] returns.
+    pub fn finish(self) -> Result<C> {
+        self.counters.finish()
     }
 }
 
@@ -415,29 +735,24 @@ impl RunJournal {
         Ok(RunJournal { events })
     }
 
+    /// Folds every record, in order, into a fresh `C` and finishes it.
+    fn replay<C: Fold>(&self) -> Result<C> {
+        let mut counters = C::default();
+        for record in &self.events {
+            counters.apply(record.at, &record.event);
+        }
+        counters.finish()
+    }
+
     /// Replays the journal's streaming events into [`StreamCounters`],
     /// ignoring serve and batch events.
     ///
     /// # Errors
     ///
-    /// Returns [`MetricsError::Replay`] when the journal holds no complete
-    /// stream run (missing `StreamStarted` or `StreamEnded`).
+    /// Returns [`MetricsError::Replay`] unless the journal holds exactly one
+    /// complete stream run (`StreamStarted` … `StreamEnded`).
     pub fn replay_stream(&self) -> Result<StreamCounters> {
-        let mut counters = StreamCounters::default();
-        for record in &self.events {
-            counters.apply(record.at, &record.event);
-        }
-        if !counters.started {
-            return Err(MetricsError::Replay {
-                message: "no StreamStarted event in the journal".to_string(),
-            });
-        }
-        if !counters.ended {
-            return Err(MetricsError::Replay {
-                message: "journal records a stream that never ended".to_string(),
-            });
-        }
-        Ok(counters)
+        self.replay()
     }
 
     /// Replays the journal's serving events into [`ServeCounters`], ignoring
@@ -445,276 +760,45 @@ impl RunJournal {
     ///
     /// # Errors
     ///
-    /// Returns [`MetricsError::Replay`] when the journal holds no complete
-    /// serving drill, names an out-of-range tenant, or carries a round whose
-    /// size disagrees with its dispatch events.
+    /// Returns [`MetricsError::Replay`] unless the journal holds exactly one
+    /// complete serving drill, or when it names an out-of-range tenant or
+    /// carries a round whose size disagrees with its dispatch events.
     pub fn replay_serve(&self) -> Result<ServeCounters> {
-        let mut c = ServeCounters::default();
-        let mut capacity: usize = 0;
-        let mut started = false;
-        let mut ended = false;
-        // Requests dispatched since the last formed round: (tenant, arrival).
-        let mut pending: Vec<(usize, f64)> = Vec::new();
-        let mut per_tenant: Vec<Vec<f64>> = Vec::new();
-        let mut all: Vec<f64> = Vec::new();
-        let tenant_err = |t: usize| MetricsError::Replay {
-            message: format!("event names tenant {t} beyond the registered set"),
-        };
-        for record in &self.events {
-            match &record.event {
-                RunEvent::ServeStarted {
-                    tenants,
-                    capacity: cap,
-                    initial_depth,
-                    offered_rate_per_second,
-                } => {
-                    started = true;
-                    capacity = *cap as usize;
-                    c.initial_depth = *initial_depth as usize;
-                    c.offered_rate_per_second = *offered_rate_per_second;
-                    c.tenants = vec![TenantRow::default(); *tenants as usize];
-                    per_tenant = vec![Vec::new(); *tenants as usize];
-                }
-                RunEvent::TenantRegistered { tenant, name } => {
-                    let t = *tenant as usize;
-                    let row = c.tenants.get_mut(t).ok_or_else(|| tenant_err(t))?;
-                    row.name.clone_from(name);
-                }
-                RunEvent::RequestAdmitted { tenant, .. } => {
-                    let t = *tenant as usize;
-                    c.tenants.get_mut(t).ok_or_else(|| tenant_err(t))?.admitted += 1;
-                }
-                RunEvent::QueueDepth { tenant, depth } => {
-                    let t = *tenant as usize;
-                    let row = c.tenants.get_mut(t).ok_or_else(|| tenant_err(t))?;
-                    row.max_queue_depth = row.max_queue_depth.max(*depth as usize);
-                }
-                RunEvent::RequestShedOverflow { tenant, .. } => {
-                    let t = *tenant as usize;
-                    c.tenants
-                        .get_mut(t)
-                        .ok_or_else(|| tenant_err(t))?
-                        .shed_overflow += 1;
-                }
-                RunEvent::RequestShedDeadline { tenant, .. } => {
-                    let t = *tenant as usize;
-                    c.tenants
-                        .get_mut(t)
-                        .ok_or_else(|| tenant_err(t))?
-                        .shed_deadline += 1;
-                }
-                RunEvent::RequestDispatched {
-                    tenant,
-                    arrival_seconds,
-                    ..
-                } => {
-                    let t = *tenant as usize;
-                    c.tenants.get_mut(t).ok_or_else(|| tenant_err(t))?.completed += 1;
-                    pending.push((t, *arrival_seconds));
-                }
-                RunEvent::DepthChanged { round, from, to } => {
-                    c.depth_changes.push(DepthStep {
-                        round: *round,
-                        from: *from as usize,
-                        to: *to as usize,
-                    });
-                }
-                RunEvent::ServeCrash { device, .. } => {
-                    c.devices_lost.push(*device as usize);
-                }
-                RunEvent::ServeRecovery { seconds } => c.recovery_seconds += seconds,
-                RunEvent::ServeRound {
-                    completion_seconds,
-                    size,
-                    ..
-                } => {
-                    if pending.len() != *size as usize {
-                        return Err(MetricsError::Replay {
-                            message: format!(
-                                "round of size {size} but {} dispatch events precede it",
-                                pending.len()
-                            ),
-                        });
-                    }
-                    c.rounds_formed += 1;
-                    if (*size as usize) < capacity {
-                        c.partial_rounds += 1;
-                    }
-                    // Same fold the live drill uses for `end_seconds`.
-                    c.simulated_total_seconds =
-                        f64::max(c.simulated_total_seconds, *completion_seconds);
-                    for &(tenant, arrival) in &pending {
-                        let latency = completion_seconds - arrival;
-                        per_tenant
-                            .get_mut(tenant)
-                            .ok_or_else(|| tenant_err(tenant))?
-                            .push(latency);
-                        all.push(latency);
-                    }
-                    pending.clear();
-                }
-                RunEvent::ServeEnded => ended = true,
-                // Stream and batch events belong to the other folds.
-                RunEvent::StreamStarted { .. }
-                | RunEvent::EpochStarted { .. }
-                | RunEvent::Delivery { .. }
-                | RunEvent::ControlFrame { .. }
-                | RunEvent::DataFrame { .. }
-                | RunEvent::Heartbeat { .. }
-                | RunEvent::StaleControlFrame { .. }
-                | RunEvent::StaleHeartbeat { .. }
-                | RunEvent::CorruptFrame { .. }
-                | RunEvent::DuplicateFrame { .. }
-                | RunEvent::DroppedHeartbeat { .. }
-                | RunEvent::Retry { .. }
-                | RunEvent::RetryCost { .. }
-                | RunEvent::RoundFused { .. }
-                | RunEvent::EpochEnded { .. }
-                | RunEvent::DeviceRounds { .. }
-                | RunEvent::DeviceDead { .. }
-                | RunEvent::DeviceJoined { .. }
-                | RunEvent::Replan { .. }
-                | RunEvent::RoundsReplayed { .. }
-                | RunEvent::Recovery { .. }
-                | RunEvent::StreamEnded { .. }
-                | RunEvent::BatchStarted { .. }
-                | RunEvent::BatchEnded { .. } => {}
-            }
-        }
-        if !started {
-            return Err(MetricsError::Replay {
-                message: "no ServeStarted event in the journal".to_string(),
-            });
-        }
-        if !ended {
-            return Err(MetricsError::Replay {
-                message: "journal records a serving drill that never ended".to_string(),
-            });
-        }
-        all.sort_by(f64::total_cmp);
-        for lats in &mut per_tenant {
-            lats.sort_by(f64::total_cmp);
-        }
-        for (row, lats) in c.tenants.iter_mut().zip(&per_tenant) {
-            row.p50_latency_seconds = percentile(lats, 0.50);
-            row.p99_latency_seconds = percentile(lats, 0.99);
-        }
-        c.admitted = c.tenants.iter().map(|t| t.admitted).sum();
-        c.completed = c.tenants.iter().map(|t| t.completed).sum();
-        c.shed = c
-            .tenants
-            .iter()
-            .map(|t| t.shed_overflow + t.shed_deadline)
-            .sum();
-        c.p50_latency_seconds = percentile(&all, 0.50);
-        c.p99_latency_seconds = percentile(&all, 0.99);
-        c.served_samples_per_second = if c.simulated_total_seconds > 0.0 {
-            c.completed as f64 / c.simulated_total_seconds
-        } else {
-            0.0
-        };
-        c.final_depth = c
-            .depth_changes
-            .last()
-            .map_or(c.initial_depth, |step| step.to);
-        Ok(c)
+        self.replay()
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ReplanCause;
 
+    /// One epoch of a two-device stream: a retry, a degraded round, then
+    /// device 1 dies and the survivors are re-planned.
     fn stream_fixture() -> RunJournal {
-        let mut j = RunJournal::new();
-        j.push(
-            0.0,
-            RunEvent::StreamStarted {
-                rounds: 4,
-                round_size: 2,
-                samples: 8,
-                devices: 2,
-            },
-        );
-        j.push(0.0, RunEvent::EpochStarted { epoch: 1 });
-        for device in 0..2u64 {
-            j.push(
-                0.0,
-                RunEvent::Delivery {
-                    device,
-                    bytes: 100 + device,
-                },
-            );
-            j.push(0.0, RunEvent::ControlFrame { device });
-            j.push(
-                0.0,
-                RunEvent::Heartbeat {
-                    device,
-                    sequence: 1,
-                },
-            );
-            j.push(0.0, RunEvent::DataFrame { device });
-        }
-        j.push(
-            0.0,
-            RunEvent::Retry {
-                device: 1,
-                attempt: 1,
-            },
-        );
-        j.push(0.0, RunEvent::RetryCost { seconds: 0.25 });
-        j.push(
-            0.0,
-            RunEvent::RoundFused {
-                round: 0,
-                samples: 2,
-                degraded: true,
-            },
-        );
-        j.push(
-            1.0,
-            RunEvent::EpochEnded {
-                epoch: 1,
-                max_in_flight: 2,
-            },
-        );
-        j.push(
-            1.0,
-            RunEvent::DeviceRounds {
-                device: 0,
-                rounds: 4,
-            },
-        );
-        j.push(
-            1.0,
-            RunEvent::DeviceRounds {
-                device: 1,
-                rounds: 0,
-            },
-        );
-        j.push(1.0, RunEvent::DeviceDead { device: 1 });
-        j.push(
-            1.0,
-            RunEvent::Replan {
-                cause: ReplanCause::Death,
-                missing: vec![2],
-            },
-        );
-        j.push(
-            1.0,
-            RunEvent::RoundsReplayed {
-                rounds: 1,
-                samples: 2,
-            },
-        );
-        j.push(1.0, RunEvent::Recovery { seconds: 0.5 });
-        j.push(
-            2.0,
-            RunEvent::StreamEnded {
-                steady_state_samples_per_second: 4.0,
-            },
-        );
-        j
+        RunJournal::from_text(
+            "t=0 StreamStarted rounds=4 round_size=2 samples=8 devices=2
+             t=0 EpochStarted epoch=1
+             t=0 Delivery device=0 bytes=100
+             t=0 ControlFrame device=0
+             t=0 Heartbeat device=0 sequence=1
+             t=0 DataFrame device=0
+             t=0 Delivery device=1 bytes=101
+             t=0 ControlFrame device=1
+             t=0 Heartbeat device=1 sequence=1
+             t=0 DataFrame device=1
+             t=0 Retry device=1 attempt=1
+             t=0 RetryCost seconds=0.25
+             t=0 RoundFused round=0 samples=2 degraded=true
+             t=1 EpochEnded epoch=1 max_in_flight=2
+             t=1 DeviceRounds device=0 rounds=4
+             t=1 DeviceRounds device=1 rounds=0
+             t=1 DeviceDead device=1
+             t=1 Replan cause=death missing=2
+             t=1 RoundsReplayed rounds=1 samples=2
+             t=1 Recovery seconds=0.5
+             t=2 StreamEnded steady_state=4",
+        )
+        .unwrap()
     }
 
     #[test]
@@ -824,109 +908,29 @@ mod tests {
 
     #[test]
     fn serve_replay_reconstructs_tenant_rows_and_depth_chain() {
-        let mut j = RunJournal::new();
-        j.push(
-            0.0,
-            RunEvent::ServeStarted {
-                tenants: 2,
-                capacity: 2,
-                initial_depth: 2,
-                offered_rate_per_second: 3.5,
-            },
-        );
-        j.push(
-            0.0,
-            RunEvent::TenantRegistered {
-                tenant: 0,
-                name: "interactive".to_string(),
-            },
-        );
-        j.push(
-            0.0,
-            RunEvent::TenantRegistered {
-                tenant: 1,
-                name: "batch".to_string(),
-            },
-        );
-        for id in 0..3u64 {
-            j.push(0.1, RunEvent::RequestAdmitted { tenant: 0, id });
-        }
-        j.push(
-            0.1,
-            RunEvent::QueueDepth {
-                tenant: 0,
-                depth: 2,
-            },
-        );
-        j.push(0.1, RunEvent::RequestShedOverflow { tenant: 0, id: 2 });
-        j.push(0.2, RunEvent::RequestAdmitted { tenant: 1, id: 3 });
-        j.push(
-            0.2,
-            RunEvent::QueueDepth {
-                tenant: 1,
-                depth: 1,
-            },
-        );
-        j.push(
-            0.3,
-            RunEvent::RequestDispatched {
-                tenant: 0,
-                id: 0,
-                arrival_seconds: 0.1,
-            },
-        );
-        j.push(
-            0.3,
-            RunEvent::RequestDispatched {
-                tenant: 1,
-                id: 3,
-                arrival_seconds: 0.2,
-            },
-        );
-        j.push(
-            0.3,
-            RunEvent::DepthChanged {
-                round: 0,
-                from: 2,
-                to: 3,
-            },
-        );
-        j.push(
-            0.3,
-            RunEvent::ServeCrash {
-                device: 1,
-                round: 0,
-            },
-        );
-        j.push(0.3, RunEvent::ServeRecovery { seconds: 0.4 });
-        j.push(
-            0.3,
-            RunEvent::ServeRound {
-                round: 0,
-                start_seconds: 0.3,
-                completion_seconds: 1.3,
-                size: 2,
-            },
-        );
-        j.push(
-            0.9,
-            RunEvent::RequestDispatched {
-                tenant: 0,
-                id: 1,
-                arrival_seconds: 0.1,
-            },
-        );
-        j.push(0.9, RunEvent::RequestShedDeadline { tenant: 0, id: 9 });
-        j.push(
-            0.9,
-            RunEvent::ServeRound {
-                round: 1,
-                start_seconds: 0.9,
-                completion_seconds: 1.9,
-                size: 1,
-            },
-        );
-        j.push(1.9, RunEvent::ServeEnded);
+        let j = RunJournal::from_text(
+            "t=0 ServeStarted tenants=2 capacity=2 initial_depth=2 offered_rate=3.5
+             t=0 TenantRegistered tenant=0 name=\"interactive\"
+             t=0 TenantRegistered tenant=1 name=\"batch\"
+             t=0.1 RequestAdmitted tenant=0 id=0
+             t=0.1 RequestAdmitted tenant=0 id=1
+             t=0.1 RequestAdmitted tenant=0 id=2
+             t=0.1 QueueDepth tenant=0 depth=2
+             t=0.1 RequestShedOverflow tenant=0 id=2
+             t=0.2 RequestAdmitted tenant=1 id=3
+             t=0.2 QueueDepth tenant=1 depth=1
+             t=0.3 RequestDispatched tenant=0 id=0 arrival=0.1
+             t=0.3 RequestDispatched tenant=1 id=3 arrival=0.2
+             t=0.3 DepthChanged round=0 from=2 to=3
+             t=0.3 ServeCrash device=1 round=0
+             t=0.3 ServeRecovery seconds=0.4
+             t=0.3 ServeRound round=0 start=0.3 completion=1.3 size=2
+             t=0.9 RequestDispatched tenant=0 id=1 arrival=0.1
+             t=0.9 RequestShedDeadline tenant=0 id=9
+             t=0.9 ServeRound round=1 start=0.9 completion=1.9 size=1
+             t=1.9 ServeEnded",
+        )
+        .unwrap();
         let c = j.replay_serve().unwrap();
         assert_eq!(c.tenants[0].name, "interactive");
         assert_eq!(c.tenants[0].admitted, 3);

@@ -25,7 +25,9 @@ pub mod registry;
 pub mod sink;
 
 pub use error::{MetricsError, Result};
-pub use event::{EventRecord, ReplanCause, RunEvent};
-pub use journal::{percentile, DepthStep, RunJournal, ServeCounters, StreamCounters, TenantRow};
+pub use event::{EventFamily, EventRecord, ReplanCause, RunEvent};
+pub use journal::{
+    percentile, DepthStep, Fold, Ledger, RunJournal, ServeCounters, StreamCounters, TenantRow,
+};
 pub use registry::{MetricKind, MetricsRegistry, LATENCY_BUCKETS};
 pub use sink::MetricsSink;

@@ -4,7 +4,7 @@
 //! (defined in `edvit-edge` next to the one-shot executor, re-exported
 //! here), its two backends, and the multi-process cluster primitives.
 //!
-//! The trait was extracted from the scheduler's hard-wired crossbeam
+//! The trait was extracted from the scheduler's hard-wired channel
 //! plumbing, so its contract is exactly what the scheduler already relied
 //! on: per-peer ordered bounded lanes, blocking sends as backpressure,
 //! in-band peer errors, and a single `Closed` event for every way a peer can

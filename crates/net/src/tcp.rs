@@ -27,8 +27,8 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel;
 use edvit_edge::TransportKind;
+use std::sync::mpsc;
 
 use crate::framing::{read_envelope, write_envelope, Envelope};
 use crate::transport::{FrameRx, FrameTx, LaneClosed, LaneEvent, Transport};
@@ -127,7 +127,7 @@ impl TcpTransport {
 
 /// Device-side half of a TCP lane: a bounded queue feeding a writer thread.
 struct TcpTx {
-    queue: channel::SyncSender<Envelope>,
+    queue: mpsc::SyncSender<Envelope>,
 }
 
 impl FrameTx for TcpTx {
@@ -246,7 +246,7 @@ impl Transport for TcpTransport {
         sender.set_nodelay(true).map_err(|e| NetError::io(&e))?;
         let receiver = TcpRx::new(receiver, self.read_timeout)?;
 
-        let (queue_tx, queue_rx) = channel::bounded::<Envelope>(capacity);
+        let (queue_tx, queue_rx) = mpsc::sync_channel::<Envelope>(capacity);
         std::thread::spawn(move || {
             let mut stream = sender;
             // Drain until every sender half is gone and the queue is empty;

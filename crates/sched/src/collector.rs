@@ -238,8 +238,8 @@ impl Collector<'_> {
                         device: device as u64,
                         sequence: control.sequence,
                     });
-                    // The tracker sees every beacon (it counts stale ones
-                    // itself); only a deduper-fresh beacon closes rounds.
+                    // The tracker sees every beacon and says which are stale;
+                    // only a deduper-fresh beacon closes rounds.
                     if !self.run.tracker.observe_heartbeat(device, control.sequence) {
                         self.record(RunEvent::StaleHeartbeat {
                             device: device as u64,
@@ -322,9 +322,6 @@ impl Collector<'_> {
                 }
                 Ok(Seen::Other)
             }
-            WireFrame::Feature(_) => Err(SchedError::Runtime {
-                message: "device shipped a single-feature frame, expected batches".to_string(),
-            }),
         }
     }
 

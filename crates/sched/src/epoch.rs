@@ -6,12 +6,11 @@
 use std::collections::BTreeMap;
 
 use edvit_edge::{RoundTimings, StreamTiming};
-use edvit_metrics::{RunEvent, StreamCounters};
+use edvit_metrics::{Ledger, RunEvent, StreamCounters};
 use edvit_partition::{DeviceSpec, SplitPlan};
 use edvit_tensor::Tensor;
 
 use crate::membership::Membership;
-use crate::report::Ledger;
 use crate::rounds::RoundLayout;
 use crate::{
     HealthTracker, Result, SchedError, SimClock, StreamConfig, StreamReport, StreamScheduler,
@@ -19,7 +18,7 @@ use crate::{
 
 /// The mutable state of one streaming run, shared by all of its epochs.
 pub(crate) struct Run {
-    pub(crate) ledger: Ledger,
+    pub(crate) ledger: Ledger<StreamCounters>,
     pub(crate) tracker: HealthTracker,
     /// One output slot per input sample; each is written exactly once.
     pub(crate) fused: Vec<Option<Tensor>>,
@@ -117,10 +116,7 @@ impl StreamScheduler {
     /// Opens a run's ledger with its `StreamStarted` event.
     pub(crate) fn start(&self, layout: &RoundLayout) -> Run {
         let mut run = Run {
-            ledger: Ledger {
-                counters: StreamCounters::default(),
-                sink: self.config.sink.clone(),
-            },
+            ledger: Ledger::new(self.config.sink.clone()),
             tracker: HealthTracker::new(),
             fused: vec![None; layout.total_samples()],
             clock: SimClock::new(),
@@ -253,11 +249,14 @@ impl StreamScheduler {
                 })
             })
             .collect::<Result<Vec<Tensor>>>()?;
+        let counters = run.ledger.finish().map_err(|e| SchedError::Runtime {
+            message: format!("the run's own events do not fold: {e}"),
+        })?;
         Ok(StreamReport::new(
             outputs,
             &self.config,
             final_plan,
-            run.ledger.counters,
+            counters,
         ))
     }
 }

@@ -25,7 +25,8 @@
 //! fresh sequence domain and a bumped incarnation counter — rather than
 //! flipping the old record back to `Alive`. Stale (reordered or replayed)
 //! heartbeats never roll a sequence back and never satisfy a deadline; the
-//! tracker counts them so the scheduler can surface replay pressure.
+//! tracker tells its caller which beacons were stale, and the caller journals
+//! them, so the scheduler can surface replay pressure.
 
 use std::collections::BTreeMap;
 
@@ -67,8 +68,6 @@ struct DeviceState {
 #[derive(Debug, Clone, Default)]
 pub struct HealthTracker {
     devices: BTreeMap<usize, DeviceState>,
-    heartbeats_seen: u64,
-    stale_heartbeats: u64,
 }
 
 impl HealthTracker {
@@ -115,29 +114,26 @@ impl HealthTracker {
     }
 
     /// Records a heartbeat, enforcing per-device sequence monotonicity: a
-    /// stale or replayed sequence (`sequence <= last`) is ignored *and
-    /// counted* — it can never push a deadline forward. The comparison is on
-    /// the raw `u64`, so after a (theoretical) wraparound to 0 every beacon is
-    /// stale until the sequence domain is reset by a new epoch; a wrapped
-    /// counter is indistinguishable from a replay and must not buy liveness.
+    /// stale or replayed sequence (`sequence <= last`) is ignored — it can
+    /// never push a deadline forward. The comparison is on the raw `u64`, so
+    /// after a (theoretical) wraparound to 0 every beacon is stale until the
+    /// sequence domain is reset by a new epoch; a wrapped counter is
+    /// indistinguishable from a replay and must not buy liveness.
     /// Heartbeats from a device already in a terminal state are ignored too —
     /// death is terminal within an identity-epoch.
     ///
-    /// Returns whether the beacon was fresh (it advanced the sequence); a
-    /// `false` return is exactly one increment of the stale counter, which is
-    /// what lets the caller journal stale beacons without re-deriving the
+    /// Returns whether the beacon was fresh (it advanced the sequence), which
+    /// is what lets the caller journal stale beacons without re-deriving the
     /// tracker's freshness rule.
     pub fn observe_heartbeat(&mut self, device_id: usize, sequence: u64) -> bool {
         self.register(device_id);
-        self.heartbeats_seen += 1;
-        if let Some(state) = self.devices.get_mut(&device_id) {
-            if state.health.is_live() && sequence > state.last_sequence {
+        match self.devices.get_mut(&device_id) {
+            Some(state) if state.health.is_live() && sequence > state.last_sequence => {
                 state.last_sequence = sequence;
-                return true;
+                true
             }
-            self.stale_heartbeats += 1;
+            _ => false,
         }
-        false
     }
 
     /// Records a graceful leave: the device finished its work and said so.
@@ -197,17 +193,6 @@ impl HealthTracker {
     pub fn incarnation_of(&self, device_id: usize) -> u64 {
         self.devices.get(&device_id).map_or(0, |s| s.incarnation)
     }
-
-    /// Total heartbeats observed.
-    pub fn heartbeats_seen(&self) -> u64 {
-        self.heartbeats_seen
-    }
-
-    /// Heartbeats ignored because their sequence was stale or replayed, or
-    /// because the device was already terminal.
-    pub fn stale_heartbeats(&self) -> u64 {
-        self.stale_heartbeats
-    }
 }
 
 #[cfg(test)]
@@ -230,44 +215,38 @@ mod tests {
     #[test]
     fn stale_heartbeats_never_roll_the_sequence_back() {
         let mut tracker = HealthTracker::new();
-        tracker.observe_heartbeat(0, 7);
-        tracker.observe_heartbeat(0, 3);
+        assert!(tracker.observe_heartbeat(0, 7));
+        assert!(!tracker.observe_heartbeat(0, 3));
         assert_eq!(tracker.sequence_of(0), 7);
-        assert_eq!(tracker.heartbeats_seen(), 2);
-        assert_eq!(tracker.stale_heartbeats(), 1);
     }
 
     #[test]
     fn replayed_sequence_is_counted_and_cannot_extend_a_deadline() {
         let mut tracker = HealthTracker::new();
-        tracker.observe_heartbeat(0, 4);
+        assert!(tracker.observe_heartbeat(0, 4));
         // An attacker (or a duplicating link) replays the same beacon: the
         // sequence must not advance — a replay can never buy liveness.
-        tracker.observe_heartbeat(0, 4);
-        tracker.observe_heartbeat(0, 4);
+        assert!(!tracker.observe_heartbeat(0, 4));
+        assert!(!tracker.observe_heartbeat(0, 4));
         assert_eq!(tracker.sequence_of(0), 4);
-        assert_eq!(tracker.stale_heartbeats(), 2);
         // A genuinely newer beacon still works.
-        tracker.observe_heartbeat(0, 5);
+        assert!(tracker.observe_heartbeat(0, 5));
         assert_eq!(tracker.sequence_of(0), 5);
-        assert_eq!(tracker.stale_heartbeats(), 2);
     }
 
     #[test]
     fn wraparound_sequences_are_stale_not_fresh() {
         let mut tracker = HealthTracker::new();
-        tracker.observe_heartbeat(0, u64::MAX);
+        assert!(tracker.observe_heartbeat(0, u64::MAX));
         // A counter that wrapped to 0 is indistinguishable from a replay: it
-        // must be ignored and counted, not treated as progress.
-        tracker.observe_heartbeat(0, 0);
-        tracker.observe_heartbeat(0, 1);
+        // must be ignored and reported stale, not treated as progress.
+        assert!(!tracker.observe_heartbeat(0, 0));
+        assert!(!tracker.observe_heartbeat(0, 1));
         assert_eq!(tracker.sequence_of(0), u64::MAX);
-        assert_eq!(tracker.stale_heartbeats(), 2);
         // A new epoch resets the domain; sequencing works again.
         tracker.begin_epoch();
-        tracker.observe_heartbeat(0, 1);
+        assert!(tracker.observe_heartbeat(0, 1));
         assert_eq!(tracker.sequence_of(0), 1);
-        assert_eq!(tracker.stale_heartbeats(), 2);
     }
 
     #[test]
@@ -277,11 +256,10 @@ mod tests {
         tracker.declare_dead(0);
         assert_eq!(tracker.health_of(0), Some(DeviceHealth::Dead));
         // Death is terminal: late heartbeats cannot resurrect the device or
-        // advance its sequence (they count as stale).
-        tracker.observe_heartbeat(0, 9);
+        // advance its sequence (they are stale).
+        assert!(!tracker.observe_heartbeat(0, 9));
         assert_eq!(tracker.health_of(0), Some(DeviceHealth::Dead));
         assert_eq!(tracker.sequence_of(0), 3);
-        assert_eq!(tracker.stale_heartbeats(), 1);
         tracker.observe_leave(1, 5);
         tracker.declare_dead(1);
         assert_eq!(tracker.health_of(1), Some(DeviceHealth::Left));
@@ -340,9 +318,8 @@ mod tests {
         tracker.begin_epoch();
         assert_eq!(tracker.sequence_of(0), 0);
         assert_eq!(tracker.sequence_of(1), 8, "terminal state is frozen");
-        tracker.observe_heartbeat(0, 1);
+        assert!(tracker.observe_heartbeat(0, 1));
         assert_eq!(tracker.sequence_of(0), 1);
-        assert_eq!(tracker.stale_heartbeats(), 0);
     }
 
     #[test]

@@ -93,10 +93,6 @@ pub use report::StreamReport;
 pub use rounds::RoundLayout;
 pub use stream::StreamScheduler;
 
-/// One recorded pipeline-depth change, for the serving report — the
-/// journal's own step type, so a report and its replay hold the same thing.
-pub use edvit_metrics::DepthStep as DepthChange;
-
 // Re-exported so instrumented callers can attach a sink without naming the
 // metrics crate themselves.
 pub use edvit_metrics::MetricsSink;

@@ -390,10 +390,13 @@ impl StreamScheduler {
         let device_threads = by_device.len();
         let depth = epoch.config.effective_depth();
 
-        crossbeam::scope(|scope| -> Result<EpochOutcome> {
+        std::thread::scope(|scope| {
             let mut lanes: BTreeMap<usize, Box<dyn FrameRx>> = BTreeMap::new();
+            let mut workers = Vec::with_capacity(device_threads);
+            let mut open_error = None;
             // Drain in ascending device order (BTreeMap) so spawn order — and
-            // with it the deterministic replay accounting — is stable.
+            // with it the deterministic replay accounting — is stable. Each
+            // worker starts as soon as its lane is open.
             while let Some((device_id, execs)) = by_device.pop_first() {
                 // Per-device bounded lane: `pipeline_depth` rounds of frames
                 // (data frames for each hosted sub-model plus the heartbeat),
@@ -402,11 +405,15 @@ impl StreamScheduler {
                 // `send` — explicit backpressure, and a hard bound on how far
                 // devices can skew — whatever backend carries the lane.
                 let capacity = (execs.len() + 1) * depth + 2;
-                let (tx, rx) = transport.open_lane(device_id, capacity).map_err(|e| {
-                    SchedError::Transport {
-                        message: e.to_string(),
+                let (tx, rx) = match transport.open_lane(device_id, capacity) {
+                    Ok(lane) => lane,
+                    Err(e) => {
+                        open_error = Some(SchedError::Transport {
+                            message: e.to_string(),
+                        });
+                        break;
                     }
-                })?;
+                };
                 lanes.insert(device_id, rx);
                 let capacity_flops = devices
                     .iter()
@@ -420,16 +427,33 @@ impl StreamScheduler {
                     epoch.rounds,
                 )
                 .scripted(failures.get(&device_id).copied(), &produced_max);
-                scope.spawn(move |_| {
+                workers.push(scope.spawn(move || {
                     edvit_parallel::with_fair_share(device_threads, || {
                         program.run(execs, inputs, tx.as_ref());
                     });
+                }));
+            }
+            let outcome = match open_error {
+                // Dropping the lanes already open fails their workers' next
+                // send, so they finish and the joins below return.
+                Some(error) => {
+                    drop(lanes);
+                    Err(error)
+                }
+                None => collect_epoch(epoch, lanes, fusion, &produced_max, run),
+            };
+            // Join every worker: one that panicked and was left unjoined
+            // would unwind out of `scope` instead of becoming a typed error.
+            let joined: Vec<_> = workers
+                .into_iter()
+                .map(std::thread::ScopedJoinHandle::join)
+                .collect();
+            if joined.iter().any(std::thread::Result::is_err) {
+                return Err(SchedError::Runtime {
+                    message: "a device worker thread panicked".to_string(),
                 });
             }
-            collect_epoch(epoch, lanes, fusion, &produced_max, run)
+            outcome
         })
-        .map_err(|_| SchedError::Runtime {
-            message: "a device worker thread panicked".to_string(),
-        })?
     }
 }

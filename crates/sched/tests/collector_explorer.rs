@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use edvit_edge::wire::FeatureMessage;
 use edvit_edge::{ControlMessage, EdgeError, FeatureBatchMessage, FusionFn, SubModelFn};
 use edvit_metrics::{MetricsSink, StreamCounters};
 use edvit_net::{FrameRx, FrameTx, LaneClosed, LaneEvent};
@@ -419,8 +418,8 @@ enum Violation {
     ForeignFeatures,
     /// A copy of the lane's most recent heartbeat.
     ReplayedHeartbeat,
-    /// A wire-v1-style single-feature frame.
-    SingleFeature,
+    /// An intact frame of the retired single-feature kind (kind byte 1).
+    RetiredKind,
     /// An in-band executor failure.
     PeerError,
 }
@@ -431,7 +430,7 @@ impl Violation {
         Violation::ForeignLeave,
         Violation::ForeignFeatures,
         Violation::ReplayedHeartbeat,
-        Violation::SingleFeature,
+        Violation::RetiredKind,
         Violation::PeerError,
     ];
 
@@ -471,8 +470,14 @@ impl Violation {
                     event => panic!("expected a heartbeat frame, found {event:?}"),
                 }
             }
-            Violation::SingleFeature => {
-                FeatureMessage::encode_tensor(0, 0, &Tensor::full(&[2], 1.0))
+            Violation::RetiredKind => {
+                // The kind byte sits outside the CRC: the frame stays intact.
+                let mut frame = ControlMessage::heartbeat(device, 1, 1.0)
+                    .encode()
+                    .as_slice()
+                    .to_vec();
+                frame[6] = 1;
+                Bytes::from(frame)
             }
             Violation::PeerError => return Some(LaneEvent::PeerError("device: boom".to_string())),
         };
@@ -518,7 +523,12 @@ fn one_protocol_violation_at_every_position_is_absorbed_or_a_typed_error() {
                             assert_eq!(report.stale_control_frames, 1, "{what}");
                             assert_eq!(report.stale_heartbeats, 1, "{what}");
                         }
-                        Violation::SingleFeature | Violation::PeerError => assert!(
+                        Violation::RetiredKind => assert!(
+                            matches!(case.result, Err(SchedError::Edge(EdgeError::Decode { .. }))),
+                            "{what}: {:?}",
+                            case.result
+                        ),
+                        Violation::PeerError => assert!(
                             matches!(case.result, Err(SchedError::Runtime { .. })),
                             "{what}: {:?}",
                             case.result

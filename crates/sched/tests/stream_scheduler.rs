@@ -269,6 +269,29 @@ fn executor_and_fusion_failures_propagate() {
     assert!(err.to_string().contains("fusion MLP"), "{err}");
 }
 
+/// Every device worker panics inside its executor: the epoch joins them all
+/// and reports the typed error — nothing unwinds out of the thread scope into
+/// the caller.
+#[test]
+fn panicking_executors_are_a_typed_runtime_error_not_an_unwinding_scope() {
+    let devices = DeviceSpec::raspberry_pi_cluster(2);
+    let plan = plan_for(&devices);
+    let scheduler =
+        StreamScheduler::new(plan.clone(), devices.clone(), StreamConfig::default()).unwrap();
+    let panicking: Vec<SubModelFn> = (0..plan.sub_models.len())
+        .map(|_| -> SubModelFn { Box::new(|_: &Tensor| panic!("executor blew up")) })
+        .collect();
+    let err = scheduler
+        .run(&inputs(4), panicking, concat_fusion())
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SchedError::Runtime {
+            message: "a device worker thread panicked".to_string()
+        }
+    );
+}
+
 #[test]
 fn f16_codec_streams_shrink_the_wire_with_identical_fusion_outputs() {
     // The deterministic executors emit integer-valued features, which are

@@ -13,13 +13,15 @@
 //! ```
 //!
 //! Every offered request ends in exactly one of `dispatched`,
-//! `shed_overflow` or `shed_deadline` (or is still queued); the counters are
-//! maintained so that `admitted == dispatched + shed + queued` holds per
-//! tenant at every step — the invariant the admission proptests pin.
+//! `shed_overflow` or `shed_deadline` (or is still queued). The queue keeps
+//! no counters of its own: each decision is a [`RunEvent`] recorded in the
+//! drill's [`Ledger`], and the fold's per-tenant [`TenantRow`]s satisfy
+//! `admitted == completed + shed + queued` at every step — the invariant the
+//! admission proptests pin.
 
 use std::collections::VecDeque;
 
-use edvit_metrics::{MetricsSink, RunEvent};
+use edvit_metrics::{Ledger, MetricsSink, RunEvent, ServeCounters, TenantRow};
 
 use crate::request::{Request, TenantSpec};
 use crate::{Result, ServeError};
@@ -33,74 +35,71 @@ pub enum AdmissionVerdict {
     ShedOverflow,
 }
 
-/// Per-tenant admission accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantCounters {
-    /// Requests offered to admission (everything that arrived).
-    pub admitted: u64,
-    /// Requests shed on arrival because the queue was full.
-    pub shed_overflow: u64,
-    /// Requests dropped at dispatch because they outlived their deadline.
-    pub shed_deadline: u64,
-    /// Requests handed to a round.
-    pub dispatched: u64,
-    /// Deepest the queue ever grew.
-    pub max_queue_depth: usize,
-}
-
-impl TenantCounters {
-    /// Total requests shed, for whatever reason.
-    pub fn shed(&self) -> u64 {
-        self.shed_overflow + self.shed_deadline
-    }
-}
-
 /// Bounded multi-tenant admission queues with round-robin draining.
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     tenants: Vec<TenantSpec>,
     queues: Vec<VecDeque<Request>>,
-    counters: Vec<TenantCounters>,
     /// Next tenant the round-robin drain visits; persists across rounds so a
     /// busy tenant cannot starve a quiet one.
     cursor: usize,
-    /// Observability sink admission decisions are journaled into. Disabled
-    /// (a no-op) unless [`AdmissionQueue::attach_sink`] hands in a recorder.
-    sink: MetricsSink,
+    /// Where every admission decision is counted (and journaled, when its
+    /// sink records) — the drill's own ledger, so the drill records its
+    /// depth, crash and round events into the same fold.
+    pub(crate) ledger: Ledger<ServeCounters>,
 }
 
 impl AdmissionQueue {
-    /// Creates the queues for the given tenants.
+    /// Creates the queues for the given tenants, counting into a ledger of
+    /// their own that journals nothing: a bare queue is a drill without a
+    /// batcher (round capacity and pipeline depth 0).
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when the tenant list is empty.
     pub fn new(tenants: Vec<TenantSpec>) -> Result<Self> {
+        AdmissionQueue::open(tenants, MetricsSink::disabled(), 0, 0, 0.0)
+    }
+
+    /// Creates the queues and opens the drill's ledger on `sink` with its
+    /// `ServeStarted` and one `TenantRegistered` per tenant.
+    pub(crate) fn open(
+        tenants: Vec<TenantSpec>,
+        sink: MetricsSink,
+        capacity: usize,
+        initial_depth: usize,
+        offered_rate_per_second: f64,
+    ) -> Result<Self> {
         if tenants.is_empty() {
             return Err(ServeError::InvalidConfig {
                 message: "admission needs at least one tenant".to_string(),
             });
         }
-        let n = tenants.len();
+        let mut ledger = Ledger::new(sink);
+        ledger.record(
+            0.0,
+            RunEvent::ServeStarted {
+                tenants: tenants.len() as u64,
+                capacity: capacity as u64,
+                initial_depth: initial_depth as u64,
+                offered_rate_per_second,
+            },
+        );
+        for (index, tenant) in tenants.iter().enumerate() {
+            ledger.record(
+                0.0,
+                RunEvent::TenantRegistered {
+                    tenant: index as u64,
+                    name: tenant.name.clone(),
+                },
+            );
+        }
         Ok(AdmissionQueue {
+            queues: vec![VecDeque::new(); tenants.len()],
             tenants,
-            queues: vec![VecDeque::new(); n],
-            counters: vec![TenantCounters::default(); n],
             cursor: 0,
-            sink: MetricsSink::disabled(),
+            ledger,
         })
-    }
-
-    /// Attaches the observability sink admission events are recorded into.
-    /// Events mirror the counters one-for-one, so an offline replay of the
-    /// journal reconstructs every [`TenantCounters`] field exactly.
-    pub fn attach_sink(&mut self, sink: MetricsSink) {
-        self.sink = sink;
-    }
-
-    /// The tenant specifications, in index order.
-    pub fn tenants(&self) -> &[TenantSpec] {
-        &self.tenants
     }
 
     /// Offers one arriving request: queued when the tenant has room, shed
@@ -121,9 +120,8 @@ impl AdmissionQueue {
                 ),
             });
         }
-        self.counters[t].admitted += 1;
         let at = request.arrival_seconds;
-        self.sink.record(
+        self.ledger.record(
             at,
             RunEvent::RequestAdmitted {
                 tenant: t as u64,
@@ -131,8 +129,7 @@ impl AdmissionQueue {
             },
         );
         if self.queues[t].len() >= self.tenants[t].max_queue {
-            self.counters[t].shed_overflow += 1;
-            self.sink.record(
+            self.ledger.record(
                 at,
                 RunEvent::RequestShedOverflow {
                     tenant: t as u64,
@@ -142,9 +139,7 @@ impl AdmissionQueue {
             return Ok(AdmissionVerdict::ShedOverflow);
         }
         self.queues[t].push_back(request);
-        self.counters[t].max_queue_depth =
-            self.counters[t].max_queue_depth.max(self.queues[t].len());
-        self.sink.record(
+        self.ledger.record(
             at,
             RunEvent::QueueDepth {
                 tenant: t as u64,
@@ -171,10 +166,8 @@ impl AdmissionQueue {
             // arrival order); shed them before dispatching the head.
             while let Some(front) = self.queues[t].front() {
                 if deadline > 0.0 && front.arrival_seconds + deadline < now {
-                    let expired = self.queues[t].pop_front();
-                    self.counters[t].shed_deadline += 1;
-                    if let Some(expired) = expired {
-                        self.sink.record(
+                    if let Some(expired) = self.queues[t].pop_front() {
+                        self.ledger.record(
                             now,
                             RunEvent::RequestShedDeadline {
                                 tenant: t as u64,
@@ -188,8 +181,7 @@ impl AdmissionQueue {
             }
             match self.queues[t].pop_front() {
                 Some(request) => {
-                    self.counters[t].dispatched += 1;
-                    self.sink.record(
+                    self.ledger.record(
                         now,
                         RunEvent::RequestDispatched {
                             tenant: t as u64,
@@ -216,9 +208,9 @@ impl AdmissionQueue {
         self.queues.get(tenant).map_or(0, VecDeque::len)
     }
 
-    /// Per-tenant counters, in tenant index order.
-    pub fn counters(&self) -> &[TenantCounters] {
-        &self.counters
+    /// Per-tenant rows of the fold so far, in tenant index order.
+    pub fn counters(&self) -> &[TenantRow] {
+        &self.ledger.counters.tenants
     }
 }
 
@@ -253,14 +245,13 @@ mod tests {
         assert_eq!(q.queued(), 2);
         assert_eq!(q.queued_of(0), 2);
         assert_eq!(q.queued_of(9), 0);
-        let c = q.counters()[0];
+        let c = &q.counters()[0];
+        assert_eq!(c.name, "a");
         assert_eq!(c.admitted, 3);
         assert_eq!(c.shed_overflow, 1);
         assert_eq!(c.max_queue_depth, 2);
-        assert_eq!(c.shed(), 1);
         // Unknown tenants are a typed error, not an index panic.
         assert!(q.offer(request(3, 7, 0.3)).is_err());
-        assert_eq!(q.tenants().len(), 1);
     }
 
     #[test]
@@ -294,10 +285,10 @@ mod tests {
         let round = q.drain_round(0.7, 4);
         assert_eq!(round.len(), 1);
         assert_eq!(round[0].id, 1);
-        let c = q.counters()[0];
+        let c = &q.counters()[0];
         assert_eq!(c.shed_deadline, 1);
-        assert_eq!(c.dispatched, 1);
-        assert_eq!(c.admitted, c.shed() + c.dispatched);
+        assert_eq!(c.completed, 1);
+        assert_eq!(c.admitted, c.shed_deadline + c.completed);
     }
 
     #[test]
@@ -311,10 +302,10 @@ mod tests {
         }
         assert_eq!(q.queued(), 0);
         assert!(q.drain_round(10.0, 8).is_empty());
-        let c = q.counters()[0];
+        let c = &q.counters()[0];
         assert_eq!(c.admitted, 5);
         assert_eq!(c.shed_overflow, 5);
-        assert_eq!(c.dispatched, 0);
+        assert_eq!(c.completed, 0);
     }
 
     #[test]

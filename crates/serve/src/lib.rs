@@ -39,20 +39,16 @@ mod report;
 mod request;
 mod server;
 
-pub use admission::{AdmissionQueue, AdmissionVerdict, TenantCounters};
+pub use admission::{AdmissionQueue, AdmissionVerdict};
 pub use error::ServeError;
 pub use report::ServeReport;
 pub use request::{ArrivalSpec, Request, TenantSpec};
 pub use server::{AdmissionMode, DrillOutcome, PlannedRound, ServeConfig, ServeScheduler};
 
-/// One tenant's row in the serving report — the journal's own row type, so a
-/// report and its replay hold the same thing.
-pub use edvit_metrics::TenantRow as TenantStats;
-
 // Re-export the pieces callers configure a server with, so downstream code
 // does not need to depend on the scheduler crates directly.
-pub use edvit_metrics::{percentile, MetricsSink, RunJournal, ServeCounters};
-pub use edvit_sched::{DepthChange, DepthController, RoundLayout, StreamConfig, StreamReport};
+pub use edvit_metrics::{percentile, DepthStep, MetricsSink, RunJournal, ServeCounters, TenantRow};
+pub use edvit_sched::{DepthController, RoundLayout, StreamConfig, StreamReport};
 
 /// Convenience alias for results carrying a [`ServeError`].
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -10,21 +10,25 @@
 //! [`ServeScheduler::run`] then replays the formed rounds through
 //! [`StreamScheduler::run_rounds`] so every dispatched request produces a
 //! real fused tensor with exactly-once accounting.
+//!
+//! The drill counts nothing itself: every decision is a [`RunEvent`] recorded
+//! in one [`edvit_metrics::Ledger`], whose [`ServeCounters`] fold is the
+//! drill's accounting — and, read back mid-drill, its current depth.
 
 use std::collections::BTreeMap;
 
 use edvit_edge::{FusionFn, LatencyModel, RoundTimings, SubModelFn};
-use edvit_metrics::{percentile, MetricsSink, RunEvent};
+use edvit_metrics::{MetricsSink, RunEvent, ServeCounters};
 use edvit_partition::{DeviceSpec, SplitPlan};
 use edvit_sched::{
-    DepthChange, DepthController, RoundLayout, ScheduleMode, StreamConfig, StreamScheduler,
+    DepthController, RoundLayout, SchedError, ScheduleMode, StreamConfig, StreamScheduler,
 };
 use edvit_tensor::Tensor;
 
-use crate::admission::{AdmissionQueue, TenantCounters};
+use crate::admission::AdmissionQueue;
 use crate::report::ServeReport;
 use crate::request::{ArrivalSpec, Request, TenantSpec};
-use crate::{Result, ServeError, TenantStats};
+use crate::{Result, ServeError};
 
 /// How the front door turns queued requests into rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,31 +103,14 @@ pub struct PlannedRound {
     pub requests: Vec<Request>,
 }
 
-/// The pure virtual-time result of a drill: rounds, accounting, depth and
-/// recovery behaviour — everything except the actual tensors.
+/// The pure virtual-time result of a drill: the rounds it formed and the
+/// fold of everything it decided — everything except the actual tensors.
 #[derive(Debug, Clone)]
 pub struct DrillOutcome {
     /// The rounds in dispatch order.
     pub rounds: Vec<PlannedRound>,
-    /// Per-tenant admission counters at the end of the drill.
-    pub counters: Vec<TenantCounters>,
-    /// Every adaptive-depth transition, in round order.
-    pub depth_changes: Vec<DepthChange>,
-    /// Pipeline depth the drill started at (after clamping the configured
-    /// depth into the controller's band). The first entry of
-    /// `depth_changes`, when any, transitions *from* this value.
-    pub initial_depth: usize,
-    /// Pipeline depth after the last round.
-    pub final_depth: usize,
-    /// Deepest the pipeline ever ran; the execution pass sizes its lanes to
-    /// this.
-    pub max_depth_used: usize,
-    /// Devices lost to scripted crashes, in crash order.
-    pub devices_lost: Vec<usize>,
-    /// Virtual seconds spent detecting crashes, re-planning and refilling.
-    pub recovery_seconds: f64,
-    /// Virtual time of the last completion (0 when nothing dispatched).
-    pub end_seconds: f64,
+    /// The drill's accounting: admission, depth, recovery and latency.
+    pub counters: ServeCounters,
 }
 
 /// The request front-door: owns the deployment plan, the device membership
@@ -229,9 +216,21 @@ impl ServeScheduler {
         let stream_cfg = &self.config.stream;
         let ctl = self.config.depth;
 
-        let sink = stream_cfg.sink.clone();
-        let mut queue = AdmissionQueue::new(self.config.tenants.clone())?;
-        queue.attach_sink(sink.clone());
+        let min_depth = ctl.min_depth.max(1);
+        let initial_depth = if pipelined {
+            stream_cfg
+                .pipeline_depth
+                .clamp(min_depth, ctl.max_depth.max(min_depth))
+        } else {
+            1
+        };
+        let mut queue = AdmissionQueue::open(
+            self.config.tenants.clone(),
+            stream_cfg.sink.clone(),
+            cap,
+            initial_depth,
+            self.config.arrivals.rate_per_second,
+        )?;
         let mut devices = self.devices.clone();
         let mut plan = self.plan.clone();
         let mut failures = stream_cfg.failures.clone();
@@ -239,44 +238,12 @@ impl ServeScheduler {
         let mut timings = self.timings_for(&plan, &devices);
         let mut nominal = timings.timing_for(cap)?;
 
-        let min_depth = ctl.min_depth.max(1);
-        let max_depth = ctl.max_depth.max(min_depth);
-        let mut depth = if pipelined {
-            stream_cfg.pipeline_depth.clamp(min_depth, max_depth)
-        } else {
-            1
-        };
-        let initial_depth = depth;
-        let mut max_depth_used = depth;
-        let mut depth_changes: Vec<DepthChange> = Vec::new();
-
-        sink.record(
-            0.0,
-            RunEvent::ServeStarted {
-                tenants: self.config.tenants.len() as u64,
-                capacity: cap as u64,
-                initial_depth: initial_depth as u64,
-                offered_rate_per_second: self.config.arrivals.rate_per_second,
-            },
-        );
-        for (index, tenant) in self.config.tenants.iter().enumerate() {
-            sink.record(
-                0.0,
-                RunEvent::TenantRegistered {
-                    tenant: index as u64,
-                    name: tenant.name.clone(),
-                },
-            );
-        }
-
         let mut next_arrival = 0usize;
         let mut now = 0.0f64;
         let mut rounds: Vec<PlannedRound> = Vec::new();
         // Issue interval of the previous round: the pipeline cannot accept a
         // new round faster than its bottleneck stage drains the last one.
         let mut last_interval = 0.0f64;
-        let mut devices_lost: Vec<usize> = Vec::new();
-        let mut recovery_seconds = 0.0f64;
 
         loop {
             admit_until(&mut queue, requests, &mut next_arrival, now)?;
@@ -291,17 +258,13 @@ impl ServeScheduler {
                 }
             }
             let k = rounds.len();
+            let mut depth = queue.ledger.counters.final_depth;
             if pipelined {
                 let queued_rounds = queue.queued().div_ceil(cap);
                 let fusion_bound = nominal.fusion_round_seconds > nominal.device_round_seconds;
                 let next_depth = ctl.decide(fusion_bound, queued_rounds, depth);
                 if next_depth != depth {
-                    depth_changes.push(DepthChange {
-                        round: k as u64,
-                        from: depth,
-                        to: next_depth,
-                    });
-                    sink.record(
+                    queue.ledger.record(
                         now,
                         RunEvent::DepthChanged {
                             round: k as u64,
@@ -310,7 +273,6 @@ impl ServeScheduler {
                         },
                     );
                     depth = next_depth;
-                    max_depth_used = max_depth_used.max(depth);
                 }
             }
             // Dispatch when (a) work is queued, (b) the pipeline can issue
@@ -358,9 +320,10 @@ impl ServeScheduler {
                 let detection =
                     (stream_cfg.grace_rounds + 1) as f64 * nominal.round_interval_seconds;
                 devices.retain(|d| d.id != dead);
-                devices_lost.push(dead);
                 if devices.is_empty() {
-                    return Err(ServeError::AllDevicesLost { lost: devices_lost });
+                    let mut lost = queue.ledger.counters.devices_lost;
+                    lost.push(dead);
+                    return Err(ServeError::AllDevicesLost { lost });
                 }
                 plan = plan.replan_for_survivors(&devices, stream_cfg.energy_samples_per_round)?;
                 timings = self.timings_for(&plan, &devices);
@@ -371,15 +334,16 @@ impl ServeScheduler {
                 // One pre-summed charge per crash, so an offline replay of
                 // the journal re-adds the exact f64 the live drill added.
                 let charge = stall + t.round_interval_seconds;
-                recovery_seconds += charge;
-                sink.record(
+                queue.ledger.record(
                     start,
                     RunEvent::ServeCrash {
                         device: dead as u64,
                         round: k as u64,
                     },
                 );
-                sink.record(start, RunEvent::ServeRecovery { seconds: charge });
+                queue
+                    .ledger
+                    .record(start, RunEvent::ServeRecovery { seconds: charge });
                 // The pipe stalls through recovery: the next round cannot
                 // issue until the replayed round has cleared the new
                 // membership's bottleneck stage.
@@ -389,7 +353,7 @@ impl ServeScheduler {
                 completion = start + t.device_round_seconds + t.fusion_round_seconds;
                 last_interval = t.round_interval_seconds;
             }
-            sink.record(
+            queue.ledger.record(
                 start,
                 RunEvent::ServeRound {
                     round: k as u64,
@@ -406,22 +370,12 @@ impl ServeScheduler {
             now = start;
         }
 
-        let end_seconds = rounds
-            .iter()
-            .map(|r| r.completion_seconds)
-            .fold(0.0f64, f64::max);
-        sink.record(end_seconds, RunEvent::ServeEnded);
-        Ok(DrillOutcome {
-            counters: queue.counters().to_vec(),
-            depth_changes,
-            initial_depth,
-            final_depth: depth,
-            max_depth_used,
-            devices_lost,
-            recovery_seconds,
-            end_seconds,
-            rounds,
-        })
+        let end_seconds = queue.ledger.counters.simulated_total_seconds;
+        queue.ledger.record(end_seconds, RunEvent::ServeEnded);
+        let counters = queue.ledger.finish().map_err(|e| SchedError::Runtime {
+            message: format!("the drill's own events do not fold: {e}"),
+        })?;
+        Ok(DrillOutcome { rounds, counters })
     }
 
     /// Generates the configured arrival sequence, drills it, executes the
@@ -446,100 +400,42 @@ impl ServeScheduler {
             .config
             .arrivals
             .generate(self.config.tenants.len(), samples.len())?;
-        let drill = self.drill(&requests)?;
-        let cap = self.capacity();
+        let DrillOutcome { rounds, counters } = self.drill(&requests)?;
 
-        let sizes: Vec<usize> = drill.rounds.iter().map(|r| r.requests.len()).collect();
         let mut outputs: BTreeMap<u64, Tensor> = BTreeMap::new();
-        let stream = if sizes.is_empty() {
+        let stream = if rounds.is_empty() {
             None
         } else {
+            let sizes: Vec<usize> = rounds.iter().map(|r| r.requests.len()).collect();
             let layout = RoundLayout::from_sizes(&sizes)?;
-            let flat: Vec<Tensor> = drill
-                .rounds
+            let flat: Vec<Tensor> = rounds
                 .iter()
                 .flat_map(|r| r.requests.iter().map(|q| samples[q.sample].clone()))
                 .collect();
             let mut cfg = self.config.stream.clone();
-            cfg.round_size = cap;
+            cfg.round_size = self.capacity();
             cfg.mode = if self.pipelined() {
                 ScheduleMode::Pipelined
             } else {
                 ScheduleMode::Barrier
             };
-            cfg.pipeline_depth = drill.max_depth_used.max(1);
+            // Size the lanes to the deepest the drill's pipeline ever ran.
+            cfg.pipeline_depth = counters
+                .depth_changes
+                .iter()
+                .map(|step| step.to)
+                .fold(counters.initial_depth, usize::max);
             let report = StreamScheduler::new(self.plan.clone(), self.devices.clone(), cfg)?
                 .run_rounds(&flat, &layout, executors, fusion)?;
-            let mut fused = report.outputs.iter();
-            for round in &drill.rounds {
-                for request in &round.requests {
-                    if let Some(tensor) = fused.next() {
-                        outputs.insert(request.id, tensor.clone());
-                    }
-                }
-            }
+            let ids = rounds.iter().flat_map(|r| r.requests.iter().map(|q| q.id));
+            outputs.extend(ids.zip(report.outputs.iter().cloned()));
             Some(report)
         };
 
-        let tenant_count = self.config.tenants.len();
-        let mut per_tenant: Vec<Vec<f64>> = vec![Vec::new(); tenant_count];
-        let mut all: Vec<f64> = Vec::new();
-        for round in &drill.rounds {
-            for request in &round.requests {
-                let latency = round.completion_seconds - request.arrival_seconds;
-                per_tenant[request.tenant].push(latency);
-                all.push(latency);
-            }
-        }
-        all.sort_by(f64::total_cmp);
-        for lats in &mut per_tenant {
-            lats.sort_by(f64::total_cmp);
-        }
-
-        let tenants: Vec<TenantStats> = self
-            .config
-            .tenants
-            .iter()
-            .zip(&drill.counters)
-            .zip(&per_tenant)
-            .map(|((spec, c), lats)| TenantStats {
-                name: spec.name.clone(),
-                admitted: c.admitted,
-                completed: c.dispatched,
-                shed_overflow: c.shed_overflow,
-                shed_deadline: c.shed_deadline,
-                max_queue_depth: c.max_queue_depth,
-                p50_latency_seconds: percentile(lats, 0.50),
-                p99_latency_seconds: percentile(lats, 0.99),
-            })
-            .collect();
-        let admitted: u64 = drill.counters.iter().map(|c| c.admitted).sum();
-        let completed: u64 = drill.counters.iter().map(|c| c.dispatched).sum();
-        let shed: u64 = drill.counters.iter().map(TenantCounters::shed).sum();
-
         Ok(ServeReport {
-            tenants,
-            admitted,
-            completed,
-            shed,
-            rounds_formed: drill.rounds.len(),
-            partial_rounds: sizes.iter().filter(|&&s| s < cap).count(),
-            depth_changes: drill.depth_changes,
-            initial_depth: drill.initial_depth,
-            final_depth: drill.final_depth,
-            p50_latency_seconds: percentile(&all, 0.50),
-            p99_latency_seconds: percentile(&all, 0.99),
-            offered_rate_per_second: self.config.arrivals.rate_per_second,
-            served_samples_per_second: if drill.end_seconds > 0.0 {
-                completed as f64 / drill.end_seconds
-            } else {
-                0.0
-            },
-            simulated_total_seconds: drill.end_seconds,
-            recovery_seconds: drill.recovery_seconds,
-            devices_lost: drill.devices_lost,
             outputs,
             stream,
+            counters,
         })
     }
 }

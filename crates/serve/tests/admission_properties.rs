@@ -8,9 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use edvit_serve::{
-    AdmissionQueue, AdmissionVerdict, ArrivalSpec, Request, TenantCounters, TenantSpec,
-};
+use edvit_serve::{AdmissionQueue, AdmissionVerdict, ArrivalSpec, Request, TenantSpec};
 use proptest::prelude::*;
 
 fn tenant_specs(count: usize, bounds: &[usize], deadline: f64) -> Vec<TenantSpec> {
@@ -30,8 +28,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Drive a random arrival sequence through offer/drain cycles and check,
-    /// at every step and at the end, that the books balance: admitted ==
-    /// dispatched + shed + queued, no double disposition, FIFO per tenant,
+    /// at every step and at the end, that the books — the serve fold's
+    /// per-tenant rows, the only counters there are — balance: admitted ==
+    /// completed + shed + queued, no double disposition, FIFO per tenant,
     /// bounds respected.
     #[test]
     fn admission_books_always_balance(
@@ -59,7 +58,7 @@ proptest! {
                 // Exactly-one-disposition, counting the still-queued rump.
                 prop_assert_eq!(
                     c.admitted,
-                    c.dispatched + c.shed() + queue.queued_of(t) as u64,
+                    c.completed + c.shed_overflow + c.shed_deadline + queue.queued_of(t) as u64,
                     "tenant {} books unbalanced", t
                 );
                 // The queue bound is a hard ceiling, even at the high-water mark.
@@ -74,6 +73,7 @@ proptest! {
             if specs[request.tenant].max_queue == 0 {
                 prop_assert_eq!(verdict, AdmissionVerdict::ShedOverflow);
             }
+            check(&queue);
             if (i + 1) % drain_every == 0 {
                 dispatched.extend(queue.drain_round(now, capacity));
                 check(&queue);
@@ -92,8 +92,12 @@ proptest! {
         prop_assert!(ids.is_subset(&offered));
 
         // Global accounting: offered == dispatched + shed.
-        let total_dispatched: u64 = queue.counters().iter().map(|c| c.dispatched).sum();
-        let total_shed: u64 = queue.counters().iter().map(TenantCounters::shed).sum();
+        let total_dispatched: u64 = queue.counters().iter().map(|c| c.completed).sum();
+        let total_shed: u64 = queue
+            .counters()
+            .iter()
+            .map(|c| c.shed_overflow + c.shed_deadline)
+            .sum();
         prop_assert_eq!(total_dispatched as usize, dispatched.len());
         prop_assert_eq!(total_dispatched + total_shed, offered.len() as u64);
 
@@ -180,8 +184,8 @@ fn all_shed_tenant_never_dispatches() {
     }
     assert_eq!(queue.queued(), 0);
     assert!(queue.drain_round(1e9, 16).is_empty());
-    let c = queue.counters()[0];
+    let c = &queue.counters()[0];
     assert_eq!(c.admitted, 64);
     assert_eq!(c.shed_overflow, 64);
-    assert_eq!(c.dispatched, 0);
+    assert_eq!(c.completed, 0);
 }

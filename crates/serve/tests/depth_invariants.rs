@@ -7,8 +7,16 @@
 //! `final_depth` equals the last entry's `to` (or the initial depth when
 //! the controller never moved) — and a recorded drill's journal replays
 //! offline to counters bitwise equal to the live [`ServeReport`].
+//!
+//! The FNV-1a pins of `overloaded_crash_drills_reproduce_the_recorded_journal_and_counters`
+//! were recorded on commit 58c1613 — the parent of the PR that made
+//! `ServeCounters::apply` the only serve accounting, before `crates/serve`
+//! was touched — by adding that test to the parent's copy of this file and
+//! running `cargo test -q -p edvit-serve --test depth_invariants overloaded_crash`
+//! (a failing pin prints the pair it found).
 
-use edvit_edge::{FusionFn, SubModelFn};
+use edvit_edge::{FusionFn, SubModelFn, TransportKind};
+use edvit_metrics::{RunEvent, ServeCounters};
 use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit_serve::{
     ArrivalSpec, DepthController, MetricsSink, RunJournal, ServeConfig, ServeReport,
@@ -175,8 +183,9 @@ fn mid_drill_crash_interleaved_with_depth_changes_keeps_the_chain_consistent() {
 }
 
 /// Bitwise replay across operating points: sustainable load, overload with
-/// tight queues and deadlines (exercising both shed paths), and a crash
-/// interleaved with depth adaptation — at four seeds each.
+/// tight queues and deadlines (exercising both shed paths), a crash
+/// interleaved with depth adaptation, and a run executed over TCP lanes — at
+/// four seeds each.
 #[test]
 fn journaled_drills_replay_bitwise_at_seeds_0_through_3() {
     let capacity = capacity_per_second();
@@ -204,6 +213,14 @@ fn journaled_drills_replay_bitwise_at_seeds_0_through_3() {
                 config.stream = config.stream.with_failure(2, 3);
                 config
             }),
+            // The execution pass over loopback sockets: the serve fold never
+            // sees the transport, so the report still equals its replay.
+            ("sustainable over tcp", {
+                let mut config =
+                    drill_config(open_tenants(), ArrivalSpec::new(0.8 * capacity, 16, seed));
+                config.stream.transport = TransportKind::Tcp;
+                config
+            }),
         ];
         for (label, config) in legs {
             let sink = MetricsSink::recording();
@@ -220,4 +237,94 @@ fn journaled_drills_replay_bitwise_at_seeds_0_through_3() {
             );
         }
     }
+}
+
+/// FNV-1a 64 over a byte stream — enough to pin journal text and counters.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The serve accounting, pinned (see the file header for where the numbers
+/// come from): a 4x-overloaded drill with tight queues, a deadline, an
+/// adaptive depth band and a scripted crash must journal the recorded serve
+/// text — the drill runs before the execution pass, so its events are the
+/// journal's prefix up to `ServeEnded` — and report the recorded counters.
+#[test]
+fn overloaded_crash_drills_reproduce_the_recorded_journal_and_counters() {
+    const PINS: [(u64, u64); 4] = [
+        (0x7846_6e48_8960_6b94, 0x4bac_4054_2092_c051),
+        (0xdcdd_66c2_022a_3ee5, 0x67a4_2747_85a0_e3c7),
+        (0xc2b2_7af5_3935_c19b, 0xf285_540a_2405_e03d),
+        (0xbe4a_7ca2_4df7_21df, 0x1aca_5402_d287_2524),
+    ];
+    let capacity = capacity_per_second();
+    for (seed, pin) in PINS.iter().enumerate() {
+        let tenants = vec![
+            TenantSpec::new("interactive", 4).with_deadline(2.0),
+            TenantSpec::new("batch", 12),
+        ];
+        let arrivals = ArrivalSpec::new(4.0 * capacity, 96, seed as u64);
+        let mut config = drill_config(tenants, arrivals);
+        config.depth = DepthController {
+            min_depth: 1,
+            max_depth: 4,
+            backlog_rounds: 2,
+        };
+        config.stream = config.stream.with_failure(2, 3);
+        let sink = MetricsSink::recording();
+        let counters = run_with(config.with_sink(sink.clone())).counters();
+        // The drill must exercise every serve accounting path it pins.
+        assert!(counters.tenants.iter().all(|t| t.shed_overflow > 0));
+        assert!(counters.tenants[0].shed_deadline > 0);
+        assert!(counters.depth_changes.len() >= 2);
+        assert_eq!(counters.devices_lost, vec![2]);
+
+        let text = sink.journal().to_text();
+        let end = text.find(" ServeEnded\n").unwrap() + " ServeEnded\n".len();
+        let found = (
+            fnv1a(text[..end].bytes()),
+            fnv1a(format!("{counters:?}").bytes()),
+        );
+        assert_eq!(found, *pin, "seed {seed}: found {found:#018x?}");
+    }
+}
+
+/// The serve fold is total: `ServeCounters::apply` takes every prefix of a
+/// recorded overload-plus-crash journal — its embedded stream events included
+/// — without panicking, a prefix that stops short of `ServeEnded` replays to
+/// the typed error, and the whole journal folds to the live counters.
+#[test]
+fn every_prefix_of_a_serve_journal_folds_and_only_the_whole_one_finishes() {
+    let tenants = vec![
+        TenantSpec::new("interactive", 4).with_deadline(2.0),
+        TenantSpec::new("batch", 12),
+    ];
+    let arrivals = ArrivalSpec::new(4.0 * capacity_per_second(), 48, 1);
+    let mut config = drill_config(tenants, arrivals);
+    config.stream = config.stream.with_failure(2, 3);
+    let sink = MetricsSink::recording();
+    let report = run_with(config.with_sink(sink.clone()));
+    assert!(report.shed > 0 && report.devices_lost == [2]);
+
+    let journal = sink.journal();
+    let ended = journal
+        .records()
+        .iter()
+        .position(|record| record.event == RunEvent::ServeEnded)
+        .unwrap();
+    let mut folded = ServeCounters::default();
+    let mut prefix = RunJournal::new();
+    for (index, record) in journal.records().iter().enumerate() {
+        assert_eq!(
+            prefix.replay_serve().is_ok(),
+            index > ended,
+            "prefix of {index} events"
+        );
+        folded.apply(record.at, &record.event);
+        prefix.push(record.at, record.event.clone());
+    }
+    assert!(folded.bitwise_eq(&report.counters));
+    assert!(prefix.replay_serve().unwrap().bitwise_eq(&folded));
 }
