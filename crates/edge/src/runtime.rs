@@ -5,8 +5,8 @@
 //! [`FeatureBatchMessage`] and ships that one wire-v2 frame down its own
 //! [`Transport`] lane ("the switch") to the fusion side — one frame per
 //! device per round, so header and lane overhead are amortized across the
-//! whole batch. The caller's thread joins the devices, drains the lanes in
-//! device order, checks every frame against the lane it arrived on,
+//! whole batch. The caller's thread reads the lanes while the devices run,
+//! joins the devices, checks every frame against the lane it arrived on,
 //! concatenates the per-sample features in sub-model order and applies the
 //! fusion function. This mirrors the deployment in Fig. 3 of the paper; the
 //! lanes come from whichever backend the caller hands in (in-process channels
@@ -22,8 +22,8 @@ use edvit_metrics::{MetricsSink, RunEvent};
 use edvit_tensor::Tensor;
 
 use crate::{
-    EdgeError, FeatureBatchMessage, FrameRx, LaneEvent, NetOptions, NetworkConfig, PayloadCodec,
-    Result, SimTransport, Transport, WireFrame,
+    EdgeError, FeatureBatchMessage, LaneEvent, NetOptions, NetworkConfig, PayloadCodec, Result,
+    SimTransport, Transport, WireFrame,
 };
 
 /// A sub-model executor: maps one input sample to a feature vector.
@@ -173,22 +173,21 @@ impl ClusterRuntime {
     /// Runs one round over lanes opened from `transport`: one lane and one
     /// thread per device, each device packs all of its samples into one
     /// [`FeatureBatchMessage`] frame and sends it (or its failure, in-band),
-    /// then this thread joins the devices, drains the lanes in device order,
-    /// fuses every sample's features in sub-model order and journals the
-    /// round once.
+    /// while this thread reads the lanes; then it joins the devices, checks
+    /// the frames in device order, fuses every sample's features in sub-model
+    /// order and journals the round once.
     ///
     /// `inputs` holds one tensor per sample (e.g. a `[c, h, w]` image or a
     /// `[1, c, h, w]` batch of one — the executors decide how to interpret
     /// it).
     ///
-    /// The collector starts reading a lane only after every device thread
-    /// has finished (join, then drain). Lanes are opened with capacity 1, so
-    /// a device's single `send` never waits for a reader, and a backend whose
-    /// lanes arm a read deadline (TCP: 5 s by default) starts that clock when
-    /// the frame is already on its way, however long the sub-models
-    /// computed. A frame larger than a socket buffer still cannot deadlock
-    /// the join: the TCP lane's writer thread, not the device thread, blocks
-    /// on the socket until the drain below reads it.
+    /// Each lane's envelope is read before the join, because a TCP lane's
+    /// `send` writes on the device thread: a frame larger than the socket
+    /// buffers leaves its device blocked until the frame is read. Once every
+    /// device is joined, each lane must report its close. A panicked device
+    /// outranks any lane error. A TCP lane opened without
+    /// [`Transport::set_round_deadline`] has no read timeout, so the
+    /// sub-models may compute for as long as they need.
     ///
     /// A frame is checked against the lane it arrived on — it must be a
     /// feature batch of that lane's sub-model holding every input sample
@@ -224,9 +223,9 @@ impl ClusterRuntime {
         let lanes = (0..num_sub_models)
             .map(|device| transport.open_lane(device, 1))
             .collect::<Result<Vec<_>>>()?;
-        let (senders, receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
+        let (senders, mut receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
 
-        let per_device_compute_seconds = std::thread::scope(|scope| {
+        let (joined, delivered) = std::thread::scope(|scope| {
             let devices: Vec<_> = executors
                 .into_iter()
                 .zip(senders)
@@ -255,6 +254,15 @@ impl ClusterRuntime {
                     })
                 })
                 .collect();
+            // Take each lane's one envelope before joining: a TCP send writes
+            // on the device thread, so a frame larger than the socket buffers
+            // completes only while it is being read. A device sends one
+            // envelope, so once every lane has delivered none is blocked. The
+            // device spawned last tends to finish last: reading it first
+            // leaves this thread one wake-up to wait for, not one per lane.
+            let mut delivered: Vec<LaneEvent> =
+                receivers.iter_mut().rev().map(|rx| rx.recv()).collect();
+            delivered.reverse();
             // Join every handle before looking at any result: a panicked
             // worker left unjoined would unwind out of `scope` instead of
             // becoming the typed error below.
@@ -262,28 +270,35 @@ impl ClusterRuntime {
                 .into_iter()
                 .map(std::thread::ScopedJoinHandle::join)
                 .collect();
-            joined
-                .into_iter()
-                .collect::<std::thread::Result<Vec<f64>>>()
-        })
-        .map_err(|_| EdgeError::Runtime {
+            let joined: std::thread::Result<Vec<f64>> = joined.into_iter().collect();
+            (joined, delivered)
+        });
+        let per_device_compute_seconds = joined.map_err(|_| EdgeError::Runtime {
             message: "a device worker thread panicked".to_string(),
         })?;
-
-        // Every device has finished and dropped its sender: drain the one
-        // frame each lane holds, in device order.
-        let mut batches = Vec::with_capacity(num_sub_models);
-        let mut payload_bytes = 0u64;
-        let mut per_device_wire_bytes = Vec::with_capacity(num_sub_models);
-        let mut slowest_frame_seconds = 0.0f64;
-        for (device, mut rx) in receivers.into_iter().enumerate() {
-            let lane = recv_round_frame(device, rx.as_mut(), inputs.len())?;
-            payload_bytes += lane.batch.payload_bytes() as u64;
-            per_device_wire_bytes.push(lane.wire_bytes);
-            slowest_frame_seconds =
-                slowest_frame_seconds.max(self.network.transfer_seconds(lane.wire_bytes));
-            batches.push(lane);
+        let batches = delivered
+            .into_iter()
+            .enumerate()
+            .map(|(device, event)| check_round_frame(device, event, inputs.len()))
+            .collect::<Result<Vec<_>>>()?;
+        // Every device has finished, so each lane must now be closed.
+        for (device, rx) in receivers.iter_mut().enumerate() {
+            let message = match rx.recv() {
+                LaneEvent::Closed => continue,
+                LaneEvent::PeerError(message) => return Err(EdgeError::Runtime { message }),
+                LaneEvent::Frame(_) => {
+                    format!("device {device} lane: a second frame in a one-shot round")
+                }
+            };
+            return Err(EdgeError::Protocol { message });
         }
+
+        let payload_bytes: u64 = batches.iter().map(|b| b.batch.payload_bytes() as u64).sum();
+        let per_device_wire_bytes: Vec<u64> = batches.iter().map(|b| b.wire_bytes).collect();
+        let slowest_frame_seconds = per_device_wire_bytes
+            .iter()
+            .map(|&bytes| self.network.transfer_seconds(bytes))
+            .fold(0.0f64, f64::max);
         let frames = batches.len();
         let bytes_on_wire: u64 = per_device_wire_bytes.iter().sum();
 
@@ -340,11 +355,11 @@ struct LaneBatch {
     row_of: Vec<usize>,
 }
 
-/// Receives the one frame a one-shot lane carries and checks it against the
-/// lane: a feature batch of sub-model `device` holding each of the `samples`
-/// inputs exactly once, followed by the lane's close.
-fn recv_round_frame(device: usize, rx: &mut dyn FrameRx, samples: usize) -> Result<LaneBatch> {
-    let frame = match rx.recv() {
+/// Checks what a one-shot lane delivered against the lane: a frame holding a
+/// feature batch of sub-model `device` with each of the `samples` inputs
+/// exactly once.
+fn check_round_frame(device: usize, event: LaneEvent, samples: usize) -> Result<LaneBatch> {
+    let frame = match event {
         LaneEvent::Frame(frame) => frame,
         LaneEvent::PeerError(message) => return Err(EdgeError::Runtime { message }),
         LaneEvent::Closed => {
@@ -389,15 +404,11 @@ fn recv_round_frame(device: usize, rx: &mut dyn FrameRx, samples: usize) -> Resu
             batch.num_samples()
         )));
     }
-    match rx.recv() {
-        LaneEvent::Closed => Ok(LaneBatch {
-            batch,
-            wire_bytes,
-            row_of,
-        }),
-        LaneEvent::PeerError(message) => Err(EdgeError::Runtime { message }),
-        LaneEvent::Frame(_) => Err(protocol("a second frame in a one-shot round".to_string())),
-    }
+    Ok(LaneBatch {
+        batch,
+        wire_bytes,
+        row_of,
+    })
 }
 
 /// Journals one one-shot batch execution: a `BatchStarted` marker, one

@@ -7,9 +7,9 @@
 //! pipe per peer. An executor's contract with a lane is deliberately
 //! minimal and identical across backends:
 //!
-//! * the sender ships encoded wire-v2 frames in order; `send` **blocks** when
-//!   `capacity` frames are undrained (that bound is the scheduler's
-//!   backpressure, not a transport detail);
+//! * the sender ships encoded wire-v2 frames in order; `send` **blocks**
+//!   while the lane is full (a sim lane at `capacity` undrained frames, a
+//!   TCP lane when the kernel's socket buffers are);
 //! * the receiver observes the same frames in the same order, then exactly
 //!   one [`LaneEvent::Closed`] — whether the peer left gracefully, crashed,
 //!   or went silent past the heartbeat deadline. The scheduler cannot (and
@@ -47,8 +47,8 @@ pub struct LaneClosed;
 
 /// Device-side half of a lane.
 pub trait FrameTx: Send {
-    /// Ships one encoded frame, blocking while the lane's `capacity` frames
-    /// are undrained.
+    /// Ships one encoded frame, blocking while the lane is full: `capacity`
+    /// undrained frames on a sim lane, full socket buffers on a TCP lane.
     ///
     /// # Errors
     ///
@@ -73,7 +73,8 @@ pub trait FrameRx: Send {
 /// A frame carrier: hands out one lane per peer and maps the scheduler's
 /// round-denominated liveness deadline onto whatever clock it runs on.
 pub trait Transport: Send {
-    /// Opens the lane to `peer`, bounded at `capacity` undrained frames.
+    /// Opens the lane to `peer`, bounded at `capacity` undrained frames on a
+    /// sim lane (a TCP lane is bounded by its socket buffers).
     ///
     /// # Errors
     ///

@@ -219,9 +219,9 @@ mod tests {
     #[test]
     fn a_frame_larger_than_a_socket_buffer_completes_over_tcp() {
         // 2 048 samples × 1 024 f32 from one device ≈ 8 MiB in one frame: far
-        // more than a loopback socket buffers. The device's send returns at
-        // once (lane capacity 1), the join completes, and the lane's writer
-        // thread feeds the socket while the collector drains it.
+        // more than a loopback socket buffers. The device's send blocks on
+        // the socket until the collector, reading before it joins, has
+        // drained the frame.
         let (samples, dim) = (2_048, 1_024);
         let report = run_batch_over_tcp(
             &zeros(samples),

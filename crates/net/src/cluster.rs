@@ -138,7 +138,7 @@ impl Coordinator {
 
 /// Reads and validates one connection's join handshake.
 fn admit(stream: TcpStream) -> Result<WorkerConn> {
-    let mut rx = TcpRx::new(stream, WORKER_READ_TIMEOUT)?;
+    let mut rx = TcpRx::new(stream, Some(WORKER_READ_TIMEOUT))?;
     let LaneEvent::Frame(frame) = rx.recv() else {
         return Err(NetError::Accept {
             message: "worker closed, went silent or reported an error before its join".to_string(),

@@ -6,7 +6,7 @@
 //!
 //! The trait was extracted from the scheduler's hard-wired channel
 //! plumbing, so its contract is exactly what the scheduler already relied
-//! on: per-peer ordered bounded lanes, blocking sends as backpressure,
+//! on: per-peer ordered lanes whose sends block when the lane is full,
 //! in-band peer errors, and a single `Closed` event for every way a peer can
 //! go away. [`SimTransport`] keeps that plumbing bit for bit (bounded
 //! channels, virtual clock, fully deterministic — every existing test,

@@ -1,21 +1,15 @@
 //! The loopback TCP backend: the [`Transport`] contract over real sockets.
 //!
-//! Every lane is one TCP connection. The device side owns a bounded send
-//! queue drained by a dedicated writer thread — `send` blocks when
-//! `capacity` frames are undrained, reusing the scheduler's backpressure
-//! semantics bound-for-bound (the kernel's socket buffer adds slack a
-//! channel does not have, but the queue bound is what stops a fast device
-//! from racing arbitrarily far ahead). The writer thread puts each envelope
-//! on the socket with one vectored write. The fusion side reads envelopes
-//! off the socket through a fixed 64 KiB buffer (`LANE_READ_BUFFER`) — a
-//! heartbeat and the data frame behind it arrive in one `read` — with a read
-//! timeout armed from the scheduler's round-denominated heartbeat deadline:
-//! a peer whose next frame misses the deadline looks exactly like a
-//! disconnect, which is the trait's one failure signal.
-//!
-//! [`dial_lane`] is the sender half on its own, for a device that is a
-//! process rather than a thread: it writes synchronously (no queue, no writer
-//! thread for the process exit to kill) and half-closes on drop.
+//! Every lane is one TCP connection. Its sender, [`TcpTx`], writes each
+//! envelope on the sending thread with one vectored write, so `send` blocks
+//! only while the kernel's socket buffers are full: they, not `capacity`,
+//! bound a TCP lane. [`dial_lane`] hands the same sender to a device that is
+//! a process of its own. The fusion side reads envelopes through a fixed
+//! 64 KiB buffer (`LANE_READ_BUFFER`), so a heartbeat and the data frame
+//! behind it arrive in one `read`. A stream arms a read timeout from the
+//! scheduler's round-denominated heartbeat deadline: a peer whose next frame
+//! misses it looks exactly like a disconnect, the trait's one failure signal.
+//! A one-shot lane carries no heartbeat and gets no deadline.
 //!
 //! Connection establishment retries with the same `min(2^(n−1), 8)` backoff
 //! factor schedule the scheduler prices retries with on the virtual clock
@@ -28,7 +22,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use edvit_edge::TransportKind;
-use std::sync::mpsc;
 
 use crate::framing::{read_envelope, write_envelope, Envelope};
 use crate::transport::{FrameRx, FrameTx, LaneClosed, LaneEvent, Transport};
@@ -101,7 +94,8 @@ pub(crate) fn bind_loopback() -> Result<(TcpListener, SocketAddr)> {
 pub struct TcpTransport {
     listener: TcpListener,
     addr: SocketAddr,
-    read_timeout: Duration,
+    /// Armed by [`Transport::set_round_deadline`]; `None` until then.
+    read_timeout: Option<Duration>,
 }
 
 impl TcpTransport {
@@ -115,7 +109,7 @@ impl TcpTransport {
         Ok(TcpTransport {
             listener,
             addr,
-            read_timeout: Duration::from_secs_f64(MIN_DEADLINE_SECONDS),
+            read_timeout: None,
         })
     }
 
@@ -123,43 +117,40 @@ impl TcpTransport {
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
+
+    /// Connects one lane's two ends. Loopback connect completes against the
+    /// listen backlog, so dialing before accepting cannot deadlock.
+    fn lane(&self, peer: usize) -> Result<(TcpTx, TcpRx)> {
+        let sender = connect_with_backoff(&self.addr, CONNECT_ATTEMPTS)?;
+        let (receiver, _) = self.listener.accept().map_err(|e| NetError::Accept {
+            message: format!("lane for peer {peer}: {e}"),
+        })?;
+        let receiver = TcpRx::new(receiver, self.read_timeout)?;
+        Ok((TcpTx::new(sender)?, receiver))
+    }
 }
 
-/// Device-side half of a TCP lane: a bounded queue feeding a writer thread.
+/// Device-side half of a TCP lane, whoever runs the device: a thread of this
+/// process ([`TcpTransport`]) or a process of its own ([`dial_lane`]). Every
+/// envelope is written before `send` returns and the connection half-closes
+/// on drop, so the receiver's EOF lands after the last frame and a worker
+/// process may exit right after its leave frame.
 struct TcpTx {
-    queue: mpsc::SyncSender<Envelope>,
-}
-
-impl FrameTx for TcpTx {
-    fn send(&self, frame: Bytes) -> std::result::Result<(), LaneClosed> {
-        self.queue
-            .send(Envelope::Frame(frame))
-            .map_err(|_| LaneClosed)
-    }
-
-    fn send_error(&self, message: String) -> std::result::Result<(), LaneClosed> {
-        self.queue
-            .send(Envelope::Error(message))
-            .map_err(|_| LaneClosed)
-    }
-}
-
-/// Device-side half of a dialed lane, for a sender that is a process of its
-/// own (contrast [`TcpTx`]). Every envelope is written before `send` returns
-/// and the connection half-closes on drop, so a worker process may exit right
-/// after its leave frame: nothing waits in a queue for a writer thread the
-/// exit would kill, and the coordinator's EOF lands last.
-struct DialedTx {
     stream: TcpStream,
 }
 
-impl DialedTx {
+impl TcpTx {
+    fn new(stream: TcpStream) -> Result<Self> {
+        stream.set_nodelay(true).map_err(|e| NetError::io(&e))?;
+        Ok(TcpTx { stream })
+    }
+
     fn write(&self, envelope: &Envelope) -> std::result::Result<(), LaneClosed> {
         write_envelope(&mut &self.stream, envelope).map_err(|_| LaneClosed)
     }
 }
 
-impl FrameTx for DialedTx {
+impl FrameTx for TcpTx {
     fn send(&self, frame: Bytes) -> std::result::Result<(), LaneClosed> {
         self.write(&Envelope::Frame(frame))
     }
@@ -169,7 +160,7 @@ impl FrameTx for DialedTx {
     }
 }
 
-impl Drop for DialedTx {
+impl Drop for TcpTx {
     fn drop(&mut self) {
         let _ = self.stream.shutdown(Shutdown::Write);
     }
@@ -186,8 +177,7 @@ impl Drop for DialedTx {
 /// [`NetError::Io`] when the socket cannot be configured.
 pub fn dial_lane(addr: &SocketAddr) -> Result<Box<dyn FrameTx>> {
     let stream = connect_with_backoff(addr, CONNECT_ATTEMPTS)?;
-    stream.set_nodelay(true).map_err(|e| NetError::io(&e))?;
-    Ok(Box::new(DialedTx { stream }))
+    Ok(Box::new(TcpTx::new(stream)?))
 }
 
 /// Fusion-side half of a TCP lane: reads envelopes off the accepted socket.
@@ -198,12 +188,12 @@ pub(crate) struct TcpRx {
 }
 
 impl TcpRx {
-    /// Arms an accepted socket as a lane receiver: no Nagle delay, a read
-    /// deadline, and the lane read buffer.
-    pub(crate) fn new(stream: TcpStream, read_timeout: Duration) -> Result<Self> {
+    /// Arms an accepted socket as a lane receiver: no Nagle delay, the read
+    /// deadline if there is one, and the lane read buffer.
+    pub(crate) fn new(stream: TcpStream, read_timeout: Option<Duration>) -> Result<Self> {
         stream.set_nodelay(true).map_err(|e| NetError::io(&e))?;
         stream
-            .set_read_timeout(Some(read_timeout))
+            .set_read_timeout(read_timeout)
             .map_err(|e| NetError::io(&e))?;
         Ok(TcpRx {
             stream: BufReader::with_capacity(LANE_READ_BUFFER, stream),
@@ -235,39 +225,17 @@ impl Transport for TcpTransport {
     fn open_lane(
         &mut self,
         peer: usize,
-        capacity: usize,
+        _capacity: usize,
     ) -> edvit_edge::Result<(Box<dyn FrameTx>, Box<dyn FrameRx>)> {
-        // Loopback connect completes against the listen backlog, so dialing
-        // before accepting cannot deadlock.
-        let sender = connect_with_backoff(&self.addr, CONNECT_ATTEMPTS)?;
-        let (receiver, _) = self.listener.accept().map_err(|e| NetError::Accept {
-            message: format!("lane for peer {peer}: {e}"),
-        })?;
-        sender.set_nodelay(true).map_err(|e| NetError::io(&e))?;
-        let receiver = TcpRx::new(receiver, self.read_timeout)?;
-
-        let (queue_tx, queue_rx) = mpsc::sync_channel::<Envelope>(capacity);
-        std::thread::spawn(move || {
-            let mut stream = sender;
-            // Drain until every sender half is gone and the queue is empty;
-            // a write error drops the queue receiver, which unblocks any
-            // sender stuck in `send` (its next send fails as LaneClosed).
-            while let Ok(envelope) = queue_rx.recv() {
-                if write_envelope(&mut stream, &envelope).is_err() {
-                    return;
-                }
-            }
-            // Graceful close: the FIN lands after the final (leave) frame.
-            let _ = stream.shutdown(Shutdown::Write);
-        });
-
-        Ok((Box::new(TcpTx { queue: queue_tx }), Box::new(receiver)))
+        // No `capacity` here: the socket buffers are the lane's bound.
+        let (sender, receiver) = self.lane(peer)?;
+        Ok((Box::new(sender), Box::new(receiver)))
     }
 
     fn set_round_deadline(&mut self, grace_rounds: u64, round_interval_seconds: f64) {
         let virtual_seconds = (grace_rounds + 1) as f64 * round_interval_seconds.max(0.0);
         let clamped = virtual_seconds.clamp(MIN_DEADLINE_SECONDS, MAX_DEADLINE_SECONDS);
-        self.read_timeout = Duration::from_secs_f64(clamped);
+        self.read_timeout = Some(Duration::from_secs_f64(clamped));
     }
 
     fn kind(&self) -> TransportKind {
@@ -332,10 +300,22 @@ mod tests {
     fn deadline_mapping_clamps_to_the_wall_window() {
         let mut transport = TcpTransport::bind().unwrap();
         transport.set_round_deadline(2, 1e-6);
-        assert_eq!(transport.read_timeout, Duration::from_secs(5));
+        assert_eq!(transport.read_timeout, Some(Duration::from_secs(5)));
         transport.set_round_deadline(2, 1e6);
-        assert_eq!(transport.read_timeout, Duration::from_secs(600));
+        assert_eq!(transport.read_timeout, Some(Duration::from_secs(600)));
         transport.set_round_deadline(1, 10.0);
-        assert_eq!(transport.read_timeout, Duration::from_secs(20));
+        assert_eq!(transport.read_timeout, Some(Duration::from_secs(20)));
+    }
+
+    #[test]
+    fn only_a_stream_deadline_arms_a_lane_read_timeout() {
+        let mut transport = TcpTransport::bind().unwrap();
+        let lane_timeout = |transport: &TcpTransport| {
+            let (_tx, rx) = transport.lane(0).unwrap();
+            rx.stream.get_ref().read_timeout().unwrap()
+        };
+        assert_eq!(lane_timeout(&transport), None, "a one-shot lane has none");
+        transport.set_round_deadline(1, 10.0);
+        assert_eq!(lane_timeout(&transport), Some(Duration::from_secs(20)));
     }
 }

@@ -42,11 +42,11 @@ pub struct FailureInjection {
 pub struct StreamConfig {
     /// Samples per round (≥ 1).
     pub round_size: usize,
-    /// How many undrained rounds a device may buffer ahead of the fusion
-    /// worker before `send` blocks (≥ 1; forced to 1 in
-    /// [`ScheduleMode::Barrier`]). Counting the round being computed, a
-    /// device can be up to `pipeline_depth + 1` rounds past the fused
-    /// frontier.
+    /// How many undrained rounds a device may buffer on a sim lane before
+    /// `send` blocks (≥ 1; forced to 1 in [`ScheduleMode::Barrier`]).
+    /// Counting the round being computed, such a device can be up to
+    /// `pipeline_depth + 1` rounds past the fused frontier; a TCP lane is
+    /// bounded by its socket buffers only.
     pub pipeline_depth: usize,
     /// Barrier or pipelined scheduling.
     pub mode: ScheduleMode,

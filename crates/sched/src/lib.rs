@@ -11,11 +11,11 @@
 //!   computes round *k+1* while the fusion worker drains round *k*. Frames
 //!   travel through a *bounded* per-device lane opened from the configured
 //!   [`Transport`] backend (in-process channels or real loopback TCP — same
-//!   frames, same order, same reports), so backpressure is explicit: a
-//!   device can buffer at most `pipeline_depth` undrained rounds (one more
-//!   may be in computation). Steady-state throughput approaches the
-//!   per-device bound instead of the barrier bound (compare
-//!   [`ScheduleMode::Barrier`] vs [`ScheduleMode::Pipelined`]).
+//!   frames, same order, same reports). A device can buffer at most
+//!   `pipeline_depth` undrained rounds on a sim lane (one more may be in
+//!   computation) and as many as the socket buffers hold on a TCP lane.
+//!   Steady-state throughput approaches the per-device bound instead of the
+//!   barrier bound ([`ScheduleMode::Barrier`] vs [`ScheduleMode::Pipelined`]).
 //! * **Health tracking** — devices announce themselves with wire-v2 control
 //!   frames (`join` / `leave` / `heartbeat`). The fusion worker consumes each
 //!   device's channel round by round, so a silenced device surfaces

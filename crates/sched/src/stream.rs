@@ -13,14 +13,14 @@
 //!   *bounded* lanes from the configured [`Transport`] backend (in-process
 //!   channels or real loopback sockets), sized for `pipeline_depth` rounds
 //!   of frames, and run each device program on a worker thread. When the
-//!   fusion side falls behind, `send` blocks, so a device can buffer at most
-//!   `pipeline_depth` undrained rounds (and thus run at most
+//!   fusion side falls behind, `send` blocks, so on a sim lane a device can
+//!   buffer at most `pipeline_depth` undrained rounds (and thus run at most
 //!   `pipeline_depth + 1` rounds ahead of the fused frontier, counting the
-//!   one it is computing): the backpressure is explicit, not emergent, and
-//!   inter-device skew is bounded by construction. On a death the epoch is
-//!   torn down, the survivors go to [`SplitPlan::replan_for_survivors`], and
-//!   every round that was produced but not fused is replayed: in-flight
-//!   samples are recomputed, never lost.
+//!   one it is computing); a TCP lane holds it back only once the socket
+//!   buffers are full. On a death the epoch is torn down, the survivors go
+//!   to [`SplitPlan::replan_for_survivors`], and every round that was
+//!   produced but not fused is replayed: in-flight samples are recomputed,
+//!   never lost.
 //! * [`StreamScheduler::collect_lanes`] is handed its lanes — e.g. the
 //!   connections an `edvit_net::Coordinator` admitted — and runs the same
 //!   collector over them as one epoch; the device programs run wherever the
@@ -401,9 +401,9 @@ impl StreamScheduler {
                 // Per-device bounded lane: `pipeline_depth` rounds of frames
                 // (data frames for each hosted sub-model plus the heartbeat),
                 // with two slots of slack for the join and leave
-                // announcements. Once the buffer is full the device blocks in
-                // `send` — explicit backpressure, and a hard bound on how far
-                // devices can skew — whatever backend carries the lane.
+                // announcements. Once a sim lane is full the device blocks in
+                // `send`. A TCP lane ignores the capacity: only the kernel's
+                // socket buffers hold its device back.
                 let capacity = (execs.len() + 1) * depth + 2;
                 let (tx, rx) = match transport.open_lane(device_id, capacity) {
                     Ok(lane) => lane,

@@ -7,12 +7,17 @@
 //! tests never compare).
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use edvit::chaos::{FaultKind, FaultPlan};
 use edvit::distributed::{run_distributed, RunOptions};
-use edvit::edge::{ControlMessage, FusionFn, NetOptions, PayloadCodec, SubModelFn, TransportKind};
+use edvit::edge::{
+    ControlMessage, EdgeError, FusionFn, NetOptions, NetworkConfig, PayloadCodec, SubModelFn,
+    TransportKind,
+};
 use edvit::metrics::MetricsSink;
-use edvit::net::{dial_lane, Coordinator, FrameRx};
+use edvit::net::{dial_lane, run_batch_over_tcp, Coordinator, FrameRx};
 use edvit::partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit::pipeline::{EdVitConfig, EdVitPipeline};
 use edvit::sched::{
@@ -349,5 +354,121 @@ fn a_worker_vanishing_mid_stream_is_a_typed_error_naming_device_and_round() {
     assert!(
         message.contains("device 0") && message.contains("round 0"),
         "{message}"
+    );
+}
+
+// A TCP lane writes on the sending thread, so a device whose frame is larger
+// than the socket buffers is blocked in `send` until the fusion side reads
+// it. Each test below runs under a watchdog, so a regression that deadlocks
+// a blocked sender fails the suite instead of hanging it.
+
+/// Runs `test` on a thread of its own and fails if it is still running
+/// after 60 s.
+fn within_watchdog<T: Send + 'static>(test: impl FnOnce() -> T + Send + 'static) -> T {
+    const WATCHDOG: Duration = Duration::from_secs(60);
+    let (done, finished) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = done.send(test());
+    });
+    match finished.recv_timeout(WATCHDOG) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {WATCHDOG:?}: deadlock"),
+        Err(RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the test thread returned without a result"),
+        },
+    }
+}
+
+/// Values per feature vector of the big-frame streams: a round of 8 samples
+/// is a 4 MiB data frame per sub-model.
+const BIG_FEATURE: usize = 131_072;
+
+/// Streams `rounds` rounds of 4 MiB data frames through the 3-device
+/// synthetic deployment, fusing each sample to the sum of its features.
+fn stream_big_frames(
+    transport: TransportKind,
+    rounds: usize,
+    fusion: FusionFn,
+) -> Result<StreamReport, SchedError> {
+    let (plan, devices, _) = synthetic(3);
+    let samples: Vec<Tensor> = (0..8 * rounds)
+        .map(|i| Tensor::full(&[1], i as f32))
+        .collect();
+    let executors = (0..plan.sub_models.len())
+        .map(|i| -> SubModelFn {
+            Box::new(move |sample: &Tensor| {
+                Ok(Tensor::full(&[BIG_FEATURE], sample.sum() + i as f32))
+            })
+        })
+        .collect();
+    let config = StreamConfig {
+        round_size: 8,
+        ..StreamConfig::default()
+    }
+    .with_options(&NetOptions::default().with_transport(transport));
+    StreamScheduler::new(plan, devices, config)
+        .expect("scheduler builds")
+        .run(&samples, executors, fusion)
+}
+
+fn sum_fusion() -> FusionFn {
+    Box::new(|concat: &Tensor| Ok(Tensor::full(&[1], concat.sum())))
+}
+
+#[test]
+fn a_stream_of_frames_larger_than_the_socket_buffers_completes_over_tcp() {
+    let (sim, tcp) = within_watchdog(|| {
+        let sim = stream_big_frames(TransportKind::Sim, 4, sum_fusion()).expect("sim completes");
+        let tcp = stream_big_frames(TransportKind::Tcp, 4, sum_fusion()).expect("tcp completes");
+        (sim, tcp)
+    });
+    assert_stream_reports_agree(&sim, &tcp);
+    assert_eq!(tcp.outputs.len(), 32);
+    assert!(tcp.bytes_on_wire > 3 * 4 * (4 << 20));
+}
+
+#[test]
+fn a_failing_fusion_returns_while_tcp_devices_are_blocked_writing() {
+    // Eight rounds of 4 MiB frames per device are far more than the socket
+    // buffers hold, so every device is blocked in `send` when the first
+    // fusion call fails; the collector's return must unblock them.
+    let err = within_watchdog(|| {
+        let fusion: FusionFn = Box::new(|_| Err("fusion refused the round".to_string()));
+        stream_big_frames(TransportKind::Tcp, 8, fusion).expect_err("the fusion fails")
+    });
+    assert!(
+        matches!(&err, SchedError::Runtime { message } if message == "fusion refused the round"),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_one_shot_device_failure_is_reported_while_a_peer_blocks_writing() {
+    // Device 1 ships one ~8 MiB frame, more than a loopback socket buffers:
+    // it is blocked in `send` when device 0's failure ends the round.
+    let run = |failing: SubModelFn| {
+        within_watchdog(move || {
+            let big: SubModelFn = Box::new(|_: &Tensor| Ok(Tensor::full(&[1_024], 0.25)));
+            let inputs: Vec<Tensor> = (0..2_048).map(|_| Tensor::zeros(&[1])).collect();
+            run_batch_over_tcp(
+                &inputs,
+                vec![failing, big],
+                sum_fusion(),
+                PayloadCodec::F32,
+                &NetworkConfig::paper_default(),
+            )
+            .expect_err("device 0 fails")
+        })
+    };
+    let err = run(Box::new(|_: &Tensor| Err("out of memory".to_string())));
+    assert!(
+        matches!(&err, EdgeError::Runtime { message } if message == "device 0: out of memory"),
+        "{err}"
+    );
+    let err = run(Box::new(|_: &Tensor| panic!("executor blew up")));
+    assert!(
+        matches!(&err, EdgeError::Runtime { message } if message == "a device worker thread panicked"),
+        "{err}"
     );
 }
