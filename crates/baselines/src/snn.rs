@@ -53,11 +53,6 @@ impl SpikingCnn {
         self.inner.memory_bytes() / 4
     }
 
-    /// Per-sample compute relative to the CNN: one pass per timestep.
-    pub fn flops_multiplier(&self) -> u64 {
-        self.timesteps as u64
-    }
-
     /// Quantizes an activation tensor to `timesteps` rate levels in `[0, max]`
     /// — the information loss introduced by rate coding.
     fn rate_code(&self, x: &Tensor) -> Tensor {
@@ -135,7 +130,6 @@ mod tests {
     fn conversion_preserves_structure() {
         let snn = SpikingCnn::from_cnn(cnn());
         assert_eq!(snn.timesteps(), SNN_TIMESTEPS);
-        assert_eq!(snn.flops_multiplier(), SNN_TIMESTEPS as u64);
         assert_eq!(snn.inner().config().num_classes, 4);
         assert!(snn.memory_bytes() < snn.inner().memory_bytes());
         let explicit = SpikingCnn::with_timesteps(cnn(), 0);

@@ -370,10 +370,9 @@ impl EdVitPipeline {
         let paper_fusion_dim: usize = plan.sub_models.iter().map(|s| s.pruned.feature_dim()).sum();
         let paper_fusion = FusionConfig::new(paper_fusion_dim, paper_model.num_classes);
         let latency_model = LatencyModel::new(cfg.network).with_fusion_flops(paper_fusion.flops());
-        let latency = latency_model.estimate(&plan, &cfg.devices)?;
-        let original_cost = analysis::cost_of_config(&paper_model);
+        let latency = latency_model.estimate_batched(&plan, &cfg.devices, 1)?;
         let original_latency_seconds =
-            latency_model.original_model_latency(original_cost.flops, &cfg.devices[0]);
+            cfg.devices[0].execution_seconds(analysis::cost_of_config(&paper_model).flops);
         let feature_payload_bytes: Vec<u64> = plan
             .sub_models
             .iter()

@@ -64,14 +64,6 @@ impl DatasetKind {
         }
     }
 
-    /// Whether this is one of the audio-recognition datasets.
-    pub fn is_audio(&self) -> bool {
-        matches!(
-            self,
-            DatasetKind::GtzanLike | DatasetKind::SpeechCommandsLike
-        )
-    }
-
     /// The name of the real dataset this synthetic one stands in for.
     pub fn paper_name(&self) -> &'static str {
         match self {
@@ -107,9 +99,9 @@ mod tests {
     fn channels_and_audio_flag() {
         assert_eq!(DatasetKind::Cifar10Like.channels(), 3);
         assert_eq!(DatasetKind::GtzanLike.channels(), 1);
-        assert!(DatasetKind::GtzanLike.is_audio());
-        assert!(DatasetKind::SpeechCommandsLike.is_audio());
-        assert!(!DatasetKind::MnistLike.is_audio());
+        for k in DatasetKind::all() {
+            assert_eq!(DatasetKind::audio().contains(&k), k.channels() == 1);
+        }
     }
 
     #[test]

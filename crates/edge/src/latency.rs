@@ -49,11 +49,6 @@ impl LatencyBreakdown {
             .map(|d| d.device_id)
     }
 
-    /// Total encoded bytes all devices put on the wire per round.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.per_device.iter().map(|d| d.wire_bytes).sum()
-    }
-
     /// Fraction of the end-to-end latency spent on communication (the paper
     /// argues this is negligible: ≤ 5.86 ms against seconds of compute).
     pub fn communication_fraction(&self) -> f64 {
@@ -194,19 +189,6 @@ impl LatencyModel {
         self.codec
     }
 
-    /// Estimates the end-to-end latency of one inference sample under `plan`
-    /// on `devices`, with every sub-model shipping its feature as a
-    /// single-sample wire-v2 frame. Equivalent to
-    /// [`LatencyModel::estimate_batched`] with a round of one sample.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeError::InvalidConfig`] when the plan references devices
-    /// that are not in `devices` or the plan is empty.
-    pub fn estimate(&self, plan: &SplitPlan, devices: &[DeviceSpec]) -> Result<LatencyBreakdown> {
-        self.estimate_batched(plan, devices, 1)
-    }
-
     /// Estimates the per-sample latency when each sub-model batches
     /// `samples_per_round` samples into one wire-v2 frame: compute scales
     /// per sample while frame headers and the per-message network overhead
@@ -298,12 +280,6 @@ impl LatencyModel {
             fusion_seconds,
             total_seconds: slowest + fusion_seconds,
         })
-    }
-
-    /// Latency of running the *original* (unsplit) model of `flops` MACs on a
-    /// single device — the dotted baseline lines in Fig. 4/5.
-    pub fn original_model_latency(&self, flops: u64, device: &DeviceSpec) -> f64 {
-        device.execution_seconds(flops)
     }
 
     /// Analytic round timing of a streaming deployment shipping
@@ -456,13 +432,17 @@ mod tests {
         (plan, devices)
     }
 
+    fn wire_bytes(latency: &LatencyBreakdown) -> u64 {
+        latency.per_device.iter().map(|d| d.wire_bytes).sum()
+    }
+
     #[test]
     fn latency_decreases_with_more_devices() {
         let model = LatencyModel::new(NetworkConfig::paper_default());
         let mut last = f64::INFINITY;
         for n in [2usize, 3, 5, 10] {
             let (plan, devices) = plan_for(n);
-            let latency = model.estimate(&plan, &devices).unwrap();
+            let latency = model.estimate_batched(&plan, &devices, 1).unwrap();
             assert!(
                 latency.total_seconds < last,
                 "latency should fall with more devices: {} !< {last}",
@@ -478,20 +458,20 @@ mod tests {
         // devices ~1.3 s, against an original-model latency of 36.94 s.
         let model = LatencyModel::new(NetworkConfig::paper_default());
         let (plan2, devices2) = plan_for(2);
-        let l2 = model.estimate(&plan2, &devices2).unwrap();
+        let l2 = model.estimate_batched(&plan2, &devices2, 1).unwrap();
         assert!(
             l2.total_seconds > 5.0 && l2.total_seconds < 14.0,
             "{}",
             l2.total_seconds
         );
         let (plan10, devices10) = plan_for(10);
-        let l10 = model.estimate(&plan10, &devices10).unwrap();
+        let l10 = model.estimate_batched(&plan10, &devices10, 1).unwrap();
         assert!(
             l10.total_seconds > 0.4 && l10.total_seconds < 3.0,
             "{}",
             l10.total_seconds
         );
-        let original = model.original_model_latency(16_860_000_000, &devices2[0]);
+        let original = devices2[0].execution_seconds(16_860_000_000);
         assert!((original - 36.94).abs() < 1.0);
         assert!(
             original / l10.total_seconds > 10.0,
@@ -503,7 +483,7 @@ mod tests {
     fn batching_amortizes_communication_and_tracks_wire_bytes() {
         let model = LatencyModel::new(NetworkConfig::paper_default());
         let (plan, devices) = plan_for(4);
-        let single = model.estimate(&plan, &devices).unwrap();
+        let single = model.estimate_batched(&plan, &devices, 1).unwrap();
         let batched = model.estimate_batched(&plan, &devices, 32).unwrap();
         // Every device ships at least one frame's worth of header bytes.
         assert!(single.per_device.iter().any(|d| d.wire_bytes > 0));
@@ -517,7 +497,7 @@ mod tests {
             // Compute is per-sample and unaffected by the round size.
             assert_eq!(b.compute_seconds, s.compute_seconds);
         }
-        assert!(batched.total_wire_bytes() > single.total_wire_bytes());
+        assert!(wire_bytes(&batched) > wire_bytes(&single));
         assert!(batched.total_seconds <= single.total_seconds);
         // A zero-sample round is a configuration error.
         assert!(model.estimate_batched(&plan, &devices, 0).is_err());
@@ -527,7 +507,7 @@ mod tests {
     fn communication_is_negligible_fraction() {
         let model = LatencyModel::new(NetworkConfig::paper_default());
         let (plan, devices) = plan_for(5);
-        let latency = model.estimate(&plan, &devices).unwrap();
+        let latency = model.estimate_batched(&plan, &devices, 1).unwrap();
         assert!(latency.communication_fraction() < 0.05);
         assert!(latency.fusion_seconds >= 0.0);
         assert!(latency.bottleneck_device().is_some());
@@ -537,10 +517,10 @@ mod tests {
     fn invalid_inputs_rejected() {
         let model = LatencyModel::new(NetworkConfig::paper_default());
         let (plan, devices) = plan_for(3);
-        assert!(model.estimate(&plan, &[]).is_err());
+        assert!(model.estimate_batched(&plan, &[], 1).is_err());
         // Device list that does not contain the assigned device ids.
         let wrong: Vec<DeviceSpec> = (100..103).map(DeviceSpec::raspberry_pi_4b).collect();
-        assert!(model.estimate(&plan, &wrong).is_err());
+        assert!(model.estimate_batched(&plan, &wrong, 1).is_err());
         let _ = devices;
     }
 
@@ -548,11 +528,11 @@ mod tests {
     fn fusion_flops_override_is_used() {
         let (plan, devices) = plan_for(2);
         let base = LatencyModel::new(NetworkConfig::paper_default())
-            .estimate(&plan, &devices)
+            .estimate_batched(&plan, &devices, 1)
             .unwrap();
         let slow_fusion = LatencyModel::new(NetworkConfig::paper_default())
             .with_fusion_flops(10_000_000_000)
-            .estimate(&plan, &devices)
+            .estimate_batched(&plan, &devices, 1)
             .unwrap();
         assert!(slow_fusion.fusion_seconds > base.fusion_seconds);
         assert!(slow_fusion.total_seconds > base.total_seconds);
@@ -580,7 +560,7 @@ mod tests {
         );
         // Heartbeats are charged: the round ships more than the data frames.
         let batched = model.estimate_batched(&plan, &devices, 8).unwrap();
-        assert!(pipelined.per_round_wire_bytes > batched.total_wire_bytes());
+        assert!(pipelined.per_round_wire_bytes > wire_bytes(&batched));
         // Totals: pipelined total over many rounds approaches interval*rounds
         // and never exceeds barrier.
         for rounds in [1usize, 2, 10] {
@@ -630,10 +610,7 @@ mod tests {
             .iter()
             .map(|s| 16 * s.pruned.feature_dim() as u64)
             .sum();
-        assert_eq!(
-            base.total_wire_bytes() - coded.total_wire_bytes(),
-            dim_bytes * 2
-        );
+        assert_eq!(wire_bytes(&base) - wire_bytes(&coded), dim_bytes * 2);
         // The streaming estimate inherits the codec.
         let base_stream = f32_model
             .estimate_stream(&plan, &devices, 16, true)
@@ -648,8 +625,8 @@ mod tests {
             .with_options(&NetOptions::default().with_codec(PayloadCodec::F16Rle))
             .estimate_batched(&plan, &devices, 16)
             .unwrap();
-        assert!(rle.total_wire_bytes() >= coded.total_wire_bytes());
-        assert!(rle.total_wire_bytes() < base.total_wire_bytes());
+        assert!(wire_bytes(&rle) >= wire_bytes(&coded));
+        assert!(wire_bytes(&rle) < wire_bytes(&base));
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! let devices = DeviceSpec::raspberry_pi_cluster(5);
 //! let plan = SplitPlanner::new(PlannerConfig::default())
 //!     .plan(&ViTConfig::vit_base(10), &devices, 0)?;
+//! // One sample per round: the paper's single-image latency.
 //! let latency = LatencyModel::new(NetworkConfig::paper_default())
-//!     .estimate(&plan, &devices)?;
+//!     .estimate_batched(&plan, &devices, 1)?;
 //! assert!(latency.total_seconds > 0.0);
 //! # Ok(())
 //! # }

@@ -91,23 +91,6 @@ impl RuntimeReport {
             })
             .collect()
     }
-
-    /// Measured per-device throughput in samples per second (indexed by
-    /// sub-model): samples processed divided by that device's compute time.
-    /// Infinite for a device whose measured compute time rounds to zero.
-    pub fn per_device_samples_per_second(&self) -> Vec<f64> {
-        let samples = self.outputs.len() as f64;
-        self.per_device_compute_seconds
-            .iter()
-            .map(|&seconds| {
-                if seconds > 0.0 {
-                    samples / seconds
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect()
-    }
 }
 
 /// A simulated cluster of edge devices plus one fusion device.
@@ -514,18 +497,6 @@ mod tests {
         } else {
             assert_eq!(report.samples_per_second, f64::INFINITY);
         }
-        // The per-device figures use the same actual-samples numerator.
-        for (rate, &seconds) in report
-            .per_device_samples_per_second()
-            .iter()
-            .zip(&report.per_device_compute_seconds)
-        {
-            if seconds > 0.0 {
-                assert!((rate - 3.0 / seconds).abs() <= rate * 1e-12);
-            } else {
-                assert_eq!(*rate, f64::INFINITY);
-            }
-        }
     }
 
     #[test]
@@ -558,11 +529,6 @@ mod tests {
             .per_device_compute_seconds
             .iter()
             .all(|&s| s >= 0.0 && s <= report.wall_clock_seconds));
-        assert_eq!(report.per_device_samples_per_second().len(), 2);
-        assert!(report
-            .per_device_samples_per_second()
-            .iter()
-            .all(|&t| t > 0.0));
     }
 
     #[test]

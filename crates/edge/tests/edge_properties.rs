@@ -551,7 +551,7 @@ proptest! {
             .plan(&ViTConfig::vit_base(10), &cluster, seed)
             .unwrap();
         let model = LatencyModel::new(NetworkConfig::paper_default());
-        let latency = model.estimate(&plan, &cluster).unwrap();
+        let latency = model.estimate_batched(&plan, &cluster, 1).unwrap();
         prop_assert!(latency.total_seconds > 0.0);
         // Parallel execution can never be slower than running every sub-model
         // on a single device back to back (plus fusion and slack).

@@ -3,7 +3,7 @@
 //! The result-fusion stage of ED-ViT (Section IV-E): the aggregation device
 //! concatenates the feature vectors produced by the sub-models and feeds them
 //! through a small tower-structured MLP
-//! (`N·d·s → λ·N·d·s → num_classes`, λ = 0.5 by default) to produce the final
+//! (`N·d·s → λ·N·d·s → num_classes`, λ = 0.5) to produce the final
 //! prediction. The MLP is trained once after all sub-models are trained.
 //!
 //! The aggregation device fuses one image at a time, so a fusion call is a
@@ -33,6 +33,9 @@
 use edvit_nn::{Layer, Mlp, MlpActivation, NnError, Parameter};
 use edvit_tensor::{init::TensorRng, Tensor};
 
+/// The paper's shrinking hyper-parameter λ of the fusion MLP's hidden layer.
+const LAMBDA: f32 = 0.5;
+
 /// Configuration of the tower-structured fusion MLP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionConfig {
@@ -41,29 +44,20 @@ pub struct FusionConfig {
     pub input_dim: usize,
     /// Number of global classes the fused prediction covers.
     pub num_classes: usize,
-    /// Shrinking hyper-parameter λ of the hidden layer (paper default 0.5).
-    pub lambda: f32,
 }
 
 impl FusionConfig {
-    /// Creates a configuration with the paper's default λ = 0.5.
+    /// Creates a configuration of the given widths.
     pub fn new(input_dim: usize, num_classes: usize) -> Self {
         FusionConfig {
             input_dim,
             num_classes,
-            lambda: 0.5,
         }
-    }
-
-    /// Overrides the shrinking factor λ.
-    pub fn with_lambda(mut self, lambda: f32) -> Self {
-        self.lambda = lambda;
-        self
     }
 
     /// Width of the hidden layer, `⌈λ · input_dim⌉`, at least one unit.
     pub fn hidden_dim(&self) -> usize {
-        ((self.input_dim as f32 * self.lambda).ceil() as usize).max(1)
+        ((self.input_dim as f32 * LAMBDA).ceil() as usize).max(1)
     }
 
     /// Multiply–accumulate operations of one fusion forward pass; feeds the
@@ -76,9 +70,9 @@ impl FusionConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::InvalidConfig`] for zero sizes or a non-positive λ.
+    /// Returns [`NnError::InvalidConfig`] for zero sizes.
     pub fn validate(&self) -> Result<(), NnError> {
-        if self.input_dim == 0 || self.num_classes == 0 || self.lambda <= 0.0 {
+        if self.input_dim == 0 || self.num_classes == 0 {
             return Err(NnError::InvalidConfig {
                 message: format!("invalid fusion configuration: {self:?}"),
             });
@@ -242,11 +236,9 @@ mod tests {
         let c = FusionConfig::new(768, 10);
         assert_eq!(c.hidden_dim(), 384);
         assert_eq!(c.flops(), (768 * 384 + 384 * 10) as u64);
-        let c = FusionConfig::new(10, 3).with_lambda(0.1);
-        assert_eq!(c.hidden_dim(), 1);
+        assert_eq!(FusionConfig::new(1, 3).hidden_dim(), 1);
         assert!(FusionConfig::new(0, 4).validate().is_err());
         assert!(FusionConfig::new(4, 0).validate().is_err());
-        assert!(FusionConfig::new(4, 4).with_lambda(0.0).validate().is_err());
     }
 
     #[test]

@@ -382,13 +382,6 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Encodes the record as one journal line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write_line(&mut out);
-        out
-    }
-
     /// Appends the record's journal line (no trailing newline) to `out`.
     pub(crate) fn write_line(&self, out: &mut String) {
         // Writing to a `String` cannot fail.
@@ -641,13 +634,19 @@ impl<'a> Fields<'a> {
 mod tests {
     use super::*;
 
+    fn line_of(record: &EventRecord) -> String {
+        let mut out = String::new();
+        record.write_line(&mut out);
+        out
+    }
+
     fn round_trip(record: EventRecord) {
-        let line = record.to_line();
+        let line = line_of(&record);
         let back = EventRecord::from_line(&line, 1).expect(&line);
         assert_eq!(back.at.to_bits(), record.at.to_bits(), "{line}");
         assert_eq!(back, record, "{line}");
         // The encoder's lines are a fixed point of parse-then-encode.
-        assert_eq!(back.to_line(), line);
+        assert_eq!(line_of(&back), line);
     }
 
     #[test]
@@ -800,7 +799,7 @@ mod tests {
             at: 0.0,
             event: RunEvent::RetryCost { seconds: f64::NAN },
         };
-        let back = EventRecord::from_line(&record.to_line(), 1).unwrap();
+        let back = EventRecord::from_line(&line_of(&record), 1).unwrap();
         let RunEvent::RetryCost { seconds } = back.event else {
             panic!("wrong variant");
         };

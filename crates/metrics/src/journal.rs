@@ -208,7 +208,7 @@ counters! {
         /// scheduling-dependent statistic — where it lands depends on OS
         /// thread interleaving; every timing and replay number is
         /// deterministic. In-process lanes hold it to `pipeline_depth + 1`;
-        /// TCP lanes do not (socket buffers let a device run 175–200 rounds
+        /// TCP lanes do not (socket buffers let a device run 183–185 rounds
         /// ahead at depth 2). Always 0 from `StreamScheduler::collect_lanes`:
         /// the collector cannot see how far a remote producer has run ahead.
         pub max_rounds_in_flight: usize,

@@ -40,11 +40,6 @@ impl Dropout {
     pub fn probability(&self) -> f32 {
         self.p
     }
-
-    /// Whether the layer is currently in training mode.
-    pub fn is_training(&self) -> bool {
-        self.training
-    }
 }
 
 impl Layer for Dropout {
@@ -90,7 +85,6 @@ mod tests {
     fn eval_mode_is_identity() {
         let mut d = Dropout::new(0.5, 0);
         d.set_training(false);
-        assert!(!d.is_training());
         let x = Tensor::ones(&[4, 4]);
         let y = d.forward(&x).unwrap();
         assert_eq!(y.data(), x.data());

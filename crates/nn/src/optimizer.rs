@@ -22,63 +22,24 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Plain stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
-    /// Creates SGD with the given learning rate and no momentum.
+    /// Creates SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Parameter]) -> Result<()> {
-        if self.momentum == 0.0 {
-            for p in params.iter_mut() {
-                let grad = p.grad().clone();
-                p.value_mut().add_scaled_assign(&grad, -self.lr)?;
-            }
-            return Ok(());
-        }
-        if self.velocity.is_empty() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value().dims()))
-                .collect();
-        }
-        if self.velocity.len() != params.len() {
-            return Err(NnError::InvalidConfig {
-                message: format!(
-                    "optimizer state has {} slots but {} parameters were passed",
-                    self.velocity.len(),
-                    params.len()
-                ),
-            });
-        }
-        for (i, p) in params.iter_mut().enumerate() {
+        for p in params.iter_mut() {
             let grad = p.grad().clone();
-            self.velocity[i] = self.velocity[i].scale(self.momentum).add(&grad)?;
-            let v = self.velocity[i].clone();
-            p.value_mut().add_scaled_assign(&v, -self.lr)?;
+            p.value_mut().add_scaled_assign(&grad, -self.lr)?;
         }
         Ok(())
     }
@@ -92,49 +53,32 @@ impl Optimizer for Sgd {
     }
 }
 
+/// Adam's first-moment decay β₁.
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay β₂.
+const BETA2: f32 = 0.999;
+/// Adam's denominator guard ε.
+const EPS: f32 = 1e-8;
+
 /// Adam optimizer (Kingma & Ba, 2014), the optimizer the paper trains with
-/// (`lr = 1e-4`, decaying).
+/// (`lr = 1e-4`, decaying), with the standard β₁=0.9, β₂=0.999, ε=1e-8.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     step_count: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
 impl Adam {
-    /// Creates Adam with the standard β₁=0.9, β₂=0.999, ε=1e-8.
+    /// Creates Adam with the given learning rate.
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             step_count: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Creates Adam with explicit hyper-parameters.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        Adam {
-            lr,
-            beta1,
-            beta2,
-            eps: 1e-8,
-            step_count: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Number of update steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.step_count
     }
 }
 
@@ -161,8 +105,8 @@ impl Optimizer for Adam {
         }
         self.step_count += 1;
         let t = self.step_count as f32;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
+        let bias1 = 1.0 - BETA1.powf(t);
+        let bias2 = 1.0 - BETA2.powf(t);
         for (i, p) in params.iter_mut().enumerate() {
             if self.m[i].dims() != p.value().dims() {
                 return Err(NnError::InvalidConfig {
@@ -175,17 +119,12 @@ impl Optimizer for Adam {
                 });
             }
             let grad = p.grad().clone();
-            self.m[i] = self.m[i]
-                .scale(self.beta1)
-                .add(&grad.scale(1.0 - self.beta1))?;
+            self.m[i] = self.m[i].scale(BETA1).add(&grad.scale(1.0 - BETA1))?;
             let grad_sq = grad.mul(&grad)?;
-            self.v[i] = self.v[i]
-                .scale(self.beta2)
-                .add(&grad_sq.scale(1.0 - self.beta2))?;
+            self.v[i] = self.v[i].scale(BETA2).add(&grad_sq.scale(1.0 - BETA2))?;
             let m_hat = self.m[i].scale(1.0 / bias1);
             let v_hat = self.v[i].scale(1.0 / bias2);
-            let eps = self.eps;
-            let update = m_hat.zip(&v_hat, |m, v| m / (v.sqrt() + eps))?;
+            let update = m_hat.zip(&v_hat, |m, v| m / (v.sqrt() + EPS))?;
             p.value_mut().add_scaled_assign(&update, -self.lr)?;
         }
         Ok(())
@@ -258,12 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_momentum_converges() {
-        let x = run_optimizer(Sgd::with_momentum(0.05, 0.9), 200, 5.0);
-        assert!(x.abs() < 1e-2, "x = {x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let x = run_optimizer(Adam::new(0.1), 300, 5.0);
         assert!(x.abs() < 1e-2, "x = {x}");
@@ -271,10 +204,16 @@ mod tests {
 
     #[test]
     fn adam_counts_steps_and_rejects_changed_params() {
+        // Under a constant gradient, bias correction at the right step count
+        // makes every update exactly one learning rate long.
         let mut adam = Adam::new(0.01);
         let mut p = quadratic_param(1.0);
-        adam.step(&mut [&mut p]).unwrap();
-        assert_eq!(adam.steps_taken(), 1);
+        p.accumulate_grad(&Tensor::from_vec(vec![2.0], &[1]).unwrap())
+            .unwrap();
+        for expected in [0.99, 0.98] {
+            adam.step(&mut [&mut p]).unwrap();
+            assert!((p.value().data()[0] - expected).abs() < 1e-5);
+        }
         let mut p2 = Parameter::new("y", Tensor::zeros(&[3]));
         // Same count but different shape -> explicit error.
         assert!(adam.step(&mut [&mut p2]).is_err());
@@ -289,7 +228,7 @@ mod tests {
         assert_eq!(sgd.learning_rate(), 0.5);
         sgd.set_learning_rate(0.25);
         assert_eq!(sgd.learning_rate(), 0.25);
-        let mut adam = Adam::with_betas(0.3, 0.8, 0.99);
+        let mut adam = Adam::new(0.3);
         assert_eq!(adam.learning_rate(), 0.3);
         adam.set_learning_rate(0.1);
         assert_eq!(adam.learning_rate(), 0.1);

@@ -64,11 +64,6 @@ impl Parameter {
         &self.grad
     }
 
-    /// Mutable access to the gradient.
-    pub fn grad_mut(&mut self) -> &mut Tensor {
-        &mut self.grad
-    }
-
     /// Adds `g` into the accumulated gradient.
     ///
     /// # Errors

@@ -89,13 +89,6 @@ impl DeviceSpec {
             flops as f64 / self.flops_per_second
         }
     }
-
-    /// Whether a model of `memory_bytes` size and `flops` per-sample cost fits
-    /// within this device's memory and energy budget for `samples` inferences.
-    pub fn can_host(&self, memory_bytes: u64, flops: u64, samples: u64) -> bool {
-        memory_bytes <= self.memory_bytes
-            && flops.saturating_mul(samples) <= self.energy_budget_flops
-    }
 }
 
 impl std::fmt::Display for DeviceSpec {
@@ -140,15 +133,6 @@ mod tests {
         assert!(het[1].flops_per_second < het[0].flops_per_second);
         assert!(het[1].memory_bytes < het[0].memory_bytes);
         assert!(het[1].name.contains("underclocked"));
-    }
-
-    #[test]
-    fn can_host_checks_both_constraints() {
-        let d = DeviceSpec::new(0, "dev", 100, 10.0, 1000);
-        assert!(d.can_host(100, 10, 100));
-        assert!(!d.can_host(101, 10, 1));
-        assert!(!d.can_host(10, 10, 101));
-        assert!(d.can_host(0, 0, 0));
     }
 
     #[test]

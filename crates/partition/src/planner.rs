@@ -78,11 +78,6 @@ impl SplitPlan {
             .unwrap_or(0)
     }
 
-    /// The class subset handled by sub-model `index`.
-    pub fn classes_of(&self, index: usize) -> Option<&[usize]> {
-        self.sub_models.get(index).map(|s| s.classes.as_slice())
-    }
-
     /// Incrementally re-plans the deployment after membership churn: keeps
     /// every sub-model (class subsets, pruning levels and costs are already
     /// trained artifacts that cannot change mid-stream) and re-runs the
@@ -408,8 +403,6 @@ mod tests {
                 assert!(plan.assignment.device_for(s.index).is_some());
             }
             assert!(plan.max_sub_model_flops() > 0);
-            assert!(plan.classes_of(0).is_some());
-            assert!(plan.classes_of(n).is_none());
         }
     }
 

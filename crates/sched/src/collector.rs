@@ -255,8 +255,7 @@ impl Collector<'_> {
                 }
                 match control.kind {
                     ControlKind::Join => {
-                        let capacity = control.capacity_flops_per_second;
-                        self.run.tracker.observe_join(device, capacity);
+                        self.run.tracker.observe_join(device);
                         Ok(Seen::Other)
                     }
                     ControlKind::Heartbeat => Ok(Seen::Closes(control.sequence)),

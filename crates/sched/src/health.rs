@@ -22,8 +22,8 @@
 //! terminal and triggers a repartition of the dead device's sub-models. A
 //! terminal state is never *resurrected*: a `Join` from a dead or departed
 //! device opens a **new identity-epoch** — [`DeviceHealth::Rejoined`], with a
-//! fresh sequence domain and a bumped incarnation counter — rather than
-//! flipping the old record back to `Alive`. Stale (reordered or replayed)
+//! fresh sequence domain — rather than flipping the old record back to
+//! `Alive`. Stale (reordered or replayed)
 //! heartbeats never roll a sequence back and never satisfy a deadline; the
 //! tracker tells its caller which beacons were stale, and the caller journals
 //! them, so the scheduler can surface replay pressure.
@@ -58,13 +58,9 @@ struct DeviceState {
     health: DeviceHealth,
     /// Highest heartbeat sequence seen (rounds completed this epoch).
     last_sequence: u64,
-    /// Capacity the device last advertised, in FLOPs per second.
-    capacity_flops_per_second: f64,
-    /// How many identity-epochs this device id has had (0 for the first).
-    incarnation: u64,
 }
 
-/// Tracks per-device heartbeat sequences, capacities and liveness.
+/// Tracks per-device heartbeat sequences and liveness.
 #[derive(Debug, Clone, Default)]
 pub struct HealthTracker {
     devices: BTreeMap<usize, DeviceState>,
@@ -81,33 +77,25 @@ impl HealthTracker {
         self.devices.entry(device_id).or_insert(DeviceState {
             health: DeviceHealth::Alive,
             last_sequence: 0,
-            capacity_flops_per_second: 0.0,
-            incarnation: 0,
         });
     }
 
-    /// Records a join announcement (capacity advertisement).
-    pub fn observe_join(&mut self, device_id: usize, capacity_flops_per_second: f64) {
+    /// Records a join announcement.
+    pub fn observe_join(&mut self, device_id: usize) {
         self.register(device_id);
-        if let Some(state) = self.devices.get_mut(&device_id) {
-            state.capacity_flops_per_second = capacity_flops_per_second;
-        }
     }
 
     /// Admits a device back after a terminal state (`Dead` or `Left`) as a
-    /// **new identity-epoch**: the health becomes [`DeviceHealth::Rejoined`],
-    /// the incarnation counter advances and the sequence domain restarts at 0.
-    /// The terminal fact about the previous incarnation is thereby preserved —
-    /// nothing is resurrected. Called on a device that was never terminal
-    /// (unknown, `Alive` or already `Rejoined`) this degrades to a plain
-    /// [`HealthTracker::observe_join`] and the incarnation does not advance.
-    pub fn observe_rejoin(&mut self, device_id: usize, capacity_flops_per_second: f64) {
+    /// **new identity-epoch**: the health becomes [`DeviceHealth::Rejoined`]
+    /// and the sequence domain restarts at 0. The terminal fact about the
+    /// previous incarnation is thereby preserved — nothing is resurrected.
+    /// Called on a device that was never terminal (unknown, `Alive` or already
+    /// `Rejoined`) this degrades to a plain [`HealthTracker::observe_join`].
+    pub fn observe_rejoin(&mut self, device_id: usize) {
         self.register(device_id);
         if let Some(state) = self.devices.get_mut(&device_id) {
-            state.capacity_flops_per_second = capacity_flops_per_second;
             if matches!(state.health, DeviceHealth::Dead | DeviceHealth::Left) {
                 state.health = DeviceHealth::Rejoined;
-                state.incarnation += 1;
                 state.last_sequence = 0;
             }
         }
@@ -162,7 +150,7 @@ impl HealthTracker {
 
     /// Starts a new scheduling epoch: every live device's heartbeat sequence
     /// domain restarts at 0 (workers count rounds per epoch). Terminal states
-    /// and incarnation counters are untouched.
+    /// are untouched.
     pub fn begin_epoch(&mut self) {
         for state in self.devices.values_mut() {
             if state.health.is_live() {
@@ -179,19 +167,6 @@ impl HealthTracker {
     /// Rounds completed (highest heartbeat sequence) by `device_id`.
     pub fn sequence_of(&self, device_id: usize) -> u64 {
         self.devices.get(&device_id).map_or(0, |s| s.last_sequence)
-    }
-
-    /// Capacity last advertised by `device_id`, in FLOPs per second.
-    pub fn capacity_of(&self, device_id: usize) -> f64 {
-        self.devices
-            .get(&device_id)
-            .map_or(0.0, |s| s.capacity_flops_per_second)
-    }
-
-    /// Identity-epoch counter of `device_id`: 0 for a first incarnation, +1
-    /// per admitted rejoin.
-    pub fn incarnation_of(&self, device_id: usize) -> u64 {
-        self.devices.get(&device_id).map_or(0, |s| s.incarnation)
     }
 }
 
@@ -273,39 +248,34 @@ mod tests {
         let mut tracker = HealthTracker::new();
         tracker.observe_heartbeat(0, 6);
         tracker.declare_dead(0);
-        assert_eq!(tracker.incarnation_of(0), 0);
-        tracker.observe_rejoin(0, 2.0e9);
+        tracker.observe_rejoin(0);
         assert_eq!(tracker.health_of(0), Some(DeviceHealth::Rejoined));
         assert!(tracker.health_of(0).unwrap().is_live());
-        assert_eq!(tracker.incarnation_of(0), 1);
         // Fresh sequence domain: the old incarnation's progress is gone.
         assert_eq!(tracker.sequence_of(0), 0);
-        assert_eq!(tracker.capacity_of(0), 2.0e9);
         tracker.observe_heartbeat(0, 1);
         assert_eq!(tracker.sequence_of(0), 1);
         // The new incarnation can die too, and rejoin again.
         tracker.declare_dead(0);
         assert_eq!(tracker.health_of(0), Some(DeviceHealth::Dead));
-        tracker.observe_rejoin(0, 2.0e9);
-        assert_eq!(tracker.incarnation_of(0), 2);
+        tracker.observe_rejoin(0);
+        assert_eq!(tracker.health_of(0), Some(DeviceHealth::Rejoined));
+        assert_eq!(tracker.sequence_of(0), 0);
         // A device that gracefully left can also come back as a new identity.
         tracker.observe_leave(1, 4);
-        tracker.observe_rejoin(1, 1.0e9);
+        tracker.observe_rejoin(1);
         assert_eq!(tracker.health_of(1), Some(DeviceHealth::Rejoined));
-        assert_eq!(tracker.incarnation_of(1), 1);
+        assert_eq!(tracker.sequence_of(1), 0);
     }
 
     #[test]
     fn rejoin_on_a_live_or_unknown_device_degrades_to_a_plain_join() {
         let mut tracker = HealthTracker::new();
-        tracker.observe_rejoin(5, 3.0e8);
+        tracker.observe_rejoin(5);
         assert_eq!(tracker.health_of(5), Some(DeviceHealth::Alive));
-        assert_eq!(tracker.incarnation_of(5), 0);
-        assert_eq!(tracker.capacity_of(5), 3.0e8);
         tracker.observe_heartbeat(5, 2);
-        tracker.observe_rejoin(5, 4.0e8);
+        tracker.observe_rejoin(5);
         assert_eq!(tracker.health_of(5), Some(DeviceHealth::Alive));
-        assert_eq!(tracker.incarnation_of(5), 0);
         assert_eq!(tracker.sequence_of(5), 2, "no sequence reset on a no-op");
     }
 
@@ -323,13 +293,11 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_recorded_and_unknown_devices_are_none() {
+    fn join_registers_and_unknown_devices_are_none() {
         let mut tracker = HealthTracker::new();
-        tracker.observe_join(3, 4.5e8);
-        assert_eq!(tracker.capacity_of(3), 4.5e8);
-        assert_eq!(tracker.capacity_of(99), 0.0);
+        tracker.observe_join(3);
+        assert_eq!(tracker.health_of(3), Some(DeviceHealth::Alive));
         assert_eq!(tracker.health_of(99), None);
         assert_eq!(tracker.sequence_of(99), 0);
-        assert_eq!(tracker.incarnation_of(99), 0);
     }
 }

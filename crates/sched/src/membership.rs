@@ -124,21 +124,19 @@ pub(crate) fn admit_join(
         },
     );
     let decoded = WireFrame::decode(frame).map_err(SchedError::Edge)?;
-    let WireFrame::Control(control) = decoded else {
+    if !matches!(decoded, WireFrame::Control(_)) {
         return Err(SchedError::Runtime {
             message: format!("join frame for device {device_id} decoded as a non-control frame"),
         });
-    };
+    }
     let was_terminal = matches!(
         run.tracker.health_of(device_id),
         Some(health) if !health.is_live()
     );
     if was_terminal {
-        run.tracker
-            .observe_rejoin(device_id, control.capacity_flops_per_second);
+        run.tracker.observe_rejoin(device_id);
     } else {
-        run.tracker
-            .observe_join(device_id, control.capacity_flops_per_second);
+        run.tracker.observe_join(device_id);
     }
     run.ledger.record(
         at,

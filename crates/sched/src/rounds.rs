@@ -121,11 +121,6 @@ impl RoundLayout {
     pub fn sizes(&self) -> Vec<usize> {
         self.bounds.windows(2).map(|w| w[1] - w[0]).collect()
     }
-
-    /// The largest round in the layout.
-    pub fn max_len(&self) -> usize {
-        self.sizes().into_iter().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +137,6 @@ mod tests {
         assert_eq!(layout.span(2), 8..10);
         assert_eq!(layout.len_of(2), 2);
         assert_eq!(layout.sizes(), vec![4, 4, 2]);
-        assert_eq!(layout.max_len(), 4);
         // Out-of-range rounds are empty, not a panic.
         assert_eq!(layout.span(3), 10..10);
         assert_eq!(layout.len_of(99), 0);
@@ -159,7 +153,7 @@ mod tests {
             }
         }
         assert_eq!(layout.round_of(11), None);
-        assert_eq!(layout.max_len(), 5);
+        assert_eq!(layout.sizes(), vec![3, 1, 5, 2]);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Tensor {
         self.map(approx::sigmoid)
     }
 
-    /// Elementwise hyperbolic tangent.
-    pub fn tanh_elem(&self) -> Tensor {
-        self.map(approx::tanh)
-    }
-
     // ------------------------------------------------------------------
     // Row-wise (last-axis) softmax family
     // ------------------------------------------------------------------
@@ -762,7 +757,7 @@ mod tests {
     fn sigmoid_and_tanh() {
         let x = Tensor::from_vec(vec![0.0], &[1]).unwrap();
         assert!(approx(x.sigmoid().data()[0], 0.5, 1e-6));
-        assert!(approx(x.tanh_elem().data()[0], 0.0, 1e-6));
+        assert!(approx(approx::tanh(x.data()[0]), 0.0, 1e-6));
     }
 
     #[test]

@@ -99,45 +99,9 @@ impl Shape {
         Ok(flat)
     }
 
-    /// Validates that `axis` is in range, returning it back for chaining.
-    pub fn check_axis(&self, axis: usize) -> Result<usize, TensorError> {
-        if axis < self.rank() {
-            Ok(axis)
-        } else {
-            Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            })
-        }
-    }
-
     /// Returns `true` when two shapes are identical.
     pub fn same_as(&self, other: &Shape) -> bool {
         self.dims == other.dims
-    }
-
-    /// Returns the shape obtained by removing `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] when `axis` is invalid.
-    pub fn without_axis(&self, axis: usize) -> Result<Shape, TensorError> {
-        self.check_axis(axis)?;
-        let mut dims = self.dims.clone();
-        dims.remove(axis);
-        Ok(Shape { dims })
-    }
-
-    /// Returns the shape with dimension `axis` replaced by `new_size`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] when `axis` is invalid.
-    pub fn with_axis(&self, axis: usize, new_size: usize) -> Result<Shape, TensorError> {
-        self.check_axis(axis)?;
-        let mut dims = self.dims.clone();
-        dims[axis] = new_size;
-        Ok(Shape { dims })
     }
 }
 
@@ -223,16 +187,6 @@ mod tests {
         let s = Shape::new(&[5, 6]);
         assert_eq!(s.dim(1).unwrap(), 6);
         assert!(s.dim(2).is_err());
-        assert!(s.check_axis(0).is_ok());
-        assert!(s.check_axis(2).is_err());
-    }
-
-    #[test]
-    fn without_and_with_axis() {
-        let s = Shape::new(&[2, 3, 4]);
-        assert_eq!(s.without_axis(1).unwrap().dims(), &[2, 4]);
-        assert_eq!(s.with_axis(2, 9).unwrap().dims(), &[2, 3, 9]);
-        assert!(s.without_axis(5).is_err());
     }
 
     #[test]

@@ -77,15 +77,6 @@ pub fn kl_divergence(p: &Tensor, q: &Tensor) -> Result<f32, TensorError> {
     Ok(acc.max(0.0))
 }
 
-/// Symmetric KL divergence `(D_KL(P||Q) + D_KL(Q||P)) / 2`.
-///
-/// # Errors
-///
-/// Same conditions as [`kl_divergence`].
-pub fn symmetric_kl(p: &Tensor, q: &Tensor) -> Result<f32, TensorError> {
-    Ok(0.5 * (kl_divergence(p, q)? + kl_divergence(q, p)?))
-}
-
 /// Mean KL divergence between matching rows of two `[n, c]` batches of
 /// distributions — the form actually used when scoring pruning candidates on a
 /// calibration batch.
@@ -234,8 +225,12 @@ mod tests {
         let dpq = kl_divergence(&p, &q).unwrap();
         let dqp = kl_divergence(&q, &p).unwrap();
         assert!((dpq - dqp).abs() < 1e-5); // this particular pair is symmetric
+                                           // Against the uniform distribution the two directions differ; only
+                                           // their sum, the symmetrised KL, is the same both ways round.
         let r = Tensor::from_vec(vec![0.5, 0.5], &[2]).unwrap();
-        assert!((symmetric_kl(&p, &r).unwrap() - symmetric_kl(&r, &p).unwrap()).abs() < 1e-6);
+        let dpr = kl_divergence(&p, &r).unwrap();
+        let drp = kl_divergence(&r, &p).unwrap();
+        assert!((dpr - drp).abs() > 0.1, "{dpr} vs {drp}");
     }
 
     #[test]

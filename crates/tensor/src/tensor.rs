@@ -312,15 +312,6 @@ impl Tensor {
         self.zip(other, |a, b| a * b)
     }
 
-    /// Elementwise division.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
-    pub fn div(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.zip(other, |a, b| a / b)
-    }
-
     /// Adds `other` into `self` in place.
     ///
     /// # Errors
@@ -655,7 +646,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).unwrap().data(), &[4.0, 2.5, 2.0]);
         let c = Tensor::zeros(&[4]);
         assert!(a.add(&c).is_err());
     }

@@ -328,31 +328,6 @@ impl PrunedViTConfig {
     pub fn feature_dim(&self) -> usize {
         self.embed_dim()
     }
-
-    /// Returns a new plan with one more head's worth of width pruned —
-    /// the adjustment step of Algorithm 1 (line 18) in reverse direction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ViTError::InvalidPruning`] when no more width can be pruned.
-    pub fn prune_one_more_head(&self) -> Result<PrunedViTConfig> {
-        PrunedViTConfig::new(self.base.clone(), self.pruned_heads + 1)
-    }
-
-    /// Returns a new plan with one fewer pruned head (i.e. a bigger model),
-    /// the adjustment used by Algorithm 1 when re-balancing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ViTError::InvalidPruning`] when the plan is already unpruned.
-    pub fn restore_one_head(&self) -> Result<PrunedViTConfig> {
-        if self.pruned_heads == 0 {
-            return Err(ViTError::InvalidPruning {
-                message: "model is already unpruned".to_string(),
-            });
-        }
-        PrunedViTConfig::new(self.base.clone(), self.pruned_heads - 1)
-    }
 }
 
 #[cfg(test)]
@@ -449,33 +424,13 @@ mod tests {
 
     #[test]
     fn prune_and_restore_heads() {
-        let base = ViTConfig::vit_base(10);
-        let p = PrunedViTConfig::new(base, 6).unwrap();
-        let more = p.prune_one_more_head().unwrap();
-        assert_eq!(more.pruned_heads(), 7);
-        let back = more.restore_one_head().unwrap();
-        assert_eq!(back.pruned_heads(), 6);
-        let unpruned = back
-            .restore_one_head()
-            .unwrap()
-            .restore_one_head()
-            .unwrap()
-            .restore_one_head()
-            .unwrap()
-            .restore_one_head()
-            .unwrap()
-            .restore_one_head()
-            .unwrap()
-            .restore_one_head()
-            .unwrap();
-        assert_eq!(unpruned.pruned_heads(), 0);
-        assert!(unpruned.restore_one_head().is_err());
-        // Pruning down to the last head is allowed, past it is not.
-        let mut p = PrunedViTConfig::new(ViTConfig::vit_small(10), 0).unwrap();
-        for _ in 0..5 {
-            p = p.prune_one_more_head().unwrap();
-        }
-        assert!(p.prune_one_more_head().is_err());
+        // Pruning down to the last head is allowed, past it is not; with no
+        // head pruned the full width is restored.
+        let small = ViTConfig::vit_small(10);
+        let last = PrunedViTConfig::new(small.clone(), 5).unwrap();
+        assert_eq!((last.pruned_heads(), last.embed_dim()), (5, 64));
+        assert!(PrunedViTConfig::new(small.clone(), 6).is_err());
+        assert_eq!(PrunedViTConfig::new(small, 0).unwrap().embed_dim(), 384);
     }
 
     #[test]

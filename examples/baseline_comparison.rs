@@ -23,6 +23,6 @@ fn main() -> Result<(), edvit::EdVitError> {
             row.total_memory_mb
         );
     }
-    println!("\nThe paper's full five-trial sweep is regenerated by `cargo run -p edvit-bench --bin table3` with EDVIT_FULL=1.");
+    println!("\nThe paper's full five-trial sweep is regenerated by `cargo run --release -p edvit-bench --bin paper -- table3 --full`.");
     Ok(())
 }

@@ -13,7 +13,7 @@ fn main() -> Result<(), edvit::EdVitError> {
     let device_counts = [1usize, 2, 5];
     println!("Video analytics with split ViT-Base on the CIFAR-10-like dataset");
     println!(
-        "(fast mode: tiny models, single trial — use the fig4 bench binary for full sweeps)\n"
+        "(fast mode: tiny models, single trial — use `paper -- fig4 --full` from edvit-bench for full sweeps)\n"
     );
     let points = split_curve(
         DatasetKind::Cifar10Like,

@@ -16,7 +16,7 @@ fn paper_scale_plan_latency_and_memory_bands() {
         let cluster = DeviceSpec::raspberry_pi_cluster(devices);
         let plan = planner.plan(&base, &cluster, 7).unwrap();
         assert!(plan.total_memory_mb() <= 180.0);
-        let latency = latency_model.estimate(&plan, &cluster).unwrap();
+        let latency = latency_model.estimate_batched(&plan, &cluster, 1).unwrap();
         assert!(latency.total_seconds < previous_latency);
         previous_latency = latency.total_seconds;
         // Communication stays negligible, as §V-D argues.

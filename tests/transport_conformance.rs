@@ -16,7 +16,7 @@ use edvit::edge::{
     ControlMessage, EdgeError, FusionFn, NetOptions, NetworkConfig, PayloadCodec, SubModelFn,
     TransportKind,
 };
-use edvit::metrics::MetricsSink;
+use edvit::metrics::{MetricsSink, StreamCounters};
 use edvit::net::{dial_lane, run_batch_over_tcp, Coordinator, FrameRx};
 use edvit::partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit::pipeline::{EdVitConfig, EdVitPipeline};
@@ -112,21 +112,17 @@ fn synthetic_executors(plan: &SplitPlan) -> (Vec<SubModelFn>, FusionFn) {
 
 #[test]
 fn heartbeat_dedupe_decisions_are_transport_independent() {
-    // A duplicated data frame and a replayed heartbeat exercise the
-    // ControlDeduper and first-delivery-wins stash; the dedupe decisions are
-    // made from frame content, so both transports must count and discard
-    // identically.
+    // The collector applies every fault to the bytes it receives, whichever
+    // backend carried them, so every fault kind must count, discard, retry
+    // and recover identically over both transports. The duplicated data
+    // frame and the replayed heartbeat exercise the ControlDeduper and the
+    // first-delivery-wins stash; the rest cover corruption, truncation,
+    // drops, crashes, a rejoin and a flaky link.
     let (plan, devices, samples) = synthetic(3);
-    let run = |transport: TransportKind| {
-        let chaos = FaultPlan::new(SEED)
-            .with(FaultKind::DuplicateFrame {
-                device: 1,
-                round: 2,
-            })
-            .with(FaultKind::ReplayHeartbeat {
-                device: 2,
-                round: 3,
-            })
+    let run = |faults: &[FaultKind], transport: TransportKind| {
+        let chaos = faults
+            .iter()
+            .fold(FaultPlan::new(SEED), |plan, &fault| plan.with(fault))
             .compile(&plan, &devices, 6)
             .expect("chaos compiles")
             .apply(stream_config(transport));
@@ -136,16 +132,59 @@ fn heartbeat_dedupe_decisions_are_transport_independent() {
             .run(&samples, executors, fusion)
             .expect("stream completes")
     };
+    // Content-derived counters that differ (`max_rounds_in_flight` is the
+    // one scheduling-dependent field).
+    let content_diff = |a: &StreamCounters, b: &StreamCounters| -> Vec<&'static str> {
+        let fields = a.diff(b).into_iter();
+        fields.filter(|&f| f != "max_rounds_in_flight").collect()
+    };
+    let healthy = run(&[], TransportKind::Sim).counters();
 
-    let sim = run(TransportKind::Sim);
-    let tcp = run(TransportKind::Tcp);
-    assert_stream_reports_agree(&sim, &tcp);
-    assert_eq!(sim.duplicate_frames, tcp.duplicate_frames);
-    assert_eq!(sim.stale_control_frames, tcp.stale_control_frames);
-    assert!(
-        tcp.duplicate_frames > 0 || tcp.stale_control_frames > 0,
-        "the drill must actually exercise the dedupe path"
-    );
+    let (device, round) = (1, 2);
+    let every_kind = [
+        FaultKind::CorruptFrame { device, round },
+        FaultKind::PersistentCorruption { device, round },
+        FaultKind::TruncateFrame { device, round },
+        FaultKind::DropDataFrame { device, round },
+        FaultKind::DuplicateFrame { device, round },
+        FaultKind::DropHeartbeat { device, round },
+        FaultKind::ReplayHeartbeat { device, round },
+        FaultKind::Crash {
+            device,
+            at_round: round,
+        },
+        FaultKind::CrashThenRejoin {
+            device,
+            at_round: round,
+            rejoin_after: 1,
+        },
+        FaultKind::FlakyLink {
+            device,
+            corrupt_per_mille: 500,
+        },
+    ];
+    let dedupe_drill = [
+        FaultKind::DuplicateFrame { device, round },
+        FaultKind::ReplayHeartbeat {
+            device: 2,
+            round: 3,
+        },
+    ];
+    let drills = every_kind.iter().map(std::slice::from_ref);
+    for faults in drills.chain([&dedupe_drill[..]]) {
+        let sim = run(faults, TransportKind::Sim);
+        let tcp = run(faults, TransportKind::Tcp);
+        assert_stream_reports_agree(&sim, &tcp);
+        let divergent = content_diff(&sim.counters, &tcp.counters);
+        assert!(
+            divergent.is_empty(),
+            "{faults:?}: counters differ: {divergent:?}"
+        );
+        assert!(
+            !content_diff(&healthy, &tcp.counters).is_empty(),
+            "{faults:?}: the drill must actually perturb the run"
+        );
+    }
 }
 
 #[test]
