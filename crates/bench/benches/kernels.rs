@@ -46,7 +46,15 @@ fn bench_batch_matmul(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{batch}x{size}")),
             &size,
-            |bench, _| bench.iter(|| a.batch_matmul(&b).unwrap()),
+            |bench, _| {
+                bench.iter(|| {
+                    let mut out = vec![0.0f32; batch * size * size];
+                    let (a, b) = (a.data(), b.data());
+                    let pool = ParallelPool::global();
+                    kernels::batch_matmul(a, b, &mut out, batch, size, size, size, pool);
+                    out
+                });
+            },
         );
     }
     group.finish();

@@ -1,20 +1,24 @@
 //! Threaded distributed-inference runtime: the one one-shot round executor.
 //!
-//! Each sub-model runs on its own worker thread ("edge device"), extracts a
-//! feature vector per input sample, packs *all* of its samples into a single
-//! [`FeatureBatchMessage`] and ships that one wire-v2 frame down its own
-//! [`Transport`] lane ("the switch") to the fusion side — one frame per
-//! device per round, so header and lane overhead are amortized across the
-//! whole batch. The caller's thread reads the lanes while the devices run,
-//! joins the devices, checks every frame against the lane it arrived on,
-//! concatenates the per-sample features in sub-model order and applies the
-//! fusion function. This mirrors the deployment in Fig. 3 of the paper; the
-//! lanes come from whichever backend the caller hands in (in-process channels
-//! by default, loopback TCP from `edvit-net`), and because the same executor
-//! runs over both, every content-derived report field is the same by
-//! construction. The *timing* numbers come from the analytic
-//! [`crate::LatencyModel`], not from wall-clock measurements.
+//! Each sub-model runs as one job on a device thread ("edge device"),
+//! extracts a feature vector per input sample, packs *all* of its samples
+//! into a single [`FeatureBatchMessage`] and ships that one wire-v2 frame
+//! down its own [`Transport`] lane ("the switch") to the fusion side — one
+//! frame per device per round, so header and lane overhead are amortized
+//! across the whole batch. Device threads are kept warm: a finished job's
+//! thread parks in a process-wide idle list and runs a later round's job,
+//! so a request pays for a hand-off, not a thread spawn. The caller's thread
+//! reads the lanes while the devices run, waits for every job, checks every
+//! frame against the lane it arrived on, concatenates the per-sample
+//! features in sub-model order and applies the fusion function. This mirrors
+//! the deployment in Fig. 3 of the paper; the lanes come from whichever
+//! backend the caller hands in (in-process channels by default, loopback TCP
+//! from `edvit-net`), and because the same executor runs over both, every
+//! content-derived report field is the same by construction. The *timing*
+//! numbers come from the analytic [`crate::LatencyModel`], not from
+//! wall-clock measurements.
 
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -154,23 +158,24 @@ impl ClusterRuntime {
     }
 
     /// Runs one round over lanes opened from `transport`: one lane and one
-    /// thread per device, each device packs all of its samples into one
-    /// [`FeatureBatchMessage`] frame and sends it (or its failure, in-band),
-    /// while this thread reads the lanes; then it joins the devices, checks
-    /// the frames in device order, fuses every sample's features in sub-model
-    /// order and journals the round once.
+    /// device thread per device — a parked one when any is idle, a new one
+    /// otherwise, never a job queued behind another — each device packs all
+    /// of its samples into one [`FeatureBatchMessage`] frame and sends it (or
+    /// its failure, in-band), while this thread reads the lanes; then it
+    /// waits for every device, checks the frames in device order, fuses every
+    /// sample's features in sub-model order and journals the round once.
     ///
     /// `inputs` holds one tensor per sample (e.g. a `[c, h, w]` image or a
     /// `[1, c, h, w]` batch of one — the executors decide how to interpret
     /// it).
     ///
-    /// Each lane's envelope is read before the join, because a TCP lane's
-    /// `send` writes on the device thread: a frame larger than the socket
-    /// buffers leaves its device blocked until the frame is read. Once every
-    /// device is joined, each lane must report its close. A panicked device
-    /// outranks any lane error. A TCP lane opened without
-    /// [`Transport::set_round_deadline`] has no read timeout, so the
-    /// sub-models may compute for as long as they need.
+    /// Each lane's envelope is read before waiting for the devices, because a
+    /// TCP lane's `send` writes on the device thread: a frame larger than the
+    /// socket buffers leaves its device blocked until the frame is read. Once
+    /// every device has finished, each lane must report its close. A panicked
+    /// device outranks any lane error, and its thread survives the panic. A
+    /// TCP lane opened without [`Transport::set_round_deadline`] has no read
+    /// timeout, so the sub-models may compute for as long as they need.
     ///
     /// A frame is checked against the lane it arrived on — it must be a
     /// feature batch of that lane's sub-model holding every input sample
@@ -180,8 +185,8 @@ impl ClusterRuntime {
     /// # Errors
     ///
     /// Returns [`EdgeError::InvalidConfig`] for empty inputs or executor
-    /// lists, [`EdgeError::Runtime`] when a lane cannot be opened or an
-    /// executor or the fusion function fails, and the decode or
+    /// lists, [`EdgeError::Runtime`] when a lane or a device thread cannot be
+    /// opened or an executor or the fusion function fails, and the decode or
     /// [`EdgeError::Protocol`] error of a frame that fails the checks above.
     pub fn run_over(
         &self,
@@ -208,57 +213,49 @@ impl ClusterRuntime {
             .collect::<Result<Vec<_>>>()?;
         let (senders, mut receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
 
-        let (joined, delivered) = std::thread::scope(|scope| {
-            let devices: Vec<_> = executors
-                .into_iter()
-                .zip(senders)
-                .enumerate()
-                .map(|(device, (mut executor, tx))| {
-                    scope.spawn(move || {
-                        let device_started = Instant::now();
-                        // Sibling device threads split the kernel pool evenly.
-                        let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
-                            encode_device_round(
-                                device,
-                                &mut executor,
-                                inputs.iter().enumerate(),
-                                codec,
-                            )
-                        });
-                        let seconds = device_started.elapsed().as_secs_f64();
-                        // A closed lane means the collector is gone; stop
-                        // quietly.
-                        let _ = match encoded {
-                            Ok(Some(frame)) => tx.send(frame),
-                            Ok(None) => Ok(()),
-                            Err(message) => tx.send_error(format!("device {device}: {message}")),
-                        };
-                        seconds
-                    })
-                })
-                .collect();
-            // Take each lane's one envelope before joining: a TCP send writes
-            // on the device thread, so a frame larger than the socket buffers
-            // completes only while it is being read. A device sends one
-            // envelope, so once every lane has delivered none is blocked. The
-            // device spawned last tends to finish last: reading it first
-            // leaves this thread one wake-up to wait for, not one per lane.
-            let mut delivered: Vec<LaneEvent> =
-                receivers.iter_mut().rev().map(|rx| rx.recv()).collect();
-            delivered.reverse();
-            // Join every handle before looking at any result: a panicked
-            // worker left unjoined would unwind out of `scope` instead of
-            // becoming the typed error below.
-            let joined: Vec<_> = devices
-                .into_iter()
-                .map(std::thread::ScopedJoinHandle::join)
-                .collect();
-            let joined: std::thread::Result<Vec<f64>> = joined.into_iter().collect();
-            (joined, delivered)
-        });
-        let per_device_compute_seconds = joined.map_err(|_| EdgeError::Runtime {
-            message: "a device worker thread panicked".to_string(),
-        })?;
+        let shared: Arc<[Tensor]> = Arc::from(inputs);
+        let (done, finished) = mpsc::channel();
+        for (device, (mut executor, tx)) in executors.into_iter().zip(senders).enumerate() {
+            let inputs = Arc::clone(&shared);
+            let work = Box::new(move || {
+                let device_started = Instant::now();
+                // Sibling device threads split the kernel pool evenly.
+                let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
+                    encode_device_round(device, &mut executor, inputs.iter().enumerate(), codec)
+                });
+                let seconds = device_started.elapsed().as_secs_f64();
+                // A closed lane means the collector is gone; stop quietly.
+                let _ = match encoded {
+                    Ok(Some(frame)) => tx.send(frame),
+                    Ok(None) => Ok(()),
+                    Err(message) => tx.send_error(format!("device {device}: {message}")),
+                };
+                seconds
+            });
+            warm::dispatch((device, work, done.clone()))?;
+        }
+        drop(done);
+        // Take each lane's one envelope before waiting for the devices: a TCP
+        // send writes on the device thread, so a frame larger than the socket
+        // buffers completes only while it is being read. A device sends one
+        // envelope, so once every lane has delivered none is blocked. The
+        // device dispatched last tends to finish last: reading it first
+        // leaves this thread one wake-up to wait for, not one per lane.
+        let mut delivered: Vec<LaneEvent> =
+            receivers.iter_mut().rev().map(|rx| rx.recv()).collect();
+        delivered.reverse();
+        // Wait for every device before looking at any result; a job that
+        // panicked reports no seconds.
+        let mut seconds = vec![None; num_sub_models];
+        for (device, compute_seconds) in finished.iter().take(num_sub_models) {
+            seconds[device] = compute_seconds;
+        }
+        let per_device_compute_seconds = seconds
+            .into_iter()
+            .collect::<Option<Vec<f64>>>()
+            .ok_or_else(|| EdgeError::Runtime {
+                message: "a device worker thread panicked".to_string(),
+            })?;
         let batches = delivered
             .into_iter()
             .enumerate()
@@ -438,6 +435,73 @@ fn record_batch_events(
     );
 }
 
+/// Device threads kept warm between one-shot rounds: a process-wide list of
+/// parked threads, each waiting on its own job channel. A round hands each
+/// device's job to a parked thread — or to a new one when none is idle, never
+/// to a queue, because a TCP `send` blocks until the collector reads it and a
+/// job queued behind a blocked one could never start.
+mod warm {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc::{self, Sender};
+    use std::sync::{Mutex, PoisonError};
+
+    use crate::{EdgeError, Result};
+
+    /// One device's share of a round: its index, the work (returning its
+    /// compute seconds) and where to report `(device, seconds)` — `None` when
+    /// the work panicked.
+    pub(super) type Job = (
+        usize,
+        Box<dyn FnOnce() -> f64 + Send>,
+        Sender<(usize, Option<f64>)>,
+    );
+
+    /// Job inboxes of the device threads parked right now. Every update is
+    /// one `push` or `pop`, so the list is valid even if a holder panicked.
+    static IDLE: Mutex<Vec<Sender<Job>>> = Mutex::new(Vec::new());
+
+    /// Device threads started so far in this process.
+    #[cfg(test)]
+    pub(super) static SPAWNED: std::sync::atomic::AtomicUsize =
+        std::sync::atomic::AtomicUsize::new(0);
+
+    /// Starts `job` on a parked device thread, or on a new one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EdgeError::Runtime`] when no thread can be started.
+    pub(super) fn dispatch(job: Job) -> Result<()> {
+        let runtime = |message: String| EdgeError::Runtime { message };
+        if let Some(inbox) = IDLE.lock().unwrap_or_else(PoisonError::into_inner).pop() {
+            // A parked thread holds its own inbox, so it never hangs up.
+            return inbox
+                .send(job)
+                .map_err(|_| runtime("a parked device thread is gone".to_string()));
+        }
+        let (inbox, jobs) = mpsc::channel::<Job>();
+        let _ = inbox.send(job);
+        // Detached on purpose: the thread serves jobs until the process
+        // exits. Each job's panic is caught and reported as `None`, and the
+        // thread parks itself again *before* reporting the job done, so the
+        // caller's next round finds it idle.
+        std::thread::Builder::new()
+            .name("edvit-device".to_string())
+            .spawn(move || {
+                for (device, work, done) in &jobs {
+                    let seconds = catch_unwind(AssertUnwindSafe(work)).ok();
+                    IDLE.lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(inbox.clone());
+                    let _ = done.send((device, seconds));
+                }
+            })
+            .map_err(|e| runtime(format!("cannot start a device thread: {e}")))?;
+        #[cfg(test)]
+        SPAWNED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Ok(())
+    }
+}
+
 /// The device side of a round, shared by every executor of rounds (the
 /// one-shot runtime here, the streaming scheduler's device worker, the
 /// worker processes of `examples/cluster_proc.rs`): runs one sub-model's
@@ -470,6 +534,24 @@ pub fn encode_device_round<'a>(
 mod tests {
     use super::*;
     use crate::wire::batch_frame_len;
+    use std::sync::atomic::Ordering;
+    use std::sync::{Barrier, Mutex, PoisonError};
+    use std::time::Duration;
+
+    /// Serializes the rounds of this module's tests: device threads are a
+    /// process-wide resource, and `sequential_rounds_reuse_their_parked_threads`
+    /// counts the threads its own rounds start.
+    static ROUNDS: Mutex<()> = Mutex::new(());
+
+    fn run_round(
+        runtime: &ClusterRuntime,
+        inputs: &[Tensor],
+        executors: Vec<SubModelFn>,
+        fusion: FusionFn,
+    ) -> Result<RuntimeReport> {
+        let _serial = ROUNDS.lock().unwrap_or_else(PoisonError::into_inner);
+        runtime.run(inputs, executors, fusion)
+    }
 
     fn constant_executor(value: f32, dim: usize) -> SubModelFn {
         Box::new(move |_input: &Tensor| Ok(Tensor::full(&[dim], value)))
@@ -485,7 +567,7 @@ mod tests {
         let inputs = vec![Tensor::zeros(&[2]), Tensor::ones(&[2]), Tensor::zeros(&[2])];
         let executors = vec![constant_executor(1.0, 2)];
         let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
-        let report = runtime.run(&inputs, executors, fusion).unwrap();
+        let report = run_round(&runtime, &inputs, executors, fusion).unwrap();
         assert_eq!(report.outputs.len(), 3);
         if report.wall_clock_seconds > 0.0 {
             let expected = report.outputs.len() as f64 / report.wall_clock_seconds;
@@ -505,7 +587,7 @@ mod tests {
         let inputs = vec![Tensor::zeros(&[2]), Tensor::ones(&[2])];
         let executors = vec![constant_executor(1.0, 2), constant_executor(2.0, 3)];
         let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
-        let report = runtime.run(&inputs, executors, fusion).unwrap();
+        let report = run_round(&runtime, &inputs, executors, fusion).unwrap();
         assert_eq!(report.outputs.len(), 2);
         assert_eq!(report.outputs[0].data(), &[1.0, 1.0, 2.0, 2.0, 2.0]);
         // One batched frame per device, not one message per sample.
@@ -533,17 +615,17 @@ mod tests {
 
     #[test]
     fn panicking_executors_are_a_typed_runtime_error_not_an_unwinding_scope() {
-        // Both device workers panic: the first failed join must not leave
-        // the second unjoined, or its panic would unwind out of the scope.
+        // Both device workers panic: each panic must stay on its own device
+        // thread and become the typed error, not unwind into the caller.
         let panicking = || -> SubModelFn { Box::new(|_: &Tensor| panic!("executor blew up")) };
         let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
-        let err = ClusterRuntime::new(NetworkConfig::paper_default())
-            .run(
-                &[Tensor::zeros(&[1])],
-                vec![panicking(), panicking()],
-                fusion,
-            )
-            .unwrap_err();
+        let err = run_round(
+            &ClusterRuntime::new(NetworkConfig::paper_default()),
+            &[Tensor::zeros(&[1])],
+            vec![panicking(), panicking()],
+            fusion,
+        )
+        .unwrap_err();
         assert!(
             matches!(&err, EdgeError::Runtime { message } if message.contains("panicked")),
             "{err}"
@@ -560,7 +642,7 @@ mod tests {
         let inputs: Vec<Tensor> = (0..samples).map(|_| Tensor::zeros(&[1])).collect();
         let executors = vec![constant_executor(1.0, dim)];
         let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
-        let report = runtime.run(&inputs, executors, fusion).unwrap();
+        let report = run_round(&runtime, &inputs, executors, fusion).unwrap();
         assert_eq!(report.frames, 1);
         let per_sample_frames = samples * crate::wire::batch_frame_len(1, dim);
         assert!(
@@ -582,7 +664,7 @@ mod tests {
             assert_eq!(runtime.codec(), codec);
             let executors = vec![constant_executor(0.5, dim), constant_executor(-2.0, dim)];
             let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
-            runtime.run(&inputs, executors, fusion).unwrap()
+            run_round(&runtime, &inputs, executors, fusion).unwrap()
         };
         let base = run(PayloadCodec::F32);
         let coded = run(PayloadCodec::F16);
@@ -612,7 +694,7 @@ mod tests {
         let sum_executor: SubModelFn =
             Box::new(|input: &Tensor| Ok(Tensor::from_vec(vec![input.sum()], &[1]).unwrap()));
         let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
-        let report = runtime.run(&inputs, vec![sum_executor], fusion).unwrap();
+        let report = run_round(&runtime, &inputs, vec![sum_executor], fusion).unwrap();
         assert_eq!(report.outputs[0].data(), &[3.0]);
         assert_eq!(report.outputs[1].data(), &[15.0]);
     }
@@ -624,7 +706,7 @@ mod tests {
         let executors = vec![constant_executor(0.1, 2)];
         let fusion: FusionFn =
             Box::new(|_| Ok(Tensor::from_vec(vec![0.1, 0.9, 0.0], &[3]).unwrap()));
-        let report = runtime.run(&inputs, executors, fusion).unwrap();
+        let report = run_round(&runtime, &inputs, executors, fusion).unwrap();
         assert_eq!(report.predictions().unwrap(), vec![1]);
     }
 
@@ -632,11 +714,9 @@ mod tests {
     fn empty_inputs_and_executors_error() {
         let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
         let fusion: FusionFn = Box::new(|c: &Tensor| Ok(c.clone()));
-        assert!(runtime
-            .run(&[], vec![constant_executor(1.0, 1)], fusion)
-            .is_err());
+        assert!(run_round(&runtime, &[], vec![constant_executor(1.0, 1)], fusion).is_err());
         let fusion: FusionFn = Box::new(|c: &Tensor| Ok(c.clone()));
-        assert!(runtime.run(&[Tensor::zeros(&[1])], vec![], fusion).is_err());
+        assert!(run_round(&runtime, &[Tensor::zeros(&[1])], vec![], fusion).is_err());
     }
 
     #[test]
@@ -644,9 +724,7 @@ mod tests {
         let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
         let failing: SubModelFn = Box::new(|_| Err("device out of memory".to_string()));
         let fusion: FusionFn = Box::new(|c: &Tensor| Ok(c.clone()));
-        let err = runtime
-            .run(&[Tensor::zeros(&[1])], vec![failing], fusion)
-            .unwrap_err();
+        let err = run_round(&runtime, &[Tensor::zeros(&[1])], vec![failing], fusion).unwrap_err();
         assert!(matches!(err, EdgeError::Runtime { .. }));
         assert!(err.to_string().contains("out of memory"));
     }
@@ -660,13 +738,13 @@ mod tests {
             Ok(Tensor::zeros(&[calls]))
         });
         let fusion: FusionFn = Box::new(|c: &Tensor| Ok(c.clone()));
-        let err = runtime
-            .run(
-                &[Tensor::zeros(&[1]), Tensor::zeros(&[1])],
-                vec![ragged],
-                fusion,
-            )
-            .unwrap_err();
+        let err = run_round(
+            &runtime,
+            &[Tensor::zeros(&[1]), Tensor::zeros(&[1])],
+            vec![ragged],
+            fusion,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("feature values"), "{err}");
     }
 
@@ -674,13 +752,13 @@ mod tests {
     fn fusion_failures_propagate() {
         let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
         let fusion: FusionFn = Box::new(|_| Err("fusion MLP not trained".to_string()));
-        let err = runtime
-            .run(
-                &[Tensor::zeros(&[1])],
-                vec![constant_executor(1.0, 2)],
-                fusion,
-            )
-            .unwrap_err();
+        let err = run_round(
+            &runtime,
+            &[Tensor::zeros(&[1])],
+            vec![constant_executor(1.0, 2)],
+            fusion,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("fusion MLP"));
     }
 
@@ -691,11 +769,96 @@ mod tests {
         let executors: Vec<SubModelFn> = (0..10).map(|i| constant_executor(i as f32, 8)).collect();
         let fusion: FusionFn =
             Box::new(|concat: &Tensor| Ok(Tensor::from_vec(vec![concat.sum()], &[1]).unwrap()));
-        let report = runtime.run(&inputs, executors, fusion).unwrap();
+        let report = run_round(&runtime, &inputs, executors, fusion).unwrap();
         assert_eq!(report.outputs.len(), 8);
         assert_eq!(report.frames, 10);
         assert_eq!(report.payload_bytes, 10 * 8 * 8 * 4);
         // Sum of constants 0..10 each repeated 8 times = 8 * 45 = 360.
         assert_eq!(report.outputs[0].data(), &[360.0]);
+    }
+
+    /// Runs `test` on a thread of its own and fails if it is still running
+    /// after 60 s.
+    fn within_watchdog<T: Send + 'static>(test: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(test());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("still running after 60 s: deadlock")
+    }
+
+    #[test]
+    fn every_device_job_gets_a_thread_of_its_own() {
+        // Each executor blocks until the other has started: two jobs queued
+        // on one thread would never finish.
+        let report = within_watchdog(|| {
+            let started = Arc::new(Barrier::new(2));
+            let executors: Vec<SubModelFn> = (0..2)
+                .map(|_| {
+                    let started = Arc::clone(&started);
+                    let executor: SubModelFn = Box::new(move |_: &Tensor| {
+                        started.wait();
+                        Ok(Tensor::zeros(&[2]))
+                    });
+                    executor
+                })
+                .collect();
+            let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
+            let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
+            run_round(&runtime, &[Tensor::zeros(&[1])], executors, fusion)
+        });
+        assert_eq!(report.expect("both devices finish").outputs[0].dims(), &[4]);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_thread_parked_for_the_next_round() {
+        let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
+        let _serial = ROUNDS.lock().unwrap_or_else(PoisonError::into_inner);
+        let thread_of = Arc::new(Mutex::new(Vec::new()));
+        let recording = |fail: bool| -> SubModelFn {
+            let thread_of = Arc::clone(&thread_of);
+            Box::new(move |_: &Tensor| {
+                thread_of.lock().unwrap().push(std::thread::current().id());
+                assert!(!fail, "executor blew up");
+                Ok(Tensor::zeros(&[1]))
+            })
+        };
+        let fusion = || -> FusionFn { Box::new(|concat: &Tensor| Ok(concat.clone())) };
+        let inputs = [Tensor::zeros(&[1])];
+        let err = runtime
+            .run(&inputs, vec![recording(true)], fusion())
+            .unwrap_err();
+        assert!(
+            matches!(&err, EdgeError::Runtime { message } if message == "a device worker thread panicked"),
+            "{err}"
+        );
+        let report = runtime.run(&inputs, vec![recording(false)], fusion());
+        assert_eq!(report.unwrap().outputs.len(), 1);
+        let thread_of = thread_of.lock().unwrap();
+        assert_eq!(thread_of.len(), 2);
+        assert_eq!(
+            thread_of[0], thread_of[1],
+            "the panicked thread ran the next round"
+        );
+    }
+
+    #[test]
+    fn sequential_rounds_reuse_their_parked_threads() {
+        let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
+        let _serial = ROUNDS.lock().unwrap_or_else(PoisonError::into_inner);
+        let spawned_before = warm::SPAWNED.load(Ordering::Relaxed);
+        for _ in 0..1_000 {
+            let executors = vec![constant_executor(1.0, 2), constant_executor(2.0, 2)];
+            let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
+            let report = runtime.run(&[Tensor::zeros(&[1])], executors, fusion);
+            assert_eq!(report.unwrap().outputs[0].data(), &[1.0, 1.0, 2.0, 2.0]);
+        }
+        let spawned = warm::SPAWNED.load(Ordering::Relaxed) - spawned_before;
+        assert!(
+            spawned <= 2,
+            "1 000 two-device rounds started {spawned} threads"
+        );
     }
 }

@@ -1,5 +1,5 @@
 use edvit_parallel::ParallelPool;
-use edvit_tensor::{init::TensorRng, ops, Tensor};
+use edvit_tensor::{init::TensorRng, kernels, ops, Tensor};
 
 use crate::{Layer, Linear, NnError, Parameter, Result};
 
@@ -45,18 +45,14 @@ pub struct MultiHeadSelfAttention {
 
 #[derive(Debug)]
 struct AttentionCache {
-    /// Per sample, per head: (q, k, v, attention weights).
-    per_sample: Vec<Vec<HeadCache>>,
-    batched_input: bool,
-    tokens: usize,
-}
-
-#[derive(Debug)]
-struct HeadCache {
+    /// The `[.., tokens, heads·head_dim]` projections, moved in from the
+    /// forward; the backward reads each head's columns out of them.
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    attn: Tensor,
+    /// Softmaxed attention weights, `[batch, heads, tokens, tokens]`.
+    attn: Vec<f32>,
+    tokens: usize,
 }
 
 impl Clone for MultiHeadSelfAttention {
@@ -250,170 +246,136 @@ impl MultiHeadSelfAttention {
         MultiHeadSelfAttention::from_projections(q, k, v, out, self.heads, self.head_dim)
     }
 
-    /// Scaled-dot-product attention of head `h` of one sample, whose
-    /// projections `q`, `k`, `v` are `[tokens, heads·head_dim]` row-major
-    /// slices. The head's three `[tokens, head_dim]` operands are strided row
-    /// copies made once and then moved into the returned cache; the `1/√d`
-    /// scale is fused into the score write and the softmax runs in place on
-    /// the scores.
-    fn head_forward(
-        &self,
-        h: usize,
-        tokens: usize,
-        (q, k, v): (&[f32], &[f32], &[f32]),
-    ) -> Result<(Tensor, HeadCache)> {
-        let head = |all: &[f32]| -> Result<Tensor> {
-            let mut data = Vec::with_capacity(tokens * self.head_dim);
-            for row in all.chunks_exact(self.heads * self.head_dim) {
-                data.extend_from_slice(&row[h * self.head_dim..(h + 1) * self.head_dim]);
-            }
-            Ok(Tensor::from_vec(data, &[tokens, self.head_dim])?)
-        };
-        let (q, k, v) = (head(q)?, head(k)?, head(v)?);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut attn = q.matmul_transposed_scaled(&k, scale)?;
-        ops::softmax_rows(attn.data_mut(), tokens, ParallelPool::global());
-        let out = attn.matmul(&v)?;
-        Ok((out, HeadCache { q, k, v, attn }))
-    }
-
-    /// Attention over one sample's `[tokens, inner]` projections: returns the
-    /// concatenated head outputs (`[tokens, inner]`, row-major) and the
-    /// per-head caches.
+    /// Attention over one sample whose projections `q`, `k`, `v` are
+    /// `[tokens, heads·head_dim]` row-major slices: writes every head's
+    /// softmaxed scores into `attn` (`[heads, tokens, tokens]`) and the
+    /// concatenated head outputs into `out` (`[tokens, heads·head_dim]`).
+    ///
+    /// The heads' outputs land head-major in one scratch buffer, the layout
+    /// the value product writes, and are scattered into `out` once.
     fn forward_sample(
         &self,
         tokens: usize,
         qkv: (&[f32], &[f32], &[f32]),
-    ) -> Result<(Vec<f32>, Vec<HeadCache>)> {
+        attn: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let (hd, inner) = (self.head_dim, self.heads * self.head_dim);
+        let mut by_head = vec![0.0f32; self.heads * tokens * hd];
         // Heads are independent (DeViT-style decomposition), so they can run
         // on separate threads; below the work threshold the pool wake-up
         // costs more than the heads themselves.
         let pool = ParallelPool::global();
-        let per_head_work = tokens * tokens * self.head_dim;
-        let results: Vec<Result<(Tensor, HeadCache)>> =
-            if self.heads > 1 && per_head_work >= PAR_HEAD_WORK && !pool.is_sequential() {
-                pool.map_indexed(self.heads, |h| self.head_forward(h, tokens, qkv))
-            } else {
-                (0..self.heads)
-                    .map(|h| self.head_forward(h, tokens, qkv))
-                    .collect()
-            };
-        let inner = self.heads * self.head_dim;
-        let mut concat = vec![0.0f32; tokens * inner];
-        let mut head_caches = Vec::with_capacity(self.heads);
-        for (h, result) in results.into_iter().enumerate() {
-            let (out, cache) = result?;
-            debug_assert_eq!(out.dims(), &[tokens, self.head_dim]);
-            let head_rows = out.data().chunks_exact(self.head_dim);
-            for (row, head_row) in concat.chunks_exact_mut(inner).zip(head_rows) {
-                row[h * self.head_dim..(h + 1) * self.head_dim].copy_from_slice(head_row);
-            }
-            head_caches.push(cache);
+        if self.heads > 1 && tokens * tokens * hd >= PAR_HEAD_WORK && !pool.is_sequential() {
+            let mut heads: Vec<(&mut [f32], &mut [f32])> = attn
+                .chunks_exact_mut(tokens * tokens)
+                .zip(by_head.chunks_exact_mut(tokens * hd))
+                .collect();
+            pool.scope_chunks(&mut heads, 1, |h, head| {
+                let (attn, out) = &mut head[0];
+                self.heads_forward(h, tokens, qkv, attn, out);
+            });
+        } else {
+            self.heads_forward(0, tokens, qkv, attn, &mut by_head);
         }
-        Ok((concat, head_caches))
+        for (h, head) in by_head.chunks_exact(tokens * hd).enumerate() {
+            for (row, head_row) in out.chunks_exact_mut(inner).zip(head.chunks_exact(hd)) {
+                row[h * hd..(h + 1) * hd].copy_from_slice(head_row);
+            }
+        }
     }
 
-    fn backward_sample(&self, grad_concat: &Tensor, caches: &[HeadCache]) -> Result<Tensor> {
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let grads_per_head = grad_concat.chunk_last_axis(self.heads)?;
-        let mut dq_heads = Vec::with_capacity(self.heads);
-        let mut dk_heads = Vec::with_capacity(self.heads);
-        let mut dv_heads = Vec::with_capacity(self.heads);
-        for (h, cache) in caches.iter().enumerate() {
-            let d_out = &grads_per_head[h];
-            // dV = A^T dOut
-            let dv = cache.attn.transpose()?.matmul(d_out)?;
-            // dA = dOut V^T
-            let da = d_out.matmul_transposed(&cache.v)?;
-            // Softmax backward per row: dS = A * (dA - rowsum(dA * A))
-            let tokens = da.dims()[0];
-            let cols = da.dims()[1];
-            let mut ds = vec![0.0f32; tokens * cols];
-            for r in 0..tokens {
-                let a_row = &cache.attn.data()[r * cols..(r + 1) * cols];
-                let da_row = &da.data()[r * cols..(r + 1) * cols];
-                let dot: f32 = a_row.iter().zip(da_row).map(|(a, d)| a * d).sum();
-                for c in 0..cols {
-                    ds[r * cols + c] = a_row[c] * (da_row[c] - dot);
+    /// Scaled-dot-product attention of heads `first..` of one sample, as many
+    /// as `attn` holds `[tokens, tokens]` blocks, into `out`
+    /// (`[heads, tokens, head_dim]`, zero-filled). A head's query and key
+    /// rows are contiguous segments of the projection rows, so the scores
+    /// (`1/√d` fused into the write) copy nothing; one softmax runs over
+    /// every head's rows; each head's values are packed into one scratch
+    /// reused across heads for the `[tokens, tokens]·[tokens, head_dim]`
+    /// product.
+    fn heads_forward(
+        &self,
+        first: usize,
+        tokens: usize,
+        (q, k, v): (&[f32], &[f32], &[f32]),
+        attn: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let (hd, inner) = (self.head_dim, self.heads * self.head_dim);
+        let scale = 1.0 / (hd as f32).sqrt();
+        let pool = ParallelPool::global();
+        for (h, scores) in (first..).zip(attn.chunks_exact_mut(tokens * tokens)) {
+            let col = h * hd;
+            for (q_row, score_row) in q.chunks_exact(inner).zip(scores.chunks_exact_mut(tokens)) {
+                let q_head = &q_row[col..col + hd];
+                for (score, k_row) in score_row.iter_mut().zip(k.chunks_exact(inner)) {
+                    *score = kernels::dot(q_head, &k_row[col..col + hd]) * scale;
                 }
             }
-            let ds = Tensor::from_vec(ds, &[tokens, cols])?.scale(scale);
-            // dQ = dS K ; dK = dS^T Q
-            let dq = ds.matmul(&cache.k)?;
-            let dk = ds.transpose()?.matmul(&cache.q)?;
-            dq_heads.push(dq);
-            dk_heads.push(dk);
-            dv_heads.push(dv);
         }
-        let dq_refs: Vec<&Tensor> = dq_heads.iter().collect();
-        let dk_refs: Vec<&Tensor> = dk_heads.iter().collect();
-        let dv_refs: Vec<&Tensor> = dv_heads.iter().collect();
-        let dq = Tensor::concat_last_axis(&dq_refs)?;
-        let dk = Tensor::concat_last_axis(&dk_refs)?;
-        let dv = Tensor::concat_last_axis(&dv_refs)?;
-        Ok(Tensor::concat_last_axis(&[&dq, &dk, &dv])?)
+        ops::softmax_rows(attn, tokens, pool);
+        let mut v_head = Vec::with_capacity(tokens * hd);
+        let heads = attn
+            .chunks_exact(tokens * tokens)
+            .zip(out.chunks_exact_mut(tokens * hd));
+        for (h, (weights, out)) in (first..).zip(heads) {
+            pack_head(&mut v_head, v, h * hd, hd, inner);
+            kernels::matmul(weights, &v_head, out, tokens, tokens, hd, pool);
+        }
+    }
+}
+
+/// Replaces `into` with the `width` columns from `col` of every
+/// `row_len`-wide row of `all`: one head's `[tokens, head_dim]` operand.
+fn pack_head(into: &mut Vec<f32>, all: &[f32], col: usize, width: usize, row_len: usize) {
+    into.clear();
+    for row in all.chunks_exact(row_len) {
+        into.extend_from_slice(&row[col..col + width]);
     }
 }
 
 impl Layer for MultiHeadSelfAttention {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (batched, batch) = match input.rank() {
-            2 => (false, 1),
-            3 => (true, input.dims()[0]),
-            r => {
+        let (batch, tokens) = match *input.dims() {
+            [tokens, _] => (1, tokens),
+            [batch, tokens, _] => (batch, tokens),
+            _ => {
                 return Err(NnError::InvalidConfig {
-                    message: format!("MHSA expects rank 2 or 3 input, got rank {r}"),
+                    message: format!("MHSA expects rank 2 or 3 input, got rank {}", input.rank()),
                 })
             }
         };
-        let tokens = if batched {
-            input.dims()[1]
-        } else {
-            input.dims()[0]
-        };
-        let q_all = self.q_proj.forward(input)?;
-        let k_all = self.k_proj.forward(input)?;
-        let v_all = self.v_proj.forward(input)?;
+        let q = self.q_proj.forward(input)?;
+        let k = self.k_proj.forward(input)?;
+        let v = self.v_proj.forward(input)?;
         let inner = self.heads * self.head_dim;
-        let per_sample_len = tokens * inner;
-        let run_sample = |b: usize| -> Result<(Vec<f32>, Vec<HeadCache>)> {
-            let sample = b * per_sample_len..(b + 1) * per_sample_len;
-            let qkv = (
-                &q_all.data()[sample.clone()],
-                &k_all.data()[sample.clone()],
-                &v_all.data()[sample],
-            );
-            self.forward_sample(tokens, qkv)
-        };
+        let sample_len = tokens * inner;
+        let attn_len = self.heads * tokens * tokens;
+        let mut attn = vec![0.0f32; batch * attn_len];
+        let mut concat = vec![0.0f32; batch * sample_len];
         // Samples are independent; run them across the pool (each sample's
-        // per-head loop then executes inline on its worker).
-        let pool = ParallelPool::global();
-        let results: Vec<Result<(Vec<f32>, Vec<HeadCache>)>> = if batch > 1 && !pool.is_sequential()
-        {
-            pool.map_indexed(batch, run_sample)
-        } else {
-            (0..batch).map(run_sample).collect()
-        };
-        let mut per_sample = Vec::with_capacity(batch);
-        // The first sample's buffer becomes the concat buffer, so the
-        // one-sample inference path copies nothing.
-        let mut concat = Vec::new();
-        for result in results {
-            let (out, caches) = result?;
-            if concat.is_empty() {
-                concat = out;
-                concat.reserve_exact((batch - 1) * per_sample_len);
-            } else {
-                concat.extend_from_slice(&out);
-            }
-            per_sample.push(caches);
-        }
-        let mut concat_dims = input.dims().to_vec();
-        *concat_dims.last_mut().expect("rank 2 or 3") = inner;
-        let concat = Tensor::from_vec(concat, &concat_dims)?;
+        // heads then execute inline on its worker). `max(1)` keeps an empty
+        // sequence legal: its buffers are empty, so no sample runs.
+        let mut samples: Vec<(&mut [f32], &mut [f32])> = attn
+            .chunks_exact_mut(attn_len.max(1))
+            .zip(concat.chunks_exact_mut(sample_len.max(1)))
+            .collect();
+        ParallelPool::global().scope_chunks(&mut samples, 1, |b, sample| {
+            let (attn, out) = &mut sample[0];
+            let rows = b * sample_len..(b + 1) * sample_len;
+            let qkv = (
+                &q.data()[rows.clone()],
+                &k.data()[rows.clone()],
+                &v.data()[rows],
+            );
+            self.forward_sample(tokens, qkv, attn, out);
+        });
+        let concat = Tensor::from_vec(concat, q.dims())?;
         self.cache = Some(AttentionCache {
-            per_sample,
-            batched_input: batched,
+            q,
+            k,
+            v,
+            attn,
             tokens,
         });
         self.out_proj.forward_owned(concat)
@@ -424,33 +386,61 @@ impl Layer for MultiHeadSelfAttention {
         let cache = self.cache.as_ref().ok_or(NnError::MissingForwardCache {
             layer: "MultiHeadSelfAttention",
         })?;
-        let batch = cache.per_sample.len();
-        let inner = self.heads * self.head_dim;
-        let mut dqkv_samples = Vec::with_capacity(batch);
-        for (b, caches) in cache.per_sample.iter().enumerate() {
-            let g = if cache.batched_input {
-                grad_concat.row(b)?
-            } else {
-                grad_concat.clone()
-            };
-            let g = g.reshape(&[cache.tokens, inner])?;
-            dqkv_samples.push(self.backward_sample(&g, caches)?);
+        let (t, hd, inner) = (cache.tokens, self.head_dim, self.heads * self.head_dim);
+        let scale = 1.0 / (hd as f32).sqrt();
+        let mut dq = vec![0.0f32; cache.q.numel()];
+        let mut dk = vec![0.0f32; cache.k.numel()];
+        let mut dv = vec![0.0f32; cache.v.numel()];
+        for (b, sample_attn) in cache
+            .attn
+            .chunks_exact((self.heads * t * t).max(1))
+            .enumerate()
+        {
+            let rows = b * t * inner..(b + 1) * t * inner;
+            for (h, attn) in sample_attn.chunks_exact(t * t).enumerate() {
+                let head = |all: &Tensor| -> Result<Tensor> {
+                    let mut data = Vec::with_capacity(t * hd);
+                    pack_head(&mut data, &all.data()[rows.clone()], h * hd, hd, inner);
+                    Ok(Tensor::from_vec(data, &[t, hd])?)
+                };
+                let (q, k, v, d_out) = (
+                    head(&cache.q)?,
+                    head(&cache.k)?,
+                    head(&cache.v)?,
+                    head(&grad_concat)?,
+                );
+                let attn = Tensor::from_vec(attn.to_vec(), &[t, t])?;
+                // dV = A^T dOut
+                let dv_head = attn.transpose()?.matmul(&d_out)?;
+                // dA = dOut V^T
+                let da = d_out.matmul_transposed(&v)?;
+                // Softmax backward per row: dS = A * (dA - rowsum(dA * A))
+                let mut ds = vec![0.0f32; t * t];
+                let rows_of = attn.data().chunks_exact(t).zip(da.data().chunks_exact(t));
+                for (ds_row, (a_row, da_row)) in ds.chunks_exact_mut(t).zip(rows_of) {
+                    let dot: f32 = a_row.iter().zip(da_row).map(|(a, d)| a * d).sum();
+                    for ((ds, a), da) in ds_row.iter_mut().zip(a_row).zip(da_row) {
+                        *ds = a * (da - dot);
+                    }
+                }
+                let ds = Tensor::from_vec(ds, &[t, t])?.scale(scale);
+                // dQ = dS K ; dK = dS^T Q
+                let dq_head = ds.matmul(&k)?;
+                let dk_head = ds.transpose()?.matmul(&q)?;
+                for (grad, head_grad) in
+                    [(&mut dq, dq_head), (&mut dk, dk_head), (&mut dv, dv_head)]
+                {
+                    let grad_rows = grad[rows.clone()].chunks_exact_mut(inner);
+                    for (row, head_row) in grad_rows.zip(head_grad.data().chunks_exact(hd)) {
+                        row[h * hd..(h + 1) * hd].copy_from_slice(head_row);
+                    }
+                }
+            }
         }
-        // Reassemble [batch, tokens, 3*inner] (or [tokens, 3*inner]).
-        let dqkv = if cache.batched_input {
-            let reshaped: Vec<Tensor> = dqkv_samples
-                .iter()
-                .map(|t| t.reshape(&[1, cache.tokens, 3 * inner]))
-                .collect::<std::result::Result<_, _>>()?;
-            let refs: Vec<&Tensor> = reshaped.iter().collect();
-            Tensor::concat_first_axis(&refs)?
-        } else {
-            dqkv_samples.pop().expect("batch of one")
-        };
-        let parts = dqkv.chunk_last_axis(3)?;
-        let dx_q = self.q_proj.backward(&parts[0])?;
-        let dx_k = self.k_proj.backward(&parts[1])?;
-        let dx_v = self.v_proj.backward(&parts[2])?;
+        let dims = cache.q.dims().to_vec();
+        let dx_q = self.q_proj.backward(&Tensor::from_vec(dq, &dims)?)?;
+        let dx_k = self.k_proj.backward(&Tensor::from_vec(dk, &dims)?)?;
+        let dx_v = self.v_proj.backward(&Tensor::from_vec(dv, &dims)?)?;
         Ok(dx_q.add(&dx_k)?.add(&dx_v)?)
     }
 
@@ -555,11 +545,10 @@ mod tests {
         let x = rng.randn(&[6, 8], 0.0, 1.0);
         mhsa.forward(&x).unwrap();
         let cache = mhsa.cache.as_ref().unwrap();
-        for head in &cache.per_sample[0] {
-            for row in head.attn.data().chunks(6) {
-                let s: f32 = row.iter().sum();
-                assert!((s - 1.0).abs() < 1e-5);
-            }
+        assert_eq!(cache.attn.len(), 2 * 6 * 6);
+        for row in cache.attn.chunks(6) {
+            let s: f32 = row.iter().sum();
+            assert!((s - 1.0).abs() < 1e-5);
         }
     }
 

@@ -18,7 +18,8 @@
 //!   `&mut` sub-slices of a buffer, which is how kernels write their output
 //!   rows without locks or unsafe code on the caller's side.
 //! * [`ParallelPool::map_indexed`] — a convenience parallel map collecting
-//!   one `T` per index (used for per-head attention and per-sample loops).
+//!   one `T` per index (used for layer-norm gradient partials and per-trial
+//!   experiment sweeps).
 //! * [`with_budget`] / [`with_fair_share`] — the per-thread cap on how many
 //!   threads a region may use, which is how an outer loop made of plain OS
 //!   threads (one per simulated edge device) claims its share of the pool.

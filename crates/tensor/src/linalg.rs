@@ -184,55 +184,6 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Batched matrix multiplication of two rank-3 tensors:
-    /// `[b, m, k] x [b, k, n] -> [b, m, n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-3-D inputs,
-    /// [`TensorError::ShapeMismatch`] when batch sizes differ and
-    /// [`TensorError::MatmulDimMismatch`] when inner dimensions disagree.
-    pub fn batch_matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 3 || other.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                actual: if self.rank() != 3 {
-                    self.rank()
-                } else {
-                    other.rank()
-                },
-                op: "batch_matmul",
-            });
-        }
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (other.dims()[0], other.dims()[1], other.dims()[2]);
-        if b != b2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-                op: "batch_matmul",
-            });
-        }
-        if k != k2 {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; b * m * n];
-        kernels::batch_matmul(
-            self.data(),
-            other.data(),
-            &mut out,
-            b,
-            m,
-            k,
-            n,
-            ParallelPool::global(),
-        );
-        Tensor::from_vec(out, &[b, m, n])
-    }
-
     /// Matrix-vector product `[m, k] x [k] -> [m]`.
     ///
     /// # Errors
@@ -345,30 +296,6 @@ mod tests {
         for (x, y) in c1.data().iter().zip(c2.data()) {
             assert!((x - y).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn batch_matmul_matches_per_batch_matmul() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[2, 2, 3]).unwrap();
-        let b = Tensor::from_vec((0..18).map(|x| x as f32 * 0.1).collect(), &[2, 3, 3]).unwrap();
-        let c = a.batch_matmul(&b).unwrap();
-        assert_eq!(c.dims(), &[2, 2, 3]);
-        for bi in 0..2 {
-            let ab = a.row(bi).unwrap();
-            let bb = b.row(bi).unwrap();
-            let expected = ab.matmul(&bb).unwrap();
-            let got = c.row(bi).unwrap();
-            for (x, y) in got.data().iter().zip(expected.data()) {
-                assert!((x - y).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_matmul_rejects_mismatched_batches() {
-        let a = Tensor::zeros(&[2, 2, 3]);
-        let b = Tensor::zeros(&[3, 3, 2]);
-        assert!(a.batch_matmul(&b).is_err());
     }
 
     #[test]

@@ -360,28 +360,6 @@ impl Tensor {
         Tensor::from_vec(out, &dims)
     }
 
-    /// Splits the last axis into equally-sized contiguous chunks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] when the last axis is not
-    /// divisible by `parts`.
-    pub fn chunk_last_axis(&self, parts: usize) -> Result<Vec<Tensor>, TensorError> {
-        let last = self.last_axis_len("chunk_last_axis")?;
-        if parts == 0 || last % parts != 0 {
-            return Err(TensorError::InvalidArgument {
-                message: format!("cannot split last axis of {last} into {parts} equal parts"),
-            });
-        }
-        let chunk = last / parts;
-        let mut out = Vec::with_capacity(parts);
-        for p in 0..parts {
-            let indices: Vec<usize> = (p * chunk..(p + 1) * chunk).collect();
-            out.push(self.select_last_axis(&indices)?);
-        }
-        Ok(out)
-    }
-
     fn last_axis_len(&self, op: &'static str) -> Result<usize, TensorError> {
         if self.rank() == 0 || self.numel() == 0 {
             return Err(TensorError::EmptyInput { op });
@@ -850,16 +828,5 @@ mod tests {
         assert_eq!(y.dims(), &[2, 2]);
         assert_eq!(y.data(), &[3.0, 1.0, 6.0, 4.0]);
         assert!(x.select_last_axis(&[3]).is_err());
-    }
-
-    #[test]
-    fn chunk_last_axis_splits_evenly() {
-        let x = Tensor::arange(8).reshape(&[2, 4]).unwrap();
-        let chunks = x.chunk_last_axis(2).unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].dims(), &[2, 2]);
-        assert_eq!(chunks[0].data(), &[0.0, 1.0, 4.0, 5.0]);
-        assert_eq!(chunks[1].data(), &[2.0, 3.0, 6.0, 7.0]);
-        assert!(x.chunk_last_axis(3).is_err());
     }
 }
