@@ -51,8 +51,8 @@ pub enum FaultKind {
         /// Global round whose frame is eaten.
         round: u64,
     },
-    /// One data frame is delivered twice; the copy must be absorbed by the
-    /// receiver's first-delivery-wins stash.
+    /// One data frame is delivered twice; the copy must be absorbed: the
+    /// receiver keeps the first frame of each (round, sub-model).
     DuplicateFrame {
         /// Victim device id.
         device: usize,
@@ -67,8 +67,8 @@ pub enum FaultKind {
         /// Global round whose beacon is lost.
         round: u64,
     },
-    /// One heartbeat is delivered twice; the replayed copy must be rejected
-    /// by sequence dedupe and never satisfy a deadline.
+    /// One heartbeat is delivered twice; the replayed copy must read stale
+    /// to the receiver's freshness rule and never satisfy a deadline.
     ReplayHeartbeat {
         /// Victim device id.
         device: usize,

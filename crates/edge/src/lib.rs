@@ -15,7 +15,9 @@
 //!   [`Transport`] it is handed ([`SimTransport`]'s in-process channels here,
 //!   loopback TCP in `edvit-net`), fuses on the caller's thread and returns
 //!   the fused outputs — exercising the real concurrency structure of the
-//!   deployment.
+//!   deployment. What a valid round frame is and how fusion inputs are
+//!   assembled ([`RoundBatch`], [`fuse_round`]) is shared with the stream
+//!   collector in `edvit-sched`.
 //!
 //! # Example
 //!
@@ -39,20 +41,20 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod dedupe;
 mod error;
 mod latency;
 mod network;
 mod options;
+mod round;
 mod runtime;
 mod transport;
 pub mod wire;
 
-pub use dedupe::ControlDeduper;
 pub use error::EdgeError;
 pub use latency::{LatencyBreakdown, LatencyModel, PerDeviceLatency, RoundTimings, StreamTiming};
 pub use network::NetworkConfig;
 pub use options::{NetOptions, TransportKind};
+pub use round::{fuse_round, FusionSource, RoundBatch};
 pub use runtime::{encode_device_round, ClusterRuntime, FusionFn, RuntimeReport, SubModelFn};
 pub use transport::{FrameRx, FrameTx, LaneClosed, LaneEvent, SimTransport, Transport};
 pub use wire::{

@@ -9,8 +9,9 @@
 //! thread parks in a process-wide idle list and runs a later round's job,
 //! so a request pays for a hand-off, not a thread spawn. The caller's thread
 //! reads the lanes while the devices run, waits for every job, checks every
-//! frame against the lane it arrived on, concatenates the per-sample
-//! features in sub-model order and applies the fusion function. This mirrors
+//! frame against the lane it arrived on and the round contract
+//! ([`RoundBatch::check`]), and fuses with [`fuse_round`] — the same check
+//! and the same fusion-input builder the stream collector runs. This mirrors
 //! the deployment in Fig. 3 of the paper; the lanes come from whichever
 //! backend the caller hands in (in-process channels by default, loopback TCP
 //! from `edvit-net`), and because the same executor runs over both, every
@@ -26,8 +27,8 @@ use edvit_metrics::{MetricsSink, RunEvent};
 use edvit_tensor::Tensor;
 
 use crate::{
-    EdgeError, FeatureBatchMessage, LaneEvent, NetOptions, NetworkConfig, PayloadCodec, Result,
-    SimTransport, Transport, WireFrame,
+    fuse_round, EdgeError, FeatureBatchMessage, FusionSource, LaneEvent, NetOptions, NetworkConfig,
+    PayloadCodec, Result, RoundBatch, SimTransport, Transport, WireFrame,
 };
 
 /// A sub-model executor: maps one input sample to a feature vector.
@@ -178,9 +179,10 @@ impl ClusterRuntime {
     /// timeout, so the sub-models may compute for as long as they need.
     ///
     /// A frame is checked against the lane it arrived on — it must be a
-    /// feature batch of that lane's sub-model holding every input sample
-    /// exactly once, and the only frame on the lane — so a forged or
-    /// misrouted frame is an [`EdgeError::Protocol`], never a silent drop.
+    /// feature batch of that lane's sub-model that [`RoundBatch::check`]
+    /// accepts as the round of every input sample, and the only frame on the
+    /// lane — so a forged or misrouted frame is an [`EdgeError::Protocol`],
+    /// never a silent drop.
     ///
     /// # Errors
     ///
@@ -256,11 +258,13 @@ impl ClusterRuntime {
             .ok_or_else(|| EdgeError::Runtime {
                 message: "a device worker thread panicked".to_string(),
             })?;
-        let batches = delivered
+        let (batches, per_device_wire_bytes): (Vec<RoundBatch>, Vec<u64>) = delivered
             .into_iter()
             .enumerate()
-            .map(|(device, event)| check_round_frame(device, event, inputs.len()))
-            .collect::<Result<Vec<_>>>()?;
+            .map(|(device, event)| lane_round(device, event, inputs.len()))
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         // Every device has finished, so each lane must now be closed.
         for (device, rx) in receivers.iter_mut().enumerate() {
             let message = match rx.recv() {
@@ -273,8 +277,10 @@ impl ClusterRuntime {
             return Err(EdgeError::Protocol { message });
         }
 
-        let payload_bytes: u64 = batches.iter().map(|b| b.batch.payload_bytes() as u64).sum();
-        let per_device_wire_bytes: Vec<u64> = batches.iter().map(|b| b.wire_bytes).collect();
+        let payload_bytes: u64 = batches
+            .iter()
+            .map(|b| b.batch().payload_bytes() as u64)
+            .sum();
         let slowest_frame_seconds = per_device_wire_bytes
             .iter()
             .map(|&bytes| self.network.transfer_seconds(bytes))
@@ -282,20 +288,9 @@ impl ClusterRuntime {
         let frames = batches.len();
         let bytes_on_wire: u64 = per_device_wire_bytes.iter().sum();
 
-        // Fuse each sample's features in sub-model order.
-        let fused_dim: usize = batches.iter().map(|b| b.batch.feature_dim as usize).sum();
-        let mut outputs = Vec::with_capacity(inputs.len());
-        for sample in 0..inputs.len() {
-            let mut concatenated = Vec::with_capacity(fused_dim);
-            for lane in &batches {
-                concatenated.extend_from_slice(lane.batch.feature_row(lane.row_of[sample]));
-            }
-            let concatenated =
-                Tensor::from_vec(concatenated, &[fused_dim]).map_err(|e| EdgeError::Runtime {
-                    message: format!("feature concatenation failed: {e}"),
-                })?;
-            outputs.push(fusion(&concatenated).map_err(|message| EdgeError::Runtime { message })?);
-        }
+        let sources: Vec<FusionSource> = batches.iter().map(FusionSource::Frame).collect();
+        let outputs = fuse_round(&sources, inputs.len(), &mut fusion)
+            .map_err(|message| EdgeError::Runtime { message })?;
 
         record_batch_events(
             &self.sink,
@@ -326,19 +321,10 @@ impl ClusterRuntime {
     }
 }
 
-/// One device's round as the collector accepted it: the decoded batch, the
-/// encoded size it arrived at, and where each input sample sits in it.
-struct LaneBatch {
-    batch: FeatureBatchMessage,
-    wire_bytes: u64,
-    /// `row_of[sample]` is the batch row holding that sample's features.
-    row_of: Vec<usize>,
-}
-
-/// Checks what a one-shot lane delivered against the lane: a frame holding a
-/// feature batch of sub-model `device` with each of the `samples` inputs
-/// exactly once.
-fn check_round_frame(device: usize, event: LaneEvent, samples: usize) -> Result<LaneBatch> {
+/// Reads what a one-shot lane delivered: one frame holding a feature batch
+/// of sub-model `device` that [`RoundBatch::check`] accepts as the round of
+/// all `samples` inputs, and the bytes that frame arrived in.
+fn lane_round(device: usize, event: LaneEvent, samples: usize) -> Result<(RoundBatch, u64)> {
     let frame = match event {
         LaneEvent::Frame(frame) => frame,
         LaneEvent::PeerError(message) => return Err(EdgeError::Runtime { message }),
@@ -367,28 +353,8 @@ fn check_round_frame(device: usize, event: LaneEvent, samples: usize) -> Result<
             batch.sub_model
         )));
     }
-    // `usize::MAX` marks an input no row has claimed yet.
-    let mut row_of = vec![usize::MAX; samples];
-    for (row, &sample) in batch.sample_indices.iter().enumerate() {
-        let slot = row_of
-            .get_mut(sample as usize)
-            .ok_or_else(|| protocol(format!("sample {sample} is beyond the {samples} inputs")))?;
-        if *slot != usize::MAX {
-            return Err(protocol(format!("sample {sample} appears twice")));
-        }
-        *slot = row;
-    }
-    if batch.num_samples() != samples {
-        return Err(protocol(format!(
-            "frame holds {} of {samples} samples",
-            batch.num_samples()
-        )));
-    }
-    Ok(LaneBatch {
-        batch,
-        wire_bytes,
-        row_of,
-    })
+    let round = RoundBatch::check(batch, 0..samples).map_err(protocol)?;
+    Ok((round, wire_bytes))
 }
 
 /// Journals one one-shot batch execution: a `BatchStarted` marker, one

@@ -192,7 +192,7 @@ impl FrameKind {
 }
 
 /// What a [`FrameKind::Control`] frame announces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum ControlKind {
     /// A device enters the cluster and offers capacity.

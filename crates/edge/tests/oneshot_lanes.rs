@@ -91,7 +91,7 @@ fn collector_checks_every_frame_against_the_lane_it_arrived_on() {
         (
             "sample out of range",
             vec![batch_frame(0, &[0, 2])],
-            "beyond the 2 inputs",
+            "outside the round's samples 0..2",
         ),
         (
             "repeated sample",

@@ -161,7 +161,7 @@ run_events! {
         /// Rounds the device claims to have completed this epoch.
         sequence: u64,
     },
-    /// The sequence deduper rejected a control frame as a replay.
+    /// The health tracker's freshness rule rejected a control frame as stale.
     Stream StaleControlFrame {
         /// Sending device id.
         device: u64,

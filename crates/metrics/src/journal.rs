@@ -254,8 +254,8 @@ counters! {
         /// Heartbeat beacons the link ate. A lost beacon is not retried — the
         /// next fresh beacon or the device's leave closes the round instead.
         pub dropped_heartbeats: u64,
-        /// Control frames rejected by the sequence deduper as replays or
-        /// stale reorderings.
+        /// Control frames the health tracker's freshness rule rejected as
+        /// replays, stale reorderings or beacons that beat no round.
         pub stale_control_frames: u64,
         /// Heartbeats the health tracker ignored as stale (replayed,
         /// reordered, wrapped, or sent by an already-terminal device).
@@ -268,7 +268,7 @@ counters! {
         pub missing_sub_models: Vec<usize>,
         /// Virtual seconds from a device's death to its sub-models producing
         /// fused output again: detection (the missed heartbeat plus the
-        /// `grace_rounds` deadline) + re-planning + replaying the in-flight
+        /// `GRACE_ROUNDS` deadline) + re-planning + replaying the in-flight
         /// rounds. Zero when no device died.
         pub recovery_seconds: f64,
         /// Steady-state throughput of the final membership, from the analytic

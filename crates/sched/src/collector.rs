@@ -20,11 +20,12 @@
 //!
 //! A frame is validated against the lane it arrived on before anything else
 //! believes it: a feature batch must belong to a sub-model the plan assigns
-//! to the lane's device, and a control frame must name the lane's device.
-//! Anything else is an [`EdgeError::Protocol`] — never stashed, never shown
-//! to the health tracker or the deduper — so one device can neither ship
-//! another's features first (first delivery wins) nor retire it with a
-//! forged leave.
+//! to the lane's device and hold one whole round of it
+//! ([`RoundBatch::check`], the round contract the one-shot runs too), and a
+//! control frame must name the lane's device. Anything else is an
+//! [`EdgeError::Protocol`] — never stashed, never shown to the health
+//! tracker — so one device can neither ship another's features first (first
+//! delivery wins) nor retire it with a forged leave.
 //!
 //! # Fault handling
 //!
@@ -36,23 +37,24 @@
 //! retry priced at the analytic
 //! [`StreamTiming::retry_backoff_seconds`](edvit_edge::StreamTiming) backoff.
 //! A frame still failing past the budget escalates to device death — the same
-//! terminal path a crash takes. Duplicated deliveries are absorbed:
-//! feature frames by first-delivery-wins slot stashing, control frames by a
-//! per-epoch [`ControlDeduper`] enforcing strict sequence monotonicity.
+//! terminal path a crash takes. Duplicated deliveries are absorbed: the
+//! collector stashes one checked frame per (round, sub-model), the first
+//! delivered, and journals any later copy as a duplicate; a control frame
+//! counts only if [`HealthTracker::admit`](crate::HealthTracker::admit)
+//! finds it fresh — the one freshness rule — and a stale one is journaled.
 //!
 //! [`StreamConfig::max_retries`]: crate::StreamConfig::max_retries
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
 use edvit_edge::{
-    ControlDeduper, ControlKind, EdgeError, FeatureBatchMessage, FusionFn, WireFrame,
+    fuse_round, ControlKind, EdgeError, FusionFn, FusionSource, RoundBatch, WireFrame,
 };
 use edvit_metrics::RunEvent;
 use edvit_net::{FrameRx, LaneEvent};
-use edvit_tensor::Tensor;
 
 use crate::epoch::{Epoch, EpochOutcome, Run};
 use crate::faults::{apply_fault, FaultedDelivery, FrameFault, FrameSlot};
@@ -68,24 +70,17 @@ enum Seen {
     Dead,
 }
 
-/// One sub-model's features for one round, as delivered: slot `i` is the
-/// round's `i`-th sample, held as the decoded frame that first delivered it
-/// and the row it occupies there. The frame is shared by every slot it
-/// filled, so stashing a delivery copies no feature value.
-type StashedRows = Vec<Option<(Rc<FeatureBatchMessage>, usize)>>;
-
-/// The collector's per-epoch state: fault cursors, dedupe, the partial-round
-/// stash and the outcome under construction.
+/// The collector's per-epoch state: fault cursors, the partial-round stash
+/// and the outcome under construction.
 struct Collector<'a> {
     epoch: &'a Epoch<'a>,
     run: &'a mut Run,
-    deduper: ControlDeduper,
     /// Frames received so far per device — the positional identity that maps
     /// a delivery to its `(round, slot)` fault key.
     cursor: BTreeMap<usize, u64>,
-    /// round -> sub-model -> the round's stashed rows, ordered so fusion
-    /// walks sub-models in index order.
-    partial: BTreeMap<u64, BTreeMap<u32, StashedRows>>,
+    /// round -> sub-model -> the first checked frame delivered for it,
+    /// ordered so fusion walks sub-models in index order.
+    partial: BTreeMap<u64, BTreeMap<u32, RoundBatch>>,
     outcome: EpochOutcome,
 }
 
@@ -138,9 +133,9 @@ impl Collector<'_> {
     }
 
     /// Runs one delivery through the fault script: clean frames ingest
-    /// directly; duplicates ingest twice (the copy hits the dedupers); a
-    /// lost heartbeat is a lost beacon; corrupt, truncated or lost data
-    /// frames burn retry attempts until the script exhausts (clean
+    /// directly; duplicates ingest twice (the copy reads as a duplicate or
+    /// stale frame); a lost heartbeat is a lost beacon; corrupt, truncated or
+    /// lost data frames burn retry attempts until the script exhausts (clean
     /// re-delivery) or the budget does (escalation).
     fn process(&mut self, pristine: Bytes, device: usize) -> Result<Seen> {
         let config = self.epoch.config;
@@ -210,10 +205,10 @@ impl Collector<'_> {
         }
     }
 
-    /// Decodes and accounts one delivered frame: control frames pass the
-    /// sequence deduper and update the health tracker, data frames are
-    /// stashed for fusion first-delivery-wins — each only after the frame's
-    /// claim matches the lane (`device`) it arrived on.
+    /// Decodes and accounts one delivered frame: control frames go to the
+    /// health tracker's freshness rule, data frames are checked as a whole
+    /// round and stashed for fusion first-delivery-wins — each only after
+    /// the frame's claim matches the lane (`device`) it arrived on.
     fn ingest(&mut self, encoded: Bytes, device: usize) -> Result<Seen> {
         self.account(device, encoded.len() as u64);
         match WireFrame::decode(encoded).map_err(SchedError::Edge)? {
@@ -230,40 +225,34 @@ impl Collector<'_> {
                 self.record(RunEvent::ControlFrame {
                     device: device as u64,
                 });
-                let fresh = self
-                    .deduper
-                    .admit(control.device_id, control.kind, control.sequence);
-                if control.kind == ControlKind::Heartbeat {
+                let heartbeat = control.kind == ControlKind::Heartbeat;
+                if heartbeat {
                     self.record(RunEvent::Heartbeat {
                         device: device as u64,
                         sequence: control.sequence,
                     });
-                    // The tracker sees every beacon and says which are stale;
-                    // only a deduper-fresh beacon closes rounds.
-                    if !self.run.tracker.observe_heartbeat(device, control.sequence) {
+                }
+                if !self
+                    .run
+                    .tracker
+                    .admit(device, control.kind, control.sequence)
+                {
+                    // A replay, a stale reordering or a beacon that beats no
+                    // round: journaled, and it closes nothing.
+                    if heartbeat {
                         self.record(RunEvent::StaleHeartbeat {
                             device: device as u64,
                         });
                     }
-                }
-                if !fresh {
-                    // A replay or stale reordering the deduper rejected.
                     self.record(RunEvent::StaleControlFrame {
                         device: device as u64,
                     });
                     return Ok(Seen::Other);
                 }
-                match control.kind {
-                    ControlKind::Join => {
-                        self.run.tracker.observe_join(device);
-                        Ok(Seen::Other)
-                    }
-                    ControlKind::Heartbeat => Ok(Seen::Closes(control.sequence)),
-                    ControlKind::Leave => {
-                        self.run.tracker.observe_leave(device, control.sequence);
-                        Ok(Seen::Closes(control.sequence))
-                    }
-                }
+                Ok(match control.kind {
+                    ControlKind::Join => Seen::Other,
+                    ControlKind::Heartbeat | ControlKind::Leave => Seen::Closes(control.sequence),
+                })
             }
             WireFrame::FeatureBatch(batch) => {
                 let owner = self.epoch.owners.get(batch.sub_model as usize);
@@ -276,48 +265,38 @@ impl Collector<'_> {
                         ),
                     ));
                 }
+                // A frame holds one whole round: the round of its first
+                // sample, every sample of it exactly once.
+                let layout = self.epoch.layout;
+                let Some(&first) = batch.sample_indices.first() else {
+                    return Err(wrong_lane(device, "a frame holding no sample".to_string()));
+                };
+                let Some(round) = layout.round_of(first as usize) else {
+                    return Err(wrong_lane(
+                        device,
+                        format!(
+                            "sample {first} beyond the stream of {}",
+                            layout.total_samples()
+                        ),
+                    ));
+                };
+                let batch = RoundBatch::check(batch, layout.span(round))
+                    .map_err(|message| wrong_lane(device, message))?;
                 self.record(RunEvent::DataFrame {
                     device: device as u64,
                 });
-                let layout = self.epoch.layout;
-                let batch = Rc::new(batch);
-                let mut stashed = false;
-                let mut duplicated = false;
-                for (row, &sample) in batch.sample_indices.iter().enumerate() {
-                    let sample = sample as usize;
-                    let Some(round) = layout.round_of(sample) else {
-                        return Err(SchedError::Runtime {
-                            message: format!(
-                                "frame references sample {sample} beyond the stream of {}",
-                                layout.total_samples()
-                            ),
-                        });
-                    };
-                    let span = layout.span(round);
-                    let rows = self
-                        .partial
-                        .entry(round)
-                        .or_default()
-                        .entry(batch.sub_model)
-                        .or_insert_with(|| vec![None; span.len()]);
-                    let slot = &mut rows[sample - span.start];
-                    if slot.is_none() {
-                        *slot = Some((Rc::clone(&batch), row));
-                        stashed = true;
-                    } else {
-                        // First delivery wins; a re-delivered feature can
-                        // only echo what is already stashed.
-                        duplicated = true;
+                let sub_model = batch.batch().sub_model;
+                let dim = batch.batch().feature_dim as usize;
+                match self.partial.entry(round).or_default().entry(sub_model) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(batch);
+                        self.run.known_dims.insert(sub_model, dim);
                     }
-                }
-                if stashed {
-                    let dim = batch.feature_dim as usize;
-                    self.run.known_dims.insert(batch.sub_model, dim);
-                }
-                if duplicated {
-                    self.record(RunEvent::DuplicateFrame {
+                    // First delivery wins; a re-delivered round can only
+                    // echo what is already stashed.
+                    Entry::Occupied(_) => self.record(RunEvent::DuplicateFrame {
                         device: device as u64,
-                    });
+                    }),
                 }
                 Ok(Seen::Other)
             }
@@ -329,65 +308,51 @@ impl Collector<'_> {
     /// Missing sub-models are zero-filled at their recorded width so the
     /// concat layout — and with it the fusion function's input contract —
     /// stays stable across degraded rounds. Each output slot is written
-    /// exactly once; a second write is a hard error.
+    /// exactly once; a round with a slot already written is a hard error.
     fn fuse(&mut self, round: u64, fusion: &mut FusionFn) -> Result<()> {
         let epoch = self.epoch;
-        let missing_dims = &epoch.missing_dims;
         let span = epoch.layout.span(round);
         let stash = self.partial.remove(&round).unwrap_or_default();
         let hosted = epoch.owners.iter().flatten().count();
-        let delivered = |offset: usize| stash.values().filter(move |rows| rows[offset].is_some());
-        if (0..span.len()).any(|offset| delivered(offset).count() != hosted) {
+        if stash.len() != hosted {
             return Err(SchedError::Runtime {
                 message: format!(
-                    "round {round} incomplete after every device heartbeat: {}/{} samples present",
-                    (0..span.len())
-                        .filter(|&offset| delivered(offset).next().is_some())
-                        .count(),
-                    span.len()
+                    "round {round} incomplete after every device heartbeat: {}/{hosted} \
+                     sub-models delivered",
+                    stash.len()
                 ),
             });
         }
-        // What each sample's fusion input is assembled from, in sub-model
-        // order: a stashed sub-model's rows, and/or the width a missing one is
-        // zero-filled at (a delivered row always wins over the zero-fill).
-        let mut sources: BTreeMap<u32, (Option<&StashedRows>, usize)> = stash
-            .iter()
-            .map(|(&sub, rows)| (sub, (Some(rows), 0)))
-            .collect();
-        for &(sub, dim) in missing_dims {
-            sources.entry(sub).or_insert((None, 0)).1 = dim;
+        if let Some(sample) = span
+            .clone()
+            .find(|&sample| self.run.fused[sample].is_some())
+        {
+            return Err(SchedError::Runtime {
+                message: format!(
+                    "sample {sample} would be fused twice (round {round} replayed after it \
+                     was already complete)"
+                ),
+            });
         }
-        let mut fused_dim = 0;
-        for (offset, sample) in span.clone().enumerate() {
-            if self.run.fused[sample].is_some() {
-                return Err(SchedError::Runtime {
-                    message: format!(
-                        "sample {sample} would be fused twice (round {round} replayed after it \
-                         was already complete)"
-                    ),
-                });
-            }
-            let mut concatenated = Vec::with_capacity(fused_dim);
-            for &(rows, zero_fill) in sources.values() {
-                match rows.and_then(|rows| rows[offset].as_ref()) {
-                    Some((batch, row)) => concatenated.extend_from_slice(batch.feature_row(*row)),
-                    None => concatenated.resize(concatenated.len() + zero_fill, 0.0),
-                }
-            }
-            fused_dim = concatenated.len();
-            let concatenated =
-                Tensor::from_vec(concatenated, &[fused_dim]).map_err(|e| SchedError::Runtime {
-                    message: format!("feature concatenation failed: {e}"),
-                })?;
-            let output =
-                fusion(&concatenated).map_err(|message| SchedError::Runtime { message })?;
-            self.run.fused[sample] = Some(output);
+        // Each sample's fusion input, in sub-model order: a stashed
+        // sub-model's rows, or zeros at the width of one nobody hosts.
+        let mut sources: BTreeMap<u32, FusionSource> = stash
+            .iter()
+            .map(|(&sub, frame)| (sub, FusionSource::Frame(frame)))
+            .collect();
+        for &(sub, dim) in &epoch.missing_dims {
+            sources.entry(sub).or_insert(FusionSource::Zeros(dim));
+        }
+        let sources: Vec<FusionSource> = sources.into_values().collect();
+        let outputs = fuse_round(&sources, span.len(), fusion)
+            .map_err(|message| SchedError::Runtime { message })?;
+        for (slot, output) in self.run.fused[span.clone()].iter_mut().zip(outputs) {
+            *slot = Some(output);
         }
         self.record(RunEvent::RoundFused {
             round,
             samples: span.len() as u64,
-            degraded: !missing_dims.is_empty(),
+            degraded: !epoch.missing_dims.is_empty(),
         });
         Ok(())
     }
@@ -402,10 +367,11 @@ impl Collector<'_> {
     }
 }
 
-/// The protocol error of a frame whose claim does not match its lane.
-fn wrong_lane(device: usize, carried: String) -> SchedError {
+/// The protocol error of a frame that does not belong on its lane, worded
+/// as the one-shot words it.
+fn wrong_lane(device: usize, message: String) -> SchedError {
     SchedError::Edge(EdgeError::Protocol {
-        message: format!("the lane of device {device} carried {carried}"),
+        message: format!("device {device} lane: {message}"),
     })
 }
 
@@ -432,7 +398,6 @@ pub(crate) fn collect_epoch(
     let mut collector = Collector {
         epoch,
         run,
-        deduper: ControlDeduper::new(),
         cursor: BTreeMap::new(),
         partial: BTreeMap::new(),
         outcome: EpochOutcome::default(),

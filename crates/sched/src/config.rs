@@ -9,6 +9,19 @@ use edvit_partition::DeviceSpec;
 use crate::faults::FaultScript;
 use crate::JoinInjection;
 
+/// Heartbeat deadline, in rounds: a device whose next heartbeat is this many
+/// round intervals overdue is declared dead. Governs the virtual detection
+/// latency charged to `recovery_seconds`.
+pub const GRACE_ROUNDS: u64 = 2;
+
+/// Virtual seconds charged for one run of the re-planner.
+pub const REPLAN_SECONDS: f64 = 0.05;
+
+/// The planner's `L` (samples per energy-budget window) handed to the greedy
+/// assignment when re-planning. This is *not* the wire round size: `L`
+/// prices energy, `round_size` prices batching.
+pub const ENERGY_SAMPLES_PER_ROUND: u64 = 1;
+
 /// How rounds are scheduled relative to the fusion stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleMode {
@@ -50,21 +63,11 @@ pub struct StreamConfig {
     pub pipeline_depth: usize,
     /// Barrier or pipelined scheduling.
     pub mode: ScheduleMode,
-    /// Heartbeat deadline, in rounds: a device whose next heartbeat is this
-    /// many round intervals overdue is declared dead. Governs the virtual
-    /// detection latency charged to `recovery_seconds`.
-    pub grace_rounds: u64,
     /// Network model used for the virtual timing.
     pub network: NetworkConfig,
     /// Analytic fusion cost per sample in MAC-FLOPs; 0 uses the latency
     /// model's default formula.
     pub fusion_flops: u64,
-    /// Virtual seconds charged for one run of the re-planner.
-    pub replan_seconds: f64,
-    /// The planner's `L` (samples per energy-budget window) handed to the
-    /// greedy assignment when re-planning onto survivors. This is *not* the
-    /// wire round size: `L` prices energy, `round_size` prices batching.
-    pub energy_samples_per_round: u64,
     /// Wire codec every device encodes its batch frames with (control frames
     /// always ship codec 0). Also prices the virtual timing via
     /// [`edvit_edge::LatencyModel::with_options`].
@@ -105,11 +108,8 @@ impl Default for StreamConfig {
             round_size: 4,
             pipeline_depth: 2,
             mode: ScheduleMode::Pipelined,
-            grace_rounds: 2,
             network: NetworkConfig::paper_default(),
             fusion_flops: 0,
-            replan_seconds: 0.05,
-            energy_samples_per_round: 1,
             codec: PayloadCodec::F32,
             transport: TransportKind::Sim,
             failures: Vec::new(),

@@ -22,7 +22,7 @@
 //!   deterministically as a disconnect exactly where its next heartbeat was
 //!   due; the [`HealthTracker`] records it as terminally `Dead` (graceful
 //!   leaves stay `Left`), and the virtual clock charges the round-denominated
-//!   `grace_rounds` deadline window to the recovery time.
+//!   [`GRACE_ROUNDS`] deadline window to the recovery time.
 //! * **Live repartitioning** — on a death, the scheduler calls
 //!   `SplitPlan::replan_for_survivors`, moves the orphaned sub-models onto
 //!   live hosts, and replays every in-flight round. No sample is lost and no
@@ -83,7 +83,10 @@ mod rounds;
 mod stream;
 
 pub use clock::SimClock;
-pub use config::{FailureInjection, ScheduleMode, StreamConfig};
+pub use config::{
+    FailureInjection, ScheduleMode, StreamConfig, ENERGY_SAMPLES_PER_ROUND, GRACE_ROUNDS,
+    REPLAN_SECONDS,
+};
 pub use depth::DepthController;
 pub use device::DeviceProgram;
 pub use error::SchedError;

@@ -7,7 +7,9 @@ use edvit_metrics::{ReplanCause, RunEvent};
 use edvit_partition::{DeviceSpec, PartitionError, SplitPlan};
 
 use crate::epoch::Run;
-use crate::{JoinInjection, Result, SchedError, ScheduleMode, StreamScheduler};
+use crate::{
+    JoinInjection, Result, SchedError, ScheduleMode, StreamScheduler, ENERGY_SAMPLES_PER_ROUND,
+};
 
 /// A cluster membership: who is in, what each member hosts, and what nobody
 /// does.
@@ -37,7 +39,7 @@ impl StreamScheduler {
         cause: ReplanCause,
         run: &mut Run,
     ) -> Result<()> {
-        let samples = self.config.energy_samples_per_round;
+        let samples = ENERGY_SAMPLES_PER_ROUND;
         let full = match cause {
             ReplanCause::Join => members.plan.replan_for_joiners(&members.devices, samples),
             ReplanCause::Death => members.plan.replan_for_survivors(&members.devices, samples),
@@ -136,7 +138,7 @@ pub(crate) fn admit_join(
     if was_terminal {
         run.tracker.observe_rejoin(device_id);
     } else {
-        run.tracker.observe_join(device_id);
+        run.tracker.register(device_id);
     }
     run.ledger.record(
         at,

@@ -68,7 +68,10 @@ use crate::collector::collect_epoch;
 use crate::epoch::{Epoch, EpochOutcome, Run};
 use crate::membership::admit_join;
 use crate::rounds::RoundLayout;
-use crate::{DeviceProgram, JoinInjection, Result, SchedError, StreamConfig, StreamReport};
+use crate::{
+    DeviceProgram, JoinInjection, Result, SchedError, StreamConfig, StreamReport, GRACE_ROUNDS,
+    REPLAN_SECONDS,
+};
 
 /// The streaming fault-tolerant scheduler.
 #[derive(Debug, Clone)]
@@ -204,7 +207,7 @@ impl StreamScheduler {
             }
             if admitted {
                 self.replan(&mut members, ReplanCause::Join, &mut run)?;
-                run.clock.advance(cfg.replan_seconds);
+                run.clock.advance(REPLAN_SECONDS);
             }
 
             let join_barrier = join_queue.first().map(|j| j.at_round);
@@ -213,7 +216,7 @@ impl StreamScheduler {
             // Hand the backend this epoch's liveness deadline in its native
             // round denomination; the TCP backend maps it to a read timeout,
             // the sim backend charges it analytically.
-            transport.set_round_deadline(cfg.grace_rounds, timing.round_interval_seconds);
+            transport.set_round_deadline(GRACE_ROUNDS, timing.round_interval_seconds);
             let outcome = Self::run_epoch(
                 &epoch,
                 &members.devices,
@@ -270,13 +273,13 @@ impl StreamScheduler {
             );
 
             // Detection costs one round interval for the missed heartbeat to
-            // fall due plus `grace_rounds` intervals of deadline; then the
+            // fall due plus `GRACE_ROUNDS` intervals of deadline; then the
             // planner runs; then the in-flight rounds replay on the new
             // membership (their compute is charged to the next epoch's clock
             // advance, but they are part of the recovery window). Each
             // replayed round is priced at its own sample count on the new
             // membership's timing.
-            let detection_seconds = (cfg.grace_rounds + 1) as f64 * timing.round_interval_seconds;
+            let detection_seconds = (GRACE_ROUNDS + 1) as f64 * timing.round_interval_seconds;
             let mut new_timings = self.round_timings(&members);
             let mut replay_seconds = 0.0f64;
             for &round in &outcome.partial_rounds {
@@ -287,10 +290,10 @@ impl StreamScheduler {
             run.ledger.record(
                 run.clock.now(),
                 RunEvent::Recovery {
-                    seconds: detection_seconds + cfg.replan_seconds + replay_seconds,
+                    seconds: detection_seconds + REPLAN_SECONDS + replay_seconds,
                 },
             );
-            run.clock.advance(detection_seconds + cfg.replan_seconds);
+            run.clock.advance(detection_seconds + REPLAN_SECONDS);
         };
 
         self.finish(run, steady_state_samples_per_second, members.plan)

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use edvit_edge::{ControlMessage, EdgeError, FeatureBatchMessage, FusionFn, SubModelFn};
+use edvit_edge::{ControlMessage, EdgeError, FeatureBatchMessage, FusionFn, SubModelFn, WireFrame};
 use edvit_metrics::{MetricsSink, StreamCounters};
 use edvit_net::{FrameRx, FrameTx, LaneClosed, LaneEvent};
 use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
@@ -422,16 +422,26 @@ enum Violation {
     RetiredKind,
     /// An in-band executor failure.
     PeerError,
+    /// The lane's next data frame without its last sample: part of a round.
+    PartialRound,
+    /// The lane's next data frame with its first sample written twice.
+    RepeatedSample,
+    /// A heartbeat of the lane's own device at sequence 0, which beats no
+    /// round.
+    ZeroBeacon,
 }
 
 impl Violation {
-    const ALL: [Violation; 6] = [
+    const ALL: [Violation; 9] = [
         Violation::ForeignHeartbeat,
         Violation::ForeignLeave,
         Violation::ForeignFeatures,
         Violation::ReplayedHeartbeat,
         Violation::RetiredKind,
         Violation::PeerError,
+        Violation::PartialRound,
+        Violation::RepeatedSample,
+        Violation::ZeroBeacon,
     ];
 
     /// The event to insert, or `None` where the violation cannot be built.
@@ -480,9 +490,40 @@ impl Violation {
                 Bytes::from(frame)
             }
             Violation::PeerError => return Some(LaneEvent::PeerError("device: boom".to_string())),
+            Violation::PartialRound | Violation::RepeatedSample => {
+                let honest = next_batch(&tape[at..])?;
+                let rows = honest.num_samples();
+                let mut forged = FeatureBatchMessage::new(
+                    honest.sub_model as usize,
+                    honest.feature_dim as usize,
+                );
+                let mut pack = |row: usize| {
+                    let sample = honest.sample_indices[row] as usize;
+                    forged
+                        .push_feature(sample, honest.feature_row(row))
+                        .unwrap();
+                };
+                match self {
+                    Violation::PartialRound => (0..rows - 1).for_each(&mut pack),
+                    _ => (0..rows).chain([0]).for_each(&mut pack),
+                }
+                forged.encode_with(PayloadCodec::F32)
+            }
+            Violation::ZeroBeacon => ControlMessage::heartbeat(device, 0, 1.0).encode(),
         };
         Some(LaneEvent::Frame(frame))
     }
+}
+
+/// The first feature batch among `events`.
+fn next_batch(events: &[LaneEvent]) -> Option<FeatureBatchMessage> {
+    events.iter().find_map(|event| match event {
+        LaneEvent::Frame(frame) => match WireFrame::decode(frame.clone()) {
+            Ok(WireFrame::FeatureBatch(batch)) => Some(batch),
+            _ => None,
+        },
+        _ => None,
+    })
 }
 
 #[test]
@@ -495,6 +536,8 @@ fn one_protocol_violation_at_every_position_is_absorbed_or_a_typed_error() {
                     let Some(event) = violation.event(&world, device, tape, at) else {
                         continue;
                     };
+                    let forged_samples =
+                        next_batch(std::slice::from_ref(&event)).map(|batch| batch.sample_indices);
                     let mut lane = tape.clone();
                     lane.insert(at, event);
                     let mut lanes = world.tapes.clone();
@@ -516,9 +559,24 @@ fn one_protocol_violation_at_every_position_is_absorbed_or_a_typed_error() {
                             );
                             assert!(case.folded.devices_lost.is_empty(), "{what}");
                         }
-                        Violation::ReplayedHeartbeat => {
+                        Violation::PartialRound | Violation::RepeatedSample => {
+                            assert!(
+                                matches!(
+                                    case.result,
+                                    Err(SchedError::Edge(EdgeError::Protocol { .. }))
+                                ),
+                                "{what}: {:?}",
+                                case.result
+                            );
+                            assert!(case.folded.devices_lost.is_empty(), "{what}");
+                            // The forged frame's round never fuses.
+                            for sample in forged_samples.iter().flatten() {
+                                assert_eq!(case.fused_counts[*sample as usize], 0, "{what}");
+                            }
+                        }
+                        Violation::ReplayedHeartbeat | Violation::ZeroBeacon => {
                             let report = case.result.as_ref().unwrap_or_else(|e| {
-                                panic!("{what}: a replayed beacon must be absorbed: {e}")
+                                panic!("{what}: a stale beacon must be absorbed: {e}")
                             });
                             assert_eq!(report.stale_control_frames, 1, "{what}");
                             assert_eq!(report.stale_heartbeats, 1, "{what}");

@@ -22,6 +22,7 @@ use edvit_metrics::{MetricsSink, RunEvent, ServeCounters};
 use edvit_partition::{DeviceSpec, SplitPlan};
 use edvit_sched::{
     DepthController, RoundLayout, SchedError, ScheduleMode, StreamConfig, StreamScheduler,
+    ENERGY_SAMPLES_PER_ROUND, GRACE_ROUNDS, REPLAN_SECONDS,
 };
 use edvit_tensor::Tensor;
 
@@ -317,19 +318,18 @@ impl ServeScheduler {
                 // nominal interval, matching the streaming scheduler's
                 // heartbeat deadline; then the planner runs; then the round
                 // replays on the survivors.
-                let detection =
-                    (stream_cfg.grace_rounds + 1) as f64 * nominal.round_interval_seconds;
+                let detection = (GRACE_ROUNDS + 1) as f64 * nominal.round_interval_seconds;
                 devices.retain(|d| d.id != dead);
                 if devices.is_empty() {
                     let mut lost = queue.ledger.counters.devices_lost;
                     lost.push(dead);
                     return Err(ServeError::AllDevicesLost { lost });
                 }
-                plan = plan.replan_for_survivors(&devices, stream_cfg.energy_samples_per_round)?;
+                plan = plan.replan_for_survivors(&devices, ENERGY_SAMPLES_PER_ROUND)?;
                 timings = self.timings_for(&plan, &devices);
                 nominal = timings.timing_for(cap)?;
                 let t = timings.timing_for(batch.len())?;
-                let stall = detection + stream_cfg.replan_seconds;
+                let stall = detection + REPLAN_SECONDS;
                 completion = start + stall + t.device_round_seconds + t.fusion_round_seconds;
                 // One pre-summed charge per crash, so an offline replay of
                 // the journal re-adds the exact f64 the live drill added.

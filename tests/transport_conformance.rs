@@ -115,8 +115,8 @@ fn heartbeat_dedupe_decisions_are_transport_independent() {
     // The collector applies every fault to the bytes it receives, whichever
     // backend carried them, so every fault kind must count, discard, retry
     // and recover identically over both transports. The duplicated data
-    // frame and the replayed heartbeat exercise the ControlDeduper and the
-    // first-delivery-wins stash; the rest cover corruption, truncation,
+    // frame and the replayed heartbeat exercise the first-delivery-wins
+    // stash and `HealthTracker::admit`; the rest cover corruption, truncation,
     // drops, crashes, a rejoin and a flaky link.
     let (plan, devices, samples) = synthetic(3);
     let run = |faults: &[FaultKind], transport: TransportKind| {
