@@ -19,7 +19,7 @@
 //! memory and latency numbers).
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod cnn;
 mod cost;

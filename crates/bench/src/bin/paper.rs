@@ -11,6 +11,8 @@
 //! trials over `PAPER_DEVICE_COUNTS`. Every number comes from
 //! `edvit::experiments`; this binary parses arguments and prints.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use edvit::edge::PayloadCodec;
 use edvit::experiments::{self as exp, ComparisonRow, ExperimentOptions, SplitCurvePoint};
 

@@ -20,7 +20,7 @@
 //! lie inside the stream), so a plan can never silently inject nothing.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod error;
 mod plan;

@@ -145,7 +145,7 @@ mod tests {
         assert_eq!(report.frames, 2);
         assert!(report.bytes_on_wire > report.payload_bytes);
         assert_eq!(report.per_device_wire_bytes.len(), 2);
-        assert!(report.samples_per_second > 0.0);
+        assert!(report.simulated_communication_seconds > 0.0);
         let predictions = report.predictions().unwrap();
         assert!(predictions.iter().all(|&p| p < test.num_classes()));
         // Sanity: the distributed path should not be wildly worse than chance.

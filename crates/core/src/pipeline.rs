@@ -452,6 +452,10 @@ fn extract_features(sub_models: &mut [PrunedSubModel], images: &Tensor) -> Resul
 
 /// Runs `f` once per sub-model (in parallel when the pool allows it),
 /// returning the results in sub-model order.
+#[expect(
+    clippy::expect_used,
+    reason = "`scope_chunks` has run `f` on every slot before it returns"
+)]
 fn run_per_sub_model<T, F>(sub_models: &mut [PrunedSubModel], f: F) -> Result<Vec<T>>
 where
     T: Send,

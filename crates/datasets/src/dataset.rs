@@ -155,6 +155,10 @@ impl Dataset {
     ///
     /// Returns [`DatasetError::InvalidConfig`] when the fraction is outside
     /// `(0, 1)` or [`DatasetError::Empty`] for an empty dataset.
+    #[expect(
+        clippy::expect_used,
+        reason = "a train split of more than one sample has one to move"
+    )]
     pub fn split(&self, train_fraction: f32, seed: u64) -> Result<(Dataset, Dataset)> {
         if self.is_empty() {
             return Err(DatasetError::Empty { what: "dataset" });

@@ -148,6 +148,7 @@ impl SyntheticGenerator {
 }
 
 /// Nearest-neighbour upsampling of a `[c, r, r]` tensor to `[c, size, size]`.
+#[expect(clippy::expect_used, reason = "the output is sized by construction")]
 fn upsample_nearest(low: &Tensor, size: usize) -> Tensor {
     let c = low.dims()[0];
     let r = low.dims()[1];

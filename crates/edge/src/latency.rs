@@ -125,8 +125,8 @@ impl StreamTiming {
     /// cost linear instead of exploding, and attempt 0 (the original
     /// delivery) costs nothing extra.
     ///
-    /// The bound follows: a retry chain of `n ≤ max_retries` attempts costs
-    /// at most `8 · n` round intervals of virtual time.
+    /// The bound follows: a retry chain of `n ≤ edvit_sched::MAX_RETRIES`
+    /// attempts costs at most `8 · n` round intervals of virtual time.
     pub fn retry_backoff_seconds(&self, attempt: u32) -> f64 {
         if attempt == 0 {
             return 0.0;
@@ -171,22 +171,12 @@ impl LatencyModel {
     /// Prices every estimate under the shared [`NetOptions`]: f16 halves the
     /// per-value frame bytes, and the compressed codec is charged its
     /// worst-case (all-literal) size, since the analytic model cannot know
-    /// the entropy of the features a deployment will ship. The transport and
-    /// retry knobs do not change the analytic prices — timing is
-    /// transport-independent by design — so only the codec is consumed here.
+    /// the entropy of the features a deployment will ship. The transport does
+    /// not change the analytic prices — timing is transport-independent by
+    /// design — so only the codec is consumed here.
     pub fn with_options(mut self, options: &NetOptions) -> Self {
         self.codec = options.codec;
         self
-    }
-
-    /// The network configuration in use.
-    pub fn network(&self) -> &NetworkConfig {
-        &self.network
-    }
-
-    /// The wire codec the model prices frames with.
-    pub fn codec(&self) -> PayloadCodec {
-        self.codec
     }
 
     /// Estimates the per-sample latency when each sub-model batches
@@ -369,11 +359,6 @@ impl RoundTimings {
             pipelined,
             cache: std::collections::BTreeMap::new(),
         }
-    }
-
-    /// Whether rounds overlap (pipelined) or barrier-synchronize.
-    pub fn pipelined(&self) -> bool {
-        self.pipelined
     }
 
     /// The stream timing for a round of `samples` samples, memoized.
@@ -592,7 +577,6 @@ mod tests {
         let f32_model = LatencyModel::new(NetworkConfig::paper_default());
         let f16_model = LatencyModel::new(NetworkConfig::paper_default())
             .with_options(&NetOptions::default().with_codec(PayloadCodec::F16));
-        assert_eq!(f16_model.codec(), PayloadCodec::F16);
         let base = f32_model.estimate_batched(&plan, &devices, 16).unwrap();
         let coded = f16_model.estimate_batched(&plan, &devices, 16).unwrap();
         for (a, b) in base.per_device.iter().zip(&coded.per_device) {
@@ -636,7 +620,6 @@ mod tests {
         for pipelined in [true, false] {
             let mut table =
                 RoundTimings::new(model.clone(), plan.clone(), devices.clone(), pipelined);
-            assert_eq!(table.pipelined(), pipelined);
             let reference = model
                 .estimate_stream(&plan, &devices, 4, pipelined)
                 .unwrap();
@@ -664,11 +647,6 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let model = LatencyModel::new(NetworkConfig::gigabit());
-        assert_eq!(
-            model.network().bandwidth_bits_per_second,
-            NetworkConfig::gigabit().bandwidth_bits_per_second
-        );
         let d = PerDeviceLatency {
             device_id: 0,
             compute_seconds: 1.0,

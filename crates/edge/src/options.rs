@@ -4,9 +4,11 @@
 //!
 //! Before this module each surface grew its own `with_codec`-style builder
 //! and the knobs drifted independently. `NetOptions` is the one home for
-//! codec / transport / retry configuration — the per-surface builders are
-//! gone, not deprecated — and the `builder-drift` lint in `edvit-analyze`
-//! rejects new duplicates. The transport choice reaches an executor as a
+//! codec and transport configuration — the per-surface builders are gone,
+//! not deprecated — and CI's `static-analysis` job fails when
+//! `fn with_codec` or `fn with_transport` appears in any other file. The
+//! per-frame retry budget is the stream scheduler's constant
+//! `edvit_sched::MAX_RETRIES`. The transport choice reaches an executor as a
 //! value: `edvit_net::transport_for(options.transport)` builds the
 //! `Transport` that `ClusterRuntime::run_over` and the scheduler open their
 //! lanes from.
@@ -39,7 +41,7 @@ impl TransportKind {
 }
 
 /// Network-facing knobs shared by every frame-moving surface: the wire
-/// codec, the transport backend and the per-frame retry budget.
+/// codec and the transport backend.
 ///
 /// Construct with [`NetOptions::default`] and override with the builders:
 ///
@@ -48,8 +50,7 @@ impl TransportKind {
 ///
 /// let options = NetOptions::default()
 ///     .with_codec(PayloadCodec::F16)
-///     .with_transport(TransportKind::Sim)
-///     .with_max_retries(3);
+///     .with_transport(TransportKind::Sim);
 /// assert_eq!(options.codec, PayloadCodec::F16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +59,6 @@ pub struct NetOptions {
     pub codec: PayloadCodec,
     /// Transport backend carrying the frames.
     pub transport: TransportKind,
-    /// Deliveries a corrupt / truncated / dropped data frame is re-requested
-    /// before the link escalates to device death.
-    pub max_retries: u32,
 }
 
 impl Default for NetOptions {
@@ -68,7 +66,6 @@ impl Default for NetOptions {
         NetOptions {
             codec: PayloadCodec::F32,
             transport: TransportKind::Sim,
-            max_retries: 2,
         }
     }
 }
@@ -85,12 +82,6 @@ impl NetOptions {
         self.transport = transport;
         self
     }
-
-    /// Sets the per-frame retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -102,18 +93,15 @@ mod tests {
         let options = NetOptions::default();
         assert_eq!(options.codec, PayloadCodec::F32);
         assert_eq!(options.transport, TransportKind::Sim);
-        assert_eq!(options.max_retries, 2);
     }
 
     #[test]
     fn builders_override_each_knob_independently() {
         let options = NetOptions::default()
             .with_codec(PayloadCodec::F16Rle)
-            .with_transport(TransportKind::Tcp)
-            .with_max_retries(5);
+            .with_transport(TransportKind::Tcp);
         assert_eq!(options.codec, PayloadCodec::F16Rle);
         assert_eq!(options.transport, TransportKind::Tcp);
-        assert_eq!(options.max_retries, 5);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! wall-clock measurements.
 
 use std::sync::{mpsc, Arc};
-use std::time::Instant;
 
 use bytes::Bytes;
 use edvit_metrics::{MetricsSink, RunEvent};
@@ -46,13 +45,6 @@ pub type FusionFn = Box<dyn FnMut(&Tensor) -> std::result::Result<Tensor, String
 pub struct RuntimeReport {
     /// Fused output per input sample, in input order.
     pub outputs: Vec<Tensor>,
-    /// Worker threads used for sub-model execution (one per device).
-    pub worker_threads: usize,
-    /// Measured wall-clock seconds each device spent running its sub-model
-    /// over all samples (indexed by sub-model). Informational, like
-    /// [`RuntimeReport::wall_clock_seconds`]: reproducible latency numbers
-    /// come from the analytic model.
-    pub per_device_compute_seconds: Vec<f64>,
     /// Number of wire frames exchanged: one batched frame per device per
     /// round (not one per sample, as the v1 protocol shipped).
     pub frames: usize,
@@ -73,11 +65,6 @@ pub struct RuntimeReport {
     /// devices transmit their single batched frame concurrently, so this is
     /// the slowest device frame.
     pub simulated_communication_seconds: f64,
-    /// Wall-clock time of the threaded execution (informational only; the
-    /// reproducible latency numbers come from the analytic model).
-    pub wall_clock_seconds: f64,
-    /// Measured end-to-end throughput: samples fused per wall-clock second.
-    pub samples_per_second: f64,
 }
 
 impl RuntimeReport {
@@ -130,16 +117,10 @@ impl ClusterRuntime {
     /// codec the frame header declares, so this only changes what goes on the
     /// wire, not the call contract. The transport choice arrives as a value
     /// ([`ClusterRuntime::run_over`]'s argument — `edvit_net::transport_for`
-    /// builds it from the same options), and the retry budget only applies
-    /// to streaming.
+    /// builds it from the same options).
     pub fn with_options(mut self, options: &NetOptions) -> Self {
         self.codec = options.codec;
         self
-    }
-
-    /// The wire codec this runtime deploys.
-    pub fn codec(&self) -> PayloadCodec {
-        self.codec
     }
 
     /// Runs every input sample through every sub-model executor concurrently
@@ -207,7 +188,6 @@ impl ClusterRuntime {
                 message: "no sub-model executors".to_string(),
             });
         }
-        let started = Instant::now();
         let num_sub_models = executors.len();
         let codec = self.codec;
         let lanes = (0..num_sub_models)
@@ -220,21 +200,18 @@ impl ClusterRuntime {
         for (device, (mut executor, tx)) in executors.into_iter().zip(senders).enumerate() {
             let inputs = Arc::clone(&shared);
             let work = Box::new(move || {
-                let device_started = Instant::now();
                 // Sibling device threads split the kernel pool evenly.
                 let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
                     encode_device_round(device, &mut executor, inputs.iter().enumerate(), codec)
                 });
-                let seconds = device_started.elapsed().as_secs_f64();
                 // A closed lane means the collector is gone; stop quietly.
                 let _ = match encoded {
                     Ok(Some(frame)) => tx.send(frame),
                     Ok(None) => Ok(()),
                     Err(message) => tx.send_error(format!("device {device}: {message}")),
                 };
-                seconds
             });
-            warm::dispatch((device, work, done.clone()))?;
+            warm::dispatch((work, done.clone()))?;
         }
         drop(done);
         // Take each lane's one envelope before waiting for the devices: a TCP
@@ -246,18 +223,13 @@ impl ClusterRuntime {
         let mut delivered: Vec<LaneEvent> =
             receivers.iter_mut().rev().map(|rx| rx.recv()).collect();
         delivered.reverse();
-        // Wait for every device before looking at any result; a job that
-        // panicked reports no seconds.
-        let mut seconds = vec![None; num_sub_models];
-        for (device, compute_seconds) in finished.iter().take(num_sub_models) {
-            seconds[device] = compute_seconds;
-        }
-        let per_device_compute_seconds = seconds
-            .into_iter()
-            .collect::<Option<Vec<f64>>>()
-            .ok_or_else(|| EdgeError::Runtime {
+        // Wait for every device before looking at any result.
+        let completed = finished.iter().take(num_sub_models);
+        if completed.filter(|&ok| ok).count() < num_sub_models {
+            return Err(EdgeError::Runtime {
                 message: "a device worker thread panicked".to_string(),
-            })?;
+            });
+        }
         let (batches, per_device_wire_bytes): (Vec<RoundBatch>, Vec<u64>) = delivered
             .into_iter()
             .enumerate()
@@ -299,24 +271,14 @@ impl ClusterRuntime {
             slowest_frame_seconds,
         );
 
-        let wall_clock_seconds = started.elapsed().as_secs_f64();
-        let samples_per_second = if wall_clock_seconds > 0.0 {
-            outputs.len() as f64 / wall_clock_seconds
-        } else {
-            f64::INFINITY
-        };
         Ok(RuntimeReport {
             outputs,
-            worker_threads: num_sub_models,
-            per_device_compute_seconds,
             frames,
             codec,
             payload_bytes,
             bytes_on_wire,
             per_device_wire_bytes,
             simulated_communication_seconds: slowest_frame_seconds,
-            wall_clock_seconds,
-            samples_per_second,
         })
     }
 }
@@ -413,14 +375,9 @@ mod warm {
 
     use crate::{EdgeError, Result};
 
-    /// One device's share of a round: its index, the work (returning its
-    /// compute seconds) and where to report `(device, seconds)` — `None` when
-    /// the work panicked.
-    pub(super) type Job = (
-        usize,
-        Box<dyn FnOnce() -> f64 + Send>,
-        Sender<(usize, Option<f64>)>,
-    );
+    /// One device's share of a round: the work and where to report whether
+    /// it finished — `false` when it panicked.
+    pub(super) type Job = (Box<dyn FnOnce() + Send>, Sender<bool>);
 
     /// Job inboxes of the device threads parked right now. Every update is
     /// one `push` or `pop`, so the list is valid even if a holder panicked.
@@ -447,18 +404,18 @@ mod warm {
         let (inbox, jobs) = mpsc::channel::<Job>();
         let _ = inbox.send(job);
         // Detached on purpose: the thread serves jobs until the process
-        // exits. Each job's panic is caught and reported as `None`, and the
+        // exits. Each job's panic is caught and reported as `false`, and the
         // thread parks itself again *before* reporting the job done, so the
         // caller's next round finds it idle.
         std::thread::Builder::new()
             .name("edvit-device".to_string())
             .spawn(move || {
-                for (device, work, done) in &jobs {
-                    let seconds = catch_unwind(AssertUnwindSafe(work)).ok();
+                for (work, done) in &jobs {
+                    let finished = catch_unwind(AssertUnwindSafe(work)).is_ok();
                     IDLE.lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .push(inbox.clone());
-                    let _ = done.send((device, seconds));
+                    let _ = done.send(finished);
                 }
             })
             .map_err(|e| runtime(format!("cannot start a device thread: {e}")))?;
@@ -524,30 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_divides_by_samples_actually_processed() {
-        // Regression pin for partial-round accounting: a batch that
-        // under-fills any nominal round size must still divide throughput by
-        // the samples actually fused — `outputs.len()` — never a nominal
-        // round size. 3 samples is deliberately not a power-of-two fill.
-        let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
-        let inputs = vec![Tensor::zeros(&[2]), Tensor::ones(&[2]), Tensor::zeros(&[2])];
-        let executors = vec![constant_executor(1.0, 2)];
-        let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
-        let report = run_round(&runtime, &inputs, executors, fusion).unwrap();
-        assert_eq!(report.outputs.len(), 3);
-        if report.wall_clock_seconds > 0.0 {
-            let expected = report.outputs.len() as f64 / report.wall_clock_seconds;
-            assert!(
-                (report.samples_per_second - expected).abs() <= expected * 1e-12,
-                "samples_per_second {} must equal outputs/wall = {expected}",
-                report.samples_per_second
-            );
-        } else {
-            assert_eq!(report.samples_per_second, f64::INFINITY);
-        }
-    }
-
-    #[test]
     fn features_are_fused_in_sub_model_order() {
         let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
         let inputs = vec![Tensor::zeros(&[2]), Tensor::ones(&[2])];
@@ -569,14 +502,6 @@ mod tests {
             vec![batch_frame_len(2, 2) as u64, batch_frame_len(2, 3) as u64]
         );
         assert!(report.simulated_communication_seconds > 0.0);
-        assert!(report.wall_clock_seconds >= 0.0);
-        assert!(report.samples_per_second > 0.0);
-        assert_eq!(report.worker_threads, 2);
-        assert_eq!(report.per_device_compute_seconds.len(), 2);
-        assert!(report
-            .per_device_compute_seconds
-            .iter()
-            .all(|&s| s >= 0.0 && s <= report.wall_clock_seconds));
     }
 
     #[test]
@@ -627,7 +552,6 @@ mod tests {
         let run = |codec: PayloadCodec| {
             let runtime = ClusterRuntime::new(NetworkConfig::paper_default())
                 .with_options(&NetOptions::default().with_codec(codec));
-            assert_eq!(runtime.codec(), codec);
             let executors = vec![constant_executor(0.5, dim), constant_executor(-2.0, dim)];
             let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
             run_round(&runtime, &inputs, executors, fusion).unwrap()

@@ -288,6 +288,16 @@ impl ControlMessage {
     /// payloads, and [`EdgeError::Protocol`] for intact frames that violate
     /// the contract (unknown control kind, non-finite or negative capacity,
     /// or a `Join` offering zero capacity).
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )]
     pub fn decode(bytes: Bytes) -> Result<Self> {
         match WireFrame::decode(bytes)? {
             WireFrame::Control(message) => Ok(message),
@@ -300,6 +310,16 @@ impl ControlMessage {
 }
 
 /// Parses the payload of a v2 `Control` frame.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 fn decode_control_payload(bytes: &mut Bytes) -> Result<ControlMessage> {
     if bytes.remaining() != CONTROL_PAYLOAD_LEN {
         return Err(decode_err(format!(
@@ -335,6 +355,16 @@ fn decode_control_payload(bytes: &mut Bytes) -> Result<ControlMessage> {
     })
 }
 
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 fn decode_err(message: impl Into<String>) -> EdgeError {
     EdgeError::Decode {
         message: message.into(),
@@ -445,6 +475,16 @@ fn rle_flush_literals(pending: &[u16], out: &mut BytesMut) {
 /// over-long runs are all [`EdgeError::Decode`]). A literal run is one bulk
 /// read and a repeat run one fill, both into the block allocated up front.
 /// Never panics.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 fn rle_decompress(bytes: &mut Bytes, expected_values: usize) -> Result<Vec<u16>> {
     let mut out = vec![0u16; expected_values];
     let mut room = out.as_mut_slice();
@@ -702,6 +742,16 @@ impl WireFrame {
     /// truncated, inconsistent or unsupported ones (an unassigned kind byte
     /// included), and [`EdgeError::ChecksumMismatch`] when the payload fails
     /// CRC verification.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )]
     pub fn decode(mut bytes: Bytes) -> Result<Self> {
         if !bytes.as_slice().starts_with(&WIRE_MAGIC) {
             return Err(decode_err(format!(
@@ -768,6 +818,16 @@ impl WireFrame {
 }
 
 /// Parses a v2 `FeatureBatch` payload laid out under `codec`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
 fn decode_batch_payload(bytes: &mut Bytes, codec: PayloadCodec) -> Result<FeatureBatchMessage> {
     let total = bytes.len();
     let (Some(sub_model), Some(feature_dim), Some(num_samples)) = (

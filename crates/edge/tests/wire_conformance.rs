@@ -18,8 +18,8 @@ use std::path::PathBuf;
 
 use bytes::{f16_bits_to_f32, Bytes};
 use edvit_edge::wire::{
-    batch_frame_len_coded, PayloadCodec, CONTROL_FRAME_LEN, FLAG_CHECKSUM, V2_HEADER_LEN,
-    WIRE_MAGIC, WIRE_VERSION,
+    batch_frame_len_coded, PayloadCodec, CONTROL_FRAME_LEN, CONTROL_PAYLOAD_LEN, FLAG_CHECKSUM,
+    FLAG_CODEC_MASK, FLAG_CODEC_SHIFT, V2_HEADER_LEN, WIRE_MAGIC, WIRE_VERSION,
 };
 use edvit_edge::{ControlMessage, FeatureBatchMessage, WireFrame};
 
@@ -144,6 +144,43 @@ fn fixture_headers_pin_the_constants() {
         let payload_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
         assert_eq!(payload_len, bytes.len() - V2_HEADER_LEN, "{name}: length");
     }
+}
+
+#[test]
+fn the_readme_layout_tables_state_the_wire_constants() {
+    // The README is the protocol spec a peer implements from: each header
+    // and flag constant must read the same there as in `wire.rs`.
+    let readme = include_str!("../README.md");
+    let bits = |mask: u8| {
+        let (lo, hi) = (mask.trailing_zeros(), 7 - mask.leading_zeros());
+        if lo == hi {
+            lo.to_string()
+        } else {
+            format!("{lo}\u{2013}{hi}")
+        }
+    };
+    let magic: Vec<String> = WIRE_MAGIC.iter().map(|b| format!("{b:02X}")).collect();
+    let magic = magic.join(" ");
+    assert!(
+        readme
+            .lines()
+            .any(|l| l.contains(" magic ") && l.contains(&magic)),
+        "README.md has no `magic  {magic}` header row"
+    );
+    for row in [
+        format!("(currently {WIRE_VERSION})"),
+        format!("starts with a {V2_HEADER_LEN}-byte header"),
+        format!("`CONTROL_PAYLOAD_LEN` = {CONTROL_PAYLOAD_LEN} bytes"),
+        format!("`CONTROL_FRAME_LEN` = {CONTROL_FRAME_LEN} with"),
+        format!("| {} | CRC-32 present", bits(FLAG_CHECKSUM)),
+        format!("| {} | payload codec", bits(FLAG_CODEC_MASK)),
+    ] {
+        assert!(readme.contains(&row), "README.md does not say `{row}`");
+    }
+    assert_eq!(
+        u32::from(FLAG_CODEC_SHIFT),
+        FLAG_CODEC_MASK.trailing_zeros()
+    );
 }
 
 #[test]

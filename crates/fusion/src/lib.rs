@@ -28,7 +28,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use edvit_nn::{Layer, Mlp, MlpActivation, NnError, Parameter};
 use edvit_tensor::{init::TensorRng, Tensor};

@@ -240,7 +240,7 @@ counters! {
         /// Samples that were in flight at a death and had to be recomputed.
         pub samples_replayed: usize,
         /// Data-frame re-requests issued after corrupt, truncated or dropped
-        /// deliveries. Bounded by `max_retries` per frame.
+        /// deliveries. Bounded by the scheduler's `MAX_RETRIES` per frame.
         pub retries: u64,
         /// Virtual seconds spent in retry backoff, already included in
         /// `simulated_total_seconds`.

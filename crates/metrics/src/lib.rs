@@ -16,7 +16,7 @@
 //! (the schedulers' simulated clock) — this crate never reads wall time.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod error;
 pub mod event;

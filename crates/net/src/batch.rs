@@ -95,7 +95,6 @@ mod tests {
                 for (a, b) in sim.outputs.iter().zip(&tcp.outputs) {
                     assert_eq!(a.data(), b.data(), "fused outputs must be bitwise equal");
                 }
-                assert_eq!(sim.worker_threads, tcp.worker_threads);
                 assert_eq!(sim.frames, tcp.frames);
                 assert_eq!(sim.codec, tcp.codec);
                 assert_eq!(sim.payload_bytes, tcp.payload_bytes);

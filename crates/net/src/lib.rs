@@ -31,7 +31,7 @@
 //! observations (which the reports label informational) may differ.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod batch;
 mod cluster;

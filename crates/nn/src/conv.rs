@@ -192,6 +192,7 @@ impl Conv2d {
 
     /// Expands one `[c, h, w]` sample into the im2col matrix
     /// `[out_h*out_w, c*k*k]`.
+    #[expect(clippy::expect_used, reason = "the matrix is sized by construction")]
     fn im2col(&self, sample: &Tensor, h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
         let k = self.kernel;
         let c = self.in_channels;
@@ -221,6 +222,7 @@ impl Conv2d {
     }
 
     /// Scatters an im2col-shaped gradient back to a `[c, h, w]` image.
+    #[expect(clippy::expect_used, reason = "the image is sized by construction")]
     fn col2im(&self, cols: &Tensor, h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
         let k = self.kernel;
         let c = self.in_channels;

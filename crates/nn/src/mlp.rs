@@ -174,6 +174,10 @@ impl Mlp {
     }
 
     /// Output feature dimension.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction rejects an empty list of layer sizes"
+    )]
     pub fn out_features(&self) -> usize {
         *self.layer_sizes.last().expect("validated at construction")
     }

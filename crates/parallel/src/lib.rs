@@ -67,6 +67,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -135,6 +136,8 @@ struct Region {
 // SAFETY: `data` is only dereferenced while the owning caller is blocked in
 // `run`, which guarantees the pointee (a `Sync` closure) outlives all use.
 unsafe impl Send for Region {}
+// SAFETY: as for `Send`: the pointee is only read, through `&Region`, while
+// its owner is blocked in `run`.
 unsafe impl Sync for Region {}
 
 impl Region {
@@ -228,6 +231,10 @@ impl ParallelPool {
             work_ready: Condvar::new(),
             region_done: Condvar::new(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "a pool that cannot start its workers cannot run a kernel"
+        )]
         let workers = (1..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -416,6 +423,10 @@ impl ParallelPool {
 
     /// Parallel map: computes `f(i)` for `i in 0..n` and collects the results
     /// in index order.
+    #[expect(
+        clippy::expect_used,
+        reason = "`scope_chunks` has run `f` on every slot before it returns"
+    )]
     pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -483,6 +494,8 @@ impl<T> Copy for SendPtr<T> {}
 // `from_raw_parts_mut`) while the owner is blocked in the scope — no aliasing
 // and no use-after-free are possible through a `SendPtr` copy.
 unsafe impl<T> Send for SendPtr<T> {}
+// SAFETY: as for `Send`: a shared `SendPtr` only hands out its pointer, and
+// each copy writes its own disjoint slot.
 unsafe impl<T> Sync for SendPtr<T> {}
 impl<T> SendPtr<T> {
     fn get(self) -> *mut T {

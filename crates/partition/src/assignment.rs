@@ -101,6 +101,10 @@ pub fn greedy_assign(
         let demand = req.flops_per_sample.saturating_mul(samples_per_round) as f64;
         loop {
             // Line 3: pick the active device with the most remaining energy.
+            #[expect(
+                clippy::expect_used,
+                reason = "remaining energies start from integer budgets and stay finite"
+            )]
             let candidate = (0..devices.len()).filter(|&i| active[i]).max_by(|&a, &b| {
                 remaining_energy[a]
                     .partial_cmp(&remaining_energy[b])

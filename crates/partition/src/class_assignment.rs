@@ -92,7 +92,9 @@ pub fn validate_class_assignment(subsets: &[Vec<usize>], num_classes: usize) -> 
         });
     }
     let sizes: Vec<usize> = subsets.iter().map(std::vec::Vec::len).collect();
+    #[expect(clippy::expect_used, reason = "an empty assignment is rejected above")]
     let max = *sizes.iter().max().expect("non-empty");
+    #[expect(clippy::expect_used, reason = "an empty assignment is rejected above")]
     let min = *sizes.iter().min().expect("non-empty");
     if max - min > 1 {
         return Err(PartitionError::InvalidConfig {

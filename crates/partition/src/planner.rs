@@ -348,6 +348,7 @@ impl SplitPlanner {
 
             // Line 18: prune one more head's worth of width from the
             // sub-model with the largest memory footprint.
+            #[expect(clippy::expect_used, reason = "a plan has at least one sub-model")]
             let (largest, _) = costs
                 .iter()
                 .enumerate()

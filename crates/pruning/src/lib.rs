@@ -20,7 +20,7 @@
 //! class subset.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod error;
 mod importance;

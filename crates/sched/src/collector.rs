@@ -33,8 +33,8 @@
 //! receives *before* decoding them — the same place a lossy link would bite.
 //! A corrupted, truncated or eaten data frame is a failed delivery: the
 //! collector re-requests it (the script indexes faults by attempt, so a
-//! re-request can fail again) up to [`StreamConfig::max_retries`] times, each
-//! retry priced at the analytic
+//! re-request can fail again) up to [`MAX_RETRIES`](crate::MAX_RETRIES) times,
+//! each retry priced at the analytic
 //! [`StreamTiming::retry_backoff_seconds`](edvit_edge::StreamTiming) backoff.
 //! A frame still failing past the budget escalates to device death — the same
 //! terminal path a crash takes. Duplicated deliveries are absorbed: the
@@ -42,8 +42,6 @@
 //! delivered, and journals any later copy as a duplicate; a control frame
 //! counts only if [`HealthTracker::admit`](crate::HealthTracker::admit)
 //! finds it fresh — the one freshness rule — and a stale one is journaled.
-//!
-//! [`StreamConfig::max_retries`]: crate::StreamConfig::max_retries
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -58,7 +56,7 @@ use edvit_net::{FrameRx, LaneEvent};
 
 use crate::epoch::{Epoch, EpochOutcome, Run};
 use crate::faults::{apply_fault, FaultedDelivery, FrameFault, FrameSlot};
-use crate::{Result, SchedError};
+use crate::{Result, SchedError, MAX_RETRIES};
 
 /// How the collector disposed of one delivery.
 enum Seen {
@@ -192,7 +190,7 @@ impl Collector<'_> {
                         }
                     }
                     attempt += 1;
-                    if attempt > config.max_retries {
+                    if attempt > MAX_RETRIES {
                         return Ok(Seen::Dead);
                     }
                     self.outcome.retry_attempts.push(attempt);

@@ -14,6 +14,11 @@ use crate::JoinInjection;
 /// latency charged to `recovery_seconds`.
 pub const GRACE_ROUNDS: u64 = 2;
 
+/// How many times a corrupt, truncated or dropped data frame is re-requested
+/// before the link is declared dead. Each retry is priced at the analytic
+/// round-denominated backoff (`StreamTiming::retry_backoff_seconds`).
+pub const MAX_RETRIES: u32 = 2;
+
 /// Virtual seconds charged for one run of the re-planner.
 pub const REPLAN_SECONDS: f64 = 0.05;
 
@@ -87,10 +92,6 @@ pub struct StreamConfig {
     /// Deterministic frame-fault script the collector applies at the
     /// wire/channel boundary. Empty by default.
     pub faults: FaultScript,
-    /// How many times a corrupt, truncated or dropped data frame is
-    /// re-requested before the link is declared dead. Each retry is priced
-    /// at the analytic round-denominated backoff.
-    pub max_retries: u32,
     /// How many sub-models the scheduler may leave unhosted (zero-filling
     /// their features at fusion) when a replan cannot cover the full set. The
     /// default of 0 disables degraded mode: an infeasible replan stays a
@@ -115,7 +116,6 @@ impl Default for StreamConfig {
             failures: Vec::new(),
             joins: Vec::new(),
             faults: FaultScript::new(),
-            max_retries: 2,
             max_missing_sub_models: 0,
             sink: MetricsSink::disabled(),
         }
@@ -129,14 +129,12 @@ impl StreamConfig {
         self
     }
 
-    /// Applies the shared [`NetOptions`]: wire codec, transport backend and
-    /// per-frame retry budget in one struct, the same surface
-    /// `LatencyModel::with_options` and `ClusterRuntime::with_options`
-    /// consume.
+    /// Applies the shared [`NetOptions`]: wire codec and transport backend in
+    /// one struct, the same surface `LatencyModel::with_options` and
+    /// `ClusterRuntime::with_options` consume.
     pub fn with_options(mut self, options: &NetOptions) -> Self {
         self.codec = options.codec;
         self.transport = options.transport;
-        self.max_retries = options.max_retries;
         self
     }
 
@@ -145,7 +143,6 @@ impl StreamConfig {
         NetOptions::default()
             .with_codec(self.codec)
             .with_transport(self.transport)
-            .with_max_retries(self.max_retries)
     }
 
     /// Adds a scripted device death before the given global round.

@@ -66,7 +66,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod clock;
 mod collector;
@@ -85,7 +85,7 @@ mod stream;
 pub use clock::SimClock;
 pub use config::{
     FailureInjection, ScheduleMode, StreamConfig, ENERGY_SAMPLES_PER_ROUND, GRACE_ROUNDS,
-    REPLAN_SECONDS,
+    MAX_RETRIES, REPLAN_SECONDS,
 };
 pub use depth::DepthController;
 pub use device::DeviceProgram;

@@ -26,13 +26,12 @@ use edvit_net::{FrameRx, FrameTx, LaneClosed, LaneEvent};
 use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit_sched::{
     DeviceProgram, FaultScript, FrameFault, FrameSlot, PayloadCodec, RoundLayout, SchedError,
-    StreamConfig, StreamReport, StreamScheduler,
+    StreamConfig, StreamReport, StreamScheduler, MAX_RETRIES,
 };
 use edvit_tensor::Tensor;
 use edvit_vit::ViTConfig;
 
 const ROUND_SIZE: usize = 2;
-const MAX_RETRIES: u32 = 2;
 
 /// Sub-model `i` maps sample `s` (a constant tensor of value `s`) to
 /// `[3s + i, i]`: fused outputs identify the sample and its contributors.
@@ -211,7 +210,6 @@ impl World {
             .with_faults(faults)
             .with_sink(sink.clone());
         config.round_size = ROUND_SIZE;
-        config.max_retries = MAX_RETRIES;
         let counts = Arc::new(Mutex::new(vec![0u32; self.layout.total_samples()]));
         let result = StreamScheduler::new(self.plan.clone(), self.devices.clone(), config)
             .unwrap()

@@ -31,7 +31,7 @@
 //! deterministic latency percentiles.
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod admission;
 mod error;

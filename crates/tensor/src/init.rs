@@ -69,6 +69,10 @@ impl TensorRng {
     }
 
     /// Returns a tensor of i.i.d. normal samples.
+    #[expect(
+        clippy::expect_used,
+        reason = "the data holds the product of `dims` values by construction"
+    )]
     pub fn randn(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
         let n: usize = dims.iter().product();
         let data: Vec<f32> = (0..n).map(|_| self.normal(mean, std)).collect();
@@ -76,6 +80,10 @@ impl TensorRng {
     }
 
     /// Returns a tensor of i.i.d. uniform samples in `[lo, hi)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the data holds the product of `dims` values by construction"
+    )]
     pub fn rand_uniform(&mut self, dims: &[usize], lo: f32, hi: f32) -> Tensor {
         let n: usize = dims.iter().product();
         let data: Vec<f32> = (0..n).map(|_| self.uniform(lo, hi)).collect();
@@ -98,6 +106,10 @@ impl TensorRng {
 
     /// Truncated-normal initialization used for ViT weights (std 0.02,
     /// truncated at ±2σ like timm's `trunc_normal_`).
+    #[expect(
+        clippy::expect_used,
+        reason = "the data holds the product of `dims` values by construction"
+    )]
     pub fn trunc_normal(&mut self, dims: &[usize], std: f32) -> Tensor {
         let n: usize = dims.iter().product();
         let data: Vec<f32> = (0..n)

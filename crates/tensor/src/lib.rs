@@ -30,6 +30,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod error;
 mod shape;

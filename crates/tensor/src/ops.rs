@@ -337,6 +337,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns an error for rank-0 tensors or out-of-range indices.
+    #[expect(clippy::expect_used, reason = "the rank is checked first")]
     pub fn select_last_axis(&self, indices: &[usize]) -> Result<Tensor, TensorError> {
         let last = self.last_axis_len("select_last_axis")?;
         for &i in indices {
@@ -360,6 +361,7 @@ impl Tensor {
         Tensor::from_vec(out, &dims)
     }
 
+    #[expect(clippy::expect_used, reason = "the rank is checked first")]
     fn last_axis_len(&self, op: &'static str) -> Result<usize, TensorError> {
         if self.rank() == 0 || self.numel() == 0 {
             return Err(TensorError::EmptyInput { op });

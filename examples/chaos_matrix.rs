@@ -15,7 +15,7 @@
 use edvit::chaos::{CompiledChaos, FaultKind, FaultPlan};
 use edvit::edge::{FusionFn, SubModelFn};
 use edvit::partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
-use edvit::sched::{StreamConfig, StreamReport, StreamScheduler};
+use edvit::sched::{StreamConfig, StreamReport, StreamScheduler, MAX_RETRIES};
 use edvit::tensor::Tensor;
 use edvit::vit::ViTConfig;
 
@@ -261,7 +261,7 @@ fn run_matrix_for_seed(seed: u64) -> Result<(), Box<dyn std::error::Error>> {
         "the link must escalate to death"
     );
     assert_eq!(report.repartitions, 1);
-    assert_eq!(report.retries, u64::from(stream_config().max_retries));
+    assert_eq!(report.retries, u64::from(MAX_RETRIES));
     assert!(
         report.samples_replayed >= 1,
         "the poisoned round is replayed"
