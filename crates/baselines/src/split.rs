@@ -5,7 +5,7 @@
 
 use edvit_datasets::Dataset;
 use edvit_fusion::{FusionConfig, FusionMlp};
-use edvit_nn::{Adam, CrossEntropyLoss, Layer, NnError, Optimizer};
+use edvit_nn::{Layer, NnError};
 use edvit_partition::{balanced_class_assignment, DeviceSpec};
 use edvit_tensor::{init::TensorRng, stats, Tensor};
 use edvit_vit::training::{train_classifier, TrainConfig};
@@ -180,16 +180,7 @@ impl SplitBaselineRunner {
         let fusion_config = FusionConfig::new(train_features.dims()[1], num_classes);
         let mut fusion =
             FusionMlp::new(&fusion_config, &mut TensorRng::new(self.config.seed + 99))?;
-        let mut optimizer = Adam::new(5e-3);
-        let mut loss_fn = CrossEntropyLoss::new();
-        for _ in 0..self.config.fusion_steps {
-            fusion.zero_grad();
-            let logits = fusion.forward(&train_features)?;
-            loss_fn.forward(&logits, train.labels())?;
-            let grad = loss_fn.backward()?;
-            fusion.backward(&grad)?;
-            optimizer.step(&mut fusion.parameters_mut())?;
-        }
+        fusion.train(&train_features, train.labels(), self.config.fusion_steps)?;
         let predictions = fusion.predict(&test_features)?;
         let accuracy = stats::accuracy(&predictions, test.labels());
 

@@ -38,28 +38,6 @@ fn bench_matmul_transposed(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_matmul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_matmul");
-    for &(batch, size) in &[(8usize, 64usize), (8, 128)] {
-        let a = TensorRng::new(0).rand_uniform(&[batch, size, size], -1.0, 1.0);
-        let b = TensorRng::new(1).rand_uniform(&[batch, size, size], -1.0, 1.0);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{batch}x{size}")),
-            &size,
-            |bench, _| {
-                bench.iter(|| {
-                    let mut out = vec![0.0f32; batch * size * size];
-                    let (a, b) = (a.data(), b.data());
-                    let pool = ParallelPool::global();
-                    kernels::batch_matmul(a, b, &mut out, batch, size, size, size, pool);
-                    out
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_attention_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("mhsa_forward");
     for &(tokens, dim, heads) in &[(16usize, 64usize, 4usize), (64, 64, 8), (196, 96, 6)] {
@@ -250,7 +228,6 @@ criterion_group!(
     bench_thin_matmul,
     bench_matmul,
     bench_matmul_transposed,
-    bench_batch_matmul,
     bench_attention_forward,
     bench_softmax_and_kl,
     bench_layernorm,

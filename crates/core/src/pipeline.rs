@@ -336,12 +336,7 @@ impl EdVitPipeline {
         let test_features = extract_features(&mut sub_models, test.images())?;
         let fusion_config = FusionConfig::new(train_features.dims()[1], train.num_classes());
         let mut fusion = FusionMlp::new(&fusion_config, &mut TensorRng::new(cfg.seed ^ 0xF05))?;
-        train_fusion(
-            &mut fusion,
-            &train_features,
-            train.labels(),
-            cfg.fusion_steps,
-        )?;
+        fusion.train(&train_features, train.labels(), cfg.fusion_steps)?;
         let fused_predictions = fusion.predict(&test_features)?;
         let fused_accuracy = stats::accuracy(&fused_predictions, test.labels());
         record(&mut stages, "fusion_train");
@@ -475,25 +470,6 @@ where
         .into_iter()
         .map(|(_, out)| out.expect("per-sub-model slot filled"))
         .collect()
-}
-
-fn train_fusion(
-    fusion: &mut FusionMlp,
-    features: &Tensor,
-    labels: &[usize],
-    steps: usize,
-) -> Result<()> {
-    let mut optimizer = Adam::new(5e-3);
-    let mut loss_fn = CrossEntropyLoss::new();
-    for _ in 0..steps {
-        fusion.zero_grad();
-        let logits = fusion.forward(features)?;
-        loss_fn.forward(&logits, labels)?;
-        let grad = loss_fn.backward()?;
-        fusion.backward(&grad)?;
-        optimizer.step(&mut fusion.parameters_mut())?;
-    }
-    Ok(())
 }
 
 /// Accuracy of the softmax-averaging fallback (no fusion MLP).

@@ -155,10 +155,6 @@ impl Dataset {
     ///
     /// Returns [`DatasetError::InvalidConfig`] when the fraction is outside
     /// `(0, 1)` or [`DatasetError::Empty`] for an empty dataset.
-    #[expect(
-        clippy::expect_used,
-        reason = "a train split of more than one sample has one to move"
-    )]
     pub fn split(&self, train_fraction: f32, seed: u64) -> Result<(Dataset, Dataset)> {
         if self.is_empty() {
             return Err(DatasetError::Empty { what: "dataset" });
@@ -188,7 +184,7 @@ impl Dataset {
         }
         // Guarantee a non-empty test split by moving one sample if needed.
         if test_idx.is_empty() && train_idx.len() > 1 {
-            test_idx.push(train_idx.pop().expect("non-empty"));
+            test_idx.extend(train_idx.pop());
         }
         Ok((self.subset(&train_idx)?, self.subset(&test_idx)?))
     }

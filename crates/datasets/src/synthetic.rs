@@ -148,11 +148,11 @@ impl SyntheticGenerator {
 }
 
 /// Nearest-neighbour upsampling of a `[c, r, r]` tensor to `[c, size, size]`.
-#[expect(clippy::expect_used, reason = "the output is sized by construction")]
 fn upsample_nearest(low: &Tensor, size: usize) -> Tensor {
     let c = low.dims()[0];
     let r = low.dims()[1];
-    let mut out = vec![0.0f32; c * size * size];
+    let mut image = Tensor::zeros(&[c, size, size]);
+    let out = image.data_mut();
     for ci in 0..c {
         for y in 0..size {
             for x in 0..size {
@@ -162,7 +162,7 @@ fn upsample_nearest(low: &Tensor, size: usize) -> Tensor {
             }
         }
     }
-    Tensor::from_vec(out, &[c, size, size]).expect("sized by construction")
+    image
 }
 
 fn dataset_salt(kind: DatasetKind) -> u64 {

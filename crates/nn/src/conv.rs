@@ -192,11 +192,11 @@ impl Conv2d {
 
     /// Expands one `[c, h, w]` sample into the im2col matrix
     /// `[out_h*out_w, c*k*k]`.
-    #[expect(clippy::expect_used, reason = "the matrix is sized by construction")]
     fn im2col(&self, sample: &Tensor, h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
         let k = self.kernel;
         let c = self.in_channels;
-        let mut cols = vec![0.0f32; oh * ow * c * k * k];
+        let mut matrix = Tensor::zeros(&[oh * ow, c * k * k]);
+        let cols = matrix.data_mut();
         let data = sample.data();
         for oy in 0..oh {
             for ox in 0..ow {
@@ -218,15 +218,15 @@ impl Conv2d {
                 }
             }
         }
-        Tensor::from_vec(cols, &[oh * ow, c * k * k]).expect("sized by construction")
+        matrix
     }
 
     /// Scatters an im2col-shaped gradient back to a `[c, h, w]` image.
-    #[expect(clippy::expect_used, reason = "the image is sized by construction")]
     fn col2im(&self, cols: &Tensor, h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
         let k = self.kernel;
         let c = self.in_channels;
-        let mut img = vec![0.0f32; c * h * w];
+        let mut image = Tensor::zeros(&[c, h, w]);
+        let img = image.data_mut();
         let data = cols.data();
         for oy in 0..oh {
             for ox in 0..ow {
@@ -245,7 +245,7 @@ impl Conv2d {
                 }
             }
         }
-        Tensor::from_vec(img, &[c, h, w]).expect("sized by construction")
+        image
     }
 }
 

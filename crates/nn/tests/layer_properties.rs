@@ -184,16 +184,16 @@ impl PerHeadAttention {
                 let v_h = self.head(&v.data()[rows.clone()], h);
                 let mut attn = vec![0.0f32; tokens * tokens];
                 let scale = 1.0 / (hd as f32).sqrt();
-                kernels::matmul_transposed_scaled(
+                kernels::matmul_transposed(
                     q_h.data(),
                     k_h.data(),
-                    scale,
                     &mut attn,
                     tokens,
                     hd,
                     tokens,
                     pool,
                 );
+                attn.iter_mut().for_each(|score| *score *= scale);
                 ops::softmax_rows(&mut attn, tokens, pool);
                 let mut out = vec![0.0f32; tokens * hd];
                 kernels::matmul(&attn, v_h.data(), &mut out, tokens, tokens, hd, pool);

@@ -101,15 +101,11 @@ pub fn greedy_assign(
         let demand = req.flops_per_sample.saturating_mul(samples_per_round) as f64;
         loop {
             // Line 3: pick the active device with the most remaining energy.
-            #[expect(
-                clippy::expect_used,
-                reason = "remaining energies start from integer budgets and stay finite"
-            )]
-            let candidate = (0..devices.len()).filter(|&i| active[i]).max_by(|&a, &b| {
-                remaining_energy[a]
-                    .partial_cmp(&remaining_energy[b])
-                    .expect("energies are finite")
-            });
+            // Energies start from integer budgets and never go below +0.0,
+            // so the total order agrees with the numeric one.
+            let candidate = (0..devices.len())
+                .filter(|&i| active[i])
+                .max_by(|&a, &b| remaining_energy[a].total_cmp(&remaining_energy[b]));
             let Some(i) = candidate else {
                 // Line 10: the device set is exhausted.
                 return Ok(None);

@@ -92,10 +92,11 @@ pub fn validate_class_assignment(subsets: &[Vec<usize>], num_classes: usize) -> 
         });
     }
     let sizes: Vec<usize> = subsets.iter().map(std::vec::Vec::len).collect();
-    #[expect(clippy::expect_used, reason = "an empty assignment is rejected above")]
-    let max = *sizes.iter().max().expect("non-empty");
-    #[expect(clippy::expect_used, reason = "an empty assignment is rejected above")]
-    let min = *sizes.iter().min().expect("non-empty");
+    let (Some(&max), Some(&min)) = (sizes.iter().max(), sizes.iter().min()) else {
+        return Err(PartitionError::InvalidConfig {
+            message: "no sub-models in class assignment".to_string(),
+        });
+    };
     if max - min > 1 {
         return Err(PartitionError::InvalidConfig {
             message: format!("unbalanced class assignment: sizes range from {min} to {max}"),

@@ -78,60 +78,20 @@ impl SplitPlan {
             .unwrap_or(0)
     }
 
-    /// Incrementally re-plans the deployment after membership churn: keeps
-    /// every sub-model (class subsets, pruning levels and costs are already
-    /// trained artifacts that cannot change mid-stream) and re-runs the
-    /// greedy assignment of Algorithm 3 over the `survivors` only. This is
-    /// what the streaming scheduler calls when a device is declared dead, so
-    /// the orphaned sub-models land on live hosts without a full re-split.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError::InvalidConfig`] for an empty survivor list
-    /// and [`PartitionError::Infeasible`] when the survivors cannot host every
-    /// sub-model within their memory and energy budgets.
-    pub fn replan_for_survivors(
-        &self,
-        survivors: &[DeviceSpec],
-        samples_per_round: u64,
-    ) -> Result<SplitPlan> {
-        if survivors.is_empty() {
-            return Err(PartitionError::InvalidConfig {
-                message: "cannot re-plan onto zero surviving devices".to_string(),
-            });
-        }
-        let requirements = self.requirements();
-        let assignment =
-            greedy_assign(&requirements, survivors, samples_per_round)?.ok_or_else(|| {
-                PartitionError::Infeasible {
-                    reason: format!(
-                        "{} surviving device(s) cannot host the {} existing sub-models",
-                        survivors.len(),
-                        self.sub_models.len()
-                    ),
-                }
-            })?;
-        Ok(SplitPlan {
-            sub_models: self.sub_models.clone(),
-            assignment,
-            total_memory_bytes: self.total_memory_bytes,
-            iterations: self.iterations,
-        })
-    }
-
-    /// The symmetric half of [`SplitPlan::replan_for_survivors`]: elastic
-    /// scale-*up*. A device announced itself via a `Join` control frame and
-    /// the scheduler admits it into a new membership epoch; the greedy
-    /// assignment of Algorithm 3 is re-run over the enlarged `members` list so
-    /// the new capacity can absorb sub-models — in particular any that a
-    /// previous degradation left unhosted. Sub-models themselves (class
-    /// subsets, pruning levels, costs) are trained artifacts and never change.
+    /// Incrementally re-plans the deployment after membership churn, whatever
+    /// the cause — a device died, left or joined: keeps every sub-model
+    /// (class subsets, pruning levels and costs are trained artifacts that
+    /// cannot change mid-stream) and re-runs the greedy assignment of
+    /// Algorithm 3 over the current `members` only, so orphaned sub-models
+    /// land on live hosts and new capacity can absorb any that a previous
+    /// degradation left unhosted — all without a full re-split.
     ///
     /// # Errors
     ///
     /// Returns [`PartitionError::InvalidConfig`] for an empty member list or
-    /// duplicate device ids, and [`PartitionError::Infeasible`] when even the
-    /// enlarged membership cannot host every sub-model.
+    /// duplicate device ids, and [`PartitionError::Infeasible`] when the
+    /// members cannot host every sub-model within their memory and energy
+    /// budgets.
     pub fn replan_for_joiners(
         &self,
         members: &[DeviceSpec],
@@ -156,8 +116,7 @@ impl SplitPlan {
             greedy_assign(&requirements, members, samples_per_round)?.ok_or_else(|| {
                 PartitionError::Infeasible {
                     reason: format!(
-                        "{} member device(s) cannot host the {} existing sub-models \
-                         even after the join",
+                        "{} member device(s) cannot host the {} existing sub-models",
                         members.len(),
                         self.sub_models.len()
                     ),
@@ -172,7 +131,7 @@ impl SplitPlan {
     }
 
     /// Degraded-mode replan: when the full sub-model set no longer fits the
-    /// membership (so [`SplitPlan::replan_for_survivors`] is infeasible), drop
+    /// membership (so [`SplitPlan::replan_for_joiners`] is infeasible), drop
     /// sub-models one at a time — largest memory footprint first, the same
     /// victim order Algorithm 1 uses for re-pruning — until the remainder can
     /// be hosted. The returned plan keeps *every* sub-model's metadata (the
@@ -348,12 +307,12 @@ impl SplitPlanner {
 
             // Line 18: prune one more head's worth of width from the
             // sub-model with the largest memory footprint.
-            #[expect(clippy::expect_used, reason = "a plan has at least one sub-model")]
-            let (largest, _) = costs
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, c)| c.memory_bytes)
-                .expect("at least one sub-model");
+            let Some((largest, _)) = costs.iter().enumerate().max_by_key(|(_, c)| c.memory_bytes)
+            else {
+                return Err(PartitionError::InvalidConfig {
+                    message: "a plan needs at least one sub-model".to_string(),
+                });
+            };
             if pruned_heads[largest] + 1 >= base.heads {
                 return Err(PartitionError::Infeasible {
                     reason: format!(
@@ -505,9 +464,10 @@ mod tests {
         let base = ViTConfig::vit_base(10);
         let devices = DeviceSpec::raspberry_pi_cluster(4);
         let plan = planner.plan(&base, &devices, 9).unwrap();
-        // Device 2 dies; its sub-models must be re-hosted on the survivors.
+        // Device 2 dies; the survivors' replan (the same call a join makes)
+        // must re-host its sub-models.
         let survivors: Vec<DeviceSpec> = devices.iter().filter(|d| d.id != 2).cloned().collect();
-        let replanned = plan.replan_for_survivors(&survivors, 1).unwrap();
+        let replanned = plan.replan_for_joiners(&survivors, 1).unwrap();
         assert_eq!(replanned.sub_models, plan.sub_models);
         assert_eq!(replanned.total_memory_bytes, plan.total_memory_bytes);
         for sub in &replanned.sub_models {
@@ -528,14 +488,14 @@ mod tests {
         let devices = DeviceSpec::raspberry_pi_cluster(3);
         let plan = planner.plan(&base, &devices, 9).unwrap();
         assert!(matches!(
-            plan.replan_for_survivors(&[], 1).unwrap_err(),
+            plan.replan_for_joiners(&[], 1).unwrap_err(),
             PartitionError::InvalidConfig { .. }
         ));
         // A lone survivor with no energy budget cannot host anything.
         let mut dead = devices[0].clone();
         dead.energy_budget_flops = 0;
         assert!(matches!(
-            plan.replan_for_survivors(&[dead], 1).unwrap_err(),
+            plan.replan_for_joiners(&[dead], 1).unwrap_err(),
             PartitionError::Infeasible { .. }
         ));
     }
@@ -549,7 +509,7 @@ mod tests {
         // Device 3 crashes, then rejoins: the enlarged membership must host
         // every sub-model again and the plan's artifacts must be untouched.
         let survivors: Vec<DeviceSpec> = devices.iter().filter(|d| d.id != 3).cloned().collect();
-        let degraded = plan.replan_for_survivors(&survivors, 1).unwrap();
+        let degraded = plan.replan_for_joiners(&survivors, 1).unwrap();
         let mut members = survivors;
         members.push(devices[3].clone());
         let rejoined = degraded.replan_for_joiners(&members, 1).unwrap();
@@ -603,7 +563,7 @@ mod tests {
         let mut tight = devices[0].clone();
         tight.memory_bytes = max_memory + max_memory / 2;
         assert!(matches!(
-            plan.replan_for_survivors(std::slice::from_ref(&tight), 1)
+            plan.replan_for_joiners(std::slice::from_ref(&tight), 1)
                 .unwrap_err(),
             PartitionError::Infeasible { .. }
         ));

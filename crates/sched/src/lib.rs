@@ -23,11 +23,12 @@
 //!   due; the [`HealthTracker`] records it as terminally `Dead` (graceful
 //!   leaves stay `Left`), and the virtual clock charges the round-denominated
 //!   [`GRACE_ROUNDS`] deadline window to the recovery time.
-//! * **Live repartitioning** — on a death, the scheduler calls
-//!   `SplitPlan::replan_for_survivors`, moves the orphaned sub-models onto
-//!   live hosts, and replays every in-flight round. No sample is lost and no
-//!   sample is fused twice; the exactly-once invariant is checked, not
-//!   assumed.
+//! * **Live repartitioning** — on a death or a join, the scheduler runs
+//!   [`Membership::replan`], moves the orphaned sub-models onto live hosts
+//!   (or, within [`StreamConfig::max_missing_sub_models`], drops the largest),
+//!   and replays every in-flight round. No sample is lost and no sample is
+//!   fused twice; the exactly-once invariant is checked, not assumed. The
+//!   serving drill changes membership through the same type.
 //!
 //! Both sides of the stream-round protocol live here and nowhere else: the
 //! [`DeviceProgram`] and the collector behind [`StreamScheduler`], which
@@ -92,6 +93,7 @@ pub use device::DeviceProgram;
 pub use error::SchedError;
 pub use faults::{apply_fault, FaultScript, FaultedDelivery, FrameFault, FrameSlot, JoinInjection};
 pub use health::{DeviceHealth, HealthTracker};
+pub use membership::Membership;
 pub use report::StreamReport;
 pub use rounds::RoundLayout;
 pub use stream::StreamScheduler;

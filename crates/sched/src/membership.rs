@@ -1,98 +1,109 @@
 //! Cluster membership and how it changes mid-stream: scripted joins admitted
-//! through the wire path, and the replan (full, or degraded when allowed)
-//! every death and join triggers.
+//! through the wire path, and the one rule every membership change runs —
+//! replan (full, or degraded when allowed), price, and charge a crash's stall.
 
 use edvit_edge::{ControlMessage, LatencyModel, RoundTimings, WireFrame};
-use edvit_metrics::{ReplanCause, RunEvent};
+use edvit_metrics::RunEvent;
 use edvit_partition::{DeviceSpec, PartitionError, SplitPlan};
 
 use crate::epoch::Run;
 use crate::{
-    JoinInjection, Result, SchedError, ScheduleMode, StreamScheduler, ENERGY_SAMPLES_PER_ROUND,
+    JoinInjection, Result, SchedError, StreamConfig, ENERGY_SAMPLES_PER_ROUND, GRACE_ROUNDS,
+    REPLAN_SECONDS,
 };
 
 /// A cluster membership: who is in, what each member hosts, and what nobody
 /// does.
-pub(crate) struct Membership {
+///
+/// Both the streaming scheduler and the serving drill change membership
+/// through this type only, so a crash re-plans, prices and stalls the same
+/// way in the drill as in the stream it feeds.
+#[derive(Debug, Clone)]
+pub struct Membership {
     pub(crate) plan: SplitPlan,
     pub(crate) devices: Vec<DeviceSpec>,
     /// Sub-models the current (degraded) plan leaves unhosted.
     pub(crate) missing: Vec<usize>,
 }
 
-impl StreamScheduler {
-    pub(crate) fn initial_membership(&self) -> Membership {
+impl Membership {
+    /// The membership `plan` deploys across `devices`, every sub-model hosted.
+    pub fn new(plan: SplitPlan, devices: Vec<DeviceSpec>) -> Self {
         Membership {
-            plan: self.plan.clone(),
-            devices: self.devices.clone(),
+            plan,
+            devices,
             missing: Vec::new(),
         }
     }
 
-    /// Replans onto the current membership — full coverage when feasible,
-    /// degraded (if allowed) when not — and journals it. `members.missing`
-    /// becomes the new set of unhosted sub-models; a successful full replan
-    /// clears it.
-    pub(crate) fn replan(
-        &self,
-        members: &mut Membership,
-        cause: ReplanCause,
-        run: &mut Run,
-    ) -> Result<()> {
+    /// The current members.
+    pub fn devices(&self) -> &[DeviceSpec] {
+        &self.devices
+    }
+
+    /// Removes the devices in `ids` from the membership; the plan is stale
+    /// until the next [`Membership::replan`].
+    pub fn remove(&mut self, ids: &[usize]) {
+        self.devices.retain(|d| !ids.contains(&d.id));
+    }
+
+    /// Replans onto the current members, whatever changed them: full
+    /// coverage when feasible, else — when `max_missing_sub_models > 0` — a
+    /// degraded plan that drops the largest sub-models. `missing` becomes
+    /// the new set of unhosted sub-models; a successful full replan clears
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SchedError::Partition`] when the members cannot host every
+    /// sub-model and degradation is off (or cannot host even one), and
+    /// [`SchedError::DegradationLimit`] when the degraded plan would leave
+    /// more than `max_missing_sub_models` unhosted.
+    pub fn replan(&mut self, max_missing_sub_models: usize) -> Result<()> {
         let samples = ENERGY_SAMPLES_PER_ROUND;
-        let full = match cause {
-            ReplanCause::Join => members.plan.replan_for_joiners(&members.devices, samples),
-            ReplanCause::Death => members.plan.replan_for_survivors(&members.devices, samples),
-        };
-        match full {
+        match self.plan.replan_for_joiners(&self.devices, samples) {
             Ok(new_plan) => {
-                members.plan = new_plan;
-                members.missing.clear();
+                self.plan = new_plan;
+                self.missing.clear();
             }
-            Err(PartitionError::Infeasible { .. }) if self.config.max_missing_sub_models > 0 => {
-                let (new_plan, dropped) =
-                    members.plan.replan_degraded(&members.devices, samples)?;
-                if dropped.len() > self.config.max_missing_sub_models {
+            Err(PartitionError::Infeasible { .. }) if max_missing_sub_models > 0 => {
+                let (new_plan, dropped) = self.plan.replan_degraded(&self.devices, samples)?;
+                if dropped.len() > max_missing_sub_models {
                     return Err(SchedError::DegradationLimit {
                         missing: dropped,
-                        limit: self.config.max_missing_sub_models,
+                        limit: max_missing_sub_models,
                     });
                 }
-                members.plan = new_plan;
-                members.missing = dropped;
+                self.plan = new_plan;
+                self.missing = dropped;
             }
             Err(e) => return Err(e.into()),
         }
-        run.ledger.record(
-            run.clock.now(),
-            RunEvent::Replan {
-                cause,
-                missing: members.missing.iter().map(|&m| m as u64).collect(),
-            },
-        );
         Ok(())
     }
 
-    /// The per-round-size timing table for a membership: the analytic model
-    /// under this configuration's codec and fusion override, priced over the
-    /// hosted sub-models only (a degraded plan carries unassigned sub-models
-    /// the latency model would reject).
-    pub(crate) fn round_timings(&self, members: &Membership) -> RoundTimings {
-        let mut model =
-            LatencyModel::new(self.config.network).with_options(&self.config.net_options());
-        if self.config.fusion_flops > 0 {
-            model = model.with_fusion_flops(self.config.fusion_flops);
+    /// The per-round-size timing table for this membership: the analytic
+    /// model under `config`'s network, codec and fusion override, priced
+    /// over the hosted sub-models only (a degraded plan carries unassigned
+    /// sub-models the latency model would reject).
+    pub fn timings(&self, config: &StreamConfig, pipelined: bool) -> RoundTimings {
+        let mut model = LatencyModel::new(config.network).with_options(&config.net_options());
+        if config.fusion_flops > 0 {
+            model = model.with_fusion_flops(config.fusion_flops);
         }
-        let mut priced = members.plan.clone();
+        let mut priced = self.plan.clone();
         priced
             .sub_models
-            .retain(|s| members.plan.assignment.device_for(s.index).is_some());
-        RoundTimings::new(
-            model,
-            priced,
-            members.devices.clone(),
-            self.config.mode == ScheduleMode::Pipelined,
-        )
+            .retain(|s| self.plan.assignment.device_for(s.index).is_some());
+        RoundTimings::new(model, priced, self.devices.clone(), pipelined)
+    }
+
+    /// Virtual seconds a crash stalls the pipe before the replayed work
+    /// starts: one round interval of the *old* membership for the missed
+    /// heartbeat to fall due, [`GRACE_ROUNDS`] more of deadline, then one
+    /// run of the planner.
+    pub fn crash_stall_seconds(nominal_round_interval_seconds: f64) -> f64 {
+        (GRACE_ROUNDS + 1) as f64 * nominal_round_interval_seconds + REPLAN_SECONDS
     }
 }
 

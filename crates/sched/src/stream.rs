@@ -17,10 +17,10 @@
 //!   buffer at most `pipeline_depth` undrained rounds (and thus run at most
 //!   `pipeline_depth + 1` rounds ahead of the fused frontier, counting the
 //!   one it is computing); a TCP lane holds it back only once the socket
-//!   buffers are full. On a death the epoch is torn down, the survivors go
-//!   to [`SplitPlan::replan_for_survivors`], and every round that was
-//!   produced but not fused is replayed: in-flight samples are recomputed,
-//!   never lost.
+//!   buffers are full. On a death the epoch is torn down, the survivors are
+//!   re-planned by [`Membership::replan`], and every round that was produced
+//!   but not fused is replayed: in-flight samples are recomputed, never
+//!   lost.
 //! * [`StreamScheduler::collect_lanes`] is handed its lanes — e.g. the
 //!   connections an `edvit_net::Coordinator` admitted — and runs the same
 //!   collector over them as one epoch; the device programs run wherever the
@@ -38,10 +38,10 @@
 //!   still live is a [`SchedError::RejoinConflict`].
 //! * **graceful degradation** — when a replan cannot host every sub-model,
 //!   the scheduler (if [`StreamConfig::max_missing_sub_models`] allows) drops
-//!   the largest sub-models via [`SplitPlan::replan_degraded`] and keeps
-//!   fusing: missing features are zero-filled at their observed width so the
-//!   fusion layout stays stable, and every round fused that way is listed in
-//!   [`StreamReport::degraded_rounds`].
+//!   the largest sub-models (the degraded half of [`Membership::replan`])
+//!   and keeps fusing: missing features are zero-filled at their observed
+//!   width so the fusion layout stays stable, and every round fused that way
+//!   is listed in [`StreamReport::degraded_rounds`].
 //! * **recovery to full fidelity** — a later join that makes the full set
 //!   feasible again clears the missing list; degradation is a mode, not a
 //!   ratchet.
@@ -58,7 +58,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
 
-use edvit_edge::{FusionFn, SubModelFn};
+use edvit_edge::{FusionFn, RoundTimings, SubModelFn};
 use edvit_metrics::{ReplanCause, RunEvent};
 use edvit_net::{transport_for, FrameRx, Transport};
 use edvit_partition::{DeviceSpec, SplitPlan};
@@ -69,8 +69,8 @@ use crate::epoch::{Epoch, EpochOutcome, Run};
 use crate::membership::admit_join;
 use crate::rounds::RoundLayout;
 use crate::{
-    DeviceProgram, JoinInjection, Result, SchedError, StreamConfig, StreamReport, GRACE_ROUNDS,
-    REPLAN_SECONDS,
+    DeviceProgram, JoinInjection, Membership, Result, SchedError, ScheduleMode, StreamConfig,
+    StreamReport, GRACE_ROUNDS, REPLAN_SECONDS,
 };
 
 /// The streaming fault-tolerant scheduler.
@@ -193,7 +193,7 @@ impl StreamScheduler {
         let mut transport = transport_for(cfg.transport).map_err(|e| SchedError::Transport {
             message: e.to_string(),
         })?;
-        let mut members = self.initial_membership();
+        let mut members = Membership::new(self.plan.clone(), self.devices.clone());
         let mut pending: Vec<u64> = (0..layout.rounds() as u64).collect();
         let mut run = self.start(layout);
 
@@ -250,9 +250,7 @@ impl StreamScheduler {
             for device in &outcome.newly_dead {
                 failures.remove(device); // a scripted death fires once
             }
-            members
-                .devices
-                .retain(|d| !outcome.newly_dead.contains(&d.id));
+            members.remove(&outcome.newly_dead);
             if members.devices.is_empty() {
                 return Err(SchedError::AllDevicesLost {
                     lost: run.ledger.counters.devices_lost,
@@ -272,14 +270,12 @@ impl StreamScheduler {
                 },
             );
 
-            // Detection costs one round interval for the missed heartbeat to
-            // fall due plus `GRACE_ROUNDS` intervals of deadline; then the
-            // planner runs; then the in-flight rounds replay on the new
-            // membership (their compute is charged to the next epoch's clock
-            // advance, but they are part of the recovery window). Each
-            // replayed round is priced at its own sample count on the new
-            // membership's timing.
-            let detection_seconds = (GRACE_ROUNDS + 1) as f64 * timing.round_interval_seconds;
+            // The pipe stalls for detection and the planner, priced on the
+            // old membership's nominal interval; then the in-flight rounds
+            // replay on the new membership (their compute is charged to the
+            // next epoch's clock advance, but they are part of the recovery
+            // window), each at its own sample count.
+            let stall = Membership::crash_stall_seconds(timing.round_interval_seconds);
             let mut new_timings = self.round_timings(&members);
             let mut replay_seconds = 0.0f64;
             for &round in &outcome.partial_rounds {
@@ -290,10 +286,10 @@ impl StreamScheduler {
             run.ledger.record(
                 run.clock.now(),
                 RunEvent::Recovery {
-                    seconds: detection_seconds + REPLAN_SECONDS + replay_seconds,
+                    seconds: stall + replay_seconds,
                 },
             );
-            run.clock.advance(detection_seconds + REPLAN_SECONDS);
+            run.clock.advance(stall);
         };
 
         self.finish(run, steady_state_samples_per_second, members.plan)
@@ -330,7 +326,7 @@ impl StreamScheduler {
                 message: "scripted deaths and joins need in-process device workers".to_string(),
             });
         }
-        let members = self.initial_membership();
+        let members = Membership::new(self.plan.clone(), self.devices.clone());
         let rounds: Vec<u64> = (0..layout.rounds() as u64).collect();
         let mut run = self.start(layout);
         let mut epoch = self.open_epoch(&mut run, &members, &rounds, layout, None)?;
@@ -356,6 +352,25 @@ impl StreamScheduler {
         }
         let steady_state = epoch.timing.steady_state_samples_per_second();
         self.finish(run, steady_state, members.plan)
+    }
+
+    /// Replans onto the current membership by the one membership-change rule
+    /// and journals the result.
+    fn replan(&self, members: &mut Membership, cause: ReplanCause, run: &mut Run) -> Result<()> {
+        members.replan(self.config.max_missing_sub_models)?;
+        run.ledger.record(
+            run.clock.now(),
+            RunEvent::Replan {
+                cause,
+                missing: members.missing.iter().map(|&m| m as u64).collect(),
+            },
+        );
+        Ok(())
+    }
+
+    /// The timing table for `members` under this scheduler's configuration.
+    pub(crate) fn round_timings(&self, members: &Membership) -> RoundTimings {
+        members.timings(&self.config, self.config.mode == ScheduleMode::Pipelined)
     }
 
     /// One in-process membership epoch: opens a lane and spawns a worker

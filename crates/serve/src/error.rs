@@ -1,7 +1,6 @@
 use std::fmt;
 
 use edvit_edge::EdgeError;
-use edvit_partition::PartitionError;
 use edvit_sched::SchedError;
 
 /// Error type of the serving front-door.
@@ -14,14 +13,12 @@ pub enum ServeError {
         message: String,
     },
     /// The embedded streaming scheduler failed while executing the formed
-    /// rounds (propagated from `edvit-sched`).
+    /// rounds, or a mid-drill crash left a membership the scheduler's
+    /// replan rejects (propagated from `edvit-sched`).
     Sched(SchedError),
     /// The analytic latency model rejected a round (propagated from
     /// `edvit-edge`), e.g. an empty plan.
     Edge(EdgeError),
-    /// Re-planning onto the survivors of a mid-drill crash failed
-    /// (propagated from `edvit-partition`).
-    Partition(PartitionError),
     /// Every device crashed during the drill; there is no membership left to
     /// serve the queued requests on.
     AllDevicesLost {
@@ -38,7 +35,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::Sched(e) => write!(f, "serving stream failure: {e}"),
             ServeError::Edge(e) => write!(f, "serving latency model failure: {e}"),
-            ServeError::Partition(e) => write!(f, "serving re-plan failure: {e}"),
             ServeError::AllDevicesLost { lost } => write!(
                 f,
                 "every device crashed mid-drill (lost, in order: {lost:?}); nothing left to serve on"
@@ -52,7 +48,6 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Sched(e) => Some(e),
             ServeError::Edge(e) => Some(e),
-            ServeError::Partition(e) => Some(e),
             _ => None,
         }
     }
@@ -67,12 +62,6 @@ impl From<SchedError> for ServeError {
 impl From<EdgeError> for ServeError {
     fn from(e: EdgeError) -> Self {
         ServeError::Edge(e)
-    }
-}
-
-impl From<PartitionError> for ServeError {
-    fn from(e: PartitionError) -> Self {
-        ServeError::Partition(e)
     }
 }
 
@@ -98,19 +87,12 @@ mod tests {
         .into();
         assert!(matches!(edge, ServeError::Edge(_)));
         assert!(edge.to_string().contains("empty plan"));
-        let partition: ServeError = PartitionError::Infeasible {
-            reason: "too small".into(),
-        }
-        .into();
-        assert!(matches!(partition, ServeError::Partition(_)));
-        assert!(partition.to_string().contains("too small"));
         let lost = ServeError::AllDevicesLost { lost: vec![2, 0] };
         assert!(lost.to_string().contains("[2, 0]"));
         use std::error::Error;
         assert!(invalid.source().is_none());
         assert!(sched.source().is_some());
         assert!(edge.source().is_some());
-        assert!(partition.source().is_some());
         assert!(lost.source().is_none());
     }
 }

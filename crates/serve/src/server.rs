@@ -17,12 +17,12 @@
 
 use std::collections::BTreeMap;
 
-use edvit_edge::{FusionFn, LatencyModel, RoundTimings, SubModelFn};
+use edvit_edge::{FusionFn, SubModelFn};
 use edvit_metrics::{MetricsSink, RunEvent, ServeCounters};
 use edvit_partition::{DeviceSpec, SplitPlan};
 use edvit_sched::{
-    DepthController, RoundLayout, SchedError, ScheduleMode, StreamConfig, StreamScheduler,
-    ENERGY_SAMPLES_PER_ROUND, GRACE_ROUNDS, REPLAN_SECONDS,
+    DepthController, Membership, RoundLayout, SchedError, ScheduleMode, StreamConfig,
+    StreamScheduler,
 };
 use edvit_tensor::Tensor;
 
@@ -171,13 +171,8 @@ impl ServeScheduler {
         self.config.mode == AdmissionMode::Continuous
     }
 
-    fn timings_for(&self, plan: &SplitPlan, devices: &[DeviceSpec]) -> RoundTimings {
-        let stream = &self.config.stream;
-        let mut model = LatencyModel::new(stream.network).with_options(&stream.net_options());
-        if stream.fusion_flops > 0 {
-            model = model.with_fusion_flops(stream.fusion_flops);
-        }
-        RoundTimings::new(model, plan.clone(), devices.to_vec(), self.pipelined())
+    fn initial_membership(&self) -> Membership {
+        Membership::new(self.plan.clone(), self.devices.clone())
     }
 
     /// Nominal steady-state service capacity in samples per virtual second:
@@ -189,7 +184,9 @@ impl ServeScheduler {
     ///
     /// Returns [`ServeError::Edge`] when the latency model rejects the plan.
     pub fn nominal_capacity_per_second(&self) -> Result<f64> {
-        let mut timings = self.timings_for(&self.plan, &self.devices);
+        let mut timings = self
+            .initial_membership()
+            .timings(&self.config.stream, self.pipelined());
         let timing = timings.timing_for(self.capacity())?;
         Ok(self.capacity() as f64 / timing.round_interval_seconds)
     }
@@ -200,8 +197,9 @@ impl ServeScheduler {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for unsorted arrivals or
-    /// unknown tenants, [`ServeError::Partition`] when a crash leaves
-    /// survivors that cannot host the plan, and
+    /// unknown tenants, [`ServeError::Sched`] when a crash leaves survivors
+    /// that [`Membership::replan`] cannot re-plan onto — exactly when the
+    /// stream the drill feeds fails the same way — and
     /// [`ServeError::AllDevicesLost`] when scripted crashes kill everyone.
     pub fn drill(&self, requests: &[Request]) -> Result<DrillOutcome> {
         if requests
@@ -232,11 +230,10 @@ impl ServeScheduler {
             initial_depth,
             self.config.arrivals.rate_per_second,
         )?;
-        let mut devices = self.devices.clone();
-        let mut plan = self.plan.clone();
+        let mut members = self.initial_membership();
         let mut failures = stream_cfg.failures.clone();
         failures.sort_by_key(|f| f.at_round);
-        let mut timings = self.timings_for(&plan, &devices);
+        let mut timings = members.timings(stream_cfg, pipelined);
         let mut nominal = timings.timing_for(cap)?;
 
         let mut next_arrival = 0usize;
@@ -305,7 +302,7 @@ impl ServeScheduler {
                         break;
                     }
                     failures.remove(0);
-                    if devices.iter().any(|d| d.id == f.device_id) {
+                    if members.devices().iter().any(|d| d.id == f.device_id) {
                         hit = Some(f.device_id);
                         break;
                     }
@@ -314,22 +311,21 @@ impl ServeScheduler {
             };
             let completion;
             if let Some(dead) = crashed {
-                // Detection is round-denominated on the *old* membership's
-                // nominal interval, matching the streaming scheduler's
-                // heartbeat deadline; then the planner runs; then the round
+                // The streaming scheduler's crash rule, step for step: the
+                // stall on the *old* membership's nominal interval, the one
+                // replan (degraded within the stream's limit), then the round
                 // replays on the survivors.
-                let detection = (GRACE_ROUNDS + 1) as f64 * nominal.round_interval_seconds;
-                devices.retain(|d| d.id != dead);
-                if devices.is_empty() {
+                let stall = Membership::crash_stall_seconds(nominal.round_interval_seconds);
+                members.remove(&[dead]);
+                if members.devices().is_empty() {
                     let mut lost = queue.ledger.counters.devices_lost;
                     lost.push(dead);
                     return Err(ServeError::AllDevicesLost { lost });
                 }
-                plan = plan.replan_for_survivors(&devices, ENERGY_SAMPLES_PER_ROUND)?;
-                timings = self.timings_for(&plan, &devices);
+                members.replan(stream_cfg.max_missing_sub_models)?;
+                timings = members.timings(stream_cfg, pipelined);
                 nominal = timings.timing_for(cap)?;
                 let t = timings.timing_for(batch.len())?;
-                let stall = detection + REPLAN_SECONDS;
                 completion = start + stall + t.device_round_seconds + t.fusion_round_seconds;
                 // One pre-summed charge per crash, so an offline replay of
                 // the journal re-adds the exact f64 the live drill added.

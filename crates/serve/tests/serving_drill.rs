@@ -2,10 +2,12 @@
 //! beats the barrier-per-request baseline on p99 at the same offered load,
 //! overload sheds deterministically within per-tenant bounds, the adaptive
 //! pipeline depth reacts to backlog, and a mid-drill device crash shows up
-//! in the tail latencies — never as a lost request.
+//! in the tail latencies — never as a lost request — and degrades the drill
+//! exactly when it degrades the stream the drill feeds.
 
 use edvit_edge::{FusionFn, SubModelFn};
 use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
+use edvit_sched::{RoundLayout, SchedError, StreamScheduler};
 use edvit_serve::{
     AdmissionMode, ArrivalSpec, DepthController, ServeConfig, ServeError, ServeReport,
     ServeScheduler, TenantSpec,
@@ -13,12 +15,30 @@ use edvit_serve::{
 use edvit_tensor::Tensor;
 use edvit_vit::ViTConfig;
 
+fn plan_for(devices: &[DeviceSpec]) -> SplitPlan {
+    SplitPlanner::new(PlannerConfig::default())
+        .plan(&ViTConfig::vit_base(10), devices, 7)
+        .unwrap()
+}
+
 fn cluster() -> (SplitPlan, Vec<DeviceSpec>) {
     let devices = DeviceSpec::raspberry_pi_cluster(4);
-    let plan = SplitPlanner::new(PlannerConfig::default())
-        .plan(&ViTConfig::vit_base(10), &devices, 7)
+    (plan_for(&devices), devices)
+}
+
+/// Two devices, the second with memory for only its largest sub-model and a
+/// half: once device 0 dies, the survivor cannot host the full set (the
+/// streaming scheduler's degradation tests use the same construction).
+fn tight_cluster() -> (SplitPlan, Vec<DeviceSpec>) {
+    let mut devices = DeviceSpec::raspberry_pi_cluster(2);
+    let max_cost = plan_for(&devices)
+        .sub_models
+        .iter()
+        .map(|s| s.cost.memory_bytes)
+        .max()
         .unwrap();
-    (plan, devices)
+    devices[1].memory_bytes = max_cost + max_cost / 2;
+    (plan_for(&devices), devices)
 }
 
 /// Deterministic executors: sub-model `i` maps a sample to
@@ -233,6 +253,83 @@ fn mid_drill_crash_recovers_in_tail_latency_not_lost_requests() {
     for (id, tensor) in &clean.outputs {
         assert_eq!(tensor.data(), crashed.outputs[id].data());
     }
+}
+
+#[test]
+fn a_crash_degrades_the_drill_exactly_when_it_degrades_the_stream() {
+    let (plan, devices) = tight_cluster();
+    assert!(
+        !plan.assignment.sub_models_on(0).is_empty(),
+        "device 0 must host something for its death to degrade the stream"
+    );
+    let pool = sample_pool(8);
+    let config_with = |limit: usize| {
+        let mut config = drill_config(open_tenants(), ArrivalSpec::new(1.0, 1, 0));
+        config.stream = config
+            .stream
+            .with_failure(0, 1)
+            .with_max_missing_sub_models(limit);
+        let rate = 0.7
+            * ServeScheduler::new(plan.clone(), devices.clone(), config.clone())
+                .unwrap()
+                .nominal_capacity_per_second()
+                .unwrap();
+        config.arrivals = ArrivalSpec::new(rate, 32, 5);
+        config
+    };
+    // The stream the serve run feeds, run directly on the drill's rounds.
+    let stream_over = |config: &ServeConfig, layout: &RoundLayout| {
+        let flat: Vec<Tensor> = (0..layout.total_samples())
+            .map(|i| pool[i % pool.len()].clone())
+            .collect();
+        StreamScheduler::new(plan.clone(), devices.clone(), config.stream.clone())
+            .unwrap()
+            .run_rounds(&flat, layout, executors_for(&plan), concat_fusion())
+    };
+
+    // Within the limit: the drill degrades through the crash as the stream
+    // does, and every admitted request completes.
+    let config = config_with(1);
+    let scheduler = ServeScheduler::new(plan.clone(), devices.clone(), config.clone()).unwrap();
+    let report = scheduler
+        .run(&pool, executors_for(&plan), concat_fusion())
+        .unwrap();
+    assert_eq!(report.devices_lost, vec![0]);
+    assert!(report.rounds_formed >= 3, "{} rounds", report.rounds_formed);
+    assert_eq!(report.shed, 0);
+    assert_eq!(report.completed, report.admitted);
+    assert_eq!(report.outputs.len() as u64, report.admitted);
+    assert!(report.no_lost_requests());
+    let requests = config
+        .arrivals
+        .generate(config.tenants.len(), pool.len())
+        .unwrap();
+    let sizes: Vec<usize> = scheduler
+        .drill(&requests)
+        .unwrap()
+        .rounds
+        .iter()
+        .map(|r| r.requests.len())
+        .collect();
+    let layout = RoundLayout::from_sizes(&sizes).unwrap();
+    let direct = stream_over(&config, &layout).unwrap();
+    let served = report.stream.as_ref().unwrap();
+    assert_eq!(direct.missing_sub_models.len(), 1);
+    assert_eq!(served.missing_sub_models, direct.missing_sub_models);
+    assert_eq!(served.degraded_rounds, direct.degraded_rounds);
+
+    // Degradation off: both fail with the scheduler's own partition error.
+    let config = config_with(0);
+    let err = ServeScheduler::new(plan.clone(), devices.clone(), config.clone())
+        .unwrap()
+        .run(&pool, executors_for(&plan), concat_fusion())
+        .unwrap_err();
+    assert!(
+        matches!(err, ServeError::Sched(SchedError::Partition(_))),
+        "{err}"
+    );
+    let err = stream_over(&config, &layout).unwrap_err();
+    assert!(matches!(err, SchedError::Partition(_)), "{err}");
 }
 
 #[test]

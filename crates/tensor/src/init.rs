@@ -69,25 +69,21 @@ impl TensorRng {
     }
 
     /// Returns a tensor of i.i.d. normal samples.
-    #[expect(
-        clippy::expect_used,
-        reason = "the data holds the product of `dims` values by construction"
-    )]
     pub fn randn(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
-        let n: usize = dims.iter().product();
-        let data: Vec<f32> = (0..n).map(|_| self.normal(mean, std)).collect();
-        Tensor::from_vec(data, dims).expect("length matches by construction")
+        let mut out = Tensor::zeros(dims);
+        out.data_mut()
+            .iter_mut()
+            .for_each(|v| *v = self.normal(mean, std));
+        out
     }
 
     /// Returns a tensor of i.i.d. uniform samples in `[lo, hi)`.
-    #[expect(
-        clippy::expect_used,
-        reason = "the data holds the product of `dims` values by construction"
-    )]
     pub fn rand_uniform(&mut self, dims: &[usize], lo: f32, hi: f32) -> Tensor {
-        let n: usize = dims.iter().product();
-        let data: Vec<f32> = (0..n).map(|_| self.uniform(lo, hi)).collect();
-        Tensor::from_vec(data, dims).expect("length matches by construction")
+        let mut out = Tensor::zeros(dims);
+        out.data_mut()
+            .iter_mut()
+            .for_each(|v| *v = self.uniform(lo, hi));
+        out
     }
 
     /// Xavier/Glorot uniform initialization for a weight matrix of shape
@@ -106,24 +102,18 @@ impl TensorRng {
 
     /// Truncated-normal initialization used for ViT weights (std 0.02,
     /// truncated at ±2σ like timm's `trunc_normal_`).
-    #[expect(
-        clippy::expect_used,
-        reason = "the data holds the product of `dims` values by construction"
-    )]
     pub fn trunc_normal(&mut self, dims: &[usize], std: f32) -> Tensor {
-        let n: usize = dims.iter().product();
-        let data: Vec<f32> = (0..n)
-            .map(|_| {
-                // Rejection-sample within ±2σ; expected iterations ≈ 1.05.
-                loop {
-                    let v = self.normal(0.0, std);
-                    if v.abs() <= 2.0 * std {
-                        return v;
-                    }
+        let mut out = Tensor::zeros(dims);
+        for slot in out.data_mut() {
+            // Rejection-sample within ±2σ; expected iterations ≈ 1.05.
+            *slot = loop {
+                let v = self.normal(0.0, std);
+                if v.abs() <= 2.0 * std {
+                    break v;
                 }
-            })
-            .collect();
-        Tensor::from_vec(data, dims).expect("length matches by construction")
+            };
+        }
+        out
     }
 
     /// Shuffles a slice of indices in place (Fisher–Yates).

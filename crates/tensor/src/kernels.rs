@@ -213,27 +213,10 @@ pub fn matmul_bias(
     });
 }
 
-/// Sequential blocked matmul over all `m` rows (the per-chunk body of
-/// [`matmul`]). `out` must be zero-filled.
-///
-/// From [`MR`] rows up, each call packs its own panels of B, one `kc × nc`
-/// panel at a time into a scratch it allocates (below that nothing is packed
-/// or allocated). Both were measured against the alternatives on the
-/// `[64,192]×[192,768]` product, two threads: packing B once per call into a
-/// buffer all row chunks share is *slower* (330 µs with recycled buffers,
-/// 500 µs with fresh ones, against 245 µs) because a panel packed by one core
-/// is no longer in the L2 of the core that streams it and because a
-/// `k·n`-float allocation per call makes glibc trim and re-fault the heap;
-/// a thread-local scratch added ~1 MiB (+15 %) to the peak RSS of runs that
-/// spawn short-lived device threads for a saving no timing could resolve.
-/// What redundancy there is, is bounded by `chunk_rows` instead.
-pub fn matmul_seq(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_seq_with(MicroKernel::detect(), a, b, out, m, k, n);
-}
-
-/// [`matmul_seq`] on a named micro-kernel, for the cross-ISA conformance test
-/// and the same-session kernel benches. The kernel is a function argument
-/// only: nothing a user can set selects one.
+/// The sequential blocked matmul over all `m` rows (the per-chunk body of
+/// [`matmul`]) on a named micro-kernel, for the cross-ISA conformance test
+/// and the same-session kernel benches. `out` must be zero-filled. The
+/// kernel is a function argument only: nothing a user can set selects one.
 ///
 /// # Panics
 ///
@@ -267,6 +250,17 @@ pub fn matmul_seq_with(
 /// first streams it dense and hot; with fewer than [`MR`] rows there is no
 /// second strip, so those calls allocate no scratch, pack nothing and read B
 /// once where it lies ([`thin_rows_dispatch`]).
+///
+/// Each packing call packs its own panels of B, one `kc × nc` panel at a
+/// time, into a scratch it allocates. Both were measured against the
+/// alternatives on the `[64,192]×[192,768]` product, two threads: packing B
+/// once per call into a buffer all row chunks share is *slower* (330 µs with recycled buffers,
+/// 500 µs with fresh ones, against 245 µs) because a panel packed by one core
+/// is no longer in the L2 of the core that streams it and because a
+/// `k·n`-float allocation per call makes glibc trim and re-fault the heap;
+/// a thread-local scratch added ~1 MiB (+15 %) to the peak RSS of runs that
+/// spawn short-lived device threads for a saving no timing could resolve.
+/// What redundancy there is, is bounded by `chunk_rows` instead.
 fn gebp(
     kernel: MicroKernel,
     a: &[f32],
@@ -800,23 +794,6 @@ pub fn matmul_transposed(
     n: usize,
     pool: &ParallelPool,
 ) {
-    matmul_transposed_scaled(a, b, 1.0, out, m, k, n, pool);
-}
-
-/// `out = (A·Bᵀ)·scale`: [`matmul_transposed`] with every dot product
-/// multiplied by `scale` as it is written (attention's `1/√d`), the bits of
-/// a separate scaling pass over the result without the pass.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_transposed_scaled(
-    a: &[f32],
-    b: &[f32],
-    scale: f32,
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &ParallelPool,
-) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
@@ -824,12 +801,12 @@ pub fn matmul_transposed_scaled(
         return;
     }
     if k == 0 {
-        out.fill(0.0 * scale);
+        out.fill(0.0);
         return;
     }
     let work = m * k * n;
     if work < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
-        matmul_transposed_seq(a, b, scale, out, k, n);
+        matmul_transposed_seq(a, b, out, k, n);
         return;
     }
     let rows_per_chunk = chunk_rows(m, k * n, pool);
@@ -837,80 +814,15 @@ pub fn matmul_transposed_scaled(
         let row0 = base / n;
         let rows = out_chunk.len() / n;
         let a_rows = &a[row0 * k..(row0 + rows) * k];
-        matmul_transposed_seq(a_rows, b, scale, out_chunk, k, n);
+        matmul_transposed_seq(a_rows, b, out_chunk, k, n);
     });
 }
 
-/// Sequential body of [`matmul_transposed_scaled`]: `a` holds `out.len() / n`
-/// rows.
-fn matmul_transposed_seq(a: &[f32], b: &[f32], scale: f32, out: &mut [f32], k: usize, n: usize) {
+/// Sequential body of [`matmul_transposed`]: `a` holds `out.len() / n` rows.
+fn matmul_transposed_seq(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
         for (o, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
-            *o = dot(arow, brow) * scale;
-        }
-    }
-}
-
-/// Batched parallel matmul: `bt` independent `[m, k]·[k, n]` products.
-/// `out` must be zero-filled, of length `bt·m·n`.
-#[allow(clippy::too_many_arguments)]
-pub fn batch_matmul(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    bt: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &ParallelPool,
-) {
-    debug_assert_eq!(out.len(), bt * m * n);
-    if bt == 0 || m * n == 0 || k == 0 {
-        return;
-    }
-    let per_batch = m * k * n;
-    if per_batch >= PAR_WORK_THRESHOLD {
-        // Few large products: parallelize inside each one.
-        for bi in 0..bt {
-            matmul(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-                &mut out[bi * m * n..(bi + 1) * m * n],
-                m,
-                k,
-                n,
-                pool,
-            );
-        }
-    } else if bt * per_batch >= PAR_WORK_THRESHOLD && !pool.is_sequential() {
-        // Many small products: one batch (or a run of batches) per chunk.
-        let batches_per_chunk = (PAR_CHUNK_WORK / per_batch).clamp(1, bt.div_ceil(pool.threads()));
-        pool.scope_chunks(out, batches_per_chunk * m * n, |base, out_chunk| {
-            let b0 = base / (m * n);
-            let batches = out_chunk.len() / (m * n);
-            for (ci, out_one) in out_chunk.chunks_exact_mut(m * n).enumerate() {
-                let bi = b0 + ci;
-                debug_assert!(ci < batches);
-                matmul_seq(
-                    &a[bi * m * k..(bi + 1) * m * k],
-                    &b[bi * k * n..(bi + 1) * k * n],
-                    out_one,
-                    m,
-                    k,
-                    n,
-                );
-            }
-        });
-    } else {
-        for bi in 0..bt {
-            matmul_seq(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-                &mut out[bi * m * n..(bi + 1) * m * n],
-                m,
-                k,
-                n,
-            );
+            *o = dot(arow, brow);
         }
     }
 }
@@ -1073,7 +985,6 @@ mod tests {
         let mut out: Vec<f32> = Vec::new();
         matmul(&[], &b, &mut out, 0, 3, 2, &pool);
         matmul_transposed(&[], &b, &mut out, 0, 3, 2, &pool);
-        batch_matmul(&[], &[], &mut out, 0, 2, 2, 2, &pool);
         // k == 0 leaves the zero-filled output untouched.
         let mut out = vec![0.0f32; 4];
         matmul(&[], &[], &mut out, 2, 0, 2, &pool);
@@ -1125,28 +1036,6 @@ mod tests {
         let mut got = vec![0.0f32; m * n];
         matmul_transposed(&a, &bt, &mut got, m, k, n, &pool);
         assert_close(&got, &expected);
-    }
-
-    #[test]
-    fn batch_matches_per_batch() {
-        let pool = ParallelPool::new(4);
-        let (bt, m, k, n) = (5, 9, 11, 13);
-        let a = random(bt * m * k, 5);
-        let b = random(bt * k * n, 6);
-        let mut got = vec![0.0f32; bt * m * n];
-        batch_matmul(&a, &b, &mut got, bt, m, k, n, &pool);
-        for bi in 0..bt {
-            let mut expected = vec![0.0f32; m * n];
-            matmul_reference(
-                &a[bi * m * k..(bi + 1) * m * k],
-                &b[bi * k * n..(bi + 1) * k * n],
-                &mut expected,
-                m,
-                k,
-                n,
-            );
-            assert_close(&got[bi * m * n..(bi + 1) * m * n], &expected);
-        }
     }
 
     #[test]

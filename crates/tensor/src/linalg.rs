@@ -136,21 +136,6 @@ impl Tensor {
     ///
     /// Returns the same errors as [`Tensor::matmul`].
     pub fn matmul_transposed(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        self.matmul_transposed_scaled(other, 1.0)
-    }
-
-    /// `(self · otherᵀ) · scale`, the scale applied as each element is
-    /// written — attention's `Q Kᵀ / √d` in one pass, with the bits of
-    /// [`Tensor::matmul_transposed`] followed by [`Tensor::scale`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Tensor::matmul`].
-    pub fn matmul_transposed_scaled(
-        &self,
-        other: &Tensor,
-        scale: f32,
-    ) -> Result<Tensor, TensorError> {
         if self.rank() != 2 || other.rank() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -171,10 +156,9 @@ impl Tensor {
             });
         }
         let mut out = vec![0.0f32; m * n];
-        kernels::matmul_transposed_scaled(
+        kernels::matmul_transposed(
             self.data(),
             other.data(),
-            scale,
             &mut out,
             m,
             k,
@@ -182,78 +166,6 @@ impl Tensor {
             ParallelPool::global(),
         );
         Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Matrix-vector product `[m, k] x [k] -> [m]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] or
-    /// [`TensorError::MatmulDimMismatch`] on shape problems.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 || v.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matvec",
-            });
-        }
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        if v.numel() != k {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: v.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m];
-        if k > 0 {
-            for (o, row) in out.iter_mut().zip(self.data().chunks_exact(k)) {
-                *o = kernels::dot(row, v.data());
-            }
-        }
-        Tensor::from_vec(out, &[m])
-    }
-
-    /// Outer product of two vectors: `[m] x [n] -> [m, n]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-vector inputs.
-    pub fn outer(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 1 || other.rank() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: self.rank().max(other.rank()),
-                op: "outer",
-            });
-        }
-        let m = self.numel();
-        let n = other.numel();
-        let mut out = vec![0.0f32; m * n];
-        if n > 0 {
-            for (row, &av) in out.chunks_exact_mut(n).zip(self.data()) {
-                for (o, &bv) in row.iter_mut().zip(other.data()) {
-                    *o = av * bv;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// Dot product of two equally-sized vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when lengths differ.
-    pub fn dot(&self, other: &Tensor) -> Result<f32, TensorError> {
-        if self.numel() != other.numel() {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-                op: "dot",
-            });
-        }
-        Ok(kernels::dot(self.data(), other.data()))
     }
 }
 
@@ -296,25 +208,6 @@ mod tests {
         for (x, y) in c1.data().iter().zip(c2.data()) {
             assert!((x - y).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn matvec_and_dot() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let v = Tensor::from_vec(vec![1.0, -1.0], &[2]).unwrap();
-        let out = a.matvec(&v).unwrap();
-        assert_eq!(out.data(), &[-1.0, -1.0]);
-        assert_eq!(v.dot(&v).unwrap(), 2.0);
-        assert!(v.dot(&Tensor::zeros(&[3])).is_err());
-    }
-
-    #[test]
-    fn outer_product() {
-        let u = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let v = Tensor::from_vec(vec![3.0, 4.0, 5.0], &[3]).unwrap();
-        let o = u.outer(&v).unwrap();
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.data(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
     }
 
     #[test]

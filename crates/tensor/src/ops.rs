@@ -337,7 +337,6 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns an error for rank-0 tensors or out-of-range indices.
-    #[expect(clippy::expect_used, reason = "the rank is checked first")]
     pub fn select_last_axis(&self, indices: &[usize]) -> Result<Tensor, TensorError> {
         let last = self.last_axis_len("select_last_axis")?;
         for &i in indices {
@@ -357,16 +356,20 @@ impl Tensor {
             }
         }
         let mut dims = self.dims().to_vec();
-        *dims.last_mut().expect("rank checked above") = indices.len();
+        let Some(last_dim) = dims.last_mut() else {
+            return Err(TensorError::EmptyInput {
+                op: "select_last_axis",
+            });
+        };
+        *last_dim = indices.len();
         Tensor::from_vec(out, &dims)
     }
 
-    #[expect(clippy::expect_used, reason = "the rank is checked first")]
     fn last_axis_len(&self, op: &'static str) -> Result<usize, TensorError> {
-        if self.rank() == 0 || self.numel() == 0 {
-            return Err(TensorError::EmptyInput { op });
+        match self.dims().last() {
+            Some(&last) if self.numel() > 0 => Ok(last),
+            _ => Err(TensorError::EmptyInput { op }),
         }
-        Ok(*self.dims().last().expect("rank checked above"))
     }
 }
 
