@@ -40,7 +40,13 @@ fn bench_matmul_transposed(c: &mut Criterion) {
 
 fn bench_attention_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("mhsa_forward");
-    for &(tokens, dim, heads) in &[(16usize, 64usize, 4usize), (64, 64, 8), (196, 96, 6)] {
+    // The first shape is the tiny demo's block: 4 tokens, 12 heads × 2.
+    for &(tokens, dim, heads) in &[
+        (4usize, 24usize, 12usize),
+        (16, 64, 4),
+        (64, 64, 8),
+        (196, 96, 6),
+    ] {
         let mut rng = TensorRng::new(2);
         let mut mhsa = MultiHeadSelfAttention::new(dim, heads, dim / heads, &mut rng).unwrap();
         let x = rng.randn(&[tokens, dim], 0.0, 1.0);

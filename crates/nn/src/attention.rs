@@ -251,16 +251,26 @@ impl MultiHeadSelfAttention {
     /// softmaxed scores into `attn` (`[heads, tokens, tokens]`) and the
     /// concatenated head outputs into `out` (`[tokens, heads·head_dim]`).
     ///
-    /// The heads' outputs land head-major in one scratch buffer, the layout
-    /// the value product writes, and are scattered into `out` once.
+    /// K is transposed once, here, into `[heads·head_dim, tokens]`, before
+    /// the heads split across the pool, so each head's `Kᵀ` is a contiguous
+    /// row block. The heads' outputs land head-major in one scratch buffer,
+    /// the layout the value product writes, and are scattered into `out`
+    /// once.
     fn forward_sample(
         &self,
         tokens: usize,
-        qkv: (&[f32], &[f32], &[f32]),
+        (q, k, v): (&[f32], &[f32], &[f32]),
         attn: &mut [f32],
         out: &mut [f32],
     ) {
         let (hd, inner) = (self.head_dim, self.heads * self.head_dim);
+        let mut kt = vec![0.0f32; inner * tokens];
+        for (t, k_row) in k.chunks_exact(inner).enumerate() {
+            for (c, &value) in k_row.iter().enumerate() {
+                kt[c * tokens + t] = value;
+            }
+        }
+        let qkv = (q, kt.as_slice(), v);
         let mut by_head = vec![0.0f32; self.heads * tokens * hd];
         // Heads are independent (DeViT-style decomposition), so they can run
         // on separate threads; below the work threshold the pool wake-up
@@ -286,41 +296,39 @@ impl MultiHeadSelfAttention {
     }
 
     /// Scaled-dot-product attention of heads `first..` of one sample, as many
-    /// as `attn` holds `[tokens, tokens]` blocks, into `out`
-    /// (`[heads, tokens, head_dim]`, zero-filled). A head's query and key
-    /// rows are contiguous segments of the projection rows, so the scores
-    /// (`1/√d` fused into the write) copy nothing; one softmax runs over
-    /// every head's rows; each head's values are packed into one scratch
-    /// reused across heads for the `[tokens, tokens]·[tokens, head_dim]`
-    /// product.
+    /// as `attn` (zero-filled) holds `[tokens, tokens]` blocks, into `out`
+    /// (`[heads, tokens, head_dim]`, zero-filled). `q` and `v` are
+    /// `[tokens, heads·head_dim]`, `kt` is Kᵀ, `[heads·head_dim, tokens]`.
+    /// Each head's scores are one GEBP product of its packed `[tokens,
+    /// head_dim]` queries by its `[head_dim, tokens]` row block of `kt`,
+    /// scaled by `1/√d` afterwards; one softmax runs over every head's rows;
+    /// each head's values are packed for the `[tokens, tokens]·[tokens,
+    /// head_dim]` product. One scratch holds each packed operand in turn.
     fn heads_forward(
         &self,
         first: usize,
         tokens: usize,
-        (q, k, v): (&[f32], &[f32], &[f32]),
+        (q, kt, v): (&[f32], &[f32], &[f32]),
         attn: &mut [f32],
         out: &mut [f32],
     ) {
         let (hd, inner) = (self.head_dim, self.heads * self.head_dim);
         let scale = 1.0 / (hd as f32).sqrt();
         let pool = ParallelPool::global();
+        let mut head = Vec::with_capacity(tokens * hd);
         for (h, scores) in (first..).zip(attn.chunks_exact_mut(tokens * tokens)) {
-            let col = h * hd;
-            for (q_row, score_row) in q.chunks_exact(inner).zip(scores.chunks_exact_mut(tokens)) {
-                let q_head = &q_row[col..col + hd];
-                for (score, k_row) in score_row.iter_mut().zip(k.chunks_exact(inner)) {
-                    *score = kernels::dot(q_head, &k_row[col..col + hd]) * scale;
-                }
-            }
+            pack_head(&mut head, q, h * hd, hd, inner);
+            let kt_head = &kt[h * hd * tokens..(h + 1) * hd * tokens];
+            kernels::matmul(&head, kt_head, scores, tokens, hd, tokens, pool);
+            scores.iter_mut().for_each(|score| *score *= scale);
         }
         ops::softmax_rows(attn, tokens, pool);
-        let mut v_head = Vec::with_capacity(tokens * hd);
         let heads = attn
             .chunks_exact(tokens * tokens)
             .zip(out.chunks_exact_mut(tokens * hd));
         for (h, (weights, out)) in (first..).zip(heads) {
-            pack_head(&mut v_head, v, h * hd, hd, inner);
-            kernels::matmul(weights, &v_head, out, tokens, tokens, hd, pool);
+            pack_head(&mut head, v, h * hd, hd, inner);
+            kernels::matmul(weights, &head, out, tokens, tokens, hd, pool);
         }
     }
 }

@@ -37,6 +37,8 @@ pub struct Mlp {
     activations: Vec<Box<dyn Layer>>,
     activation_kind: MlpActivation,
     layer_sizes: Vec<usize>,
+    /// The last of `layer_sizes`, taken when the MLP is built.
+    out_features: usize,
 }
 
 impl Clone for Mlp {
@@ -59,6 +61,7 @@ impl Clone for Mlp {
             activations,
             activation_kind: self.activation_kind,
             layer_sizes: self.layer_sizes.clone(),
+            out_features: self.out_features,
         }
     }
 }
@@ -86,11 +89,11 @@ impl Mlp {
         activation: MlpActivation,
         rng: &mut TensorRng,
     ) -> Result<Self> {
-        if layer_sizes.len() < 2 {
+        let &[_, .., out_features] = layer_sizes else {
             return Err(NnError::InvalidConfig {
                 message: "an MLP needs at least an input and an output size".to_string(),
             });
-        }
+        };
         if layer_sizes.contains(&0) {
             return Err(NnError::InvalidConfig {
                 message: format!("zero-sized layer in MLP sizes {layer_sizes:?}"),
@@ -112,6 +115,7 @@ impl Mlp {
             activations,
             activation_kind: activation,
             layer_sizes: layer_sizes.to_vec(),
+            out_features,
         })
     }
 
@@ -124,11 +128,11 @@ impl Mlp {
     /// Returns [`NnError::InvalidConfig`] when consecutive layers disagree on
     /// their shared dimension.
     pub fn from_linears(linears: Vec<Linear>, activation: MlpActivation) -> Result<Self> {
-        if linears.is_empty() {
+        let Some(out_features) = linears.last().map(Linear::out_features) else {
             return Err(NnError::InvalidConfig {
                 message: "MLP needs at least one linear layer".to_string(),
             });
-        }
+        };
         let mut layer_sizes = vec![linears[0].in_features()];
         for (i, lin) in linears.iter().enumerate() {
             if i > 0 && lin.in_features() != linears[i - 1].out_features() {
@@ -155,6 +159,7 @@ impl Mlp {
             activations,
             activation_kind: activation,
             layer_sizes,
+            out_features,
         })
     }
 
@@ -174,12 +179,8 @@ impl Mlp {
     }
 
     /// Output feature dimension.
-    #[expect(
-        clippy::expect_used,
-        reason = "construction rejects an empty list of layer sizes"
-    )]
     pub fn out_features(&self) -> usize {
-        *self.layer_sizes.last().expect("validated at construction")
+        self.out_features
     }
 
     /// Input feature dimension.

@@ -129,8 +129,11 @@ proptest! {
 }
 
 /// Attention computed one head at a time: strided copies of each head's Q, K
-/// and V, then `Q·Kᵀ/√d`, a row softmax and `A·V` per head, and the matching
-/// per-head backward. The head-batched layer must reproduce its bits.
+/// and V, then `Q·Kᵀ/√d` (the GEBP product of Q by the transposed K, then
+/// the scale, as the layer scores), a row softmax and `A·V` per head, and the
+/// matching per-head backward. The head-batched layer must reproduce its
+/// bits. Sharing the layer's kernels, it cannot see a layout bug they share:
+/// `attention_reference.rs` checks the layer against naive f64 loops.
 struct PerHeadAttention {
     projections: [Linear; 4],
     heads: usize,
@@ -184,15 +187,8 @@ impl PerHeadAttention {
                 let v_h = self.head(&v.data()[rows.clone()], h);
                 let mut attn = vec![0.0f32; tokens * tokens];
                 let scale = 1.0 / (hd as f32).sqrt();
-                kernels::matmul_transposed(
-                    q_h.data(),
-                    k_h.data(),
-                    &mut attn,
-                    tokens,
-                    hd,
-                    tokens,
-                    pool,
-                );
+                let kt_h = k_h.transpose().unwrap();
+                kernels::matmul(q_h.data(), kt_h.data(), &mut attn, tokens, hd, tokens, pool);
                 attn.iter_mut().for_each(|score| *score *= scale);
                 ops::softmax_rows(&mut attn, tokens, pool);
                 let mut out = vec![0.0f32; tokens * hd];

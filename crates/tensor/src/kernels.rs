@@ -16,7 +16,10 @@
 //!   is packed only when more than one row strip will read it: a product of
 //!   fewer than [`MR`] rows (every `[1,k]×[k,n]` fusion call and
 //!   single-image head) allocates no scratch, packs nothing and reads B once
-//!   where it lies.
+//!   where it lies. Nor is a B that already is its one panel (`k ≤ KC`,
+//!   `n ≤ NC`: attention's `Q_h·K_hᵀ` and `A·V_h`, every Linear of the tiny
+//!   demo) — the packed copy would equal it byte for byte, so it is read in
+//!   place and the arithmetic, hence every bit, is the packed path's.
 //! * **Register tiling** — a strip of output rows is accumulated against a
 //!   tile of panel columns whose partial sums live entirely in registers, so
 //!   each packed B row is loaded once per strip. The tile is picked at run
@@ -249,7 +252,9 @@ pub fn matmul_seq_with(
 /// on that column panel. A panel is packed so that every row strip after the
 /// first streams it dense and hot; with fewer than [`MR`] rows there is no
 /// second strip, so those calls allocate no scratch, pack nothing and read B
-/// once where it lies ([`thin_rows_dispatch`]).
+/// once where it lies ([`thin_rows_dispatch`]). A B of `k ≤ KC` rows and
+/// `n ≤ NC` columns is already the one dense `kc × nc` panel, so it is
+/// streamed in place with no scratch either.
 ///
 /// Each packing call packs its own panels of B, one `kc × nc` panel at a
 /// time, into a scratch it allocates. Both were measured against the
@@ -278,17 +283,23 @@ fn gebp(
         add_bias(bias, out, n, 0, n);
         return;
     }
-    let mut panel = Vec::with_capacity(KC.min(k) * NC.min(n));
+    let packs = k > KC || n > NC;
+    let mut scratch = Vec::with_capacity(if packs { KC.min(k) * NC.min(n) } else { 0 });
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            // Pack B[pc..pc+kc, jc..jc+nc] into a contiguous kc×nc panel.
-            panel.clear();
-            for p in pc..pc + kc {
-                panel.extend_from_slice(&b[p * n + jc..][..nc]);
-            }
-            accumulate_panel(kernel, a, &panel, out, k, n, (jc, nc), (pc, kc));
+            let panel: &[f32] = if packs {
+                // Pack B[pc..pc+kc, jc..jc+nc] into a contiguous kc×nc panel.
+                scratch.clear();
+                for p in pc..pc + kc {
+                    scratch.extend_from_slice(&b[p * n + jc..][..nc]);
+                }
+                &scratch
+            } else {
+                b
+            };
+            accumulate_panel(kernel, a, panel, out, k, n, (jc, nc), (pc, kc));
         }
         add_bias(bias, out, n, jc, nc);
     }

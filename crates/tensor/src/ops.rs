@@ -419,9 +419,9 @@ pub fn softmax_slice(chunk: &mut [f32]) {
     }
     // `f32::MIN` floor: keeps `v − max` at `−∞` (not NaN) for an all-`−∞`
     // row. The comparison skips NaN logits, as `f32::max` does.
-    let max = lane_reduce(chunk, f32::MIN, |m, v| if v > m { v } else { m });
+    let max = lane_reduce(chunk, f32::MIN, |v| v, |m, v| if v > m { v } else { m });
     approx::map_lanes(chunk, move |v| approx::exp(v - max));
-    let sum = lane_reduce(chunk, 0.0, |s, v| s + v);
+    let sum = lane_reduce(chunk, 0.0, |v| v, |s, v| s + v);
     if sum > 0.0 {
         for v in chunk.iter_mut() {
             *v /= sum;
@@ -429,36 +429,53 @@ pub fn softmax_slice(chunk: &mut [f32]) {
     }
 }
 
-/// Reduces a slice over eight interleaved accumulators: element `i` goes to
-/// accumulator `i % 8`, the accumulators are folded in a fixed tree and the
-/// tail is folded in last. The order depends only on the slice, so a sum is
-/// as deterministic as a left-to-right one, but it is one vector op per
-/// eight elements instead of a serial dependency chain.
+/// Reduces `map` of each element of a slice over eight interleaved
+/// accumulators: element `i` goes to accumulator `i % 8`, the accumulators
+/// are folded in a fixed tree and the tail is folded in last. The order
+/// depends only on the slice, so a sum is as deterministic as a left-to-right
+/// one, but it is one vector op per eight elements instead of a serial
+/// dependency chain.
 #[inline(always)]
-fn lane_reduce(values: &[f32], init: f32, op: impl Fn(f32, f32) -> f32) -> f32 {
+fn lane_reduce(
+    values: &[f32],
+    init: f32,
+    map: impl Fn(f32) -> f32,
+    op: impl Fn(f32, f32) -> f32,
+) -> f32 {
     let mut acc = [init; 8];
     let mut blocks = values.chunks_exact(8);
     for block in &mut blocks {
         for (a, &v) in acc.iter_mut().zip(block) {
-            *a = op(*a, v);
+            *a = op(*a, map(v));
         }
     }
     let folded = op(
         op(op(acc[0], acc[4]), op(acc[2], acc[6])),
         op(op(acc[1], acc[5]), op(acc[3], acc[7])),
     );
-    blocks.remainder().iter().fold(folded, |r, &v| op(r, v))
+    blocks
+        .remainder()
+        .iter()
+        .fold(folded, |r, &v| op(r, map(v)))
+}
+
+/// Mean and (biased) variance of a non-empty layer-norm row, each summed on
+/// [`lane_reduce`]'s fixed fold.
+#[inline(always)]
+fn row_moments(row: &[f32]) -> (f32, f32) {
+    let n = row.len() as f32;
+    let mean = lane_reduce(row, 0.0, |v| v, |s, v| s + v) / n;
+    let var = lane_reduce(row, 0.0, |v| (v - mean) * (v - mean), |s, v| s + v) / n;
+    (mean, var)
 }
 
 /// In-place layer normalization of one row against `gamma`/`beta` (which must
 /// match the row length).
 pub fn layer_norm_slice(row: &mut [f32], gamma: &[f32], beta: &[f32]) {
-    let n = row.len();
-    if n == 0 {
+    if row.is_empty() {
         return;
     }
-    let mean: f32 = row.iter().sum::<f32>() / n as f32;
-    let var: f32 = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
+    let (mean, var) = row_moments(row);
     let denom = (var + NORM_EPS).sqrt();
     for (i, v) in row.iter_mut().enumerate() {
         *v = ((*v - mean) / denom) * gamma[i] + beta[i];
@@ -543,9 +560,7 @@ pub fn layer_norm_forward_rows(
     debug_assert!(inv_std.len() == x.len() / row_len);
     debug_assert!(gamma.len() == row_len && beta.len() == row_len);
     let row_stats = |row: &[f32]| -> (f32, f32) {
-        let n = row_len as f32;
-        let mean: f32 = row.iter().sum::<f32>() / n;
-        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / n;
+        let (mean, var) = row_moments(row);
         (mean, 1.0 / (var + NORM_EPS).sqrt())
     };
     if x.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {

@@ -307,6 +307,65 @@ fn remainder_rows_equal_the_reference_and_leave_the_strips_alone() {
 }
 
 #[test]
+fn one_panel_products_read_b_in_place_with_the_packed_arithmetic() {
+    // A B of `k ≤ KC` = 256 rows and `n ≤ NC` = 128 columns is its own one
+    // panel, so it is streamed where it lies instead of copied. The tiles
+    // see the same panel bytes either way, so what held for a packed panel
+    // must hold here: the FMA kernels agree bit for bit, the `m % 4`
+    // remainder rows are the reference's bits on every kernel, and 1 and 8
+    // threads agree. `m` crosses the 4- and 8-row strips, `k` includes the
+    // empty contraction and `KC`, `n` the 16-column boundary and `NC`; the
+    // attention shapes (`Q_h·K_hᵀ`, `A·V_h`) are among them, and three taller
+    // ones reach the parallel threshold, so 8 threads split them.
+    let mut shapes = vec![
+        (64usize, 256usize, 128usize),
+        (130, 256, 127),
+        (203, 192, 64),
+    ];
+    for m in 4usize..=17 {
+        for k in [0usize, 1, 32, 64, 255, 256] {
+            shapes.extend([1usize, 15, 16, 32, 33, 64, 127, 128].map(|n| (m, k, n)));
+        }
+    }
+    let kernels_here = supported_kernels("one-panel product");
+    let pools = [ParallelPool::new(1), ParallelPool::new(8)];
+    let mut rng = TensorRng::new(0x0B1A);
+    for (m, k, n) in shapes {
+        let shape = format!("{m}x{k}x{n}");
+        let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
+        let mut expected = vec![0.0f32; m * n];
+        kernels::matmul_reference(&a, &b, &mut expected, m, k, n);
+        let lead = (m - m % 4) * n;
+        let mut fma: Option<Vec<f32>> = None;
+        for &kernel in &kernels_here {
+            let mut got = vec![0.0f32; m * n];
+            kernels::matmul_seq_with(kernel, &a, &b, &mut got, m, k, n);
+            assert_close(&got, &expected, &format!("{kernel:?} on {shape}"));
+            assert_eq!(
+                bits(&got[lead..]),
+                bits(&expected[lead..]),
+                "{kernel:?}: remainder rows of {shape}"
+            );
+            if kernel == MicroKernel::Portable {
+                continue;
+            }
+            match &fma {
+                None => fma = Some(got),
+                Some(avx2) => assert_eq!(bits(&got), bits(avx2), "{kernel:?} vs AVX2 on {shape}"),
+            }
+        }
+        let mut detected = vec![0.0f32; m * n];
+        kernels::matmul_seq_with(MicroKernel::detect(), &a, &b, &mut detected, m, k, n);
+        for pool in &pools {
+            let mut got = vec![0.0f32; m * n];
+            kernels::matmul(&a, &b, &mut got, m, k, n, pool);
+            let threads = pool.threads();
+            assert_eq!(bits(&got), bits(&detected), "{shape}, {threads} threads");
+        }
+    }
+}
+
+#[test]
 fn bias_epilogue_equals_matmul_then_row_broadcast_bitwise() {
     // `k` ≤ and > `KC` (one k-block, several), `n` across `NC` (the epilogue
     // runs once per column panel), row counts that split into ragged chunks
@@ -357,14 +416,16 @@ fn bias_epilogue_equals_matmul_then_row_broadcast_bitwise() {
 
 #[test]
 fn scaled_transposed_equals_transposed_then_scale_bitwise() {
-    // Attention scores each query row inline as `dot(q, k) · scale`; its
-    // backward pass and the per-head oracle take `matmul_transposed` and
-    // scale afterwards. The two agree bit for bit only while the transposed
-    // product is the `dot` kernel element by element, at any thread count.
+    // `matmul_transposed` (attention's backward `dOut·Vᵀ`, and
+    // `Tensor::matmul_transposed`) is the `dot` kernel element by element at
+    // any thread count, so scaling each `dot` inline and scaling the product
+    // afterwards agree bit for bit. Attention's forward no longer scores with
+    // `dot` — its `Q·Kᵀ` is one GEBP product per head, then the scale — so
+    // this pins the transposed product's contract, not the forward's.
     let mut rng = TensorRng::new(0x5CA1);
     let scale = 1.0 / 32.0f32.sqrt();
-    // Attention's per-head shape, a ragged one past the parallel threshold,
-    // and the empty contraction.
+    // A per-head score shape, a ragged one past the parallel threshold, and
+    // the empty contraction.
     for (m, k, n) in [(64usize, 32usize, 64usize), (131, 70, 257), (5, 0, 4)] {
         let a = Tensor::from_vec(uniform(&mut rng, m * k), &[m, k]).unwrap();
         let bt = Tensor::from_vec(uniform(&mut rng, n * k), &[n, k]).unwrap();

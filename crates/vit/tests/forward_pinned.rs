@@ -1,11 +1,32 @@
 //! The forward and backward passes of the perfbench probe model, pinned to
-//! the bits they produced before the forward path was made lean (PR 14): the
-//! constants below were recorded on the parent commit, so any rewrite of
-//! `Linear`, `Mlp`, attention, the patch embedding or the matmul micro-kernels
-//! that moves a single rounding fails here.
+//! their bits: any rewrite of `Linear`, `Mlp`, attention, layer norm, the
+//! patch embedding or the matmul micro-kernels that moves a single rounding
+//! fails here.
 //!
-//! The constants hold on x86-64 with AVX2+FMA (the AVX-512 tile is bound to
-//! produce the same bits); other CPUs take the portable kernel, whose
+//! The constants were first recorded on commit a066498, before the forward
+//! path was made lean. They were re-recorded once, deliberately, on top of
+//! commit c570b24, when attention's `Q·Kᵀ` moved from one `dot` per (query,
+//! key, head) onto the GEBP tile (scaled after the product) and layer norm's
+//! row mean and variance onto the 8-accumulator lane fold softmax sums with:
+//!
+//! | batch | hash | a066498 | c570b24 + scores on GEBP, lane-sum stats |
+//! |---|---|---|---|
+//! | 1 | features | `2ce5c8cbc640936a` | `1aea697f4aeada6a` |
+//! | 1 | logits | `95a56516aab9919d` | `1486ea6d8f063f90` |
+//! | 1 | image grad | `1c73f336e39608ad` | `4a778f73fdfa25f1` |
+//! | 1 | param grads | `72f2e41de158167a` | `6f235b5f141e57f4` |
+//! | 2 | features | `7cccb7b447c15cdb` | `d89b16f8d069d763` |
+//! | 2 | logits | `daa2186fcbff27ec` | `48e3870635cffe2b` |
+//! | 2 | image grad | `81100632c9b352ef` | `8e00f77fd195f2fe` |
+//! | 2 | param grads | `aa3db92a91e711d4` | `5975d6e6f32f8c6f` |
+//!
+//! recorded with `EDVIT_THREADS=$t cargo test -p edvit-vit --test
+//! forward_pinned -- --nocapture` for `t` in 1, 2 and 4 (the test prints
+//! each batch's hashes before it compares them).
+//!
+//! The constants hold on x86-64 with AVX2+FMA and with AVX-512 (the two
+//! tiles are bit-identical by construction, which `parallel_kernels.rs`
+//! checks shape by shape); other CPUs take the portable kernel, whose
 //! unfused multiply-adds round differently, and skip with a printed reason.
 //! CI runs this under `EDVIT_THREADS` 1, 2 and 4; each case also runs under
 //! `with_budget(1)`.
@@ -67,25 +88,25 @@ fn hashes(batch: usize) -> [u64; 4] {
 }
 
 /// `(batch, [features, logits, image gradient, parameter gradients])`,
-/// recorded on the parent of PR 14 (commit a066498) on x86-64 with AVX2+FMA,
-/// identical under `EDVIT_THREADS` 1, 2 and 4.
+/// re-recorded on top of commit c570b24 on x86-64 with AVX-512 (see the
+/// header), identical under `EDVIT_THREADS` 1, 2 and 4.
 const PINNED: [(usize, [u64; 4]); 2] = [
     (
         1,
         [
-            0x2ce5_c8cb_c640_936a,
-            0x95a5_6516_aab9_919d,
-            0x1c73_f336_e396_08ad,
-            0x72f2_e41d_e158_167a,
+            0x1aea_697f_4aea_da6a,
+            0x1486_ea6d_8f06_3f90,
+            0x4a77_8f73_fdfa_25f1,
+            0x6f23_5b5f_141e_57f4,
         ],
     ),
     (
         2,
         [
-            0x7ccc_b7b4_47c1_5cdb,
-            0xdaa2_186f_cbff_27ec,
-            0x8110_0632_c9b3_52ef,
-            0xaa3d_b92a_91e7_11d4,
+            0xd89b_16f8_d069_d763,
+            0x48e3_8706_35cf_fe2b,
+            0x8e00_f77f_d195_f2fe,
+            0x5975_d6e6_f32f_8c6f,
         ],
     ),
 ];
