@@ -215,6 +215,31 @@ fn bench_thin_matmul(c: &mut Criterion) {
     }
     group.finish();
 
+    // The row tile under 1–3 rows on every kernel this CPU has, one thread,
+    // no bias: the same-session comparison of its register widths.
+    let mut group = c.benchmark_group("matmul_thin_768x384_seq");
+    for kernel in [
+        MicroKernel::Portable,
+        MicroKernel::Avx2Fma,
+        MicroKernel::Avx512,
+    ] {
+        if !kernel.is_supported() {
+            println!("matmul_thin_768x384_seq/{kernel:?}: skipped, CPU lacks the features");
+            continue;
+        }
+        for rows in [1usize, 2, 3] {
+            let x = rng.randn(&[rows, k], 0.0, 1.0);
+            let mut out = vec![0.0f32; rows * n];
+            group.bench_function(format!("{kernel:?}/{rows}"), |bench| {
+                bench.iter(|| {
+                    out.fill(0.0);
+                    kernels::matmul_seq_with(kernel, x.data(), w.data(), &mut out, rows, k, n);
+                });
+            });
+        }
+    }
+    group.finish();
+
     let x = rng.randn(&[1, k], 0.0, 1.0);
     let mut out = vec![0.0f32; n];
     c.bench_function("matmul_reference_1x768x384", |bench| {

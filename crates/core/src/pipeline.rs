@@ -428,9 +428,11 @@ impl EdVitPipeline {
 
 /// Concatenated pooled features of every sub-model for a batch of images,
 /// extracted in small mini-batches to bound peak memory. Sub-models are
-/// independent "devices", so they run across the thread pool.
+/// independent "devices", so they run across the thread pool (each one runs
+/// to the end even when another fails; the first error in sub-model order is
+/// returned).
 fn extract_features(sub_models: &mut [PrunedSubModel], images: &Tensor) -> Result<Tensor> {
-    let per_model = run_per_sub_model(sub_models, |sub| {
+    let per_model = ParallelPool::global().map_mut(sub_models, |sub| -> Result<Tensor> {
         let n = images.dims()[0];
         let mut chunks = Vec::new();
         let indices: Vec<usize> = (0..n).collect();
@@ -440,44 +442,19 @@ fn extract_features(sub_models: &mut [PrunedSubModel], images: &Tensor) -> Resul
         }
         let refs: Vec<&Tensor> = chunks.iter().collect();
         Ok(Tensor::concat_first_axis(&refs)?)
-    })?;
+    });
+    let per_model = per_model.into_iter().collect::<Result<Vec<_>>>()?;
     let refs: Vec<&Tensor> = per_model.iter().collect();
     Ok(Tensor::concat_last_axis(&refs)?)
 }
 
-/// Runs `f` once per sub-model (in parallel when the pool allows it),
-/// returning the results in sub-model order.
-#[expect(
-    clippy::expect_used,
-    reason = "`scope_chunks` has run `f` on every slot before it returns"
-)]
-fn run_per_sub_model<T, F>(sub_models: &mut [PrunedSubModel], f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(&mut PrunedSubModel) -> Result<T> + Sync,
-{
-    let pool = ParallelPool::global();
-    if sub_models.len() <= 1 || pool.is_sequential() {
-        return sub_models.iter_mut().map(f).collect();
-    }
-    let mut slots: Vec<(&mut PrunedSubModel, Option<Result<T>>)> =
-        sub_models.iter_mut().map(|sub| (sub, None)).collect();
-    pool.scope_chunks(&mut slots, 1, |_, slot| {
-        let (sub, out) = &mut slot[0];
-        *out = Some(f(sub));
-    });
-    slots
-        .into_iter()
-        .map(|(_, out)| out.expect("per-sub-model slot filled"))
-        .collect()
-}
-
 /// Accuracy of the softmax-averaging fallback (no fusion MLP).
 fn averaged_softmax_accuracy(sub_models: &mut [PrunedSubModel], test: &Dataset) -> Result<f32> {
-    let per_model = run_per_sub_model(sub_models, |sub| {
+    let per_model = ParallelPool::global().map_mut(sub_models, |sub| -> Result<_> {
         let logits = sub.model.forward_images(test.images())?;
         Ok((logits.softmax_last_axis()?, sub.mapping.subset.clone()))
-    })?;
+    });
+    let per_model = per_model.into_iter().collect::<Result<Vec<_>>>()?;
     let (probs, mappings): (Vec<Tensor>, Vec<Vec<usize>>) = per_model.into_iter().unzip();
     let predictions = average_softmax_fusion(&probs, &mappings, test.num_classes())?;
     Ok(stats::accuracy(&predictions, test.labels()))

@@ -8,8 +8,11 @@
 //!
 //! The aggregation device fuses one image at a time, so a fusion call is a
 //! `[1, N·d·s]` row times each weight matrix: `edvit-tensor` serves products
-//! of fewer than four rows unpacked, streaming the weights once where they
-//! lie (`tests/predict_pinned.rs` pins the logits' bits on the serving shape).
+//! of fewer than four rows on its row tile, which reads the weights once
+//! where they lie and keeps each block of output columns in registers for
+//! the whole contraction — on AVX-512 the 384-wide hidden row as three
+//! 128-column blocks, the 10 logits as one masked 16-lane step
+//! (`tests/predict_pinned.rs` pins the logits' bits on the serving shape).
 //!
 //! # Example
 //!

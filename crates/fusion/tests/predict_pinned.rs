@@ -9,8 +9,8 @@
 //! ```
 //!
 //! which prints every hash before comparing it. Batches 1, 2 and 3 are the
-//! thin shapes the unpacked row×matrix path serves; 4, 5 and 8 run whole
-//! 4- and 8-row strips, and 5 leaves one remainder row on the one-row kernel.
+//! thin shapes the row tile serves on B where it lies; 4, 5 and 8 run whole
+//! 4- and 8-row strips, and 5 leaves one remainder row on the row tile.
 //!
 //! This file is the guard on those bits: perfbench's single-threaded oracle
 //! runs the *same* kernels as the run it checks, so a rounding change in

@@ -17,9 +17,9 @@
 //! * [`ParallelPool::scope_chunks`] — the same claiming scheme over disjoint
 //!   `&mut` sub-slices of a buffer, which is how kernels write their output
 //!   rows without locks or unsafe code on the caller's side.
-//! * [`ParallelPool::map_indexed`] — a convenience parallel map collecting
-//!   one `T` per index (used for layer-norm gradient partials and per-trial
-//!   experiment sweeps).
+//! * [`ParallelPool::map_indexed`] / [`ParallelPool::map_mut`] — parallel
+//!   maps collecting one result per index (per-trial experiment sweeps) or
+//!   per exclusively borrowed item (one per sub-model of a pipeline).
 //! * [`with_budget`] / [`with_fair_share`] — the per-thread cap on how many
 //!   threads a region may use, which is how an outer loop made of plain OS
 //!   threads (one per simulated edge device) claims its share of the pool.
@@ -423,22 +423,37 @@ impl ParallelPool {
 
     /// Parallel map: computes `f(i)` for `i in 0..n` and collects the results
     /// in index order.
-    #[expect(
-        clippy::expect_used,
-        reason = "`scope_chunks` has run `f` on every slot before it returns"
-    )]
     pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        self.scope_chunks(&mut slots, 1, |i, slot| {
-            slot[0] = Some(f(i));
+        let mut indices: Vec<usize> = (0..n).collect();
+        self.map_mut(&mut indices, |&mut i| f(i))
+    }
+
+    /// Parallel map over exclusive borrows: computes `f(item)` for every
+    /// element of `items` and collects the results in order.
+    #[expect(
+        clippy::expect_used,
+        reason = "`scope_chunks` has run `f` on every slot before it returns"
+    )]
+    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut T) -> R + Sync,
+    {
+        let mut slots: Vec<(&mut T, Option<R>)> =
+            items.iter_mut().map(|item| (item, None)).collect();
+        self.scope_chunks(&mut slots, 1, |_, chunk| {
+            for (item, out) in chunk {
+                *out = Some(f(item));
+            }
         });
         slots
             .into_iter()
-            .map(|s| s.expect("map slot filled"))
+            .map(|(_, out)| out.expect("map slot filled"))
             .collect()
     }
 }
@@ -619,6 +634,14 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             assert_eq!(*v, i * 3);
         }
+        // `map_mut` hands each item out once, mutably, and keeps the order.
+        let mut items: Vec<usize> = (0..64).collect();
+        let doubled = pool.map_mut(&mut items, |item| {
+            *item += 1;
+            *item * 2
+        });
+        assert_eq!(items, (1..=64).collect::<Vec<_>>());
+        assert_eq!(doubled, (1..=64).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //!   | `avx512f` (x86-64) | 8 × 32 | 16 `zmm` | 32, then one 16, then scalar |
 //!   | `avx2` + `fma` (x86-64) | 4 × 16 | 8 `ymm` | 16, then scalar |
 //!   | anything else | 4 × 8 | 32 scalars LLVM vectorizes | 8, then scalar |
-//!   | fewer than [`MR`] rows, any CPU | 1–3 × `n`, unpacked | none: one axpy per row of B into the output rows | whole rows, auto-vectorized at the CPU's width (`zmm`, `ymm`, baseline) |
+//!   | fewer than [`MR`] rows, any CPU | 1–3 × up to 128, B unpacked | `R·V` `zmm` (`V` ≤ 8); otherwise `R` × 32 scalars LLVM vectorizes (at `ymm` width on `avx2`) | `zmm`: 128, 64, 32, 16, then one masked 16-lane step; otherwise 32, then 16, 8, 4, 2, 1 |
 //!
 //!   Rows left over after the 8-row strips take the 4 × 16 tile, rows left
-//!   over after the 4-row strips ([`MR`]) take a one-row axpy kernel over the
-//!   panels the strips before them packed.
+//!   over after the 4-row strips ([`MR`]) take that same 1–3-row tile
+//!   (`row_tile`) over the panels the strips before them packed.
 //!   *Why 8 rows:* on `[64,192]×[192,768]`, one thread, the 4 × 16 `ymm`
 //!   tile reads 200–375 µs; a 4 × 32 `zmm` tile does 8 FMAs per 128 B of
 //!   panel, is bound by L2 → L1 traffic and read 191–271 µs (≈ 1.2×); 8 × 32
@@ -61,16 +61,21 @@
 //! shape: in both, an element left of column `nc − nc % 16` of its panel is
 //! `kc` sequential fused multiply-adds from zero and one flush add per
 //! k-block, an element right of that boundary is `kc` unfused multiply-adds
-//! straight into the output, and rows from `m − m % 4` on take the one-row
-//! kernel. Which tile (8 × 32, 8 × 16, 4 × 16) computes an element changes
+//! straight into the output, and rows from `m − m % 4` on take the row
+//! tile. Which tile (8 × 32, 8 × 16, 4 × 16) computes an element changes
 //! how many neighbours share its loads, never its arithmetic. A new tile must
 //! keep the 16-column boundary and the 4-row one;
 //! `tests/parallel_kernels.rs` compares the kernels bit for bit. The
 //! portable kernel does not fuse and differs from both by rounding only.
 //!
-//! Products of fewer than [`MR`] rows and the `m % 4` remainder rows are
-//! unfused on *every* kernel — `k` multiply-adds in ascending `p` from `+0.0`,
-//! then the bias — so there even `Portable` agrees bit for bit with the FMA
+//! Products of fewer than [`MR`] rows and the `m % 4` remainder rows both run
+//! on the row tile (`row_tile`), and it is unfused on *every* kernel: it
+//! loads each accumulator from the output, adds `x·b` to it with a separate
+//! multiply and add in ascending `p`, and stores it once. A thin product's
+//! output is zero-filled, so that is `k` multiply-adds from `+0.0`, then the
+//! bias; a remainder row's second and later k-blocks continue from what the
+//! earlier ones stored — the same sum, which is why the tile loads rather
+//! than zeroes. So there even `Portable` agrees bit for bit with the FMA
 //! kernels, and all three with [`matmul_reference`]. That is also why a
 //! parallel chunk that ends up with fewer than [`MR`] rows may take the
 //! unpacked path: sequentially those rows are remainder rows, same bits.
@@ -252,7 +257,7 @@ pub fn matmul_seq_with(
 /// on that column panel. A panel is packed so that every row strip after the
 /// first streams it dense and hot; with fewer than [`MR`] rows there is no
 /// second strip, so those calls allocate no scratch, pack nothing and read B
-/// once where it lies ([`thin_rows_dispatch`]). A B of `k ≤ KC` rows and
+/// once where it lies ([`row_tile`]). A B of `k ≤ KC` rows and
 /// `n ≤ NC` columns is already the one dense `kc × nc` panel, so it is
 /// streamed in place with no scratch either.
 ///
@@ -279,7 +284,7 @@ fn gebp(
         return;
     }
     if out.len() < MR * n {
-        thin_rows_dispatch(kernel, a, b, out, k, n);
+        row_tile(kernel, out.len() / n, (a, k), (b, n), (out, n), k, n);
         add_bias(bias, out, n, 0, n);
         return;
     }
@@ -317,86 +322,282 @@ fn add_bias(bias: Option<&[f32]>, out: &mut [f32], n: usize, jc: usize, nc: usiz
     }
 }
 
-/// The unpacked row×matrix kernel under products of fewer than [`MR`] rows
-/// (`out.len() / n` of them, `n > 0`): one pass over B where it lies, each
-/// row of B multiplied into every output row as it goes by. Per element that
-/// is `k` unfused multiply-adds in ascending `p` straight into `out` — the
-/// arithmetic of [`micro_tile_1`] over every packed panel in turn, and of
-/// [`matmul_reference`] — on every [`MicroKernel`]: the kernel only names the
-/// vector width [`thin_rows`] is compiled at (512-bit, 256-bit, or the
-/// target's baseline, NEON on aarch64).
-fn thin_rows_dispatch(
+/// The row tile under products of fewer than [`MR`] rows and under the
+/// `m % 4` remainder rows of packed ones: `out[r·ldc + j] += Σ_p a[r·lda + p]
+/// · b[p·ldb + j]` for `r < rows` (1 to 3), `p < kc`, `j < ncols`, where
+/// `lda`, `ldb` and `ldc` are the row strides of `a`, `b` and `out`. A thin
+/// product passes B where it lies (`ldb = n`, all of `k`), a remainder row
+/// the packed panel (`ldb = nc`, one k-block).
+///
+/// Each output element is loaded from `out` into a register, gets `kc`
+/// unfused multiply-adds `acc + x·b` in ascending `p` there, and is stored
+/// once. On a zero-filled `out` that is [`matmul_reference`]'s arithmetic; on
+/// a packed product's second and later k-blocks it continues the sum the
+/// earlier blocks left in `out` — which is why the accumulators are loaded,
+/// not zeroed. The [`MicroKernel`] only names the register width: `zmm`
+/// intrinsics with one masked step for the columns past the last full
+/// vector, or safe code compiled with `avx2` or at the target's baseline
+/// (NEON on aarch64).
+fn row_tile(
     kernel: MicroKernel,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
+    rows: usize,
+    (a, lda): (&[f32], usize),
+    (b, ldb): (&[f32], usize),
+    (out, ldc): (&mut [f32], usize),
+    kc: usize,
+    ncols: usize,
 ) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `kernel` is only ever `Avx512` after `is_supported()` saw
-        // `avx512f` (`detect`, or the assert in `matmul_seq_with`).
-        MicroKernel::Avx512 => unsafe { thin_rows_avx512(a, b, out, k, n) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above; `is_supported()` requires `avx2` for `Avx2Fma`.
-        MicroKernel::Avx2Fma => unsafe { thin_rows_avx2(a, b, out, k, n) },
-        _ => thin_rows(a, b, out, k, n),
+    if kc == 0 || ncols == 0 {
+        return;
+    }
+    match rows {
+        1 => RowTile::<1>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
+        2 => RowTile::<2>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
+        3 => RowTile::<3>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
+        _ => unreachable!("the row tile takes 1 to {} rows, not {rows}", MR - 1),
     }
 }
 
-/// [`thin_rows`] compiled with 512-bit vectors.
-///
-/// # Safety
-///
-/// The caller must guarantee the `avx512f` CPU feature is present. The body
-/// is safe code.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn thin_rows_avx512(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    thin_rows(a, b, out, k, n);
+/// The operands of one [`row_tile`] call on `R` rows, their bounds asserted
+/// by [`RowTile::new`].
+struct RowTile<'a, const R: usize> {
+    a: &'a [f32],
+    lda: usize,
+    b: &'a [f32],
+    ldb: usize,
+    out: &'a mut [f32],
+    ldc: usize,
+    kc: usize,
+    ncols: usize,
 }
 
-/// [`thin_rows`] compiled with 256-bit vectors (`avx2` alone: nothing here
-/// fuses, so `fma` is not needed).
-///
-/// # Safety
-///
-/// The caller must guarantee the `avx2` CPU feature is present. The body is
-/// safe code.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn thin_rows_avx2(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    thin_rows(a, b, out, k, n);
-}
+impl<'a, const R: usize> RowTile<'a, R> {
+    /// Asserts that every `a[r·lda + p]`, `b[p·ldb + j]` and `out[r·ldc + j]`
+    /// the tile touches is in bounds. `kc` and `ncols` are at least 1.
+    fn new(
+        (a, lda): (&'a [f32], usize),
+        (b, ldb): (&'a [f32], usize),
+        (out, ldc): (&'a mut [f32], usize),
+        kc: usize,
+        ncols: usize,
+    ) -> Self {
+        assert!(a.len() >= (R - 1) * lda + kc);
+        assert!(b.len() >= (kc - 1) * ldb + ncols);
+        assert!(out.len() >= (R - 1) * ldc + ncols);
+        RowTile {
+            a,
+            lda,
+            b,
+            ldb,
+            out,
+            ldc,
+            kc,
+            ncols,
+        }
+    }
 
-/// The body of [`thin_rows_dispatch`], written once and inlined into each
-/// width's wrapper so LLVM vectorizes the axpy at that wrapper's features.
-/// Rust never contracts `o + x * w` into a fused multiply-add, whatever the
-/// features; `tests/parallel_kernels.rs` pins that against the reference.
-/// B is indexed by `p·n`, so `k = 0` is an empty loop, not a zero chunk size.
-#[inline(always)]
-fn thin_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    for p in 0..k {
-        let brow = &b[p * n..][..n];
-        for (r, orow) in out.chunks_exact_mut(n).enumerate() {
-            let x = a[r * k + p];
-            for (o, &w) in orow.iter_mut().zip(brow) {
-                *o += x * w;
+    /// Runs the tile at the register width `kernel` names.
+    fn run_on(mut self, kernel: MicroKernel) {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `kernel` is only ever `Avx512` after `is_supported()`
+            // saw `avx512f` (`detect`, or the assert in `matmul_seq_with`);
+            // `row_tile` returned on an empty `kc` or `ncols`, and `new`
+            // asserted the bounds.
+            MicroKernel::Avx512 => unsafe { self.run_avx512() },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `is_supported()` requires `avx2` for `Avx2Fma`.
+            MicroKernel::Avx2Fma => unsafe { self.run_avx2() },
+            _ => self.run(),
+        }
+    }
+
+    /// The safe tile, for [`MicroKernel::Portable`] and, compiled with
+    /// `avx2` ([`RowTile::run_avx2`]), for [`MicroKernel::Avx2Fma`]:
+    /// 32-column blocks, then one block each of 16, 8, 4, 2 and 1 columns as
+    /// far as `ncols` reaches, every block's `R × W` sums in locals LLVM
+    /// keeps in vector registers.
+    #[inline(always)]
+    fn run(&mut self) {
+        let ncols = self.ncols;
+        let mut j = 0;
+        while j + 32 <= ncols {
+            self.block::<32>(j);
+            j += 32;
+        }
+        if j + 16 <= ncols {
+            self.block::<16>(j);
+            j += 16;
+        }
+        if j + 8 <= ncols {
+            self.block::<8>(j);
+            j += 8;
+        }
+        if j + 4 <= ncols {
+            self.block::<4>(j);
+            j += 4;
+        }
+        if j + 2 <= ncols {
+            self.block::<2>(j);
+            j += 2;
+        }
+        if j < ncols {
+            self.block::<1>(j);
+        }
+    }
+
+    /// Columns `j..j + W` of [`RowTile::run`]. Rust never contracts
+    /// `acc + x * w` into a fused multiply-add, whatever the features;
+    /// `tests/parallel_kernels.rs` pins that against the reference.
+    #[inline(always)]
+    fn block<const W: usize>(&mut self, j: usize) {
+        // One named accumulator per row, as in `micro_tile_4`: LLVM keeps
+        // those in registers, where an `[[f32; W]; R]` it indexes by row
+        // stays on the stack. Rows past `R` are compiled out.
+        let (kc, lda, ldc) = (self.kc, self.lda, self.ldc);
+        let a_row = |r: usize| &self.a[r.min(R - 1) * lda..][..kc];
+        let (a0, a1, a2) = (a_row(0), a_row(1), a_row(2));
+        let load = |r: usize| -> [f32; W] {
+            let mut sums = [0.0f32; W];
+            if r < R {
+                sums.copy_from_slice(&self.out[r * ldc + j..][..W]);
+            }
+            sums
+        };
+        let (mut c0, mut c1, mut c2) = (load(0), load(1), load(2));
+        for p in 0..kc {
+            let brow: &[f32] = &self.b[p * self.ldb + j..][..W];
+            accumulate_row(&mut c0, a0[p], brow);
+            if R > 1 {
+                accumulate_row(&mut c1, a1[p], brow);
+            }
+            if R > 2 {
+                accumulate_row(&mut c2, a2[p], brow);
+            }
+        }
+        for (r, sums) in [c0, c1, c2].iter().enumerate().take(R) {
+            self.out[r * ldc + j..][..W].copy_from_slice(sums);
+        }
+    }
+
+    /// [`RowTile::run`] compiled with 256-bit vectors (`avx2` alone: nothing
+    /// here fuses, so `fma` is not needed).
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the `avx2` CPU feature is present. The body
+    /// is safe code.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2(&mut self) {
+        self.run();
+    }
+
+    /// The AVX-512 tile: 128-column blocks of `8·R` `zmm` accumulators, then
+    /// one block each of 64, 32 and 16 columns as far as `ncols` reaches, then
+    /// one masked 16-lane block for the last `ncols % 16` columns.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the `avx512f` CPU feature is present and that
+    /// `kc, ncols > 0` (the bounds [`RowTile::new`] asserted then cover
+    /// every access).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn run_avx512(&mut self) {
+        const ALL: u16 = u16::MAX;
+        let ncols = self.ncols;
+        let mut j = 0;
+        // SAFETY: `avx512f` per this fn's contract, and every block's
+        // lanes end at or before `ncols` by its guard.
+        unsafe {
+            while j + 128 <= ncols {
+                self.block_avx512::<8>(j, ALL);
+                j += 128;
+            }
+            if j + 64 <= ncols {
+                self.block_avx512::<4>(j, ALL);
+                j += 64;
+            }
+            if j + 32 <= ncols {
+                self.block_avx512::<2>(j, ALL);
+                j += 32;
+            }
+            if j + 16 <= ncols {
+                self.block_avx512::<1>(j, ALL);
+                j += 16;
+            }
+            if j < ncols {
+                self.block_avx512::<1>(j, (1u16 << (ncols - j)) - 1);
+            }
+        }
+    }
+
+    /// Columns `j..j + 16·V` of [`RowTile::run_avx512`] in `R × V` `zmm`
+    /// accumulators, each lane loaded from `out`, updated by a separate
+    /// multiply and add per `p`, and stored once. Lanes outside `mask` (the
+    /// same for each of the `V` vectors) are neither read nor written.
+    ///
+    /// # Safety
+    ///
+    /// Needs `avx512f`, `kc > 0`, and every column `j + 16·v + l` with
+    /// `v < V` and bit `l` set in `mask` below `ncols`: [`RowTile::new`]
+    /// asserted the slice bounds for those columns.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block_avx512<const V: usize>(&mut self, j: usize, mask: u16) {
+        use std::arch::x86_64::{
+            _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+            _mm512_set1_ps, _mm512_setzero_ps,
+        };
+        let (a, b, out) = (self.a.as_ptr(), self.b.as_ptr(), self.out.as_mut_ptr());
+        let (lda, ldb, ldc) = (self.lda, self.ldb, self.ldc);
+        // SAFETY: every offset below is an `a[r·lda + p]`, or a masked
+        // access to columns the caller's contract names, of a row `r < R`
+        // and `p < kc`; masked-off lanes are not accessed.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); V]; R];
+            for (r, sums) in acc.iter_mut().enumerate() {
+                for (v, sum) in sums.iter_mut().enumerate() {
+                    *sum = _mm512_maskz_loadu_ps(mask, out.add(r * ldc + j + 16 * v));
+                }
+            }
+            for p in 0..self.kc {
+                let x: [_; R] = std::array::from_fn(|r| _mm512_set1_ps(*a.add(r * lda + p)));
+                let bp = b.add(p * ldb + j);
+                for v in 0..V {
+                    let lane = _mm512_maskz_loadu_ps(mask, bp.add(16 * v));
+                    for (sums, &x) in acc.iter_mut().zip(&x) {
+                        sums[v] = _mm512_add_ps(sums[v], _mm512_mul_ps(x, lane));
+                    }
+                }
+            }
+            for (r, sums) in acc.iter().enumerate() {
+                for (v, &sum) in sums.iter().enumerate() {
+                    _mm512_mask_storeu_ps(out.add(r * ldc + j + 16 * v), mask, sum);
+                }
             }
         }
     }
 }
 
+/// `sums[l] += x · b[l]`, unfused, for every lane of one row block.
+#[inline(always)]
+fn accumulate_row<const W: usize>(sums: &mut [f32; W], x: f32, b: &[f32]) {
+    for (sum, &w) in sums.iter_mut().zip(b) {
+        *sum += x * w;
+    }
+}
+
 /// `out[.., jc..jc+nc] += a[.., pc..pc+kc] · panel` for every row of `a`
 /// (`out.len() / n` of them): 8-row strips on the AVX-512 tile when `kernel`
-/// has it, then [`MR`]-row strips, then single rows.
+/// has it, then [`MR`]-row strips, then the last 1–3 rows on [`row_tile`].
 ///
 /// Which tile a row lands on never changes its bits among the FMA kernels:
 /// every element left of column `nc − nc % 16` is `kc` sequential fused
 /// multiply-adds from zero plus one flush add, every element right of it is
 /// `kc` unfused multiply-adds straight into `out`, and rows from
-/// `rows − rows % 4` on always take `micro_tile_1`. That is what makes
+/// `rows − rows % 4` on always take [`row_tile`]. That is what makes
 /// AVX-512 and AVX2 results bit-identical, and what lets a parallel chunk
 /// boundary (a multiple of [`MR`] rows) fall anywhere.
 #[allow(clippy::too_many_arguments)]
@@ -453,9 +654,16 @@ fn accumulate_panel(
                 &mut r3[jc..jc + nc],
             );
         } else {
-            for (a_row, row) in a_strip.chunks(k).zip(out_strip.chunks_mut(n)) {
-                micro_tile_1(&a_row[pc..pc + kc], panel, nc, &mut row[jc..jc + nc]);
-            }
+            let rows = out_strip.len() / n;
+            row_tile(
+                kernel,
+                rows,
+                (&a_strip[pc..], k),
+                (panel, nc),
+                (&mut out_strip[jc..], n),
+                kc,
+                nc,
+            );
         }
     }
 }
@@ -774,21 +982,6 @@ fn micro_tile_4(
                 o2[l] += x2 * brow[l];
                 o3[l] += x3 * brow[l];
             }
-        }
-    }
-}
-
-/// Single-row micro-kernel for the `m % 4` remainder rows of a packed call
-/// (products of fewer than [`MR`] rows never pack and never get here).
-#[inline]
-fn micro_tile_1(a_row: &[f32], panel: &[f32], nc: usize, o: &mut [f32]) {
-    let kc = a_row.len();
-    let o = &mut o[..nc];
-    for p in 0..kc {
-        let x = a_row[p];
-        let brow = &panel[p * nc..p * nc + nc];
-        for j in 0..nc {
-            o[j] += x * brow[j];
         }
     }
 }

@@ -203,20 +203,24 @@ fn supported_kernels(what: &str) -> Vec<MicroKernel> {
 
 #[test]
 fn thin_products_equal_the_reference_bit_for_bit_on_every_kernel() {
-    // Fewer than `MR` = 4 rows run unpacked over B where it lies, at the
-    // vector width the micro-kernel names. Every element is still `k` unfused
-    // multiply-adds in ascending `p` from +0.0 — the reference's arithmetic —
-    // so no kernel may differ from it by a single bit: a compiler that
-    // contracted the axpy into FMAs inside the AVX functions would fail here.
-    // `k` covers the empty contraction and both sides of `KC` = 256, `n` the
-    // vector-width tails (16 ± 1), both sides of `NC` = 128 and the two
-    // widths of a fusion call.
+    // Fewer than `MR` = 4 rows run unpacked over B where it lies, on the row
+    // tile at the register width the micro-kernel names. Every element is
+    // still `k` unfused multiply-adds in ascending `p` from +0.0 — the
+    // reference's arithmetic — so no kernel may differ from it by a single
+    // bit: a compiler that contracted the tile's multiply-adds into FMAs
+    // would fail here. `k` covers the empty contraction and both sides of
+    // `KC` = 256, `n` the vector-width tails (16 ± 1), both sides of `NC` =
+    // 128, the two widths of a fusion call, and the tile's edges: both sides
+    // of its 128-column block, and a masked 16-lane tail of every width
+    // (15, none, 1 at 143, 144, 145 and again at 255, 256, 257).
     let kernels_here = supported_kernels("thin row×matrix kernel");
     let pools = [ParallelPool::new(1), ParallelPool::new(8)];
     let mut rng = TensorRng::new(0x7415);
     for m in [1usize, 2, 3] {
         for k in [0usize, 1, 37, 255, 256, 257, 768] {
-            for n in [1usize, 10, 15, 16, 17, 127, 128, 129, 384] {
+            for n in [
+                1usize, 10, 15, 16, 17, 127, 128, 129, 143, 144, 145, 255, 256, 257, 384,
+            ] {
                 let shape = format!("{m}x{k}x{n}");
                 let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
                 let bias = uniform(&mut rng, n);
@@ -269,18 +273,77 @@ fn thin_products_equal_the_reference_bit_for_bit_on_every_kernel() {
             }
         }
     }
+    // One row of B of special values, cycled across the columns so that
+    // every lane of a register block and of the masked tail meets each of
+    // them: ±0.0, ±∞, NaN and a subnormal. The reference's NaNs and the
+    // tile's need not share a payload, so NaNs compare NaN-aware.
+    let specials = [
+        0.0f32,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1e-40,
+    ];
+    for m in [1usize, 2, 3] {
+        for (k, n) in [(1usize, 17usize), (37, 145), (300, 257), (768, 10)] {
+            let shape = format!("{m}x{k}x{n} with a special row");
+            let a = uniform(&mut rng, m * k);
+            let mut b = uniform(&mut rng, k * n);
+            let special_row = &mut b[k / 2 * n..][..n];
+            for (value, special) in special_row.iter_mut().zip(specials.iter().cycle()) {
+                *value = *special;
+            }
+            let mut expected = vec![0.0f32; m * n];
+            kernels::matmul_reference(&a, &b, &mut expected, m, k, n);
+            for &kernel in &kernels_here {
+                let mut got = vec![0.0f32; m * n];
+                kernels::matmul_seq_with(kernel, &a, &b, &mut got, m, k, n);
+                assert_eq!(
+                    nan_aware_bits(&got),
+                    nan_aware_bits(&expected),
+                    "{kernel:?} on {shape}"
+                );
+            }
+            for pool in &pools {
+                let mut got = vec![0.0f32; m * n];
+                kernels::matmul(&a, &b, &mut got, m, k, n, pool);
+                let threads = pool.threads();
+                assert_eq!(
+                    nan_aware_bits(&got),
+                    nan_aware_bits(&expected),
+                    "{shape}, {threads} threads"
+                );
+            }
+        }
+    }
+}
+
+/// [`bits`], with every NaN mapped to one pattern.
+fn nan_aware_bits(values: &[f32]) -> Vec<u32> {
+    values
+        .iter()
+        .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+        .collect()
 }
 
 #[test]
 fn remainder_rows_equal_the_reference_and_leave_the_strips_alone() {
     // From `MR` rows up B is packed as before. The `m % 4` rows after the
-    // last strip take the one-row kernel over the packed panels — unfused,
-    // ascending `p`, so bit for bit the reference's rows on every kernel —
-    // and the strips before them compute what they compute without those
-    // rows: the same bits as a product over the leading `m − m % 4` rows.
+    // last strip take the row tile over the packed panels — unfused,
+    // ascending `p`, each k-block continuing from what the last one left in
+    // the output, so bit for bit the reference's rows on every kernel — and
+    // the strips before them compute what they compute without those rows:
+    // the same bits as a product over the leading `m − m % 4` rows. 7, 11
+    // and 15 rows leave three remainder rows (on AVX-512 after an 8-row and
+    // a 4-row strip), and `k` = 300 and 768 span several k-blocks. On the
+    // 1- and 8-thread pools those rows keep the reference's bits too,
+    // whichever chunk (a strip's, or a chunk of fewer than `MR` rows) they
+    // land in.
     let kernels_here = supported_kernels("remainder rows of a packed product");
+    let pools = [ParallelPool::new(1), ParallelPool::new(8)];
     let mut rng = TensorRng::new(0x4E3D);
-    for m in [5usize, 6, 7, 9, 13] {
+    for m in [5usize, 6, 7, 9, 11, 13, 15] {
         for (k, n) in [(37usize, 50usize), (300, 129), (768, 384)] {
             let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
             let mut expected = vec![0.0f32; m * n];
@@ -300,6 +363,16 @@ fn remainder_rows_equal_the_reference_and_leave_the_strips_alone() {
                     bits(&got[..lead * n]),
                     bits(&strips),
                     "{kernel:?}: strip rows of {m}x{k}x{n}"
+                );
+            }
+            for pool in &pools {
+                let mut got = vec![0.0f32; m * n];
+                kernels::matmul(&a, &b, &mut got, m, k, n, pool);
+                let threads = pool.threads();
+                assert_eq!(
+                    bits(&got[lead * n..]),
+                    bits(&expected[lead * n..]),
+                    "remainder rows of {m}x{k}x{n}, {threads} threads"
                 );
             }
         }
