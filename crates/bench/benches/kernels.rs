@@ -26,18 +26,6 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_matmul_transposed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul_transposed");
-    for &size in &[128usize, 256, 512] {
-        let a = TensorRng::new(0).rand_uniform(&[size, size], -1.0, 1.0);
-        let b = TensorRng::new(1).rand_uniform(&[size, size], -1.0, 1.0);
-        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |bench, _| {
-            bench.iter(|| a.matmul_transposed(&b).unwrap());
-        });
-    }
-    group.finish();
-}
-
 fn bench_attention_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("mhsa_forward");
     // The first shape is the tiny demo's block: 4 tokens, 12 heads × 2.
@@ -102,15 +90,15 @@ fn bench_pool_dispatch(c: &mut Criterion) {
     // has to wake up and claim one: publish, futex wake, claim, join. This
     // is the latency every parallel kernel region pays before it gets any
     // help, and what `PAR_WORK_THRESHOLD` / `PAR_ELEMS_THRESHOLD` in
-    // edvit-tensor are sized against. (A one-thread pool runs the range
-    // inline as a single chunk; the number is then the inline overhead.)
+    // edvit-tensor are sized against. (A one-thread pool runs both chunks
+    // inline; the number is then the inline overhead.)
     let pool = ParallelPool::global();
     let handshake = !pool.is_sequential();
     let arrived = AtomicUsize::new(0);
     c.bench_function("pool_dispatch", |b| {
         b.iter(|| {
             arrived.store(0, Ordering::SeqCst);
-            pool.for_each_range(0..2, 1, |_| {
+            pool.scope_chunks(&mut [0u8; 2], 1, |_, _| {
                 arrived.fetch_add(1, Ordering::SeqCst);
                 while handshake && arrived.load(Ordering::SeqCst) < 2 {
                     std::thread::yield_now();
@@ -258,7 +246,6 @@ criterion_group!(
     bench_probe_forward_path,
     bench_thin_matmul,
     bench_matmul,
-    bench_matmul_transposed,
     bench_attention_forward,
     bench_softmax_and_kl,
     bench_layernorm,

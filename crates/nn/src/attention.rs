@@ -421,7 +421,7 @@ impl Layer for MultiHeadSelfAttention {
                 // dV = A^T dOut
                 let dv_head = attn.transpose()?.matmul(&d_out)?;
                 // dA = dOut V^T
-                let da = d_out.matmul_transposed(&v)?;
+                let da = d_out.matmul(&v.transpose()?)?;
                 // Softmax backward per row: dS = A * (dA - rowsum(dA * A))
                 let mut ds = vec![0.0f32; t * t];
                 let rows_of = attn.data().chunks_exact(t).zip(da.data().chunks_exact(t));

@@ -317,6 +317,7 @@ impl Layer for Conv2d {
         let mut grad_inputs = Vec::with_capacity(batch);
         let mut grad_w_total = Tensor::zeros(self.weight.value().dims());
         let mut grad_b_total = Tensor::zeros(self.bias.value().dims());
+        let weight_t = self.weight.value().transpose()?;
         for b in 0..batch {
             // Gradient of this sample as [oh*ow, out_c].
             let g = grad_output
@@ -328,7 +329,7 @@ impl Layer for Conv2d {
             grad_w_total.add_assign(&cols.transpose()?.matmul(&g)?)?;
             grad_b_total.add_assign(&g.sum_first_axis()?)?;
             // dcols = g W^T
-            let dcols = g.matmul_transposed(self.weight.value())?;
+            let dcols = g.matmul(&weight_t)?;
             let dimg = self.col2im(&dcols, h, w, oh, ow);
             grad_inputs.push(dimg.reshape(&[1, self.in_channels, h, w])?);
         }

@@ -176,7 +176,7 @@ impl Layer for Linear {
         // db = sum over rows of g
         let grad_b = g2d.sum_first_axis()?;
         // dx = g W^T -> [rows, in]
-        let grad_x = g2d.matmul_transposed(self.weight.value())?;
+        let grad_x = g2d.matmul(&self.weight.value().transpose()?)?;
         self.weight.accumulate_grad(&grad_w)?;
         self.bias.accumulate_grad(&grad_b)?;
         let mut dims = self.cache_lead_dims.clone();

@@ -218,7 +218,7 @@ impl PerHeadAttention {
             let rows = b * tokens * inner..(b + 1) * tokens * inner;
             let d_out = self.head(&grad_concat.data()[rows.clone()], h);
             let dv = attn.transpose().unwrap().matmul(&d_out).unwrap();
-            let da = d_out.matmul_transposed(v).unwrap();
+            let da = d_out.matmul(&v.transpose().unwrap()).unwrap();
             let mut ds = vec![0.0f32; tokens * tokens];
             for r in 0..tokens {
                 let a_row = &attn.data()[r * tokens..(r + 1) * tokens];

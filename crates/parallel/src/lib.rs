@@ -10,16 +10,16 @@
 //!   from [`std::thread::available_parallelism`], overridable with the
 //!   `EDVIT_THREADS` environment variable (`EDVIT_THREADS=1` forces the
 //!   deterministic sequential path, e.g. for CI).
-//! * [`ParallelPool::for_each_range`] — splits an index range into chunks
-//!   that the caller and the workers claim from a shared atomic counter
-//!   ("work-stealing-lite": idle threads keep pulling the next unclaimed
-//!   chunk, so uneven chunk costs self-balance without per-thread deques).
-//! * [`ParallelPool::scope_chunks`] — the same claiming scheme over disjoint
-//!   `&mut` sub-slices of a buffer, which is how kernels write their output
-//!   rows without locks or unsafe code on the caller's side.
+//! * [`ParallelPool::scope_chunks`] — the one way into a parallel region:
+//!   splits a buffer into disjoint `&mut` chunks that the caller and the
+//!   workers claim from a shared atomic counter ("work-stealing-lite": idle
+//!   threads keep pulling the next unclaimed chunk, so uneven chunk costs
+//!   self-balance without per-thread deques). This is how kernels write
+//!   their output rows without locks or unsafe code on the caller's side.
 //! * [`ParallelPool::map_indexed`] / [`ParallelPool::map_mut`] — parallel
-//!   maps collecting one result per index (per-trial experiment sweeps) or
-//!   per exclusively borrowed item (one per sub-model of a pipeline).
+//!   maps built on it, collecting one result per index (per-trial
+//!   experiment sweeps) or per exclusively borrowed item (one per sub-model
+//!   of a pipeline).
 //! * [`with_budget`] / [`with_fair_share`] — the per-thread cap on how many
 //!   threads a region may use, which is how an outer loop made of plain OS
 //!   threads (one per simulated edge device) claims its share of the pool.
@@ -70,7 +70,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -206,7 +205,6 @@ struct Shared {
 pub struct ParallelPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    threads: usize,
     /// Regions handed to the workers so far (a statistic: tests use it to
     /// show that sequential callers never touch the pool).
     dispatched: AtomicUsize,
@@ -215,7 +213,7 @@ pub struct ParallelPool {
 impl std::fmt::Debug for ParallelPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelPool")
-            .field("threads", &self.threads)
+            .field("threads", &self.threads())
             .finish()
     }
 }
@@ -223,7 +221,10 @@ impl std::fmt::Debug for ParallelPool {
 impl ParallelPool {
     /// Creates a pool that uses `threads` threads in total (the submitting
     /// thread plus `threads - 1` spawned workers). `threads` is clamped to
-    /// `1..=64`.
+    /// `1..=64`. Should the OS refuse to start a worker, the pool stops
+    /// spawning there and runs with the threads that did start
+    /// ([`ParallelPool::threads`] reports them); results are bit-identical at
+    /// every pool size, so only speed changes.
     pub fn new(threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_THREADS);
         let shared = Arc::new(Shared {
@@ -231,23 +232,18 @@ impl ParallelPool {
             work_ready: Condvar::new(),
             region_done: Condvar::new(),
         });
-        #[expect(
-            clippy::expect_used,
-            reason = "a pool that cannot start its workers cannot run a kernel"
-        )]
         let workers = (1..threads)
-            .map(|i| {
+            .map_while(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("edvit-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .expect("failed to spawn pool worker")
+                    .ok()
             })
             .collect();
         ParallelPool {
             shared,
             workers,
-            threads,
             dispatched: AtomicUsize::new(0),
         }
     }
@@ -260,10 +256,10 @@ impl ParallelPool {
         GLOBAL.get_or_init(|| ParallelPool::new(global_threads()))
     }
 
-    /// Total threads this pool can bring to bear (workers + caller). The
-    /// calling thread's budget does not change this number.
+    /// Total threads this pool can bring to bear (workers that started +
+    /// caller). The calling thread's budget does not change this number.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.len() + 1
     }
 
     /// Threads a region submitted right now, from this thread, may use: the
@@ -272,7 +268,7 @@ impl ParallelPool {
         if IN_POOL.with(Cell::get) {
             1
         } else {
-            self.threads.min(BUDGET.with(Cell::get))
+            self.threads().min(BUDGET.with(Cell::get))
         }
     }
 
@@ -343,47 +339,6 @@ impl ParallelPool {
         if region.panicked.load(Ordering::Acquire) {
             panic!("a parallel region chunk panicked");
         }
-    }
-
-    /// Applies `f` to sub-ranges of `range`, in parallel. The range is split
-    /// into contiguous chunks of at least `min_chunk` indices (and at most
-    /// `4 × width` chunks overall, so claiming overhead stays bounded); idle
-    /// threads repeatedly claim the next unprocessed chunk.
-    ///
-    /// Runs inline (single chunk) when the pool is sequential for this
-    /// caller (see [`ParallelPool::is_sequential`]) or the range is small.
-    pub fn for_each_range<F>(&self, range: Range<usize>, min_chunk: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        let len = range.len();
-        if len == 0 {
-            return;
-        }
-        let width = self.width();
-        // Over-partition a little so the shared-counter claiming can balance
-        // uneven chunk costs across threads.
-        let chunks = if width == 1 {
-            1
-        } else {
-            (len / min_chunk.max(1)).clamp(1, width * 4)
-        };
-        if chunks <= 1 {
-            f(range);
-            return;
-        }
-        let chunk_len = len.div_ceil(chunks);
-        let start = range.start;
-        let end = range.end;
-        let runner = move |i: usize| {
-            let lo = start + i * chunk_len;
-            let hi = (lo + chunk_len).min(end);
-            if lo < hi {
-                f(lo..hi);
-            }
-        };
-        let (call, data) = erase(&runner);
-        self.run_region(chunks, width, call, data);
     }
 
     /// Splits `items` into disjoint `&mut` chunks of `chunk_size` elements
@@ -578,7 +533,6 @@ fn detected_threads() -> usize {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
 
     #[test]
@@ -586,30 +540,15 @@ mod tests {
         let pool = ParallelPool::new(1);
         assert_eq!(pool.threads(), 1);
         assert!(pool.is_sequential());
-        let hits = AtomicUsize::new(0);
-        pool.for_each_range(0..100, 1, |r| {
-            // A single inline chunk covering the whole range.
-            assert_eq!(r, 0..100);
-            hits.fetch_add(1, Ordering::SeqCst);
+        // Every chunk runs inline, in order, on the calling thread.
+        let caller = std::thread::current().id();
+        let mut out = vec![0usize; 100];
+        pool.scope_chunks(&mut out, 1, |base, chunk| {
+            assert_eq!(std::thread::current().id(), caller);
+            chunk[0] = base;
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn for_each_range_covers_every_index_exactly_once() {
-        let pool = ParallelPool::new(4);
-        let covered: Mutex<Vec<Range<usize>>> = Mutex::new(Vec::new());
-        pool.for_each_range(7..1003, 16, |r| {
-            covered.lock().unwrap().push(r);
-        });
-        let mut seen = HashSet::new();
-        for r in covered.lock().unwrap().iter() {
-            for i in r.clone() {
-                assert!(seen.insert(i), "index {i} covered twice");
-            }
-        }
-        assert_eq!(seen.len(), 1003 - 7);
-        assert!(seen.contains(&7) && seen.contains(&1002));
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
+        assert_eq!(pool.dispatched.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -647,16 +586,18 @@ mod tests {
     #[test]
     fn nested_regions_run_inline_without_deadlock() {
         let pool = ParallelPool::new(4);
-        let total = AtomicU64::new(0);
-        pool.for_each_range(0..8, 1, |outer| {
-            for _ in outer {
-                // Nested call: must run inline on this thread.
-                ParallelPool::global().for_each_range(0..10, 1, |inner| {
-                    total.fetch_add(inner.len() as u64, Ordering::SeqCst);
-                });
-            }
+        let mut outer = vec![0usize; 8];
+        pool.scope_chunks(&mut outer, 1, |_, slot| {
+            // Nested call: must run inline on this thread.
+            let here = std::thread::current().id();
+            let mut inner = vec![0usize; 10];
+            ParallelPool::global().scope_chunks(&mut inner, 1, |_, chunk| {
+                assert_eq!(std::thread::current().id(), here);
+                chunk[0] = 1;
+            });
+            slot[0] = inner.iter().sum();
         });
-        assert_eq!(total.load(Ordering::SeqCst), 80);
+        assert_eq!(outer.iter().sum::<usize>(), 80);
     }
 
     #[test]
@@ -679,25 +620,23 @@ mod tests {
     fn chunk_panic_propagates_to_caller() {
         let pool = ParallelPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each_range(0..100, 1, |r| {
-                if r.contains(&50) {
+            let mut out = vec![0usize; 100];
+            pool.scope_chunks(&mut out, 1, |base, _| {
+                if base == 50 {
                     panic!("boom");
                 }
             });
         }));
         assert!(result.is_err());
         // The pool must still be usable after a panic.
-        let hits = AtomicUsize::new(0);
-        pool.for_each_range(0..10, 1, |r| {
-            hits.fetch_add(r.len(), Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 10);
+        let mut out = vec![0usize; 10];
+        pool.scope_chunks(&mut out, 1, |base, chunk| chunk[0] = base + 1);
+        assert_eq!(out.iter().sum::<usize>(), 55);
     }
 
     #[test]
     fn empty_inputs_are_noops() {
         let pool = ParallelPool::new(2);
-        pool.for_each_range(5..5, 4, |_| panic!("must not run"));
         let mut empty: Vec<u8> = Vec::new();
         pool.scope_chunks(&mut empty, 4, |_, _| panic!("must not run"));
         let mapped: Vec<u8> = pool.map_indexed(0, |_| panic!("must not run"));
@@ -729,7 +668,7 @@ mod tests {
         let parked = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                pool.for_each_range(0..2, 1, |_| {
+                pool.scope_chunks(&mut [0u8; 2], 1, |_, _| {
                     parked.fetch_add(1, Ordering::SeqCst);
                     release.wait();
                 });
@@ -755,10 +694,6 @@ mod tests {
             assert!(pool.is_sequential());
             assert_eq!(pool.threads(), 4, "a budget does not resize the pool");
             let caller = std::thread::current().id();
-            pool.for_each_range(0..1000, 1, |r| {
-                assert_eq!(r, 0..1000);
-                assert_eq!(std::thread::current().id(), caller);
-            });
             let mut out = vec![0usize; 100];
             pool.scope_chunks(&mut out, 7, |base, chunk| {
                 assert_eq!(std::thread::current().id(), caller);
@@ -768,7 +703,7 @@ mod tests {
         });
         assert_eq!(pool.dispatched.load(Ordering::Relaxed), 0);
         // The same calls without a budget do go through the workers.
-        pool.for_each_range(0..1000, 1, |_| {});
+        pool.scope_chunks(&mut [0u8; 1000], 1, |_, _| {});
         assert_eq!(pool.dispatched.load(Ordering::Relaxed), 1);
     }
 
@@ -779,7 +714,7 @@ mod tests {
             let seen = Mutex::new(HashSet::new());
             with_budget(budget, || {
                 assert!(!pool.is_sequential());
-                pool.for_each_range(0..4 * budget, 1, |_| {
+                pool.scope_chunks(&mut vec![0u8; 4 * budget], 1, |_, _| {
                     seen.lock().unwrap().insert(std::thread::current().id());
                     // Hold the first chunks until `budget` threads have joined,
                     // so the cap is what bounds the count, not luck.

@@ -8,7 +8,10 @@
 //!
 //! # Kernel design
 //!
-//! `matmul` uses the classic GEBP blocking scheme, sized for edge-class CPUs:
+//! `matmul` is the one product kernel: a product against a transposed
+//! operand (attention's `Q·Kᵀ` and `dOut·Vᵀ`, a layer's input gradient
+//! `g·Wᵀ`) transposes that operand and runs here too. It uses the classic
+//! GEBP blocking scheme, sized for edge-class CPUs:
 //!
 //! * **Column panels** — B is packed into contiguous `KC × NC` panels
 //!   (`256 × 128` floats = 128 KiB, sized to sit in L2) so the innermost loop
@@ -986,147 +989,6 @@ fn micro_tile_4(
     }
 }
 
-/// Parallel `out = A·Bᵀ` (`a` is `[m, k]`, `b` is `[n, k]`): rows of `a`
-/// against rows of `b`, i.e. the attention `Q·Kᵀ` layout. `out` may hold
-/// arbitrary values on entry; every element is overwritten.
-pub fn matmul_transposed(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    pool: &ParallelPool,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let work = m * k * n;
-    if work < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
-        matmul_transposed_seq(a, b, out, k, n);
-        return;
-    }
-    let rows_per_chunk = chunk_rows(m, k * n, pool);
-    pool.scope_chunks(out, rows_per_chunk * n, |base, out_chunk| {
-        let row0 = base / n;
-        let rows = out_chunk.len() / n;
-        let a_rows = &a[row0 * k..(row0 + rows) * k];
-        matmul_transposed_seq(a_rows, b, out_chunk, k, n);
-    });
-}
-
-/// Sequential body of [`matmul_transposed`]: `a` holds `out.len() / n` rows.
-fn matmul_transposed_seq(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (o, brow) in orow.iter_mut().zip(b.chunks_exact(k)) {
-            *o = dot(arow, brow);
-        }
-    }
-}
-
-/// Dot product over equal-length slices, dispatching to the AVX2+FMA variant
-/// on CPUs that have it.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if a.len() >= 16
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: the required CPU features were just detected.
-            return unsafe { dot_fma(a, b) };
-        }
-    }
-    dot_portable(a, b)
-}
-
-/// Bounds-check-free dot product with four independent accumulators (breaks
-/// the FP dependency chain so LLVM vectorizes it).
-#[inline]
-fn dot_portable(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        acc[0] += xa[0] * xb[0];
-        acc[1] += xa[1] * xb[1];
-        acc[2] += xa[2] * xb[2];
-        acc[3] += xa[3] * xb[3];
-    }
-    let tail: f32 = ca
-        .remainder()
-        .iter()
-        .zip(cb.remainder())
-        .map(|(x, y)| x * y)
-        .sum();
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// AVX2+FMA dot product: four 8-wide accumulators, horizontally reduced once.
-///
-/// # Safety
-///
-/// The caller must guarantee the `avx2` and `fma` CPU features are present;
-/// the only call site dispatches through `is_x86_feature_detected!`. All
-/// memory accesses are bounded by `len = min(a.len(), b.len())` below, so no
-/// further caller obligation exists.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_fmadd_ps,
-        _mm256_loadu_ps, _mm256_setzero_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_movehdup_ps,
-        _mm_movehl_ps,
-    };
-    let len = a.len().min(b.len());
-    let mut acc = [_mm256_setzero_ps(); 4];
-    let mut i = 0;
-    // SAFETY: every unaligned 8-float load starts at `i + 8*l` with
-    // `i + 32 <= len` (first loop) or `i + 8 <= len` (second), so reads end
-    // at or before `len <= a.len(), b.len()`; the intrinsics themselves are
-    // available per this fn's `target_feature` contract.
-    unsafe {
-        while i + 32 <= len {
-            for (l, slot) in acc.iter_mut().enumerate() {
-                *slot = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(i + 8 * l)),
-                    _mm256_loadu_ps(b.as_ptr().add(i + 8 * l)),
-                    *slot,
-                );
-            }
-            i += 32;
-        }
-        while i + 8 <= len {
-            acc[0] = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.as_ptr().add(i)),
-                _mm256_loadu_ps(b.as_ptr().add(i)),
-                acc[0],
-            );
-            i += 8;
-        }
-        let sum256 = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-        let sum128 = _mm_add_ps(
-            _mm256_castps256_ps128(sum256),
-            _mm256_extractf128_ps(sum256, 1),
-        );
-        let sum64 = _mm_add_ps(sum128, _mm_movehl_ps(sum128, sum128));
-        let sum32 = _mm_add_ss(sum64, _mm_movehdup_ps(sum64));
-        let mut total = _mm_cvtss_f32(sum32);
-        for l in i..len {
-            total += a[l] * b[l];
-        }
-        total
-    }
-}
-
 /// Rows per parallel chunk: coarse enough that one chunk carries at least
 /// [`PAR_CHUNK_WORK`] multiply-adds, fine enough that every thread gets two
 /// (one to start on, one to balance a worker that woke up late — every chunk
@@ -1188,7 +1050,6 @@ mod tests {
         let b = random(6, 9);
         let mut out: Vec<f32> = Vec::new();
         matmul(&[], &b, &mut out, 0, 3, 2, &pool);
-        matmul_transposed(&[], &b, &mut out, 0, 3, 2, &pool);
         // k == 0 leaves the zero-filled output untouched.
         let mut out = vec![0.0f32; 4];
         matmul(&[], &[], &mut out, 2, 0, 2, &pool);
@@ -1197,7 +1058,6 @@ mod tests {
         let a = random(6, 10);
         let mut out: Vec<f32> = Vec::new();
         matmul(&a, &[], &mut out, 2, 3, 0, &pool);
-        matmul_transposed(&a, &[], &mut out, 2, 3, 0, &pool);
         // The unpacked path (fewer than MR rows): an empty contraction is
         // exactly the bias row, or the zeros it was handed.
         let bias = random(5, 11);
@@ -1220,34 +1080,5 @@ mod tests {
         let mut expected = [0.0f32];
         matmul_reference(&a, &b, &mut expected, 1, 7, 1);
         assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn transposed_matches_reference() {
-        let pool = ParallelPool::new(4);
-        let (m, k, n) = (33, 47, 29);
-        let a = random(m * k, 3);
-        let bt = random(n * k, 4);
-        // Reference: materialize B from Bᵀ.
-        let mut b = vec![0.0f32; k * n];
-        for j in 0..n {
-            for p in 0..k {
-                b[p * n + j] = bt[j * k + p];
-            }
-        }
-        let mut expected = vec![0.0f32; m * n];
-        matmul_reference(&a, &b, &mut expected, m, k, n);
-        let mut got = vec![0.0f32; m * n];
-        matmul_transposed(&a, &bt, &mut got, m, k, n, &pool);
-        assert_close(&got, &expected);
-    }
-
-    #[test]
-    fn dot_matches_naive() {
-        let a = random(101, 7);
-        let b = random(101, 8);
-        let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((dot(&a, &b) - naive).abs() < 1e-4);
-        assert_eq!(dot(&[], &[]), 0.0);
     }
 }

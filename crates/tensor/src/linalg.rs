@@ -1,8 +1,10 @@
 //! Dense linear algebra: 2-D and batched matrix multiplication.
 //!
 //! The matrix multiply is the single hottest kernel in the reproduction (all
-//! transformer projections, attention score computation and the CNN baselines'
-//! im2col path funnel through it). The heavy lifting lives in
+//! transformer projections, attention score computation, the CNN baselines'
+//! im2col path and every backward product funnel through it). A product
+//! against a transposed operand, `A·Bᵀ`, is `a.matmul(&b.transpose()?)`:
+//! there is one product kernel. The heavy lifting lives in
 //! [`crate::kernels`]: blocked, register-tiled loops with B packed into
 //! cache-sized column panels, split across the process-wide
 //! [`edvit_parallel::ParallelPool`] above a size threshold. This module only
@@ -125,48 +127,6 @@ impl Tensor {
         dims.push(n);
         Tensor::from_vec(out, &dims)
     }
-
-    /// Matrix multiplication with the second operand transposed:
-    /// `[m, k] x [n, k]^T -> [m, n]`.
-    ///
-    /// Avoids materializing the transpose; used for attention `Q K^T` and for
-    /// weight-gradient computations.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same errors as [`Tensor::matmul`].
-    pub fn matmul_transposed(&self, other: &Tensor) -> Result<Tensor, TensorError> {
-        if self.rank() != 2 || other.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: if self.rank() != 2 {
-                    self.rank()
-                } else {
-                    other.rank()
-                },
-                op: "matmul_transposed",
-            });
-        }
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (n, k2) = (other.dims()[0], other.dims()[1]);
-        if k != k2 {
-            return Err(TensorError::MatmulDimMismatch {
-                lhs: self.dims().to_vec(),
-                rhs: other.dims().to_vec(),
-            });
-        }
-        let mut out = vec![0.0f32; m * n];
-        kernels::matmul_transposed(
-            self.data(),
-            other.data(),
-            &mut out,
-            m,
-            k,
-            n,
-            ParallelPool::global(),
-        );
-        Tensor::from_vec(out, &[m, n])
-    }
 }
 
 #[cfg(test)]
@@ -197,17 +157,6 @@ mod tests {
         assert!(a.matmul(&b).is_err());
         let v = Tensor::zeros(&[3]);
         assert!(a.matmul(&v).is_err());
-    }
-
-    #[test]
-    fn matmul_transposed_matches_explicit_transpose() {
-        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]).unwrap();
-        let b = Tensor::from_vec((0..12).map(|x| x as f32 * 0.5).collect(), &[4, 3]).unwrap();
-        let c1 = a.matmul_transposed(&b).unwrap();
-        let c2 = a.matmul(&b.transpose().unwrap()).unwrap();
-        for (x, y) in c1.data().iter().zip(c2.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -4,25 +4,33 @@
 //! fails here.
 //!
 //! The constants were first recorded on commit a066498, before the forward
-//! path was made lean. They were re-recorded once, deliberately, on top of
-//! commit c570b24, when attention's `Q·Kᵀ` moved from one `dot` per (query,
-//! key, head) onto the GEBP tile (scaled after the product) and layer norm's
-//! row mean and variance onto the 8-accumulator lane fold softmax sums with:
+//! path was made lean. They were re-recorded twice, deliberately:
 //!
-//! | batch | hash | a066498 | c570b24 + scores on GEBP, lane-sum stats |
-//! |---|---|---|---|
-//! | 1 | features | `2ce5c8cbc640936a` | `1aea697f4aeada6a` |
-//! | 1 | logits | `95a56516aab9919d` | `1486ea6d8f063f90` |
-//! | 1 | image grad | `1c73f336e39608ad` | `4a778f73fdfa25f1` |
-//! | 1 | param grads | `72f2e41de158167a` | `6f235b5f141e57f4` |
-//! | 2 | features | `7cccb7b447c15cdb` | `d89b16f8d069d763` |
-//! | 2 | logits | `daa2186fcbff27ec` | `48e3870635cffe2b` |
-//! | 2 | image grad | `81100632c9b352ef` | `8e00f77fd195f2fe` |
-//! | 2 | param grads | `aa3db92a91e711d4` | `5975d6e6f32f8c6f` |
+//! * on top of commit c570b24, when attention's `Q·Kᵀ` moved from one `dot`
+//!   per (query, key, head) onto the GEBP tile (scaled after the product)
+//!   and layer norm's row mean and variance onto the 8-accumulator lane fold
+//!   softmax sums with;
+//! * on top of commit 0ea758d, when the backward's three `A·Bᵀ` products —
+//!   `Linear`'s and `Conv2d`'s input gradient `g·Wᵀ` and attention's
+//!   `dA = dOut·Vᵀ` — moved from one `dot` per output element onto GEBP
+//!   `matmul` against the transposed operand. The forward did not move, so
+//!   only the two gradient hashes changed:
 //!
-//! recorded with `EDVIT_THREADS=$t cargo test -p edvit-vit --test
+//! | batch | hash | a066498 | c570b24 + scores on GEBP, lane-sum stats | 0ea758d + backward on GEBP |
+//! |---|---|---|---|---|
+//! | 1 | features | `2ce5c8cbc640936a` | `1aea697f4aeada6a` | unchanged |
+//! | 1 | logits | `95a56516aab9919d` | `1486ea6d8f063f90` | unchanged |
+//! | 1 | image grad | `1c73f336e39608ad` | `4a778f73fdfa25f1` | `6472243328f06403` |
+//! | 1 | param grads | `72f2e41de158167a` | `6f235b5f141e57f4` | `e152ce0104a96910` |
+//! | 2 | features | `7cccb7b447c15cdb` | `d89b16f8d069d763` | unchanged |
+//! | 2 | logits | `daa2186fcbff27ec` | `48e3870635cffe2b` | unchanged |
+//! | 2 | image grad | `81100632c9b352ef` | `8e00f77fd195f2fe` | `3b0b1a42a54c03ad` |
+//! | 2 | param grads | `aa3db92a91e711d4` | `5975d6e6f32f8c6f` | `006afbc438e9f5e0` |
+//!
+//! each time recorded with `EDVIT_THREADS=$t cargo test -p edvit-vit --test
 //! forward_pinned -- --nocapture` for `t` in 1, 2 and 4 (the test prints
-//! each batch's hashes before it compares them).
+//! each batch's hashes before it compares them), identical at every `t` and
+//! under `with_budget(1)`.
 //!
 //! The constants hold on x86-64 with AVX2+FMA and with AVX-512 (the two
 //! tiles are bit-identical by construction, which `parallel_kernels.rs`
@@ -88,7 +96,7 @@ fn hashes(batch: usize) -> [u64; 4] {
 }
 
 /// `(batch, [features, logits, image gradient, parameter gradients])`,
-/// re-recorded on top of commit c570b24 on x86-64 with AVX-512 (see the
+/// last re-recorded on top of commit 0ea758d on x86-64 with AVX-512 (see the
 /// header), identical under `EDVIT_THREADS` 1, 2 and 4.
 const PINNED: [(usize, [u64; 4]); 2] = [
     (
@@ -96,8 +104,8 @@ const PINNED: [(usize, [u64; 4]); 2] = [
         [
             0x1aea_697f_4aea_da6a,
             0x1486_ea6d_8f06_3f90,
-            0x4a77_8f73_fdfa_25f1,
-            0x6f23_5b5f_141e_57f4,
+            0x6472_2433_28f0_6403,
+            0xe152_ce01_04a9_6910,
         ],
     ),
     (
@@ -105,8 +113,8 @@ const PINNED: [(usize, [u64; 4]); 2] = [
         [
             0xd89b_16f8_d069_d763,
             0x48e3_8706_35cf_fe2b,
-            0x8e00_f77f_d195_f2fe,
-            0x5975_d6e6_f32f_8c6f,
+            0x3b0b_1a42_a54c_03ad,
+            0x006a_fbc4_38e9_f5e0,
         ],
     ),
 ];
