@@ -98,12 +98,13 @@ pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn
 
 /// Runs a batch of image samples through the deployment and returns the
 /// runtime report (fused logits per sample, batched wire-v2 frame counts,
-/// bytes on wire and measured throughput). The one distributed-inference
-/// entry point: [`RunOptions`] picks the wire codec and whether the frames
-/// travel over in-process channel lanes (`TransportKind::Sim`) or real
-/// loopback TCP sockets (`TransportKind::Tcp`) — one executor
-/// ([`ClusterRuntime::run_over`]) runs over either, so the report's content
-/// fields and the journal are identical both ways.
+/// payload and wire bytes, and the network model's simulated communication
+/// time; the report holds no wall-clock measurement). The one
+/// distributed-inference entry point: [`RunOptions`] picks the wire codec and
+/// whether the frames travel over in-process channel lanes
+/// (`TransportKind::Sim`) or real loopback TCP sockets (`TransportKind::Tcp`)
+/// — one executor ([`ClusterRuntime::run_over`]) runs over either, so the
+/// report's content fields and the journal are identical both ways.
 ///
 /// # Errors
 ///

@@ -7,18 +7,22 @@
 //! frame per device per round, so header and lane overhead are amortized
 //! across the whole batch. Device threads are kept warm: a finished job's
 //! thread parks in a process-wide idle list and runs a later round's job,
-//! so a request pays for a hand-off, not a thread spawn. The caller's thread
-//! reads the lanes while the devices run, waits for every job, checks every
-//! frame against the lane it arrived on and the round contract
-//! ([`RoundBatch::check`]), and fuses with [`fuse_round`] — the same check
-//! and the same fusion-input builder the stream collector runs. This mirrors
-//! the deployment in Fig. 3 of the paper; the lanes come from whichever
-//! backend the caller hands in (in-process channels by default, loopback TCP
-//! from `edvit-net`), and because the same executor runs over both, every
-//! content-derived report field is the same by construction. The *timing*
-//! numbers come from the analytic [`crate::LatencyModel`], not from
-//! wall-clock measurements.
+//! so a request pays for a hand-off, not a thread spawn. On sim lanes the
+//! caller is the last device: it runs that device's job itself, because a
+//! sim lane holds the round's one envelope without a reader, and so wakes
+//! one parked thread fewer; over TCP, where a send blocks until it is read,
+//! every device has a thread of its own. The caller's thread then reads the
+//! lanes, waits for every job, checks every frame against the lane it
+//! arrived on and the round contract ([`RoundBatch::check`]), and fuses with
+//! [`fuse_round`] — the same check and the same fusion-input builder the
+//! stream collector runs. This mirrors the deployment in Fig. 3 of the
+//! paper; the lanes come from whichever backend the caller hands in
+//! (in-process channels by default, loopback TCP from `edvit-net`), and
+//! because the same executor runs over both, every content-derived report
+//! field is the same by construction. The *timing* numbers come from the
+//! analytic [`crate::LatencyModel`], not from wall-clock measurements.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 
 use bytes::Bytes;
@@ -27,7 +31,7 @@ use edvit_tensor::Tensor;
 
 use crate::{
     fuse_round, EdgeError, FeatureBatchMessage, FusionSource, LaneEvent, NetOptions, NetworkConfig,
-    PayloadCodec, Result, RoundBatch, SimTransport, Transport, WireFrame,
+    PayloadCodec, Result, RoundBatch, SimTransport, Transport, TransportKind, WireFrame,
 };
 
 /// A sub-model executor: maps one input sample to a feature vector.
@@ -143,9 +147,13 @@ impl ClusterRuntime {
     /// device thread per device — a parked one when any is idle, a new one
     /// otherwise, never a job queued behind another — each device packs all
     /// of its samples into one [`FeatureBatchMessage`] frame and sends it (or
-    /// its failure, in-band), while this thread reads the lanes; then it
-    /// waits for every device, checks the frames in device order, fuses every
-    /// sample's features in sub-model order and journals the round once.
+    /// its failure, in-band). On [`TransportKind::Sim`] lanes this thread is
+    /// the last device: it dispatches the others, then runs the last job
+    /// itself (its panic counts like a device thread's), since a sim lane of
+    /// capacity 1 holds that job's envelope unread; over TCP every device
+    /// has its own thread. Then this thread reads the lanes, waits for every
+    /// device, checks the frames in device order, fuses every sample's
+    /// features in sub-model order and journals the round once.
     ///
     /// `inputs` holds one tensor per sample (e.g. a `[c, h, w]` image or a
     /// `[1, c, h, w]` batch of one — the executors decide how to interpret
@@ -195,6 +203,8 @@ impl ClusterRuntime {
             .collect::<Result<Vec<_>>>()?;
         let (senders, mut receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
 
+        // A sim send never waits for a reader here; a TCP send may.
+        let caller_runs_last = transport.kind() == TransportKind::Sim;
         let shared: Arc<[Tensor]> = Arc::from(inputs);
         let (done, finished) = mpsc::channel();
         for (device, (mut executor, tx)) in executors.into_iter().zip(senders).enumerate() {
@@ -211,15 +221,21 @@ impl ClusterRuntime {
                     Err(message) => tx.send_error(format!("device {device}: {message}")),
                 };
             });
-            warm::dispatch((work, done.clone()))?;
+            if caller_runs_last && device + 1 == num_sub_models {
+                // Reported like a warm thread's job: `false` when it panicked.
+                let _ = done.send(catch_unwind(AssertUnwindSafe(work)).is_ok());
+            } else {
+                warm::dispatch((work, done.clone()))?;
+            }
         }
         drop(done);
         // Take each lane's one envelope before waiting for the devices: a TCP
         // send writes on the device thread, so a frame larger than the socket
         // buffers completes only while it is being read. A device sends one
-        // envelope, so once every lane has delivered none is blocked. The
-        // device dispatched last tends to finish last: reading it first
-        // leaves this thread one wake-up to wait for, not one per lane.
+        // envelope, so once every lane has delivered none is blocked. Reading
+        // in reverse takes the lane this thread filled first, then the device
+        // dispatched last, which tends to finish last: this thread waits for
+        // one wake-up, not one per lane.
         let mut delivered: Vec<LaneEvent> =
             receivers.iter_mut().rev().map(|rx| rx.recv()).collect();
         delivered.reverse();
@@ -681,57 +697,89 @@ mod tests {
 
     #[test]
     fn every_device_job_gets_a_thread_of_its_own() {
-        // Each executor blocks until the other has started: two jobs queued
-        // on one thread would never finish.
-        let report = within_watchdog(|| {
-            let started = Arc::new(Barrier::new(2));
-            let executors: Vec<SubModelFn> = (0..2)
-                .map(|_| {
-                    let started = Arc::clone(&started);
-                    let executor: SubModelFn = Box::new(move |_: &Tensor| {
+        // Each executor blocks until every other has started: two jobs
+        // queued on one thread would never finish. On sim lanes the last
+        // device's thread is the caller's own, and the others are warm
+        // threads, one each.
+        let (caller, threads) = within_watchdog(|| {
+            let started = Arc::new(Barrier::new(3));
+            let threads = Arc::new(Mutex::new(vec![None; 3]));
+            let executors: Vec<SubModelFn> = (0..3)
+                .map(|device| -> SubModelFn {
+                    let (started, threads) = (Arc::clone(&started), Arc::clone(&threads));
+                    Box::new(move |_: &Tensor| {
+                        threads.lock().unwrap()[device] = Some(std::thread::current().id());
                         started.wait();
                         Ok(Tensor::zeros(&[2]))
-                    });
-                    executor
+                    })
                 })
                 .collect();
             let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
             let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
-            run_round(&runtime, &[Tensor::zeros(&[1])], executors, fusion)
+            let report = run_round(&runtime, &[Tensor::zeros(&[1])], executors, fusion);
+            assert_eq!(report.unwrap().outputs[0].dims(), &[6]);
+            let threads: Vec<_> = threads.lock().unwrap().iter().flatten().copied().collect();
+            (std::thread::current().id(), threads)
         });
-        assert_eq!(report.expect("both devices finish").outputs[0].dims(), &[4]);
+        assert_eq!(threads.len(), 3);
+        assert_eq!(threads[2], caller, "the caller runs the last device");
+        assert!(threads[0] != caller && threads[1] != caller, "{threads:?}");
+        assert_ne!(threads[0], threads[1]);
     }
 
-    #[test]
-    fn a_panicking_job_leaves_its_thread_parked_for_the_next_round() {
+    /// Runs a two-device round in which device `panicking` panics, then an
+    /// honest one: the first must fail with the typed panic error, and
+    /// device 0 must run on the same warm thread in both rounds.
+    fn a_panicking_round_leaves_device_0_parked(panicking: usize) {
         let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
         let _serial = ROUNDS.lock().unwrap_or_else(PoisonError::into_inner);
-        let thread_of = Arc::new(Mutex::new(Vec::new()));
-        let recording = |fail: bool| -> SubModelFn {
-            let thread_of = Arc::clone(&thread_of);
-            Box::new(move |_: &Tensor| {
-                thread_of.lock().unwrap().push(std::thread::current().id());
-                assert!(!fail, "executor blew up");
-                Ok(Tensor::zeros(&[1]))
-            })
+        let device_0_threads = Arc::new(Mutex::new(Vec::new()));
+        let round = |panicking: Option<usize>| {
+            let executors = (0..2)
+                .map(|device| -> SubModelFn {
+                    let device_0_threads = Arc::clone(&device_0_threads);
+                    Box::new(move |_: &Tensor| {
+                        if device == 0 {
+                            let mut threads = device_0_threads.lock().unwrap();
+                            threads.push(std::thread::current().id());
+                        }
+                        assert!(panicking != Some(device), "executor blew up");
+                        Ok(Tensor::zeros(&[1]))
+                    })
+                })
+                .collect();
+            let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
+            runtime.run(&[Tensor::zeros(&[1])], executors, fusion)
         };
-        let fusion = || -> FusionFn { Box::new(|concat: &Tensor| Ok(concat.clone())) };
-        let inputs = [Tensor::zeros(&[1])];
-        let err = runtime
-            .run(&inputs, vec![recording(true)], fusion())
-            .unwrap_err();
+        let err = round(Some(panicking)).unwrap_err();
         assert!(
             matches!(&err, EdgeError::Runtime { message } if message == "a device worker thread panicked"),
             "{err}"
         );
-        let report = runtime.run(&inputs, vec![recording(false)], fusion());
-        assert_eq!(report.unwrap().outputs.len(), 1);
-        let thread_of = thread_of.lock().unwrap();
-        assert_eq!(thread_of.len(), 2);
+        assert_eq!(round(None).unwrap().outputs.len(), 1);
+        let threads = device_0_threads.lock().unwrap();
+        assert_eq!(threads.len(), 2);
         assert_eq!(
-            thread_of[0], thread_of[1],
-            "the panicked thread ran the next round"
+            threads[0], threads[1],
+            "device 0's thread ran the next round"
         );
+        assert_ne!(threads[0], std::thread::current().id());
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_thread_parked_for_the_next_round() {
+        // Device 0's job is dispatched to a warm thread and panics there.
+        a_panicking_round_leaves_device_0_parked(0);
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_own_job_is_a_device_panic() {
+        // Device 1, the last, runs on the caller and panics there; the
+        // caller's kernel budget is restored as the panic unwinds.
+        let pool = edvit_parallel::ParallelPool::global();
+        let sequential = pool.is_sequential();
+        a_panicking_round_leaves_device_0_parked(1);
+        assert_eq!(pool.is_sequential(), sequential);
     }
 
     #[test]
@@ -745,9 +793,10 @@ mod tests {
             let report = runtime.run(&[Tensor::zeros(&[1])], executors, fusion);
             assert_eq!(report.unwrap().outputs[0].data(), &[1.0, 1.0, 2.0, 2.0]);
         }
+        // Device 1 runs on the caller, so a round uses one warm thread.
         let spawned = warm::SPAWNED.load(Ordering::Relaxed) - spawned_before;
         assert!(
-            spawned <= 2,
+            spawned <= 1,
             "1 000 two-device rounds started {spawned} threads"
         );
     }

@@ -41,6 +41,8 @@ mod tests {
     use edvit_edge::wire::batch_frame_len;
     use edvit_edge::{EdgeError, TransportKind};
     use edvit_metrics::MetricsSink;
+    use std::sync::{mpsc, Arc, Mutex};
+    use std::time::Duration;
 
     type Closures = (Vec<SubModelFn>, FusionFn);
 
@@ -233,5 +235,54 @@ mod tests {
         assert_eq!(report.bytes_on_wire, batch_frame_len(samples, dim) as u64);
         assert!(report.bytes_on_wire > 8 << 20);
         assert!(report.outputs.iter().all(|o| o.data() == [256.0]));
+    }
+
+    #[test]
+    fn no_executor_runs_on_the_calling_thread_over_tcp() {
+        // Device 1, the last, ships one ~8 MiB frame, more than a loopback
+        // socket buffers: on the thread that reads the lanes its send could
+        // never complete, and the watchdog fails the test.
+        let (caller, threads) = within_watchdog(|| {
+            let threads = Arc::new(Mutex::new(vec![None; 2]));
+            let executors = [4, 1_024]
+                .into_iter()
+                .enumerate()
+                .map(|(device, dim)| -> SubModelFn {
+                    let threads = Arc::clone(&threads);
+                    Box::new(move |_: &Tensor| {
+                        threads.lock().unwrap()[device] = Some(std::thread::current().id());
+                        Ok(Tensor::full(&[dim], 0.25))
+                    })
+                })
+                .collect();
+            let report = run_batch_over_tcp(
+                &zeros(2_048),
+                executors,
+                identity_fusion(),
+                PayloadCodec::F32,
+                &NetworkConfig::paper_default(),
+            )
+            .unwrap();
+            assert!(report.bytes_on_wire > 8 << 20);
+            let threads: Vec<_> = threads.lock().unwrap().iter().flatten().copied().collect();
+            (std::thread::current().id(), threads)
+        });
+        assert_eq!(threads.len(), 2);
+        assert!(
+            threads.iter().all(|&thread| thread != caller),
+            "{threads:?}"
+        );
+    }
+
+    /// Runs `test` on a thread of its own and fails if it is still running
+    /// after 60 s.
+    fn within_watchdog<T: Send + 'static>(test: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(test());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("still running after 60 s: deadlock")
     }
 }

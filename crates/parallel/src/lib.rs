@@ -389,10 +389,6 @@ impl ParallelPool {
 
     /// Parallel map over exclusive borrows: computes `f(item)` for every
     /// element of `items` and collects the results in order.
-    #[expect(
-        clippy::expect_used,
-        reason = "`scope_chunks` has run `f` on every slot before it returns"
-    )]
     pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
@@ -406,10 +402,8 @@ impl ParallelPool {
                 *out = Some(f(item));
             }
         });
-        slots
-            .into_iter()
-            .map(|(_, out)| out.expect("map slot filled"))
-            .collect()
+        // `scope_chunks` re-raises a chunk's panic, so every slot is filled.
+        slots.into_iter().map_while(|(_, out)| out).collect()
     }
 }
 
@@ -581,6 +575,12 @@ mod tests {
         });
         assert_eq!(items, (1..=64).collect::<Vec<_>>());
         assert_eq!(doubled, (1..=64).map(|i| i * 2).collect::<Vec<_>>());
+        // One result per item: the collect stops at no slot.
+        for pool in [ParallelPool::new(1), pool] {
+            for n in [0, 1, 2, 63] {
+                assert_eq!(pool.map_indexed(n, |i| i).len(), n);
+            }
+        }
     }
 
     #[test]
