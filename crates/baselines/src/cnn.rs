@@ -105,11 +105,12 @@ impl SmallCnn {
     }
 
     /// Runs the backbone only, returning `[n, feature_dim]` pooled features.
+    /// Records nothing.
     ///
     /// # Errors
     ///
     /// Returns an error for mismatched input geometry.
-    pub fn forward_features(&mut self, images: &Tensor) -> Result<Tensor> {
+    pub fn forward_features(&self, images: &Tensor) -> Result<Tensor> {
         let x = self.conv1.forward(images)?;
         let x = self.relu1.forward(&x)?;
         let x = self.pool1.forward(&x)?;
@@ -117,6 +118,18 @@ impl SmallCnn {
         let x = self.relu2.forward(&x)?;
         let x = self.pool2.forward(&x)?;
         self.flatten.forward(&x)
+    }
+
+    /// [`SmallCnn::forward_features`] recording what [`Layer::backward`]
+    /// needs.
+    fn forward_features_train(&mut self, images: &Tensor) -> Result<Tensor> {
+        let x = self.conv1.forward_train(images)?;
+        let x = self.relu1.forward_train(&x)?;
+        let x = self.pool1.forward_train(&x)?;
+        let x = self.conv2.forward_train(&x)?;
+        let x = self.relu2.forward_train(&x)?;
+        let x = self.pool2.forward_train(&x)?;
+        self.flatten.forward_train(&x)
     }
 
     /// Filter-prunes both conv stages by weight magnitude, keeping a fraction
@@ -188,9 +201,13 @@ fn top_filters(conv: &Conv2d, keep: usize) -> Vec<usize> {
 }
 
 impl Layer for SmallCnn {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let features = self.forward_features(input)?;
-        self.head.forward(&features)
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        self.head.forward(&self.forward_features(input)?)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let features = self.forward_features_train(input)?;
+        self.head.forward_train(&features)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -229,7 +246,7 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let mut cnn = SmallCnn::new(&config(), &mut TensorRng::new(0)).unwrap();
+        let cnn = SmallCnn::new(&config(), &mut TensorRng::new(0)).unwrap();
         let mut rng = TensorRng::new(1);
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
         let logits = cnn.forward(&x).unwrap();
@@ -246,7 +263,7 @@ mod tests {
         let mut cnn = SmallCnn::new(&config(), &mut TensorRng::new(2)).unwrap();
         let mut rng = TensorRng::new(3);
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
-        let logits = cnn.forward(&x).unwrap();
+        let logits = cnn.forward_train(&x).unwrap();
         let g = cnn.backward(&Tensor::ones(logits.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
         assert!(cnn.parameters().iter().any(|p| p.grad().norm_l1() > 0.0));
@@ -255,7 +272,7 @@ mod tests {
     #[test]
     fn pruning_shrinks_and_still_runs() {
         let cnn = SmallCnn::new(&config(), &mut TensorRng::new(4)).unwrap();
-        let mut pruned = cnn.prune_filters(0.5, 3, &mut TensorRng::new(5)).unwrap();
+        let pruned = cnn.prune_filters(0.5, 3, &mut TensorRng::new(5)).unwrap();
         assert!(pruned.memory_bytes() < cnn.memory_bytes());
         assert_eq!(pruned.config().widths, [4, 8]);
         assert_eq!(pruned.config().num_classes, 3);

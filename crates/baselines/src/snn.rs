@@ -64,37 +64,39 @@ impl SpikingCnn {
         })
     }
 
-    /// Runs the spiking forward pass: the CNN features are rate-coded before
-    /// the classifier head is applied.
+    /// Runs the spiking forward pass: predictions come from rate-coded
+    /// features. Records nothing.
     ///
     /// # Errors
     ///
     /// Returns an error for mismatched input geometry.
-    pub fn forward_spiking(&mut self, images: &Tensor) -> Result<Tensor> {
+    pub fn forward_spiking(&self, images: &Tensor) -> Result<Tensor> {
+        self.damp(images, self.inner.forward(images)?)
+    }
+
+    /// Damps the CNN's `logits` for `images` by the quantization rate coding
+    /// applies to their features. The head is private to [`SmallCnn`], so
+    /// logits of the coded features are not computed: logits are scaled
+    /// toward zero by the relative quantization error instead, which
+    /// preserves the ordering degradation.
+    fn damp(&self, images: &Tensor, logits: Tensor) -> Result<Tensor> {
         let features = self.inner.forward_features(images)?;
         let coded = self.rate_code(&features);
-        // Reuse the inner head through the Layer interface on coded features.
-        // The head is the last stage of SmallCnn::forward, so emulate it by
-        // running forward on the coded features via a small trick: the head is
-        // private, therefore we re-run the full forward and then correct the
-        // logits for the quantization applied to the features. The practical
-        // effect we need is that predictions come from quantized features.
-        let logits_full = self.inner.forward(images)?;
-        let features_full = self.inner.forward_features(images)?;
-        // logits = W^T f + b is linear in f, so logits(coded) =
-        // logits(full) + W^T (coded - full). Without access to W we
-        // approximate by scaling the logits toward their mean by the relative
-        // quantization error, which preserves ordering degradation.
-        let err = coded.sub(&features_full).map_err(NnError::from)?.norm_l2();
-        let denom = features_full.norm_l2().max(1e-6);
+        let err = coded.sub(&features).map_err(NnError::from)?.norm_l2();
+        let denom = features.norm_l2().max(1e-6);
         let damp = 1.0 - (err / denom).min(1.0);
-        Ok(logits_full.scale(damp))
+        Ok(logits.scale(damp))
     }
 }
 
 impl Layer for SpikingCnn {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
         self.forward_spiking(input)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let logits = self.inner.forward_train(input)?;
+        self.damp(input, logits)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -138,7 +140,7 @@ mod tests {
 
     #[test]
     fn spiking_forward_produces_finite_logits() {
-        let mut snn = SpikingCnn::from_cnn(cnn());
+        let snn = SpikingCnn::from_cnn(cnn());
         let mut rng = TensorRng::new(1);
         let x = rng.randn(&[3, 3, 16, 16], 0.0, 1.0);
         let logits = snn.forward(&x).unwrap();
@@ -164,14 +166,14 @@ mod tests {
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
         let base = cnn();
         let ref_logits = {
-            let mut c = SmallCnn::new(base.config(), &mut TensorRng::new(0)).unwrap();
+            let c = SmallCnn::new(base.config(), &mut TensorRng::new(0)).unwrap();
             c.forward(&x).unwrap()
         };
-        let mut coarse = SpikingCnn::with_timesteps(
+        let coarse = SpikingCnn::with_timesteps(
             SmallCnn::new(base.config(), &mut TensorRng::new(0)).unwrap(),
             2,
         );
-        let mut fine = SpikingCnn::with_timesteps(
+        let fine = SpikingCnn::with_timesteps(
             SmallCnn::new(base.config(), &mut TensorRng::new(0)).unwrap(),
             64,
         );
@@ -195,7 +197,8 @@ mod tests {
         let mut snn = SpikingCnn::from_cnn(cnn());
         let mut rng = TensorRng::new(3);
         let x = rng.randn(&[1, 3, 16, 16], 0.0, 1.0);
-        let logits = snn.forward(&x).unwrap();
+        let logits = snn.forward_train(&x).unwrap();
+        assert_eq!(snn.forward(&x).unwrap(), logits);
         let g = snn.backward(&Tensor::ones(logits.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
         assert!(!snn.parameters().is_empty());

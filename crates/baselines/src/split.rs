@@ -173,8 +173,8 @@ impl SplitBaselineRunner {
 
         // Feature extraction = the sub-model logits (the baseline papers fuse
         // class scores); concatenate across sub-models.
-        let train_features = self.concat_outputs(&mut sub_models, train.images())?;
-        let test_features = self.concat_outputs(&mut sub_models, test.images())?;
+        let train_features = self.concat_outputs(&sub_models, train.images())?;
+        let test_features = self.concat_outputs(&sub_models, test.images())?;
 
         // Train the fusion MLP on the concatenated outputs.
         let fusion_config = FusionConfig::new(train_features.dims()[1], num_classes);
@@ -194,9 +194,9 @@ impl SplitBaselineRunner {
         })
     }
 
-    fn concat_outputs(&self, sub_models: &mut [Box<dyn Layer>], images: &Tensor) -> Result<Tensor> {
+    fn concat_outputs(&self, sub_models: &[Box<dyn Layer>], images: &Tensor) -> Result<Tensor> {
         let mut outputs = Vec::with_capacity(sub_models.len());
-        for model in sub_models.iter_mut() {
+        for model in sub_models {
             outputs.push(model.forward(images)?);
         }
         let refs: Vec<&Tensor> = outputs.iter().collect();

@@ -36,7 +36,7 @@ fn bench_attention_forward(c: &mut Criterion) {
         (196, 96, 6),
     ] {
         let mut rng = TensorRng::new(2);
-        let mut mhsa = MultiHeadSelfAttention::new(dim, heads, dim / heads, &mut rng).unwrap();
+        let mhsa = MultiHeadSelfAttention::new(dim, heads, dim / heads, &mut rng).unwrap();
         let x = rng.randn(&[tokens, dim], 0.0, 1.0);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{tokens}tok_{dim}d_{heads}h")),
@@ -46,7 +46,7 @@ fn bench_attention_forward(c: &mut Criterion) {
     }
     // A batched input exercises the per-sample loop on top of the per-head one.
     let mut rng = TensorRng::new(2);
-    let mut mhsa = MultiHeadSelfAttention::new(96, 6, 16, &mut rng).unwrap();
+    let mhsa = MultiHeadSelfAttention::new(96, 6, 16, &mut rng).unwrap();
     let x = rng.randn(&[8, 64, 96], 0.0, 1.0);
     group.bench_with_input(
         BenchmarkId::from_parameter("8x64tok_96d_6h"),
@@ -147,12 +147,12 @@ fn bench_probe_forward_path(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut linear = Linear::new(width, hidden, &mut rng);
+    let linear = Linear::new(width, hidden, &mut rng);
     c.bench_function("linear_forward_64x192x768", |bench| {
         bench.iter(|| with_budget(1, || linear.forward(&x).unwrap()));
     });
 
-    let mut mhsa = MultiHeadSelfAttention::new(width, heads, width / heads, &mut rng).unwrap();
+    let mhsa = MultiHeadSelfAttention::new(width, heads, width / heads, &mut rng).unwrap();
     let batch = rng.randn(&[1, tokens, width], 0.0, 1.0);
     c.bench_function("mhsa_forward_64x192", |bench| {
         bench.iter(|| with_budget(1, || mhsa.forward(&batch).unwrap()));
@@ -169,7 +169,7 @@ fn bench_probe_forward_path(c: &mut Criterion) {
         channels: 3,
         num_classes: 10,
     };
-    let mut model = VisionTransformer::new(&config, &mut rng).unwrap();
+    let model = VisionTransformer::new(&config, &mut rng).unwrap();
     let image = rng.randn(&[1, 3, 64, 64], 0.0, 1.0);
     c.bench_function("vit_forward_probe", |bench| {
         bench.iter(|| with_budget(1, || model.forward_features(&image).unwrap()));
@@ -234,7 +234,7 @@ fn bench_thin_matmul(c: &mut Criterion) {
         bench.iter(|| kernels::matmul_reference(x.data(), w.data(), &mut out, 1, k, n));
     });
 
-    let mut fusion = FusionMlp::new(&FusionConfig::new(k, 10), &mut rng).unwrap();
+    let fusion = FusionMlp::new(&FusionConfig::new(k, 10), &mut rng).unwrap();
     c.bench_function("fusion_predict_1x768x384x10", |bench| {
         bench.iter(|| fusion.predict_logits(&x).unwrap());
     });

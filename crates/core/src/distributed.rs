@@ -56,7 +56,8 @@ impl Default for RunOptions {
 ///
 /// The deployment is consumed: each sub-model moves onto "its" device thread
 /// (exactly as weights are copied onto a physical Pi), and the fusion MLP
-/// moves to the aggregation thread.
+/// moves to the aggregation thread. Inference records no backward state, so
+/// an executor holds weights only and mutates nothing.
 pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn) {
     let EdVitDeployment {
         sub_models, fusion, ..
@@ -64,7 +65,7 @@ pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn
     let executors: Vec<SubModelFn> = sub_models
         .into_iter()
         .map(|sub| {
-            let mut model = sub.model;
+            let model = sub.model;
             let executor: SubModelFn = Box::new(move |sample: &Tensor| {
                 // Accept [c, h, w] samples by adding a batch axis.
                 let batched = if sample.rank() == 3 {
@@ -83,14 +84,11 @@ pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn
             executor
         })
         .collect();
-    let mut fusion_model = fusion;
     let fusion_fn: FusionFn = Box::new(move |concat: &Tensor| {
         let batched = concat
             .reshape(&[1, concat.numel()])
             .map_err(|e| e.to_string())?;
-        let logits = fusion_model
-            .predict_logits(&batched)
-            .map_err(|e| e.to_string())?;
+        let logits = fusion.predict_logits(&batched).map_err(|e| e.to_string())?;
         logits.row(0).map_err(|e| e.to_string())
     });
     (executors, fusion_fn)

@@ -605,10 +605,10 @@ pub fn ablations() -> Result<Ablations> {
             retrain: Some(train_config.clone()),
             seed: 1,
         });
-        let mut model = pruner
+        let model = pruner
             .prune_sub_model(&original, &train, &[0, 1], &plan)?
             .model;
-        let accuracy = evaluate_classifier(&mut model, sub_test.images(), sub_test.labels(), 16)?;
+        let accuracy = evaluate_classifier(&model, sub_test.images(), sub_test.labels(), 16)?;
         importance.push((name, accuracy, model.parameter_count()));
     }
 
@@ -925,7 +925,7 @@ pub fn codec_comparison(options: &ExperimentOptions) -> Result<Vec<CodecRow>> {
     // Encode-cost probe: one round of *real* feature vectors from sub-model
     // 0, so the per-value cost — entropy-dependent for the rle codec — is
     // measured on the data the wire actually carries, not on raw images.
-    let mut probe_model = trained.sub_models[0].model.clone();
+    let probe_model = &trained.sub_models[0].model;
     let mut probe: Option<edge_wire::FeatureBatchMessage> = None;
     for (i, sample) in inputs.iter().take(round_size).enumerate() {
         let batched = if sample.rank() == 3 {

@@ -302,8 +302,7 @@ impl EdVitPipeline {
             train.labels(),
             &cfg.original_training,
         )?;
-        let original_accuracy =
-            evaluate_classifier(&mut original, test.images(), test.labels(), 32)?;
+        let original_accuracy = evaluate_classifier(&original, test.images(), test.labels(), 32)?;
         record(&mut stages, "train_original");
 
         // ---- Splitting + assignment (paper scale) ---------------------------
@@ -479,12 +478,12 @@ fn joint_retrain(
             // Forward: per-sub-model features, concatenated.
             let mut features = Vec::with_capacity(sub_models.len());
             for sub in sub_models.iter_mut() {
-                features.push(sub.model.forward_features(&images)?);
+                features.push(sub.model.forward_features_train(&images)?);
             }
             let refs: Vec<&Tensor> = features.iter().collect();
             let concat = Tensor::concat_last_axis(&refs)?;
             fusion.zero_grad();
-            let logits = fusion.forward(&concat)?;
+            let logits = fusion.forward_train(&concat)?;
             loss_fn.forward(&logits, &labels)?;
             let grad_logits = loss_fn.backward()?;
             let grad_concat = fusion.backward(&grad_logits)?;

@@ -22,7 +22,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = FusionConfig::new(16, 4);
-//! let mut fusion = FusionMlp::new(&config, &mut TensorRng::new(0))?;
+//! let fusion = FusionMlp::new(&config, &mut TensorRng::new(0))?;
 //! let features = TensorRng::new(1).randn(&[8, 16], 0.0, 1.0);
 //! let logits = fusion.predict_logits(&features)?;
 //! assert_eq!(logits.dims(), &[8, 4]);
@@ -126,12 +126,12 @@ impl FusionMlp {
     }
 
     /// Runs the fusion MLP on a batch of concatenated features `[n, input]`,
-    /// returning logits `[n, classes]`.
+    /// returning logits `[n, classes]`. Records nothing.
     ///
     /// # Errors
     ///
     /// Returns an error when the feature width does not match the config.
-    pub fn predict_logits(&mut self, features: &Tensor) -> Result<Tensor, NnError> {
+    pub fn predict_logits(&self, features: &Tensor) -> Result<Tensor, NnError> {
         self.mlp.forward(features)
     }
 
@@ -140,7 +140,7 @@ impl FusionMlp {
     /// # Errors
     ///
     /// Returns an error when the feature width does not match the config.
-    pub fn predict(&mut self, features: &Tensor) -> Result<Vec<usize>, NnError> {
+    pub fn predict(&self, features: &Tensor) -> Result<Vec<usize>, NnError> {
         let logits = self.predict_logits(features)?;
         logits.argmax_last_axis().map_err(NnError::from)
     }
@@ -163,7 +163,7 @@ impl FusionMlp {
         let mut loss_fn = CrossEntropyLoss::new();
         for _ in 0..steps {
             self.zero_grad();
-            let logits = self.forward(features)?;
+            let logits = self.forward_train(features)?;
             loss_fn.forward(&logits, labels)?;
             let grad = loss_fn.backward()?;
             self.backward(&grad)?;
@@ -174,8 +174,12 @@ impl FusionMlp {
 }
 
 impl Layer for FusionMlp {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
         self.mlp.forward(input)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        self.mlp.forward_train(input)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -274,7 +278,7 @@ mod tests {
     #[test]
     fn fusion_mlp_shapes_and_memory() {
         let config = FusionConfig::new(24, 5);
-        let mut fusion = FusionMlp::new(&config, &mut TensorRng::new(0)).unwrap();
+        let fusion = FusionMlp::new(&config, &mut TensorRng::new(0)).unwrap();
         assert_eq!(fusion.config().num_classes, 5);
         let features = TensorRng::new(1).randn(&[3, 24], 0.0, 1.0);
         assert_eq!(fusion.predict_logits(&features).unwrap().dims(), &[3, 5]);
@@ -303,7 +307,7 @@ mod tests {
         let mut loss_fn = CrossEntropyLoss::new();
         for _ in 0..250 {
             fusion.zero_grad();
-            let logits = fusion.forward(&features).unwrap();
+            let logits = fusion.forward_train(&features).unwrap();
             loss_fn.forward(&logits, &labels).unwrap();
             let grad = loss_fn.backward().unwrap();
             fusion.backward(&grad).unwrap();

@@ -39,7 +39,7 @@ fn fnv1a(values: &[f32]) -> u64 {
 /// Hash of the logits of a `TensorRng::new(0)` fusion MLP on a seeded
 /// `[batch, 768]` input.
 fn logits_hash(batch: usize) -> u64 {
-    let mut fusion = FusionMlp::new(&FusionConfig::new(768, 10), &mut TensorRng::new(0)).unwrap();
+    let fusion = FusionMlp::new(&FusionConfig::new(768, 10), &mut TensorRng::new(0)).unwrap();
     let features = TensorRng::new(batch as u64).randn(&[batch, 768], 0.0, 1.0);
     let logits = fusion.predict_logits(&features).unwrap();
     assert_eq!(logits.dims(), &[batch, 10]);

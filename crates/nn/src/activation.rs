@@ -3,6 +3,28 @@ use edvit_tensor::{ops, Tensor};
 
 use crate::{Layer, NnError, Parameter, Result};
 
+/// `max(x, 0)` on every element, in place.
+pub(crate) fn relu_in_place(x: &mut Tensor) {
+    x.map_inplace(|v| v.max(0.0));
+}
+
+/// The gradient through a ReLU whose input was `pre`.
+pub(crate) fn relu_backward(pre: &Tensor, grad_output: &Tensor) -> Result<Tensor> {
+    let mask = pre.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+    Ok(grad_output.mul(&mask)?)
+}
+
+/// GELU (tanh approximation) on every element, in place, across the pool.
+pub(crate) fn gelu_in_place(x: &mut Tensor) {
+    ops::gelu_map(x.data_mut(), ParallelPool::global());
+}
+
+/// The gradient through a GELU whose input was `pre`.
+pub(crate) fn gelu_backward(pre: &Tensor, grad_output: &Tensor) -> Result<Tensor> {
+    let dgelu = pre.map(ops::gelu_grad_scalar);
+    Ok(grad_output.mul(&dgelu)?)
+}
+
 /// Rectified linear unit activation layer.
 ///
 /// # Example
@@ -12,7 +34,7 @@ use crate::{Layer, NnError, Parameter, Result};
 /// use edvit_tensor::Tensor;
 ///
 /// # fn main() -> Result<(), edvit_nn::NnError> {
-/// let mut relu = Relu::new();
+/// let relu = Relu::new();
 /// let y = relu.forward(&Tensor::from_vec(vec![-1.0, 2.0], &[2])?)?;
 /// assert_eq!(y.data(), &[0.0, 2.0]);
 /// # Ok(())
@@ -20,35 +42,38 @@ use crate::{Layer, NnError, Parameter, Result};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    cache_input: Option<Tensor>,
+    /// The input [`Layer::forward_train`] saw.
+    record: Option<Tensor>,
 }
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Relu { cache_input: None }
+        Relu { record: None }
     }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.cache_input = Some(input.clone());
-        Ok(input.relu())
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        self.forward_owned(input.clone())
     }
 
-    fn forward_owned(&mut self, mut input: Tensor) -> Result<Tensor> {
-        self.cache_input = Some(input.clone());
-        input.map_inplace(|x| x.max(0.0));
+    fn forward_owned(&self, mut input: Tensor) -> Result<Tensor> {
+        relu_in_place(&mut input);
         Ok(input)
     }
 
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.record = Some(input.clone());
+        self.forward(input)
+    }
+
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let x = self
-            .cache_input
-            .as_ref()
+        let pre = self
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "Relu" })?;
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        Ok(grad_output.mul(&mask)?)
+        relu_backward(&pre, grad_output)
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
@@ -64,35 +89,38 @@ impl Layer for Relu {
 /// nonlinearity used in Vision Transformer feed-forward blocks.
 #[derive(Debug, Clone, Default)]
 pub struct Gelu {
-    cache_input: Option<Tensor>,
+    /// The input [`Layer::forward_train`] saw.
+    record: Option<Tensor>,
 }
 
 impl Gelu {
     /// Creates a GELU layer.
     pub fn new() -> Self {
-        Gelu { cache_input: None }
+        Gelu { record: None }
     }
 }
 
 impl Layer for Gelu {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.cache_input = Some(input.clone());
-        Ok(input.gelu())
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        self.forward_owned(input.clone())
     }
 
-    fn forward_owned(&mut self, mut input: Tensor) -> Result<Tensor> {
-        self.cache_input = Some(input.clone());
-        ops::gelu_map(input.data_mut(), ParallelPool::global());
+    fn forward_owned(&self, mut input: Tensor) -> Result<Tensor> {
+        gelu_in_place(&mut input);
         Ok(input)
     }
 
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.record = Some(input.clone());
+        self.forward(input)
+    }
+
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let x = self
-            .cache_input
-            .as_ref()
+        let pre = self
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "Gelu" })?;
-        let dgelu = x.map(ops::gelu_grad_scalar);
-        Ok(grad_output.mul(&dgelu)?)
+        gelu_backward(&pre, grad_output)
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
@@ -114,7 +142,7 @@ mod tests {
     fn relu_forward_backward() {
         let mut relu = Relu::new();
         let x = Tensor::from_vec(vec![-2.0, -0.5, 0.5, 2.0], &[4]).unwrap();
-        let y = relu.forward(&x).unwrap();
+        let y = relu.forward_train(&x).unwrap();
         assert_eq!(y.data(), &[0.0, 0.0, 0.5, 2.0]);
         let g = relu.backward(&Tensor::ones(&[4])).unwrap();
         assert_eq!(g.data(), &[0.0, 0.0, 1.0, 1.0]);
@@ -129,7 +157,7 @@ mod tests {
 
     #[test]
     fn gelu_forward_positive_passthrough() {
-        let mut gelu = Gelu::new();
+        let gelu = Gelu::new();
         let x = Tensor::from_vec(vec![5.0], &[1]).unwrap();
         let y = gelu.forward(&x).unwrap();
         assert!((y.data()[0] - 5.0).abs() < 1e-2);
@@ -143,19 +171,14 @@ mod tests {
     }
 
     #[test]
-    fn forward_owned_matches_forward_and_leaves_the_same_cache() {
+    fn forward_owned_matches_forward() {
         let x = Tensor::from_vec(vec![-3.0, -0.25, 0.0, 0.5, 2.0, 11.0], &[2, 3]).unwrap();
-        let g = Tensor::from_vec(vec![1.0, -2.0, 3.0, -4.0, 5.0, -6.0], &[2, 3]).unwrap();
-        let layers: [(Box<dyn Layer>, Box<dyn Layer>); 2] = [
-            (Box::new(Relu::new()), Box::new(Relu::new())),
-            (Box::new(Gelu::new()), Box::new(Gelu::new())),
-        ];
-        for (mut borrowed, mut owned) in layers {
+        let layers: [Box<dyn Layer>; 2] = [Box::new(Relu::new()), Box::new(Gelu::new())];
+        for layer in layers {
             assert_eq!(
-                owned.forward_owned(x.clone()).unwrap(),
-                borrowed.forward(&x).unwrap()
+                layer.forward_owned(x.clone()).unwrap(),
+                layer.forward(&x).unwrap()
             );
-            assert_eq!(owned.backward(&g).unwrap(), borrowed.backward(&g).unwrap());
         }
     }
 

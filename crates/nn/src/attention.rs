@@ -25,13 +25,13 @@ const PAR_HEAD_WORK: usize = 1 << 14;
 ///
 /// # fn main() -> Result<(), edvit_nn::NnError> {
 /// let mut rng = TensorRng::new(0);
-/// let mut mhsa = MultiHeadSelfAttention::new(16, 4, 4, &mut rng)?;
+/// let mhsa = MultiHeadSelfAttention::new(16, 4, 4, &mut rng)?;
 /// let x = rng.randn(&[5, 16], 0.0, 1.0);
 /// assert_eq!(mhsa.forward(&x)?.dims(), &[5, 16]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MultiHeadSelfAttention {
     q_proj: Linear,
     k_proj: Linear,
@@ -40,11 +40,12 @@ pub struct MultiHeadSelfAttention {
     embed_dim: usize,
     heads: usize,
     head_dim: usize,
-    cache: Option<AttentionCache>,
+    record: Option<AttentionRecord>,
 }
 
-#[derive(Debug)]
-struct AttentionCache {
+/// What [`Layer::forward_train`] records for [`Layer::backward`].
+#[derive(Debug, Clone)]
+struct AttentionRecord {
     /// The `[.., tokens, heads·head_dim]` projections, moved in from the
     /// forward; the backward reads each head's columns out of them.
     q: Tensor,
@@ -53,23 +54,6 @@ struct AttentionCache {
     /// Softmaxed attention weights, `[batch, heads, tokens, tokens]`.
     attn: Vec<f32>,
     tokens: usize,
-}
-
-impl Clone for MultiHeadSelfAttention {
-    /// Clones the projection weights; the forward cache is backward-pass
-    /// scratch, so the clone starts with an empty one.
-    fn clone(&self) -> Self {
-        MultiHeadSelfAttention {
-            q_proj: self.q_proj.clone(),
-            k_proj: self.k_proj.clone(),
-            v_proj: self.v_proj.clone(),
-            out_proj: self.out_proj.clone(),
-            embed_dim: self.embed_dim,
-            heads: self.heads,
-            head_dim: self.head_dim,
-            cache: None,
-        }
-    }
 }
 
 impl MultiHeadSelfAttention {
@@ -102,7 +86,7 @@ impl MultiHeadSelfAttention {
             embed_dim,
             heads,
             head_dim,
-            cache: None,
+            record: None,
         })
     }
 
@@ -142,7 +126,7 @@ impl MultiHeadSelfAttention {
             embed_dim,
             heads,
             head_dim,
-            cache: None,
+            record: None,
         })
     }
 
@@ -342,20 +326,28 @@ fn pack_head(into: &mut Vec<f32>, all: &[f32], col: usize, width: usize, row_len
     }
 }
 
-impl Layer for MultiHeadSelfAttention {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (batch, tokens) = match *input.dims() {
-            [tokens, _] => (1, tokens),
-            [batch, tokens, _] => (batch, tokens),
-            _ => {
-                return Err(NnError::InvalidConfig {
-                    message: format!("MHSA expects rank 2 or 3 input, got rank {}", input.rank()),
-                })
-            }
-        };
-        let q = self.q_proj.forward(input)?;
-        let k = self.k_proj.forward(input)?;
-        let v = self.v_proj.forward(input)?;
+impl MultiHeadSelfAttention {
+    /// `(batch, tokens)` of a `[tokens, embed]` or `[batch, tokens, embed]`
+    /// input.
+    fn batch_tokens(input: &Tensor) -> Result<(usize, usize)> {
+        match *input.dims() {
+            [tokens, _] => Ok((1, tokens)),
+            [batch, tokens, _] => Ok((batch, tokens)),
+            _ => Err(NnError::InvalidConfig {
+                message: format!("MHSA expects rank 2 or 3 input, got rank {}", input.rank()),
+            }),
+        }
+    }
+
+    /// Attention of every sample over its projections `q`, `k`, `v`
+    /// (`[.., tokens, heads·head_dim]`): the softmaxed scores (`[batch,
+    /// heads, tokens, tokens]`) and the concatenated head outputs, shaped as
+    /// `q`, that the output projection takes.
+    fn attend(
+        &self,
+        (batch, tokens): (usize, usize),
+        (q, k, v): (&Tensor, &Tensor, &Tensor),
+    ) -> Result<(Vec<f32>, Tensor)> {
         let inner = self.heads * self.head_dim;
         let sample_len = tokens * inner;
         let attn_len = self.heads * tokens * tokens;
@@ -378,28 +370,47 @@ impl Layer for MultiHeadSelfAttention {
             );
             self.forward_sample(tokens, qkv, attn, out);
         });
-        let concat = Tensor::from_vec(concat, q.dims())?;
-        self.cache = Some(AttentionCache {
+        Ok((attn, Tensor::from_vec(concat, q.dims())?))
+    }
+}
+
+impl Layer for MultiHeadSelfAttention {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        let shape = Self::batch_tokens(input)?;
+        let q = self.q_proj.forward(input)?;
+        let k = self.k_proj.forward(input)?;
+        let v = self.v_proj.forward(input)?;
+        let (_, concat) = self.attend(shape, (&q, &k, &v))?;
+        self.out_proj.forward(&concat)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let shape = Self::batch_tokens(input)?;
+        let q = self.q_proj.forward_train(input)?;
+        let k = self.k_proj.forward_train(input)?;
+        let v = self.v_proj.forward_train(input)?;
+        let (attn, concat) = self.attend(shape, (&q, &k, &v))?;
+        self.record = Some(AttentionRecord {
             q,
             k,
             v,
             attn,
-            tokens,
+            tokens: shape.1,
         });
-        self.out_proj.forward_owned(concat)
+        self.out_proj.forward_train_owned(concat)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let grad_concat = self.out_proj.backward(grad_output)?;
-        let cache = self.cache.as_ref().ok_or(NnError::MissingForwardCache {
+        let record = self.record.take().ok_or(NnError::MissingForwardCache {
             layer: "MultiHeadSelfAttention",
         })?;
-        let (t, hd, inner) = (cache.tokens, self.head_dim, self.heads * self.head_dim);
+        let grad_concat = self.out_proj.backward(grad_output)?;
+        let (t, hd, inner) = (record.tokens, self.head_dim, self.heads * self.head_dim);
         let scale = 1.0 / (hd as f32).sqrt();
-        let mut dq = vec![0.0f32; cache.q.numel()];
-        let mut dk = vec![0.0f32; cache.k.numel()];
-        let mut dv = vec![0.0f32; cache.v.numel()];
-        for (b, sample_attn) in cache
+        let mut dq = vec![0.0f32; record.q.numel()];
+        let mut dk = vec![0.0f32; record.k.numel()];
+        let mut dv = vec![0.0f32; record.v.numel()];
+        for (b, sample_attn) in record
             .attn
             .chunks_exact((self.heads * t * t).max(1))
             .enumerate()
@@ -412,9 +423,9 @@ impl Layer for MultiHeadSelfAttention {
                     Ok(Tensor::from_vec(data, &[t, hd])?)
                 };
                 let (q, k, v, d_out) = (
-                    head(&cache.q)?,
-                    head(&cache.k)?,
-                    head(&cache.v)?,
+                    head(&record.q)?,
+                    head(&record.k)?,
+                    head(&record.v)?,
                     head(&grad_concat)?,
                 );
                 let attn = Tensor::from_vec(attn.to_vec(), &[t, t])?;
@@ -445,7 +456,7 @@ impl Layer for MultiHeadSelfAttention {
                 }
             }
         }
-        let dims = cache.q.dims().to_vec();
+        let dims = record.q.dims().to_vec();
         let dx_q = self.q_proj.backward(&Tensor::from_vec(dq, &dims)?)?;
         let dx_k = self.k_proj.backward(&Tensor::from_vec(dk, &dims)?)?;
         let dx_v = self.v_proj.backward(&Tensor::from_vec(dv, &dims)?)?;
@@ -477,7 +488,7 @@ mod tests {
     #[test]
     fn forward_shapes_2d_and_3d() {
         let mut rng = TensorRng::new(0);
-        let mut mhsa = MultiHeadSelfAttention::new(12, 3, 4, &mut rng).unwrap();
+        let mhsa = MultiHeadSelfAttention::new(12, 3, 4, &mut rng).unwrap();
         let x2 = rng.randn(&[7, 12], 0.0, 1.0);
         assert_eq!(mhsa.forward(&x2).unwrap().dims(), &[7, 12]);
         let x3 = rng.randn(&[2, 7, 12], 0.0, 1.0);
@@ -494,6 +505,7 @@ mod tests {
         assert!(MultiHeadSelfAttention::new(8, 0, 2, &mut rng).is_err());
         let mut mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut rng).unwrap();
         assert!(mhsa.forward(&Tensor::zeros(&[8])).is_err());
+        assert!(mhsa.forward_train(&Tensor::zeros(&[8])).is_err());
         assert!(mhsa.backward(&Tensor::zeros(&[3, 8])).is_err());
     }
 
@@ -531,7 +543,6 @@ mod tests {
         let pruned = mhsa.prune_embed_channels(&[0, 1, 2, 3]).unwrap();
         assert_eq!(pruned.embed_dim(), 4);
         assert_eq!(pruned.out_proj().out_features(), 4);
-        let mut pruned = pruned;
         let mut rng2 = TensorRng::new(3);
         let x = rng2.randn(&[5, 4], 0.0, 1.0);
         assert_eq!(pruned.forward(&x).unwrap().dims(), &[5, 4]);
@@ -541,7 +552,7 @@ mod tests {
     fn pruned_head_dims_forward_works() {
         let mut rng = TensorRng::new(4);
         let mhsa = MultiHeadSelfAttention::new(6, 3, 2, &mut rng).unwrap();
-        let mut pruned = mhsa.prune_head_dims(&[vec![0], vec![1], vec![0]]).unwrap();
+        let pruned = mhsa.prune_head_dims(&[vec![0], vec![1], vec![0]]).unwrap();
         let x = rng.randn(&[4, 6], 0.0, 1.0);
         assert_eq!(pruned.forward(&x).unwrap().dims(), &[4, 6]);
     }
@@ -551,10 +562,10 @@ mod tests {
         let mut rng = TensorRng::new(5);
         let mut mhsa = MultiHeadSelfAttention::new(8, 2, 4, &mut rng).unwrap();
         let x = rng.randn(&[6, 8], 0.0, 1.0);
-        mhsa.forward(&x).unwrap();
-        let cache = mhsa.cache.as_ref().unwrap();
-        assert_eq!(cache.attn.len(), 2 * 6 * 6);
-        for row in cache.attn.chunks(6) {
+        mhsa.forward_train(&x).unwrap();
+        let record = mhsa.record.as_ref().unwrap();
+        assert_eq!(record.attn.len(), 2 * 6 * 6);
+        for row in record.attn.chunks(6) {
             let s: f32 = row.iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
         }

@@ -17,11 +17,12 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    cache: Option<ConvCache>,
+    record: Option<ConvRecord>,
 }
 
+/// What [`Layer::forward_train`] records for [`Layer::backward`].
 #[derive(Debug, Clone)]
-struct ConvCache {
+struct ConvRecord {
     /// im2col matrix per batch element: `[out_h*out_w, in_c*k*k]`.
     columns: Vec<Tensor>,
     input_dims: Vec<usize>,
@@ -61,7 +62,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            cache: None,
+            record: None,
         })
     }
 
@@ -96,7 +97,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            cache: None,
+            record: None,
         })
     }
 
@@ -249,8 +250,9 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+impl Conv2d {
+    /// The convolved output, and the im2col matrices the backward reads.
+    fn convolve(&self, input: &Tensor) -> Result<(Tensor, ConvRecord)> {
         if input.rank() != 4 || input.dims()[1] != self.in_channels {
             return Err(NnError::InvalidConfig {
                 message: format!(
@@ -287,24 +289,35 @@ impl Layer for Conv2d {
             columns.push(cols);
         }
         let refs: Vec<&Tensor> = outputs.iter().collect();
-        let result = Tensor::concat_first_axis(&refs)?;
-        self.cache = Some(ConvCache {
+        let record = ConvRecord {
             columns,
             input_dims: input.dims().to_vec(),
             out_h: oh,
             out_w: ow,
-        });
-        Ok(result)
+        };
+        Ok((Tensor::concat_first_axis(&refs)?, record))
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(self.convolve(input)?.0)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let (out, record) = self.convolve(input)?;
+        self.record = Some(record);
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
+        let record = self
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "Conv2d" })?;
-        let batch = cache.input_dims[0];
-        let (h, w) = (cache.input_dims[2], cache.input_dims[3]);
-        let (oh, ow) = (cache.out_h, cache.out_w);
+        let batch = record.input_dims[0];
+        let (h, w) = (record.input_dims[2], record.input_dims[3]);
+        let (oh, ow) = (record.out_h, record.out_w);
         if grad_output.dims() != [batch, self.out_channels, oh, ow] {
             return Err(NnError::InvalidConfig {
                 message: format!(
@@ -324,7 +337,7 @@ impl Layer for Conv2d {
                 .row(b)?
                 .reshape(&[self.out_channels, oh * ow])?
                 .transpose()?;
-            let cols = &cache.columns[b];
+            let cols = &record.columns[b];
             // dW = cols^T g
             grad_w_total.add_assign(&cols.transpose()?.matmul(&g)?)?;
             grad_b_total.add_assign(&g.sum_first_axis()?)?;
@@ -367,7 +380,7 @@ mod tests {
     #[test]
     fn forward_shape() {
         let mut rng = TensorRng::new(1);
-        let mut conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng).unwrap();
+        let conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng).unwrap();
         let x = rng.randn(&[2, 3, 8, 8], 0.0, 1.0);
         let y = conv.forward(&x).unwrap();
         assert_eq!(y.dims(), &[2, 4, 8, 8]);
@@ -378,7 +391,7 @@ mod tests {
         // 1x1 input channel, 2x2 kernel of all ones, stride 1, no padding.
         let weight = Tensor::ones(&[4, 1]);
         let bias = Tensor::zeros(&[1]);
-        let mut conv = Conv2d::from_weights(weight, bias, 1, 1, 2, 1, 0).unwrap();
+        let conv = Conv2d::from_weights(weight, bias, 1, 1, 2, 1, 0).unwrap();
         let x = Tensor::from_vec(
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
             &[1, 1, 3, 3],
@@ -419,7 +432,7 @@ mod tests {
     fn pruned_conv_still_runs() {
         let mut rng = TensorRng::new(3);
         let conv = Conv2d::new(3, 6, 3, 1, 1, &mut rng).unwrap();
-        let mut pruned = conv.prune_filters(&[1, 4]).unwrap();
+        let pruned = conv.prune_filters(&[1, 4]).unwrap();
         let x = rng.randn(&[1, 3, 6, 6], 0.0, 1.0);
         assert_eq!(pruned.forward(&x).unwrap().dims(), &[1, 2, 6, 6]);
     }

@@ -2,18 +2,18 @@ use edvit_tensor::{init::TensorRng, Tensor};
 
 use crate::{Layer, NnError, Parameter, Result};
 
-/// Inverted dropout: during training, zeroes each activation with probability
-/// `p` and rescales the survivors by `1 / (1 - p)`; in evaluation mode it is
-/// the identity.
+/// Inverted dropout: [`Layer::forward_train`] zeroes each activation with
+/// probability `p` and rescales the survivors by `1 / (1 - p)`;
+/// [`Layer::forward`], the inference entry, is the identity.
 ///
 /// The layer carries its own seeded RNG so that training runs remain
 /// reproducible.
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
-    training: bool,
     rng: TensorRng,
-    cache_mask: Option<Tensor>,
+    /// The mask [`Layer::forward_train`] applied.
+    record: Option<Tensor>,
 }
 
 impl Dropout {
@@ -30,9 +30,8 @@ impl Dropout {
         );
         Dropout {
             p,
-            training: true,
             rng: TensorRng::new(seed),
-            cache_mask: None,
+            record: None,
         }
     }
 
@@ -43,25 +42,33 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        if !self.training || self.p == 0.0 {
-            self.cache_mask = Some(Tensor::ones(input.dims()));
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(input.clone())
+    }
+
+    fn forward_owned(&self, input: Tensor) -> Result<Tensor> {
+        Ok(input)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        if self.p == 0.0 {
+            self.record = Some(Tensor::ones(input.dims()));
             return Ok(input.clone());
         }
         let keep = 1.0 - self.p;
         let uniform = self.rng.rand_uniform(input.dims(), 0.0, 1.0);
         let mask = uniform.map(|u| if u < keep { 1.0 / keep } else { 0.0 });
         let out = input.mul(&mask)?;
-        self.cache_mask = Some(mask);
+        self.record = Some(mask);
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let mask = self
-            .cache_mask
-            .as_ref()
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "Dropout" })?;
-        Ok(grad_output.mul(mask)?)
+        Ok(grad_output.mul(&mask)?)
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
@@ -70,10 +77,6 @@ impl Layer for Dropout {
 
     fn parameters(&self) -> Vec<&Parameter> {
         Vec::new()
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
     }
 }
 
@@ -84,19 +87,20 @@ mod tests {
     #[test]
     fn eval_mode_is_identity() {
         let mut d = Dropout::new(0.5, 0);
-        d.set_training(false);
         let x = Tensor::ones(&[4, 4]);
-        let y = d.forward(&x).unwrap();
-        assert_eq!(y.data(), x.data());
-        let g = d.backward(&x).unwrap();
-        assert_eq!(g.data(), x.data());
+        assert_eq!(d.forward(&x).unwrap().data(), x.data());
+        assert_eq!(d.forward_owned(x.clone()).unwrap().data(), x.data());
+        assert!(matches!(
+            d.backward(&x),
+            Err(NnError::MissingForwardCache { .. })
+        ));
     }
 
     #[test]
     fn training_mode_zeroes_and_rescales() {
         let mut d = Dropout::new(0.5, 1);
         let x = Tensor::ones(&[64, 64]);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_train(&x).unwrap();
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         let kept = y.data().iter().filter(|&&v| (v - 2.0).abs() < 1e-6).count();
         assert_eq!(zeros + kept, 64 * 64);
@@ -108,7 +112,7 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.3, 2);
         let x = Tensor::ones(&[10, 10]);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_train(&x).unwrap();
         let g = d.backward(&Tensor::ones(&[10, 10])).unwrap();
         // Gradient must be zero exactly where the output was zero.
         for (a, b) in y.data().iter().zip(g.data()) {
@@ -120,7 +124,7 @@ mod tests {
     fn zero_probability_is_identity_even_in_training() {
         let mut d = Dropout::new(0.0, 3);
         let x = Tensor::ones(&[3]);
-        assert_eq!(d.forward(&x).unwrap().data(), x.data());
+        assert_eq!(d.forward_train(&x).unwrap().data(), x.data());
     }
 
     #[test]

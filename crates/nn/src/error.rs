@@ -7,9 +7,10 @@ use edvit_tensor::TensorError;
 pub enum NnError {
     /// An underlying tensor operation failed (shape mismatch, bad axis, ...).
     Tensor(TensorError),
-    /// `backward` was called before `forward` populated the layer cache.
+    /// `backward` found no record to take: no `forward_train` since the last
+    /// `backward` (a plain `forward` records nothing).
     MissingForwardCache {
-        /// Name of the layer whose cache was missing.
+        /// Name of the layer whose record was missing.
         layer: &'static str,
     },
     /// The layer was constructed or called with an invalid configuration.
@@ -38,7 +39,7 @@ impl fmt::Display for NnError {
         match self {
             NnError::Tensor(e) => write!(f, "tensor error: {e}"),
             NnError::MissingForwardCache { layer } => {
-                write!(f, "backward called before forward on layer {layer}")
+                write!(f, "no forward_train record for backward on layer {layer}")
             }
             NnError::InvalidConfig { message } => write!(f, "invalid configuration: {message}"),
             NnError::LabelMismatch { batch, labels } => {

@@ -13,7 +13,7 @@ use crate::{Layer, NnError, Parameter, Result};
 /// use edvit_tensor::Tensor;
 ///
 /// # fn main() -> Result<(), edvit_nn::NnError> {
-/// let mut ln = LayerNorm::new(4);
+/// let ln = LayerNorm::new(4);
 /// let y = ln.forward(&Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4])?)?;
 /// assert!(y.mean().abs() < 1e-5);
 /// # Ok(())
@@ -24,13 +24,14 @@ pub struct LayerNorm {
     gamma: Parameter,
     beta: Parameter,
     dim: usize,
-    cache: Option<LayerNormCache>,
+    record: Option<LayerNormRecord>,
 }
 
+/// What [`Layer::forward_train`] records for [`Layer::backward`].
 #[derive(Debug, Clone)]
-struct LayerNormCache {
+struct LayerNormRecord {
     /// Normalized input `(x - mean) / sqrt(var + eps)` per row.
-    x_hat: Tensor,
+    x_hat: Vec<f32>,
     /// `1 / sqrt(var + eps)` per row.
     inv_std: Vec<f32>,
     lead_dims: Vec<usize>,
@@ -43,7 +44,7 @@ impl LayerNorm {
             gamma: Parameter::new("layernorm.gamma", Tensor::ones(&[dim])),
             beta: Parameter::new("layernorm.beta", Tensor::zeros(&[dim])),
             dim,
-            cache: None,
+            record: None,
         }
     }
 
@@ -69,7 +70,7 @@ impl LayerNorm {
             gamma: Parameter::new("layernorm.gamma", gamma),
             beta: Parameter::new("layernorm.beta", beta),
             dim,
-            cache: None,
+            record: None,
         })
     }
 
@@ -101,8 +102,10 @@ impl LayerNorm {
     }
 }
 
-impl Layer for LayerNorm {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+impl LayerNorm {
+    /// Normalizes every row of `input`: the output, then the normalized
+    /// input and `1/σ` per row, which only the backward reads.
+    fn normalize(&self, input: &Tensor) -> Result<(Tensor, Vec<f32>, Vec<f32>)> {
         if input.rank() == 0 || *input.dims().last().unwrap_or(&0) != self.dim {
             return Err(NnError::InvalidConfig {
                 message: format!(
@@ -126,31 +129,41 @@ impl Layer for LayerNorm {
             &mut inv_std,
             ParallelPool::global(),
         );
-        let lead_dims: Vec<usize> = input.dims()[..input.rank() - 1].to_vec();
-        self.cache = Some(LayerNormCache {
-            x_hat: Tensor::from_vec(x_hat, &[rows, self.dim])?,
+        Ok((Tensor::from_vec(out, input.dims())?, x_hat, inv_std))
+    }
+}
+
+impl Layer for LayerNorm {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(self.normalize(input)?.0)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let (out, x_hat, inv_std) = self.normalize(input)?;
+        self.record = Some(LayerNormRecord {
+            x_hat,
             inv_std,
-            lead_dims,
+            lead_dims: input.dims()[..input.rank() - 1].to_vec(),
         });
-        Ok(Tensor::from_vec(out, input.dims())?)
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
+        let record = self
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "LayerNorm" })?;
-        let rows = cache.inv_std.len();
+        let rows = record.inv_std.len();
         let d = self.dim;
         let g = grad_output.reshape(&[rows, d])?;
         let pool = ParallelPool::global();
         let (grad_gamma, grad_beta) =
-            ops::layer_norm_param_grads_rows(g.data(), cache.x_hat.data(), d, pool);
+            ops::layer_norm_param_grads_rows(g.data(), &record.x_hat, d, pool);
         let mut grad_x = vec![0.0f32; rows * d];
         ops::layer_norm_backward_rows(
             g.data(),
-            cache.x_hat.data(),
-            &cache.inv_std,
+            &record.x_hat,
+            &record.inv_std,
             d,
             self.gamma.value().data(),
             &mut grad_x,
@@ -160,7 +173,7 @@ impl Layer for LayerNorm {
             .accumulate_grad(&Tensor::from_vec(grad_gamma, &[d])?)?;
         self.beta
             .accumulate_grad(&Tensor::from_vec(grad_beta, &[d])?)?;
-        let mut dims = cache.lead_dims.clone();
+        let mut dims = record.lead_dims;
         dims.push(d);
         Ok(Tensor::from_vec(grad_x, &dims)?)
     }
@@ -182,7 +195,7 @@ mod tests {
 
     #[test]
     fn forward_normalizes_rows() {
-        let mut ln = LayerNorm::new(4);
+        let ln = LayerNorm::new(4);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, -2.0, 0.0, 2.0, 4.0], &[2, 4]).unwrap();
         let y = ln.forward(&x).unwrap();
         for row in y.data().chunks(4) {
@@ -195,6 +208,7 @@ mod tests {
     fn forward_rejects_wrong_dim() {
         let mut ln = LayerNorm::new(4);
         assert!(ln.forward(&Tensor::zeros(&[2, 3])).is_err());
+        assert!(ln.forward_train(&Tensor::zeros(&[2, 3])).is_err());
         assert!(ln.backward(&Tensor::zeros(&[2, 4])).is_err());
     }
 
@@ -216,7 +230,7 @@ mod tests {
         let mut ln = LayerNorm::new(5);
         let mut rng = TensorRng::new(3);
         let x = rng.randn(&[2, 3, 5], 0.0, 2.0);
-        let y = ln.forward(&x).unwrap();
+        let y = ln.forward_train(&x).unwrap();
         assert_eq!(y.dims(), &[2, 3, 5]);
         let g = ln.backward(&Tensor::ones(&[2, 3, 5])).unwrap();
         assert_eq!(g.dims(), &[2, 3, 5]);
@@ -242,7 +256,7 @@ mod tests {
         let beta = rng.rand_uniform(&[d], -0.5, 0.5);
 
         let mut ln = LayerNorm::from_weights(gamma.clone(), beta.clone()).unwrap();
-        let y = ln.forward(&x).unwrap();
+        let y = ln.forward_train(&x).unwrap();
         let gx = ln.backward(&g).unwrap();
 
         let seq = ParallelPool::new(1);

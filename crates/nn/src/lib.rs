@@ -5,33 +5,51 @@
 //! (`edvit-baselines`) and the fusion MLP (`edvit-fusion`) of the ED-ViT
 //! reproduction.
 //!
-//! The crate intentionally avoids a tape-based autograd: every layer caches
-//! exactly what its backward pass needs and exposes
-//! [`Layer::forward`] / [`Layer::backward`]. This keeps the memory profile
-//! predictable (important when simulating memory-constrained edge devices) and
-//! makes each gradient auditable against finite differences, which the test
-//! suite does for every layer.
+//! The crate intentionally avoids a tape-based autograd: every layer records
+//! exactly what its backward pass needs and exposes [`Layer::forward`],
+//! [`Layer::forward_train`] and [`Layer::backward`]. This keeps the memory
+//! profile predictable (important when simulating memory-constrained edge
+//! devices) and makes each gradient auditable against finite differences,
+//! which the test suite does for every layer.
 //!
-//! # One forward path, and what it caches
+//! # Who records what, and when `backward` takes it
 //!
-//! There is no inference mode: the forward that serves a request is the
-//! forward that training backpropagates through, and it is kept lean instead
-//! of forked. A cache entry is a *move* of a buffer the forward pass already
-//! owns wherever one exists, and exactly one copy where the only source is a
-//! borrowed input:
+//! Backward state belongs to a training step, not to the layer. Each
+//! layer's arithmetic is written once and run by two entries that differ only
+//! in who owns what the gradient needs:
 //!
-//! | layer | caches for `backward` | how |
+//! - [`Layer::forward`] (`&self`) is inference: it records nothing, so a
+//!   deployed model holds weights only, a clone of it copies weights only,
+//!   and a request neither replaces nor frees anything a training pass left.
+//! - [`Layer::forward_train`] (`&mut self`) is a training step's forward: the
+//!   same output, bit for bit, plus a record kept in the layer.
+//! - [`Layer::backward`] takes that record (`Option::take`). After the step
+//!   the layer holds weights only again; a `backward` with no record (after
+//!   a plain `forward`, or a second one) is [`NnError::MissingForwardCache`].
+//!
+//! The crate used to have one forward that always cached, on the grounds
+//! that keeping one path lean beat forking it. Serving disproved that: every
+//! deployed model carried the caches of its last evaluation pass over the
+//! whole test set, and each one-shot request copied them with the deployment,
+//! replaced them on its first forward and freed them, on its critical path.
+//! Recording nothing at inference took the repo benchmark's
+//! `oneshot_latency` from 7 716 to 11 328 requests/s (median of ten
+//! alternating 20 s pairs, 10 won, 2-vCPU Xeon @ 2.10 GHz), its p50 from 125
+//! to 86 µs and its allocations per request from 372 to 269.
+//!
+//! | layer | records for `backward` | how |
 //! |---|---|---|
-//! | [`Linear`] | its input as `[rows, in]`, the leading dims | `forward`: one copy of the borrowed input; [`Layer::forward_owned`]: the input buffer itself, reshaped in place. The output is one buffer — `x·W + b` with the bias as the matmul's epilogue |
-//! | [`Gelu`], [`Relu`] | the pre-activation | one copy; `forward_owned` then computes in place on the buffer it was given |
-//! | [`Mlp`] | nothing of its own | the first linear layer borrows the caller's input; every later buffer is passed down by value, so each hidden activation is allocated once and ends up inside the next layer's cache |
-//! | [`MultiHeadSelfAttention`] | per sample and head: `q`, `k`, `v` (`[tokens, head_dim]`) and the attention weights (`[tokens, tokens]`) | the three operands are strided row copies out of the `[tokens, heads·head_dim]` projections, made once, used by the kernels, then moved into the cache; the scores are scaled as they are written, soft-maxed in place and moved; head outputs are written straight into the buffer the output projection then takes by value |
+//! | [`Linear`] | its input as `[rows, in]`, the leading dims | `forward_train`: one copy of the borrowed input; [`Linear::forward_train_owned`]: the input buffer itself, reshaped in place. The output is one buffer either way — `x·W + b` with the bias as the matmul's epilogue |
+//! | [`Gelu`], [`Relu`] | the pre-activation | one copy; [`Layer::forward_owned`] computes in place on the buffer it was given |
+//! | [`Mlp`] | each activation's input | each hidden buffer is allocated once: its copy before the in-place activation is the MLP's record, and the buffer itself moves into the next linear layer's record |
+//! | [`MultiHeadSelfAttention`] | the `[.., tokens, heads·head_dim]` projections `q`, `k`, `v` and the softmaxed weights `[batch, heads, tokens, tokens]` | the buffers the forward computes anyway, moved in; head outputs are written straight into the buffer the output projection then takes by value |
 //! | [`LayerNorm`] | the normalized input and `1/σ` per row | buffers its forward kernel fills |
+//! | [`Conv2d`], [`MaxPool2d`], [`AvgPool2d`], [`Flatten`] | the im2col matrices, the argmax positions, the input dims | computed by the forward anyway |
+//! | [`Dropout`] | the mask it applied | `forward_train` draws it; inference is the identity |
 //!
-//! Cloning a cache is not what a forward costs (`[1,64,768]` is 4.5 µs); the
-//! per-element `%`, the three-buffer `Linear::forward` and the index-list
-//! head split it replaced were. `crates/vit/tests/forward_pinned.rs` pins the
-//! bits of the whole path, forward and backward.
+//! `crates/vit/tests/forward_pinned.rs` pins the bits of the whole path,
+//! forward and backward, and checks that the training forward gives the
+//! inference forward's bits.
 //!
 //! # Example
 //!
@@ -47,13 +65,16 @@
 //!     Box::new(Linear::new(8, 3, &mut rng)),
 //! ]);
 //! let x = rng.randn(&[2, 4], 0.0, 1.0);
-//! let logits = net.forward(&x)?;
+//! let logits = net.forward_train(&x)?;
+//! assert_eq!(net.forward(&x)?, logits);
 //! let mut loss = CrossEntropyLoss::new();
 //! let value = loss.forward(&logits, &[0, 2])?;
 //! let grad = loss.backward()?;
 //! net.backward(&grad)?;
 //! Sgd::new(0.1).step(&mut net.parameters_mut())?;
 //! assert!(value > 0.0);
+//! // The step took what it recorded: a second backward has nothing to use.
+//! assert!(net.backward(&grad).is_err());
 //! # Ok(())
 //! # }
 //! ```

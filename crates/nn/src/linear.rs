@@ -17,7 +17,7 @@ use crate::{Layer, NnError, Parameter, Result};
 ///
 /// # fn main() -> Result<(), edvit_nn::NnError> {
 /// let mut rng = TensorRng::new(0);
-/// let mut lin = Linear::new(8, 4, &mut rng);
+/// let lin = Linear::new(8, 4, &mut rng);
 /// let x = rng.randn(&[2, 8], 0.0, 1.0);
 /// assert_eq!(lin.forward(&x)?.dims(), &[2, 4]);
 /// # Ok(())
@@ -29,8 +29,9 @@ pub struct Linear {
     bias: Parameter,
     in_features: usize,
     out_features: usize,
-    cache_input: Option<Tensor>,
-    cache_lead_dims: Vec<usize>,
+    /// What [`Layer::forward_train`] recorded: the input as
+    /// `[rows, in_features]` and its leading dims.
+    record: Option<(Tensor, Vec<usize>)>,
 }
 
 impl Linear {
@@ -42,8 +43,7 @@ impl Linear {
             bias: Parameter::new("linear.bias", Tensor::zeros(&[out_features])),
             in_features,
             out_features,
-            cache_input: None,
-            cache_lead_dims: Vec::new(),
+            record: None,
         }
     }
 
@@ -74,8 +74,7 @@ impl Linear {
             bias: Parameter::new("linear.bias", bias),
             in_features,
             out_features,
-            cache_input: None,
-            cache_lead_dims: Vec::new(),
+            record: None,
         })
     }
 
@@ -126,10 +125,8 @@ impl Linear {
     }
 
     /// `input · W + b` in one buffer with the output's final dims; returns it
-    /// with the row count of `input` seen as `[rows, in_features]`. Caches
-    /// only the leading dims — the callers cache the input itself, by copy or
-    /// by move.
-    fn affine(&mut self, input: &Tensor) -> Result<(Tensor, usize)> {
+    /// with the row count of `input` seen as `[rows, in_features]`.
+    fn affine(&self, input: &Tensor) -> Result<(Tensor, usize)> {
         let Some((&last, lead)) = input.dims().split_last() else {
             return Err(NnError::InvalidConfig {
                 message: "linear forward on rank-0 tensor".to_string(),
@@ -146,28 +143,37 @@ impl Linear {
             });
         }
         let out = input.matmul_bias(self.weight.value(), self.bias.value())?;
-        self.cache_lead_dims = lead.to_vec();
         Ok((out, lead.iter().product()))
+    }
+
+    /// [`Layer::forward_train`] for a caller that is done with `input`: the
+    /// record is the input buffer itself, reshaped in place, not a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same errors as [`Layer::forward`].
+    pub fn forward_train_owned(&mut self, input: Tensor) -> Result<Tensor> {
+        let (out, rows) = self.affine(&input)?;
+        let lead_dims = input.dims()[..input.rank() - 1].to_vec();
+        let input = input.into_reshaped(&[rows, self.in_features])?;
+        self.record = Some((input, lead_dims));
+        Ok(out)
     }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (out, rows) = self.affine(input)?;
-        self.cache_input = Some(input.reshape(&[rows, self.in_features])?);
-        Ok(out)
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(self.affine(input)?.0)
     }
 
-    fn forward_owned(&mut self, input: Tensor) -> Result<Tensor> {
-        let (out, rows) = self.affine(&input)?;
-        self.cache_input = Some(input.into_reshaped(&[rows, self.in_features])?);
-        Ok(out)
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.forward_train_owned(input.clone())
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let x = self
-            .cache_input
-            .as_ref()
+        let (x, mut dims) = self
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "Linear" })?;
         let rows = x.dims()[0];
         let g2d = grad_output.reshape(&[rows, self.out_features])?;
@@ -179,7 +185,6 @@ impl Layer for Linear {
         let grad_x = g2d.matmul(&self.weight.value().transpose()?)?;
         self.weight.accumulate_grad(&grad_w)?;
         self.bias.accumulate_grad(&grad_b)?;
-        let mut dims = self.cache_lead_dims.clone();
         dims.push(self.in_features);
         Ok(grad_x.reshape(&dims)?)
     }
@@ -202,7 +207,7 @@ mod tests {
     fn forward_shape_and_values() {
         let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], &[3, 2]).unwrap();
         let b = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
-        let mut lin = Linear::from_weights(w, b).unwrap();
+        let lin = Linear::from_weights(w, b).unwrap();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]).unwrap();
         let y = lin.forward(&x).unwrap();
         assert_eq!(y.dims(), &[1, 2]);
@@ -214,6 +219,7 @@ mod tests {
         let mut rng = TensorRng::new(0);
         let mut lin = Linear::new(4, 2, &mut rng);
         assert!(lin.forward(&Tensor::zeros(&[2, 3])).is_err());
+        assert!(lin.forward_train(&Tensor::zeros(&[2, 3])).is_err());
     }
 
     #[test]
@@ -221,27 +227,26 @@ mod tests {
         let mut rng = TensorRng::new(0);
         let mut lin = Linear::new(4, 2, &mut rng);
         let x = rng.randn(&[2, 5, 4], 0.0, 1.0);
-        let y = lin.forward(&x).unwrap();
+        let y = lin.forward_train(&x).unwrap();
         assert_eq!(y.dims(), &[2, 5, 2]);
         let g = lin.backward(&Tensor::ones(&[2, 5, 2])).unwrap();
         assert_eq!(g.dims(), &[2, 5, 4]);
     }
 
     #[test]
-    fn forward_owned_matches_forward_and_leaves_the_same_cache() {
+    fn forward_train_owned_matches_forward_train_and_records_the_same() {
         let mut rng = TensorRng::new(9);
         let mut borrowed = Linear::new(4, 3, &mut rng);
         let mut owned = borrowed.clone();
         let x = rng.randn(&[2, 5, 4], 0.0, 1.0);
         let g = rng.randn(&[2, 5, 3], 0.0, 1.0);
-        assert_eq!(
-            owned.forward_owned(x.clone()).unwrap(),
-            borrowed.forward(&x).unwrap()
-        );
+        let y = borrowed.forward_train(&x).unwrap();
+        assert_eq!(owned.forward_train_owned(x.clone()).unwrap(), y);
+        assert_eq!(owned.forward_owned(x).unwrap(), y);
         assert_eq!(owned.backward(&g).unwrap(), borrowed.backward(&g).unwrap());
         assert_eq!(owned.weight().grad(), borrowed.weight().grad());
         assert_eq!(owned.bias().grad(), borrowed.bias().grad());
-        assert!(owned.forward_owned(Tensor::zeros(&[2, 3])).is_err());
+        assert!(owned.forward_train_owned(Tensor::zeros(&[2, 3])).is_err());
     }
 
     #[test]

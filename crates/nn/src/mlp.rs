@@ -1,6 +1,7 @@
 use edvit_tensor::{init::TensorRng, Tensor};
 
-use crate::{Gelu, Layer, Linear, NnError, Parameter, Relu, Result};
+use crate::activation::{gelu_backward, gelu_in_place, relu_backward, relu_in_place};
+use crate::{Layer, Linear, NnError, Parameter, Result};
 
 /// Nonlinearity selection for [`Mlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,6 +10,25 @@ pub enum MlpActivation {
     Relu,
     /// Gaussian error linear unit (the ViT default).
     Gelu,
+}
+
+impl MlpActivation {
+    /// The activation on every element of `x`, in place: the arithmetic of
+    /// [`crate::Relu`] / [`crate::Gelu`].
+    fn apply(self, x: &mut Tensor) {
+        match self {
+            MlpActivation::Relu => relu_in_place(x),
+            MlpActivation::Gelu => gelu_in_place(x),
+        }
+    }
+
+    /// The gradient through the activation whose input was `pre`.
+    fn backward(self, pre: &Tensor, grad_output: &Tensor) -> Result<Tensor> {
+        match self {
+            MlpActivation::Relu => relu_backward(pre, grad_output),
+            MlpActivation::Gelu => gelu_backward(pre, grad_output),
+        }
+    }
 }
 
 /// A multi-layer perceptron: a chain of linear layers separated by a chosen
@@ -25,45 +45,22 @@ pub enum MlpActivation {
 ///
 /// # fn main() -> Result<(), edvit_nn::NnError> {
 /// let mut rng = TensorRng::new(0);
-/// let mut mlp = Mlp::new(&[8, 16, 4], &mut rng)?;
+/// let mlp = Mlp::new(&[8, 16, 4], &mut rng)?;
 /// let y = mlp.forward(&rng.randn(&[3, 8], 0.0, 1.0))?;
 /// assert_eq!(y.dims(), &[3, 4]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     linears: Vec<Linear>,
-    activations: Vec<Box<dyn Layer>>,
-    activation_kind: MlpActivation,
+    activation: MlpActivation,
     layer_sizes: Vec<usize>,
     /// The last of `layer_sizes`, taken when the MLP is built.
     out_features: usize,
-}
-
-impl Clone for Mlp {
-    /// Clones the weights and structure. The boxed activation layers hold
-    /// only forward-pass scratch, so the clone gets fresh ones rebuilt from
-    /// `activation_kind` instead of requiring `dyn Layer` to be clonable.
-    fn clone(&self) -> Self {
-        let activations: Vec<Box<dyn Layer>> = self
-            .activations
-            .iter()
-            .map(|_| -> Box<dyn Layer> {
-                match self.activation_kind {
-                    MlpActivation::Relu => Box::new(Relu::new()),
-                    MlpActivation::Gelu => Box::new(Gelu::new()),
-                }
-            })
-            .collect();
-        Mlp {
-            linears: self.linears.clone(),
-            activations,
-            activation_kind: self.activation_kind,
-            layer_sizes: self.layer_sizes.clone(),
-            out_features: self.out_features,
-        }
-    }
+    /// What [`Layer::forward_train`] recorded beyond the linear layers' own
+    /// records: each activation's input, in layer order.
+    record: Option<Vec<Tensor>>,
 }
 
 impl Mlp {
@@ -99,23 +96,16 @@ impl Mlp {
                 message: format!("zero-sized layer in MLP sizes {layer_sizes:?}"),
             });
         }
-        let mut linears = Vec::with_capacity(layer_sizes.len() - 1);
-        let mut activations: Vec<Box<dyn Layer>> = Vec::new();
-        for i in 0..layer_sizes.len() - 1 {
-            linears.push(Linear::new(layer_sizes[i], layer_sizes[i + 1], rng));
-            if i + 2 < layer_sizes.len() {
-                activations.push(match activation {
-                    MlpActivation::Relu => Box::new(Relu::new()),
-                    MlpActivation::Gelu => Box::new(Gelu::new()),
-                });
-            }
-        }
+        let linears = layer_sizes
+            .windows(2)
+            .map(|pair| Linear::new(pair[0], pair[1], rng))
+            .collect();
         Ok(Mlp {
             linears,
-            activations,
-            activation_kind: activation,
+            activation,
             layer_sizes: layer_sizes.to_vec(),
             out_features,
+            record: None,
         })
     }
 
@@ -147,19 +137,12 @@ impl Mlp {
             }
             layer_sizes.push(lin.out_features());
         }
-        let mut activations: Vec<Box<dyn Layer>> = Vec::new();
-        for _ in 0..linears.len().saturating_sub(1) {
-            activations.push(match activation {
-                MlpActivation::Relu => Box::new(Relu::new()),
-                MlpActivation::Gelu => Box::new(Gelu::new()),
-            });
-        }
         Ok(Mlp {
             linears,
-            activations,
-            activation_kind: activation,
+            activation,
             layer_sizes,
             out_features,
+            record: None,
         })
     }
 
@@ -170,7 +153,7 @@ impl Mlp {
 
     /// Activation used between layers.
     pub fn activation(&self) -> MlpActivation {
-        self.activation_kind
+        self.activation
     }
 
     /// Read-only access to the linear sub-layers, exposed for pruning.
@@ -189,35 +172,53 @@ impl Mlp {
     }
 }
 
+/// The error of a pass over an MLP without layers, which no constructor
+/// builds.
+fn no_layers() -> NnError {
+    NnError::InvalidConfig {
+        message: "forward on an MLP without layers".to_string(),
+    }
+}
+
 impl Layer for Mlp {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
         // Only the first layer borrows; every later buffer is this
-        // function's own, so each layer takes it by value: the activation
-        // runs in place (its cache is the one copy of the pre-activation) and
-        // the next linear layer moves it into its cache.
-        let Some((first, rest)) = self.linears.split_first_mut() else {
-            return Err(NnError::InvalidConfig {
-                message: "forward on an MLP without layers".to_string(),
-            });
-        };
+        // function's own, so the activation runs in place on it.
+        let (first, rest) = self.linears.split_first().ok_or_else(no_layers)?;
         let mut x = first.forward(input)?;
-        let mut activations = self.activations.iter_mut();
         for linear in rest {
-            if let Some(activation) = activations.next() {
-                x = activation.forward_owned(x)?;
-            }
-            x = linear.forward_owned(x)?;
+            self.activation.apply(&mut x);
+            x = linear.forward(&x)?;
         }
         Ok(x)
     }
 
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        // As `forward`, and each hidden buffer is allocated once: its copy
+        // before the activation is this MLP's record, the buffer itself moves
+        // into the next linear layer's record.
+        let (first, rest) = self.linears.split_first_mut().ok_or_else(no_layers)?;
+        let mut x = first.forward_train(input)?;
+        let mut pre = Vec::with_capacity(rest.len());
+        for linear in rest {
+            pre.push(x.clone());
+            self.activation.apply(&mut x);
+            x = linear.forward_train_owned(x)?;
+        }
+        self.record = Some(pre);
+        Ok(x)
+    }
+
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut g = grad_output.clone();
-        for i in (0..self.linears.len()).rev() {
-            if i < self.activations.len() {
-                g = self.activations[i].backward(&g)?;
-            }
-            g = self.linears[i].backward(&g)?;
+        let pre = self
+            .record
+            .take()
+            .ok_or(NnError::MissingForwardCache { layer: "Mlp" })?;
+        let (last, rest) = self.linears.split_last_mut().ok_or_else(no_layers)?;
+        let mut g = last.backward(grad_output)?;
+        for (linear, pre) in rest.iter_mut().zip(&pre).rev() {
+            g = self.activation.backward(pre, &g)?;
+            g = linear.backward(&g)?;
         }
         Ok(g)
     }
@@ -257,7 +258,7 @@ mod tests {
         let mut rng = TensorRng::new(1);
         let mut mlp = Mlp::with_activation(&[6, 12, 12, 3], MlpActivation::Relu, &mut rng).unwrap();
         let x = rng.randn(&[5, 6], 0.0, 1.0);
-        let y = mlp.forward(&x).unwrap();
+        let y = mlp.forward_train(&x).unwrap();
         assert_eq!(y.dims(), &[5, 3]);
         let g = mlp.backward(&Tensor::ones(&[5, 3])).unwrap();
         assert_eq!(g.dims(), &[5, 6]);
@@ -281,7 +282,7 @@ mod tests {
     fn single_layer_mlp_is_linear() {
         let mut rng = TensorRng::new(3);
         let lin = Linear::new(3, 2, &mut rng);
-        let mut mlp = Mlp::from_linears(vec![lin], MlpActivation::Relu).unwrap();
+        let mlp = Mlp::from_linears(vec![lin], MlpActivation::Relu).unwrap();
         let x = rng.randn(&[2, 3], 0.0, 1.0);
         // No activation is applied after the only layer, so negatives survive.
         let y = mlp.forward(&x).unwrap();

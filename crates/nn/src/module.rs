@@ -2,45 +2,60 @@ use edvit_tensor::Tensor;
 
 use crate::{NnError, Parameter, Result};
 
-/// A differentiable layer with cached-activation backpropagation.
+/// A differentiable layer whose backward state belongs to a training step.
 ///
-/// The contract is the classic two-phase one:
+/// Two forward entries run the same arithmetic and differ only in who owns
+/// what the gradient needs:
 ///
-/// 1. [`Layer::forward`] computes the output for an input batch and caches
-///    whatever intermediate values the gradient needs;
-/// 2. [`Layer::backward`] consumes the gradient of the loss with respect to
-///    the layer output, accumulates parameter gradients, and returns the
-///    gradient with respect to the layer input.
+/// 1. [`Layer::forward`] (`&self`) computes the output and records nothing:
+///    it is what inference runs, so a deployed layer holds weights and
+///    nothing else, and a clone of it copies only weights;
+/// 2. [`Layer::forward_train`] (`&mut self`) computes the same output, bit
+///    for bit, and records what [`Layer::backward`] needs;
+/// 3. [`Layer::backward`] takes that record (`Option::take`), accumulates
+///    parameter gradients and returns the gradient with respect to the
+///    input.
 ///
-/// Layers are stateful between the two calls; calling `backward` without a
-/// preceding `forward` returns [`NnError::MissingForwardCache`].
+/// A record serves one backward: calling `backward` without a preceding
+/// `forward_train`, after a plain `forward`, or a second time returns
+/// [`NnError::MissingForwardCache`].
 pub trait Layer: std::fmt::Debug + Send {
-    /// Runs the layer on `input`, caching intermediates for `backward`.
+    /// Runs the layer on `input` and records nothing.
     ///
     /// # Errors
     ///
     /// Returns an error when the input shape is incompatible with the layer.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
+    fn forward(&self, input: &Tensor) -> Result<Tensor>;
 
-    /// [`Layer::forward`] for a caller that is done with `input`: a layer
-    /// that caches its input moves the buffer into the cache instead of
-    /// copying it, an elementwise layer computes in place. Same output and
-    /// same cache, bit for bit; the default just borrows.
+    /// [`Layer::forward`] for a caller that is done with `input`: an
+    /// elementwise layer computes in place on the buffer. Same output, bit
+    /// for bit; the default just borrows.
     ///
     /// # Errors
     ///
     /// Returns the same errors as [`Layer::forward`].
-    fn forward_owned(&mut self, input: Tensor) -> Result<Tensor> {
+    fn forward_owned(&self, input: Tensor) -> Result<Tensor> {
         self.forward(&input)
     }
 
-    /// Backpropagates `grad_output`, accumulating parameter gradients and
-    /// returning the gradient with respect to the layer input.
+    /// Runs the layer on `input` with [`Layer::forward`]'s arithmetic and
+    /// records what [`Layer::backward`] needs, replacing any earlier record.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::MissingForwardCache`] when called before `forward`,
-    /// or a tensor error when `grad_output` has the wrong shape.
+    /// Returns the same errors as [`Layer::forward`].
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor>;
+
+    /// Backpropagates `grad_output` through what the last
+    /// [`Layer::forward_train`] recorded, taking the record: accumulates
+    /// parameter gradients and returns the gradient with respect to the
+    /// layer input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::MissingForwardCache`] when no record is held (no
+    /// `forward_train` since the last `backward`), or a tensor error when
+    /// `grad_output` has the wrong shape.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
 
     /// Mutable references to every trainable parameter of the layer.
@@ -48,10 +63,6 @@ pub trait Layer: std::fmt::Debug + Send {
 
     /// Immutable references to every trainable parameter of the layer.
     fn parameters(&self) -> Vec<&Parameter>;
-
-    /// Switches between training and evaluation behaviour (dropout etc.).
-    /// The default implementation does nothing.
-    fn set_training(&mut self, _training: bool) {}
 
     /// Resets all parameter gradients to zero.
     fn zero_grad(&mut self) {
@@ -76,7 +87,7 @@ pub trait Layer: std::fmt::Debug + Send {
 ///
 /// # fn main() -> Result<(), edvit_nn::NnError> {
 /// let mut rng = TensorRng::new(1);
-/// let mut net = Sequential::new(vec![
+/// let net = Sequential::new(vec![
 ///     Box::new(Linear::new(3, 5, &mut rng)) as Box<dyn Layer>,
 ///     Box::new(Relu::new()),
 ///     Box::new(Linear::new(5, 2, &mut rng)),
@@ -123,16 +134,28 @@ impl Sequential {
     }
 }
 
+/// The error of a forward on an empty [`Sequential`].
+fn empty_forward() -> NnError {
+    NnError::InvalidConfig {
+        message: "forward on empty Sequential".to_string(),
+    }
+}
+
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::InvalidConfig {
-                message: "forward on empty Sequential".to_string(),
-            });
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        let (first, rest) = self.layers.split_first().ok_or_else(empty_forward)?;
+        let mut x = first.forward(input)?;
+        for layer in rest {
+            x = layer.forward_owned(x)?;
         }
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x)?;
+        Ok(x)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let (first, rest) = self.layers.split_first_mut().ok_or_else(empty_forward)?;
+        let mut x = first.forward_train(input)?;
+        for layer in rest {
+            x = layer.forward_train(&x)?;
         }
         Ok(x)
     }
@@ -160,12 +183,6 @@ impl Layer for Sequential {
     fn parameters(&self) -> Vec<&Parameter> {
         self.layers.iter().flat_map(|l| l.parameters()).collect()
     }
-
-    fn set_training(&mut self, training: bool) {
-        for layer in &mut self.layers {
-            layer.set_training(training);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -179,6 +196,7 @@ mod tests {
         let mut s = Sequential::empty();
         assert!(s.is_empty());
         assert!(s.forward(&Tensor::zeros(&[1, 1])).is_err());
+        assert!(s.forward_train(&Tensor::zeros(&[1, 1])).is_err());
         assert!(s.backward(&Tensor::zeros(&[1, 1])).is_err());
     }
 
@@ -192,8 +210,9 @@ mod tests {
         ]);
         assert_eq!(s.len(), 3);
         let x = rng.randn(&[3, 4], 0.0, 1.0);
-        let y = s.forward(&x).unwrap();
+        let y = s.forward_train(&x).unwrap();
         assert_eq!(y.dims(), &[3, 2]);
+        assert_eq!(s.forward(&x).unwrap(), y);
         let gin = s.backward(&Tensor::ones(&[3, 2])).unwrap();
         assert_eq!(gin.dims(), &[3, 4]);
         // Two Linear layers -> 4 parameters (2 weights + 2 biases).

@@ -7,11 +7,12 @@ use crate::{Layer, NnError, Parameter, Result};
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     size: usize,
-    cache: Option<PoolCache>,
+    record: Option<PoolRecord>,
 }
 
+/// What [`Layer::forward_train`] records for [`Layer::backward`].
 #[derive(Debug, Clone)]
-struct PoolCache {
+struct PoolRecord {
     /// Flat index (into the input sample) of each selected maximum.
     argmax: Vec<usize>,
     input_dims: Vec<usize>,
@@ -27,7 +28,7 @@ impl MaxPool2d {
     /// Panics when `size` is zero.
     pub fn new(size: usize) -> Self {
         assert!(size > 0, "pool size must be positive");
-        MaxPool2d { size, cache: None }
+        MaxPool2d { size, record: None }
     }
 
     /// Pooling window size.
@@ -36,8 +37,9 @@ impl MaxPool2d {
     }
 }
 
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+impl MaxPool2d {
+    /// The pooled output, and where each maximum came from.
+    fn pool(&self, input: &Tensor) -> Result<(Tensor, PoolRecord)> {
         if input.rank() != 4 {
             return Err(NnError::InvalidConfig {
                 message: format!("maxpool expects rank-4 input, got {:?}", input.dims()),
@@ -84,27 +86,39 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        self.cache = Some(PoolCache {
+        let record = PoolRecord {
             argmax,
             input_dims: input.dims().to_vec(),
             out_h: oh,
             out_w: ow,
-        });
-        Ok(Tensor::from_vec(out, &[b, c, oh, ow])?)
+        };
+        Ok((Tensor::from_vec(out, &[b, c, oh, ow])?, record))
+    }
+}
+
+impl Layer for MaxPool2d {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(self.pool(input)?.0)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let (out, record) = self.pool(input)?;
+        self.record = Some(record);
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
+        let record = self
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "MaxPool2d" })?;
-        let numel: usize = cache.input_dims.iter().product();
+        let numel: usize = record.input_dims.iter().product();
         let mut grad = vec![0.0f32; numel];
         let expected = [
-            cache.input_dims[0],
-            cache.input_dims[1],
-            cache.out_h,
-            cache.out_w,
+            record.input_dims[0],
+            record.input_dims[1],
+            record.out_h,
+            record.out_w,
         ];
         if grad_output.dims() != expected {
             return Err(NnError::InvalidConfig {
@@ -116,9 +130,9 @@ impl Layer for MaxPool2d {
             });
         }
         for (i, &g) in grad_output.data().iter().enumerate() {
-            grad[cache.argmax[i]] += g;
+            grad[record.argmax[i]] += g;
         }
-        Ok(Tensor::from_vec(grad, &cache.input_dims)?)
+        Ok(Tensor::from_vec(grad, &record.input_dims)?)
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
@@ -134,18 +148,19 @@ impl Layer for MaxPool2d {
 /// `[batch, channels, h, w] -> [batch, channels]`.
 #[derive(Debug, Clone, Default)]
 pub struct AvgPool2d {
-    cache_dims: Option<Vec<usize>>,
+    /// The input dims [`Layer::forward_train`] saw.
+    record: Option<Vec<usize>>,
 }
 
 impl AvgPool2d {
     /// Creates a global average pooling layer.
     pub fn new() -> Self {
-        AvgPool2d { cache_dims: None }
+        AvgPool2d { record: None }
     }
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
         if input.rank() != 4 {
             return Err(NnError::InvalidConfig {
                 message: format!("avgpool expects rank-4 input, got {:?}", input.dims()),
@@ -164,14 +179,19 @@ impl Layer for AvgPool2d {
                 out[bi * c + ci] = plane.iter().sum::<f32>() / (h * w) as f32;
             }
         }
-        self.cache_dims = Some(input.dims().to_vec());
         Ok(Tensor::from_vec(out, &[b, c])?)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.forward(input)?;
+        self.record = Some(input.dims().to_vec());
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let dims = self
-            .cache_dims
-            .as_ref()
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "AvgPool2d" })?;
         let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         if grad_output.dims() != [b, c] {
@@ -192,7 +212,7 @@ impl Layer for AvgPool2d {
                 }
             }
         }
-        Ok(Tensor::from_vec(grad, dims)?)
+        Ok(Tensor::from_vec(grad, &dims)?)
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
@@ -208,18 +228,19 @@ impl Layer for AvgPool2d {
 /// original shape for the backward pass.
 #[derive(Debug, Clone, Default)]
 pub struct Flatten {
-    cache_dims: Option<Vec<usize>>,
+    /// The input dims [`Layer::forward_train`] saw.
+    record: Option<Vec<usize>>,
 }
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { cache_dims: None }
+        Flatten { record: None }
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+    fn forward(&self, input: &Tensor) -> Result<Tensor> {
         if input.rank() < 2 {
             return Err(NnError::InvalidConfig {
                 message: format!("flatten expects rank >= 2, got {:?}", input.dims()),
@@ -227,16 +248,21 @@ impl Layer for Flatten {
         }
         let b = input.dims()[0];
         let rest = input.numel() / b.max(1);
-        self.cache_dims = Some(input.dims().to_vec());
         Ok(input.reshape(&[b, rest])?)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        let out = self.forward(input)?;
+        self.record = Some(input.dims().to_vec());
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let dims = self
-            .cache_dims
-            .as_ref()
+            .record
+            .take()
             .ok_or(NnError::MissingForwardCache { layer: "Flatten" })?;
-        Ok(grad_output.reshape(dims)?)
+        Ok(grad_output.reshape(&dims)?)
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
@@ -255,7 +281,7 @@ mod tests {
 
     #[test]
     fn maxpool_forward_known_values() {
-        let mut pool = MaxPool2d::new(2);
+        let pool = MaxPool2d::new(2);
         let x = Tensor::from_vec(
             vec![
                 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
@@ -274,7 +300,7 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut pool = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 4.0, 3.0], &[1, 1, 2, 2]).unwrap();
-        pool.forward(&x).unwrap();
+        pool.forward_train(&x).unwrap();
         let g = pool.backward(&Tensor::ones(&[1, 1, 1, 1])).unwrap();
         assert_eq!(g.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
@@ -283,6 +309,7 @@ mod tests {
     fn maxpool_validation() {
         let mut pool = MaxPool2d::new(4);
         assert!(pool.forward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
+        assert!(pool.forward_train(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
         assert!(pool.forward(&Tensor::zeros(&[2, 2])).is_err());
         assert!(pool.backward(&Tensor::zeros(&[1, 1, 1, 1])).is_err());
         assert!(pool.parameters().is_empty());
@@ -296,19 +323,20 @@ mod tests {
             &[1, 2, 2, 2],
         )
         .unwrap();
-        let y = pool.forward(&x).unwrap();
+        let y = pool.forward_train(&x).unwrap();
         assert_eq!(y.dims(), &[1, 2]);
         assert_eq!(y.data(), &[2.5, 25.0]);
+        assert!(pool.backward(&Tensor::ones(&[2, 2])).is_err());
+        pool.forward_train(&x).unwrap();
         let g = pool.backward(&Tensor::ones(&[1, 2])).unwrap();
         assert!(g.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
-        assert!(pool.backward(&Tensor::ones(&[2, 2])).is_err());
     }
 
     #[test]
     fn flatten_round_trip() {
         let mut f = Flatten::new();
         let x = Tensor::arange(24).reshape(&[2, 3, 2, 2]).unwrap();
-        let y = f.forward(&x).unwrap();
+        let y = f.forward_train(&x).unwrap();
         assert_eq!(y.dims(), &[2, 12]);
         let g = f.backward(&Tensor::ones(&[2, 12])).unwrap();
         assert_eq!(g.dims(), &[2, 3, 2, 2]);

@@ -28,18 +28,19 @@ pub fn finite_difference_check(
 ) {
     let mut rng = TensorRng::new(seed);
     let x = rng.randn(input_dims, 0.0, 1.0);
-    // Fix the output weighting from a first forward pass (also warms caches).
+    // Fix the output weighting from a first forward pass.
     let out0 = layer.forward(&x).expect("forward failed");
     let w = TensorRng::new(seed ^ 0xABCD).rand_uniform(out0.dims(), -1.0, 1.0);
 
-    let loss_of = |layer: &mut Box<dyn Layer>, x: &Tensor, w: &Tensor| -> f32 {
+    let loss_of = |layer: &dyn Layer, x: &Tensor, w: &Tensor| -> f32 {
         let out = layer.forward(x).expect("forward failed");
         out.mul(w).expect("shape").sum()
     };
 
-    // Analytic gradients.
+    // Analytic gradients, through what the training forward recorded.
     layer.zero_grad();
-    let _ = loss_of(&mut layer, &x, &w);
+    let out = layer.forward_train(&x).expect("forward_train failed");
+    assert_eq!(out, out0, "forward_train and forward disagree");
     let grad_in = layer.backward(&w).expect("backward failed");
     assert_eq!(grad_in.dims(), x.dims(), "input gradient shape mismatch");
     let param_grads: Vec<Tensor> = layer
@@ -57,7 +58,7 @@ pub fn finite_difference_check(
         xp.data_mut()[i] += eps;
         let mut xm = x.clone();
         xm.data_mut()[i] -= eps;
-        let fd = (loss_of(&mut layer, &xp, &w) - loss_of(&mut layer, &xm, &w)) / (2.0 * eps);
+        let fd = (loss_of(&*layer, &xp, &w) - loss_of(&*layer, &xm, &w)) / (2.0 * eps);
         let analytic = grad_in.data()[i];
         assert!(
             (analytic - fd).abs() <= tol * (1.0 + fd.abs()),
@@ -72,9 +73,9 @@ pub fn finite_difference_check(
         for &i in &probes {
             let original = layer.parameters()[pi].value().data()[i];
             set_param(&mut layer, pi, i, original + eps);
-            let lp = loss_of(&mut layer, &x, &w);
+            let lp = loss_of(&*layer, &x, &w);
             set_param(&mut layer, pi, i, original - eps);
-            let lm = loss_of(&mut layer, &x, &w);
+            let lm = loss_of(&*layer, &x, &w);
             set_param(&mut layer, pi, i, original);
             let fd = (lp - lm) / (2.0 * eps);
             let analytic = param_grad.data()[i];

@@ -85,7 +85,7 @@ fn attention_forward_tracks_naive_f64_loops_at_the_probe_and_tiny_shapes() {
         let layer = MultiHeadSelfAttention::new(embed, heads, head_dim, &mut rng).unwrap();
         let x = rng.randn(&[batch, tokens, embed], 0.0, 1.0);
         let exact = attention(&layer, x.data(), tokens);
-        let run = || layer.clone().forward(&x).unwrap();
+        let run = || layer.forward(&x).unwrap();
         for (pool, y) in [("budget 1", with_budget(1, run)), ("full pool", run())] {
             assert_eq!(y.dims(), x.dims());
             let mut worst = (0.0f64, 0usize);

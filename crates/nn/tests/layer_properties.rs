@@ -23,7 +23,7 @@ proptest! {
         let mut rng = TensorRng::new(seed);
         let mut layer = Linear::new(inf, outf, &mut rng);
         let x = rng.randn(&[rows, inf], 0.0, 1.0);
-        let y = layer.forward(&x).unwrap();
+        let y = layer.forward_train(&x).unwrap();
         prop_assert_eq!(y.dims(), &[rows, outf]);
         let gin = layer.backward(&Tensor::ones(&[rows, outf])).unwrap();
         prop_assert_eq!(gin.dims(), x.dims());
@@ -41,12 +41,12 @@ proptest! {
     ) {
         let mut rng = TensorRng::new(seed);
         let x = rng.randn(&[rows, cols], 0.0, 2.0);
-        let mut relu = Relu::new();
+        let relu = Relu::new();
         let y = relu.forward(&x).unwrap();
         prop_assert_eq!(y.dims(), x.dims());
         prop_assert!(y.data().iter().all(|&v| v >= 0.0));
         prop_assert!(y.data().iter().zip(x.data()).all(|(&o, &i)| o <= i.max(0.0) + 1e-6));
-        let mut gelu = Gelu::new();
+        let gelu = Gelu::new();
         let y = gelu.forward(&x).unwrap();
         prop_assert_eq!(y.dims(), x.dims());
         // GELU is bounded below by a small negative constant (~ -0.17 * max).
@@ -61,7 +61,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let mut rng = TensorRng::new(seed);
-        let mut ln = LayerNorm::new(cols);
+        let ln = LayerNorm::new(cols);
         let x = rng.randn(&[rows, cols], 3.0, scale);
         let y = ln.forward(&x).unwrap();
         for row in y.data().chunks(cols) {
@@ -171,9 +171,9 @@ impl PerHeadAttention {
     fn forward(&mut self, x: &Tensor, tokens: usize) -> Tensor {
         let [q_proj, k_proj, v_proj, _] = &mut self.projections;
         let (q, k, v) = (
-            q_proj.forward(x).unwrap(),
-            k_proj.forward(x).unwrap(),
-            v_proj.forward(x).unwrap(),
+            q_proj.forward_train(x).unwrap(),
+            k_proj.forward_train(x).unwrap(),
+            v_proj.forward_train(x).unwrap(),
         );
         let (hd, inner) = (self.head_dim, self.heads * self.head_dim);
         let pool = ParallelPool::global();
@@ -201,7 +201,7 @@ impl PerHeadAttention {
             }
         }
         let concat = Tensor::from_vec(concat, q.dims()).unwrap();
-        self.projections[3].forward(&concat).unwrap()
+        self.projections[3].forward_train(&concat).unwrap()
     }
 
     fn backward(&mut self, grad: &Tensor, tokens: usize) -> Tensor {
@@ -280,7 +280,8 @@ fn head_batched_attention_matches_the_per_head_oracle_bit_for_bit() {
                     let grad = rng.randn(dims, 0.0, 1.0);
                     let run = || {
                         let (mut layer, mut oracle) = (layer.clone(), PerHeadAttention::of(&layer));
-                        let y = layer.forward(&x).unwrap();
+                        let y = layer.forward_train(&x).unwrap();
+                        assert_eq!(bits(&layer.forward(&x).unwrap()), bits(&y));
                         let y_oracle = oracle.forward(&x, tokens);
                         let dx = layer.backward(&grad).unwrap();
                         let dx_oracle = oracle.backward(&grad, tokens);

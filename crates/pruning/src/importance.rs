@@ -47,16 +47,9 @@ fn calibration_images(dataset: &Dataset, limit: usize) -> Result<Tensor> {
     Ok(dataset.images().gather_rows(&indices)?)
 }
 
-fn output_distribution(model: &mut VisionTransformer, images: &Tensor) -> Result<Tensor> {
+fn output_distribution(model: &VisionTransformer, images: &Tensor) -> Result<Tensor> {
     let logits = model.forward_images(images)?;
     Ok(logits.softmax_last_axis()?)
-}
-
-/// Makes a functionally-identical copy of a model via an identity channel
-/// selection (the model type is deliberately not `Clone`).
-fn clone_model(model: &VisionTransformer) -> Result<VisionTransformer> {
-    let keep: Vec<usize> = (0..model.embed_dim()).collect();
-    Ok(model.prune_embed_channels(&keep)?)
 }
 
 /// Importance of each residual (embedding) channel; higher is more important.
@@ -98,13 +91,12 @@ pub fn channel_importance(
             calibration_samples,
         } => {
             let images = calibration_images(calibration, *calibration_samples)?;
-            let mut reference_model = clone_model(model)?;
-            let reference = output_distribution(&mut reference_model, &images)?;
+            let reference = output_distribution(model, &images)?;
             let mut scores = vec![0.0f32; d];
             for (channel, score) in scores.iter_mut().enumerate() {
                 let keep: Vec<usize> = (0..d).filter(|&c| c != channel).collect();
-                let mut ablated = model.prune_embed_channels(&keep)?;
-                let probs = output_distribution(&mut ablated, &images)?;
+                let ablated = model.prune_embed_channels(&keep)?;
+                let probs = output_distribution(&ablated, &images)?;
                 *score = stats::batch_kl_divergence(&reference, &probs)?;
             }
             Ok(scores)
@@ -167,8 +159,7 @@ pub fn head_dim_importance(
             calibration_samples,
         } => {
             let images = calibration_images(calibration, *calibration_samples)?;
-            let mut reference_model = clone_model(model)?;
-            let reference = output_distribution(&mut reference_model, &images)?;
+            let reference = output_distribution(model, &images)?;
             let mut shared = vec![0.0f32; head_dim];
             for (dim, score) in shared.iter_mut().enumerate() {
                 let keep_per_head: Vec<Vec<usize>> = (0..heads)
@@ -180,8 +171,8 @@ pub fn head_dim_importance(
                     *score = f32::INFINITY;
                     continue;
                 }
-                let mut ablated = model.prune_head_dims(&keep_per_head)?;
-                let probs = output_distribution(&mut ablated, &images)?;
+                let ablated = model.prune_head_dims(&keep_per_head)?;
+                let probs = output_distribution(&ablated, &images)?;
                 *score = stats::batch_kl_divergence(&reference, &probs)?;
             }
             Ok(vec![shared; heads])
@@ -230,13 +221,12 @@ pub fn ffn_importance(
             calibration_samples,
         } => {
             let images = calibration_images(calibration, *calibration_samples)?;
-            let mut reference_model = clone_model(model)?;
-            let reference = output_distribution(&mut reference_model, &images)?;
+            let reference = output_distribution(model, &images)?;
             let mut scores = vec![0.0f32; hidden];
             for (unit, score) in scores.iter_mut().enumerate() {
                 let keep: Vec<usize> = (0..hidden).filter(|&u| u != unit).collect();
-                let mut ablated = model.prune_ffn_hidden(&keep)?;
-                let probs = output_distribution(&mut ablated, &images)?;
+                let ablated = model.prune_ffn_hidden(&keep)?;
+                let probs = output_distribution(&ablated, &images)?;
                 *score = stats::batch_kl_divergence(&reference, &probs)?;
             }
             Ok(scores)

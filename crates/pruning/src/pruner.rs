@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(sub.model.num_classes(), 3); // two classes + "other"
         assert!(sub.retrain_report.is_some());
         // The pruned model still produces finite logits.
-        let mut m = sub.model;
+        let m = sub.model;
         let mut rng = TensorRng::new(5);
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
         let logits = m.forward_images(&x).unwrap();

@@ -58,7 +58,7 @@ proptest! {
         });
         let plan = PrunedViTConfig::new(config, hp).unwrap();
         let sub = pruner.prune_sub_model(&model, &dataset, &[0, 2], &plan).unwrap();
-        let mut pruned = sub.model;
+        let pruned = sub.model;
         let mut rng = TensorRng::new(seed + 1);
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
         let logits = pruned.forward_images(&x).unwrap();

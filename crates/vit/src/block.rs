@@ -178,16 +178,19 @@ impl ViTBlock {
 }
 
 impl Layer for ViTBlock {
-    fn forward(&mut self, input: &Tensor) -> edvit_nn::Result<Tensor> {
-        // Attention branch with residual.
-        let normed = self.ln1.forward(input)?;
-        let attn_out = self.attn.forward(&normed)?;
+    fn forward(&self, input: &Tensor) -> edvit_nn::Result<Tensor> {
+        // Attention branch with residual, then the FFN branch with residual.
+        let attn_out = self.attn.forward(&self.ln1.forward(input)?)?;
         let h = input.add(&attn_out).map_err(NnError::from)?;
-        // FFN branch with residual.
-        let normed2 = self.ln2.forward(&h)?;
-        let ffn_out = self.ffn.forward(&normed2)?;
-        let out = h.add(&ffn_out).map_err(NnError::from)?;
-        Ok(out)
+        let ffn_out = self.ffn.forward(&self.ln2.forward(&h)?)?;
+        h.add(&ffn_out).map_err(NnError::from)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> edvit_nn::Result<Tensor> {
+        let attn_out = self.attn.forward_train(&self.ln1.forward_train(input)?)?;
+        let h = input.add(&attn_out).map_err(NnError::from)?;
+        let ffn_out = self.ffn.forward_train(&self.ln2.forward_train(&h)?)?;
+        h.add(&ffn_out).map_err(NnError::from)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> edvit_nn::Result<Tensor> {
@@ -255,7 +258,7 @@ mod tests {
         let x = rng.randn(&[5, 16], 0.0, 1.0);
         assert_eq!(b.forward(&x).unwrap().dims(), &[5, 16]);
         let x3 = rng.randn(&[2, 5, 16], 0.0, 1.0);
-        assert_eq!(b.forward(&x3).unwrap().dims(), &[2, 5, 16]);
+        assert_eq!(b.forward_train(&x3).unwrap().dims(), &[2, 5, 16]);
         let g = b.backward(&Tensor::ones(&[2, 5, 16])).unwrap();
         assert_eq!(g.dims(), &[2, 5, 16]);
     }
@@ -288,7 +291,7 @@ mod tests {
         let x = rng.randn(&[3, 8], 0.0, 1.0);
         let w = TensorRng::new(5).rand_uniform(&[3, 8], -1.0, 1.0);
         b.zero_grad();
-        let _out = b.forward(&x).unwrap();
+        let _out = b.forward_train(&x).unwrap();
         let grad_in = b.backward(&w).unwrap();
         let eps = 1e-2f32;
         for i in [0usize, 5, 11, 17, 23] {
@@ -315,7 +318,6 @@ mod tests {
         let pruned = b.prune_embed_channels(&keep).unwrap();
         assert_eq!(pruned.embed_dim(), 8);
         assert_eq!(pruned.ffn().layer_sizes(), &[8, 32, 8]);
-        let mut pruned = pruned;
         let mut rng = TensorRng::new(6);
         let x = rng.randn(&[4, 8], 0.0, 1.0);
         assert_eq!(pruned.forward(&x).unwrap().dims(), &[4, 8]);
@@ -331,7 +333,6 @@ mod tests {
         let keep_ffn: Vec<usize> = (0..16).collect();
         let pruned2 = b.prune_ffn_hidden(&keep_ffn).unwrap();
         assert_eq!(pruned2.ffn_hidden(), 16);
-        let mut pruned2 = pruned2;
         let mut rng = TensorRng::new(7);
         let x = rng.randn(&[3, 16], 0.0, 1.0);
         assert_eq!(pruned2.forward(&x).unwrap().dims(), &[3, 16]);

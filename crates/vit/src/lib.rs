@@ -25,7 +25,7 @@
 //! # fn main() -> Result<(), edvit_vit::ViTError> {
 //! let config = ViTConfig::tiny_test(); // small enough to run in a doctest
 //! let mut rng = TensorRng::new(0);
-//! let mut model = VisionTransformer::new(&config, &mut rng)?;
+//! let model = VisionTransformer::new(&config, &mut rng)?;
 //! let images = rng.randn(&[2, config.channels, config.image_size, config.image_size], 0.0, 1.0);
 //! let logits = model.forward_images(&images)?;
 //! assert_eq!(logits.dims(), &[2, config.num_classes]);

@@ -27,7 +27,7 @@ const PAR_POOL_WORK: usize = 1 << 15;
 /// # fn main() -> Result<(), edvit_vit::ViTError> {
 /// let config = ViTConfig::tiny_test();
 /// let mut rng = TensorRng::new(7);
-/// let mut model = VisionTransformer::new(&config, &mut rng)?;
+/// let model = VisionTransformer::new(&config, &mut rng)?;
 /// let x = rng.randn(&[1, 3, 16, 16], 0.0, 1.0);
 /// let logits = model.forward_images(&x)?;
 /// assert_eq!(logits.dims(), &[1, 4]);
@@ -41,7 +41,9 @@ pub struct VisionTransformer {
     blocks: Vec<ViTBlock>,
     final_ln: LayerNorm,
     head: Linear,
-    cache_pool: Option<(usize, usize)>,
+    /// `(batch, tokens)` of the mean pooling
+    /// [`VisionTransformer::forward_features_train`] ran.
+    record: Option<(usize, usize)>,
 }
 
 impl VisionTransformer {
@@ -71,7 +73,7 @@ impl VisionTransformer {
             blocks,
             final_ln,
             head,
-            cache_pool: None,
+            record: None,
         })
     }
 
@@ -107,7 +109,7 @@ impl VisionTransformer {
             blocks,
             final_ln,
             head,
-            cache_pool: None,
+            record: None,
         })
     }
 
@@ -155,67 +157,62 @@ impl VisionTransformer {
     }
 
     /// Runs the full model on a batch of images `[b, c, H, W]`, returning
-    /// logits `[b, classes]`.
+    /// logits `[b, classes]`. Records nothing.
     ///
     /// # Errors
     ///
     /// Returns an error when the image geometry does not match the config.
-    pub fn forward_images(&mut self, images: &Tensor) -> Result<Tensor> {
+    pub fn forward_images(&self, images: &Tensor) -> Result<Tensor> {
         let features = self.forward_features(images)?;
         Ok(self.head.forward(&features)?)
     }
 
     /// Runs the backbone only, returning the pooled feature `[b, d]` that a
-    /// sub-model would transmit to the fusion device.
+    /// sub-model would transmit to the fusion device. This is the inference
+    /// entry: it records nothing, so a deployed model holds only weights.
     ///
     /// # Errors
     ///
     /// Returns an error when the image geometry does not match the config.
-    pub fn forward_features(&mut self, images: &Tensor) -> Result<Tensor> {
+    pub fn forward_features(&self, images: &Tensor) -> Result<Tensor> {
         let mut tokens = self.patch_embed.forward(images)?;
-        for block in &mut self.blocks {
+        for block in &self.blocks {
             tokens = block.forward(&tokens)?;
         }
-        let normed = self.final_ln.forward(&tokens)?;
-        let (batch, p, d) = (normed.dims()[0], normed.dims()[1], normed.dims()[2]);
-        // Mean pooling over the token axis, one output row per sample; the
-        // per-sample loop runs across the pool for large eval batches.
-        let mut pooled = vec![0.0f32; batch * d];
-        let data = normed.data();
-        let inv_p = 1.0 / p as f32;
-        let pool_one = |base: usize, row: &mut [f32]| {
-            let b = base / d;
-            let sample = &data[b * p * d..(b + 1) * p * d];
-            for token in sample.chunks_exact(d) {
-                for (o, &t) in row.iter_mut().zip(token) {
-                    *o += t;
-                }
-            }
-            for o in row.iter_mut() {
-                *o *= inv_p;
-            }
-        };
-        if batch * p * d >= PAR_POOL_WORK {
-            ParallelPool::global().scope_chunks(&mut pooled, d, pool_one);
-        } else {
-            for (b, row) in pooled.chunks_mut(d.max(1)).enumerate() {
-                pool_one(b * d, row);
-            }
-        }
-        self.cache_pool = Some((batch, p));
-        Ok(Tensor::from_vec(pooled, &[batch, d])?)
+        mean_pool(&self.final_ln.forward(&tokens)?)
     }
 
-    /// Backpropagates a gradient with respect to the pooled features,
-    /// accumulating gradients in the backbone (used for end-to-end retraining
-    /// together with the fusion MLP).
+    /// [`VisionTransformer::forward_features`] for a training step: the same
+    /// bits, and every layer records what
+    /// [`VisionTransformer::backward_from_features`] needs.
     ///
     /// # Errors
     ///
-    /// Returns an error when called before a forward pass.
+    /// Returns an error when the image geometry does not match the config.
+    pub fn forward_features_train(&mut self, images: &Tensor) -> Result<Tensor> {
+        let mut tokens = self.patch_embed.forward_train(images)?;
+        for block in &mut self.blocks {
+            tokens = block.forward_train(&tokens)?;
+        }
+        let normed = self.final_ln.forward_train(&tokens)?;
+        let pooled = mean_pool(&normed)?;
+        self.record = Some((normed.dims()[0], normed.dims()[1]));
+        Ok(pooled)
+    }
+
+    /// Backpropagates a gradient with respect to the pooled features through
+    /// what [`VisionTransformer::forward_features_train`] recorded, taking
+    /// the record and accumulating gradients in the backbone (used for
+    /// end-to-end retraining together with the fusion MLP).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::MissingForwardCache`] (as [`ViTError::Nn`]) when no
+    /// training forward is recorded.
     pub fn backward_from_features(&mut self, grad_features: &Tensor) -> Result<Tensor> {
         let (batch, p) = self
-            .cache_pool
+            .record
+            .take()
             .ok_or(ViTError::Nn(NnError::MissingForwardCache {
                 layer: "VisionTransformer",
             }))?;
@@ -254,7 +251,7 @@ impl VisionTransformer {
     /// # Errors
     ///
     /// Returns an error when the image geometry does not match the config.
-    pub fn predict(&mut self, images: &Tensor) -> Result<Vec<usize>> {
+    pub fn predict(&self, images: &Tensor) -> Result<Vec<usize>> {
         let logits = self.forward_images(images)?;
         Ok(logits.argmax_last_axis()?)
     }
@@ -363,20 +360,57 @@ impl VisionTransformer {
     }
 }
 
+/// Mean pooling of `[batch, tokens, d]` over the token axis, one output row
+/// per sample; the per-sample loop runs across the pool for large eval
+/// batches.
+fn mean_pool(normed: &Tensor) -> Result<Tensor> {
+    let (batch, p, d) = (normed.dims()[0], normed.dims()[1], normed.dims()[2]);
+    let mut pooled = vec![0.0f32; batch * d];
+    let data = normed.data();
+    let inv_p = 1.0 / p as f32;
+    let pool_one = |base: usize, row: &mut [f32]| {
+        let b = base / d;
+        let sample = &data[b * p * d..(b + 1) * p * d];
+        for token in sample.chunks_exact(d) {
+            for (o, &t) in row.iter_mut().zip(token) {
+                *o += t;
+            }
+        }
+        for o in row.iter_mut() {
+            *o *= inv_p;
+        }
+    };
+    if batch * p * d >= PAR_POOL_WORK {
+        ParallelPool::global().scope_chunks(&mut pooled, d, pool_one);
+    } else {
+        for (b, row) in pooled.chunks_mut(d.max(1)).enumerate() {
+            pool_one(b * d, row);
+        }
+    }
+    Ok(Tensor::from_vec(pooled, &[batch, d])?)
+}
+
+/// A model error as the layer error the [`Layer`] impl returns.
+fn as_layer_error(e: ViTError) -> NnError {
+    NnError::InvalidConfig {
+        message: e.to_string(),
+    }
+}
+
 impl Layer for VisionTransformer {
-    fn forward(&mut self, input: &Tensor) -> edvit_nn::Result<Tensor> {
-        self.forward_images(input)
-            .map_err(|e| NnError::InvalidConfig {
-                message: e.to_string(),
-            })
+    fn forward(&self, input: &Tensor) -> edvit_nn::Result<Tensor> {
+        self.forward_images(input).map_err(as_layer_error)
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> edvit_nn::Result<Tensor> {
+        let features = self.forward_features_train(input).map_err(as_layer_error)?;
+        self.head.forward_train(&features)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> edvit_nn::Result<Tensor> {
         let grad_features = self.head.backward(grad_output)?;
         self.backward_from_features(&grad_features)
-            .map_err(|e| NnError::InvalidConfig {
-                message: e.to_string(),
-            })
+            .map_err(as_layer_error)
     }
 
     fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
@@ -412,7 +446,7 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let mut model = tiny_model();
+        let model = tiny_model();
         let mut rng = TensorRng::new(1);
         let x = rng.randn(&[3, 3, 16, 16], 0.0, 1.0);
         let logits = model.forward_images(&x).unwrap();
@@ -459,7 +493,8 @@ mod tests {
         let mut model = tiny_model();
         let mut rng = TensorRng::new(2);
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
-        let logits = Layer::forward(&mut model, &x).unwrap();
+        let logits = Layer::forward_train(&mut model, &x).unwrap();
+        assert_eq!(Layer::forward(&model, &x).unwrap(), logits);
         let g = Layer::backward(&mut model, &Tensor::ones(logits.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
         // Every parameter received some gradient signal.
@@ -485,7 +520,7 @@ mod tests {
     fn prune_embed_channels_produces_working_smaller_model() {
         let model = tiny_model();
         let keep: Vec<usize> = (0..16).collect();
-        let mut pruned = model.prune_embed_channels(&keep).unwrap();
+        let pruned = model.prune_embed_channels(&keep).unwrap();
         assert_eq!(pruned.embed_dim(), 16);
         assert!(pruned.parameter_count() < model.parameter_count());
         let mut rng = TensorRng::new(5);
@@ -498,14 +533,14 @@ mod tests {
     fn prune_head_dims_and_ffn_hidden_produce_working_models() {
         let model = tiny_model();
         let keep_heads: Vec<Vec<usize>> = (0..4).map(|_| vec![0, 3]).collect();
-        let mut pruned = model.prune_head_dims(&keep_heads).unwrap();
+        let pruned = model.prune_head_dims(&keep_heads).unwrap();
         assert_eq!(pruned.blocks()[0].attn().head_dim(), 2);
         let mut rng = TensorRng::new(6);
         let x = rng.randn(&[1, 3, 16, 16], 0.0, 1.0);
         assert_eq!(pruned.forward_images(&x).unwrap().dims(), &[1, 4]);
 
         let keep_ffn: Vec<usize> = (0..32).collect();
-        let mut pruned2 = model.prune_ffn_hidden(&keep_ffn).unwrap();
+        let pruned2 = model.prune_ffn_hidden(&keep_ffn).unwrap();
         assert_eq!(pruned2.blocks()[0].ffn_hidden(), 32);
         assert_eq!(pruned2.forward_images(&x).unwrap().dims(), &[1, 4]);
         assert!(model.prune_ffn_hidden(&[]).is_err());
@@ -524,7 +559,7 @@ mod tests {
         let stage3 = stage2.prune_ffn_hidden(&keep_ffn).unwrap();
         assert!(stage3.parameter_count() < stage1.parameter_count());
         assert!(stage1.parameter_count() < model.parameter_count());
-        let mut pruned = stage3;
+        let pruned = stage3;
         let mut rng = TensorRng::new(7);
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
         let logits = pruned.forward_images(&x).unwrap();

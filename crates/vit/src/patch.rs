@@ -19,7 +19,7 @@ use crate::{Result, ViTConfig, ViTError};
 /// # fn main() -> Result<(), edvit_vit::ViTError> {
 /// let config = ViTConfig::tiny_test();
 /// let mut rng = TensorRng::new(0);
-/// let mut embed = PatchEmbed::new(&config, &mut rng)?;
+/// let embed = PatchEmbed::new(&config, &mut rng)?;
 /// let x = rng.randn(&[1, 3, 16, 16], 0.0, 1.0);
 /// let tokens = embed.forward(&x)?;
 /// assert_eq!(tokens.dims(), &[1, 4, 32]);
@@ -34,7 +34,8 @@ pub struct PatchEmbed {
     image_size: usize,
     patch_size: usize,
     embed_dim: usize,
-    cache_batch: Option<usize>,
+    /// The batch size [`Layer::forward_train`] saw.
+    record: Option<usize>,
 }
 
 impl PatchEmbed {
@@ -54,7 +55,7 @@ impl PatchEmbed {
             image_size: config.image_size,
             patch_size: config.patch_size,
             embed_dim: config.embed_dim,
-            cache_batch: None,
+            record: None,
         })
     }
 
@@ -100,7 +101,7 @@ impl PatchEmbed {
             image_size,
             patch_size,
             embed_dim,
-            cache_batch: None,
+            record: None,
         })
     }
 
@@ -227,16 +228,18 @@ impl PatchEmbed {
     }
 }
 
-impl Layer for PatchEmbed {
-    fn forward(&mut self, input: &Tensor) -> edvit_nn::Result<Tensor> {
-        let patches = self
-            .images_to_patches(input)
+impl PatchEmbed {
+    /// [`PatchEmbed::images_to_patches`] as a layer error.
+    fn patches(&self, images: &Tensor) -> edvit_nn::Result<Tensor> {
+        self.images_to_patches(images)
             .map_err(|e| NnError::InvalidConfig {
                 message: e.to_string(),
-            })?;
-        let batch = patches.dims()[0];
-        let mut out = self.projection.forward_owned(patches)?;
-        // Add the positional embedding to every sample in the batch.
+            })
+    }
+
+    /// Adds the positional embedding to every sample of the projected
+    /// patches.
+    fn add_positions(&self, mut out: Tensor) -> Tensor {
         let pos = self.pos_embed.value().data();
         if !pos.is_empty() {
             for sample in out.data_mut().chunks_exact_mut(pos.len()) {
@@ -245,12 +248,26 @@ impl Layer for PatchEmbed {
                 }
             }
         }
-        self.cache_batch = Some(batch);
-        Ok(out)
+        out
+    }
+}
+
+impl Layer for PatchEmbed {
+    fn forward(&self, input: &Tensor) -> edvit_nn::Result<Tensor> {
+        let projected = self.projection.forward(&self.patches(input)?)?;
+        Ok(self.add_positions(projected))
+    }
+
+    fn forward_train(&mut self, input: &Tensor) -> edvit_nn::Result<Tensor> {
+        let patches = self.patches(input)?;
+        let batch = patches.dims()[0];
+        let projected = self.projection.forward_train_owned(patches)?;
+        self.record = Some(batch);
+        Ok(self.add_positions(projected))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> edvit_nn::Result<Tensor> {
-        let batch = self.cache_batch.ok_or(NnError::MissingForwardCache {
+        let batch = self.record.take().ok_or(NnError::MissingForwardCache {
             layer: "PatchEmbed",
         })?;
         let p = self.num_patches();
@@ -338,7 +355,7 @@ mod tests {
         let (config, mut embed) = tiny();
         let mut rng = TensorRng::new(3);
         let x = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
-        let tokens = embed.forward(&x).unwrap();
+        let tokens = embed.forward_train(&x).unwrap();
         assert_eq!(tokens.dims(), &[2, config.num_patches(), config.embed_dim]);
         let g = embed
             .backward(&Tensor::ones(&[2, config.num_patches(), config.embed_dim]))
@@ -353,6 +370,9 @@ mod tests {
     fn rejects_wrong_geometry() {
         let (_, mut embed) = tiny();
         assert!(embed.forward(&Tensor::zeros(&[1, 3, 32, 32])).is_err());
+        assert!(embed
+            .forward_train(&Tensor::zeros(&[1, 3, 32, 32]))
+            .is_err());
         assert!(embed.forward(&Tensor::zeros(&[1, 1, 16, 16])).is_err());
         assert!(PatchEmbed::new(
             &ViTConfig {
@@ -362,8 +382,7 @@ mod tests {
             &mut TensorRng::new(0)
         )
         .is_err());
-        let mut fresh = tiny().1;
-        assert!(fresh.backward(&Tensor::zeros(&[1, 4, 32])).is_err());
+        assert!(embed.backward(&Tensor::zeros(&[1, 4, 32])).is_err());
     }
 
     #[test]
@@ -373,7 +392,6 @@ mod tests {
         let pruned = embed.prune_embed_channels(&keep).unwrap();
         assert_eq!(pruned.embed_dim(), 16);
         assert_eq!(pruned.pos_embed().value().dims(), &[4, 16]);
-        let mut pruned = pruned;
         let mut rng = TensorRng::new(4);
         let x = rng.randn(&[1, 3, 16, 16], 0.0, 1.0);
         assert_eq!(pruned.forward(&x).unwrap().dims(), &[1, 4, 16]);

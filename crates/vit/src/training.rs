@@ -77,7 +77,6 @@ pub fn train_classifier<M: Layer + ?Sized>(
     let mut loss_fn = CrossEntropyLoss::new();
     let mut rng = TensorRng::new(config.seed);
     let mut report = TrainReport { epochs: Vec::new() };
-    model.set_training(true);
 
     for epoch in 0..config.epochs {
         schedule.apply(&mut optimizer, epoch as u64);
@@ -90,7 +89,7 @@ pub fn train_classifier<M: Layer + ?Sized>(
             let batch_x = inputs.gather_rows(batch_idx)?;
             let batch_y: Vec<usize> = batch_idx.iter().map(|&i| labels[i]).collect();
             model.zero_grad();
-            let logits = model.forward(&batch_x)?;
+            let logits = model.forward_train(&batch_x)?;
             let loss = loss_fn.forward(&logits, &batch_y)?;
             let grad = loss_fn.backward()?;
             model.backward(&grad)?;
@@ -114,7 +113,6 @@ pub fn train_classifier<M: Layer + ?Sized>(
             },
         });
     }
-    model.set_training(false);
     Ok(report)
 }
 
@@ -124,13 +122,12 @@ pub fn train_classifier<M: Layer + ?Sized>(
 ///
 /// Propagates layer and tensor errors.
 pub fn evaluate_classifier<M: Layer + ?Sized>(
-    model: &mut M,
+    model: &M,
     inputs: &Tensor,
     labels: &[usize],
     batch_size: usize,
 ) -> Result<f32> {
     let n = inputs.dims()[0];
-    model.set_training(false);
     let mut predictions = Vec::with_capacity(n);
     let indices: Vec<usize> = (0..n).collect();
     for batch_idx in indices.chunks(batch_size.max(1)) {
@@ -187,7 +184,7 @@ mod tests {
             last.train_accuracy
         );
         assert!(last.mean_loss < 0.5);
-        let eval = evaluate_classifier(&mut model, &x, &y, 16).unwrap();
+        let eval = evaluate_classifier(&model, &x, &y, 16).unwrap();
         assert!(eval > 0.9);
     }
 

@@ -38,7 +38,7 @@ fn bits(features: &Tensor) -> Vec<u32> {
 
 #[test]
 fn forward_features_is_bitwise_equal_under_every_budget() {
-    let (mut model, images) = model_and_images();
+    let (model, images) = model_and_images();
     let threads = ParallelPool::global().threads();
     let inline = with_budget(1, || bits(&model.forward_features(&images).unwrap()));
     assert!(inline.iter().any(|&b| b != 0));
@@ -50,14 +50,10 @@ fn forward_features_is_bitwise_equal_under_every_budget() {
     assert_eq!(unbudgeted, inline, "no budget, {threads}-thread pool");
 }
 
-/// Three forwards of `model` (the caller's private copy: the model is `Send`
-/// but not `Sync`), optionally as one of two sibling device threads.
-fn three_forwards(
-    mut model: VisionTransformer,
-    images: &Tensor,
-    fair_share: bool,
-) -> Vec<Vec<u32>> {
-    let mut forwards = || {
+/// Three forwards of `model`, optionally as one of two sibling device
+/// threads.
+fn three_forwards(model: &VisionTransformer, images: &Tensor, fair_share: bool) -> Vec<Vec<u32>> {
+    let forwards = || {
         (0..3)
             .map(|_| bits(&model.forward_features(images).unwrap()))
             .collect()
@@ -71,16 +67,17 @@ fn three_forwards(
 
 #[test]
 fn concurrent_forwards_are_bitwise_equal_to_a_lone_inline_one() {
-    let (mut model, images) = model_and_images();
+    let (model, images) = model_and_images();
     let inline = with_budget(1, || bits(&model.forward_features(&images).unwrap()));
-    // Two threads at once: first unbudgeted (both submit regions to the one
+    // Two threads at once on the one model (inference records nothing, so
+    // they share it): first unbudgeted (both submit regions to the one
     // global pool and must not wait on each other), then as two sibling
     // device threads would.
     for fair_share in [false, true] {
         let (mine, theirs) = std::thread::scope(|scope| {
-            let (copy, images) = (model.clone(), &images);
-            let background = scope.spawn(move || three_forwards(copy, images, fair_share));
-            let mine = three_forwards(model.clone(), images, fair_share);
+            let (model, images) = (&model, &images);
+            let background = scope.spawn(move || three_forwards(model, images, fair_share));
+            let mine = three_forwards(model, images, fair_share);
             (mine, background.join().unwrap())
         });
         for got in mine.iter().chain(&theirs) {

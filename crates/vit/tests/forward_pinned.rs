@@ -71,8 +71,10 @@ fn fnv1a(values: &[f32]) -> u64 {
 }
 
 /// Hashes of `forward_features`, `forward_images`, and what
-/// `backward_from_features` leaves behind — the image gradient and every
-/// parameter gradient, in `parameters()` order — for a `batch`-image input.
+/// `backward_from_features` leaves behind after `forward_features_train` —
+/// the image gradient and every parameter gradient, in `parameters()` order
+/// — for a `batch`-image input. The training forward must give the
+/// inference forward's bits.
 fn hashes(batch: usize) -> [u64; 4] {
     let mut rng = TensorRng::new(0);
     let mut model = VisionTransformer::new(&probe_config(), &mut rng).unwrap();
@@ -80,6 +82,8 @@ fn hashes(batch: usize) -> [u64; 4] {
     let grad_features = rng.randn(&[batch, 192], 0.0, 1.0);
     let logits = model.forward_images(&images).unwrap();
     let features = model.forward_features(&images).unwrap();
+    let trained = model.forward_features_train(&images).unwrap();
+    assert_eq!(fnv1a(trained.data()), fnv1a(features.data()));
     let grad_images = model.backward_from_features(&grad_features).unwrap();
     assert_eq!(grad_images.dims(), images.dims());
     let param_grads: Vec<f32> = model

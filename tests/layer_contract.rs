@@ -1,0 +1,185 @@
+//! The `Layer` contract, for every implementation in the workspace:
+//! `forward` records nothing, `forward_train` gives `forward`'s bits and
+//! records what `backward` needs, and `backward` takes that record — so a
+//! `backward` after a plain `forward`, or a second one, is
+//! `MissingForwardCache`. And a deployment fresh out of `EdVitPipeline::run`
+//! holds no backward state in any sub-model layer or in the fusion MLP.
+
+use edvit::baselines::{SmallCnn, SmallCnnConfig, SpikingCnn};
+use edvit::fusion::{FusionConfig, FusionMlp};
+use edvit::nn::{
+    AvgPool2d, Conv2d, Dropout, Flatten, Gelu, Layer, LayerNorm, Linear, MaxPool2d, Mlp,
+    MultiHeadSelfAttention, NnError, Relu, Sequential,
+};
+use edvit::pipeline::{EdVitConfig, EdVitPipeline};
+use edvit::tensor::init::TensorRng;
+use edvit::tensor::Tensor;
+use edvit::vit::{PatchEmbed, ViTBlock, ViTConfig, ViTError, VisionTransformer};
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn is_missing<T>(result: Result<T, NnError>) -> bool {
+    matches!(result, Err(NnError::MissingForwardCache { .. }))
+}
+
+/// Every `Layer` impl of the workspace, named, with an input shape it
+/// accepts. Dropout runs at `p = 0`: at `p > 0` its training forward masks
+/// by definition (its own tests cover that), the record contract is the same.
+fn every_layer(rng: &mut TensorRng) -> Vec<(&'static str, Box<dyn Layer>, Vec<usize>)> {
+    let tiny = ViTConfig::tiny_test();
+    let cnn = SmallCnnConfig::for_dataset(3, 16, 4);
+    vec![
+        ("Linear", Box::new(Linear::new(4, 3, rng)), vec![2, 4]),
+        ("Relu", Box::new(Relu::new()), vec![3, 4]),
+        ("Gelu", Box::new(Gelu::new()), vec![3, 4]),
+        ("Dropout", Box::new(Dropout::new(0.0, 1)), vec![3, 4]),
+        ("LayerNorm", Box::new(LayerNorm::new(6)), vec![3, 6]),
+        (
+            "Mlp",
+            Box::new(Mlp::new(&[6, 12, 5, 3], rng).unwrap()),
+            vec![4, 6],
+        ),
+        (
+            "MultiHeadSelfAttention",
+            Box::new(MultiHeadSelfAttention::new(8, 2, 4, rng).unwrap()),
+            vec![2, 5, 8],
+        ),
+        (
+            "Conv2d",
+            Box::new(Conv2d::new(2, 3, 3, 1, 1, rng).unwrap()),
+            vec![1, 2, 5, 5],
+        ),
+        ("MaxPool2d", Box::new(MaxPool2d::new(2)), vec![1, 2, 4, 4]),
+        ("AvgPool2d", Box::new(AvgPool2d::new()), vec![1, 2, 4, 4]),
+        ("Flatten", Box::new(Flatten::new()), vec![2, 3, 2, 2]),
+        (
+            "Sequential",
+            Box::new(Sequential::new(vec![
+                Box::new(Linear::new(4, 6, rng)) as Box<dyn Layer>,
+                Box::new(Relu::new()),
+                Box::new(Linear::new(6, 2, rng)),
+            ])),
+            vec![3, 4],
+        ),
+        (
+            "FusionMlp",
+            Box::new(FusionMlp::new(&FusionConfig::new(16, 4), rng).unwrap()),
+            vec![2, 16],
+        ),
+        (
+            "ViTBlock",
+            Box::new(ViTBlock::new(16, 4, 4, 32, rng).unwrap()),
+            vec![2, 5, 16],
+        ),
+        (
+            "PatchEmbed",
+            Box::new(PatchEmbed::new(&tiny, rng).unwrap()),
+            vec![2, 3, 16, 16],
+        ),
+        (
+            "VisionTransformer",
+            Box::new(VisionTransformer::new(&tiny, rng).unwrap()),
+            vec![2, 3, 16, 16],
+        ),
+        (
+            "SmallCnn",
+            Box::new(SmallCnn::new(&cnn, rng).unwrap()),
+            vec![2, 3, 16, 16],
+        ),
+        (
+            "SpikingCnn",
+            Box::new(SpikingCnn::from_cnn(SmallCnn::new(&cnn, rng).unwrap())),
+            vec![2, 3, 16, 16],
+        ),
+    ]
+}
+
+#[test]
+fn every_layer_records_only_in_forward_train_and_backward_takes_the_record() {
+    let mut rng = TensorRng::new(37);
+    let layers = every_layer(&mut rng);
+    assert_eq!(layers.len(), 18, "one entry per Layer impl");
+    for (name, mut layer, dims) in layers {
+        let x = rng.randn(&dims, 0.0, 1.0);
+        let y = layer.forward(&x).unwrap();
+        let grad = rng.randn(y.dims(), 0.0, 1.0);
+        assert!(
+            is_missing(layer.backward(&grad)),
+            "{name}: backward after forward"
+        );
+        assert_eq!(
+            bits(&layer.forward_owned(x.clone()).unwrap()),
+            bits(&y),
+            "{name}: forward_owned"
+        );
+        let y_train = layer.forward_train(&x).unwrap();
+        assert_eq!(bits(&y_train), bits(&y), "{name}: forward_train bits");
+        let grad_in = layer.backward(&grad).unwrap();
+        assert_eq!(grad_in.dims(), x.dims(), "{name}: input gradient shape");
+        assert!(is_missing(layer.backward(&grad)), "{name}: second backward");
+    }
+}
+
+#[test]
+fn the_feature_entries_keep_the_contract() {
+    let mut rng = TensorRng::new(38);
+    let mut model = VisionTransformer::new(&ViTConfig::tiny_test(), &mut rng).unwrap();
+    let images = rng.randn(&[2, 3, 16, 16], 0.0, 1.0);
+    let features = model.forward_features(&images).unwrap();
+    let grad = rng.randn(features.dims(), 0.0, 1.0);
+    let missing = |result: Result<Tensor, ViTError>| {
+        matches!(
+            result,
+            Err(ViTError::Nn(NnError::MissingForwardCache { .. }))
+        )
+    };
+    assert!(missing(model.backward_from_features(&grad)));
+    let trained = model.forward_features_train(&images).unwrap();
+    assert_eq!(bits(&trained), bits(&features));
+    assert_eq!(
+        model.backward_from_features(&grad).unwrap().dims(),
+        images.dims()
+    );
+    assert!(missing(model.backward_from_features(&grad)));
+}
+
+#[test]
+fn no_deployed_model_holds_backward_state_after_run() {
+    let deployment = EdVitPipeline::new(EdVitConfig::tiny_demo(2)).run().unwrap();
+    // A backward whose record is missing fails before it reads the gradient,
+    // so a placeholder gradient tells "no record" from "a record".
+    let placeholder = Tensor::zeros(&[1]);
+    for sub in &deployment.sub_models {
+        // A clone copies whatever the model holds, records included.
+        let mut model = sub.model.clone();
+        assert!(matches!(
+            model.backward_from_features(&placeholder),
+            Err(ViTError::Nn(NnError::MissingForwardCache { .. }))
+        ));
+        let mut layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(model.clone()),
+            Box::new(model.patch_embed().clone()),
+            Box::new(model.final_ln().clone()),
+            Box::new(model.head().clone()),
+        ];
+        for block in model.blocks() {
+            layers.push(Box::new(block.clone()));
+            layers.push(Box::new(block.ln1().clone()));
+            layers.push(Box::new(block.attn().clone()));
+            layers.push(Box::new(block.ln2().clone()));
+            layers.push(Box::new(block.ffn().clone()));
+            let attn = block.attn();
+            let projections = [attn.q_proj(), attn.k_proj(), attn.v_proj(), attn.out_proj()];
+            for linear in projections.into_iter().chain(block.ffn().linears()) {
+                layers.push(Box::new(linear.clone()));
+            }
+        }
+        for (i, mut layer) in layers.into_iter().enumerate() {
+            assert!(is_missing(layer.backward(&placeholder)), "layer {i}");
+        }
+    }
+    let mut fusion = deployment.fusion.clone();
+    assert!(is_missing(Layer::backward(&mut fusion, &placeholder)));
+}
