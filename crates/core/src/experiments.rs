@@ -195,18 +195,13 @@ pub fn split_curve(
     let mut points = Vec::with_capacity(device_counts.len());
     for &devices in device_counts {
         // Trials are fully independent (each gets its own seed), so they run
-        // across the thread pool; inner kernels then stay sequential.
+        // across the thread pool; inner kernels then stay sequential. A
+        // single trial runs inline, its kernels free to use the pool.
         let trials = options.trials.max(1);
-        let pool = ParallelPool::global();
-        let run_trial = |trial: usize| {
+        let deployments = ParallelPool::global().map_indexed(trials, |trial| {
             let config = pipeline_config(kind, variant, devices, options, trial as u64 + 1);
             EdVitPipeline::new(config).run()
-        };
-        let deployments: Vec<_> = if trials > 1 && !pool.is_sequential() {
-            pool.map_indexed(trials, run_trial)
-        } else {
-            (0..trials).map(run_trial).collect()
-        };
+        });
         let mut accuracies = Vec::with_capacity(trials);
         let mut latency = 0.0;
         let mut original_latency = 0.0;

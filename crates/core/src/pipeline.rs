@@ -6,7 +6,7 @@ use std::time::Instant;
 use edvit_datasets::{Dataset, DatasetKind, SyntheticConfig, SyntheticGenerator};
 use edvit_edge::{wire as edge_wire, LatencyModel, NetworkConfig};
 use edvit_fusion::{average_softmax_fusion, FusionConfig, FusionMlp};
-use edvit_nn::{Adam, CrossEntropyLoss, Layer, Optimizer};
+use edvit_nn::{Adam, CrossEntropyLoss, Layer};
 use edvit_parallel::ParallelPool;
 use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
 use edvit_pruning::{ImportanceMethod, PrunedSubModel, PrunerConfig, StructuredPruner};

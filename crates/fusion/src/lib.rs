@@ -33,7 +33,7 @@
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use edvit_nn::{Adam, CrossEntropyLoss, Layer, Mlp, MlpActivation, NnError, Optimizer, Parameter};
+use edvit_nn::{Adam, CrossEntropyLoss, Layer, Mlp, MlpActivation, NnError, Parameter};
 use edvit_tensor::{init::TensorRng, Tensor};
 
 /// The paper's shrinking hyper-parameter λ of the fusion MLP's hidden layer.
@@ -263,7 +263,7 @@ pub fn average_softmax_fusion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edvit_nn::{Adam, CrossEntropyLoss, Optimizer};
+    use edvit_nn::{Adam, CrossEntropyLoss};
 
     #[test]
     fn config_dimensions_and_flops() {

@@ -85,53 +85,6 @@ impl Layer for Relu {
     }
 }
 
-/// Gaussian Error Linear Unit activation layer (tanh approximation), the
-/// nonlinearity used in Vision Transformer feed-forward blocks.
-#[derive(Debug, Clone, Default)]
-pub struct Gelu {
-    /// The input [`Layer::forward_train`] saw.
-    record: Option<Tensor>,
-}
-
-impl Gelu {
-    /// Creates a GELU layer.
-    pub fn new() -> Self {
-        Gelu { record: None }
-    }
-}
-
-impl Layer for Gelu {
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_owned(input.clone())
-    }
-
-    fn forward_owned(&self, mut input: Tensor) -> Result<Tensor> {
-        gelu_in_place(&mut input);
-        Ok(input)
-    }
-
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.record = Some(input.clone());
-        self.forward(input)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let pre = self
-            .record
-            .take()
-            .ok_or(NnError::MissingForwardCache { layer: "Gelu" })?;
-        gelu_backward(&pre, grad_output)
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,39 +109,17 @@ mod tests {
     }
 
     #[test]
-    fn gelu_forward_positive_passthrough() {
-        let gelu = Gelu::new();
-        let x = Tensor::from_vec(vec![5.0], &[1]).unwrap();
-        let y = gelu.forward(&x).unwrap();
-        assert!((y.data()[0] - 5.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn gelu_backward_requires_forward() {
-        let mut gelu = Gelu::new();
-        assert!(gelu.backward(&Tensor::ones(&[1])).is_err());
-        assert!(gelu.parameters().is_empty());
-    }
-
-    #[test]
     fn forward_owned_matches_forward() {
         let x = Tensor::from_vec(vec![-3.0, -0.25, 0.0, 0.5, 2.0, 11.0], &[2, 3]).unwrap();
-        let layers: [Box<dyn Layer>; 2] = [Box::new(Relu::new()), Box::new(Gelu::new())];
-        for layer in layers {
-            assert_eq!(
-                layer.forward_owned(x.clone()).unwrap(),
-                layer.forward(&x).unwrap()
-            );
-        }
+        let relu = Relu::new();
+        assert_eq!(
+            relu.forward_owned(x.clone()).unwrap(),
+            relu.forward(&x).unwrap()
+        );
     }
 
     #[test]
     fn relu_gradcheck() {
         finite_difference_check(Box::new(Relu::new()), &[3, 4], 2e-2, 11);
-    }
-
-    #[test]
-    fn gelu_gradcheck() {
-        finite_difference_check(Box::new(Gelu::new()), &[3, 4], 2e-2, 12);
     }
 }

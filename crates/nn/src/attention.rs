@@ -260,6 +260,8 @@ impl MultiHeadSelfAttention {
         // on separate threads; below the work threshold the pool wake-up
         // costs more than the heads themselves.
         let pool = ParallelPool::global();
+        // A fork, not one region: one `heads_forward` shares a scratch over
+        // every head, one call per head allocates its own.
         if self.heads > 1 && tokens * tokens * hd >= PAR_HEAD_WORK && !pool.is_sequential() {
             let mut heads: Vec<(&mut [f32], &mut [f32])> = attn
                 .chunks_exact_mut(tokens * tokens)

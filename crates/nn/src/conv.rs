@@ -6,8 +6,10 @@ use crate::{Layer, NnError, Parameter, Result};
 ///
 /// Inputs have shape `[batch, in_channels, height, width]`, outputs
 /// `[batch, out_channels, out_h, out_w]`. This layer backs the VGG-style
-/// Split-CNN baseline and the patch-embedding of the Vision Transformer
-/// (a patch embedding is a convolution whose kernel size equals its stride).
+/// Split-CNN baseline and the spiking baseline built from it. The Vision
+/// Transformer's patch embedding does not use it: `PatchEmbed` flattens each
+/// patch and projects it with a [`crate::Linear`], which is the same
+/// kernel-equals-stride convolution written as one matmul.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Parameter,

@@ -40,12 +40,11 @@
 //! | layer | records for `backward` | how |
 //! |---|---|---|
 //! | [`Linear`] | its input as `[rows, in]`, the leading dims | `forward_train`: one copy of the borrowed input; [`Linear::forward_train_owned`]: the input buffer itself, reshaped in place. The output is one buffer either way — `x·W + b` with the bias as the matmul's epilogue |
-//! | [`Gelu`], [`Relu`] | the pre-activation | one copy; [`Layer::forward_owned`] computes in place on the buffer it was given |
+//! | [`Relu`] | the pre-activation | one copy; [`Layer::forward_owned`] computes in place on the buffer it was given |
 //! | [`Mlp`] | each activation's input | each hidden buffer is allocated once: its copy before the in-place activation is the MLP's record, and the buffer itself moves into the next linear layer's record |
 //! | [`MultiHeadSelfAttention`] | the `[.., tokens, heads·head_dim]` projections `q`, `k`, `v` and the softmaxed weights `[batch, heads, tokens, tokens]` | the buffers the forward computes anyway, moved in; head outputs are written straight into the buffer the output projection then takes by value |
 //! | [`LayerNorm`] | the normalized input and `1/σ` per row | buffers its forward kernel fills |
-//! | [`Conv2d`], [`MaxPool2d`], [`AvgPool2d`], [`Flatten`] | the im2col matrices, the argmax positions, the input dims | computed by the forward anyway |
-//! | [`Dropout`] | the mask it applied | `forward_train` draws it; inference is the identity |
+//! | [`Conv2d`], [`MaxPool2d`], [`Flatten`] | the im2col matrices, the argmax positions, the input dims | computed by the forward anyway |
 //!
 //! `crates/vit/tests/forward_pinned.rs` pins the bits of the whole path,
 //! forward and backward, and checks that the training forward gives the
@@ -54,16 +53,12 @@
 //! # Example
 //!
 //! ```
-//! use edvit_nn::{Layer, Linear, Sequential, Relu, CrossEntropyLoss, Sgd, Optimizer};
-//! use edvit_tensor::{init::TensorRng, Tensor};
+//! use edvit_nn::{Adam, CrossEntropyLoss, Layer, Mlp};
+//! use edvit_tensor::init::TensorRng;
 //!
 //! # fn main() -> Result<(), edvit_nn::NnError> {
 //! let mut rng = TensorRng::new(0);
-//! let mut net = Sequential::new(vec![
-//!     Box::new(Linear::new(4, 8, &mut rng)) as Box<dyn Layer>,
-//!     Box::new(Relu::new()),
-//!     Box::new(Linear::new(8, 3, &mut rng)),
-//! ]);
+//! let mut net = Mlp::new(&[4, 8, 3], &mut rng)?;
 //! let x = rng.randn(&[2, 4], 0.0, 1.0);
 //! let logits = net.forward_train(&x)?;
 //! assert_eq!(net.forward(&x)?, logits);
@@ -71,7 +66,7 @@
 //! let value = loss.forward(&logits, &[0, 2])?;
 //! let grad = loss.backward()?;
 //! net.backward(&grad)?;
-//! Sgd::new(0.1).step(&mut net.parameters_mut())?;
+//! Adam::new(1e-3).step(&mut net.parameters_mut())?;
 //! assert!(value > 0.0);
 //! // The step took what it recorded: a second backward has nothing to use.
 //! assert!(net.backward(&grad).is_err());
@@ -85,7 +80,6 @@
 mod activation;
 mod attention;
 mod conv;
-mod dropout;
 mod error;
 mod layernorm;
 mod linear;
@@ -99,19 +93,18 @@ mod pool;
 #[cfg(test)]
 pub(crate) mod testing;
 
-pub use activation::{Gelu, Relu};
+pub use activation::Relu;
 pub use attention::MultiHeadSelfAttention;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use layernorm::LayerNorm;
 pub use linear::Linear;
-pub use loss::{CrossEntropyLoss, MseLoss};
+pub use loss::CrossEntropyLoss;
 pub use mlp::{Mlp, MlpActivation};
-pub use module::{Layer, Sequential};
-pub use optimizer::{Adam, LrSchedule, Optimizer, Sgd};
-pub use param::{total_parameters, Parameter};
-pub use pool::{AvgPool2d, Flatten, MaxPool2d};
+pub use module::Layer;
+pub use optimizer::{Adam, LrSchedule};
+pub use param::Parameter;
+pub use pool::{Flatten, MaxPool2d};
 
 /// Convenience result alias for fallible layer operations.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -100,46 +100,6 @@ impl CrossEntropyLoss {
     }
 }
 
-/// Mean squared error loss, used for distillation-style regression targets in
-/// the retraining ablation.
-#[derive(Debug, Clone, Default)]
-pub struct MseLoss {
-    cache: Option<(Tensor, Tensor)>,
-}
-
-impl MseLoss {
-    /// Creates an MSE loss.
-    pub fn new() -> Self {
-        MseLoss { cache: None }
-    }
-
-    /// Computes `mean((pred - target)^2)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error when shapes differ.
-    pub fn forward(&mut self, prediction: &Tensor, target: &Tensor) -> Result<f32> {
-        let diff = prediction.sub(target)?;
-        let loss = diff.data().iter().map(|v| v * v).sum::<f32>() / diff.numel().max(1) as f32;
-        self.cache = Some((prediction.clone(), target.clone()));
-        Ok(loss)
-    }
-
-    /// Gradient of the mean squared error with respect to the prediction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::MissingForwardCache`] when called before `forward`.
-    pub fn backward(&mut self) -> Result<Tensor> {
-        let (pred, target) = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::MissingForwardCache { layer: "MseLoss" })?;
-        let n = pred.numel().max(1) as f32;
-        Ok(pred.sub(target)?.scale(2.0 / n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,18 +156,5 @@ mod tests {
                 g.data()[i]
             );
         }
-    }
-
-    #[test]
-    fn mse_basic_and_gradient() {
-        let pred = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let target = Tensor::from_vec(vec![0.0, 0.0], &[2]).unwrap();
-        let mut loss = MseLoss::new();
-        let l = loss.forward(&pred, &target).unwrap();
-        assert!((l - 2.5).abs() < 1e-6);
-        let g = loss.backward().unwrap();
-        assert_eq!(g.data(), &[1.0, 2.0]);
-        assert!(MseLoss::new().backward().is_err());
-        assert!(loss.forward(&pred, &Tensor::zeros(&[3])).is_err());
     }
 }

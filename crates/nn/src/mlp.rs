@@ -13,8 +13,8 @@ pub enum MlpActivation {
 }
 
 impl MlpActivation {
-    /// The activation on every element of `x`, in place: the arithmetic of
-    /// [`crate::Relu`] / [`crate::Gelu`].
+    /// The activation on every element of `x`, in place: [`relu_in_place`] /
+    /// [`gelu_in_place`].
     fn apply(self, x: &mut Tensor) {
         match self {
             MlpActivation::Relu => relu_in_place(x),

@@ -2,57 +2,6 @@ use edvit_tensor::Tensor;
 
 use crate::{NnError, Parameter, Result};
 
-/// A first-order optimizer updating parameters in place from their
-/// accumulated gradients.
-pub trait Optimizer {
-    /// Applies one update step to every parameter, then leaves gradients
-    /// untouched (call [`crate::Layer::zero_grad`] separately, mirroring the
-    /// PyTorch training loop the paper uses).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when internal state and parameter shapes diverge,
-    /// which indicates the parameter list changed between steps.
-    fn step(&mut self, params: &mut [&mut Parameter]) -> Result<()>;
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by the decay schedule).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Parameter]) -> Result<()> {
-        for p in params.iter_mut() {
-            let grad = p.grad().clone();
-            p.value_mut().add_scaled_assign(&grad, -self.lr)?;
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam's first-moment decay β₁.
 const BETA1: f32 = 0.9;
 /// Adam's second-moment decay β₂.
@@ -80,10 +29,16 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Parameter]) -> Result<()> {
+    /// Applies one update step to every parameter and leaves the gradients
+    /// as they are (call [`crate::Layer::zero_grad`] separately, mirroring
+    /// the PyTorch training loop the paper uses).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::InvalidConfig`] when the parameter list changed
+    /// length or a parameter changed shape since the first step.
+    pub fn step(&mut self, params: &mut [&mut Parameter]) -> Result<()> {
         if self.m.is_empty() {
             self.m = params
                 .iter()
@@ -130,11 +85,13 @@ impl Optimizer for Adam {
         Ok(())
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// The current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (used by the decay schedule).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -164,7 +121,7 @@ impl LrSchedule {
     }
 
     /// Applies the schedule to an optimizer for the given step.
-    pub fn apply<O: Optimizer + ?Sized>(&self, optimizer: &mut O, step: u64) {
+    pub fn apply(&self, optimizer: &mut Adam, step: u64) {
         optimizer.set_learning_rate(self.lr_at(step));
     }
 }
@@ -178,7 +135,7 @@ mod tests {
     }
 
     /// Minimizes f(x) = x^2 whose gradient is 2x.
-    fn run_optimizer<O: Optimizer>(mut opt: O, steps: usize, start: f32) -> f32 {
+    fn run_optimizer(mut opt: Adam, steps: usize, start: f32) -> f32 {
         let mut p = quadratic_param(start);
         for _ in 0..steps {
             p.zero_grad();
@@ -188,12 +145,6 @@ mod tests {
             opt.step(&mut [&mut p]).unwrap();
         }
         p.value().data()[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = run_optimizer(Sgd::new(0.1), 100, 5.0);
-        assert!(x.abs() < 1e-3, "x = {x}");
     }
 
     #[test]
@@ -224,10 +175,6 @@ mod tests {
 
     #[test]
     fn learning_rate_accessors() {
-        let mut sgd = Sgd::new(0.5);
-        assert_eq!(sgd.learning_rate(), 0.5);
-        sgd.set_learning_rate(0.25);
-        assert_eq!(sgd.learning_rate(), 0.25);
         let mut adam = Adam::new(0.3);
         assert_eq!(adam.learning_rate(), 0.3);
         adam.set_learning_rate(0.1);
@@ -240,7 +187,7 @@ mod tests {
         assert_eq!(sched.lr_at(0), 1e-4);
         assert!((sched.lr_at(10) - 5e-5).abs() < 1e-9);
         assert!((sched.lr_at(25) - 2.5e-5).abs() < 1e-9);
-        let mut opt = Sgd::new(1.0);
+        let mut opt = Adam::new(1.0);
         sched.apply(&mut opt, 20);
         assert!((opt.learning_rate() - 2.5e-5).abs() < 1e-9);
     }

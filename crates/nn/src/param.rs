@@ -84,11 +84,6 @@ impl Parameter {
     }
 }
 
-/// Total number of scalar parameters across a parameter list.
-pub fn total_parameters(params: &[&Parameter]) -> usize {
-    params.iter().map(|p| p.numel()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,13 +115,5 @@ mod tests {
         assert_eq!(p.value().dims(), &[3]);
         assert_eq!(p.grad().dims(), &[3]);
         assert_eq!(p.grad().sum(), 0.0);
-    }
-
-    #[test]
-    fn total_parameters_sums() {
-        let a = Parameter::new("a", Tensor::zeros(&[2, 3]));
-        let b = Parameter::new("b", Tensor::zeros(&[5]));
-        assert_eq!(total_parameters(&[&a, &b]), 11);
-        assert_eq!(total_parameters(&[]), 0);
     }
 }

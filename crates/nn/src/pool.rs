@@ -144,86 +144,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Global average pooling over the spatial dimensions:
-/// `[batch, channels, h, w] -> [batch, channels]`.
-#[derive(Debug, Clone, Default)]
-pub struct AvgPool2d {
-    /// The input dims [`Layer::forward_train`] saw.
-    record: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates a global average pooling layer.
-    pub fn new() -> Self {
-        AvgPool2d { record: None }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        if input.rank() != 4 {
-            return Err(NnError::InvalidConfig {
-                message: format!("avgpool expects rank-4 input, got {:?}", input.dims()),
-            });
-        }
-        let (b, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
-        let mut out = vec![0.0f32; b * c];
-        for bi in 0..b {
-            for ci in 0..c {
-                let plane = &input.data()[bi * c * h * w + ci * h * w..][..h * w];
-                out[bi * c + ci] = plane.iter().sum::<f32>() / (h * w) as f32;
-            }
-        }
-        Ok(Tensor::from_vec(out, &[b, c])?)
-    }
-
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = self.forward(input)?;
-        self.record = Some(input.dims().to_vec());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let dims = self
-            .record
-            .take()
-            .ok_or(NnError::MissingForwardCache { layer: "AvgPool2d" })?;
-        let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        if grad_output.dims() != [b, c] {
-            return Err(NnError::InvalidConfig {
-                message: format!(
-                    "avgpool backward expected grad [{b}, {c}], got {:?}",
-                    grad_output.dims()
-                ),
-            });
-        }
-        let mut grad = vec![0.0f32; b * c * h * w];
-        let scale = 1.0 / (h * w) as f32;
-        for bi in 0..b {
-            for ci in 0..c {
-                let g = grad_output.data()[bi * c + ci] * scale;
-                for v in &mut grad[bi * c * h * w + ci * h * w..][..h * w] {
-                    *v = g;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(grad, &dims)?)
-    }
-
-    fn parameters_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
-    }
-
-    fn parameters(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-}
-
 /// Flattens `[batch, ...]` inputs to `[batch, features]`, remembering the
 /// original shape for the backward pass.
 #[derive(Debug, Clone, Default)]
@@ -316,23 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn avgpool_forward_backward() {
-        let mut pool = AvgPool2d::new();
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
-            &[1, 2, 2, 2],
-        )
-        .unwrap();
-        let y = pool.forward_train(&x).unwrap();
-        assert_eq!(y.dims(), &[1, 2]);
-        assert_eq!(y.data(), &[2.5, 25.0]);
-        assert!(pool.backward(&Tensor::ones(&[2, 2])).is_err());
-        pool.forward_train(&x).unwrap();
-        let g = pool.backward(&Tensor::ones(&[1, 2])).unwrap();
-        assert!(g.data().iter().all(|&v| (v - 0.25).abs() < 1e-6));
-    }
-
-    #[test]
     fn flatten_round_trip() {
         let mut f = Flatten::new();
         let x = Tensor::arange(24).reshape(&[2, 3, 2, 2]).unwrap();
@@ -347,10 +250,5 @@ mod tests {
     #[test]
     fn maxpool_gradcheck() {
         finite_difference_check(Box::new(MaxPool2d::new(2)), &[1, 2, 4, 4], 5e-2, 100);
-    }
-
-    #[test]
-    fn avgpool_gradcheck() {
-        finite_difference_check(Box::new(AvgPool2d::new()), &[2, 3, 4, 4], 5e-2, 101);
     }
 }

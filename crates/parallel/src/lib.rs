@@ -546,6 +546,24 @@ mod tests {
     }
 
     #[test]
+    fn a_single_chunk_region_runs_inline_on_a_wide_pool() {
+        // The row kernels hand a sub-threshold slice over as one chunk and
+        // rely on it running here, without waking a worker.
+        let pool = ParallelPool::new(4);
+        assert!(!pool.is_sequential());
+        let caller = std::thread::current().id();
+        let calls = AtomicUsize::new(0);
+        let mut out = vec![0usize; 100];
+        pool.scope_chunks(&mut out, 100, |base, chunk| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!((base, chunk.len()), (0, 100));
+            calls.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.dispatched.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn scope_chunks_writes_disjoint_slices() {
         let pool = ParallelPool::new(4);
         let mut out = vec![0usize; 500];

@@ -211,6 +211,7 @@ pub fn matmul_bias(
     }
     let kernel = MicroKernel::detect();
     let work = m * k * n;
+    // A fork, not one region: one GEBP packs B once, per-chunk GEBPs each re-pack it.
     if work < PAR_WORK_THRESHOLD || pool.is_sequential() || m < 2 {
         gebp(kernel, a, b, bias, out, k, n);
         return;

@@ -488,6 +488,17 @@ fn rows_per_chunk(row_len: usize) -> usize {
     PAR_CHUNK_ELEMS.div_ceil(row_len.max(1)).max(1)
 }
 
+/// The chunk a row kernel over `len` elements hands [`ParallelPool::scope_chunks`]:
+/// the whole slice below [`PAR_ELEMS_THRESHOLD`] (one chunk, which the pool
+/// runs inline on the caller), else `parallel` elements.
+fn chunk_elems(len: usize, parallel: usize) -> usize {
+    if len < PAR_ELEMS_THRESHOLD {
+        len
+    } else {
+        parallel
+    }
+}
+
 /// In-place row-wise softmax over `data` viewed as rows of `row_len`
 /// elements, split across `pool` one group of whole rows per chunk. Every row
 /// is normalized by the identical sequential code whatever the thread count,
@@ -498,13 +509,8 @@ pub fn softmax_rows(data: &mut [f32], row_len: usize, pool: &ParallelPool) {
     if row_len == 0 {
         return;
     }
-    if data.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
-        for row in data.chunks_mut(row_len) {
-            softmax_slice(row);
-        }
-        return;
-    }
-    pool.scope_chunks(data, rows_per_chunk(row_len) * row_len, |_, chunk| {
+    let chunk = chunk_elems(data.len(), rows_per_chunk(row_len) * row_len);
+    pool.scope_chunks(data, chunk, |_, chunk| {
         for row in chunk.chunks_mut(row_len) {
             softmax_slice(row);
         }
@@ -525,13 +531,8 @@ pub fn layer_norm_rows(
     if row_len == 0 {
         return;
     }
-    if data.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
-        for row in data.chunks_mut(row_len) {
-            layer_norm_slice(row, gamma, beta);
-        }
-        return;
-    }
-    pool.scope_chunks(data, rows_per_chunk(row_len) * row_len, |_, chunk| {
+    let chunk = chunk_elems(data.len(), rows_per_chunk(row_len) * row_len);
+    pool.scope_chunks(data, chunk, |_, chunk| {
         for row in chunk.chunks_mut(row_len) {
             layer_norm_slice(row, gamma, beta);
         }
@@ -563,6 +564,7 @@ pub fn layer_norm_forward_rows(
         let (mean, var) = row_moments(row);
         (mean, 1.0 / (var + NORM_EPS).sqrt())
     };
+    // A fork, not one region: one pass here, three (one per output) below.
     if x.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
         for (r, row) in x.chunks(row_len).enumerate() {
             let (mean, istd) = row_stats(row);
@@ -640,13 +642,8 @@ pub fn layer_norm_backward_rows(
             gx_row[i] = istd / n * (n * dx - sum_dxhat - xh[i] * sum_dxhat_xhat);
         }
     };
-    if grad_out.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
-        for (r, gx_row) in grad_x.chunks_mut(row_len).enumerate() {
-            backward_row(r, gx_row);
-        }
-        return;
-    }
-    pool.scope_chunks(grad_x, rows_per_chunk(row_len) * row_len, |base, chunk| {
+    let chunk = chunk_elems(grad_out.len(), rows_per_chunk(row_len) * row_len);
+    pool.scope_chunks(grad_x, chunk, |base, chunk| {
         for (j, gx_row) in chunk.chunks_mut(row_len).enumerate() {
             backward_row(base / row_len + j, gx_row);
         }
@@ -681,12 +678,18 @@ pub fn layer_norm_param_grads_rows(
         }
         (gg, gb)
     };
-    let partials: Vec<(Vec<f32>, Vec<f32>)> =
-        if grad_out.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
-            (0..chunks).map(partial).collect()
-        } else {
-            pool.map_indexed(chunks, partial)
-        };
+    // Below the threshold every partial is in one task, which runs inline.
+    let mut partials = vec![(Vec::new(), Vec::new()); chunks];
+    let per_task = if grad_out.len() < PAR_ELEMS_THRESHOLD {
+        chunks
+    } else {
+        1
+    };
+    pool.scope_chunks(&mut partials, per_task, |first, slots| {
+        for (c, slot) in (first..).zip(slots) {
+            *slot = partial(c);
+        }
+    });
     let mut grad_gamma = vec![0.0f32; row_len];
     let mut grad_beta = vec![0.0f32; row_len];
     for (gg, gb) in partials {
@@ -703,11 +706,8 @@ pub fn layer_norm_param_grads_rows(
 /// thread count (and equal to [`gelu_scalar`] element by element, whichever
 /// SIMD width the loop was compiled for).
 pub fn gelu_map(data: &mut [f32], pool: &ParallelPool) {
-    if data.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
-        approx::map_lanes(data, gelu_scalar);
-        return;
-    }
-    pool.scope_chunks(data, PAR_CHUNK_ELEMS, |_, chunk| {
+    let chunk = chunk_elems(data.len(), PAR_CHUNK_ELEMS);
+    pool.scope_chunks(data, chunk, |_, chunk| {
         approx::map_lanes(chunk, gelu_scalar);
     });
 }

@@ -5,7 +5,7 @@
 //! and the scaled-down configurations, which is sufficient for the accuracy
 //! *trends* ED-ViT's experiments rely on.
 
-use edvit_nn::{Adam, CrossEntropyLoss, Layer, LrSchedule, Optimizer};
+use edvit_nn::{Adam, CrossEntropyLoss, Layer, LrSchedule};
 use edvit_tensor::{init::TensorRng, stats, Tensor};
 
 use crate::Result;
