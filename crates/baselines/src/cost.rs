@@ -5,6 +5,11 @@
 //! ≈138 M parameters and ≈15.5 GMACs; channel-wise filter pruning with
 //! retention factor `s` scales both roughly with `s²` (every conv layer keeps
 //! `s` of its input and output channels).
+//!
+//! Costs are the ViT cost model's [`ModelCost`], so a baseline and a ViT
+//! sub-model compare field for field.
+
+use edvit_vit::analysis::ModelCost;
 
 /// Number of timesteps used by the rate-coded SNN conversion (EC-SNN uses a
 /// small constant window; 8 keeps the latency ratio in the paper's band).
@@ -31,37 +36,14 @@ const VGG16_CONVS: &[(u64, u64, u64)] = &[
 /// Fully-connected head of VGG-16: 7·7·512 → 4096 → 4096 → classes.
 const VGG16_FCS: &[(u64, u64)] = &[(7 * 7 * 512, 4096), (4096, 4096)];
 
-/// Parameters, FLOPs and memory of a (possibly pruned) baseline model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BaselineCost {
-    /// Scalar parameters.
-    pub params: u64,
-    /// Multiply–accumulate operations per sample.
-    pub flops: u64,
-    /// Parameter memory in bytes.
-    pub memory_bytes: u64,
-}
-
-impl BaselineCost {
-    /// Memory in decimal megabytes.
-    pub fn memory_mb(&self) -> f64 {
-        self.memory_bytes as f64 / 1e6
-    }
-
-    /// FLOPs in units of 10⁹.
-    pub fn gflops(&self) -> f64 {
-        self.flops as f64 / 1e9
-    }
-}
-
 /// Cost of the full VGG-16 with `classes` output classes.
-pub fn vgg16_cost(classes: u64) -> BaselineCost {
+pub fn vgg16_cost(classes: u64) -> ModelCost {
     vgg16_pruned_cost(classes, 1.0)
 }
 
 /// Cost of a channel-pruned VGG-16 where every layer keeps a fraction
 /// `retention` of its channels (clamped to `[1/64, 1]`).
-pub fn vgg16_pruned_cost(classes: u64, retention: f64) -> BaselineCost {
+pub fn vgg16_pruned_cost(classes: u64, retention: f64) -> ModelCost {
     let s = retention.clamp(1.0 / 64.0, 1.0);
     let mut params = 0u64;
     let mut flops = 0u64;
@@ -82,7 +64,7 @@ pub fn vgg16_pruned_cost(classes: u64, retention: f64) -> BaselineCost {
     let last_hidden = 4096.0 * s;
     params += (last_hidden * classes as f64 + classes as f64) as u64;
     flops += (last_hidden * classes as f64) as u64;
-    BaselineCost {
+    ModelCost {
         params,
         flops,
         memory_bytes: params * 4,
@@ -101,7 +83,7 @@ pub const SNN_SPIKE_ACTIVITY: f64 = 0.2;
 /// a conv retention of `1/√N` and an FC retention of `1/N`. This reproduces
 /// the orderings of Fig. 7: the CNN baseline ends up with a higher total
 /// memory and higher per-device latency than ED-ViT at the same device count.
-pub fn nnfacet_submodel_cost(classes: u64, n_devices: usize) -> BaselineCost {
+pub fn nnfacet_submodel_cost(classes: u64, n_devices: usize) -> ModelCost {
     let n = n_devices.max(1) as f64;
     let conv_retention = (1.0 / n).sqrt();
     let fc_retention = 1.0 / n;
@@ -115,7 +97,7 @@ pub fn nnfacet_submodel_cost(classes: u64, n_devices: usize) -> BaselineCost {
     let params = conv_params + fc_params;
     let conv_flops_ratio = conv.flops as f64 / full_conv.flops as f64;
     let flops = (full_conv.flops as f64 * conv_flops_ratio) as u64;
-    BaselineCost {
+    ModelCost {
         params,
         flops,
         memory_bytes: params * 4,
@@ -125,9 +107,9 @@ pub fn nnfacet_submodel_cost(classes: u64, n_devices: usize) -> BaselineCost {
 /// Cost of one EC-SNN-style Split-SNN sub-model: same structure as the CNN
 /// sub-model, 8-bit weights (4× smaller memory), and `timesteps × activity`
 /// compute per inference.
-pub fn ecsnn_submodel_cost(classes: u64, n_devices: usize) -> BaselineCost {
+pub fn ecsnn_submodel_cost(classes: u64, n_devices: usize) -> ModelCost {
     let cnn = nnfacet_submodel_cost(classes, n_devices);
-    BaselineCost {
+    ModelCost {
         params: cnn.params,
         flops: (cnn.flops as f64 * SNN_TIMESTEPS as f64 * SNN_SPIKE_ACTIVITY) as u64,
         memory_bytes: cnn.memory_bytes / 4,

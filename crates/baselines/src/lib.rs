@@ -28,8 +28,8 @@ mod split;
 
 pub use cnn::{SmallCnn, SmallCnnConfig};
 pub use cost::{
-    ecsnn_submodel_cost, nnfacet_submodel_cost, vgg16_cost, vgg16_pruned_cost, BaselineCost,
-    SNN_SPIKE_ACTIVITY, SNN_TIMESTEPS,
+    ecsnn_submodel_cost, nnfacet_submodel_cost, vgg16_cost, vgg16_pruned_cost, SNN_SPIKE_ACTIVITY,
+    SNN_TIMESTEPS,
 };
 pub use snn::SpikingCnn;
 pub use split::{BaselineKind, SplitBaselineConfig, SplitBaselineResult, SplitBaselineRunner};

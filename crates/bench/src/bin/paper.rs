@@ -40,7 +40,7 @@ fn main() -> Result {
     } else {
         (ExperimentOptions::fast(), vec![1, 2, 5])
     };
-    let mode = format!("{} trial(s), fast={}", options.trials, options.fast);
+    let mode = format!("{} trial(s), fast={}", options.trials(), options.fast);
     for (i, name) in names.into_iter().enumerate() {
         if i > 0 {
             println!();

@@ -21,7 +21,7 @@ use edvit_tensor::{init::TensorRng, stats, Tensor};
 use edvit_vit::training::{evaluate_classifier, train_classifier, TrainConfig};
 use edvit_vit::{analysis, PrunedViTConfig, ViTConfig, ViTVariant, VisionTransformer};
 
-use crate::pipeline::{EdVitConfig, EdVitDeployment, EdVitPipeline};
+use crate::pipeline::{EdVitConfig, EdVitDeployment, EdVitPipeline, TRAIN_FRACTION};
 use crate::{EdVitError, Result};
 
 /// Device counts used throughout the paper's figures.
@@ -30,8 +30,6 @@ pub const PAPER_DEVICE_COUNTS: [usize; 5] = [1, 2, 3, 5, 10];
 /// Controls how heavy the accuracy experiments are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentOptions {
-    /// Number of independent trials (the paper uses 5).
-    pub trials: usize,
     /// Fast mode shrinks datasets and training schedules so a full sweep
     /// finishes in seconds; full mode uses the experiment-grade settings.
     pub fast: bool,
@@ -40,17 +38,21 @@ pub struct ExperimentOptions {
 impl ExperimentOptions {
     /// Fast single-trial options (used by tests and smoke runs).
     pub fn fast() -> Self {
-        ExperimentOptions {
-            trials: 1,
-            fast: true,
-        }
+        ExperimentOptions { fast: true }
     }
 
     /// Paper-style options: five trials at experiment scale.
     pub fn full() -> Self {
-        ExperimentOptions {
-            trials: 5,
-            fast: false,
+        ExperimentOptions { fast: false }
+    }
+
+    /// Number of independent trials: one in fast mode, the paper's five in
+    /// full mode.
+    pub fn trials(&self) -> usize {
+        if self.fast {
+            1
+        } else {
+            5
         }
     }
 }
@@ -197,7 +199,7 @@ pub fn split_curve(
         // Trials are fully independent (each gets its own seed), so they run
         // across the thread pool; inner kernels then stay sequential. A
         // single trial runs inline, its kernels free to use the pool.
-        let trials = options.trials.max(1);
+        let trials = options.trials();
         let deployments = ParallelPool::global().map_indexed(trials, |trial| {
             let config = pipeline_config(kind, variant, devices, options, trial as u64 + 1);
             EdVitPipeline::new(config).run()
@@ -408,7 +410,7 @@ fn baseline_datasets(
     };
     cfg.class_limit = Some(10);
     let dataset = SyntheticGenerator::new(seed).generate(&cfg)?;
-    Ok(dataset.split(0.75, seed ^ 0xBB)?)
+    Ok(dataset.split(TRAIN_FRACTION, seed ^ 0xBB)?)
 }
 
 /// Runs the three-way comparison of Table III on the CIFAR-10-like dataset
@@ -438,10 +440,10 @@ pub fn table3(device_counts: &[usize], options: &ExperimentOptions) -> Result<Ve
         });
         // Baselines.
         for kind in [BaselineKind::SplitCnn, BaselineKind::SplitSnn] {
-            let mut accs = Vec::with_capacity(options.trials);
+            let mut accs = Vec::with_capacity(options.trials());
             let mut latency = 0.0;
             let mut memory = 0.0;
-            for trial in 0..options.trials.max(1) {
+            for trial in 0..options.trials() {
                 let (train, test) = baseline_datasets(options, trial as u64 + 11)?;
                 let runner = SplitBaselineRunner::new(SplitBaselineConfig {
                     n_devices: devices,
@@ -572,7 +574,7 @@ pub fn ablations() -> Result<Ablations> {
         samples_per_class: 12,
         ..SyntheticConfig::tiny(DatasetKind::Cifar10Like)
     })?;
-    let (train, test) = dataset.split(0.75, 1)?;
+    let (train, test) = dataset.split(TRAIN_FRACTION, 1)?;
     let mut original = VisionTransformer::new(&config, &mut TensorRng::new(0))?;
     let train_config = TrainConfig {
         epochs: 6,
@@ -614,7 +616,6 @@ pub fn ablations() -> Result<Ablations> {
         .map(|mb| {
             let plan = SplitPlanner::new(PlannerConfig {
                 memory_budget_bytes: mb * 1_000_000,
-                ..PlannerConfig::default()
             })
             .plan(&base, &devices, 1);
             let row = plan
@@ -1149,7 +1150,8 @@ mod tests {
     #[test]
     fn options_constructors() {
         assert!(ExperimentOptions::fast().fast);
-        assert_eq!(ExperimentOptions::full().trials, 5);
+        assert_eq!(ExperimentOptions::fast().trials(), 1);
+        assert_eq!(ExperimentOptions::full().trials(), 5);
     }
 
     #[test]

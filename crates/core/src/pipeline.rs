@@ -19,6 +19,11 @@ use edvit_vit::{
 
 use crate::{EdVitError, Result};
 
+/// Share of each class that goes to the training set in the stratified
+/// train/test split (the rest is the test set), for the pipeline and the
+/// baselines alike.
+pub(crate) const TRAIN_FRACTION: f32 = 0.75;
+
 /// Full configuration of one ED-ViT experiment trial.
 #[derive(Debug, Clone)]
 pub struct EdVitConfig {
@@ -32,7 +37,7 @@ pub struct EdVitConfig {
     pub scale_profile: ScaleProfile,
     /// Edge devices available for sub-models.
     pub devices: Vec<DeviceSpec>,
-    /// Splitting planner settings (memory budget, samples per round).
+    /// Splitting planner settings (the memory budget `bu`).
     pub planner: PlannerConfig,
     /// Structured pruner settings (importance criterion, retraining).
     pub pruner: PrunerConfig,
@@ -45,8 +50,6 @@ pub struct EdVitConfig {
     pub joint_retrain_epochs: usize,
     /// Network model between devices.
     pub network: NetworkConfig,
-    /// Fraction of samples used for training (stratified split).
-    pub train_fraction: f32,
     /// Trial seed; the paper averages over five trials with different seeds.
     pub seed: u64,
 }
@@ -73,7 +76,6 @@ impl EdVitConfig {
             devices: DeviceSpec::raspberry_pi_cluster(num_devices),
             planner: PlannerConfig {
                 memory_budget_bytes: memory_budget,
-                ..PlannerConfig::default()
             },
             pruner: PrunerConfig {
                 method: ImportanceMethod::Magnitude,
@@ -97,7 +99,6 @@ impl EdVitConfig {
             fusion_steps: 200,
             joint_retrain_epochs: 0,
             network: NetworkConfig::paper_default(),
-            train_fraction: 0.75,
             seed: 0,
         }
     }
@@ -130,8 +131,15 @@ impl EdVitConfig {
         config
     }
 
-    /// Sets the trial seed (also reseeds the sub-configurations so two trials
-    /// differ in every random choice).
+    /// Sets the trial seed and derives `original_training.seed` from it; no
+    /// other sub-configuration changes.
+    ///
+    /// [`EdVitPipeline::run`] seeds the data, the split, the model and
+    /// fusion initialisation, the class assignment and the pruner from
+    /// `seed` itself (it overrides `pruner.seed` with it, so that field is
+    /// never read there). `pruner.retrain.seed` is not derived: two trials
+    /// fine-tune their sub-models with the same shuffling seed, 0 in every
+    /// preset.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self.original_training.seed = seed ^ 0x0816;
@@ -156,11 +164,6 @@ impl EdVitConfig {
                     self.devices.len(),
                     self.synthetic.effective_classes()
                 ),
-            });
-        }
-        if !(0.0..1.0).contains(&self.train_fraction) || self.train_fraction == 0.0 {
-            return Err(EdVitError::InvalidConfig {
-                message: format!("train fraction {} must be in (0, 1)", self.train_fraction),
             });
         }
         self.paper_model.validate()?;
@@ -282,7 +285,7 @@ impl EdVitPipeline {
 
         // ---- Data ---------------------------------------------------------
         let dataset = SyntheticGenerator::new(cfg.seed).generate(&cfg.synthetic)?;
-        let (train, test) = dataset.split(cfg.train_fraction, cfg.seed ^ 0x5917)?;
+        let (train, test) = dataset.split(TRAIN_FRACTION, cfg.seed ^ 0x5917)?;
         record(&mut stages, "data");
 
         // ---- Original model (trainable scale) ------------------------------
@@ -557,9 +560,6 @@ mod tests {
         let mut config = EdVitConfig::tiny_demo(1);
         config.devices.clear();
         assert!(EdVitPipeline::new(config).run().is_err());
-        let mut config = EdVitConfig::tiny_demo(2);
-        config.train_fraction = 0.0;
-        assert!(config.validate().is_err());
         let mut config = EdVitConfig::tiny_demo(2);
         config.synthetic.class_limit = Some(1);
         assert!(config.validate().is_err());

@@ -336,8 +336,9 @@ fn lane_round(device: usize, event: LaneEvent, samples: usize) -> Result<(RoundB
 }
 
 /// Journals one one-shot batch execution: a `BatchStarted` marker, one
-/// `Delivery` + `DataFrame` pair per sub-model (in index order) and a
-/// `BatchEnded` summary stamped at the simulated communication time.
+/// `BatchDelivery` per sub-model (in index order) and a `BatchEnded` summary
+/// stamped at the simulated communication time — all `Batch`-family rows, so
+/// a journal shared with a stream or a serving drill still replays each.
 fn record_batch_events(
     sink: &MetricsSink,
     samples: usize,
@@ -357,15 +358,9 @@ fn record_batch_events(
     for (device, &bytes) in per_device_wire_bytes.iter().enumerate() {
         sink.record(
             0.0,
-            RunEvent::Delivery {
+            RunEvent::BatchDelivery {
                 device: device as u64,
                 bytes,
-            },
-        );
-        sink.record(
-            0.0,
-            RunEvent::DataFrame {
-                device: device as u64,
             },
         );
     }

@@ -361,6 +361,14 @@ run_events! {
         /// Samples in the batch.
         samples: u64,
     },
+    /// A one-shot device's batch frame arrived: one data frame of `bytes`
+    /// encoded bytes.
+    Batch BatchDelivery {
+        /// Sending device id.
+        device: u64,
+        /// Encoded frame length in bytes.
+        bytes: u64,
+    },
     /// A one-shot cluster batch run finished.
     Batch BatchEnded {
         /// Frames shipped.
@@ -755,6 +763,10 @@ mod tests {
             RunEvent::BatchStarted {
                 devices: 4,
                 samples: 8,
+            },
+            RunEvent::BatchDelivery {
+                device: 2,
+                bytes: 16384,
             },
             RunEvent::BatchEnded {
                 frames: 4,

@@ -384,6 +384,7 @@ impl StreamCounters {
             | RunEvent::ServeRound { .. }
             | RunEvent::ServeEnded
             | RunEvent::BatchStarted { .. }
+            | RunEvent::BatchDelivery { .. }
             | RunEvent::BatchEnded { .. } => {}
         }
     }
@@ -621,6 +622,7 @@ impl ServeCounters {
             | RunEvent::Recovery { .. }
             | RunEvent::StreamEnded { .. }
             | RunEvent::BatchStarted { .. }
+            | RunEvent::BatchDelivery { .. }
             | RunEvent::BatchEnded { .. } => {}
         }
     }
@@ -641,7 +643,7 @@ impl ServeCounters {
 /// A live run's accounting. Every event the run observes goes through
 /// [`Ledger::record`], which folds it into `counters` — always, so a report
 /// never depends on the sink — and forwards it to the sink (the optional
-/// journal and registry). No counter changes anywhere else: the report is
+/// journal). No counter changes anywhere else: the report is
 /// this fold, and so is the journal's offline replay.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger<C> {

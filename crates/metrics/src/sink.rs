@@ -2,11 +2,12 @@
 //!
 //! A sink is either *disabled* — the default, a `None` that makes every
 //! `record` call a branch-and-return no-op so the hot paths pay nothing —
-//! or *recording*, in which case each event is appended to a [`RunJournal`]
-//! and folded into a [`MetricsRegistry`] at the same time. Cloning a
-//! recording sink shares the underlying store, which is how one sink threads
-//! through scheduler, admission queue and transport and still produces a
-//! single ordered journal.
+//! or *recording*, in which case each event is appended to a [`RunJournal`],
+//! the sink's one store. [`MetricsSink::expose`] folds that journal into a
+//! fresh [`MetricsRegistry`] when called, so the exposition is a projection
+//! of the journal by construction. Cloning a recording sink shares the
+//! journal, which is how one sink threads through scheduler, admission queue
+//! and transport and still produces a single ordered journal.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -14,16 +15,10 @@ use crate::event::RunEvent;
 use crate::journal::RunJournal;
 use crate::registry::{MetricKind, MetricsRegistry, LATENCY_BUCKETS};
 
-#[derive(Debug, Default)]
-struct SinkInner {
-    registry: MetricsRegistry,
-    journal: RunJournal,
-}
-
 /// A shareable event sink; see the module docs for the two states.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSink {
-    inner: Option<Arc<Mutex<SinkInner>>>,
+    inner: Option<Arc<Mutex<RunJournal>>>,
 }
 
 /// Two sinks are equal when both are disabled or both share one store.
@@ -45,16 +40,10 @@ impl MetricsSink {
         MetricsSink::default()
     }
 
-    /// A live sink with an empty registry and journal. The registry comes
-    /// pre-described so exposition carries `# HELP` / `# TYPE` headers.
+    /// A live sink with an empty journal.
     pub fn recording() -> Self {
-        let mut registry = MetricsRegistry::new();
-        describe_families(&mut registry);
         MetricsSink {
-            inner: Some(Arc::new(Mutex::new(SinkInner {
-                registry,
-                journal: RunJournal::new(),
-            }))),
+            inner: Some(Arc::new(Mutex::new(RunJournal::new()))),
         }
     }
 
@@ -63,37 +52,38 @@ impl MetricsSink {
         self.inner.is_some()
     }
 
-    /// Records one event at virtual time `at`: journals it and updates the
-    /// registry. A no-op on a disabled sink.
+    /// Records one event at virtual time `at` into the journal. A no-op on a
+    /// disabled sink.
     pub fn record(&self, at: f64, event: RunEvent) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let mut guard = inner.lock().unwrap_or_else(PoisonError::into_inner);
-        apply_event(&mut guard.registry, &event);
-        guard.journal.push(at, event);
+        inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(at, event);
     }
 
-    /// Prometheus text exposition of the registry; empty when disabled.
+    /// Prometheus text exposition of the journal so far, folded in record
+    /// order into a registry described with `# HELP` / `# TYPE` headers;
+    /// empty when disabled.
     pub fn expose(&self) -> String {
-        match &self.inner {
-            Some(inner) => inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .registry
-                .expose(),
-            None => String::new(),
+        let Some(inner) = &self.inner else {
+            return String::new();
+        };
+        let mut registry = MetricsRegistry::new();
+        describe_families(&mut registry);
+        let journal = inner.lock().unwrap_or_else(PoisonError::into_inner);
+        for record in journal.records() {
+            apply_event(&mut registry, &record.event);
         }
+        registry.expose()
     }
 
     /// A snapshot of the journal so far; empty when disabled.
     pub fn journal(&self) -> RunJournal {
         match &self.inner {
-            Some(inner) => inner
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .journal
-                .clone(),
+            Some(inner) => inner.lock().unwrap_or_else(PoisonError::into_inner).clone(),
             None => RunJournal::new(),
         }
     }
@@ -222,8 +212,8 @@ fn describe_families(r: &mut MetricsRegistry) {
     );
 }
 
-/// Folds one event into the registry. Pure function of (event) so the
-/// registry stays a deterministic projection of the journal.
+/// Folds one event into the registry. Pure function of (event), so the
+/// registry is a deterministic projection of the journal.
 fn apply_event(r: &mut MetricsRegistry, event: &RunEvent) {
     match event {
         RunEvent::Delivery { device, bytes } => {
@@ -232,6 +222,15 @@ fn apply_event(r: &mut MetricsRegistry, event: &RunEvent) {
                 &[("device", &device.to_string())],
                 *bytes as f64,
             );
+        }
+        // A one-shot device's frame is a delivery and a data frame at once.
+        RunEvent::BatchDelivery { device, bytes } => {
+            r.add(
+                "edvit_wire_bytes_total",
+                &[("device", &device.to_string())],
+                *bytes as f64,
+            );
+            r.add("edvit_frames_total", &[("kind", "data")], 1.0);
         }
         RunEvent::ControlFrame { .. } => {
             r.add("edvit_frames_total", &[("kind", "control")], 1.0);

@@ -26,7 +26,6 @@
 //! let devices = DeviceSpec::raspberry_pi_cluster(3);
 //! let planner = SplitPlanner::new(PlannerConfig {
 //!     memory_budget_bytes: 180 * 1_000_000,
-//!     ..PlannerConfig::default()
 //! });
 //! let plan = planner.plan(&ViTConfig::vit_base(10), &devices, 42)?;
 //! assert_eq!(plan.sub_models.len(), 3);

@@ -9,28 +9,27 @@ use crate::{
     ModelAssignment, PartitionError, Result, SubModelRequirements,
 };
 
-/// Tunable knobs of the splitting planner.
+/// The paper's `L`: inference samples processed per energy-budget window of
+/// problem (1). Every plan and replan prices energy over this window; it is
+/// *not* the wire round size (`L` prices energy, a round size prices
+/// batching).
+const ENERGY_WINDOW_SAMPLES: u64 = 1;
+
+/// Safety cap on Algorithm 1's re-pruning iterations.
+const MAX_ITERATIONS: usize = 10_000;
+
+/// The splitting planner's input beside the model and the devices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Total memory budget `bu` across all sub-models, in bytes (the paper
     /// uses 180 MB for ViT-Base, 50 MB for ViT-Small, 600 MB for ViT-Large).
     pub memory_budget_bytes: u64,
-    /// Number of inference samples `L` processed per energy-budget window.
-    pub samples_per_round: u64,
-    /// Initial number of pruned heads per sub-model; `None` starts at the
-    /// paper's workload-balanced default `h − ⌈h / N⌉`.
-    pub initial_pruned_heads: Option<usize>,
-    /// Safety cap on re-pruning iterations.
-    pub max_iterations: usize,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             memory_budget_bytes: 180_000_000,
-            samples_per_round: 1,
-            initial_pruned_heads: None,
-            max_iterations: 10_000,
         }
     }
 }
@@ -78,25 +77,64 @@ impl SplitPlan {
             .unwrap_or(0)
     }
 
-    /// Incrementally re-plans the deployment after membership churn, whatever
-    /// the cause — a device died, left or joined: keeps every sub-model
+    /// Re-plans the deployment after membership churn, whatever the cause —
+    /// a device died, left or joined. Every sub-model keeps its metadata
     /// (class subsets, pruning levels and costs are trained artifacts that
-    /// cannot change mid-stream) and re-runs the greedy assignment of
-    /// Algorithm 3 over the current `members` only, so orphaned sub-models
-    /// land on live hosts and new capacity can absorb any that a previous
-    /// degradation left unhosted — all without a full re-split.
+    /// cannot change mid-stream, and the fusion layout must stay stable);
+    /// only the greedy assignment of Algorithm 3 re-runs, over the current
+    /// `members`. Orphaned sub-models land on live hosts, and new capacity
+    /// absorbs any that an earlier degradation left unhosted — all without a
+    /// full re-split.
+    ///
+    /// When the members cannot host every sub-model, sub-models are dropped
+    /// one at a time — largest memory footprint first, the same victim order
+    /// Algorithm 1 uses for re-pruning — until the rest fit. The returned
+    /// assignment covers only the kept sub-models; the second element lists
+    /// the dropped (unhosted) sub-model indices in ascending order, empty
+    /// when every sub-model is hosted.
     ///
     /// # Errors
     ///
     /// Returns [`PartitionError::InvalidConfig`] for an empty member list or
-    /// duplicate device ids, and [`PartitionError::Infeasible`] when the
-    /// members cannot host every sub-model within their memory and energy
-    /// budgets.
+    /// duplicate device ids, and [`PartitionError::Infeasible`] when not even
+    /// one sub-model can be hosted.
+    pub fn replan(&self, members: &[DeviceSpec]) -> Result<(SplitPlan, Vec<usize>)> {
+        self.replan_over(members, ENERGY_WINDOW_SAMPLES)
+    }
+
+    /// [`SplitPlan::replan`] that accepts only full coverage, over an energy
+    /// window of `samples_per_round` samples. Only the repo benchmark's
+    /// `partition.replan_us` probe calls it; it goes when that probe moves
+    /// to [`SplitPlan::replan`].
+    ///
+    /// # Errors
+    ///
+    /// As [`SplitPlan::replan`], plus [`PartitionError::Infeasible`] when the
+    /// members cannot host every sub-model.
+    #[doc(hidden)]
     pub fn replan_for_joiners(
         &self,
         members: &[DeviceSpec],
         samples_per_round: u64,
     ) -> Result<SplitPlan> {
+        let (plan, dropped) = self.replan_over(members, samples_per_round)?;
+        if !dropped.is_empty() {
+            return Err(PartitionError::Infeasible {
+                reason: format!(
+                    "{} member device(s) cannot host the {} existing sub-models",
+                    members.len(),
+                    self.sub_models.len()
+                ),
+            });
+        }
+        Ok(plan)
+    }
+
+    fn replan_over(
+        &self,
+        members: &[DeviceSpec],
+        samples_per_round: u64,
+    ) -> Result<(SplitPlan, Vec<usize>)> {
         if members.is_empty() {
             return Err(PartitionError::InvalidConfig {
                 message: "cannot re-plan onto an empty membership".to_string(),
@@ -109,50 +147,6 @@ impl SplitPlan {
                 message: "membership contains duplicate device ids; a rejoining device \
                           must be a new identity-epoch, not a second copy"
                     .to_string(),
-            });
-        }
-        let requirements = self.requirements();
-        let assignment =
-            greedy_assign(&requirements, members, samples_per_round)?.ok_or_else(|| {
-                PartitionError::Infeasible {
-                    reason: format!(
-                        "{} member device(s) cannot host the {} existing sub-models",
-                        members.len(),
-                        self.sub_models.len()
-                    ),
-                }
-            })?;
-        Ok(SplitPlan {
-            sub_models: self.sub_models.clone(),
-            assignment,
-            total_memory_bytes: self.total_memory_bytes,
-            iterations: self.iterations,
-        })
-    }
-
-    /// Degraded-mode replan: when the full sub-model set no longer fits the
-    /// membership (so [`SplitPlan::replan_for_joiners`] is infeasible), drop
-    /// sub-models one at a time — largest memory footprint first, the same
-    /// victim order Algorithm 1 uses for re-pruning — until the remainder can
-    /// be hosted. The returned plan keeps *every* sub-model's metadata (the
-    /// fusion layout must stay stable) but its assignment covers only the kept
-    /// sub-models; the second element lists the dropped (unhosted) sub-model
-    /// indices in ascending order for [`StreamReport::missing_sub_models`]
-    /// style accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError::InvalidConfig`] for an empty membership and
-    /// [`PartitionError::Infeasible`] when not even a single sub-model can be
-    /// hosted.
-    pub fn replan_degraded(
-        &self,
-        members: &[DeviceSpec],
-        samples_per_round: u64,
-    ) -> Result<(SplitPlan, Vec<usize>)> {
-        if members.is_empty() {
-            return Err(PartitionError::InvalidConfig {
-                message: "cannot re-plan onto an empty membership".to_string(),
             });
         }
         let mut kept = self.requirements();
@@ -212,11 +206,6 @@ impl SplitPlanner {
         SplitPlanner { config }
     }
 
-    /// The planner configuration.
-    pub fn config(&self) -> &PlannerConfig {
-        &self.config
-    }
-
     /// Produces a feasible [`SplitPlan`] for deploying `base` across
     /// `devices`, or an error when no amount of pruning makes it fit.
     ///
@@ -239,23 +228,14 @@ impl SplitPlanner {
         // Initial pruning level: retain roughly 1/N of the width per
         // sub-model so the N sub-models together cost about as much as the
         // original model, which is the paper's starting point.
-        let default_hp = base.heads - base.heads.div_ceil(n);
-        let initial_hp = self
-            .config
-            .initial_pruned_heads
-            .unwrap_or(default_hp)
-            .min(base.heads - 1);
-        let mut pruned_heads = vec![initial_hp; n];
+        let mut pruned_heads = vec![base.heads - base.heads.div_ceil(n); n];
 
         let mut iterations = 0usize;
         loop {
             iterations += 1;
-            if iterations > self.config.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(PartitionError::Infeasible {
-                    reason: format!(
-                        "no feasible plan within {} iterations",
-                        self.config.max_iterations
-                    ),
+                    reason: format!("no feasible plan within {MAX_ITERATIONS} iterations"),
                 });
             }
 
@@ -280,7 +260,7 @@ impl SplitPlanner {
                         flops_per_sample: c.flops,
                     })
                     .collect();
-                greedy_assign(&requirements, devices, self.config.samples_per_round)?
+                greedy_assign(&requirements, devices, ENERGY_WINDOW_SAMPLES)?
             } else {
                 None
             };
@@ -333,7 +313,6 @@ mod tests {
     fn planner_with_budget(mb: u64) -> SplitPlanner {
         SplitPlanner::new(PlannerConfig {
             memory_budget_bytes: mb * 1_000_000,
-            ..PlannerConfig::default()
         })
     }
 
@@ -467,7 +446,8 @@ mod tests {
         // Device 2 dies; the survivors' replan (the same call a join makes)
         // must re-host its sub-models.
         let survivors: Vec<DeviceSpec> = devices.iter().filter(|d| d.id != 2).cloned().collect();
-        let replanned = plan.replan_for_joiners(&survivors, 1).unwrap();
+        let (replanned, dropped) = plan.replan(&survivors).unwrap();
+        assert!(dropped.is_empty());
         assert_eq!(replanned.sub_models, plan.sub_models);
         assert_eq!(replanned.total_memory_bytes, plan.total_memory_bytes);
         for sub in &replanned.sub_models {
@@ -488,14 +468,14 @@ mod tests {
         let devices = DeviceSpec::raspberry_pi_cluster(3);
         let plan = planner.plan(&base, &devices, 9).unwrap();
         assert!(matches!(
-            plan.replan_for_joiners(&[], 1).unwrap_err(),
+            plan.replan(&[]).unwrap_err(),
             PartitionError::InvalidConfig { .. }
         ));
         // A lone survivor with no energy budget cannot host anything.
         let mut dead = devices[0].clone();
         dead.energy_budget_flops = 0;
         assert!(matches!(
-            plan.replan_for_joiners(&[dead], 1).unwrap_err(),
+            plan.replan(&[dead]).unwrap_err(),
             PartitionError::Infeasible { .. }
         ));
     }
@@ -509,10 +489,12 @@ mod tests {
         // Device 3 crashes, then rejoins: the enlarged membership must host
         // every sub-model again and the plan's artifacts must be untouched.
         let survivors: Vec<DeviceSpec> = devices.iter().filter(|d| d.id != 3).cloned().collect();
-        let degraded = plan.replan_for_joiners(&survivors, 1).unwrap();
+        let (degraded, dropped) = plan.replan(&survivors).unwrap();
+        assert!(dropped.is_empty());
         let mut members = survivors;
         members.push(devices[3].clone());
-        let rejoined = degraded.replan_for_joiners(&members, 1).unwrap();
+        let (rejoined, dropped) = degraded.replan(&members).unwrap();
+        assert!(dropped.is_empty());
         assert_eq!(rejoined.sub_models, plan.sub_models);
         assert_eq!(rejoined.total_memory_bytes, plan.total_memory_bytes);
         for sub in &rejoined.sub_models {
@@ -528,13 +510,13 @@ mod tests {
         let devices = DeviceSpec::raspberry_pi_cluster(2);
         let plan = planner.plan(&base, &devices, 9).unwrap();
         assert!(matches!(
-            plan.replan_for_joiners(&[], 1).unwrap_err(),
+            plan.replan(&[]).unwrap_err(),
             PartitionError::InvalidConfig { .. }
         ));
         let mut doubled = devices.clone();
         doubled.push(devices[0].clone());
         assert!(matches!(
-            plan.replan_for_joiners(&doubled, 1).unwrap_err(),
+            plan.replan(&doubled).unwrap_err(),
             PartitionError::InvalidConfig { .. }
         ));
         // A joiner with no energy budget adds nothing: still feasible via the
@@ -543,7 +525,8 @@ mod tests {
         exhausted.energy_budget_flops = 0;
         let mut members = devices.clone();
         members.push(exhausted);
-        assert!(plan.replan_for_joiners(&members, 1).is_ok());
+        let (_, dropped) = plan.replan(&members).unwrap();
+        assert!(dropped.is_empty());
     }
 
     #[test]
@@ -562,17 +545,19 @@ mod tests {
             .unwrap();
         let mut tight = devices[0].clone();
         tight.memory_bytes = max_memory + max_memory / 2;
-        assert!(matches!(
-            plan.replan_for_joiners(std::slice::from_ref(&tight), 1)
-                .unwrap_err(),
-            PartitionError::Infeasible { .. }
-        ));
-        let (degraded, dropped) = plan
-            .replan_degraded(std::slice::from_ref(&tight), 1)
-            .unwrap();
+        let (degraded, dropped) = plan.replan(std::slice::from_ref(&tight)).unwrap();
+        // Full coverage is infeasible, so something is dropped — but not all.
         assert!(!dropped.is_empty());
         assert!(dropped.len() < plan.sub_models.len());
         assert!(dropped.windows(2).all(|w| w[0] < w[1]), "sorted ascending");
+        // The largest sub-model goes first.
+        let largest = plan
+            .sub_models
+            .iter()
+            .max_by_key(|s| s.cost.memory_bytes)
+            .unwrap()
+            .index;
+        assert!(dropped.contains(&largest));
         // Metadata intact; assignment covers exactly the kept sub-models.
         assert_eq!(degraded.sub_models, plan.sub_models);
         for sub in &degraded.sub_models {
@@ -588,13 +573,13 @@ mod tests {
         let devices = DeviceSpec::raspberry_pi_cluster(2);
         let plan = planner.plan(&base, &devices, 9).unwrap();
         assert!(matches!(
-            plan.replan_degraded(&[], 1).unwrap_err(),
+            plan.replan(&[]).unwrap_err(),
             PartitionError::InvalidConfig { .. }
         ));
         let mut dead = devices[0].clone();
         dead.energy_budget_flops = 0;
         assert!(matches!(
-            plan.replan_degraded(&[dead], 1).unwrap_err(),
+            plan.replan(&[dead]).unwrap_err(),
             PartitionError::Infeasible { .. }
         ));
     }
@@ -608,23 +593,5 @@ mod tests {
         assert_eq!(plan.sub_models.len(), 4);
         // The strongest devices should end up hosting at least one sub-model.
         assert!(!plan.assignment.sub_models_on(0).is_empty());
-    }
-
-    #[test]
-    fn explicit_initial_pruning_is_respected() {
-        let planner = SplitPlanner::new(PlannerConfig {
-            memory_budget_bytes: 600_000_000,
-            initial_pruned_heads: Some(11),
-            ..PlannerConfig::default()
-        });
-        assert_eq!(planner.config().initial_pruned_heads, Some(11));
-        let base = ViTConfig::vit_base(10);
-        let plan = planner
-            .plan(&base, &DeviceSpec::raspberry_pi_cluster(2), 7)
-            .unwrap();
-        assert!(plan
-            .sub_models
-            .iter()
-            .all(|s| s.pruned.pruned_heads() == 11));
     }
 }

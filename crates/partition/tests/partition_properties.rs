@@ -66,7 +66,6 @@ proptest! {
     ) {
         let planner = SplitPlanner::new(PlannerConfig {
             memory_budget_bytes: budget_mb * 1_000_000,
-            ..PlannerConfig::default()
         });
         let base = ViTConfig::vit_base(10);
         let cluster = DeviceSpec::raspberry_pi_cluster(devices);

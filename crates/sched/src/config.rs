@@ -22,11 +22,6 @@ pub const MAX_RETRIES: u32 = 2;
 /// Virtual seconds charged for one run of the re-planner.
 pub const REPLAN_SECONDS: f64 = 0.05;
 
-/// The planner's `L` (samples per energy-budget window) handed to the greedy
-/// assignment when re-planning. This is *not* the wire round size: `L`
-/// prices energy, `round_size` prices batching.
-pub const ENERGY_SAMPLES_PER_ROUND: u64 = 1;
-
 /// How rounds are scheduled relative to the fusion stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleMode {
@@ -99,7 +94,8 @@ pub struct StreamConfig {
     pub max_missing_sub_models: usize,
     /// Observability sink the run records into. Disabled (a no-op) by
     /// default; [`edvit_metrics::MetricsSink::recording`] turns on the event
-    /// journal and metrics registry. All events carry virtual timestamps.
+    /// journal, which the sink's exposition projects into metrics. All
+    /// events carry virtual timestamps.
     pub sink: MetricsSink,
 }
 

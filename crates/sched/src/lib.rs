@@ -85,8 +85,7 @@ mod stream;
 
 pub use clock::SimClock;
 pub use config::{
-    FailureInjection, ScheduleMode, StreamConfig, ENERGY_SAMPLES_PER_ROUND, GRACE_ROUNDS,
-    MAX_RETRIES, REPLAN_SECONDS,
+    FailureInjection, ScheduleMode, StreamConfig, GRACE_ROUNDS, MAX_RETRIES, REPLAN_SECONDS,
 };
 pub use depth::DepthController;
 pub use device::DeviceProgram;

@@ -7,10 +7,7 @@ use edvit_metrics::RunEvent;
 use edvit_partition::{DeviceSpec, PartitionError, SplitPlan};
 
 use crate::epoch::Run;
-use crate::{
-    JoinInjection, Result, SchedError, StreamConfig, ENERGY_SAMPLES_PER_ROUND, GRACE_ROUNDS,
-    REPLAN_SECONDS,
-};
+use crate::{JoinInjection, Result, SchedError, StreamConfig, GRACE_ROUNDS, REPLAN_SECONDS};
 
 /// A cluster membership: who is in, what each member hosts, and what nobody
 /// does.
@@ -47,38 +44,39 @@ impl Membership {
         self.devices.retain(|d| !ids.contains(&d.id));
     }
 
-    /// Replans onto the current members, whatever changed them: full
-    /// coverage when feasible, else — when `max_missing_sub_models > 0` — a
-    /// degraded plan that drops the largest sub-models. `missing` becomes
-    /// the new set of unhosted sub-models; a successful full replan clears
-    /// it.
+    /// Replans onto the current members, whatever changed them, with one
+    /// [`SplitPlan::replan`]: full coverage when feasible, else — when
+    /// `max_missing_sub_models > 0` — a degraded plan that drops the largest
+    /// sub-models. `missing` becomes the new set of unhosted sub-models; a
+    /// successful full replan clears it.
     ///
     /// # Errors
     ///
     /// Returns [`SchedError::Partition`] when the members cannot host every
-    /// sub-model and degradation is off (or cannot host even one), and
+    /// sub-model and degradation is off (or cannot host even one, or the
+    /// membership is empty or holds a device id twice), and
     /// [`SchedError::DegradationLimit`] when the degraded plan would leave
     /// more than `max_missing_sub_models` unhosted.
     pub fn replan(&mut self, max_missing_sub_models: usize) -> Result<()> {
-        let samples = ENERGY_SAMPLES_PER_ROUND;
-        match self.plan.replan_for_joiners(&self.devices, samples) {
-            Ok(new_plan) => {
-                self.plan = new_plan;
-                self.missing.clear();
+        let (new_plan, dropped) = self.plan.replan(&self.devices)?;
+        if !dropped.is_empty() && max_missing_sub_models == 0 {
+            return Err(PartitionError::Infeasible {
+                reason: format!(
+                    "{} member device(s) cannot host the {} existing sub-models",
+                    self.devices.len(),
+                    self.plan.sub_models.len()
+                ),
             }
-            Err(PartitionError::Infeasible { .. }) if max_missing_sub_models > 0 => {
-                let (new_plan, dropped) = self.plan.replan_degraded(&self.devices, samples)?;
-                if dropped.len() > max_missing_sub_models {
-                    return Err(SchedError::DegradationLimit {
-                        missing: dropped,
-                        limit: max_missing_sub_models,
-                    });
-                }
-                self.plan = new_plan;
-                self.missing = dropped;
-            }
-            Err(e) => return Err(e.into()),
+            .into());
         }
+        if dropped.len() > max_missing_sub_models {
+            return Err(SchedError::DegradationLimit {
+                missing: dropped,
+                limit: max_missing_sub_models,
+            });
+        }
+        self.plan = new_plan;
+        self.missing = dropped;
         Ok(())
     }
 

@@ -43,7 +43,7 @@ pub use admission::{AdmissionQueue, AdmissionVerdict};
 pub use error::ServeError;
 pub use report::ServeReport;
 pub use request::{ArrivalSpec, Request, TenantSpec};
-pub use server::{AdmissionMode, DrillOutcome, PlannedRound, ServeConfig, ServeScheduler};
+pub use server::{DrillOutcome, PlannedRound, ServeConfig, ServeScheduler};
 
 // Re-export the pieces callers configure a server with, so downstream code
 // does not need to depend on the scheduler crates directly.

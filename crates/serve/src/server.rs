@@ -31,34 +31,24 @@ use crate::report::ServeReport;
 use crate::request::{ArrivalSpec, Request, TenantSpec};
 use crate::{Result, ServeError};
 
-/// How the front door turns queued requests into rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionMode {
-    /// Continuous batching: at every dispatch opportunity, fill a round with
-    /// whatever is queued (up to the round capacity) and go — never wait for
-    /// the round to fill. Rounds overlap up to the adaptive pipeline depth.
-    Continuous,
-    /// One request per round, the next admitted only after the previous
-    /// completes. The baseline continuous batching is measured against.
-    BarrierPerRequest,
-}
-
 /// Configuration of a serving run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Batching discipline.
-    pub mode: AdmissionMode,
-    /// Adaptive pipeline-depth policy (ignored in
-    /// [`AdmissionMode::BarrierPerRequest`], which is always depth 1).
+    /// Adaptive pipeline-depth policy (ignored under
+    /// [`ScheduleMode::Barrier`], which is always depth 1).
     pub depth: DepthController,
     /// The tenants and their admission contracts.
     pub tenants: Vec<TenantSpec>,
     /// The seeded open-loop arrival process driving the run.
     pub arrivals: ArrivalSpec,
-    /// The embedded streaming scheduler's configuration. `round_size` is the
-    /// round capacity continuous batching fills up to (one knob for both
-    /// layers); `failures` crash devices mid-drill; timing knobs (network,
-    /// codec, grace rounds, replan cost) price the virtual clock.
+    /// The embedded streaming scheduler's configuration, which is also the
+    /// batching discipline: `round_size` is the round capacity continuous
+    /// batching fills up to (one knob for both layers), and `mode` is
+    /// [`ScheduleMode::Pipelined`] for continuous batching with rounds
+    /// overlapping up to the adaptive depth, or [`ScheduleMode::Barrier`]
+    /// for one round at a time. `failures` crash devices mid-drill; timing
+    /// knobs (network, codec, grace rounds, replan cost) price the virtual
+    /// clock.
     pub stream: StreamConfig,
 }
 
@@ -66,7 +56,6 @@ impl ServeConfig {
     /// Continuous batching with default depth policy and stream settings.
     pub fn new(tenants: Vec<TenantSpec>, arrivals: ArrivalSpec) -> Self {
         ServeConfig {
-            mode: AdmissionMode::Continuous,
             depth: DepthController::default(),
             tenants,
             arrivals,
@@ -74,10 +63,13 @@ impl ServeConfig {
         }
     }
 
-    /// Switches to the one-request-per-round baseline.
+    /// Switches to the one-request-per-round baseline continuous batching is
+    /// measured against: round capacity 1 under [`ScheduleMode::Barrier`], so
+    /// the next request is admitted only after the previous completes.
     #[must_use]
     pub fn barrier_per_request(mut self) -> Self {
-        self.mode = AdmissionMode::BarrierPerRequest;
+        self.stream.round_size = 1;
+        self.stream.mode = ScheduleMode::Barrier;
         self
     }
 
@@ -158,17 +150,13 @@ impl ServeScheduler {
         &self.config
     }
 
-    /// Round capacity: the configured round size under continuous batching,
-    /// 1 in the barrier baseline.
+    /// Round capacity: the stream's round size.
     pub fn capacity(&self) -> usize {
-        match self.config.mode {
-            AdmissionMode::Continuous => self.config.stream.round_size,
-            AdmissionMode::BarrierPerRequest => 1,
-        }
+        self.config.stream.round_size
     }
 
     fn pipelined(&self) -> bool {
-        self.config.mode == AdmissionMode::Continuous
+        self.config.stream.mode == ScheduleMode::Pipelined
     }
 
     fn initial_membership(&self) -> Membership {
@@ -409,12 +397,6 @@ impl ServeScheduler {
                 .flat_map(|r| r.requests.iter().map(|q| samples[q.sample].clone()))
                 .collect();
             let mut cfg = self.config.stream.clone();
-            cfg.round_size = self.capacity();
-            cfg.mode = if self.pipelined() {
-                ScheduleMode::Pipelined
-            } else {
-                ScheduleMode::Barrier
-            };
             // Size the lanes to the deepest the drill's pipeline ever ran.
             cfg.pipeline_depth = counters
                 .depth_changes

@@ -7,10 +7,9 @@
 
 use edvit_edge::{FusionFn, SubModelFn};
 use edvit_partition::{DeviceSpec, PlannerConfig, SplitPlan, SplitPlanner};
-use edvit_sched::{RoundLayout, SchedError, StreamScheduler};
+use edvit_sched::{RoundLayout, SchedError, ScheduleMode, StreamScheduler};
 use edvit_serve::{
-    AdmissionMode, ArrivalSpec, DepthController, ServeConfig, ServeError, ServeReport,
-    ServeScheduler, TenantSpec,
+    ArrivalSpec, DepthController, ServeConfig, ServeError, ServeReport, ServeScheduler, TenantSpec,
 };
 use edvit_tensor::Tensor;
 use edvit_vit::ViTConfig;
@@ -387,9 +386,10 @@ fn all_shed_run_skips_execution_entirely() {
 #[test]
 fn barrier_mode_reports_its_discipline() {
     let config = drill_config(open_tenants(), ArrivalSpec::new(2.0, 8, 1));
-    assert_eq!(config.mode, AdmissionMode::Continuous);
+    assert_eq!(config.stream.mode, ScheduleMode::Pipelined);
     let barrier = config.clone().barrier_per_request();
-    assert_eq!(barrier.mode, AdmissionMode::BarrierPerRequest);
+    assert_eq!(barrier.stream.mode, ScheduleMode::Barrier);
+    assert_eq!(barrier.stream.round_size, 1);
     let report = run_with(barrier);
     // Depth is pinned at 1 and never adapts in the baseline.
     assert_eq!(report.final_depth, 1);

@@ -49,13 +49,3 @@ fn zero_bandwidth_network_shows_up_as_infinite_latency_not_panic() {
     };
     assert!(net.transfer_seconds(100).is_infinite());
 }
-
-#[test]
-fn invalid_train_fraction_is_rejected() {
-    let mut config = EdVitConfig::tiny_demo(2);
-    config.train_fraction = 1.5;
-    assert!(matches!(
-        EdVitPipeline::new(config).run().unwrap_err(),
-        EdVitError::InvalidConfig { .. }
-    ));
-}

@@ -169,3 +169,42 @@ fn sim_and_tcp_batches_emit_the_same_event_stream() {
     assert!(exposition.contains("edvit_batches_total 1\n"));
     assert!(exposition.contains(&format!("edvit_batch_samples_total {n}\n")));
 }
+
+#[test]
+fn a_journal_shared_by_a_one_shot_batch_and_a_stream_replays_the_stream_in_either_order() {
+    let (deployment, samples, devices) = deployment_and_samples(2, 4);
+    let batch = |sink: &MetricsSink| {
+        let options = RunOptions {
+            sink: sink.clone(),
+            ..RunOptions::default()
+        };
+        run_distributed(deployment.clone(), &samples, &options).unwrap();
+    };
+    let stream = |sink: &MetricsSink| {
+        let config = StreamConfig {
+            round_size: 2,
+            ..StreamConfig::default()
+        }
+        .with_sink(sink.clone());
+        run_streaming(deployment.clone(), &samples, devices.clone(), config)
+            .unwrap()
+            .counters()
+    };
+    for batch_first in [true, false] {
+        let sink = MetricsSink::recording();
+        let live = if batch_first {
+            batch(&sink);
+            stream(&sink)
+        } else {
+            let live = stream(&sink);
+            batch(&sink);
+            live
+        };
+        let replayed = reparse(&sink).replay_stream().unwrap();
+        assert!(
+            replayed.bitwise_eq(&live),
+            "batch_first={batch_first}: stream replay diverged on {:?}",
+            replayed.diff(&live)
+        );
+    }
+}
