@@ -14,19 +14,19 @@
 //!
 //! | Crate | Role |
 //! |-------|------|
-//! | [`tensor`](edvit_tensor) | dense f32 tensors, kernels, KL divergence |
-//! | [`nn`](edvit_nn) | layers with hand-derived backprop, Adam, losses |
-//! | [`vit`](edvit_vit) | Vision Transformer model + analytic cost model |
-//! | [`datasets`](edvit_datasets) | synthetic stand-ins for the five datasets |
-//! | [`pruning`](edvit_pruning) | three-stage class-wise structured pruning |
-//! | [`partition`](edvit_partition) | class assignment, greedy device assignment, planner |
-//! | [`edge`](edvit_edge) | Raspberry-Pi cluster / network / latency simulation |
-//! | [`sched`](edvit_sched) | streaming scheduler: pipelined rounds, failover |
-//! | [`fusion`](edvit_fusion) | tower-MLP feature fusion |
-//! | [`baselines`](edvit_baselines) | Split-CNN and Split-SNN comparators |
-//! | [`chaos`](edvit_chaos) | declarative seeded fault-injection plans |
-//! | [`serving`](edvit_serve) | multi-tenant continuous-batching request front-door |
-//! | [`metrics`](edvit_metrics) | metrics registry + event-sourced run journal |
+//! | [`tensor`] | dense f32 tensors, kernels, KL divergence |
+//! | [`nn`] | layers with hand-derived backprop, Adam, losses |
+//! | [`vit`] | Vision Transformer model + analytic cost model |
+//! | [`datasets`] | synthetic stand-ins for the five datasets |
+//! | [`pruning`] | three-stage class-wise structured pruning |
+//! | [`partition`] | class assignment, greedy device assignment, planner |
+//! | [`edge`] | Raspberry-Pi cluster / network / latency simulation |
+//! | [`sched`] | streaming scheduler: pipelined rounds, failover |
+//! | [`fusion`] | tower-MLP feature fusion |
+//! | [`baselines`] | Split-CNN and Split-SNN comparators |
+//! | [`chaos`] | declarative seeded fault-injection plans |
+//! | [`serving`] | multi-tenant continuous-batching request front-door |
+//! | [`metrics`] | metrics registry + event-sourced run journal |
 //!
 //! ## Quickstart
 //!

@@ -5,13 +5,15 @@
 //! into a single [`FeatureBatchMessage`] and ships that one wire-v2 frame
 //! down its own [`Transport`] lane ("the switch") to the fusion side — one
 //! frame per device per round, so header and lane overhead are amortized
-//! across the whole batch. Device threads are kept warm: a finished job's
-//! thread parks in a process-wide idle list and runs a later round's job,
-//! so a request pays for a hand-off, not a thread spawn. On sim lanes the
-//! caller is the last device: it runs that device's job itself, because a
-//! sim lane holds the round's one envelope without a reader, and so wakes
-//! one parked thread fewer; over TCP, where a send blocks until it is read,
-//! every device has a thread of its own. The caller's thread then reads the
+//! across the whole batch. The jobs run in an
+//! [`edvit_parallel::device_scope`], on warm device threads: a finished
+//! job's thread parks and runs a later round's job, so a request pays for a
+//! hand-off, not a thread spawn, and the jobs borrow the caller's inputs
+//! for the length of the round. On sim lanes the caller is the last device:
+//! it runs that device's job itself, because a sim lane holds the round's
+//! one envelope without a reader, and so wakes one parked thread fewer;
+//! over TCP, where a send blocks until it is read, every device has a
+//! thread of its own. The caller's thread then reads the
 //! lanes, waits for every job, checks every frame against the lane it
 //! arrived on and the round contract ([`RoundBatch::check`]), and fuses with
 //! [`fuse_round`] — the same check and the same fusion-input builder the
@@ -23,7 +25,6 @@
 //! analytic [`crate::LatencyModel`], not from wall-clock measurements.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
 
 use bytes::Bytes;
 use edvit_metrics::{MetricsSink, RunEvent};
@@ -201,51 +202,58 @@ impl ClusterRuntime {
         let lanes = (0..num_sub_models)
             .map(|device| transport.open_lane(device, 1))
             .collect::<Result<Vec<_>>>()?;
-        let (senders, mut receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = lanes.into_iter().unzip();
 
         // A sim send never waits for a reader here; a TCP send may.
         let caller_runs_last = transport.kind() == TransportKind::Sim;
-        let shared: Arc<[Tensor]> = Arc::from(inputs);
-        let (done, finished) = mpsc::channel();
-        for (device, (mut executor, tx)) in executors.into_iter().zip(senders).enumerate() {
-            let inputs = Arc::clone(&shared);
-            let work = Box::new(move || {
-                // Sibling device threads split the kernel pool evenly.
-                let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
-                    encode_device_round(device, &mut executor, inputs.iter().enumerate(), codec)
-                });
-                // A closed lane means the collector is gone; stop quietly.
-                let _ = match encoded {
-                    Ok(Some(frame)) => tx.send(frame),
-                    Ok(None) => Ok(()),
-                    Err(message) => tx.send_error(format!("device {device}: {message}")),
+        let mut caller_panicked = false;
+        let (round, panicked) = edvit_parallel::device_scope(|scope| {
+            // The scope waits for every job before it returns, so on an
+            // early return below `receivers` must go first: dropping a lane
+            // fails a TCP send still blocked on it.
+            let mut receivers = receivers;
+            for (device, (mut executor, tx)) in executors.into_iter().zip(senders).enumerate() {
+                let work = move || {
+                    // Sibling device threads split the kernel pool evenly.
+                    let encoded = edvit_parallel::with_fair_share(num_sub_models, || {
+                        encode_device_round(device, &mut executor, inputs.iter().enumerate(), codec)
+                    });
+                    // A closed lane means the collector is gone; stop quietly.
+                    let _ = match encoded {
+                        Ok(Some(frame)) => tx.send(frame),
+                        Ok(None) => Ok(()),
+                        Err(message) => tx.send_error(format!("device {device}: {message}")),
+                    };
                 };
-            });
-            if caller_runs_last && device + 1 == num_sub_models {
-                // Reported like a warm thread's job: `false` when it panicked.
-                let _ = done.send(catch_unwind(AssertUnwindSafe(work)).is_ok());
-            } else {
-                warm::dispatch((work, done.clone()))?;
+                if caller_runs_last && device + 1 == num_sub_models {
+                    // Counted like a device thread's panic.
+                    caller_panicked = catch_unwind(AssertUnwindSafe(work)).is_err();
+                } else {
+                    scope.spawn(work).map_err(|e| EdgeError::Runtime {
+                        message: format!("cannot start a device thread: {e}"),
+                    })?;
+                }
             }
-        }
-        drop(done);
-        // Take each lane's one envelope before waiting for the devices: a TCP
-        // send writes on the device thread, so a frame larger than the socket
-        // buffers completes only while it is being read. A device sends one
-        // envelope, so once every lane has delivered none is blocked. Reading
-        // in reverse takes the lane this thread filled first, then the device
-        // dispatched last, which tends to finish last: this thread waits for
-        // one wake-up, not one per lane.
-        let mut delivered: Vec<LaneEvent> =
-            receivers.iter_mut().rev().map(|rx| rx.recv()).collect();
-        delivered.reverse();
-        // Wait for every device before looking at any result.
-        let completed = finished.iter().take(num_sub_models);
-        if completed.filter(|&ok| ok).count() < num_sub_models {
+            // Take each lane's one envelope before the scope waits for the
+            // devices: a TCP send writes on the device thread, so a frame
+            // larger than the socket buffers completes only while it is
+            // being read. A device sends one envelope, so once every lane
+            // has delivered none is blocked. Reading in reverse takes the
+            // lane this thread filled first, then the device dispatched
+            // last, which tends to finish last: this thread waits for one
+            // wake-up, not one per lane.
+            let mut delivered: Vec<LaneEvent> =
+                receivers.iter_mut().rev().map(|rx| rx.recv()).collect();
+            delivered.reverse();
+            Ok((delivered, receivers))
+        });
+        // A panicked device outranks any other failure of the round.
+        if panicked > 0 || caller_panicked {
             return Err(EdgeError::Runtime {
                 message: "a device worker thread panicked".to_string(),
             });
         }
+        let (delivered, mut receivers) = round?;
         let (batches, per_device_wire_bytes): (Vec<RoundBatch>, Vec<u64>) = delivered
             .into_iter()
             .enumerate()
@@ -374,68 +382,6 @@ fn record_batch_events(
     );
 }
 
-/// Device threads kept warm between one-shot rounds: a process-wide list of
-/// parked threads, each waiting on its own job channel. A round hands each
-/// device's job to a parked thread — or to a new one when none is idle, never
-/// to a queue, because a TCP `send` blocks until the collector reads it and a
-/// job queued behind a blocked one could never start.
-mod warm {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::mpsc::{self, Sender};
-    use std::sync::{Mutex, PoisonError};
-
-    use crate::{EdgeError, Result};
-
-    /// One device's share of a round: the work and where to report whether
-    /// it finished — `false` when it panicked.
-    pub(super) type Job = (Box<dyn FnOnce() + Send>, Sender<bool>);
-
-    /// Job inboxes of the device threads parked right now. Every update is
-    /// one `push` or `pop`, so the list is valid even if a holder panicked.
-    static IDLE: Mutex<Vec<Sender<Job>>> = Mutex::new(Vec::new());
-
-    /// Device threads started so far in this process.
-    #[cfg(test)]
-    pub(super) static SPAWNED: std::sync::atomic::AtomicUsize =
-        std::sync::atomic::AtomicUsize::new(0);
-
-    /// Starts `job` on a parked device thread, or on a new one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeError::Runtime`] when no thread can be started.
-    pub(super) fn dispatch(job: Job) -> Result<()> {
-        let runtime = |message: String| EdgeError::Runtime { message };
-        if let Some(inbox) = IDLE.lock().unwrap_or_else(PoisonError::into_inner).pop() {
-            // A parked thread holds its own inbox, so it never hangs up.
-            return inbox
-                .send(job)
-                .map_err(|_| runtime("a parked device thread is gone".to_string()));
-        }
-        let (inbox, jobs) = mpsc::channel::<Job>();
-        let _ = inbox.send(job);
-        // Detached on purpose: the thread serves jobs until the process
-        // exits. Each job's panic is caught and reported as `false`, and the
-        // thread parks itself again *before* reporting the job done, so the
-        // caller's next round finds it idle.
-        std::thread::Builder::new()
-            .name("edvit-device".to_string())
-            .spawn(move || {
-                for (work, done) in &jobs {
-                    let finished = catch_unwind(AssertUnwindSafe(work)).is_ok();
-                    IDLE.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(inbox.clone());
-                    let _ = done.send(finished);
-                }
-            })
-            .map_err(|e| runtime(format!("cannot start a device thread: {e}")))?;
-        #[cfg(test)]
-        SPAWNED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(())
-    }
-}
-
 /// The device side of a round, shared by every executor of rounds (the
 /// one-shot runtime here, the streaming scheduler's device worker, the
 /// worker processes of `examples/cluster_proc.rs`): runs one sub-model's
@@ -453,11 +399,16 @@ pub fn encode_device_round<'a>(
     samples: impl IntoIterator<Item = (usize, &'a Tensor)>,
     codec: PayloadCodec,
 ) -> std::result::Result<Option<Bytes>, String> {
+    let samples = samples.into_iter();
+    // The round's rows, reserved once the first feature gives the width.
+    let rows = samples.size_hint().0;
     let mut batch: Option<FeatureBatchMessage> = None;
     for (sample_index, sample) in samples {
         let feature = executor(sample)?;
         batch
-            .get_or_insert_with(|| FeatureBatchMessage::new(sub_model, feature.numel()))
+            .get_or_insert_with(|| {
+                FeatureBatchMessage::with_capacity(sub_model, feature.numel(), rows)
+            })
             .push_tensor(sample_index, &feature)
             .map_err(|e| e.to_string())?;
     }
@@ -468,8 +419,7 @@ pub fn encode_device_round<'a>(
 mod tests {
     use super::*;
     use crate::wire::batch_frame_len;
-    use std::sync::atomic::Ordering;
-    use std::sync::{Barrier, Mutex, PoisonError};
+    use std::sync::{mpsc, Arc, Barrier, Mutex, PoisonError};
     use std::time::Duration;
 
     /// Serializes the rounds of this module's tests: device threads are a
@@ -781,7 +731,7 @@ mod tests {
     fn sequential_rounds_reuse_their_parked_threads() {
         let runtime = ClusterRuntime::new(NetworkConfig::paper_default());
         let _serial = ROUNDS.lock().unwrap_or_else(PoisonError::into_inner);
-        let spawned_before = warm::SPAWNED.load(Ordering::Relaxed);
+        let spawned_before = edvit_parallel::device_threads_started();
         for _ in 0..1_000 {
             let executors = vec![constant_executor(1.0, 2), constant_executor(2.0, 2)];
             let fusion: FusionFn = Box::new(|concat: &Tensor| Ok(concat.clone()));
@@ -789,7 +739,7 @@ mod tests {
             assert_eq!(report.unwrap().outputs[0].data(), &[1.0, 1.0, 2.0, 2.0]);
         }
         // Device 1 runs on the caller, so a round uses one warm thread.
-        let spawned = warm::SPAWNED.load(Ordering::Relaxed) - spawned_before;
+        let spawned = edvit_parallel::device_threads_started() - spawned_before;
         assert!(
             spawned <= 1,
             "1 000 two-device rounds started {spawned} threads"

@@ -588,6 +588,16 @@ impl FeatureBatchMessage {
         }
     }
 
+    /// Creates an empty batch like [`FeatureBatchMessage::new`], with room
+    /// for `samples` feature vectors, so packing that many allocates once.
+    pub fn with_capacity(sub_model: usize, feature_dim: usize, samples: usize) -> Self {
+        FeatureBatchMessage {
+            sample_indices: Vec::with_capacity(samples),
+            features: Vec::with_capacity(samples.saturating_mul(feature_dim)),
+            ..FeatureBatchMessage::new(sub_model, feature_dim)
+        }
+    }
+
     /// Number of samples packed so far.
     pub fn num_samples(&self) -> usize {
         self.sample_indices.len()

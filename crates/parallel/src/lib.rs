@@ -23,8 +23,19 @@
 //! * [`with_budget`] / [`with_fair_share`] — the per-thread cap on how many
 //!   threads a region may use, which is how an outer loop made of plain OS
 //!   threads (one per simulated edge device) claims its share of the pool.
+//! * [`device_scope`] — that outer loop's threads: a scope like
+//!   [`std::thread::scope`] whose every [`DeviceScope::spawn`] runs on a
+//!   parked device thread, or a new one when none is idle, never queued
+//!   behind another job. Every round executor of the workspace (the
+//!   one-shot and each stream or serve epoch) runs its devices here, and no
+//!   other crate starts threads.
 //!
 //! # Who gets the threads
+//!
+//! Device threads and pool workers are separate sets. A device thread runs
+//! one device job at a time and parks between scopes; a pool worker only
+//! ever runs chunks of parallel regions. A device job that enters a region
+//! is that region's caller, so the rules below apply to it unchanged.
 //!
 //! The outermost parallel loop wins the threads; everything inside it runs
 //! sequentially. Three rules implement that:
@@ -74,6 +85,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
+
+mod device;
+
+pub use device::{device_scope, device_threads_started, DeviceScope};
 
 /// Hard cap on pool size so a bogus `EDVIT_THREADS` cannot fork-bomb a box.
 const MAX_THREADS: usize = 64;

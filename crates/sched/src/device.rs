@@ -1,5 +1,5 @@
 //! The device side of the stream-round protocol: what one device says on
-//! its lane, whoever runs it — a worker thread of an in-process epoch, or a
+//! its lane, whoever runs it — a device thread of an in-process epoch, or a
 //! worker process that dialed a coordinator.
 //!
 //! The program is: a `Join` control frame; then per round one wire-v2

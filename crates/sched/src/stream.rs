@@ -12,15 +12,17 @@
 //! * [`StreamScheduler::run`] / [`StreamScheduler::run_rounds`] open
 //!   *bounded* lanes from the configured [`Transport`] backend (in-process
 //!   channels or real loopback sockets), sized for `pipeline_depth` rounds
-//!   of frames, and run each device program on a worker thread. When the
-//!   fusion side falls behind, `send` blocks, so on a sim lane a device can
-//!   buffer at most `pipeline_depth` undrained rounds (and thus run at most
-//!   `pipeline_depth + 1` rounds ahead of the fused frontier, counting the
-//!   one it is computing); a TCP lane holds it back only once the socket
-//!   buffers are full. On a death the epoch is torn down, the survivors are
-//!   re-planned by [`Membership::replan`], and every round that was produced
-//!   but not fused is replayed: in-flight samples are recomputed, never
-//!   lost.
+//!   of frames, and run each device program as a job of an
+//!   [`edvit_parallel::device_scope`]: on a warm device thread that parks
+//!   between epochs and between runs, so an epoch pays a hand-off per
+//!   device, not a thread spawn. When the fusion side falls behind, `send`
+//!   blocks, so on a sim lane a device can buffer at most `pipeline_depth`
+//!   undrained rounds (and thus run at most `pipeline_depth + 1` rounds
+//!   ahead of the fused frontier, counting the one it is computing); a TCP
+//!   lane holds it back only once the socket buffers are full. On a death
+//!   the epoch is torn down, the survivors are re-planned by
+//!   [`Membership::replan`], and every round that was produced but not
+//!   fused is replayed: in-flight samples are recomputed, never lost.
 //! * [`StreamScheduler::collect_lanes`] is handed its lanes — e.g. the
 //!   connections an `edvit_net::Coordinator` admitted — and runs the same
 //!   collector over them as one epoch; the device programs run wherever the
@@ -373,9 +375,10 @@ impl StreamScheduler {
         members.timings(&self.config, self.config.mode == ScheduleMode::Pipelined)
     }
 
-    /// One in-process membership epoch: opens a lane and spawns a worker
-    /// thread running the [`DeviceProgram`] per hosting device, and collects
-    /// the lanes on the calling thread.
+    /// One in-process membership epoch: opens a lane per hosting device and
+    /// runs its [`DeviceProgram`] as a job of an
+    /// [`edvit_parallel::device_scope`] — on a warm device thread — and
+    /// collects the lanes on the calling thread.
     #[allow(clippy::too_many_arguments)]
     fn run_epoch(
         epoch: &Epoch<'_>,
@@ -388,7 +391,7 @@ impl StreamScheduler {
         run: &mut Run,
     ) -> Result<EpochOutcome> {
         // Group the per-sub-model executors by hosting device. `iter_mut`
-        // hands out disjoint `&mut` borrows, so each worker thread exclusively
+        // hands out disjoint `&mut` borrows, so each device job exclusively
         // owns the executors of its device for the duration of the epoch
         // scope. Sub-models the degraded plan left unhosted are skipped —
         // their executors idle.
@@ -403,18 +406,17 @@ impl StreamScheduler {
         }
         // Highest round count any device has produced this epoch.
         let produced_max = AtomicU64::new(0);
-        // The device workers are the outer parallel loop: each computes under
-        // its share of the kernel pool instead of all of them queueing for it.
+        // The device jobs are the outer parallel loop: each computes under its
+        // share of the kernel pool instead of all of them queueing for it.
         let device_threads = by_device.len();
         let depth = epoch.config.effective_depth();
 
-        std::thread::scope(|scope| {
+        let (outcome, panicked) = edvit_parallel::device_scope(|scope| {
             let mut lanes: BTreeMap<usize, Box<dyn FrameRx>> = BTreeMap::new();
-            let mut workers = Vec::with_capacity(device_threads);
-            let mut open_error = None;
-            // Drain in ascending device order (BTreeMap) so spawn order — and
+            let mut start_error = None;
+            // Drain in ascending device order (BTreeMap) so start order — and
             // with it the deterministic replay accounting — is stable. Each
-            // worker starts as soon as its lane is open.
+            // device starts as soon as its lane is open.
             while let Some((device_id, execs)) = by_device.pop_first() {
                 // Per-device bounded lane: `pipeline_depth` rounds of frames
                 // (data frames for each hosted sub-model plus the heartbeat),
@@ -426,7 +428,7 @@ impl StreamScheduler {
                 let (tx, rx) = match transport.open_lane(device_id, capacity) {
                     Ok(lane) => lane,
                     Err(e) => {
-                        open_error = Some(SchedError::Transport {
+                        start_error = Some(SchedError::Transport {
                             message: e.to_string(),
                         });
                         break;
@@ -445,33 +447,37 @@ impl StreamScheduler {
                     epoch.rounds,
                 )
                 .scripted(failures.get(&device_id).copied(), &produced_max);
-                workers.push(scope.spawn(move || {
+                let started = scope.spawn(move || {
                     edvit_parallel::with_fair_share(device_threads, || {
                         program.run(execs, inputs, tx.as_ref());
                     });
-                }));
+                });
+                if let Err(e) = started {
+                    start_error = Some(SchedError::Runtime {
+                        message: format!("cannot start a device thread: {e}"),
+                    });
+                    break;
+                }
             }
-            let outcome = match open_error {
-                // Dropping the lanes already open fails their workers' next
-                // send, so they finish and the joins below return.
+            match start_error {
+                // Dropping the lanes already open fails their devices' next
+                // send, so they finish and the scope's wait returns.
                 Some(error) => {
                     drop(lanes);
                     Err(error)
                 }
+                // The collector drops every lane before it returns, also on
+                // an error, for the same reason.
                 None => collect_epoch(epoch, lanes, fusion, &produced_max, run),
-            };
-            // Join every worker: one that panicked and was left unjoined
-            // would unwind out of `scope` instead of becoming a typed error.
-            let joined: Vec<_> = workers
-                .into_iter()
-                .map(std::thread::ScopedJoinHandle::join)
-                .collect();
-            if joined.iter().any(std::thread::Result::is_err) {
-                return Err(SchedError::Runtime {
-                    message: "a device worker thread panicked".to_string(),
-                });
             }
-            outcome
-        })
+        });
+        // The scope waited for every device; a panicked one outranks the
+        // collector's verdict.
+        if panicked > 0 {
+            return Err(SchedError::Runtime {
+                message: "a device worker thread panicked".to_string(),
+            });
+        }
+        outcome
     }
 }
