@@ -26,11 +26,35 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
+/// Products whose columns fall in the register tiles' `n % 16` tail: the tiny
+/// demo's patch embedding and a projection of its 4 tokens, both 12 columns
+/// wide, and a 65-token probe head's `Q·Kᵀ`, 64 columns on the tile and one
+/// past it.
+fn bench_matmul_tail(c: &mut Criterion) {
+    let mut group = c.benchmark_group("matmul_tail");
+    let mut rng = TensorRng::new(10);
+    for (m, k, n) in [(4usize, 192usize, 12usize), (4, 24, 12), (65, 32, 65)] {
+        let a = rng.rand_uniform(&[m, k], -1.0, 1.0);
+        let b = rng.rand_uniform(&[k, n], -1.0, 1.0);
+        let mut out = vec![0.0f32; m * n];
+        group.bench_function(format!("{m}x{k}x{n}"), |bench| {
+            bench.iter(|| {
+                out.fill(0.0);
+                let pool = ParallelPool::global();
+                kernels::matmul(a.data(), b.data(), &mut out, m, k, n, pool);
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_attention_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("mhsa_forward");
-    // The first shape is the tiny demo's block: 4 tokens, 12 heads × 2.
+    // The first shape is the tiny demo's block: 4 tokens, 12 heads × 2; the
+    // second the widest thin head (15 tokens, 12 heads × 15).
     for &(tokens, dim, heads) in &[
         (4usize, 24usize, 12usize),
+        (15, 180, 12),
         (16, 64, 4),
         (64, 64, 8),
         (196, 96, 6),
@@ -246,6 +270,7 @@ criterion_group!(
     bench_probe_forward_path,
     bench_thin_matmul,
     bench_matmul,
+    bench_matmul_tail,
     bench_attention_forward,
     bench_softmax_and_kl,
     bench_layernorm,

@@ -7,6 +7,11 @@ use crate::{Layer, Linear, NnError, Parameter, Result};
 /// below which parallelizing across heads is not worth the pool wake-up.
 const PAR_HEAD_WORK: usize = 1 << 14;
 
+/// Heads of fewer tokens *and* fewer columns than this are thin: both of
+/// their products are narrower than the matmul tiles' 16-column vector step,
+/// so [`MultiHeadSelfAttention::thin_heads_forward`] computes them in place.
+const THIN_HEAD: usize = 16;
+
 /// Multi-head self-attention, the MHSA block of a Vision Transformer.
 ///
 /// The layer keeps the number of heads `h` and the per-head projection width
@@ -16,6 +21,16 @@ const PAR_HEAD_WORK: usize = 1 << 14;
 /// pruned block simply has a smaller `head_dim`.
 ///
 /// Inputs of shape `[tokens, embed]` or `[batch, tokens, embed]` are accepted.
+///
+/// How a sample's heads are computed is chosen by shape, as the matmul's row
+/// tile is by `rows < MR`. Heads of 16 or more tokens or columns (the
+/// perfbench probe's 64 tokens × 32, paper scale) run each head's `Q_h·K_hᵀ`
+/// and `A·V_h` on the matmul tiles. Thin heads, fewer than 16 tokens *and*
+/// fewer than 16 columns (the tiny demo's 4 tokens × 12 heads of width 1–2),
+/// are computed in one pass over the projections where they lie: no
+/// transposed K, no packed head and no matmul call. On such narrow products
+/// the tiles would run every sum unfused in ascending order from zero, which
+/// is what the one pass does, so the choice never changes a bit.
 ///
 /// # Example
 ///
@@ -232,14 +247,16 @@ impl MultiHeadSelfAttention {
 
     /// Attention over one sample whose projections `q`, `k`, `v` are
     /// `[tokens, heads·head_dim]` row-major slices: writes every head's
-    /// softmaxed scores into `attn` (`[heads, tokens, tokens]`) and the
-    /// concatenated head outputs into `out` (`[tokens, heads·head_dim]`).
+    /// softmaxed scores into `attn` (`[heads, tokens, tokens]`, zero-filled)
+    /// and the concatenated head outputs into `out` (`[tokens,
+    /// heads·head_dim]`, zero-filled).
     ///
-    /// K is transposed once, here, into `[heads·head_dim, tokens]`, before
-    /// the heads split across the pool, so each head's `Kᵀ` is a contiguous
-    /// row block. The heads' outputs land head-major in one scratch buffer,
-    /// the layout the value product writes, and are scattered into `out`
-    /// once.
+    /// Thin heads (fewer than [`THIN_HEAD`] tokens and columns) take
+    /// [`MultiHeadSelfAttention::thin_heads_forward`]. Otherwise K is
+    /// transposed once, here, into `[heads·head_dim, tokens]`, before the
+    /// heads split across the pool, so each head's `Kᵀ` is a contiguous row
+    /// block. The heads' outputs land head-major in one scratch buffer, the
+    /// layout the value product writes, and are scattered into `out` once.
     fn forward_sample(
         &self,
         tokens: usize,
@@ -248,6 +265,10 @@ impl MultiHeadSelfAttention {
         out: &mut [f32],
     ) {
         let (hd, inner) = (self.head_dim, self.heads * self.head_dim);
+        if tokens < THIN_HEAD && hd < THIN_HEAD {
+            self.thin_heads_forward(tokens, (q, k, v), attn, out);
+            return;
+        }
         let mut kt = vec![0.0f32; inner * tokens];
         for (t, k_row) in k.chunks_exact(inner).enumerate() {
             for (c, &value) in k_row.iter().enumerate() {
@@ -315,6 +336,50 @@ impl MultiHeadSelfAttention {
         for (h, (weights, out)) in (first..).zip(heads) {
             pack_head(&mut head, v, h * hd, hd, inner);
             kernels::matmul(weights, &head, out, tokens, tokens, hd, pool);
+        }
+    }
+
+    /// [`MultiHeadSelfAttention::forward_sample`] for thin heads, in one pass
+    /// over `q`, `k` and `v` where they lie: no transposed K, no packed head
+    /// and no matmul call. Each score is `Σ_p q·k` and each output `Σ_j
+    /// a·v`, unfused, in ascending `p` (`j`) from zero, and the score is then
+    /// scaled by `1/√d`; one [`ops::softmax_rows`] runs between the two
+    /// products over every head's rows. That is the arithmetic the per-head
+    /// matmuls perform on such narrow products, so the bits are theirs.
+    fn thin_heads_forward(
+        &self,
+        tokens: usize,
+        (q, k, v): (&[f32], &[f32], &[f32]),
+        attn: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let (hd, inner) = (self.head_dim, self.heads * self.head_dim);
+        let scale = 1.0 / (hd as f32).sqrt();
+        for (h, scores) in attn.chunks_exact_mut(tokens * tokens).enumerate() {
+            let c = h * hd;
+            for (q_row, score_row) in q.chunks_exact(inner).zip(scores.chunks_exact_mut(tokens)) {
+                for (score, k_row) in score_row.iter_mut().zip(k.chunks_exact(inner)) {
+                    let mut sum = 0.0f32;
+                    for (&x, &y) in q_row[c..c + hd].iter().zip(&k_row[c..c + hd]) {
+                        sum += x * y;
+                    }
+                    *score = sum * scale;
+                }
+            }
+        }
+        ops::softmax_rows(attn, tokens, ParallelPool::global());
+        for (h, weights) in attn.chunks_exact(tokens * tokens).enumerate() {
+            let c = h * hd;
+            for (w_row, out_row) in weights
+                .chunks_exact(tokens)
+                .zip(out.chunks_exact_mut(inner))
+            {
+                for (&w, v_row) in w_row.iter().zip(v.chunks_exact(inner)) {
+                    for (o, &x) in out_row[c..c + hd].iter_mut().zip(&v_row[c..c + hd]) {
+                        *o += w * x;
+                    }
+                }
+            }
         }
     }
 }

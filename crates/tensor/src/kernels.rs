@@ -30,14 +30,15 @@
 //!
 //!   | CPU has | rows × columns | accumulators | column steps |
 //!   |---|---|---|---|
-//!   | `avx512f` (x86-64) | 8 × 32 | 16 `zmm` | 32, then one 16, then scalar |
-//!   | `avx2` + `fma` (x86-64) | 4 × 16 | 8 `ymm` | 16, then scalar |
-//!   | anything else | 4 × 8 | 32 scalars LLVM vectorizes | 8, then scalar |
+//!   | `avx512f` (x86-64) | 8 × 32 | 16 `zmm` | 32, then one 16, then the row tile's masked 16-lane step |
+//!   | `avx2` + `fma` (x86-64) | 4 × 16 | 8 `ymm` | 16, then the row tile's 8, 4, 2, 1 |
+//!   | anything else | 4 × 8 | 32 scalars LLVM vectorizes | 8, then the row tile's 4, 2, 1 |
 //!   | fewer than [`MR`] rows, any CPU | 1–3 × up to 128, B unpacked | `R·V` `zmm` (`V` ≤ 8); otherwise `R` × 32 scalars LLVM vectorizes (at `ymm` width on `avx2`) | `zmm`: 128, 64, 32, 16, then one masked 16-lane step; otherwise 32, then 16, 8, 4, 2, 1 |
 //!
 //!   Rows left over after the 8-row strips take the 4 × 16 tile, rows left
 //!   over after the 4-row strips ([`MR`]) take that same 1–3-row tile
-//!   (`row_tile`) over the panels the strips before them packed.
+//!   (`row_tile`) over the panels the strips before them packed, and so do
+//!   the columns past a strip's last full vector step, four rows at a time.
 //!   *Why 8 rows:* on `[64,192]×[192,768]`, one thread, the 4 × 16 `ymm`
 //!   tile reads 200–375 µs; a 4 × 32 `zmm` tile does 8 FMAs per 128 B of
 //!   panel, is bound by L2 → L1 traffic and read 191–271 µs (≈ 1.2×); 8 × 32
@@ -63,25 +64,28 @@
 //! The two FMA kernels are also bit-identical *to each other*, on every
 //! shape: in both, an element left of column `nc − nc % 16` of its panel is
 //! `kc` sequential fused multiply-adds from zero and one flush add per
-//! k-block, an element right of that boundary is `kc` unfused multiply-adds
-//! straight into the output, and rows from `m − m % 4` on take the row
-//! tile. Which tile (8 × 32, 8 × 16, 4 × 16) computes an element changes
-//! how many neighbours share its loads, never its arithmetic. A new tile must
-//! keep the 16-column boundary and the 4-row one;
+//! k-block, an element right of that boundary is the row tile's `kc`
+//! unfused multiply-adds continuing from the output, and rows from
+//! `m − m % 4` on take the row tile. Which tile (8 × 32, 8 × 16, 4 × 16)
+//! computes an element changes how many neighbours share its loads, never
+//! its arithmetic. A new tile must keep the 16-column boundary and the 4-row
+//! one;
 //! `tests/parallel_kernels.rs` compares the kernels bit for bit. The
 //! portable kernel does not fuse and differs from both by rounding only.
 //!
-//! Products of fewer than [`MR`] rows and the `m % 4` remainder rows both run
-//! on the row tile (`row_tile`), and it is unfused on *every* kernel: it
-//! loads each accumulator from the output, adds `x·b` to it with a separate
-//! multiply and add in ascending `p`, and stores it once. A thin product's
-//! output is zero-filled, so that is `k` multiply-adds from `+0.0`, then the
-//! bias; a remainder row's second and later k-blocks continue from what the
-//! earlier ones stored — the same sum, which is why the tile loads rather
-//! than zeroes. So there even `Portable` agrees bit for bit with the FMA
-//! kernels, and all three with [`matmul_reference`]. That is also why a
-//! parallel chunk that ends up with fewer than [`MR`] rows may take the
-//! unpacked path: sequentially those rows are remainder rows, same bits.
+//! Products of fewer than [`MR`] rows, the `m % 4` remainder rows and the
+//! strips' column tails all run on the row tile (`row_tile`), and it is
+//! unfused on *every* kernel: it loads each accumulator from the output,
+//! adds `x·b` to it with a separate multiply and add in ascending `p`, and
+//! stores it once. A thin product's output is zero-filled, so that is `k`
+//! multiply-adds from `+0.0`, then the bias; a remainder row's (or a column
+//! tail's) second and later k-blocks continue from what the earlier ones
+//! stored — the same sum, which is why the tile loads rather than zeroes.
+//! So on thin products and remainder rows even `Portable` agrees bit for
+//! bit with the FMA kernels, and all three with [`matmul_reference`]. That
+//! is also why a parallel chunk that ends up with fewer than [`MR`] rows may
+//! take the unpacked path: sequentially those rows are remainder rows, same
+//! bits.
 
 use edvit_parallel::ParallelPool;
 
@@ -326,12 +330,15 @@ fn add_bias(bias: Option<&[f32]>, out: &mut [f32], n: usize, jc: usize, nc: usiz
     }
 }
 
-/// The row tile under products of fewer than [`MR`] rows and under the
-/// `m % 4` remainder rows of packed ones: `out[r·ldc + j] += Σ_p a[r·lda + p]
-/// · b[p·ldb + j]` for `r < rows` (1 to 3), `p < kc`, `j < ncols`, where
-/// `lda`, `ldb` and `ldc` are the row strides of `a`, `b` and `out`. A thin
-/// product passes B where it lies (`ldb = n`, all of `k`), a remainder row
-/// the packed panel (`ldb = nc`, one k-block).
+/// The row tile under products of fewer than [`MR`] rows, under the `m % 4`
+/// remainder rows of packed ones and under the column tail of every 4- and
+/// 8-row strip: `out[r·ldc + j] += Σ_p a[r·lda + p] · b[p·ldb + j]` for
+/// `r < rows`, `p < kc`, `j < ncols`, where `lda`, `ldb` and `ldc` are the
+/// row strides of `a`, `b` and `out`. A thin product passes B where it lies
+/// (`ldb = n`, all of `k`), remainder rows and a strip's tail the panel
+/// (`ldb = nc`, one k-block). `rows` is 1 to 3 over any width, or a 4-row
+/// strip's (or half an 8-row strip's) 4 over the fewer than 16 columns its
+/// vector tile left.
 ///
 /// Each output element is loaded from `out` into a register, gets `kc`
 /// unfused multiply-adds `acc + x·b` in ascending `p` there, and is stored
@@ -358,7 +365,8 @@ fn row_tile(
         1 => RowTile::<1>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
         2 => RowTile::<2>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
         3 => RowTile::<3>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
-        _ => unreachable!("the row tile takes 1 to {} rows, not {rows}", MR - 1),
+        4 => RowTile::<4>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
+        _ => unreachable!("the row tile takes 1 to {MR} rows, not {rows}"),
     }
 }
 
@@ -460,7 +468,7 @@ impl<'a, const R: usize> RowTile<'a, R> {
         // stays on the stack. Rows past `R` are compiled out.
         let (kc, lda, ldc) = (self.kc, self.lda, self.ldc);
         let a_row = |r: usize| &self.a[r.min(R - 1) * lda..][..kc];
-        let (a0, a1, a2) = (a_row(0), a_row(1), a_row(2));
+        let (a0, a1, a2, a3) = (a_row(0), a_row(1), a_row(2), a_row(3));
         let load = |r: usize| -> [f32; W] {
             let mut sums = [0.0f32; W];
             if r < R {
@@ -468,7 +476,7 @@ impl<'a, const R: usize> RowTile<'a, R> {
             }
             sums
         };
-        let (mut c0, mut c1, mut c2) = (load(0), load(1), load(2));
+        let (mut c0, mut c1, mut c2, mut c3) = (load(0), load(1), load(2), load(3));
         for p in 0..kc {
             let brow: &[f32] = &self.b[p * self.ldb + j..][..W];
             accumulate_row(&mut c0, a0[p], brow);
@@ -478,8 +486,11 @@ impl<'a, const R: usize> RowTile<'a, R> {
             if R > 2 {
                 accumulate_row(&mut c2, a2[p], brow);
             }
+            if R > 3 {
+                accumulate_row(&mut c3, a3[p], brow);
+            }
         }
-        for (r, sums) in [c0, c1, c2].iter().enumerate().take(R) {
+        for (r, sums) in [c0, c1, c2, c3].iter().enumerate().take(R) {
             self.out[r * ldc + j..][..W].copy_from_slice(sums);
         }
     }
@@ -499,7 +510,9 @@ impl<'a, const R: usize> RowTile<'a, R> {
 
     /// The AVX-512 tile: 128-column blocks of `8·R` `zmm` accumulators, then
     /// one block each of 64, 32 and 16 columns as far as `ncols` reaches, then
-    /// one masked 16-lane block for the last `ncols % 16` columns.
+    /// one masked 16-lane block for the last `ncols % 16` columns. A strip's
+    /// column tail (4 rows, fewer than 16 columns) is that masked block
+    /// alone.
     ///
     /// # Safety
     ///
@@ -596,11 +609,14 @@ fn accumulate_row<const W: usize>(sums: &mut [f32; W], x: f32, b: &[f32]) {
 /// `out[.., jc..jc+nc] += a[.., pc..pc+kc] · panel` for every row of `a`
 /// (`out.len() / n` of them): 8-row strips on the AVX-512 tile when `kernel`
 /// has it, then [`MR`]-row strips, then the last 1–3 rows on [`row_tile`].
+/// The strips' vector tiles stop at their last full column step (16 columns
+/// on the FMA kernels, [`NR`] on the portable one); the columns past it run
+/// on [`row_tile`] too, four rows at a time.
 ///
 /// Which tile a row lands on never changes its bits among the FMA kernels:
 /// every element left of column `nc − nc % 16` is `kc` sequential fused
 /// multiply-adds from zero plus one flush add, every element right of it is
-/// `kc` unfused multiply-adds straight into `out`, and rows from
+/// `kc` unfused multiply-adds continuing from `out`, and rows from
 /// `rows − rows % 4` on always take [`row_tile`]. That is what makes
 /// AVX-512 and AVX2 results bit-identical, and what lets a parallel chunk
 /// boundary (a multiple of [`MR`] rows) fall anywhere.
@@ -616,6 +632,24 @@ fn accumulate_panel(
     (pc, kc): (usize, usize),
 ) {
     let rows = out.len() / n;
+    let step = if kernel == MicroKernel::Portable {
+        NR
+    } else {
+        16
+    };
+    let tail = nc - nc % step;
+    // The row tile over `strip_rows` rows from `row`, from panel column `col`.
+    let row_tile_from = |out: &mut [f32], row: usize, strip_rows: usize, col: usize| {
+        row_tile(
+            kernel,
+            strip_rows,
+            (&a[row * k + pc..], k),
+            (&panel[col..], nc),
+            (&mut out[row * n + jc + col..], n),
+            kc,
+            nc - col,
+        );
+    };
     #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
     let mut row = 0;
     #[cfg(target_arch = "x86_64")]
@@ -635,40 +669,36 @@ fn accumulate_panel(
                     n,
                 );
             }
+            row_tile_from(out, row, MR, tail);
+            row_tile_from(out, row + MR, MR, tail);
             row += MR8;
         }
     }
-    let a_strips = a[row * k..].chunks(MR * k);
-    for (a_strip, out_strip) in a_strips.zip(out[row * n..].chunks_mut(MR * n)) {
-        if out_strip.len() == MR * n {
-            let (r0, rest) = out_strip.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            micro_tile_4_dispatch(
-                kernel,
-                &a_strip[pc..pc + kc],
-                &a_strip[k + pc..k + pc + kc],
-                &a_strip[2 * k + pc..2 * k + pc + kc],
-                &a_strip[3 * k + pc..3 * k + pc + kc],
-                panel,
-                nc,
-                &mut r0[jc..jc + nc],
-                &mut r1[jc..jc + nc],
-                &mut r2[jc..jc + nc],
-                &mut r3[jc..jc + nc],
-            );
-        } else {
-            let rows = out_strip.len() / n;
-            row_tile(
-                kernel,
-                rows,
-                (&a_strip[pc..], k),
-                (panel, nc),
-                (&mut out_strip[jc..], n),
-                kc,
-                nc,
-            );
+    while row < rows {
+        let strip_rows = MR.min(rows - row);
+        if strip_rows < MR {
+            row_tile_from(out, row, strip_rows, 0);
+            break;
         }
+        let a_strip = &a[row * k..(row + MR) * k];
+        let (r0, rest) = out[row * n..(row + MR) * n].split_at_mut(n);
+        let (r1, rest) = rest.split_at_mut(n);
+        let (r2, r3) = rest.split_at_mut(n);
+        micro_tile_4_dispatch(
+            kernel,
+            &a_strip[pc..pc + kc],
+            &a_strip[k + pc..k + pc + kc],
+            &a_strip[2 * k + pc..2 * k + pc + kc],
+            &a_strip[3 * k + pc..3 * k + pc + kc],
+            panel,
+            nc,
+            &mut r0[jc..jc + nc],
+            &mut r1[jc..jc + nc],
+            &mut r2[jc..jc + nc],
+            &mut r3[jc..jc + nc],
+        );
+        row_tile_from(out, row, MR, tail);
+        row += MR;
     }
 }
 
@@ -712,10 +742,10 @@ fn micro_tile_4_dispatch(
 const MR8: usize = 8;
 
 /// AVX-512 8×32 micro-kernel: `out[r][j] += Σ_p a[r·lda + p] · panel[p][j]`
-/// for 8 rows and all `nc` columns — sixteen `zmm` accumulators per 32-column
-/// tile, one 16-column `zmm` step, then the same unfused scalar column tail
-/// as [`micro_tile_4_fma`], so the FMA/scalar boundary sits at
-/// `nc − nc % 16` in both.
+/// for 8 rows and the first `nc − nc % 16` columns — sixteen `zmm`
+/// accumulators per 32-column tile, then one 16-column `zmm` step. The
+/// columns past it are [`row_tile`]'s, as after [`micro_tile_4_fma`], so the
+/// fused/unfused boundary sits at `nc − nc % 16` in both.
 ///
 /// # Safety
 ///
@@ -766,21 +796,6 @@ unsafe fn micro_tile_8_avx512(
                 ldc,
                 j,
             );
-        }
-        j += 16;
-    }
-    if j < nc {
-        // Column remainder (< 16), unfused and straight into `out`, exactly
-        // as in the 4-row kernel.
-        for p in 0..kc {
-            let brow = &panel[p * nc..(p + 1) * nc];
-            for r in 0..MR8 {
-                let x = a[r * lda + p];
-                let orow = &mut out[r * ldc..r * ldc + nc];
-                for l in j..nc {
-                    orow[l] += x * brow[l];
-                }
-            }
         }
     }
 }
@@ -838,8 +853,8 @@ unsafe fn tile_8_avx512<const V: usize>(
 
 /// AVX2+FMA 4×16 micro-kernel: eight `ymm` accumulators (4 rows × 16
 /// columns) updated with two fused multiply-adds per packed panel row, per
-/// row of A. Columns past the last 16-wide tile fall through to the portable
-/// kernel.
+/// row of A. It stops at the last 16-wide tile; the `nc % 16` columns past
+/// it are [`row_tile`]'s.
 ///
 /// # Safety
 ///
@@ -911,28 +926,15 @@ unsafe fn micro_tile_4_fma(
         }
         j += TILE;
     }
-    if j < nc {
-        // Column remainder (< 16): reuse the portable kernel on the tail by
-        // viewing the panel rows from column `j` onward. Cheapest done
-        // scalar: the tail is at most 15 columns of the last panel.
-        for p in 0..kc {
-            let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-            let brow = &panel[p * nc..(p + 1) * nc];
-            for l in j..nc {
-                o0[l] += x0 * brow[l];
-                o1[l] += x1 * brow[l];
-                o2[l] += x2 * brow[l];
-                o3[l] += x3 * brow[l];
-            }
-        }
-    }
 }
 
 /// The 4×8 register micro-kernel: for each 8-column tile of the packed
 /// panel, all `kc` rank-1 updates are accumulated into 32 stack scalars
 /// (which LLVM keeps in vector registers), then flushed to the four output
 /// rows once. The innermost loop does 32 multiply-adds per 12 loads and no
-/// stores — the arithmetic-to-memory ratio the axpy formulation lacks.
+/// stores — the arithmetic-to-memory ratio the axpy formulation lacks. It
+/// stops at the last full 8-column tile; the `nc % 8` columns past it are
+/// [`row_tile`]'s.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_tile_4(
@@ -974,19 +976,6 @@ fn micro_tile_4(
             o3[j + l] += c3[l];
         }
         j += NR;
-    }
-    // Column remainder (nc % 8): plain 4-row axpy.
-    if j < nc {
-        for p in 0..kc {
-            let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-            let brow = &panel[p * nc..(p + 1) * nc];
-            for l in j..nc {
-                o0[l] += x0 * brow[l];
-                o1[l] += x1 * brow[l];
-                o2[l] += x2 * brow[l];
-                o3[l] += x3 * brow[l];
-            }
-        }
     }
 }
 

@@ -377,6 +377,62 @@ fn remainder_rows_equal_the_reference_and_leave_the_strips_alone() {
 }
 
 #[test]
+fn column_tails_equal_the_reference_bit_for_bit_on_every_kernel() {
+    // The 4- and 8-row strips' vector tiles stop at their last full column
+    // step (16 columns on the FMA kernels, 8 on the portable one); the
+    // columns past it run on the row tile over the strip's rows, unfused,
+    // in ascending `p`, each k-block continuing from what the last one left
+    // in the output. So those columns are the reference's bits on every
+    // kernel. Every `n % 16` from 1 to 15 is crossed with `m` over one and
+    // two 4-row strips, an 8-row strip alone, with a remainder row and with
+    // a 4-row strip and a remainder row after it, and with `k` below `KC` =
+    // 256 (B read in place, one k-block) and above it (B packed, a second
+    // k-block). `n` is the tail alone, or the tail after a 32- and a
+    // 16-column step. The FMA kernels also agree with each other on every
+    // column.
+    let kernels_here = supported_kernels("column tail of a strip");
+    let mut rng = TensorRng::new(0x7A11);
+    for m in [4usize, 8, 9, 12, 17] {
+        for k in [37usize, 300] {
+            for n in (1..=15).flat_map(|r| [r, 48 + r]) {
+                let shape = format!("{m}x{k}x{n}");
+                let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
+                let mut expected = vec![0.0f32; m * n];
+                kernels::matmul_reference(&a, &b, &mut expected, m, k, n);
+                let mut fma: Option<Vec<f32>> = None;
+                for &kernel in &kernels_here {
+                    let mut got = vec![0.0f32; m * n];
+                    kernels::matmul_seq_with(kernel, &a, &b, &mut got, m, k, n);
+                    let step = if kernel == MicroKernel::Portable {
+                        8
+                    } else {
+                        16
+                    };
+                    let tail = n - n % step;
+                    let rows = got.chunks_exact(n).zip(expected.chunks_exact(n));
+                    for (r, (got_row, expected_row)) in rows.enumerate() {
+                        assert_eq!(
+                            bits(&got_row[tail..]),
+                            bits(&expected_row[tail..]),
+                            "{kernel:?}: columns {tail}.. of row {r} of {shape}"
+                        );
+                    }
+                    if kernel == MicroKernel::Portable {
+                        continue;
+                    }
+                    match &fma {
+                        None => fma = Some(got),
+                        Some(avx2) => {
+                            assert_eq!(bits(&got), bits(avx2), "{kernel:?} vs AVX2 on {shape}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn one_panel_products_read_b_in_place_with_the_packed_arithmetic() {
     // A B of `k ≤ KC` = 256 rows and `n ≤ NC` = 128 columns is its own one
     // panel, so it is streamed where it lies instead of copied. The tiles

@@ -1,10 +1,17 @@
-//! The forward and backward passes of the perfbench probe model, pinned to
-//! their bits: any rewrite of `Linear`, `Mlp`, attention, layer norm, the
-//! patch embedding or the matmul micro-kernels that moves a single rounding
-//! fails here.
+//! The forward and backward passes of three models, pinned to their bits:
+//! any rewrite of `Linear`, `Mlp`, attention, layer norm, the patch embedding
+//! or the matmul micro-kernels that moves a single rounding fails here.
 //!
-//! The constants were first recorded on commit a066498, before the forward
-//! path was made lean. They were re-recorded twice, deliberately:
+//! * The perfbench probe model: 64 tokens, 6 heads × 32, width 192.
+//! * Two thin models whose products fall mostly in the register tiles'
+//!   `n % 16` column tail: the tiny demo's deployed geometry (4 tokens, 12
+//!   heads × 2, width 24) and the experiment profile's (16 tokens, 12 heads
+//!   × 5, width 60). Their constants were recorded on commit 2d65df1,
+//!   before the column tail moved onto the row tile and thin heads onto the
+//!   one-pass attention, and have not been re-recorded.
+//!
+//! The probe model's constants were first recorded on commit a066498, before
+//! the forward path was made lean. They were re-recorded twice, deliberately:
 //!
 //! * on top of commit c570b24, when attention's `Q·Kᵀ` moved from one `dot`
 //!   per (query, key, head) onto the GEBP tile (scaled after the product)
@@ -61,6 +68,40 @@ fn probe_config() -> ViTConfig {
     }
 }
 
+/// The tiny demo's sub-model geometry: `EdVitConfig::tiny_demo`'s scale
+/// profile (16×16 images, 8×8 patches, width ≤ 32, depth ≤ 2) applied to
+/// ViT-Base with 4 classes — 4 tokens, 12 heads × 2.
+fn tiny_demo_config() -> ViTConfig {
+    ViTConfig {
+        variant: ViTVariant::Base,
+        depth: 2,
+        embed_dim: 24,
+        heads: 12,
+        mlp_ratio: 2,
+        patch_size: 8,
+        image_size: 16,
+        channels: 3,
+        num_classes: 4,
+    }
+}
+
+/// The experiment profile's geometry: `ScaleProfile::default()` (32×32
+/// images, 8×8 patches, width ≤ 64, depth ≤ 4) applied to ViT-Base with 10
+/// classes — 16 tokens, 12 heads × 5.
+fn experiment_config() -> ViTConfig {
+    ViTConfig {
+        variant: ViTVariant::Base,
+        depth: 4,
+        embed_dim: 60,
+        heads: 12,
+        mlp_ratio: 2,
+        patch_size: 8,
+        image_size: 32,
+        channels: 3,
+        num_classes: 10,
+    }
+}
+
 /// FNV-1a (64-bit) over the little-endian bytes of every value's bit pattern.
 fn fnv1a(values: &[f32]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325_u64;
@@ -73,13 +114,14 @@ fn fnv1a(values: &[f32]) -> u64 {
 /// Hashes of `forward_features`, `forward_images`, and what
 /// `backward_from_features` leaves behind after `forward_features_train` —
 /// the image gradient and every parameter gradient, in `parameters()` order
-/// — for a `batch`-image input. The training forward must give the
-/// inference forward's bits.
-fn hashes(batch: usize) -> [u64; 4] {
+/// — for a `batch`-image input to a seed-0 model of `config`. The training
+/// forward must give the inference forward's bits.
+fn hashes(config: &ViTConfig, batch: usize) -> [u64; 4] {
     let mut rng = TensorRng::new(0);
-    let mut model = VisionTransformer::new(&probe_config(), &mut rng).unwrap();
-    let images = rng.randn(&[batch, 3, 64, 64], 0.0, 1.0);
-    let grad_features = rng.randn(&[batch, 192], 0.0, 1.0);
+    let mut model = VisionTransformer::new(config, &mut rng).unwrap();
+    let (channels, side) = (config.channels, config.image_size);
+    let images = rng.randn(&[batch, channels, side, side], 0.0, 1.0);
+    let grad_features = rng.randn(&[batch, config.embed_dim], 0.0, 1.0);
     let logits = model.forward_images(&images).unwrap();
     let features = model.forward_features(&images).unwrap();
     let trained = model.forward_features_train(&images).unwrap();
@@ -123,22 +165,86 @@ const PINNED: [(usize, [u64; 4]); 2] = [
     ),
 ];
 
-#[test]
-fn probe_model_forward_and_backward_match_the_pinned_bits() {
+/// The tiny demo geometry's `(batch, hashes)`, recorded on commit 2d65df1
+/// on x86-64 with AVX-512, identical under `EDVIT_THREADS` 1, 2 and 4 and
+/// under `with_budget(1)`.
+const PINNED_TINY_DEMO: [(usize, [u64; 4]); 2] = [
+    (
+        1,
+        [
+            0x6ce7_a9dc_2891_ede5,
+            0xb7d4_f7e0_daf9_38c3,
+            0x1c5e_fffe_6f36_a396,
+            0x806d_d02a_354b_e7a4,
+        ],
+    ),
+    (
+        2,
+        [
+            0x099c_d480_9322_8311,
+            0x6390_3400_7b68_373d,
+            0x04dc_57cb_94ff_5540,
+            0x59ab_5f5b_1ced_0fcc,
+        ],
+    ),
+];
+
+/// The experiment profile's `(batch, hashes)`, recorded as
+/// [`PINNED_TINY_DEMO`].
+const PINNED_EXPERIMENT: [(usize, [u64; 4]); 2] = [
+    (
+        1,
+        [
+            0x1414_1969_d60b_7f70,
+            0xab30_0e98_3877_fc2c,
+            0x65d4_e6a9_0848_6ac0,
+            0xafe7_b30f_5b91_c615,
+        ],
+    ),
+    (
+        2,
+        [
+            0x5812_db76_76c6_c4c8,
+            0x3333_b040_95db_d909,
+            0x6068_d90c_a93a_329e,
+            0x1d7e_3343_a0f3_49f6,
+        ],
+    ),
+];
+
+/// Checks `config`'s hashes against `pinned` on the ambient pool and under
+/// `with_budget(1)`, printing each batch's hashes first; skips, saying so,
+/// on a CPU without the FMA micro-kernels.
+fn assert_pinned(name: &str, config: &ViTConfig, pinned: &[(usize, [u64; 4])]) {
     if MicroKernel::detect() == MicroKernel::Portable {
         println!(
-            "SKIPPED: the pinned bits are those of the FMA micro-kernels (needs x86-64 avx2+fma)"
+            "SKIPPED: {name}: the pinned bits are those of the FMA micro-kernels (needs x86-64 avx2+fma)"
         );
         return;
     }
-    for (batch, pinned) in PINNED {
-        let ambient = hashes(batch);
-        println!("batch {batch}: {ambient:#018x?}");
-        assert_eq!(ambient, pinned, "batch {batch}, ambient budget");
+    for &(batch, pinned) in pinned {
+        let ambient = hashes(config, batch);
+        println!("{name}, batch {batch}: {ambient:#018x?}");
+        assert_eq!(ambient, pinned, "{name}, batch {batch}, ambient budget");
         assert_eq!(
-            with_budget(1, || hashes(batch)),
+            with_budget(1, || hashes(config, batch)),
             pinned,
-            "batch {batch}, budget 1"
+            "{name}, batch {batch}, budget 1"
         );
     }
+}
+
+#[test]
+fn probe_model_forward_and_backward_match_the_pinned_bits() {
+    assert_pinned("probe model", &probe_config(), &PINNED);
+}
+
+#[test]
+fn thin_models_forward_and_backward_match_the_pinned_bits() {
+    assert_pinned("tiny demo", &tiny_demo_config(), &PINNED_TINY_DEMO);
+    assert_pinned(
+        "experiment profile",
+        &experiment_config(),
+        &PINNED_EXPERIMENT,
+    );
 }
