@@ -610,8 +610,8 @@ fn accumulate_row<const W: usize>(sums: &mut [f32; W], x: f32, b: &[f32]) {
 /// (`out.len() / n` of them): 8-row strips on the AVX-512 tile when `kernel`
 /// has it, then [`MR`]-row strips, then the last 1–3 rows on [`row_tile`].
 /// The strips' vector tiles stop at their last full column step (16 columns
-/// on the FMA kernels, [`NR`] on the portable one); the columns past it run
-/// on [`row_tile`] too, four rows at a time.
+/// on the FMA kernels, [`NR`] on the portable one) and return that column;
+/// the columns past it run on [`row_tile`] too, four rows at a time.
 ///
 /// Which tile a row lands on never changes its bits among the FMA kernels:
 /// every element left of column `nc − nc % 16` is `kc` sequential fused
@@ -632,12 +632,6 @@ fn accumulate_panel(
     (pc, kc): (usize, usize),
 ) {
     let rows = out.len() / n;
-    let step = if kernel == MicroKernel::Portable {
-        NR
-    } else {
-        16
-    };
-    let tail = nc - nc % step;
     // The row tile over `strip_rows` rows from `row`, from panel column `col`.
     let row_tile_from = |out: &mut [f32], row: usize, strip_rows: usize, col: usize| {
         row_tile(
@@ -658,7 +652,7 @@ fn accumulate_panel(
             // SAFETY: `kernel` is only ever `Avx512` after `is_supported()`
             // saw `avx512f` (`detect`, or the assert in `matmul_seq_with`);
             // the slice bounds the tile relies on are asserted inside it.
-            unsafe {
+            let tail = unsafe {
                 micro_tile_8_avx512(
                     &a[row * k + pc..],
                     k,
@@ -667,8 +661,8 @@ fn accumulate_panel(
                     nc,
                     &mut out[row * n + jc..],
                     n,
-                );
-            }
+                )
+            };
             row_tile_from(out, row, MR, tail);
             row_tile_from(out, row + MR, MR, tail);
             row += MR8;
@@ -684,7 +678,7 @@ fn accumulate_panel(
         let (r0, rest) = out[row * n..(row + MR) * n].split_at_mut(n);
         let (r1, rest) = rest.split_at_mut(n);
         let (r2, r3) = rest.split_at_mut(n);
-        micro_tile_4_dispatch(
+        let tail = micro_tile_4_dispatch(
             kernel,
             &a_strip[pc..pc + kc],
             &a_strip[k + pc..k + pc + kc],
@@ -706,9 +700,9 @@ fn accumulate_panel(
 const NR: usize = 8;
 
 /// Runs the 4-row micro-kernel `kernel` names: the AVX2+FMA tile for both
-/// FMA kernels, the portable auto-vectorized tile otherwise. Both accumulate
-/// each output element in the same p-order, so cross-variant differences
-/// stay within FMA rounding.
+/// FMA kernels, the portable auto-vectorized tile otherwise, and returns the
+/// column it stopped at. Both accumulate each output element in the same
+/// p-order, so cross-variant differences stay within FMA rounding.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_tile_4_dispatch(
@@ -723,13 +717,13 @@ fn micro_tile_4_dispatch(
     o1: &mut [f32],
     o2: &mut [f32],
     o3: &mut [f32],
-) {
+) -> usize {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an FMA `kernel` has passed `is_supported()`, which requires
         // `avx2` and `fma` for both of them.
         MicroKernel::Avx2Fma | MicroKernel::Avx512 => unsafe {
-            micro_tile_4_fma(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3);
+            micro_tile_4_fma(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3)
         },
         _ => micro_tile_4(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3),
     }
@@ -743,9 +737,10 @@ const MR8: usize = 8;
 
 /// AVX-512 8×32 micro-kernel: `out[r][j] += Σ_p a[r·lda + p] · panel[p][j]`
 /// for 8 rows and the first `nc − nc % 16` columns — sixteen `zmm`
-/// accumulators per 32-column tile, then one 16-column `zmm` step. The
-/// columns past it are [`row_tile`]'s, as after [`micro_tile_4_fma`], so the
-/// fused/unfused boundary sits at `nc − nc % 16` in both.
+/// accumulators per 32-column tile, then one 16-column `zmm` step. It returns
+/// that boundary; the columns past it are [`row_tile`]'s, as after
+/// [`micro_tile_4_fma`], so the fused/unfused boundary sits at `nc − nc % 16`
+/// in both.
 ///
 /// # Safety
 ///
@@ -761,7 +756,7 @@ unsafe fn micro_tile_8_avx512(
     nc: usize,
     out: &mut [f32],
     ldc: usize,
-) {
+) -> usize {
     assert!(a.len() >= (MR8 - 1) * lda + kc);
     assert!(panel.len() >= kc * nc);
     assert!(out.len() >= (MR8 - 1) * ldc + nc);
@@ -797,7 +792,9 @@ unsafe fn micro_tile_8_avx512(
                 j,
             );
         }
+        j += 16;
     }
+    j
 }
 
 /// One 8 × `16·V` register tile of [`micro_tile_8_avx512`] at panel column
@@ -853,8 +850,8 @@ unsafe fn tile_8_avx512<const V: usize>(
 
 /// AVX2+FMA 4×16 micro-kernel: eight `ymm` accumulators (4 rows × 16
 /// columns) updated with two fused multiply-adds per packed panel row, per
-/// row of A. It stops at the last 16-wide tile; the `nc % 16` columns past
-/// it are [`row_tile`]'s.
+/// row of A. It stops at the last 16-wide tile and returns that column; the
+/// `nc % 16` columns past it are [`row_tile`]'s.
 ///
 /// # Safety
 ///
@@ -879,7 +876,7 @@ unsafe fn micro_tile_4_fma(
     o1: &mut [f32],
     o2: &mut [f32],
     o3: &mut [f32],
-) {
+) -> usize {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
@@ -926,6 +923,7 @@ unsafe fn micro_tile_4_fma(
         }
         j += TILE;
     }
+    j
 }
 
 /// The 4×8 register micro-kernel: for each 8-column tile of the packed
@@ -933,8 +931,8 @@ unsafe fn micro_tile_4_fma(
 /// (which LLVM keeps in vector registers), then flushed to the four output
 /// rows once. The innermost loop does 32 multiply-adds per 12 loads and no
 /// stores — the arithmetic-to-memory ratio the axpy formulation lacks. It
-/// stops at the last full 8-column tile; the `nc % 8` columns past it are
-/// [`row_tile`]'s.
+/// stops at the last full 8-column tile and returns that column; the `nc % 8`
+/// columns past it are [`row_tile`]'s.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_tile_4(
@@ -948,7 +946,7 @@ fn micro_tile_4(
     o1: &mut [f32],
     o2: &mut [f32],
     o3: &mut [f32],
-) {
+) -> usize {
     let kc = a0.len();
     // Re-slice to common lengths so LLVM drops the inner bounds checks.
     let (a0, a1, a2, a3) = (&a0[..kc], &a1[..kc], &a2[..kc], &a3[..kc]);
@@ -977,6 +975,7 @@ fn micro_tile_4(
         }
         j += NR;
     }
+    j
 }
 
 /// Rows per parallel chunk: coarse enough that one chunk carries at least
