@@ -56,8 +56,9 @@ impl Default for RunOptions {
 ///
 /// The deployment is consumed: each sub-model moves onto "its" device thread
 /// (exactly as weights are copied onto a physical Pi), and the fusion MLP
-/// moves to the aggregation thread. Inference records no backward state, so
-/// an executor holds weights only and mutates nothing.
+/// moves to the aggregation thread. Inference records no backward state and
+/// a trained model keeps no gradient, so an executor holds weights only and
+/// mutates nothing.
 pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn) {
     let EdVitDeployment {
         sub_models, fusion, ..

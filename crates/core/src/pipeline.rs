@@ -485,7 +485,6 @@ fn joint_retrain(
             }
             let refs: Vec<&Tensor> = features.iter().collect();
             let concat = Tensor::concat_last_axis(&refs)?;
-            fusion.zero_grad();
             let logits = fusion.forward_train(&concat)?;
             loss_fn.forward(&logits, &labels)?;
             let grad_logits = loss_fn.backward()?;
@@ -498,7 +497,6 @@ fn joint_retrain(
                 let dim = sub.model.embed_dim();
                 let cols: Vec<usize> = (offset..offset + dim).collect();
                 let grad_slice = grad_concat.select_last_axis(&cols)?;
-                sub.model.zero_grad();
                 sub.model.backward_from_features(&grad_slice)?;
                 optimizer.step(&mut sub.model.parameters_mut())?;
                 offset += dim;

@@ -162,7 +162,6 @@ impl FusionMlp {
         let mut optimizer = Adam::new(5e-3);
         let mut loss_fn = CrossEntropyLoss::new();
         for _ in 0..steps {
-            self.zero_grad();
             let logits = self.forward_train(features)?;
             loss_fn.forward(&logits, labels)?;
             let grad = loss_fn.backward()?;
@@ -306,7 +305,6 @@ mod tests {
         let mut optimizer = Adam::new(2e-2);
         let mut loss_fn = CrossEntropyLoss::new();
         for _ in 0..250 {
-            fusion.zero_grad();
             let logits = fusion.forward_train(&features).unwrap();
             loss_fn.forward(&logits, &labels).unwrap();
             let grad = loss_fn.backward().unwrap();

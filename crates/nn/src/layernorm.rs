@@ -286,8 +286,8 @@ mod tests {
         );
         assert_eq!(gx.data(), &grad_x[..]);
         let (gg, gb) = ops::layer_norm_param_grads_rows(g.data(), &x_hat, d, &seq);
-        assert_eq!(ln.gamma().grad().data(), &gg[..]);
-        assert_eq!(ln.beta().grad().data(), &gb[..]);
+        assert_eq!(ln.gamma().grad().unwrap().data(), &gg[..]);
+        assert_eq!(ln.beta().grad().unwrap().data(), &gb[..]);
     }
 
     #[test]

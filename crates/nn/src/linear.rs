@@ -244,6 +244,7 @@ mod tests {
         assert_eq!(owned.forward_train_owned(x.clone()).unwrap(), y);
         assert_eq!(owned.forward_owned(x).unwrap(), y);
         assert_eq!(owned.backward(&g).unwrap(), borrowed.backward(&g).unwrap());
+        assert!(owned.weight().grad().is_some());
         assert_eq!(owned.weight().grad(), borrowed.weight().grad());
         assert_eq!(owned.bias().grad(), borrowed.bias().grad());
         assert!(owned.forward_train_owned(Tensor::zeros(&[2, 3])).is_err());

@@ -9,7 +9,9 @@ use crate::{Parameter, Result};
 ///
 /// 1. [`Layer::forward`] (`&self`) computes the output and records nothing:
 ///    it is what inference runs, so a deployed layer holds weights and
-///    nothing else, and a clone of it copies only weights;
+///    nothing else (no record, and no gradient: [`crate::Parameter`] holds
+///    one only between a backward and the optimizer step that takes it),
+///    and a clone of it copies only weights;
 /// 2. [`Layer::forward_train`] (`&mut self`) computes the same output, bit
 ///    for bit, and records what [`Layer::backward`] needs;
 /// 3. [`Layer::backward`] takes that record (`Option::take`), accumulates
@@ -64,7 +66,7 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Immutable references to every trainable parameter of the layer.
     fn parameters(&self) -> Vec<&Parameter>;
 
-    /// Resets all parameter gradients to zero.
+    /// Drops every parameter gradient.
     fn zero_grad(&mut self) {
         for p in self.parameters_mut() {
             p.zero_grad();

@@ -30,9 +30,10 @@ impl Adam {
         }
     }
 
-    /// Applies one update step to every parameter and leaves the gradients
-    /// as they are (call [`crate::Layer::zero_grad`] separately, mirroring
-    /// the PyTorch training loop the paper uses).
+    /// Applies one update step to every parameter and takes its gradient
+    /// ([`Parameter::take_grad`]), so the next backward accumulates from
+    /// nothing and a trained model holds no gradient. A parameter that holds
+    /// none steps as on a zero gradient.
     ///
     /// # Errors
     ///
@@ -73,7 +74,9 @@ impl Adam {
                     ),
                 });
             }
-            let grad = p.grad().clone();
+            let grad = p
+                .take_grad()
+                .unwrap_or_else(|| Tensor::zeros(p.value().dims()));
             self.m[i] = self.m[i].scale(BETA1).add(&grad.scale(1.0 - BETA1))?;
             let grad_sq = grad.mul(&grad)?;
             self.v[i] = self.v[i].scale(BETA2).add(&grad_sq.scale(1.0 - BETA2))?;
@@ -138,7 +141,6 @@ mod tests {
     fn run_optimizer(mut opt: Adam, steps: usize, start: f32) -> f32 {
         let mut p = quadratic_param(start);
         for _ in 0..steps {
-            p.zero_grad();
             let x = p.value().data()[0];
             p.accumulate_grad(&Tensor::from_vec(vec![2.0 * x], &[1]).unwrap())
                 .unwrap();
@@ -159,10 +161,11 @@ mod tests {
         // makes every update exactly one learning rate long.
         let mut adam = Adam::new(0.01);
         let mut p = quadratic_param(1.0);
-        p.accumulate_grad(&Tensor::from_vec(vec![2.0], &[1]).unwrap())
-            .unwrap();
         for expected in [0.99, 0.98] {
+            p.accumulate_grad(&Tensor::from_vec(vec![2.0], &[1]).unwrap())
+                .unwrap();
             adam.step(&mut [&mut p]).unwrap();
+            assert!(p.grad().is_none());
             assert!((p.value().data()[0] - expected).abs() < 1e-5);
         }
         let mut p2 = Parameter::new("y", Tensor::zeros(&[3]));
@@ -171,6 +174,35 @@ mod tests {
         // Different count -> explicit error.
         let mut q = quadratic_param(0.0);
         assert!(adam.step(&mut [&mut p, &mut q]).is_err());
+    }
+
+    #[test]
+    fn a_step_without_a_gradient_is_a_step_on_a_zero_gradient() {
+        // One step with a gradient, so the moments are non-zero (and one of
+        // them negative, where `m·β₁ + 0` is `-0.0 + 0.0` territory), then
+        // a step on no gradient against a step on an explicit zero gradient.
+        let start = Tensor::from_vec(vec![1.0, -2.0, 0.0, 3.5], &[4]).unwrap();
+        let g = Tensor::from_vec(vec![0.5, -0.25, 0.0, -0.0], &[4]).unwrap();
+        let mut runs = Vec::new();
+        for explicit_zero in [false, true] {
+            let mut adam = Adam::new(0.01);
+            let mut p = Parameter::new("x", start.clone());
+            p.accumulate_grad(&g).unwrap();
+            adam.step(&mut [&mut p]).unwrap();
+            if explicit_zero {
+                p.accumulate_grad(&Tensor::zeros(&[4])).unwrap();
+            }
+            adam.step(&mut [&mut p]).unwrap();
+            let bits: Vec<u32> = p.value().data().iter().map(|v| v.to_bits()).collect();
+            let moments: Vec<u32> = adam.m[0]
+                .data()
+                .iter()
+                .chain(adam.v[0].data())
+                .map(|v| v.to_bits())
+                .collect();
+            runs.push((bits, moments));
+        }
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 use edvit_tensor::Tensor;
 
-/// A trainable parameter: a value tensor plus its accumulated gradient.
+/// A trainable parameter: a value tensor plus, during a training step, its
+/// accumulated gradient.
 ///
-/// Layers expose their parameters through [`crate::Layer::parameters_mut`];
-/// optimizers mutate `value` from `grad`, and `zero_grad` resets accumulation
-/// between steps.
+/// The gradient exists only from the first [`Parameter::accumulate_grad`] of
+/// a backward pass until the optimizer step that takes it
+/// ([`Parameter::take_grad`]), so a parameter outside a training step holds
+/// its value and nothing else: a deployed model holds `4 B` per parameter,
+/// what the planner budgets.
 ///
 /// # Example
 ///
@@ -13,33 +16,32 @@ use edvit_tensor::Tensor;
 /// use edvit_tensor::Tensor;
 ///
 /// let mut p = Parameter::new("weight", Tensor::ones(&[2, 2]));
-/// assert_eq!(p.grad().sum(), 0.0);
+/// assert!(p.grad().is_none());
 /// p.accumulate_grad(&Tensor::full(&[2, 2], 0.5)).unwrap();
-/// assert_eq!(p.grad().sum(), 2.0);
+/// assert_eq!(p.grad().map(Tensor::sum), Some(2.0));
 /// p.zero_grad();
-/// assert_eq!(p.grad().sum(), 0.0);
+/// assert!(p.grad().is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Parameter {
-    name: String,
+    name: &'static str,
     value: Tensor,
-    grad: Tensor,
+    grad: Option<Tensor>,
 }
 
 impl Parameter {
-    /// Creates a parameter with a zeroed gradient of the same shape.
-    pub fn new(name: impl Into<String>, value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.dims());
+    /// Creates a parameter that holds no gradient.
+    pub fn new(name: &'static str, value: Tensor) -> Self {
         Parameter {
-            name: name.into(),
+            name,
             value,
-            grad,
+            grad: None,
         }
     }
 
-    /// Human-readable name used in diagnostics (`"qkv.weight"`, ...).
-    pub fn name(&self) -> &str {
-        &self.name
+    /// Human-readable name used in diagnostics (`"linear.weight"`, ...).
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The current value.
@@ -53,29 +55,34 @@ impl Parameter {
         &mut self.value
     }
 
-    /// Replaces the value and resets the gradient to match the new shape.
-    pub fn set_value(&mut self, value: Tensor) {
-        self.grad = Tensor::zeros(value.dims());
-        self.value = value;
+    /// The gradient accumulated since the last step, if any backward pass
+    /// reached this parameter.
+    pub fn grad(&self) -> Option<&Tensor> {
+        self.grad.as_ref()
     }
 
-    /// The accumulated gradient.
-    pub fn grad(&self) -> &Tensor {
-        &self.grad
+    /// Takes the accumulated gradient, leaving none (what an optimizer step
+    /// consumes).
+    pub fn take_grad(&mut self) -> Option<Tensor> {
+        self.grad.take()
     }
 
-    /// Adds `g` into the accumulated gradient.
+    /// Adds `g` into the accumulated gradient, starting from zeros when none
+    /// is held (zeros plus `g`, not a copy of `g`: a `-0.0` entry lands as
+    /// `+0.0`, as it would on a zeroed gradient).
     ///
     /// # Errors
     ///
     /// Returns a tensor error when `g` has a different shape than the value.
     pub fn accumulate_grad(&mut self, g: &Tensor) -> Result<(), edvit_tensor::TensorError> {
-        self.grad.add_assign(g)
+        self.grad
+            .get_or_insert_with(|| Tensor::zeros(self.value.dims()))
+            .add_assign(g)
     }
 
-    /// Resets the gradient to zero.
+    /// Drops the accumulated gradient.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.dims());
+        self.grad = None;
     }
 
     /// Number of scalar values in this parameter.
@@ -89,10 +96,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_parameter_has_zero_grad() {
+    fn new_parameter_holds_no_grad() {
         let p = Parameter::new("w", Tensor::ones(&[3, 3]));
         assert_eq!(p.name(), "w");
-        assert_eq!(p.grad().sum(), 0.0);
+        assert!(p.grad().is_none());
         assert_eq!(p.numel(), 9);
     }
 
@@ -101,19 +108,20 @@ mod tests {
         let mut p = Parameter::new("b", Tensor::zeros(&[4]));
         p.accumulate_grad(&Tensor::ones(&[4])).unwrap();
         p.accumulate_grad(&Tensor::ones(&[4])).unwrap();
-        assert_eq!(p.grad().sum(), 8.0);
+        assert_eq!(p.grad().map(Tensor::sum), Some(8.0));
         p.zero_grad();
-        assert_eq!(p.grad().sum(), 0.0);
+        assert!(p.grad().is_none());
         assert!(p.accumulate_grad(&Tensor::ones(&[5])).is_err());
     }
 
     #[test]
-    fn set_value_resets_grad_shape() {
-        let mut p = Parameter::new("w", Tensor::ones(&[2, 2]));
-        p.accumulate_grad(&Tensor::ones(&[2, 2])).unwrap();
-        p.set_value(Tensor::zeros(&[3]));
-        assert_eq!(p.value().dims(), &[3]);
-        assert_eq!(p.grad().dims(), &[3]);
-        assert_eq!(p.grad().sum(), 0.0);
+    fn a_first_accumulation_adds_onto_zeros() {
+        let mut p = Parameter::new("b", Tensor::zeros(&[2]));
+        p.accumulate_grad(&Tensor::from_vec(vec![-0.0, -1.5], &[2]).unwrap())
+            .unwrap();
+        let grad = p.take_grad().unwrap();
+        assert_eq!(grad.data()[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(grad.data()[1], -1.5);
+        assert!(p.grad().is_none());
     }
 }

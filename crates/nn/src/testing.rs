@@ -46,7 +46,11 @@ pub fn finite_difference_check(
     let param_grads: Vec<Tensor> = layer
         .parameters()
         .iter()
-        .map(|p| p.grad().clone())
+        .map(|p| {
+            p.grad()
+                .cloned()
+                .unwrap_or_else(|| Tensor::zeros(p.value().dims()))
+        })
         .collect();
 
     let eps = 1e-2f32;

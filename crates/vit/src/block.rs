@@ -271,7 +271,7 @@ mod tests {
             if p.name().contains("weight") || p.name().contains("bias") || p.name().contains("pos")
             {
                 let dims = p.value().dims().to_vec();
-                p.set_value(Tensor::zeros(&dims));
+                *p.value_mut() = Tensor::zeros(&dims);
             }
         }
         let mut rng = TensorRng::new(2);

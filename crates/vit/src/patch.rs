@@ -362,7 +362,7 @@ mod tests {
             .unwrap();
         assert_eq!(g.dims(), &[2, 3, 16, 16]);
         // Positional-embedding gradient accumulated (batch of 2, all-ones grad).
-        let pos_grad_sum: f32 = embed.pos_embed().grad().sum();
+        let pos_grad_sum: f32 = embed.pos_embed().grad().unwrap().sum();
         assert!((pos_grad_sum - (2 * config.num_patches() * config.embed_dim) as f32).abs() < 1e-3);
     }
 

@@ -88,7 +88,6 @@ pub fn train_classifier<M: Layer + ?Sized>(
         for batch_idx in order.chunks(config.batch_size.max(1)) {
             let batch_x = inputs.gather_rows(batch_idx)?;
             let batch_y: Vec<usize> = batch_idx.iter().map(|&i| labels[i]).collect();
-            model.zero_grad();
             let logits = model.forward_train(&batch_x)?;
             let loss = loss_fn.forward(&logits, &batch_y)?;
             let grad = loss_fn.backward()?;

@@ -128,10 +128,16 @@ fn hashes(config: &ViTConfig, batch: usize) -> [u64; 4] {
     assert_eq!(fnv1a(trained.data()), fnv1a(features.data()));
     let grad_images = model.backward_from_features(&grad_features).unwrap();
     assert_eq!(grad_images.dims(), images.dims());
+    // A parameter the backward did not reach (the classification head's,
+    // behind `backward_from_features`) holds no gradient and hashes as the
+    // zeros it held when every parameter carried one.
     let param_grads: Vec<f32> = model
         .parameters()
         .iter()
-        .flat_map(|p| p.grad().data().iter().copied())
+        .flat_map(|p| match p.grad() {
+            Some(g) => g.data().to_vec(),
+            None => vec![0.0; p.numel()],
+        })
         .collect();
     [
         fnv1a(features.data()),

@@ -2,14 +2,17 @@
 //! `forward` records nothing, `forward_train` gives `forward`'s bits and
 //! records what `backward` needs, and `backward` takes that record — so a
 //! `backward` after a plain `forward`, or a second one, is
-//! `MissingForwardCache`. And a deployment fresh out of `EdVitPipeline::run`
-//! holds no backward state in any sub-model layer or in the fusion MLP.
+//! `MissingForwardCache`. A parameter holds a gradient only from the
+//! backward that reaches it until the optimizer step that takes it. And a
+//! deployment fresh out of `EdVitPipeline::run` holds no backward state and
+//! no gradient in any sub-model layer or in the fusion MLP: each sub-model
+//! holds the 4 B per parameter the planner budgets.
 
 use edvit::baselines::{SmallCnn, SmallCnnConfig, SpikingCnn};
 use edvit::fusion::{FusionConfig, FusionMlp};
 use edvit::nn::{
-    Conv2d, Flatten, Layer, LayerNorm, Linear, MaxPool2d, Mlp, MultiHeadSelfAttention, NnError,
-    Relu,
+    Adam, Conv2d, Flatten, Layer, LayerNorm, Linear, MaxPool2d, Mlp, MultiHeadSelfAttention,
+    NnError, Parameter, Relu,
 };
 use edvit::pipeline::{EdVitConfig, EdVitPipeline};
 use edvit::tensor::init::TensorRng;
@@ -22,6 +25,13 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 fn is_missing<T>(result: Result<T, NnError>) -> bool {
     matches!(result, Err(NnError::MissingForwardCache { .. }))
+}
+
+/// The bytes a parameter's tensors hold: its value, plus its gradient when
+/// it holds one.
+fn held_bytes(p: &Parameter) -> u64 {
+    let floats = p.value().numel() + p.grad().map_or(0, Tensor::numel);
+    (floats * std::mem::size_of::<f32>()) as u64
 }
 
 /// Every `Layer` impl of the workspace, named, with an input shape it
@@ -169,4 +179,72 @@ fn no_deployed_model_holds_backward_state_after_run() {
     }
     let mut fusion = deployment.fusion.clone();
     assert!(is_missing(Layer::backward(&mut fusion, &placeholder)));
+}
+
+#[test]
+fn a_parameter_holds_a_gradient_from_its_backward_until_the_step() {
+    let mut rng = TensorRng::new(39);
+    for (name, mut layer, dims) in every_layer(&mut rng) {
+        assert!(
+            layer.parameters().iter().all(|p| p.grad().is_none()),
+            "{name}: a new layer holds a gradient"
+        );
+        let x = rng.randn(&dims, 0.0, 1.0);
+        let y = layer.forward_train(&x).unwrap();
+        layer.backward(&rng.randn(y.dims(), 0.0, 1.0)).unwrap();
+        for p in layer.parameters() {
+            let grad = p.grad().map(|g| g.dims().to_vec());
+            assert_eq!(
+                grad.as_deref(),
+                Some(p.value().dims()),
+                "{name}: {}",
+                p.name()
+            );
+        }
+        Adam::new(1e-3).step(&mut layer.parameters_mut()).unwrap();
+        assert!(
+            layer.parameters().iter().all(|p| p.grad().is_none()),
+            "{name}: the step left a gradient"
+        );
+    }
+
+    // `backward_from_features` stops below the classification head: the
+    // head's parameters receive no signal and hold no gradient, every other
+    // parameter holds one.
+    let mut model = VisionTransformer::new(&ViTConfig::tiny_test(), &mut rng).unwrap();
+    let features = model
+        .forward_features_train(&rng.randn(&[2, 3, 16, 16], 0.0, 1.0))
+        .unwrap();
+    model
+        .backward_from_features(&rng.randn(features.dims(), 0.0, 1.0))
+        .unwrap();
+    assert!(model.head().parameters().iter().all(|p| p.grad().is_none()));
+    let with_grad = model
+        .parameters()
+        .iter()
+        .filter(|p| p.grad().is_some())
+        .count();
+    assert_eq!(
+        with_grad,
+        model.parameters().len() - model.head().parameters().len()
+    );
+    Adam::new(1e-3).step(&mut model.parameters_mut()).unwrap();
+    assert!(model.parameters().iter().all(|p| p.grad().is_none()));
+}
+
+#[test]
+fn a_deployment_holds_each_weight_once_and_no_gradient() {
+    let deployment = EdVitPipeline::new(EdVitConfig::tiny_demo(2)).run().unwrap();
+    for (i, sub) in deployment.sub_models.iter().enumerate() {
+        let params = sub.model.parameters();
+        assert!(
+            params.iter().all(|p| p.grad().is_none()),
+            "sub-model {i} holds a gradient"
+        );
+        let held: u64 = params.iter().map(|p| held_bytes(p)).sum();
+        assert_eq!(held, sub.model.memory_bytes(), "sub-model {i}");
+    }
+    let fusion = deployment.fusion.parameters();
+    assert!(!fusion.is_empty());
+    assert!(fusion.iter().all(|p| p.grad().is_none()));
 }
