@@ -103,9 +103,14 @@ impl LayerNorm {
 }
 
 impl LayerNorm {
-    /// Normalizes every row of `input`: the output, then the normalized
-    /// input and `1/σ` per row, which only the backward reads.
-    fn normalize(&self, input: &Tensor) -> Result<(Tensor, Vec<f32>, Vec<f32>)> {
+    /// Normalizes every row of `input` into the output, and into `record`
+    /// (the normalized input and `1/σ` per row, which only the backward
+    /// reads) when a training forward passes one.
+    fn normalize(
+        &self,
+        input: &Tensor,
+        record: Option<(&mut [f32], &mut [f32])>,
+    ) -> Result<Tensor> {
         if input.rank() == 0 || *input.dims().last().unwrap_or(&0) != self.dim {
             return Err(NnError::InvalidConfig {
                 message: format!(
@@ -115,31 +120,30 @@ impl LayerNorm {
                 ),
             });
         }
-        let rows = input.numel() / self.dim;
-        let mut x_hat = vec![0.0f32; input.numel()];
-        let mut inv_std = vec![0.0f32; rows];
         let mut out = vec![0.0f32; input.numel()];
         ops::layer_norm_forward_rows(
             input.data(),
             self.dim,
             self.gamma.value().data(),
             self.beta.value().data(),
-            &mut x_hat,
             &mut out,
-            &mut inv_std,
+            record,
             ParallelPool::global(),
         );
-        Ok((Tensor::from_vec(out, input.dims())?, x_hat, inv_std))
+        Ok(Tensor::from_vec(out, input.dims())?)
     }
 }
 
 impl Layer for LayerNorm {
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(self.normalize(input)?.0)
+        self.normalize(input, None)
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (out, x_hat, inv_std) = self.normalize(input)?;
+        let rows = input.numel() / self.dim.max(1);
+        let mut x_hat = vec![0.0f32; input.numel()];
+        let mut inv_std = vec![0.0f32; rows];
+        let out = self.normalize(input, Some((&mut x_hat, &mut inv_std)))?;
         self.record = Some(LayerNormRecord {
             x_hat,
             inv_std,
@@ -268,9 +272,8 @@ mod tests {
             d,
             gamma.data(),
             beta.data(),
-            &mut x_hat,
             &mut out,
-            &mut inv_std,
+            Some((&mut x_hat, &mut inv_std)),
             &seq,
         );
         assert_eq!(y.data(), &out[..]);

@@ -32,10 +32,17 @@
 //!   |---|---|---|---|
 //!   | `avx512f` (x86-64) | 8 × 32 | 16 `zmm` | 32, then one 16, then the row tile's masked 16-lane step |
 //!   | `avx2` + `fma` (x86-64) | 4 × 16 | 8 `ymm` | 16, then the row tile's 8, 4, 2, 1 |
-//!   | anything else | 4 × 8 | 32 scalars LLVM vectorizes | 8, then the row tile's 4, 2, 1 |
+//!   | anything else | 4 × 8 | 4 × 8 scalars LLVM vectorizes | 8, then the row tile's 4, 2, 1 |
 //!   | fewer than [`MR`] rows, any CPU | 1–3 × up to 128, B unpacked | `R·V` `zmm` (`V` ≤ 8); otherwise `R` × 32 scalars LLVM vectorizes (at `ymm` width on `avx2`) | `zmm`: 128, 64, 32, 16, then one masked 16-lane step; otherwise 32, then 16, 8, 4, 2, 1 |
 //!
-//!   Rows left over after the 8-row strips take the 4 × 16 tile, rows left
+//!   Every strip and the row tile's safe form are one safe body
+//!   (`Tile::block`, const-generic over rows, width and mode, one named
+//!   `[f32; W]` accumulator per row) compiled per ISA by thin
+//!   `#[target_feature]` wrappers: `avx512f,avx2,fma` for the 8-row strip,
+//!   `avx2,fma` for the 4-row strip of both FMA kernels, `avx2` for the row
+//!   tile on `Avx2Fma`, the target's baseline on `Portable`. The row tile's
+//!   masked `zmm` block is the only intrinsics code.
+//!   Rows left over after the 8-row strips take the 4 × 16 strip, rows left
 //!   over after the 4-row strips ([`MR`]) take that same 1–3-row tile
 //!   (`row_tile`) over the panels the strips before them packed, and so do
 //!   the columns past a strip's last full vector step, four rows at a time.
@@ -66,12 +73,16 @@
 //! `kc` sequential fused multiply-adds from zero and one flush add per
 //! k-block, an element right of that boundary is the row tile's `kc`
 //! unfused multiply-adds continuing from the output, and rows from
-//! `m − m % 4` on take the row tile. Which tile (8 × 32, 8 × 16, 4 × 16)
+//! `m − m % 4` on take the row tile. Which strip (8 × 32, 8 × 16, 4 × 16)
 //! computes an element changes how many neighbours share its loads, never
-//! its arithmetic. A new tile must keep the 16-column boundary and the 4-row
-//! one;
-//! `tests/parallel_kernels.rs` compares the kernels bit for bit. The
-//! portable kernel does not fuse and differs from both by rounding only.
+//! its arithmetic: all of them are `Tile::block` in the fused strip mode. A
+//! new strip must keep the 16-column boundary and the 4-row one. The
+//! portable strip is the same body in the unfused strip mode (chains from
+//! zero of `acc + x·b`, flushed with one add, left of `nc − nc % 8`) and
+//! differs from the FMA kernels by rounding only.
+//! `tests/parallel_kernels.rs` compares the FMA kernels bit for bit, and
+//! `strip_elements_follow_the_cross_isa_rule_on_every_kernel` checks every
+//! element on every kernel against a scalar model of this rule.
 //!
 //! Products of fewer than [`MR`] rows, the `m % 4` remainder rows and the
 //! strips' column tails all run on the row tile (`row_tile`), and it is
@@ -134,12 +145,15 @@ pub fn matmul_reference(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroKernel {
-    /// 4×8 tiles of unfused multiply-adds, auto-vectorized by LLVM.
+    /// 4×8 strips of unfused multiply-adds, the safe tile body compiled at
+    /// the target's baseline and vectorized by LLVM.
     Portable,
-    /// 4×16 tiles in eight `ymm` accumulators (x86-64 `avx2` + `fma`).
+    /// 4×16 strips of fused multiply-adds, the safe tile body compiled with
+    /// `avx2,fma` (eight `ymm` accumulators).
     Avx2Fma,
-    /// 8×32 tiles in sixteen `zmm` accumulators (x86-64 `avx512f`); leftover
-    /// 4-row strips run the [`MicroKernel::Avx2Fma`] tile.
+    /// 8×32 strips of fused multiply-adds, the safe tile body compiled with
+    /// `avx512f,avx2,fma` (sixteen `zmm` accumulators); leftover 4-row
+    /// strips run the [`MicroKernel::Avx2Fma`] strip.
     Avx512,
 }
 
@@ -153,7 +167,7 @@ impl MicroKernel {
             .unwrap_or(MicroKernel::Portable)
     }
 
-    /// Whether this CPU has the features the kernel's intrinsics need.
+    /// Whether this CPU has the features the kernel is compiled for.
     pub fn is_supported(self) -> bool {
         #[cfg(target_arch = "x86_64")]
         {
@@ -292,7 +306,7 @@ fn gebp(
         return;
     }
     if out.len() < MR * n {
-        row_tile(kernel, out.len() / n, (a, k), (b, n), (out, n), k, n);
+        row_tile(kernel, out.len() / n, (a, k), (b, n), (out, n), k, (0, n));
         add_bias(bias, out, n, 0, n);
         return;
     }
@@ -333,12 +347,12 @@ fn add_bias(bias: Option<&[f32]>, out: &mut [f32], n: usize, jc: usize, nc: usiz
 /// The row tile under products of fewer than [`MR`] rows, under the `m % 4`
 /// remainder rows of packed ones and under the column tail of every 4- and
 /// 8-row strip: `out[r·ldc + j] += Σ_p a[r·lda + p] · b[p·ldb + j]` for
-/// `r < rows`, `p < kc`, `j < ncols`, where `lda`, `ldb` and `ldc` are the
-/// row strides of `a`, `b` and `out`. A thin product passes B where it lies
-/// (`ldb = n`, all of `k`), remainder rows and a strip's tail the panel
+/// `r < rows`, `p < kc`, `j0 ≤ j < ncols`, where `lda`, `ldb` and `ldc` are
+/// the row strides of `a`, `b` and `out`. A thin product passes B where it
+/// lies (`ldb = n`, all of `k`), remainder rows and a strip's tail the panel
 /// (`ldb = nc`, one k-block). `rows` is 1 to 3 over any width, or a 4-row
 /// strip's (or half an 8-row strip's) 4 over the fewer than 16 columns its
-/// vector tile left.
+/// vector blocks left (`j0` is where they stopped).
 ///
 /// Each output element is loaded from `out` into a register, gets `kc`
 /// unfused multiply-adds `acc + x·b` in ascending `p` there, and is stored
@@ -347,8 +361,8 @@ fn add_bias(bias: Option<&[f32]>, out: &mut [f32], n: usize, jc: usize, nc: usiz
 /// earlier blocks left in `out` — which is why the accumulators are loaded,
 /// not zeroed. The [`MicroKernel`] only names the register width: `zmm`
 /// intrinsics with one masked step for the columns past the last full
-/// vector, or safe code compiled with `avx2` or at the target's baseline
-/// (NEON on aarch64).
+/// vector, or [`Tile::block`] compiled with `avx2` or at the target's
+/// baseline (NEON on aarch64).
 fn row_tile(
     kernel: MicroKernel,
     rows: usize,
@@ -356,23 +370,36 @@ fn row_tile(
     (b, ldb): (&[f32], usize),
     (out, ldc): (&mut [f32], usize),
     kc: usize,
-    ncols: usize,
+    cols: (usize, usize),
 ) {
-    if kc == 0 || ncols == 0 {
+    if kc == 0 || cols.0 == cols.1 {
         return;
     }
     match rows {
-        1 => RowTile::<1>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
-        2 => RowTile::<2>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
-        3 => RowTile::<3>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
-        4 => RowTile::<4>::new((a, lda), (b, ldb), (out, ldc), kc, ncols).run_on(kernel),
+        1 => Tile::<1>::new((a, lda), (b, ldb), (out, ldc), kc, cols).run_on(kernel),
+        2 => Tile::<2>::new((a, lda), (b, ldb), (out, ldc), kc, cols).run_on(kernel),
+        3 => Tile::<3>::new((a, lda), (b, ldb), (out, ldc), kc, cols).run_on(kernel),
+        4 => Tile::<4>::new((a, lda), (b, ldb), (out, ldc), kc, cols).run_on(kernel),
         _ => unreachable!("the row tile takes 1 to {MR} rows, not {rows}"),
     }
 }
 
-/// The operands of one [`row_tile`] call on `R` rows, their bounds asserted
-/// by [`RowTile::new`].
-struct RowTile<'a, const R: usize> {
+/// [`Tile::block`]'s `MODE` is a set of these flags. With none, the row
+/// tile's mode, each accumulator is loaded from `out`, gets `acc + x·w` per
+/// `p` and is stored.
+const ROW_TILE: u8 = 0;
+/// A strip's mode: accumulators start from `+0.0` and are flushed into `out`
+/// with one add.
+const STRIP: u8 = 1;
+/// Every multiply-add is one `f32::mul_add`. Only the functions compiled
+/// with `fma` set it, where that is one instruction: the cross-ISA rule
+/// (fused left of a strip's last 16-column step, unfused everywhere else) is
+/// which call sites pass this flag.
+const FUSED: u8 = 2;
+
+/// The operands of one register tile on `R` rows — a [`row_tile`] call or a
+/// strip of [`accumulate_panel`] — their bounds asserted by [`Tile::new`].
+struct Tile<'a, const R: usize> {
     a: &'a [f32],
     lda: usize,
     b: &'a [f32],
@@ -380,23 +407,28 @@ struct RowTile<'a, const R: usize> {
     out: &'a mut [f32],
     ldc: usize,
     kc: usize,
+    j0: usize,
     ncols: usize,
 }
 
-impl<'a, const R: usize> RowTile<'a, R> {
-    /// Asserts that every `a[r·lda + p]`, `b[p·ldb + j]` and `out[r·ldc + j]`
-    /// the tile touches is in bounds. `kc` and `ncols` are at least 1.
+impl<'a, const R: usize> Tile<'a, R> {
+    /// The tile over columns `j0..ncols` of `kc` rows of B. Asserts that
+    /// every `a[r·lda + p]` and `out[r·ldc + j]` the tile touches is in
+    /// bounds, and that `b` holds `kc` whole rows of `ldb ≥ ncols` columns
+    /// (so a block indexes a row of B with no check per `p`). `kc` is at
+    /// least 1 and `j0 < ncols`.
     fn new(
         (a, lda): (&'a [f32], usize),
         (b, ldb): (&'a [f32], usize),
         (out, ldc): (&'a mut [f32], usize),
         kc: usize,
-        ncols: usize,
+        (j0, ncols): (usize, usize),
     ) -> Self {
+        assert!(j0 < ncols && ncols <= ldb);
         assert!(a.len() >= (R - 1) * lda + kc);
-        assert!(b.len() >= (kc - 1) * ldb + ncols);
+        assert!(b.len() >= kc * ldb);
         assert!(out.len() >= (R - 1) * ldc + ncols);
-        RowTile {
+        Tile {
             a,
             lda,
             b,
@@ -404,17 +436,18 @@ impl<'a, const R: usize> RowTile<'a, R> {
             out,
             ldc,
             kc,
+            j0,
             ncols,
         }
     }
 
-    /// Runs the tile at the register width `kernel` names.
+    /// Runs the row tile at the register width `kernel` names.
     fn run_on(mut self, kernel: MicroKernel) {
         match kernel {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `kernel` is only ever `Avx512` after `is_supported()`
             // saw `avx512f` (`detect`, or the assert in `matmul_seq_with`);
-            // `row_tile` returned on an empty `kc` or `ncols`, and `new`
+            // `row_tile` returned on an empty `kc` or column range, and `new`
             // asserted the bounds.
             MicroKernel::Avx512 => unsafe { self.run_avx512() },
             #[cfg(target_arch = "x86_64")]
@@ -424,78 +457,54 @@ impl<'a, const R: usize> RowTile<'a, R> {
         }
     }
 
-    /// The safe tile, for [`MicroKernel::Portable`] and, compiled with
-    /// `avx2` ([`RowTile::run_avx2`]), for [`MicroKernel::Avx2Fma`]:
+    /// Runs the strip `kernel` names over the tile's `R` rows (8 on `Avx512`,
+    /// else 4) and returns the column its vector blocks stopped at: every
+    /// strip starts at column 0, so that is `ncols − ncols % 16` on the FMA
+    /// kernels and `ncols − ncols % 8` on `Portable`.
+    fn strip_on(mut self, kernel: MicroKernel) -> usize {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `kernel` is only ever `Avx512` after `is_supported()`
+            // saw `avx512f`, `avx2` and `fma`.
+            MicroKernel::Avx512 if R == MR8 => unsafe { self.strip_avx512() },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `is_supported()` requires `avx2` and `fma` for both
+            // FMA kernels.
+            MicroKernel::Avx2Fma | MicroKernel::Avx512 => unsafe { self.strip_fma() },
+            _ => self.blocks::<8, STRIP>(self.j0),
+        }
+    }
+
+    /// The safe row tile, for [`MicroKernel::Portable`] and, compiled with
+    /// `avx2` ([`Tile::run_avx2`]), for [`MicroKernel::Avx2Fma`]:
     /// 32-column blocks, then one block each of 16, 8, 4, 2 and 1 columns as
-    /// far as `ncols` reaches, every block's `R × W` sums in locals LLVM
-    /// keeps in vector registers.
+    /// far as `ncols` reaches.
     #[inline(always)]
     fn run(&mut self) {
         let ncols = self.ncols;
-        let mut j = 0;
-        while j + 32 <= ncols {
-            self.block::<32>(j);
-            j += 32;
-        }
+        let mut j = self.blocks::<32, ROW_TILE>(self.j0);
         if j + 16 <= ncols {
-            self.block::<16>(j);
+            self.block::<16, ROW_TILE>(j);
             j += 16;
         }
         if j + 8 <= ncols {
-            self.block::<8>(j);
+            self.block::<8, ROW_TILE>(j);
             j += 8;
         }
         if j + 4 <= ncols {
-            self.block::<4>(j);
+            self.block::<4, ROW_TILE>(j);
             j += 4;
         }
         if j + 2 <= ncols {
-            self.block::<2>(j);
+            self.block::<2, ROW_TILE>(j);
             j += 2;
         }
         if j < ncols {
-            self.block::<1>(j);
+            self.block::<1, ROW_TILE>(j);
         }
     }
 
-    /// Columns `j..j + W` of [`RowTile::run`]. Rust never contracts
-    /// `acc + x * w` into a fused multiply-add, whatever the features;
-    /// `tests/parallel_kernels.rs` pins that against the reference.
-    #[inline(always)]
-    fn block<const W: usize>(&mut self, j: usize) {
-        // One named accumulator per row, as in `micro_tile_4`: LLVM keeps
-        // those in registers, where an `[[f32; W]; R]` it indexes by row
-        // stays on the stack. Rows past `R` are compiled out.
-        let (kc, lda, ldc) = (self.kc, self.lda, self.ldc);
-        let a_row = |r: usize| &self.a[r.min(R - 1) * lda..][..kc];
-        let (a0, a1, a2, a3) = (a_row(0), a_row(1), a_row(2), a_row(3));
-        let load = |r: usize| -> [f32; W] {
-            let mut sums = [0.0f32; W];
-            if r < R {
-                sums.copy_from_slice(&self.out[r * ldc + j..][..W]);
-            }
-            sums
-        };
-        let (mut c0, mut c1, mut c2, mut c3) = (load(0), load(1), load(2), load(3));
-        for p in 0..kc {
-            let brow: &[f32] = &self.b[p * self.ldb + j..][..W];
-            accumulate_row(&mut c0, a0[p], brow);
-            if R > 1 {
-                accumulate_row(&mut c1, a1[p], brow);
-            }
-            if R > 2 {
-                accumulate_row(&mut c2, a2[p], brow);
-            }
-            if R > 3 {
-                accumulate_row(&mut c3, a3[p], brow);
-            }
-        }
-        for (r, sums) in [c0, c1, c2, c3].iter().enumerate().take(R) {
-            self.out[r * ldc + j..][..W].copy_from_slice(sums);
-        }
-    }
-
-    /// [`RowTile::run`] compiled with 256-bit vectors (`avx2` alone: nothing
+    /// [`Tile::run`] compiled with 256-bit vectors (`avx2` alone: nothing
     /// here fuses, so `fma` is not needed).
     ///
     /// # Safety
@@ -504,27 +513,145 @@ impl<'a, const R: usize> RowTile<'a, R> {
     /// is safe code.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn run_avx2(&mut self) {
+    fn run_avx2(&mut self) {
         self.run();
     }
 
-    /// The AVX-512 tile: 128-column blocks of `8·R` `zmm` accumulators, then
-    /// one block each of 64, 32 and 16 columns as far as `ncols` reaches, then
-    /// one masked 16-lane block for the last `ncols % 16` columns. A strip's
-    /// column tail (4 rows, fewer than 16 columns) is that masked block
-    /// alone.
+    /// The 8-row strip of [`MicroKernel::Avx512`]: 32-column blocks, then
+    /// one of 16, fused, each row's 32 sums in two `zmm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the `avx512f`, `avx2` and `fma` CPU
+    /// features are present. The body is safe code.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn strip_avx512(&mut self) -> usize {
+        let j = self.blocks::<32, { STRIP | FUSED }>(self.j0);
+        self.blocks::<16, { STRIP | FUSED }>(j)
+    }
+
+    /// The 4-row strip of both FMA kernels: 16-column blocks, fused, each
+    /// row's 16 sums in two `ymm` registers.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee the `avx2` and `fma` CPU features are
+    /// present. The body is safe code.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    fn strip_fma(&mut self) -> usize {
+        self.blocks::<16, { STRIP | FUSED }>(self.j0)
+    }
+
+    /// [`Tile::block`]s of `W` columns from column `j` while a whole one
+    /// fits in `ncols`; returns the column they stopped at.
+    #[inline(always)]
+    fn blocks<const W: usize, const MODE: u8>(&mut self, mut j: usize) -> usize {
+        while j + W <= self.ncols {
+            self.block::<W, MODE>(j);
+            j += W;
+        }
+        j
+    }
+
+    /// Columns `j..j + W` of the tile's `R` rows (up to 8) in `MODE`: the
+    /// one body of every strip and of the safe row tile. Rust never
+    /// contracts `acc + x * w` into a fused multiply-add, whatever the
+    /// features, so only [`FUSED`] fuses; `tests/parallel_kernels.rs` pins
+    /// every mode's bits against a scalar model of the rule.
+    #[inline(always)]
+    fn block<const W: usize, const MODE: u8>(&mut self, j: usize) {
+        // One named accumulator per row: LLVM keeps those in registers,
+        // where an `[[f32; W]; R]` it indexes by row stays on the stack
+        // (about 3x slower). Rows past `R` are compiled out.
+        let (kc, lda, ldb, ldc) = (self.kc, self.lda, self.ldb, self.ldc);
+        let a_row = |r: usize| &self.a[r.min(R - 1) * lda..][..kc];
+        let (a0, a1, a2, a3) = (a_row(0), a_row(1), a_row(2), a_row(3));
+        let (a4, a5, a6, a7) = (a_row(4), a_row(5), a_row(6), a_row(7));
+        let init = |r: usize| -> [f32; W] {
+            let mut sums = [0.0f32; W];
+            if MODE & STRIP == 0 && r < R {
+                sums.copy_from_slice(&self.out[r * ldc + j..][..W]);
+            }
+            sums
+        };
+        let (mut c0, mut c1, mut c2, mut c3) = (init(0), init(1), init(2), init(3));
+        let (mut c4, mut c5, mut c6, mut c7) = (init(4), init(5), init(6), init(7));
+        // Row `p` of B is the `p`-th whole `ldb`-wide chunk of `b` (`new`
+        // asserted `kc` of them), and the block's columns lie inside it, so
+        // the loop indexes B with no check per `p`.
+        assert!(j + W <= ldb);
+        for (b_row, p) in self.b.chunks_exact(ldb).zip(0..kc) {
+            // A local copy: read from the slice, the 8 × 16 strip rebuilt
+            // its 16-lane row from pieces, two inserts per `p`.
+            let mut brow = [0.0f32; W];
+            brow.copy_from_slice(&b_row[j..j + W]);
+            accumulate_row::<W, MODE>(&mut c0, a0[p], &brow);
+            if R > 1 {
+                accumulate_row::<W, MODE>(&mut c1, a1[p], &brow);
+            }
+            if R > 2 {
+                accumulate_row::<W, MODE>(&mut c2, a2[p], &brow);
+            }
+            if R > 3 {
+                accumulate_row::<W, MODE>(&mut c3, a3[p], &brow);
+            }
+            if R > 4 {
+                accumulate_row::<W, MODE>(&mut c4, a4[p], &brow);
+            }
+            if R > 5 {
+                accumulate_row::<W, MODE>(&mut c5, a5[p], &brow);
+            }
+            if R > 6 {
+                accumulate_row::<W, MODE>(&mut c6, a6[p], &brow);
+            }
+            if R > 7 {
+                accumulate_row::<W, MODE>(&mut c7, a7[p], &brow);
+            }
+        }
+        let out = &mut *self.out;
+        store_row::<W, MODE>(&mut out[j..], &c0);
+        if R > 1 {
+            store_row::<W, MODE>(&mut out[ldc + j..], &c1);
+        }
+        if R > 2 {
+            store_row::<W, MODE>(&mut out[2 * ldc + j..], &c2);
+        }
+        if R > 3 {
+            store_row::<W, MODE>(&mut out[3 * ldc + j..], &c3);
+        }
+        if R > 4 {
+            store_row::<W, MODE>(&mut out[4 * ldc + j..], &c4);
+        }
+        if R > 5 {
+            store_row::<W, MODE>(&mut out[5 * ldc + j..], &c5);
+        }
+        if R > 6 {
+            store_row::<W, MODE>(&mut out[6 * ldc + j..], &c6);
+        }
+        if R > 7 {
+            store_row::<W, MODE>(&mut out[7 * ldc + j..], &c7);
+        }
+    }
+
+    /// The AVX-512 row tile: 128-column blocks of `8·R` `zmm` accumulators,
+    /// then one block each of 64, 32 and 16 columns as far as `ncols`
+    /// reaches, then one masked 16-lane block for the last `ncols % 16`
+    /// columns. A strip's column tail (4 rows, fewer than 16 columns) is that
+    /// masked block alone.
     ///
     /// # Safety
     ///
     /// The caller must guarantee the `avx512f` CPU feature is present and that
-    /// `kc, ncols > 0` (the bounds [`RowTile::new`] asserted then cover
-    /// every access).
+    /// `kc > 0` and `j0 < ncols` (the bounds [`Tile::new`] asserted then
+    /// cover every access).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
     unsafe fn run_avx512(&mut self) {
         const ALL: u16 = u16::MAX;
         let ncols = self.ncols;
-        let mut j = 0;
+        let mut j = self.j0;
         // SAFETY: `avx512f` per this fn's contract, and every block's
         // lanes end at or before `ncols` by its guard.
         unsafe {
@@ -550,7 +677,7 @@ impl<'a, const R: usize> RowTile<'a, R> {
         }
     }
 
-    /// Columns `j..j + 16·V` of [`RowTile::run_avx512`] in `R × V` `zmm`
+    /// Columns `j..j + 16·V` of [`Tile::run_avx512`] in `R × V` `zmm`
     /// accumulators, each lane loaded from `out`, updated by a separate
     /// multiply and add per `p`, and stored once. Lanes outside `mask` (the
     /// same for each of the `V` vectors) are neither read nor written.
@@ -558,7 +685,7 @@ impl<'a, const R: usize> RowTile<'a, R> {
     /// # Safety
     ///
     /// Needs `avx512f`, `kc > 0`, and every column `j + 16·v + l` with
-    /// `v < V` and bit `l` set in `mask` below `ncols`: [`RowTile::new`]
+    /// `v < V` and bit `l` set in `mask` below `ncols`: [`Tile::new`]
     /// asserted the slice bounds for those columns.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
@@ -598,22 +725,41 @@ impl<'a, const R: usize> RowTile<'a, R> {
     }
 }
 
-/// `sums[l] += x · b[l]`, unfused, for every lane of one row block.
+/// `sums[l] += x · b[l]` for every lane of one row block: one `f32::mul_add`
+/// when `MODE` has [`FUSED`], a separate multiply and add otherwise.
 #[inline(always)]
-fn accumulate_row<const W: usize>(sums: &mut [f32; W], x: f32, b: &[f32]) {
+fn accumulate_row<const W: usize, const MODE: u8>(sums: &mut [f32; W], x: f32, b: &[f32; W]) {
     for (sum, &w) in sums.iter_mut().zip(b) {
-        *sum += x * w;
+        *sum = if MODE & FUSED == 0 {
+            *sum + x * w
+        } else {
+            x.mul_add(w, *sum)
+        };
+    }
+}
+
+/// Writes one row block's sums back: stored over `out` in the row tile's
+/// mode, added to it in a strip's.
+#[inline(always)]
+fn store_row<const W: usize, const MODE: u8>(out: &mut [f32], sums: &[f32; W]) {
+    let out = &mut out[..W];
+    if MODE & STRIP == 0 {
+        out.copy_from_slice(sums);
+        return;
+    }
+    for (o, &sum) in out.iter_mut().zip(sums) {
+        *o += sum;
     }
 }
 
 /// `out[.., jc..jc+nc] += a[.., pc..pc+kc] · panel` for every row of `a`
-/// (`out.len() / n` of them): 8-row strips on the AVX-512 tile when `kernel`
-/// has it, then [`MR`]-row strips, then the last 1–3 rows on [`row_tile`].
-/// The strips' vector tiles stop at their last full column step (16 columns
-/// on the FMA kernels, [`NR`] on the portable one) and return that column;
-/// the columns past it run on [`row_tile`] too, four rows at a time.
+/// (`out.len() / n` of them): [`MR8`]-row strips when `kernel` is `Avx512`,
+/// then [`MR`]-row strips, then the last 1–3 rows on [`row_tile`]. A strip's
+/// vector blocks stop at its last full column step (16 columns on the FMA
+/// kernels, 8 on the portable one) and return that column; the columns past
+/// it run on [`row_tile`] too, four rows at a time.
 ///
-/// Which tile a row lands on never changes its bits among the FMA kernels:
+/// Which strip a row lands on never changes its bits among the FMA kernels:
 /// every element left of column `nc − nc % 16` is `kc` sequential fused
 /// multiply-adds from zero plus one flush add, every element right of it is
 /// `kc` unfused multiply-adds continuing from `out`, and rows from
@@ -638,345 +784,49 @@ fn accumulate_panel(
             kernel,
             strip_rows,
             (&a[row * k + pc..], k),
-            (&panel[col..], nc),
-            (&mut out[row * n + jc + col..], n),
+            (panel, nc),
+            (&mut out[row * n + jc..], n),
             kc,
-            nc - col,
+            (col, nc),
         );
     };
-    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
     let mut row = 0;
-    #[cfg(target_arch = "x86_64")]
     if kernel == MicroKernel::Avx512 {
         while row + MR8 <= rows {
-            // SAFETY: `kernel` is only ever `Avx512` after `is_supported()`
-            // saw `avx512f` (`detect`, or the assert in `matmul_seq_with`);
-            // the slice bounds the tile relies on are asserted inside it.
-            let tail = unsafe {
-                micro_tile_8_avx512(
-                    &a[row * k + pc..],
-                    k,
-                    kc,
-                    panel,
-                    nc,
-                    &mut out[row * n + jc..],
-                    n,
-                )
-            };
+            let strip = Tile::<MR8>::new(
+                (&a[row * k + pc..], k),
+                (panel, nc),
+                (&mut out[row * n + jc..], n),
+                kc,
+                (0, nc),
+            );
+            let tail = strip.strip_on(kernel);
             row_tile_from(out, row, MR, tail);
             row_tile_from(out, row + MR, MR, tail);
             row += MR8;
         }
     }
-    while row < rows {
-        let strip_rows = MR.min(rows - row);
-        if strip_rows < MR {
-            row_tile_from(out, row, strip_rows, 0);
-            break;
-        }
-        let a_strip = &a[row * k..(row + MR) * k];
-        let (r0, rest) = out[row * n..(row + MR) * n].split_at_mut(n);
-        let (r1, rest) = rest.split_at_mut(n);
-        let (r2, r3) = rest.split_at_mut(n);
-        let tail = micro_tile_4_dispatch(
-            kernel,
-            &a_strip[pc..pc + kc],
-            &a_strip[k + pc..k + pc + kc],
-            &a_strip[2 * k + pc..2 * k + pc + kc],
-            &a_strip[3 * k + pc..3 * k + pc + kc],
-            panel,
-            nc,
-            &mut r0[jc..jc + nc],
-            &mut r1[jc..jc + nc],
-            &mut r2[jc..jc + nc],
-            &mut r3[jc..jc + nc],
+    while row + MR <= rows {
+        let strip = Tile::<MR>::new(
+            (&a[row * k + pc..], k),
+            (panel, nc),
+            (&mut out[row * n + jc..], n),
+            kc,
+            (0, nc),
         );
+        let tail = strip.strip_on(kernel);
         row_tile_from(out, row, MR, tail);
         row += MR;
     }
-}
-
-/// Register-tile width: output columns accumulated in registers per j-tile.
-const NR: usize = 8;
-
-/// Runs the 4-row micro-kernel `kernel` names: the AVX2+FMA tile for both
-/// FMA kernels, the portable auto-vectorized tile otherwise, and returns the
-/// column it stopped at. Both accumulate each output element in the same
-/// p-order, so cross-variant differences stay within FMA rounding.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_tile_4_dispatch(
-    kernel: MicroKernel,
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    panel: &[f32],
-    nc: usize,
-    o0: &mut [f32],
-    o1: &mut [f32],
-    o2: &mut [f32],
-    o3: &mut [f32],
-) -> usize {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an FMA `kernel` has passed `is_supported()`, which requires
-        // `avx2` and `fma` for both of them.
-        MicroKernel::Avx2Fma | MicroKernel::Avx512 => unsafe {
-            micro_tile_4_fma(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3)
-        },
-        _ => micro_tile_4(a0, a1, a2, a3, panel, nc, o0, o1, o2, o3),
+    if row < rows {
+        row_tile_from(out, row, rows - row, 0);
     }
 }
 
-/// Rows per AVX-512 tile. Eight, not four (see the module docs): 8×32 halves
-/// the panel bytes a 4×32 tile reads per FMA and fills 16 of the 32 `zmm`
-/// registers with accumulators.
-#[cfg(target_arch = "x86_64")]
+/// Rows per AVX-512 strip. Eight, not four (see the module docs): 8×32
+/// halves the panel bytes a 4×32 strip reads per FMA and fills 16 of the 32
+/// `zmm` registers with accumulators.
 const MR8: usize = 8;
-
-/// AVX-512 8×32 micro-kernel: `out[r][j] += Σ_p a[r·lda + p] · panel[p][j]`
-/// for 8 rows and the first `nc − nc % 16` columns — sixteen `zmm`
-/// accumulators per 32-column tile, then one 16-column `zmm` step. It returns
-/// that boundary; the columns past it are [`row_tile`]'s, as after
-/// [`micro_tile_4_fma`], so the fused/unfused boundary sits at `nc − nc % 16`
-/// in both.
-///
-/// # Safety
-///
-/// The caller must guarantee the `avx512f` CPU feature is present. The slice
-/// lengths every pointer access relies on are asserted on entry.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn micro_tile_8_avx512(
-    a: &[f32],
-    lda: usize,
-    kc: usize,
-    panel: &[f32],
-    nc: usize,
-    out: &mut [f32],
-    ldc: usize,
-) -> usize {
-    assert!(a.len() >= (MR8 - 1) * lda + kc);
-    assert!(panel.len() >= kc * nc);
-    assert!(out.len() >= (MR8 - 1) * ldc + nc);
-    let mut j = 0;
-    while j + 32 <= nc {
-        // SAFETY: `avx512f` per this fn's contract; the asserts above and
-        // `j + 32 <= nc` are `tile_8_avx512::<2>`'s bounds.
-        unsafe {
-            tile_8_avx512::<2>(
-                a.as_ptr(),
-                lda,
-                kc,
-                panel.as_ptr(),
-                nc,
-                out.as_mut_ptr(),
-                ldc,
-                j,
-            );
-        }
-        j += 32;
-    }
-    if j + 16 <= nc {
-        // SAFETY: as above, with `j + 16 <= nc` for the one-vector tile.
-        unsafe {
-            tile_8_avx512::<1>(
-                a.as_ptr(),
-                lda,
-                kc,
-                panel.as_ptr(),
-                nc,
-                out.as_mut_ptr(),
-                ldc,
-                j,
-            );
-        }
-        j += 16;
-    }
-    j
-}
-
-/// One 8 × `16·V` register tile of [`micro_tile_8_avx512`] at panel column
-/// `j`: `8·V` `zmm` accumulators, `kc` fused multiply-adds each from zero,
-/// flushed into `out` with one add.
-///
-/// # Safety
-///
-/// Needs `avx512f`, and for every `r < 8`, `p < kc`: `a[r·lda + p]`,
-/// `panel[p·nc + j .. p·nc + j + 16·V]` and `out[r·ldc + j .. r·ldc + j +
-/// 16·V]` in bounds of the allocations the three pointers point into.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tile_8_avx512<const V: usize>(
-    a: *const f32,
-    lda: usize,
-    kc: usize,
-    panel: *const f32,
-    nc: usize,
-    out: *mut f32,
-    ldc: usize,
-    j: usize,
-) {
-    use std::arch::x86_64::{
-        _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
-    };
-    // SAFETY: every offset below is one the caller's contract names.
-    unsafe {
-        let mut c = [[_mm512_setzero_ps(); V]; MR8];
-        for p in 0..kc {
-            let bp = panel.add(p * nc + j);
-            let mut b = [_mm512_setzero_ps(); V];
-            for (v, lane) in b.iter_mut().enumerate() {
-                *lane = _mm512_loadu_ps(bp.add(16 * v));
-            }
-            for (r, acc) in c.iter_mut().enumerate() {
-                let x = _mm512_set1_ps(*a.add(r * lda + p));
-                for (sum, &lane) in acc.iter_mut().zip(&b) {
-                    *sum = _mm512_fmadd_ps(x, lane, *sum);
-                }
-            }
-        }
-        for (r, acc) in c.iter().enumerate() {
-            for (v, &sum) in acc.iter().enumerate() {
-                let o = out.add(r * ldc + j + 16 * v);
-                _mm512_storeu_ps(o, _mm512_add_ps(_mm512_loadu_ps(o), sum));
-            }
-        }
-    }
-}
-
-/// AVX2+FMA 4×16 micro-kernel: eight `ymm` accumulators (4 rows × 16
-/// columns) updated with two fused multiply-adds per packed panel row, per
-/// row of A. It stops at the last 16-wide tile and returns that column; the
-/// `nc % 16` columns past it are [`row_tile`]'s.
-///
-/// # Safety
-///
-/// The caller must guarantee that (a) the `avx2` and `fma` CPU features are
-/// present (the only call site runs it for a [`MicroKernel`] that passed
-/// `is_supported()`), and (b) `a1`, `a2`, `a3` are at least
-/// `a0.len()` elements long and `panel.len() >= a0.len() * nc`, and each
-/// output row holds at least `nc` elements — the body reads `a*` with
-/// `get_unchecked(p)` for `p < a0.len()` and does unaligned 8-float
-/// loads/stores at `panel[p*nc + j..]` / `o*[j..j+16]` for `j + 16 <= nc`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_tile_4_fma(
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    panel: &[f32],
-    nc: usize,
-    o0: &mut [f32],
-    o1: &mut [f32],
-    o2: &mut [f32],
-    o3: &mut [f32],
-) -> usize {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-    const TILE: usize = 16;
-    let kc = a0.len();
-    let mut j = 0;
-    while j + TILE <= nc {
-        // SAFETY: loop guard gives `j + 16 <= nc`, so the two 8-float
-        // unaligned loads/stores per row stay inside `panel[p*nc..(p+1)*nc]`
-        // and `o*[..nc]`; `p < kc = a0.len()` bounds every
-        // `get_unchecked(p)` (caller contract: `a1..a3` are `kc` long).
-        unsafe {
-            let (mut c00, mut c01) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-            let (mut c10, mut c11) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-            let (mut c20, mut c21) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-            let (mut c30, mut c31) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-            for p in 0..kc {
-                let bp = panel.as_ptr().add(p * nc + j);
-                let b0 = _mm256_loadu_ps(bp);
-                let b1 = _mm256_loadu_ps(bp.add(8));
-                let x0 = _mm256_set1_ps(*a0.get_unchecked(p));
-                c00 = _mm256_fmadd_ps(x0, b0, c00);
-                c01 = _mm256_fmadd_ps(x0, b1, c01);
-                let x1 = _mm256_set1_ps(*a1.get_unchecked(p));
-                c10 = _mm256_fmadd_ps(x1, b0, c10);
-                c11 = _mm256_fmadd_ps(x1, b1, c11);
-                let x2 = _mm256_set1_ps(*a2.get_unchecked(p));
-                c20 = _mm256_fmadd_ps(x2, b0, c20);
-                c21 = _mm256_fmadd_ps(x2, b1, c21);
-                let x3 = _mm256_set1_ps(*a3.get_unchecked(p));
-                c30 = _mm256_fmadd_ps(x3, b0, c30);
-                c31 = _mm256_fmadd_ps(x3, b1, c31);
-            }
-            let flush = |o: &mut [f32], lo, hi| {
-                let p = o.as_mut_ptr().add(j);
-                _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), lo));
-                _mm256_storeu_ps(p.add(8), _mm256_add_ps(_mm256_loadu_ps(p.add(8)), hi));
-            };
-            flush(o0, c00, c01);
-            flush(o1, c10, c11);
-            flush(o2, c20, c21);
-            flush(o3, c30, c31);
-        }
-        j += TILE;
-    }
-    j
-}
-
-/// The 4×8 register micro-kernel: for each 8-column tile of the packed
-/// panel, all `kc` rank-1 updates are accumulated into 32 stack scalars
-/// (which LLVM keeps in vector registers), then flushed to the four output
-/// rows once. The innermost loop does 32 multiply-adds per 12 loads and no
-/// stores — the arithmetic-to-memory ratio the axpy formulation lacks. It
-/// stops at the last full 8-column tile and returns that column; the `nc % 8`
-/// columns past it are [`row_tile`]'s.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_tile_4(
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    panel: &[f32],
-    nc: usize,
-    o0: &mut [f32],
-    o1: &mut [f32],
-    o2: &mut [f32],
-    o3: &mut [f32],
-) -> usize {
-    let kc = a0.len();
-    // Re-slice to common lengths so LLVM drops the inner bounds checks.
-    let (a0, a1, a2, a3) = (&a0[..kc], &a1[..kc], &a2[..kc], &a3[..kc]);
-    let (o0, o1, o2, o3) = (&mut o0[..nc], &mut o1[..nc], &mut o2[..nc], &mut o3[..nc]);
-    let mut j = 0;
-    while j + NR <= nc {
-        let mut c0 = [0.0f32; NR];
-        let mut c1 = [0.0f32; NR];
-        let mut c2 = [0.0f32; NR];
-        let mut c3 = [0.0f32; NR];
-        for p in 0..kc {
-            let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-            let brow = &panel[p * nc + j..p * nc + j + NR];
-            for l in 0..NR {
-                c0[l] += x0 * brow[l];
-                c1[l] += x1 * brow[l];
-                c2[l] += x2 * brow[l];
-                c3[l] += x3 * brow[l];
-            }
-        }
-        for l in 0..NR {
-            o0[j + l] += c0[l];
-            o1[j + l] += c1[l];
-            o2[j + l] += c2[l];
-            o3[j + l] += c3[l];
-        }
-        j += NR;
-    }
-    j
-}
 
 /// Rows per parallel chunk: coarse enough that one chunk carries at least
 /// [`PAR_CHUNK_WORK`] multiply-adds, fine enough that every thread gets two

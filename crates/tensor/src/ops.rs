@@ -9,7 +9,7 @@ use edvit_parallel::ParallelPool;
 use crate::{approx, Tensor, TensorError};
 
 /// Numerical epsilon used by normalization kernels.
-pub const NORM_EPS: f32 = 1e-5;
+const NORM_EPS: f32 = 1e-5;
 
 /// Minimum total elements before a row-wise activation/normalization kernel
 /// crosses the thread pool. GELU, softmax and layer norm all run at
@@ -95,7 +95,8 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Layer normalization over the last axis with learnable `gamma`/`beta`.
+    /// Layer normalization over the last axis with learnable `gamma`/`beta`:
+    /// the kernel `edvit_nn::LayerNorm` runs ([`layer_norm_forward_rows`]).
     ///
     /// # Errors
     ///
@@ -114,12 +115,14 @@ impl Tensor {
                 op: "layer_norm_last_axis",
             });
         }
-        let mut out = self.clone();
-        layer_norm_rows(
-            out.data_mut(),
+        let mut out = Tensor::zeros(self.dims());
+        layer_norm_forward_rows(
+            self.data(),
             last,
             gamma.data(),
             beta.data(),
+            out.data_mut(),
+            None,
             ParallelPool::global(),
         );
         Ok(out)
@@ -128,33 +131,6 @@ impl Tensor {
     // ------------------------------------------------------------------
     // Axis reductions
     // ------------------------------------------------------------------
-
-    /// Sum along the last axis, removing it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyInput`] for rank-0 or empty tensors.
-    pub fn sum_last_axis(&self) -> Result<Tensor, TensorError> {
-        let last = self.last_axis_len("sum_last_axis")?;
-        let out_len = self.numel() / last;
-        let mut out = Vec::with_capacity(out_len);
-        for chunk in self.data().chunks(last) {
-            out.push(chunk.iter().sum());
-        }
-        let dims: Vec<usize> = self.dims()[..self.rank() - 1].to_vec();
-        let dims = if dims.is_empty() { vec![1] } else { dims };
-        Tensor::from_vec(out, &dims)
-    }
-
-    /// Mean along the last axis, removing it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::EmptyInput`] for rank-0 or empty tensors.
-    pub fn mean_last_axis(&self) -> Result<Tensor, TensorError> {
-        let last = self.last_axis_len("mean_last_axis")?;
-        Ok(self.sum_last_axis()?.scale(1.0 / last as f32))
-    }
 
     /// Argmax along the last axis, removing it; returns indices as a vector.
     ///
@@ -174,40 +150,6 @@ impl Tensor {
             out.push(best);
         }
         Ok(out)
-    }
-
-    /// Mean over the first axis (e.g. averaging token embeddings or a batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for rank-0 tensors or an empty leading axis.
-    pub fn mean_first_axis(&self) -> Result<Tensor, TensorError> {
-        if self.rank() == 0 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: 0,
-                op: "mean_first_axis",
-            });
-        }
-        let n = self.dims()[0];
-        if n == 0 {
-            return Err(TensorError::EmptyInput {
-                op: "mean_first_axis",
-            });
-        }
-        let row_len = self.numel() / n;
-        let mut acc = vec![0.0f32; row_len];
-        for chunk in self.data().chunks(row_len) {
-            for (a, &v) in acc.iter_mut().zip(chunk) {
-                *a += v;
-            }
-        }
-        for a in &mut acc {
-            *a /= n as f32;
-        }
-        let dims: Vec<usize> = self.dims()[1..].to_vec();
-        let dims = if dims.is_empty() { vec![1] } else { dims };
-        Tensor::from_vec(acc, &dims)
     }
 
     /// Sum over the first axis (used for bias gradients).
@@ -469,19 +411,6 @@ fn row_moments(row: &[f32]) -> (f32, f32) {
     (mean, var)
 }
 
-/// In-place layer normalization of one row against `gamma`/`beta` (which must
-/// match the row length).
-pub fn layer_norm_slice(row: &mut [f32], gamma: &[f32], beta: &[f32]) {
-    if row.is_empty() {
-        return;
-    }
-    let (mean, var) = row_moments(row);
-    let denom = (var + NORM_EPS).sqrt();
-    for (i, v) in row.iter_mut().enumerate() {
-        *v = ((*v - mean) / denom) * gamma[i] + beta[i];
-    }
-}
-
 /// How many whole rows each parallel chunk should carry so a chunk holds
 /// roughly [`PAR_CHUNK_ELEMS`] elements.
 fn rows_per_chunk(row_len: usize) -> usize {
@@ -517,92 +446,59 @@ pub fn softmax_rows(data: &mut [f32], row_len: usize, pool: &ParallelPool) {
     });
 }
 
-/// In-place row-wise layer normalization over `data` viewed as rows of
-/// `row_len` elements; same bit-identity guarantee as [`softmax_rows`].
-pub fn layer_norm_rows(
-    data: &mut [f32],
-    row_len: usize,
-    gamma: &[f32],
-    beta: &[f32],
-    pool: &ParallelPool,
-) {
-    debug_assert!(row_len == 0 || data.len().is_multiple_of(row_len));
-    debug_assert!(gamma.len() == row_len && beta.len() == row_len);
-    if row_len == 0 {
-        return;
-    }
-    let chunk = chunk_elems(data.len(), rows_per_chunk(row_len) * row_len);
-    pool.scope_chunks(data, chunk, |_, chunk| {
-        for row in chunk.chunks_mut(row_len) {
-            layer_norm_slice(row, gamma, beta);
-        }
-    });
-}
-
-/// Row-wise layer-norm forward pass for a training layer: writes the
-/// normalized rows `(x - mean) / sqrt(var + eps)` to `x_hat`, the affine
-/// output `x_hat * gamma + beta` to `out`, and the per-row
-/// `1 / sqrt(var + eps)` to `inv_std`. Rows are independent and every row is
-/// computed by identical per-row expressions whatever the pass structure, so
-/// results are bit-identical at every thread count.
-#[allow(clippy::too_many_arguments)]
+/// Row-wise layer-norm forward pass, the one `edvit_nn::LayerNorm` and
+/// [`Tensor::layer_norm_last_axis`] run: writes the affine output
+/// `x_hat * gamma + beta` to `out`, where `x_hat = (x - mean) * inv_std` and
+/// `inv_std = 1 / sqrt(var + eps)` per row. A training forward passes
+/// `record`, the buffers that then hold `x_hat` and the per-row `inv_std`
+/// for the backward; inference passes `None` and writes `out` alone. Every
+/// row is computed by the same per-row expressions whatever the pass
+/// structure, so results are bit-identical at every thread count, with or
+/// without a record.
 pub fn layer_norm_forward_rows(
     x: &[f32],
     row_len: usize,
     gamma: &[f32],
     beta: &[f32],
-    x_hat: &mut [f32],
     out: &mut [f32],
-    inv_std: &mut [f32],
+    record: Option<(&mut [f32], &mut [f32])>,
     pool: &ParallelPool,
 ) {
     debug_assert!(row_len > 0 && x.len().is_multiple_of(row_len));
-    debug_assert!(x_hat.len() == x.len() && out.len() == x.len());
-    debug_assert!(inv_std.len() == x.len() / row_len);
+    debug_assert!(out.len() == x.len());
     debug_assert!(gamma.len() == row_len && beta.len() == row_len);
     let row_stats = |row: &[f32]| -> (f32, f32) {
         let (mean, var) = row_moments(row);
         (mean, 1.0 / (var + NORM_EPS).sqrt())
     };
-    // A fork, not one region: one pass here, three (one per output) below.
-    if x.len() < PAR_ELEMS_THRESHOLD || pool.is_sequential() {
-        for (r, row) in x.chunks(row_len).enumerate() {
+    // One region per buffer written, each recomputing a row's statistics
+    // from the same `x` bits, so all of them agree exactly.
+    let chunk = chunk_elems(x.len(), rows_per_chunk(row_len) * row_len);
+    pool.scope_chunks(out, chunk, |base, chunk| {
+        for (out_row, row) in chunk.chunks_mut(row_len).zip(x[base..].chunks(row_len)) {
             let (mean, istd) = row_stats(row);
-            inv_std[r] = istd;
-            for (i, &v) in row.iter().enumerate() {
-                let xh = (v - mean) * istd;
-                x_hat[r * row_len + i] = xh;
-                out[r * row_len + i] = xh * gamma[i] + beta[i];
+            let affine = gamma.iter().zip(beta);
+            for ((o, &v), (&g, &b)) in out_row.iter_mut().zip(row).zip(affine) {
+                *o = (v - mean) * istd * g + b;
             }
         }
+    });
+    let Some((x_hat, inv_std)) = record else {
         return;
-    }
-    // Three disjoint output buffers, three chunked passes; per-row stats are
-    // recomputed from the same `x` bits, so all passes agree exactly.
-    let chunk_elems = rows_per_chunk(row_len) * row_len;
-    pool.scope_chunks(x_hat, chunk_elems, |base, chunk| {
-        for (j, xh_row) in chunk.chunks_mut(row_len).enumerate() {
-            let at = base + j * row_len;
-            let row = &x[at..at + row_len];
+    };
+    debug_assert!(x_hat.len() == x.len() && inv_std.len() == x.len() / row_len);
+    pool.scope_chunks(x_hat, chunk, |base, chunk| {
+        for (x_hat_row, row) in chunk.chunks_mut(row_len).zip(x[base..].chunks(row_len)) {
             let (mean, istd) = row_stats(row);
-            for (i, &v) in row.iter().enumerate() {
-                xh_row[i] = (v - mean) * istd;
+            for (xh, &v) in x_hat_row.iter_mut().zip(row) {
+                *xh = (v - mean) * istd;
             }
         }
     });
-    pool.scope_chunks(inv_std, rows_per_chunk(row_len), |base_row, chunk| {
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            let at = (base_row + j) * row_len;
-            *slot = row_stats(&x[at..at + row_len]).1;
-        }
-    });
-    let shared_x_hat: &[f32] = x_hat;
-    pool.scope_chunks(out, chunk_elems, |base, chunk| {
-        for (j, out_row) in chunk.chunks_mut(row_len).enumerate() {
-            let at = base + j * row_len;
-            for i in 0..row_len {
-                out_row[i] = shared_x_hat[at + i] * gamma[i] + beta[i];
-            }
+    pool.scope_chunks(inv_std, chunk / row_len, |first_row, chunk| {
+        let rows = x[first_row * row_len..].chunks(row_len);
+        for (slot, row) in chunk.iter_mut().zip(rows) {
+            *slot = row_stats(row).1;
         }
     });
 }
@@ -813,10 +709,7 @@ mod tests {
     #[test]
     fn axis_reductions() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        assert_eq!(x.sum_last_axis().unwrap().data(), &[6.0, 15.0]);
-        assert_eq!(x.mean_last_axis().unwrap().data(), &[2.0, 5.0]);
         assert_eq!(x.argmax_last_axis().unwrap(), vec![2, 2]);
-        assert_eq!(x.mean_first_axis().unwrap().data(), &[2.5, 3.5, 4.5]);
         assert_eq!(x.sum_first_axis().unwrap().data(), &[5.0, 7.0, 9.0]);
     }
 

@@ -9,7 +9,7 @@
 use crate::{Tensor, TensorError};
 
 /// Smallest probability substituted for zeros to keep `log` finite.
-pub const PROB_EPS: f32 = 1e-8;
+const PROB_EPS: f32 = 1e-8;
 
 /// Normalizes a non-negative vector into a probability distribution.
 ///
@@ -19,7 +19,7 @@ pub const PROB_EPS: f32 = 1e-8;
 /// # Errors
 ///
 /// Returns [`TensorError::EmptyInput`] for an empty tensor.
-pub fn normalize_distribution(t: &Tensor) -> Result<Tensor, TensorError> {
+fn normalize_distribution(t: &Tensor) -> Result<Tensor, TensorError> {
     if t.numel() == 0 {
         return Err(TensorError::EmptyInput {
             op: "normalize_distribution",
@@ -36,7 +36,7 @@ pub fn normalize_distribution(t: &Tensor) -> Result<Tensor, TensorError> {
 
 /// Kullback–Leibler divergence `D_KL(P || Q)` between two distributions given
 /// as equally-shaped tensors. Inputs are re-normalized defensively and zero
-/// probabilities are floored at [`PROB_EPS`].
+/// probabilities are floored at `PROB_EPS` (1e-8).
 ///
 /// # Errors
 ///
@@ -127,26 +127,6 @@ pub fn entropy(p: &Tensor) -> Result<f32, TensorError> {
         }
     }
     Ok(acc)
-}
-
-/// Jensen–Shannon divergence, bounded in `[0, ln 2]`; useful as a symmetric,
-/// bounded alternative when comparing sub-model output distributions.
-///
-/// # Errors
-///
-/// Same conditions as [`kl_divergence`].
-pub fn js_divergence(p: &Tensor, q: &Tensor) -> Result<f32, TensorError> {
-    if !p.shape().same_as(q.shape()) {
-        return Err(TensorError::ShapeMismatch {
-            lhs: p.dims().to_vec(),
-            rhs: q.dims().to_vec(),
-            op: "js_divergence",
-        });
-    }
-    let p = normalize_distribution(p)?;
-    let q = normalize_distribution(q)?;
-    let m = p.add(&q)?.scale(0.5);
-    Ok(0.5 * kl_divergence(&p, &m)? + 0.5 * kl_divergence(&q, &m)?)
 }
 
 /// Classification accuracy between predicted class indices and labels.
@@ -257,16 +237,6 @@ mod tests {
         assert!((h - (4.0f32).ln()).abs() < 1e-5);
         let onehot = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0], &[4]).unwrap();
         assert!(entropy(&onehot).unwrap() < 1e-6);
-    }
-
-    #[test]
-    fn js_divergence_bounded_and_symmetric() {
-        let p = Tensor::from_vec(vec![1.0, 0.0], &[2]).unwrap();
-        let q = Tensor::from_vec(vec![0.0, 1.0], &[2]).unwrap();
-        let d = js_divergence(&p, &q).unwrap();
-        assert!(d <= (2.0f32).ln() + 1e-5);
-        assert!((js_divergence(&q, &p).unwrap() - d).abs() < 1e-6);
-        assert!(js_divergence(&p, &p).unwrap() < 1e-6);
     }
 
     #[test]

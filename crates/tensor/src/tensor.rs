@@ -461,36 +461,6 @@ impl Tensor {
         Tensor::from_vec(data, &dims)
     }
 
-    /// Overwrites the `i`-th slice along the first axis with `row`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the row index is out of range or `row` has the
-    /// wrong number of elements.
-    pub fn set_row(&mut self, i: usize, row: &Tensor) -> Result<(), TensorError> {
-        if self.rank() == 0 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: 0,
-                op: "set_row",
-            });
-        }
-        let n = self.dims()[0];
-        if i >= n {
-            return Err(TensorError::IndexOutOfRange { index: i, len: n });
-        }
-        let row_len = self.numel() / n.max(1);
-        if row.numel() != row_len {
-            return Err(TensorError::LengthMismatch {
-                expected: row_len,
-                actual: row.numel(),
-            });
-        }
-        let start = i * row_len;
-        self.data[start..start + row_len].copy_from_slice(row.data());
-        Ok(())
-    }
-
     /// Gathers rows (slices along axis 0) at the given indices into a new
     /// tensor whose leading dimension equals `indices.len()`.
     ///
@@ -686,10 +656,6 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]).unwrap();
         assert_eq!(x.row(1).unwrap().data(), &[3.0, 4.0]);
         assert!(x.row(3).is_err());
-        let mut y = x.clone();
-        y.set_row(0, &Tensor::from_vec(vec![9.0, 9.0], &[2]).unwrap())
-            .unwrap();
-        assert_eq!(y.row(0).unwrap().data(), &[9.0, 9.0]);
     }
 
     #[test]

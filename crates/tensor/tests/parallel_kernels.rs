@@ -432,6 +432,92 @@ fn column_tails_equal_the_reference_bit_for_bit_on_every_kernel() {
     }
 }
 
+/// The documented strip arithmetic as a scalar model: `out = A·B` on
+/// `kernel`, one `KC` = 256 k-block and one `NC` = 128 column panel at a time.
+/// Rows below `m − m % 4`, left of the panel's last full vector step (`nc −
+/// nc % 16` on the FMA kernels, `nc − nc % 8` on `Portable`), get a chain
+/// from `+0.0` (`mul_add` on the FMA kernels, `acc + a·b` on `Portable`)
+/// flushed into `out` with one add; every other element continues from
+/// `out` with the row tile's unfused `acc + a·b`.
+fn strip_model(
+    kernel: MicroKernel,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
+    const KC: usize = 256;
+    const NC: usize = 128;
+    let fused = kernel != MicroKernel::Portable;
+    let step = if fused { 16 } else { 8 };
+    let strip_rows = m - m % 4;
+    let mut out = vec![0.0f32; m * n];
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        let vector_cols = nc - nc % step;
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for i in 0..m {
+                for j in jc..jc + nc {
+                    let products = (pc..pc + kc).map(|p| (a[i * k + p], b[p * n + j]));
+                    let o = &mut out[i * n + j];
+                    if i < strip_rows && j - jc < vector_cols {
+                        let chain = products.fold(0.0f32, |acc, (x, w)| {
+                            if fused {
+                                x.mul_add(w, acc)
+                            } else {
+                                acc + x * w
+                            }
+                        });
+                        *o += chain;
+                    } else {
+                        *o = products.fold(*o, |acc, (x, w)| acc + x * w);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn strip_elements_follow_the_cross_isa_rule_on_every_kernel() {
+    // Every element of a product, on every kernel this CPU has, is the bits
+    // of `strip_model`: the strips' chains (fused on the FMA kernels, unfused
+    // on `Portable`) left of their last full vector step, the row tile's
+    // unfused continuation everywhere else. The shapes cover every `m % 8`
+    // (8- and 4-row strips, remainder rows), every `n % 32` up to 47, `k`
+    // across `KC` = 256 (a second k-block continues both kinds of element)
+    // and `n` across `NC` = 128 (a second panel restarts the column
+    // boundary). The detected kernel on an 8-thread pool must agree too:
+    // chunk boundaries fall on 4-row strip boundaries.
+    let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+    for m in 1..=17 {
+        shapes.extend([1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47].map(|n| (m, 37, n)));
+    }
+    for m in [4usize, 7, 8, 9, 12, 13, 16, 17] {
+        shapes.extend([(256, 40), (257, 129), (300, 150), (513, 33)].map(|(k, n)| (m, k, n)));
+    }
+    shapes.extend([(3, 300, 145), (24, 300, 257), (64, 260, 130)]);
+    let kernels_here = supported_kernels("strip arithmetic");
+    let pool = ParallelPool::new(8);
+    let mut rng = TensorRng::new(0x5791);
+    for (m, k, n) in shapes {
+        let (a, b) = (uniform(&mut rng, m * k), uniform(&mut rng, k * n));
+        for &kernel in &kernels_here {
+            let mut got = vec![0.0f32; m * n];
+            kernels::matmul_seq_with(kernel, &a, &b, &mut got, m, k, n);
+            let expected = strip_model(kernel, &a, &b, m, k, n);
+            assert_eq!(bits(&got), bits(&expected), "{kernel:?} on {m}x{k}x{n}");
+        }
+        let mut got = vec![0.0f32; m * n];
+        kernels::matmul(&a, &b, &mut got, m, k, n, &pool);
+        let expected = strip_model(MicroKernel::detect(), &a, &b, m, k, n);
+        assert_eq!(bits(&got), bits(&expected), "{m}x{k}x{n}, 8 threads");
+    }
+}
+
 #[test]
 fn one_panel_products_read_b_in_place_with_the_packed_arithmetic() {
     // A B of `k ≤ KC` = 256 rows and `n ≤ NC` = 128 columns is its own one
@@ -578,6 +664,17 @@ fn row_shapes() -> Vec<(usize, usize)> {
     ]
 }
 
+/// The inference layer-norm forward over `x`, one row per call on a 1-thread
+/// pool: the per-row reference for the row-chunked runs.
+fn layer_norm_row_by_row(x: &[f32], cols: usize, gamma: &[f32], beta: &[f32]) -> Vec<f32> {
+    let pool = ParallelPool::new(1);
+    let mut out = vec![0.0f32; x.len()];
+    for (row, out_row) in x.chunks(cols).zip(out.chunks_mut(cols)) {
+        ops::layer_norm_forward_rows(row, cols, gamma, beta, out_row, None, &pool);
+    }
+    out
+}
+
 #[test]
 fn softmax_layernorm_gelu_are_bitwise_identical_across_thread_counts() {
     // The EDVIT_THREADS=1 vs EDVIT_THREADS=4 contract for the row-wise
@@ -611,18 +708,18 @@ fn softmax_layernorm_gelu_are_bitwise_identical_across_thread_counts() {
             "softmax {rows}x{cols} diverged from per-row kernel"
         );
 
-        let mut seq = base.clone();
-        ops::layer_norm_rows(&mut seq, cols, &gamma, &beta, &seq_pool);
-        let mut par = base.clone();
-        ops::layer_norm_rows(&mut par, cols, &gamma, &beta, &par_pool);
+        let layer_norm = |pool: &ParallelPool| {
+            let mut out = vec![0.0f32; base.len()];
+            ops::layer_norm_forward_rows(&base, cols, &gamma, &beta, &mut out, None, pool);
+            out
+        };
+        let seq = layer_norm(&seq_pool);
         assert_eq!(
-            seq, par,
+            seq,
+            layer_norm(&par_pool),
             "layernorm {rows}x{cols} differs across thread counts"
         );
-        let mut reference = base.clone();
-        for row in reference.chunks_mut(cols) {
-            ops::layer_norm_slice(row, &gamma, &beta);
-        }
+        let reference = layer_norm_row_by_row(&base, cols, &gamma, &beta);
         assert_eq!(
             seq, reference,
             "layernorm {rows}x{cols} diverged from per-row kernel"
@@ -662,10 +759,7 @@ fn tensor_row_ops_use_global_pool_and_stay_bitwise_stable() {
     let gamma = rng.rand_uniform(&[cols], 0.5, 1.5);
     let beta = rng.rand_uniform(&[cols], -0.5, 0.5);
     let normed = x.layer_norm_last_axis(&gamma, &beta).unwrap();
-    let mut reference = x.data().to_vec();
-    for row in reference.chunks_mut(cols) {
-        ops::layer_norm_slice(row, gamma.data(), beta.data());
-    }
+    let reference = layer_norm_row_by_row(x.data(), cols, gamma.data(), beta.data());
     assert_eq!(normed.data(), reference.as_slice());
 
     let activated = x.gelu();
@@ -699,16 +793,8 @@ fn layer_norm_training_kernels_are_bitwise_identical_across_thread_counts() {
             let mut x_hat = vec![0.0f32; rows * cols];
             let mut out = vec![0.0f32; rows * cols];
             let mut inv_std = vec![0.0f32; rows];
-            ops::layer_norm_forward_rows(
-                &x,
-                cols,
-                &gamma,
-                &beta,
-                &mut x_hat,
-                &mut out,
-                &mut inv_std,
-                pool,
-            );
+            let record = Some((x_hat.as_mut_slice(), inv_std.as_mut_slice()));
+            ops::layer_norm_forward_rows(&x, cols, &gamma, &beta, &mut out, record, pool);
             (x_hat, out, inv_std)
         };
         let (x_hat, out, inv_std) = run_forward(&seq_pool);
@@ -717,13 +803,10 @@ fn layer_norm_training_kernels_are_bitwise_identical_across_thread_counts() {
             (x_hat.clone(), out.clone(), inv_std.clone()),
             "layernorm forward {rows}x{cols} differs across thread counts"
         );
-        // The affine output matches the inference kernel up to rounding (it
-        // multiplies by 1/std instead of dividing by std).
-        let mut reference = x.clone();
-        for row in reference.chunks_mut(cols) {
-            ops::layer_norm_slice(row, &gamma, &beta);
-        }
-        assert_close(&out, &reference, &format!("layernorm fwd {rows}x{cols}"));
+        // Recording changes no output bit: the training forward's output is
+        // the inference forward's.
+        let reference = layer_norm_row_by_row(&x, cols, &gamma, &beta);
+        assert_eq!(out, reference, "layernorm fwd {rows}x{cols}");
 
         let run_backward = |pool: &ParallelPool| {
             let mut grad_x = vec![0.0f32; rows * cols];
