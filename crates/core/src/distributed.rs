@@ -9,6 +9,7 @@ use edvit_edge::{
 use edvit_metrics::MetricsSink;
 use edvit_net::transport_for;
 use edvit_tensor::Tensor;
+use edvit_vit::VisionTransformer;
 
 use crate::pipeline::EdVitDeployment;
 use crate::{EdVitError, Result};
@@ -67,21 +68,8 @@ pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn
         .into_iter()
         .map(|sub| {
             let model = sub.model;
-            let executor: SubModelFn = Box::new(move |sample: &Tensor| {
-                // Accept [c, h, w] samples by adding a batch axis.
-                let batched = if sample.rank() == 3 {
-                    let mut dims = vec![1];
-                    dims.extend_from_slice(sample.dims());
-                    sample.reshape(&dims).map_err(|e| e.to_string())?
-                } else {
-                    sample.clone()
-                };
-                let features = model
-                    .forward_features(&batched)
-                    .map_err(|e| e.to_string())?;
-                // Return the single sample's feature vector.
-                features.row(0).map_err(|e| e.to_string())
-            });
+            let executor: SubModelFn =
+                Box::new(move |sample: &Tensor| sample_features(&model, sample));
             executor
         })
         .collect();
@@ -93,6 +81,25 @@ pub fn into_executors(deployment: EdVitDeployment) -> (Vec<SubModelFn>, FusionFn
         logits.row(0).map_err(|e| e.to_string())
     });
     (executors, fusion_fn)
+}
+
+/// One sample's pooled feature vector from `model`: a `[c, h, w]` sample
+/// gets a batch axis, and row 0 of the features is returned.
+pub(crate) fn sample_features(
+    model: &VisionTransformer,
+    sample: &Tensor,
+) -> std::result::Result<Tensor, String> {
+    let batched = if sample.rank() == 3 {
+        let mut dims = vec![1];
+        dims.extend_from_slice(sample.dims());
+        sample.reshape(&dims).map_err(|e| e.to_string())?
+    } else {
+        sample.clone()
+    };
+    let features = model
+        .forward_features(&batched)
+        .map_err(|e| e.to_string())?;
+    features.row(0).map_err(|e| e.to_string())
 }
 
 /// Runs a batch of image samples through the deployment and returns the

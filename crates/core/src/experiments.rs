@@ -902,6 +902,7 @@ pub struct CodecRow {
 ///
 /// Propagates pipeline and scheduler failures.
 pub fn codec_comparison(options: &ExperimentOptions) -> Result<Vec<CodecRow>> {
+    use crate::distributed::sample_features;
     use crate::streaming::run_streaming;
     use edvit_sched::StreamConfig;
 
@@ -924,14 +925,8 @@ pub fn codec_comparison(options: &ExperimentOptions) -> Result<Vec<CodecRow>> {
     let probe_model = &trained.sub_models[0].model;
     let mut probe: Option<edge_wire::FeatureBatchMessage> = None;
     for (i, sample) in inputs.iter().take(round_size).enumerate() {
-        let batched = if sample.rank() == 3 {
-            let mut dims = vec![1];
-            dims.extend_from_slice(sample.dims());
-            sample.reshape(&dims)?
-        } else {
-            sample.clone()
-        };
-        let feature = probe_model.forward_features(&batched)?.row(0)?;
+        let feature = sample_features(probe_model, sample)
+            .map_err(|message| EdVitError::InvalidConfig { message })?;
         probe
             .get_or_insert_with(|| edge_wire::FeatureBatchMessage::new(0, feature.numel()))
             .push_tensor(i, &feature)?;

@@ -334,8 +334,8 @@ impl EdVitPipeline {
         record(&mut stages, "prune_retrain");
 
         // ---- Fusion MLP training -------------------------------------------
-        let train_features = extract_features(&mut sub_models, train.images())?;
-        let test_features = extract_features(&mut sub_models, test.images())?;
+        let train_features = extract_features(&sub_models, train.images())?;
+        let test_features = extract_features(&sub_models, test.images())?;
         let fusion_config = FusionConfig::new(train_features.dims()[1], train.num_classes());
         let mut fusion = FusionMlp::new(&fusion_config, &mut TensorRng::new(cfg.seed ^ 0xF05))?;
         fusion.train(&train_features, train.labels(), cfg.fusion_steps)?;
@@ -344,7 +344,7 @@ impl EdVitPipeline {
         record(&mut stages, "fusion_train");
 
         // ---- "(w/o) retrain" ablation: softmax averaging --------------------
-        let averaged_accuracy = averaged_softmax_accuracy(&mut sub_models, &test)?;
+        let averaged_accuracy = averaged_softmax_accuracy(&sub_models, &test)?;
         record(&mut stages, "evaluate");
 
         // ---- "(w/) entire retrain" ablation ---------------------------------
@@ -433,8 +433,9 @@ impl EdVitPipeline {
 /// independent "devices", so they run across the thread pool (each one runs
 /// to the end even when another fails; the first error in sub-model order is
 /// returned).
-fn extract_features(sub_models: &mut [PrunedSubModel], images: &Tensor) -> Result<Tensor> {
-    let per_model = ParallelPool::global().map_mut(sub_models, |sub| -> Result<Tensor> {
+fn extract_features(sub_models: &[PrunedSubModel], images: &Tensor) -> Result<Tensor> {
+    let per_model = ParallelPool::global().map_indexed(sub_models.len(), |i| -> Result<Tensor> {
+        let sub = &sub_models[i];
         let n = images.dims()[0];
         let mut chunks = Vec::new();
         let indices: Vec<usize> = (0..n).collect();
@@ -451,8 +452,9 @@ fn extract_features(sub_models: &mut [PrunedSubModel], images: &Tensor) -> Resul
 }
 
 /// Accuracy of the softmax-averaging fallback (no fusion MLP).
-fn averaged_softmax_accuracy(sub_models: &mut [PrunedSubModel], test: &Dataset) -> Result<f32> {
-    let per_model = ParallelPool::global().map_mut(sub_models, |sub| -> Result<_> {
+fn averaged_softmax_accuracy(sub_models: &[PrunedSubModel], test: &Dataset) -> Result<f32> {
+    let per_model = ParallelPool::global().map_indexed(sub_models.len(), |i| -> Result<_> {
+        let sub = &sub_models[i];
         let logits = sub.model.forward_images(test.images())?;
         Ok((logits.softmax_last_axis()?, sub.mapping.subset.clone()))
     });

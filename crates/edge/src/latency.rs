@@ -41,14 +41,6 @@ pub struct LatencyBreakdown {
 }
 
 impl LatencyBreakdown {
-    /// The device that dominates the end-to-end latency.
-    pub fn bottleneck_device(&self) -> Option<usize> {
-        self.per_device
-            .iter()
-            .max_by(|a, b| a.total_seconds().total_cmp(&b.total_seconds()))
-            .map(|d| d.device_id)
-    }
-
     /// Fraction of the end-to-end latency spent on communication (the paper
     /// argues this is negligible: ≤ 5.86 ms against seconds of compute).
     pub fn communication_fraction(&self) -> f64 {
@@ -495,7 +487,6 @@ mod tests {
         let latency = model.estimate_batched(&plan, &devices, 1).unwrap();
         assert!(latency.communication_fraction() < 0.05);
         assert!(latency.fusion_seconds >= 0.0);
-        assert!(latency.bottleneck_device().is_some());
     }
 
     #[test]
@@ -659,7 +650,6 @@ mod tests {
             fusion_seconds: 0.0,
             total_seconds: 0.0,
         };
-        assert_eq!(empty.bottleneck_device(), None);
         assert_eq!(empty.communication_fraction(), 0.0);
     }
 }

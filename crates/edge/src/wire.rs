@@ -106,7 +106,7 @@ impl PayloadCodec {
     /// frame is intact (the bits are not CRC-protected, but a conforming
     /// encoder can never emit it), so this is a peer speaking a newer or
     /// broken dialect, not wire noise.
-    pub fn from_flags(flags: u8) -> Result<Self> {
+    fn from_flags(flags: u8) -> Result<Self> {
         match (flags & FLAG_CODEC_MASK) >> FLAG_CODEC_SHIFT {
             0 => Ok(PayloadCodec::F32),
             1 => Ok(PayloadCodec::F16),
@@ -117,7 +117,7 @@ impl PayloadCodec {
 
     /// Bytes per feature value as laid out by this codec before any
     /// compression (4 for `f32`, 2 for the f16 family).
-    pub fn bytes_per_value(self) -> usize {
+    fn bytes_per_value(self) -> usize {
         match self {
             PayloadCodec::F32 => 4,
             PayloadCodec::F16 | PayloadCodec::F16Rle => 2,

@@ -59,7 +59,7 @@ impl FusionConfig {
     }
 
     /// Width of the hidden layer, `⌈λ · input_dim⌉`, at least one unit.
-    pub fn hidden_dim(&self) -> usize {
+    fn hidden_dim(&self) -> usize {
         ((self.input_dim as f32 * LAMBDA).ceil() as usize).max(1)
     }
 

@@ -267,14 +267,6 @@ impl MetricsRegistry {
             .unwrap_or(0.0)
     }
 
-    /// Current value of a gauge series (`None` when absent).
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.families
-            .get(name)
-            .and_then(|f| f.gauges.get(&sorted_labels(labels)))
-            .copied()
-    }
-
     /// `(count, sum)` of a histogram series ((0, 0.0) when absent).
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> (u64, f64) {
         self.families
@@ -310,11 +302,12 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.set("depth", &[], 2.0);
         r.set("depth", &[], 1.0);
-        assert_eq!(r.gauge("depth", &[]), Some(1.0));
         r.set_max("peak", &[], 3.0);
         r.set_max("peak", &[], 2.0);
-        assert_eq!(r.gauge("peak", &[]), Some(3.0));
-        assert_eq!(r.gauge("absent", &[]), None);
+        assert_eq!(
+            r.expose(),
+            "# TYPE depth gauge\ndepth 1\n# TYPE peak gauge\npeak 3\n"
+        );
     }
 
     #[test]

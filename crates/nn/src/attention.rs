@@ -105,46 +105,6 @@ impl MultiHeadSelfAttention {
         })
     }
 
-    /// Builds an MHSA layer from existing projection layers — used when
-    /// slicing pruned sub-models out of a trained model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] when the projections are mutually
-    /// inconsistent with `heads`/`head_dim`.
-    pub fn from_projections(
-        q_proj: Linear,
-        k_proj: Linear,
-        v_proj: Linear,
-        out_proj: Linear,
-        heads: usize,
-        head_dim: usize,
-    ) -> Result<Self> {
-        let embed_dim = q_proj.in_features();
-        let inner = heads * head_dim;
-        if q_proj.out_features() != inner
-            || k_proj.out_features() != inner
-            || v_proj.out_features() != inner
-            || k_proj.in_features() != embed_dim
-            || v_proj.in_features() != embed_dim
-            || out_proj.in_features() != inner
-        {
-            return Err(NnError::InvalidConfig {
-                message: "inconsistent projection shapes for MHSA".to_string(),
-            });
-        }
-        Ok(MultiHeadSelfAttention {
-            q_proj,
-            k_proj,
-            v_proj,
-            out_proj,
-            embed_dim,
-            heads,
-            head_dim,
-            record: None,
-        })
-    }
-
     /// Embedding dimension seen at the input and output.
     pub fn embed_dim(&self) -> usize {
         self.embed_dim
@@ -224,11 +184,16 @@ impl MultiHeadSelfAttention {
                 columns.push(h * self.head_dim + i);
             }
         }
-        let q = self.q_proj.select_outputs(&columns)?;
-        let k = self.k_proj.select_outputs(&columns)?;
-        let v = self.v_proj.select_outputs(&columns)?;
-        let out = self.out_proj.select_inputs(&columns)?;
-        MultiHeadSelfAttention::from_projections(q, k, v, out, self.heads, kept_width)
+        Ok(MultiHeadSelfAttention {
+            q_proj: self.q_proj.select_outputs(&columns)?,
+            k_proj: self.k_proj.select_outputs(&columns)?,
+            v_proj: self.v_proj.select_outputs(&columns)?,
+            out_proj: self.out_proj.select_inputs(&columns)?,
+            embed_dim: self.embed_dim,
+            heads: self.heads,
+            head_dim: kept_width,
+            record: None,
+        })
     }
 
     /// Returns a copy of this layer whose input/output embedding channels are
@@ -238,11 +203,16 @@ impl MultiHeadSelfAttention {
     ///
     /// Returns an error when indices are out of range.
     pub fn prune_embed_channels(&self, keep: &[usize]) -> Result<MultiHeadSelfAttention> {
-        let q = self.q_proj.select_inputs(keep)?;
-        let k = self.k_proj.select_inputs(keep)?;
-        let v = self.v_proj.select_inputs(keep)?;
-        let out = self.out_proj.select_outputs(keep)?;
-        MultiHeadSelfAttention::from_projections(q, k, v, out, self.heads, self.head_dim)
+        Ok(MultiHeadSelfAttention {
+            q_proj: self.q_proj.select_inputs(keep)?,
+            k_proj: self.k_proj.select_inputs(keep)?,
+            v_proj: self.v_proj.select_inputs(keep)?,
+            out_proj: self.out_proj.select_outputs(keep)?,
+            embed_dim: keep.len(),
+            heads: self.heads,
+            head_dim: self.head_dim,
+            record: None,
+        })
     }
 
     /// Attention over one sample whose projections `q`, `k`, `v` are

@@ -182,7 +182,7 @@ impl Conv2d {
 
     /// Spatial output size for a given input size; `(0, 0)` when the kernel
     /// does not fit even once.
-    pub fn output_size(&self, h: usize, w: usize) -> (usize, usize) {
+    fn output_size(&self, h: usize, w: usize) -> (usize, usize) {
         let padded_h = h + 2 * self.padding;
         let padded_w = w + 2 * self.padding;
         if padded_h < self.kernel || padded_w < self.kernel {

@@ -113,7 +113,7 @@ pub use linear::Linear;
 pub use loss::CrossEntropyLoss;
 pub use mlp::{Mlp, MlpActivation};
 pub use module::Layer;
-pub use optimizer::{Adam, LrSchedule};
+pub use optimizer::Adam;
 pub use param::Parameter;
 pub use pool::{Flatten, MaxPool2d};
 

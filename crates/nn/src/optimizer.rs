@@ -93,39 +93,9 @@ impl Adam {
         self.lr
     }
 
-    /// Overrides the learning rate (used by the decay schedule).
+    /// Overrides the learning rate (used by the per-epoch decay).
     pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
-    }
-}
-
-/// Multiplicative learning-rate decay applied every `every` steps, mirroring
-/// the "decaying learning rate initialized to 1e-4" schedule in the paper.
-#[derive(Debug, Clone)]
-pub struct LrSchedule {
-    initial_lr: f32,
-    decay: f32,
-    every: u64,
-}
-
-impl LrSchedule {
-    /// Creates a step-decay schedule.
-    pub fn new(initial_lr: f32, decay: f32, every: u64) -> Self {
-        LrSchedule {
-            initial_lr,
-            decay,
-            every: every.max(1),
-        }
-    }
-
-    /// Learning rate to use at global step `step`.
-    pub fn lr_at(&self, step: u64) -> f32 {
-        self.initial_lr * self.decay.powf((step / self.every) as f32)
-    }
-
-    /// Applies the schedule to an optimizer for the given step.
-    pub fn apply(&self, optimizer: &mut Adam, step: u64) {
-        optimizer.set_learning_rate(self.lr_at(step));
     }
 }
 
@@ -211,16 +181,5 @@ mod tests {
         assert_eq!(adam.learning_rate(), 0.3);
         adam.set_learning_rate(0.1);
         assert_eq!(adam.learning_rate(), 0.1);
-    }
-
-    #[test]
-    fn lr_schedule_decays() {
-        let sched = LrSchedule::new(1e-4, 0.5, 10);
-        assert_eq!(sched.lr_at(0), 1e-4);
-        assert!((sched.lr_at(10) - 5e-5).abs() < 1e-9);
-        assert!((sched.lr_at(25) - 2.5e-5).abs() < 1e-9);
-        let mut opt = Adam::new(1.0);
-        sched.apply(&mut opt, 20);
-        assert!((opt.learning_rate() - 2.5e-5).abs() < 1e-9);
     }
 }

@@ -16,10 +16,9 @@
 //!   threads keep pulling the next unclaimed chunk, so uneven chunk costs
 //!   self-balance without per-thread deques). This is how kernels write
 //!   their output rows without locks or unsafe code on the caller's side.
-//! * [`ParallelPool::map_indexed`] / [`ParallelPool::map_mut`] — parallel
-//!   maps built on it, collecting one result per index (per-trial
-//!   experiment sweeps) or per exclusively borrowed item (one per sub-model
-//!   of a pipeline).
+//! * [`ParallelPool::map_indexed`] — a parallel map built on it, collecting
+//!   one result per index (per-trial experiment sweeps, one per sub-model of
+//!   a pipeline).
 //! * [`with_budget`] / [`with_fair_share`] — the per-thread cap on how many
 //!   threads a region may use, which is how an outer loop made of plain OS
 //!   threads (one per simulated edge device) claims its share of the pool.
@@ -404,7 +403,7 @@ impl ParallelPool {
 
     /// Parallel map over exclusive borrows: computes `f(item)` for every
     /// element of `items` and collects the results in order.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
+    fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
         R: Send,

@@ -1,6 +1,4 @@
-use edvit_nn::{
-    Layer, LayerNorm, Linear, Mlp, MlpActivation, MultiHeadSelfAttention, NnError, Parameter,
-};
+use edvit_nn::{Layer, LayerNorm, Mlp, MlpActivation, MultiHeadSelfAttention, NnError, Parameter};
 use edvit_tensor::{init::TensorRng, Tensor};
 
 use crate::{Result, ViTError};
@@ -59,44 +57,6 @@ impl ViTBlock {
         })
     }
 
-    /// Builds a block from existing sub-layers (used for pruning).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ViTError::InvalidConfig`] when the sub-layers disagree on the
-    /// residual width.
-    pub fn from_parts(
-        ln1: LayerNorm,
-        attn: MultiHeadSelfAttention,
-        ln2: LayerNorm,
-        ffn: Mlp,
-    ) -> Result<Self> {
-        let embed_dim = ln1.dim();
-        if attn.embed_dim() != embed_dim
-            || ln2.dim() != embed_dim
-            || ffn.in_features() != embed_dim
-            || ffn.out_features() != embed_dim
-        {
-            return Err(ViTError::InvalidConfig {
-                message: format!(
-                    "block sub-layers disagree on width: ln1={}, attn={}, ln2={}, ffn_in={}, ffn_out={}",
-                    embed_dim,
-                    attn.embed_dim(),
-                    ln2.dim(),
-                    ffn.in_features(),
-                    ffn.out_features()
-                ),
-            });
-        }
-        Ok(ViTBlock {
-            ln1,
-            attn,
-            ln2,
-            ffn,
-            embed_dim,
-        })
-    }
-
     /// Residual (embedding) width of the block.
     pub fn embed_dim(&self) -> usize {
         self.embed_dim
@@ -133,13 +93,20 @@ impl ViTBlock {
     ///
     /// Returns an error when indices are out of range.
     pub fn prune_embed_channels(&self, keep: &[usize]) -> Result<ViTBlock> {
-        let ln1 = self.ln1.select_features(keep)?;
-        let ln2 = self.ln2.select_features(keep)?;
-        let attn = self.attn.prune_embed_channels(keep)?;
-        let fc1 = self.ffn.linears()[0].select_inputs(keep)?;
-        let fc2 = self.ffn.linears()[1].select_outputs(keep)?;
-        let ffn = Mlp::from_linears(vec![fc1, fc2], MlpActivation::Gelu)?;
-        ViTBlock::from_parts(ln1, attn, ln2, ffn)
+        let linears = self.ffn.linears();
+        Ok(ViTBlock {
+            ln1: self.ln1.select_features(keep)?,
+            ln2: self.ln2.select_features(keep)?,
+            attn: self.attn.prune_embed_channels(keep)?,
+            ffn: Mlp::from_linears(
+                vec![
+                    linears[0].select_inputs(keep)?,
+                    linears[1].select_outputs(keep)?,
+                ],
+                MlpActivation::Gelu,
+            )?,
+            embed_dim: keep.len(),
+        })
     }
 
     /// Stage-2 pruning: restrict each attention head's inner width to the
@@ -149,13 +116,13 @@ impl ViTBlock {
     ///
     /// Returns an error when the keep lists are inconsistent.
     pub fn prune_head_dims(&self, keep_per_head: &[Vec<usize>]) -> Result<ViTBlock> {
-        let attn = self.attn.prune_head_dims(keep_per_head)?;
-        let ln1 = self.ln1.clone();
-        let ln2 = self.ln2.clone();
-        let fc1 = self.ffn.linears()[0].clone();
-        let fc2 = self.ffn.linears()[1].clone();
-        let ffn = Mlp::from_linears(vec![fc1, fc2], MlpActivation::Gelu)?;
-        ViTBlock::from_parts(ln1, attn, ln2, ffn)
+        Ok(ViTBlock {
+            ln1: self.ln1.clone(),
+            attn: self.attn.prune_head_dims(keep_per_head)?,
+            ln2: self.ln2.clone(),
+            ffn: self.ffn.clone(),
+            embed_dim: self.embed_dim,
+        })
     }
 
     /// Stage-3 pruning: restrict the FFN hidden units to `keep`.
@@ -164,16 +131,20 @@ impl ViTBlock {
     ///
     /// Returns an error when indices are out of range.
     pub fn prune_ffn_hidden(&self, keep: &[usize]) -> Result<ViTBlock> {
-        let fc1 = self.ffn.linears()[0].select_outputs(keep)?;
-        let fc2 = self.ffn.linears()[1].select_inputs(keep)?;
-        let ffn = Mlp::from_linears(vec![fc1, fc2], MlpActivation::Gelu)?;
-        ViTBlock::from_parts(
-            self.ln1.clone(),
-            self.attn
-                .prune_embed_channels(&(0..self.embed_dim).collect::<Vec<_>>())?,
-            self.ln2.clone(),
-            ffn,
-        )
+        let linears = self.ffn.linears();
+        Ok(ViTBlock {
+            ffn: Mlp::from_linears(
+                vec![
+                    linears[0].select_outputs(keep)?,
+                    linears[1].select_inputs(keep)?,
+                ],
+                MlpActivation::Gelu,
+            )?,
+            ln1: self.ln1.clone(),
+            attn: self.attn.clone(),
+            ln2: self.ln2.clone(),
+            embed_dim: self.embed_dim,
+        })
     }
 }
 
@@ -220,12 +191,6 @@ impl Layer for ViTBlock {
         params.extend(self.ffn.parameters());
         params
     }
-}
-
-/// Helper used by model-level pruning to rebuild a block's FFN from pruned
-/// linear layers while keeping the rest of the block.
-pub(crate) fn rebuild_ffn(fc1: Linear, fc2: Linear) -> Result<Mlp> {
-    Ok(Mlp::from_linears(vec![fc1, fc2], MlpActivation::Gelu)?)
 }
 
 #[cfg(test)]
@@ -336,16 +301,6 @@ mod tests {
         let mut rng = TensorRng::new(7);
         let x = rng.randn(&[3, 16], 0.0, 1.0);
         assert_eq!(pruned2.forward(&x).unwrap().dims(), &[3, 16]);
-    }
-
-    #[test]
-    fn from_parts_validates_widths() {
-        let mut rng = TensorRng::new(8);
-        let ln1 = LayerNorm::new(8);
-        let ln2 = LayerNorm::new(8);
-        let attn = MultiHeadSelfAttention::new(8, 2, 4, &mut rng).unwrap();
-        let bad_ffn = Mlp::new(&[10, 20, 10], &mut rng).unwrap();
-        assert!(ViTBlock::from_parts(ln1, attn, ln2, bad_ffn).is_err());
     }
 
     #[test]

@@ -2,7 +2,6 @@ use edvit_nn::{Layer, LayerNorm, Linear, NnError, Parameter};
 use edvit_parallel::ParallelPool;
 use edvit_tensor::{init::TensorRng, Tensor};
 
-use crate::block::rebuild_ffn;
 use crate::{PatchEmbed, Result, ViTBlock, ViTConfig, ViTError};
 
 /// Total pooled elements (`batch·tokens·dim`) below which the mean-pool
@@ -17,6 +16,11 @@ const PAR_POOL_WORK: usize = 1 << 15;
 /// pooling over tokens, and a linear classification head. Mean pooling (rather
 /// than a class token) keeps the pooled feature exactly `s × d` wide after
 /// pruning, matching the communication payload the paper reports in §V-D.
+///
+/// A model's widths are read from its layers ([`VisionTransformer::embed_dim`],
+/// [`VisionTransformer::num_classes`], each block's attention and FFN), so
+/// they describe the model as it is after pruning or
+/// [`VisionTransformer::replace_head`].
 ///
 /// # Example
 ///
@@ -36,7 +40,6 @@ const PAR_POOL_WORK: usize = 1 << 15;
 /// ```
 #[derive(Debug, Clone)]
 pub struct VisionTransformer {
-    config: ViTConfig,
     patch_embed: PatchEmbed,
     blocks: Vec<ViTBlock>,
     final_ln: LayerNorm,
@@ -68,7 +71,6 @@ impl VisionTransformer {
         let final_ln = LayerNorm::new(config.embed_dim);
         let head = Linear::new(config.embed_dim, config.num_classes, rng);
         Ok(VisionTransformer {
-            config: config.clone(),
             patch_embed,
             blocks,
             final_ln,
@@ -77,13 +79,14 @@ impl VisionTransformer {
         })
     }
 
-    /// Builds a model from existing components (used by structured pruning).
+    /// Builds a model from existing components, of any widths they agree
+    /// on.
     ///
     /// # Errors
     ///
-    /// Returns [`ViTError::InvalidConfig`] when components disagree on widths.
+    /// Returns [`ViTError::InvalidConfig`] when components disagree on widths
+    /// or there is no block.
     pub fn from_parts(
-        config: ViTConfig,
         patch_embed: PatchEmbed,
         blocks: Vec<ViTBlock>,
         final_ln: LayerNorm,
@@ -104,21 +107,12 @@ impl VisionTransformer {
             });
         }
         Ok(VisionTransformer {
-            config,
             patch_embed,
             blocks,
             final_ln,
             head,
             record: None,
         })
-    }
-
-    /// The geometric configuration (image size, patches, channels, classes of
-    /// the original task). Note that after pruning the *width* fields of this
-    /// config describe the original model; use [`VisionTransformer::embed_dim`]
-    /// for the current width.
-    pub fn config(&self) -> &ViTConfig {
-        &self.config
     }
 
     /// Current residual (embedding) width.
@@ -294,14 +288,17 @@ impl VisionTransformer {
                 message: "cannot prune away every residual channel".to_string(),
             });
         }
-        let patch_embed = self.patch_embed.prune_embed_channels(keep)?;
-        let mut blocks = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            blocks.push(block.prune_embed_channels(keep)?);
-        }
-        let final_ln = self.final_ln.select_features(keep)?;
-        let head = self.head.select_inputs(keep)?;
-        VisionTransformer::from_parts(self.config.clone(), patch_embed, blocks, final_ln, head)
+        Ok(VisionTransformer {
+            patch_embed: self.patch_embed.prune_embed_channels(keep)?,
+            blocks: self
+                .blocks
+                .iter()
+                .map(|b| b.prune_embed_channels(keep))
+                .collect::<Result<_>>()?,
+            final_ln: self.final_ln.select_features(keep)?,
+            head: self.head.select_inputs(keep)?,
+            record: None,
+        })
     }
 
     /// Stage-2 pruning: keep only the listed per-head inner dimensions inside
@@ -311,55 +308,37 @@ impl VisionTransformer {
     ///
     /// Returns an error when the keep lists are inconsistent.
     pub fn prune_head_dims(&self, keep_per_head: &[Vec<usize>]) -> Result<VisionTransformer> {
-        let mut blocks = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            blocks.push(block.prune_head_dims(keep_per_head)?);
-        }
-        let patch_embed = self.clone_patch_embed()?;
-        let final_ln = self.final_ln.clone();
-        let head = self.head.clone();
-        VisionTransformer::from_parts(self.config.clone(), patch_embed, blocks, final_ln, head)
+        self.prune_blocks(|block| block.prune_head_dims(keep_per_head))
     }
 
     /// Stage-3 pruning: keep only the listed FFN hidden units in every block.
     ///
     /// # Errors
     ///
-    /// Returns an error for out-of-range indices.
+    /// Returns an error for an empty keep list or out-of-range indices.
     pub fn prune_ffn_hidden(&self, keep: &[usize]) -> Result<VisionTransformer> {
         if keep.is_empty() {
             return Err(ViTError::InvalidPruning {
                 message: "cannot prune away every FFN hidden unit".to_string(),
             });
         }
-        let mut blocks = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let fc1 = block.ffn().linears()[0].select_outputs(keep)?;
-            let fc2 = block.ffn().linears()[1].select_inputs(keep)?;
-            let attn = block
-                .attn()
-                .prune_embed_channels(&(0..block.embed_dim()).collect::<Vec<_>>())?;
-            blocks.push(ViTBlock::from_parts(
-                block.ln1().clone(),
-                attn,
-                block.ln2().clone(),
-                rebuild_ffn(fc1, fc2)?,
-            )?);
-        }
-        let patch_embed = self.clone_patch_embed()?;
-        let final_ln = self.final_ln.clone();
-        let head = self.head.clone();
-        VisionTransformer::from_parts(self.config.clone(), patch_embed, blocks, final_ln, head)
+        self.prune_blocks(|block| block.prune_ffn_hidden(keep))
     }
 
-    fn clone_patch_embed(&self) -> Result<PatchEmbed> {
-        PatchEmbed::from_parts(
-            self.patch_embed.projection().clone(),
-            self.patch_embed.pos_embed().value().clone(),
-            self.config.channels,
-            self.config.image_size,
-            self.config.patch_size,
-        )
+    /// A stage that prunes inside the blocks: `prune` applied to every
+    /// block, and the patch embedding, final norm and head cloned as they
+    /// are.
+    fn prune_blocks(
+        &self,
+        prune: impl Fn(&ViTBlock) -> Result<ViTBlock>,
+    ) -> Result<VisionTransformer> {
+        Ok(VisionTransformer {
+            blocks: self.blocks.iter().map(prune).collect::<Result<_>>()?,
+            patch_embed: self.patch_embed.clone(),
+            final_ln: self.final_ln.clone(),
+            head: self.head.clone(),
+            record: None,
+        })
     }
 }
 
@@ -468,7 +447,6 @@ mod tests {
         assert_eq!(model.num_classes(), 4);
         assert_eq!(model.depth(), 2);
         assert_eq!(model.blocks().len(), 2);
-        assert_eq!(model.config().variant, crate::ViTVariant::TinyTest);
         assert_eq!(model.memory_bytes(), model.parameter_count() as u64 * 4);
     }
 
@@ -572,18 +550,21 @@ mod tests {
 
     #[test]
     fn from_parts_validates() {
-        let model = tiny_model();
-        let bad_head = Linear::new(16, 4, &mut TensorRng::new(8));
-        let pe = PatchEmbed::new(&ViTConfig::tiny_test(), &mut TensorRng::new(9)).unwrap();
-        let blocks = vec![ViTBlock::new(32, 4, 8, 64, &mut TensorRng::new(10)).unwrap()];
-        assert!(VisionTransformer::from_parts(
-            ViTConfig::tiny_test(),
-            pe,
-            blocks,
-            LayerNorm::new(32),
-            bad_head
-        )
-        .is_err());
-        let _ = model;
+        let config = ViTConfig::tiny_test();
+        let parts = |head_inputs: usize, depth: usize| {
+            let mut rng = TensorRng::new(8);
+            let blocks = (0..depth)
+                .map(|_| ViTBlock::new(32, 4, 8, 64, &mut rng).unwrap())
+                .collect();
+            let head = Linear::new(head_inputs, 4, &mut rng);
+            let pe = PatchEmbed::new(&config, &mut rng).unwrap();
+            VisionTransformer::from_parts(pe, blocks, LayerNorm::new(32), head)
+        };
+        let model = parts(32, 1).unwrap();
+        assert_eq!((model.embed_dim(), model.depth()), (32, 1));
+        let x = TensorRng::new(9).randn(&[1, 3, 16, 16], 0.0, 1.0);
+        assert_eq!(model.forward_images(&x).unwrap().dims(), &[1, 4]);
+        assert!(parts(16, 1).is_err());
+        assert!(parts(32, 0).is_err());
     }
 }

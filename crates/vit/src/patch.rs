@@ -59,52 +59,6 @@ impl PatchEmbed {
         })
     }
 
-    /// Builds a patch embedding from existing weights (used for pruning).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ViTError::InvalidConfig`] when weights and geometry disagree.
-    pub fn from_parts(
-        projection: Linear,
-        pos_embed: Tensor,
-        channels: usize,
-        image_size: usize,
-        patch_size: usize,
-    ) -> Result<Self> {
-        let patch_dim = channels * patch_size * patch_size;
-        if projection.in_features() != patch_dim {
-            return Err(ViTError::InvalidConfig {
-                message: format!(
-                    "projection expects {} inputs but patches have {} values",
-                    projection.in_features(),
-                    patch_dim
-                ),
-            });
-        }
-        let per_side = image_size / patch_size;
-        let patches = per_side * per_side;
-        if pos_embed.dims() != [patches, projection.out_features()] {
-            return Err(ViTError::InvalidConfig {
-                message: format!(
-                    "positional embedding {:?} does not match {} patches x {} dims",
-                    pos_embed.dims(),
-                    patches,
-                    projection.out_features()
-                ),
-            });
-        }
-        let embed_dim = projection.out_features();
-        Ok(PatchEmbed {
-            projection,
-            pos_embed: Parameter::new("patch_embed.pos", pos_embed),
-            channels,
-            image_size,
-            patch_size,
-            embed_dim,
-            record: None,
-        })
-    }
-
     /// Number of patches per image.
     pub fn num_patches(&self) -> usize {
         let per_side = self.image_size / self.patch_size;
@@ -133,18 +87,17 @@ impl PatchEmbed {
     ///
     /// Returns an error if an index is out of range.
     pub fn prune_embed_channels(&self, keep: &[usize]) -> Result<PatchEmbed> {
-        let projection = self
-            .projection
-            .select_outputs(keep)
-            .map_err(ViTError::from)?;
+        let projection = self.projection.select_outputs(keep)?;
         let pos = self.pos_embed.value().select_last_axis(keep)?;
-        PatchEmbed::from_parts(
+        Ok(PatchEmbed {
             projection,
-            pos,
-            self.channels,
-            self.image_size,
-            self.patch_size,
-        )
+            pos_embed: Parameter::new("patch_embed.pos", pos),
+            channels: self.channels,
+            image_size: self.image_size,
+            patch_size: self.patch_size,
+            embed_dim: keep.len(),
+            record: None,
+        })
     }
 
     /// Converts `[batch, channels, H, W]` images to flattened patches
@@ -153,7 +106,7 @@ impl PatchEmbed {
     /// # Errors
     ///
     /// Returns [`ViTError::InputMismatch`] when the geometry does not match.
-    pub fn images_to_patches(&self, images: &Tensor) -> Result<Tensor> {
+    fn images_to_patches(&self, images: &Tensor) -> Result<Tensor> {
         if images.rank() != 4
             || images.dims()[1] != self.channels
             || images.dims()[2] != self.image_size
@@ -396,28 +349,5 @@ mod tests {
         let x = rng.randn(&[1, 3, 16, 16], 0.0, 1.0);
         assert_eq!(pruned.forward(&x).unwrap().dims(), &[1, 4, 16]);
         assert!(embed.prune_embed_channels(&[999]).is_err());
-    }
-
-    #[test]
-    fn from_parts_validates() {
-        let (_, embed) = tiny();
-        let bad_pos = Tensor::zeros(&[3, 32]);
-        assert!(PatchEmbed::from_parts(
-            Linear::from_weights(Tensor::zeros(&[192, 32]), Tensor::zeros(&[32])).unwrap(),
-            bad_pos,
-            3,
-            16,
-            8
-        )
-        .is_err());
-        assert!(PatchEmbed::from_parts(
-            Linear::from_weights(Tensor::zeros(&[100, 32]), Tensor::zeros(&[32])).unwrap(),
-            Tensor::zeros(&[4, 32]),
-            3,
-            16,
-            8
-        )
-        .is_err());
-        let _ = embed;
     }
 }

@@ -5,7 +5,7 @@
 //! and the scaled-down configurations, which is sufficient for the accuracy
 //! *trends* ED-ViT's experiments rely on.
 
-use edvit_nn::{Adam, CrossEntropyLoss, Layer, LrSchedule};
+use edvit_nn::{Adam, CrossEntropyLoss, Layer};
 use edvit_tensor::{init::TensorRng, stats, Tensor};
 
 use crate::Result;
@@ -73,13 +73,12 @@ pub fn train_classifier<M: Layer + ?Sized>(
 ) -> Result<TrainReport> {
     let n = inputs.dims()[0];
     let mut optimizer = Adam::new(config.learning_rate);
-    let schedule = LrSchedule::new(config.learning_rate, config.lr_decay, 1);
     let mut loss_fn = CrossEntropyLoss::new();
     let mut rng = TensorRng::new(config.seed);
     let mut report = TrainReport { epochs: Vec::new() };
 
     for epoch in 0..config.epochs {
-        schedule.apply(&mut optimizer, epoch as u64);
+        optimizer.set_learning_rate(config.learning_rate * config.lr_decay.powf(epoch as f32));
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
         let mut losses = Vec::new();
